@@ -205,6 +205,10 @@ def panel_observability(hub: ObservabilityHub, max_spans: int = 6) -> str:
         _hit_rate_row("decode memo",
                       reg.counter_total("engine_decode_memo_hits_total"),
                       reg.counter_total("engine_decode_memo_misses_total")),
+        # misses = facet pattern scans the offline phases actually ran
+        _hit_rate_row("facet scan",
+                      reg.value("facet_scan_total", ("reuse",)),
+                      reg.value("facet_scan_total", ("scan",))),
     ]
     parts.append("Cache efficiency:\n" + format_table(
         ("cache", "hits", "misses", "rate"), cache_rows,

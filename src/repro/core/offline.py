@@ -2,9 +2,16 @@
 
 Owns the lattice and its profile for one (graph, facet) pair, runs a
 selection strategy, and materializes the chosen views into the dataset's
-named graphs.  Profiles are computed once and reused across every cost
-model — exactly how the demo explores the same full lattice under
-different cost functions.
+named graphs.  Profiles are computed once per graph version and reused
+across every cost model — exactly how the demo explores the same full
+lattice under different cost functions.
+
+The whole phase costs one evaluation of the facet pattern: the profiler
+leaves its finest group table in the engine's kept-scan slot
+(:mod:`repro.cube.rollup`) and every catalog built here shares that
+engine, so profile → select → materialize, and each further model of a
+comparison, reuse it.  Profile and scan are keyed on ``graph.version``;
+:meth:`OfflineModule.release_stale` frees the scan once the graph moved.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ class OfflineModule:
         self._engine = QueryEngine(dataset.default)
         self._lattice = ViewLattice(facet)
         self._profile: LatticeProfile | None = None
+        self._profile_version = -1
 
     @property
     def dataset(self) -> Dataset:
@@ -59,11 +67,18 @@ class OfflineModule:
         """The engine over the base graph G."""
         return self._engine
 
-    def profile(self, refresh: bool = False) -> LatticeProfile:
-        """The (cached) full-lattice profile."""
-        if self._profile is None or refresh:
+    def profile(self) -> LatticeProfile:
+        """The full-lattice profile of the current base-graph version."""
+        version = self._engine.graph.version
+        if self._profile is None or self._profile_version != version:
             self._profile = LatticeProfile.profile(self._lattice, self._engine)
+            self._profile_version = version
         return self._profile
+
+    def release_stale(self) -> None:
+        """Free the kept facet scan once the base graph has moved on (the
+        small cached profile is simply re-keyed by the next profile())."""
+        self._engine.kept_scan()        # a stale scan is dropped on the look
 
     def select(self, selector: Selector, k: int,
                workload: Sequence[AnalyticalQuery] | None = None

@@ -96,7 +96,7 @@ class Sofos:
         return self._maintainer
 
     def profile(self) -> LatticeProfile:
-        """Full-lattice statistics (computed once, cached)."""
+        """Full-lattice statistics (cached per base-graph version)."""
         return self._offline.profile()
 
     # -- offline ---------------------------------------------------------------
@@ -143,6 +143,7 @@ class Sofos:
 
     def refresh_views(self) -> list:
         """Rebuild any materialized views made stale by base-graph updates."""
+        self._offline.release_stale()
         if self._catalog is None:
             return []
         return self._catalog.refresh_stale()
@@ -156,6 +157,7 @@ class Sofos:
         re-materialized.  Either way the returned report itemizes what
         happened to each view.
         """
+        self._offline.release_stale()
         if self._maintainer is not None:
             return self._maintainer.synchronize()
         report = MaintenanceReport()
@@ -325,7 +327,8 @@ class Sofos:
     def generate_workload(self, size: int = 50,
                           config: WorkloadConfig | None = None
                           ) -> list[AnalyticalQuery]:
-        """A deterministic random workload over this facet."""
+        """A deterministic random workload over this facet (its value
+        domains read the shared facet scan :meth:`profile` also uses)."""
         if config is None:
             config = WorkloadConfig(size=size, seed=self._seed)
         generator = WorkloadGenerator(self._facet, self._offline.engine,

@@ -4,9 +4,14 @@ The demo's "Exploration of the Full Lattice" step computes, for every view
 of a facet, the quantities the cost models disagree about: result rows
 (aggregated values), encoded triples, distinct nodes, and measured
 evaluation time.  The profiler computes all four *without* materializing
-any RDF — it evaluates each view query once and derives the exact encoding
-footprint from the result table (the materializer's unit tests pin the
-formulas to reality).
+any RDF and from **one** evaluation of the facet's pattern: the finest
+group table of :func:`~repro.cube.rollup.facet_scan` rolls up through the
+lattice as ``ViewCatalog.materialize_all`` would build it, and each view's
+encoding footprint is read off its table in id-space
+(``tests/test_profile_rollup.py`` pins the counts to the materializer and
+to a per-view-query oracle).  The scan stays in the engine's slot for the
+materialization that follows.  Only facets outside the rollup class
+(expression operands) still run one query per view.
 """
 
 from __future__ import annotations
@@ -16,20 +21,30 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from ..errors import CostModelError
-from ..rdf.graph import Graph
+from ..obs import tracing as _tracing
 from ..rdf.stats import GraphStatistics
-from ..rdf.terms import Term
+from ..rdf.terms import Term, typed_literal
 from ..cube.facet import AnalyticalFacet
 from ..cube.lattice import ViewLattice
+from ..cube.rollup import facet_scan, rollup_tables
 from ..cube.view import ViewDefinition
 from ..sparql.engine import QueryEngine
+from ..sparql.grouptable import KIND_COUNT, KIND_SUM, GroupEntry, GroupTable
+from ..sparql.values import numeric_result
+
+_TRACER = _tracing.tracer()
 
 __all__ = ["ViewProfile", "BaseProfile", "LatticeProfile"]
 
 
 @dataclass(frozen=True)
 class ViewProfile:
-    """Exact footprint and measured cost of one (not yet materialized) view."""
+    """Exact footprint and measured cost of one (not yet materialized) view.
+
+    ``eval_seconds`` is the measured shared pattern scan plus this
+    view's own measured fold (projection from its rollup source and the
+    footprint count); outside the rollup class, the whole view query.
+    """
 
     mask: int
     label: str
@@ -43,7 +58,10 @@ class ViewProfile:
 
 @dataclass(frozen=True)
 class BaseProfile:
-    """The same quantities for the raw graph G (the no-view fallback)."""
+    """The same quantities for the raw graph G (the no-view fallback).
+
+    ``eval_seconds`` is the measured pattern scan alone (no fold).
+    """
 
     triples: int
     rows: int                      # bindings of the facet pattern P
@@ -64,25 +82,46 @@ class LatticeProfile:
     @classmethod
     def profile(cls, lattice: ViewLattice, engine: QueryEngine
                 ) -> "LatticeProfile":
-        """Evaluate every view query once and record exact statistics."""
+        """Profile the whole lattice from one scan of the facet pattern."""
         started = time.perf_counter()
         facet = lattice.facet
         graph = engine.graph
         graph_stats = GraphStatistics.of(graph)
 
         base_start = time.perf_counter()
-        base_table = engine.query(facet.binding_query())
-        base_seconds = time.perf_counter() - base_start
+        scan = facet_scan(engine, facet, keep=True)
+        if scan is None:
+            base_rows = len(engine.query(facet.binding_query()))
+            base_seconds = time.perf_counter() - base_start
+        else:
+            base_rows = sum(e.rows for e in scan.table.groups.values())
+            base_seconds = scan.seconds
         base = BaseProfile(
             triples=len(graph),
-            rows=len(base_table),
+            rows=base_rows,
             nodes=graph.node_count(),
             eval_seconds=base_seconds,
         )
 
         profile = cls(facet=facet, base=base, graph_stats=graph_stats)
-        for view in lattice:
-            profile.views[view.mask] = _profile_view(view, engine)
+        if scan is None:
+            for view in lattice:
+                profile.views[view.mask] = _profile_view(view, engine)
+        else:
+            with _TRACER.span("profile.rollup", facet=facet.name) as sp:
+                tick = time.perf_counter()
+                for mask, table in rollup_tables(
+                        facet, lattice.plan_materialization(lattice),
+                        scan.table):
+                    view = lattice[mask]
+                    rows, triples, nodes, dims = _footprint(
+                        view, table, engine)
+                    now = time.perf_counter()
+                    profile.views[mask] = ViewProfile(
+                        mask, view.label, view.level, rows, triples, nodes,
+                        scan.seconds + now - tick, dims)
+                    tick = now
+                sp.set_tags(groups=len(scan.table), views=len(lattice))
         profile.profile_seconds = time.perf_counter() - started
         return profile
 
@@ -140,7 +179,63 @@ class LatticeProfile:
             yield self.views[mask]
 
 
+def _footprint(view: ViewDefinition, table: GroupTable, engine: QueryEngine
+               ) -> tuple[int, int, int, tuple[int, ...]]:
+    """``(rows, triples, nodes, dim_cardinalities)`` of the view encoded
+    from ``table``: ``materialize_view_from_table`` without the writes.
+
+    Per group: the view link, one triple per bound dimension, the
+    measure unless the group stores none (poisoned, or no extremum), and
+    ``groupCount``.  Nodes are the group nodes, the view IRI and the
+    distinct object terms — count and measure literals are interned, so
+    a count equal to a dimension literal is one node.
+    """
+    groups = table.groups
+    if not groups and view.is_apex:
+        groups = {(): GroupEntry()}     # GROUP BY () over nothing: one group
+    aggregate = view.facet.aggregate
+    is_avg = aggregate.name == "AVG"
+    count_star = aggregate.operand is None
+    kind = table.kind
+    dim_ids: list[set[int]] = [set() for _ in view.variables]
+    object_ids: set[int] = set()
+    numbers: set[tuple[bool, int | float]] = set()  # 5 and 5.0 differ
+    triples = 0
+    for key, entry in groups.items():
+        triples += 2
+        for ids, tid in zip(dim_ids, key):
+            if tid is not None:
+                triples += 1
+                ids.add(tid)
+        numbers.add((True, entry.bound if is_avg else entry.rows))
+        if kind == KIND_SUM:
+            if not entry.poisoned:
+                triples += 1
+                numbers.add((isinstance(entry.value, int), entry.value))
+        elif kind == KIND_COUNT:
+            triples += 1
+            numbers.add((True, entry.rows if count_star else entry.bound))
+        elif not entry.poisoned and entry.best_id is not None:
+            triples += 1
+            object_ids.add(entry.best_id)
+    object_ids.update(*dim_ids)
+    # Distinct object terms: a dictionary id stands for its term; overlay
+    # ids and the computed literals go by the dictionary's id for their
+    # term when it has one.
+    lookup = engine.graph.dictionary.lookup
+    decode = engine.executor.decode_id
+    objects: set[int | Term] = {tid for tid in object_ids if tid >= 0}
+    for term in [decode(tid) for tid in object_ids if tid < 0] + [
+            typed_literal(value) if is_int else numeric_result(value)
+            for is_int, value in numbers]:
+        tid = lookup(term)
+        objects.add(term if tid is None else tid)
+    nodes = len(groups) + (1 if groups else 0) + len(objects)
+    return len(groups), triples, nodes, tuple(len(ids) for ids in dim_ids)
+
+
 def _profile_view(view: ViewDefinition, engine: QueryEngine) -> ViewProfile:
+    """One view by running its query: facets outside the rollup class."""
     query = view.materialization_query()
     start = time.perf_counter()
     table = engine.query(query)

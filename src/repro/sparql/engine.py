@@ -72,6 +72,7 @@ class QueryEngine:
         self._prefixes = prefixes
         self._executor = Executor(graph)
         self._prepared: dict[str, PreparedQuery] = {}
+        self._scan: tuple[int, object] | None = None    # see keep_scan
 
     @property
     def graph(self) -> Graph:
@@ -104,6 +105,19 @@ class QueryEngine:
         elif _REG.enabled:
             _PREPARED_HITS.inc()
         return prepared
+
+    def keep_scan(self, scan: object) -> None:
+        """Keep one whole-graph scan for later callers on this engine: a
+        single slot keyed on ``graph.version`` like the BGP-plan cache
+        (see :mod:`repro.cube.rollup`; ids are this executor's)."""
+        self._scan = (self._graph.version, scan)
+
+    def kept_scan(self) -> object | None:
+        """The kept scan, or None; one of an older graph is dropped here,
+        so it is never handed out nor kept alive past this look."""
+        if self._scan is not None and self._scan[0] != self._graph.version:
+            self._scan = None
+        return None if self._scan is None else self._scan[1]
 
     def query(self, query: str | SelectQuery | PreparedQuery) -> ResultTable:
         """Parse (if needed) and execute, returning a materialized table."""

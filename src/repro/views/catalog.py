@@ -8,7 +8,6 @@ storage-amplification panels read.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -20,18 +19,14 @@ from ..resilience.failpoints import fail_at, suppressed
 from ..rdf.dataset import Dataset
 from ..rdf.graph import Graph
 from ..cube.facet import AnalyticalFacet
-from ..cube.lattice import ViewLattice
+from ..cube.lattice import RollupPlan, ViewLattice
+from ..cube.rollup import FacetScan, facet_scan, rollup_tables
 from ..cube.view import ViewDefinition
-from ..sparql.ast import VarExpr
-from ..sparql.grouptable import KIND_BY_AGGREGATE
 from ..sparql.engine import QueryEngine
 from .materializer import MaterializationStats, materialize_view, \
     materialize_view_from_table
 
 __all__ = ["MaterializedView", "ViewCatalog"]
-
-#: Sentinel: a facet whose aggregate cannot be derived from a group table.
-_UNSUPPORTED = object()
 
 _LOG = get_logger("views.catalog")
 _REG = _metrics.registry()
@@ -153,11 +148,12 @@ class ViewCatalog:
         """Materialize a batch of views through the rollup planner.
 
         Instead of re-evaluating the facet query once per view, each
-        facet's batch evaluates its pattern **once** into an id-space
-        group table at the union grain and derives every view from that
-        table — or from the smallest already-built ancestor, chosen via
-        :meth:`ViewLattice.cheapest_source` with actual group counts
-        (facets outside the rollup class fall back to per-view builds).
+        facet's batch takes **one** id-space group table covering the
+        union grain from :func:`~repro.cube.rollup.facet_scan` — the
+        engine's kept scan when the profiler left one for this graph
+        version, else a fresh evaluation — and derives every view from
+        that table or from the smallest already-built ancestor (facets
+        outside the rollup class fall back to per-view builds).
 
         The batch is atomic at the catalog level: if any view fails to
         materialize, every view the batch already built is dropped
@@ -208,71 +204,41 @@ class ViewCatalog:
         for view in batch:
             by_facet.setdefault(view.facet, []).append(view)
         for facet, group in by_facet.items():
-            if self._rollup_operand(facet) is not _UNSUPPORTED:
-                self._materialize_rollup(facet, group, built)
-            else:
+            plan = ViewLattice.rollup_plan(v.mask for v in group)
+            with _TRACER.span("catalog.rollup_scan", facet=facet.name) as sp:
+                scan = facet_scan(self._engine, facet, plan.table_mask,
+                                  dictionary=self._dataset.dictionary)
+                if scan is not None:
+                    sp.set_tags(groups=len(scan.table), views=len(group))
+            if scan is None:
                 for view in group:
                     built.append(self.materialize(view))
+            else:
+                self._materialize_rollup(group, plan, scan, built)
 
-    def _rollup_operand(self, facet: AnalyticalFacet):
-        """The facet's measured variable (or None for COUNT(*)), or the
-        ``_UNSUPPORTED`` sentinel when the facet is outside the rollup
-        class: expression operands cannot be re-aggregated from a group
-        table, and a foreign-dictionary dataset cannot take id-native
-        writes."""
-        if self._dataset.dictionary is not self._engine.graph.dictionary:
-            return _UNSUPPORTED
-        operand = facet.aggregate.operand
-        if operand is None:
-            return None
-        if isinstance(operand, VarExpr):
-            return operand.var
-        return _UNSUPPORTED
-
-    def _materialize_rollup(self, facet: AnalyticalFacet,
-                            group: list[ViewDefinition],
+    def _materialize_rollup(self, group: list[ViewDefinition],
+                            plan: RollupPlan, scan: FacetScan,
                             built: list[MaterializedView]) -> None:
         """Shared-scan build of one facet's views, finest first."""
-        plan = ViewLattice.rollup_plan(v.mask for v in group)
         engine = self._engine
-        executor = engine.executor
-        operand = self._rollup_operand(facet)
-        kind = KIND_BY_AGGREGATE[facet.aggregate.name]
-
-        with _TRACER.span("catalog.rollup_scan", facet=facet.name) as sp:
-            scan_start = time.perf_counter()
-            prepared = engine.prepare(facet.binding_query())
-            table = executor.group_table(
-                prepared.plan, facet.mask_variables(plan.table_mask),
-                operand, kind, keep_max=facet.aggregate.name == "MAX")
-            scan_seconds = time.perf_counter() - scan_start
-            sp.set_tags(groups=len(table), views=len(group))
-
-        tables = {plan.table_mask: table}
         views_by_mask = {v.mask: v for v in group}
-        for step in plan.steps:
+        for mask, table in rollup_tables(scan.facet, plan, scan.table):
             fail_at("catalog.materialize.view")
-            view = views_by_mask[step.mask]
-            source_mask = ViewLattice.cheapest_source(
-                step.mask, tables,
-                sizes={m: len(t) for m, t in tables.items()})
-            source = tables[source_mask]
-            if source.variables != view.variables:
-                source = source.project_variables(view.variables)
-            tables[step.mask] = source
+            view = views_by_mask[mask]
             target = self._dataset.graph(view.iri)
             stats, index = materialize_view_from_table(
-                view, engine, target, source)
+                view, engine, target, table)
             entry = MaterializedView(
                 definition=view,
                 groups=stats.groups,
                 triples=stats.triples,
                 nodes=stats.nodes,
-                # The shared scan is paid once for the whole batch; each
-                # view carries an equal share so per-view build costs
-                # stay comparable (and total_build_seconds ≈ wall time).
+                # What a rebuild of this view costs: its own encode plus
+                # an equal share of the measured pattern scan — charged
+                # whether this batch ran the scan or found it kept, so
+                # per-view build costs stay comparable.
                 build_seconds=stats.build_seconds
-                + scan_seconds / len(plan.steps),
+                + scan.seconds / len(plan.steps),
                 base_version=engine.graph.version,
             )
             self._entries[view.mask] = entry

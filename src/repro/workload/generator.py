@@ -17,7 +17,9 @@ from ..errors import WorkloadError
 from ..rdf.terms import Literal, Term, Variable
 from ..cube.facet import AnalyticalFacet
 from ..cube.query import AnalyticalQuery, FilterCondition
+from ..cube.rollup import facet_scan
 from ..sparql.engine import QueryEngine
+from ..sparql.grouptable import KIND_COUNT
 from ..datasets.base import ZipfSampler
 
 __all__ = ["WorkloadConfig", "WorkloadGenerator", "dimension_values"]
@@ -47,24 +49,30 @@ class WorkloadConfig:
                 raise WorkloadError(f"{name} must be in [0, 1], got {value}")
 
 
-def dimension_values(facet: AnalyticalFacet, engine: QueryEngine,
-                     max_rows: int = 200_000) -> dict[Variable, list[Term]]:
+def dimension_values(facet: AnalyticalFacet, engine: QueryEngine
+                     ) -> dict[Variable, list[Term]]:
     """The actual distinct values of each grouping variable on the graph.
 
-    One evaluation of the facet's binding query feeds all dimensions; the
-    per-dimension lists are sorted for determinism.
+    Read off the shared facet scan (kept on ``engine`` for a profile or
+    materialization that follows): only distinct key ids are decoded;
+    the per-dimension lists are sorted for determinism.
     """
-    table = engine.query(facet.binding_query())
-    columns = {v: i for i, v in enumerate(table.variables)}
-    domains: dict[Variable, set[Term]] = {
-        v: set() for v in facet.grouping_variables}
-    for row in table.rows[:max_rows]:
-        for var in facet.grouping_variables:
-            value = row[columns[var]]
-            if value is not None:
-                domains[var].add(value)
-    return {var: sorted(values, key=lambda t: t.sort_key())
-            for var, values in domains.items()}
+    scan = facet_scan(engine, facet, keep=True)
+    if scan is not None:
+        keys = scan.table.groups
+    else:       # outside the rollup class: a keys-only fold, not kept
+        keys = engine.executor.group_table(
+            engine.prepare(facet.binding_query()).plan,
+            facet.grouping_variables, None, KIND_COUNT).groups
+    domains: list[set[int]] = [set() for _ in facet.grouping_variables]
+    for key in keys:
+        for ids, tid in zip(domains, key):
+            if tid is not None:
+                ids.add(tid)
+    decode = engine.executor.decode_id
+    return {var: sorted({decode(tid) for tid in ids},
+                        key=lambda t: t.sort_key())
+            for var, ids in zip(facet.grouping_variables, domains)}
 
 
 class WorkloadGenerator:

@@ -6,7 +6,7 @@ from repro.errors import ReproError
 from repro.core import OfflineModule, OnlineModule, Sofos, Timer, format_table
 from repro.cost import create_model
 from repro.cube import AnalyticalQuery, FilterCondition
-from repro.rdf import Dataset, Variable, typed_literal
+from repro.rdf import Dataset, Triple, Variable, typed_literal
 from repro.selection import GreedySelector, UserSelection
 from repro.views import ViewCatalog
 
@@ -28,7 +28,18 @@ class TestOfflineModule:
         first = offline.profile()
         second = offline.profile()
         assert first is second
-        assert offline.profile(refresh=True) is not first
+
+    def test_profile_follows_the_graph_version(self, population_facet):
+        graph = build_population_graph()
+        offline = OfflineModule(Dataset.wrap(graph), population_facet)
+        first = offline.profile()
+        graph.add(Triple(EX.obs8, EX.ofCountry, EX.italy))
+        graph.add(Triple(EX.obs8, EX.year, typed_literal(2018)))
+        graph.add(Triple(EX.obs8, EX.population, typed_literal(59)))
+        second = offline.profile()
+        assert second is not first
+        assert second.base.rows == first.base.rows + 1
+        assert second.base.triples == len(graph)
 
     def test_select_and_materialize(self, population_facet):
         offline = OfflineModule(Dataset.wrap(build_population_graph()),

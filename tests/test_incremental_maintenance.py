@@ -496,6 +496,36 @@ class TestRandomStreamParity:
                 reference.run(prepared.plan))
             assert answer.table.same_solutions(want), (facet.name, mask)
 
+    @pytest.mark.parametrize("policy", ["incremental", "rebuild"])
+    def test_sofos_profile_follows_the_stream(self, tiny_lubm, policy):
+        """After every window the cached profile is the current graph's:
+        equal to one taken from scratch on the twin."""
+        from repro.cost import LatticeProfile
+        facet = tiny_lubm.facet()
+        g1, g2 = tiny_lubm.graph.copy(), tiny_lubm.graph.copy()
+        sofos = Sofos(g1, facet, maintenance=policy)
+        sofos.select_and_materialize("triples", k=2)
+        seen = [sofos.profile()]
+        generator = UpdateStreamGenerator(g1, UpdateStreamConfig(
+            batches=3, operations_per_batch=5, seed=11))
+        for batch in generator.stream(apply=False):
+            batch.apply_to(g1)
+            batch.apply_to(g2)
+            sofos.maintain()
+            live = sofos.profile()
+            assert all(live is not earlier for earlier in seen)
+            seen.append(live)
+            twin = LatticeProfile.profile(ViewLattice(facet),
+                                          QueryEngine(g2))
+            assert live.base.rows == twin.base.rows
+            assert live.base.triples == twin.base.triples == len(g1)
+            for view in sofos.lattice:
+                a, b = live.of(view), twin.of(view)
+                assert (a.rows, a.triples, a.nodes, a.dim_cardinalities) \
+                    == (b.rows, b.triples, b.nodes, b.dim_cardinalities)
+            # re-selecting after the window works off the new profile
+            assert sofos.select("triples", k=2).views
+
     def test_lubm_count_facet(self, tiny_lubm):
         self._run_stream(tiny_lubm.graph, tiny_lubm.facet(),
                          batches=4, seed=5)
