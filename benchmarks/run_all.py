@@ -11,9 +11,9 @@ the graph (same term dictionary, ``store="columnar"``), with result
 parity and twin-world maintenance parity asserted before any timing, and
 ``columnar_vs_dict`` reporting the sorted-id-array backend's speedup
 over the nested-dict index baseline.  The maintenance suite (incremental
-view patching vs full rebuilds, see ``run_maintenance.py``) and the
-materialization suite (shared-scan rollup vs per-view builds, see
-``run_materialization.py``) are folded into the same summary.
+view patching vs full rebuilds, see ``run_maintenance.py``) is folded
+into the same summary; materialization cost is tracked end to end by
+``benchmarks/e2e`` (``offline_s``, ``views.catalog.materialize_s``).
 Every future perf PR appends its own before/after point by re-running
 this script.
 
@@ -44,8 +44,6 @@ from repro.workload import WorkloadConfig, WorkloadGenerator
 
 from run_maintenance import run_suites as run_maintenance_suites, \
     small_delta_summary
-from run_materialization import full_lattice_summary, \
-    run_suites as run_materialization_suites
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 
@@ -270,10 +268,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--skip-maintenance", action="store_true",
                         help="omit the maintenance suite (when a separate "
                              "run_maintenance.py invocation covers it)")
-    parser.add_argument("--skip-materialization", action="store_true",
-                        help="omit the materialization suite (when a "
-                             "separate run_materialization.py invocation "
-                             "covers it)")
     parser.add_argument("--out", default=os.path.join(REPO_ROOT,
                                                       "BENCH_engine.json"))
     args = parser.parse_args(argv)
@@ -285,9 +279,6 @@ def main(argv: list[str] | None = None) -> int:
     maintenance_suites = {} if args.skip_maintenance \
         else run_maintenance_suites(smoke=args.smoke)
     maintenance = small_delta_summary(maintenance_suites)
-    materialization_suites = {} if args.skip_materialization \
-        else run_materialization_suites(smoke=args.smoke)
-    materialization = full_lattice_summary(materialization_suites)
     assert_disarmed_registry_empty()
     observability = observability_probe(smoke=args.smoke)
     payload = {
@@ -314,19 +305,11 @@ def main(argv: list[str] | None = None) -> int:
             "suites": maintenance_suites,
             "small_delta": maintenance,
         }
-    if materialization_suites:
-        payload["materialization"] = {
-            "baseline": "per-view ViewCatalog.materialize "
-                        "(one scan per view)",
-            "suites": materialization_suites,
-            "full_lattice": materialization,
-        }
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
-    width = max(len(k) for k in list(suites) + list(maintenance_suites)
-                + list(materialization_suites))
+    width = max(len(k) for k in list(suites) + list(maintenance_suites))
     print(f"{'suite'.ljust(width)}  batched ms  reference ms  speedup  "
           "columnar ms  vs dict")
     for key, suite in suites.items():
@@ -348,14 +331,6 @@ def main(argv: list[str] | None = None) -> int:
                   f"{suite['rebuild_ms']:>12.2f}  {suite['speedup']:>6.1f}x")
         summary += (f", {maintenance['median_speedup']:.1f}x small-delta "
                     "maintenance")
-    if materialization_suites:
-        print(f"{'materialization'.ljust(width)}   rollup ms   per-view ms  "
-              "speedup")
-        for key, suite in materialization_suites.items():
-            print(f"{key.ljust(width)}  {suite['rollup_ms']:>10.2f}  "
-                  f"{suite['per_view_ms']:>12.2f}  {suite['speedup']:>6.1f}x")
-        summary += (f", {materialization['median_speedup']:.1f}x "
-                    "full-lattice materialization")
     print(f"{summary} (written to {os.path.relpath(args.out, REPO_ROOT)})")
     return 0
 

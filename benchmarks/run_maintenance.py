@@ -8,11 +8,11 @@ reconciliation per batch.  Parity between the two worlds' view graphs is
 asserted (up to blank-node labels) before any timing is trusted.
 
 The rebuild side deliberately refreshes view by view rather than through
-``refresh_stale()``: since the rollup planner landed, ``refresh_stale``
-shares one base scan across the batch (measured by
-``run_materialization.py``), which would silently change this suite's
-baseline; per-view refresh keeps the "rebuild each stale view from
-scratch" cost the incremental numbers have always been compared against.
+``refresh_stale()``: ``refresh(view)`` is a batch of one — its own facet
+scan, rollup and encode — while ``refresh_stale`` shares one scan across
+the batch, which would silently change this suite's baseline; per-view
+refresh keeps the "rebuild each stale view from scratch" cost the
+incremental numbers have always been compared against.
 
 Writes ``BENCH_maintenance.json`` at the repo root: per dataset × delta
 size, the median per-batch patch and rebuild times plus their ratio, and

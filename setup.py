@@ -1,4 +1,4 @@
 """Legacy setup shim: lets `pip install -e .` work offline (no wheel pkg)."""
 from setuptools import setup
 
-setup()
+setup(install_requires=["numpy"])

@@ -8,8 +8,8 @@ workload numbers the demo's "query performance analyzer" panel plots.
 Views can go stale while the graph changes underneath them; the module's
 **maintenance policy** decides what happens when a stale view is routed:
 
-* ``"rebuild"`` — re-materialize the view in place before answering (the
-  legacy ``auto_refresh=True`` behaviour);
+* ``"rebuild"`` — re-materialize the view in place before answering
+  (``ViewCatalog.refresh``);
 * ``"incremental"`` — patch all stale views through the wired
   :class:`~repro.views.maintenance.ViewMaintainer` before answering;
 * ``"deferred"`` — serve the frozen snapshot and leave maintenance to an
@@ -101,7 +101,6 @@ class OnlineModule:
 
     def __init__(self, catalog: ViewCatalog,
                  ranking: Ranking | None = None,
-                 auto_refresh: bool = False,
                  maintainer: ViewMaintainer | None = None,
                  policy: Optional[str] = None,
                  skip_stale: Optional[bool] = None) -> None:
@@ -117,22 +116,13 @@ class OnlineModule:
             # policy it would otherwise sit idle while also suppressing
             # the skip-stale default — the worst of both worlds.
             policy = "incremental"
-        if auto_refresh and policy not in (None, "rebuild"):
-            # auto_refresh is the legacy spelling of "rebuild"; silently
-            # letting it override an incremental/deferred request would
-            # rebuild past the maintainer and orphan its group indexes.
-            raise ReproError(
-                f"auto_refresh contradicts the {policy!r} policy; drop "
-                "auto_refresh or use policy='rebuild'")
         self._catalog = catalog
-        self._auto_refresh = auto_refresh
         self._maintainer = maintainer
         self._policy = policy
         if skip_stale is None:
             # Default on exactly when nobody can repair a stale view and
             # snapshot serving was not explicitly chosen ("deferred").
-            skip_stale = (policy is None and not auto_refresh
-                          and maintainer is None)
+            skip_stale = policy is None
         self._router = ViewRouter(catalog, ranking, skip_stale=skip_stale)
         self._base_engine = catalog.base_engine
         self._view_engines: dict[IRI, QueryEngine] = {}
@@ -162,7 +152,7 @@ class OnlineModule:
 
     def _repair(self, view) -> None:
         """Bring a stale routed view current, per the maintenance policy."""
-        if self._auto_refresh or self._policy == "rebuild":
+        if self._policy == "rebuild":
             # refresh rebuilds the named graph in place, so the cached
             # engine over that graph keeps working
             self._catalog.refresh(view)

@@ -10,8 +10,7 @@ lattice as ``ViewCatalog.materialize_all`` would build it, and each view's
 encoding footprint is read off its table in id-space
 (``tests/test_profile_rollup.py`` pins the counts to the materializer and
 to a per-view-query oracle).  The scan stays in the engine's slot for the
-materialization that follows.  Only facets outside the rollup class
-(expression operands) still run one query per view.
+materialization that follows.  No facet is profiled any other way.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ class ViewProfile:
 
     ``eval_seconds`` is the measured shared pattern scan plus this
     view's own measured fold (projection from its rollup source and the
-    footprint count); outside the rollup class, the whole view query.
+    footprint count).
     """
 
     mask: int
@@ -88,40 +87,28 @@ class LatticeProfile:
         graph = engine.graph
         graph_stats = GraphStatistics.of(graph)
 
-        base_start = time.perf_counter()
         scan = facet_scan(engine, facet, keep=True)
-        if scan is None:
-            base_rows = len(engine.query(facet.binding_query()))
-            base_seconds = time.perf_counter() - base_start
-        else:
-            base_rows = sum(e.rows for e in scan.table.groups.values())
-            base_seconds = scan.seconds
         base = BaseProfile(
             triples=len(graph),
-            rows=base_rows,
+            rows=sum(e.rows for e in scan.table.groups.values()),
             nodes=graph.node_count(),
-            eval_seconds=base_seconds,
+            eval_seconds=scan.seconds,
         )
 
         profile = cls(facet=facet, base=base, graph_stats=graph_stats)
-        if scan is None:
-            for view in lattice:
-                profile.views[view.mask] = _profile_view(view, engine)
-        else:
-            with _TRACER.span("profile.rollup", facet=facet.name) as sp:
-                tick = time.perf_counter()
-                for mask, table in rollup_tables(
-                        facet, lattice.plan_materialization(lattice),
-                        scan.table):
-                    view = lattice[mask]
-                    rows, triples, nodes, dims = _footprint(
-                        view, table, engine)
-                    now = time.perf_counter()
-                    profile.views[mask] = ViewProfile(
-                        mask, view.label, view.level, rows, triples, nodes,
-                        scan.seconds + now - tick, dims)
-                    tick = now
-                sp.set_tags(groups=len(scan.table), views=len(lattice))
+        with _TRACER.span("profile.rollup", facet=facet.name) as sp:
+            tick = time.perf_counter()
+            for mask, table in rollup_tables(
+                    facet, lattice.plan_materialization(lattice),
+                    scan.table):
+                view = lattice[mask]
+                rows, triples, nodes, dims = _footprint(view, table, engine)
+                now = time.perf_counter()
+                profile.views[mask] = ViewProfile(
+                    mask, view.label, view.level, rows, triples, nodes,
+                    scan.seconds + now - tick, dims)
+                tick = now
+            sp.set_tags(groups=len(scan.table), views=len(lattice))
         profile.profile_seconds = time.perf_counter() - started
         return profile
 
@@ -232,52 +219,3 @@ def _footprint(view: ViewDefinition, table: GroupTable, engine: QueryEngine
         objects.add(term if tid is None else tid)
     nodes = len(groups) + (1 if groups else 0) + len(objects)
     return len(groups), triples, nodes, tuple(len(ids) for ids in dim_ids)
-
-
-def _profile_view(view: ViewDefinition, engine: QueryEngine) -> ViewProfile:
-    """One view by running its query: facets outside the rollup class."""
-    query = view.materialization_query()
-    start = time.perf_counter()
-    table = engine.query(query)
-    elapsed = time.perf_counter() - start
-
-    dims = view.variables
-    columns = {v: i for i, v in enumerate(table.variables)}
-    dim_indexes = [columns[v] for v in dims]
-    value_indexes = [i for v, i in columns.items() if v not in dims]
-
-    # Exact encoding footprint, mirroring the materializer: per group one
-    # view-link triple, one triple per *bound* dimension, one per bound
-    # stored value, one groupCount triple.
-    triples = 0
-    distinct_objects: set[Term] = set()
-    dim_distinct: list[set[Term]] = [set() for _ in dim_indexes]
-    for row in table.rows:
-        triples += 2  # view link + groupCount (count is always bound)
-        for slot, idx in enumerate(dim_indexes):
-            value = row[idx]
-            if value is not None:
-                triples += 1
-                distinct_objects.add(value)
-                dim_distinct[slot].add(value)
-        for idx in value_indexes:
-            value = row[idx]
-            if value is not None:
-                # groupCount was already charged; measure/sum charged here.
-                if table.variables[idx].name == "__count":
-                    distinct_objects.add(value)
-                    continue
-                triples += 1
-                distinct_objects.add(value)
-
-    nodes = len(table.rows) + (1 if table.rows else 0) + len(distinct_objects)
-    return ViewProfile(
-        mask=view.mask,
-        label=view.label,
-        level=view.level,
-        rows=len(table),
-        triples=triples,
-        nodes=nodes,
-        eval_seconds=elapsed,
-        dim_cardinalities=tuple(len(s) for s in dim_distinct),
-    )

@@ -3,7 +3,8 @@
 The lattice profile, the view graphs and the workload generator's value
 domains are all functions of one id-space group table of the facet's
 pattern.  :func:`facet_scan` is the only place that pattern is evaluated
-for them (and the one rule for which facets roll up at all);
+for them, and every facet goes through it: an expression operand is
+lifted into the scan plan once and is a variable operand from there on.
 :func:`rollup_tables` derives every coarser grain without touching the
 graph again.  A scan kept in the engine's version-keyed slot
 (:meth:`QueryEngine.keep_scan`) is shared by every consumer holding that
@@ -16,7 +17,8 @@ from time import perf_counter
 from typing import Iterator, NamedTuple, Optional
 
 from ..obs import metrics as _metrics
-from ..rdf.dictionary import TermDictionary
+from ..rdf.terms import Variable
+from ..sparql.algebra import ExtendOp
 from ..sparql.ast import VarExpr
 from ..sparql.engine import QueryEngine
 from ..sparql.grouptable import KIND_BY_AGGREGATE, GroupTable
@@ -29,6 +31,9 @@ _SCANS = _metrics.registry().counter(
     "facet_scan_total", "facet pattern evaluations asked for: run (scan) "
     "or served from the engine's kept scan (reuse)", labels=("outcome",))
 
+#: The scan-plan variable an expression operand is bound to.
+_OPERAND_VAR = Variable("__operand")
+
 
 class FacetScan(NamedTuple):
     """One evaluation of a facet's pattern, folded at ``table.variables``."""
@@ -39,26 +44,24 @@ class FacetScan(NamedTuple):
 
 
 def facet_scan(engine: QueryEngine, facet: AnalyticalFacet,
-               mask: Optional[int] = None, *, keep: bool = False,
-               dictionary: Optional[TermDictionary] = None
-               ) -> Optional[FacetScan]:
+               mask: Optional[int] = None, *, keep: bool = False
+               ) -> FacetScan:
     """The facet's group table at ``mask`` (default: finest) or finer.
 
     The engine's kept scan is reused when it is of this facet and covers
     the mask (callers project by variable); otherwise the pattern runs
-    once, and ``keep`` leaves the result for the next caller.  None
-    means the facet is outside the rollup class and callers fall back
-    to one query per view: an expression operand cannot be re-aggregated
-    from group accumulators, and a ``dictionary`` — the one id-native
-    writes will target — other than the scanned graph's cannot take the
-    table's ids.
+    once, and ``keep`` leaves the result for the next caller.  The
+    table's ids are the engine graph's, so id-native consumers must
+    write into graphs sharing that graph's dictionary.
+
+    An expression operand (``SUM(?v * 2)``) cannot be re-aggregated from
+    group accumulators, so it is evaluated per row inside the scan — the
+    plan is extended with ``BIND(expr AS ?__operand)`` — and folded as a
+    variable operand.  A row whose expression errors leaves the variable
+    unbound, which the table treats as the executor's accumulators treat
+    the error: poison for SUM/AVG/MIN/MAX, not counted by COUNT.
     """
     aggregate = facet.aggregate
-    operand = aggregate.operand
-    if operand is not None and not isinstance(operand, VarExpr):
-        return None
-    if dictionary is not None and dictionary is not engine.graph.dictionary:
-        return None
     keys = facet.grouping_variables if mask is None \
         else facet.mask_variables(mask)
     kept = engine.kept_scan()
@@ -67,10 +70,18 @@ def facet_scan(engine: QueryEngine, facet: AnalyticalFacet,
         _SCANS.inc(labels=("reuse",))
         return kept
     start = perf_counter()
+    plan = engine.prepare(facet.binding_query()).plan
+    operand = aggregate.operand
+    if operand is None:
+        operand_var = None
+    elif isinstance(operand, VarExpr):
+        operand_var = operand.var
+    else:
+        plan = ExtendOp(plan, _OPERAND_VAR, operand)
+        operand_var = _OPERAND_VAR
     table = engine.executor.group_table(
-        engine.prepare(facet.binding_query()).plan, keys,
-        None if operand is None else operand.var,
-        KIND_BY_AGGREGATE[aggregate.name], keep_max=aggregate.name == "MAX")
+        plan, keys, operand_var, KIND_BY_AGGREGATE[aggregate.name],
+        keep_max=aggregate.name == "MAX")
     scan = FacetScan(facet, table, perf_counter() - start)
     _SCANS.inc(labels=("scan",))
     if keep:

@@ -117,7 +117,7 @@ class QueryEngine:
         so it is never handed out nor kept alive past this look."""
         if self._scan is not None and self._scan[0] != self._graph.version:
             self._scan = None
-        return None if self._scan is None else self._scan[1]
+        return self._scan[1] if self._scan is not None else None
 
     def query(self, query: str | SelectQuery | PreparedQuery) -> ResultTable:
         """Parse (if needed) and execute, returning a materialized table."""
@@ -125,18 +125,6 @@ class QueryEngine:
         variables = prepared.ast.projected_variables()
         batch = self._executor.run_ids(prepared.plan)
         return self._decode_table(variables, batch)
-
-    def query_ids(self, query: str | SelectQuery | PreparedQuery
-                  ) -> tuple[list[Variable], BindingBatch]:
-        """Execute and return the raw id-space result batch.
-
-        The id-native consumers (view materialization) use this to avoid
-        the decode→re-encode round trip; translate ids back through
-        ``engine.executor.decode_id``.
-        """
-        prepared = self.prepare(query)
-        variables = prepared.ast.projected_variables()
-        return variables, self._executor.run_ids(prepared.plan)
 
     def _decode_table(self, variables: list[Variable],
                       batch: BindingBatch) -> ResultTable:

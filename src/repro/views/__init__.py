@@ -6,7 +6,7 @@ from .maintenance import MAINTENANCE_POLICIES, GroupIndex, \
     MaintenanceReport, ViewMaintainer, ViewMaintenance
 from .persistence import CatalogRecovery, load_expanded, save_expanded
 from .materializer import MaterializationStats, dimension_predicate, \
-    materialize_view, materialize_view_from_table
+    materialize_view_from_table
 from .rewriter import can_answer, rewrite_on_view
 from .router import ViewRouter
 
@@ -16,7 +16,6 @@ __all__ = [
     "MaterializationStats", "ViewMaintainer", "ViewMaintenance",
     "analyze_query", "match_report", "MaterializedView", "ViewCatalog",
     "ViewRouter",
-    "can_answer", "dimension_predicate", "materialize_view",
-    "materialize_view_from_table",
+    "can_answer", "dimension_predicate", "materialize_view_from_table",
     "rewrite_on_view", "load_expanded", "save_expanded",
 ]

@@ -4,6 +4,15 @@ The catalog owns the bookkeeping half of the offline module: which views
 of which facet are materialized, in which named graph, with what exact
 storage footprint.  It is the source of truth the router consults and the
 storage-amplification panels read.
+
+There is one way to build a view.  :meth:`ViewCatalog.materialize`,
+:meth:`~ViewCatalog.materialize_all`, :meth:`~ViewCatalog.refresh` and
+:meth:`~ViewCatalog.refresh_stale` differ only in which views they pick
+and which failpoint and counter they own; all four hand their batch (of
+one, for the single-view pair) to one transactional helper that takes a
+group table from :func:`~repro.cube.rollup.facet_scan`, rolls it up and
+encodes each view through
+:func:`~repro.views.materializer.materialize_view_from_table`.
 """
 
 from __future__ import annotations
@@ -19,12 +28,11 @@ from ..resilience.failpoints import fail_at, suppressed
 from ..rdf.dataset import Dataset
 from ..rdf.graph import Graph
 from ..cube.facet import AnalyticalFacet
-from ..cube.lattice import RollupPlan, ViewLattice
-from ..cube.rollup import FacetScan, facet_scan, rollup_tables
+from ..cube.lattice import ViewLattice
+from ..cube.rollup import facet_scan, rollup_tables
 from ..cube.view import ViewDefinition
 from ..sparql.engine import QueryEngine
-from .materializer import MaterializationStats, materialize_view, \
-    materialize_view_from_table
+from .materializer import materialize_view_from_table
 
 __all__ = ["MaterializedView", "ViewCatalog"]
 
@@ -89,6 +97,14 @@ class ViewCatalog:
         self._dataset = dataset
         self._engine = engine if engine is not None \
             else QueryEngine(dataset.default)
+        if self._engine.graph.dictionary is not dataset.dictionary:
+            # Views are written, patched and audited in the base graph's
+            # id-space; a dataset with its own dictionary would read
+            # those ids as different terms.
+            raise ViewError(
+                "the catalog's dataset must share the term dictionary of "
+                "the engine's graph (wrap the base graph with "
+                "Dataset.wrap)")
         self._entries: dict[int, MaterializedView] = {}
         # Group indexes recovered by persistence (mask → GroupIndex); a
         # ViewMaintainer attached to this catalog adopts them so loaded
@@ -127,42 +143,22 @@ class ViewCatalog:
         """Build one view into its named graph and register it."""
         if view.mask in self._entries:
             raise ViewError(f"view {view.label!r} is already materialized")
-        fail_at("catalog.materialize.view")
-        target = self._dataset.graph(view.iri)
-        stats: MaterializationStats = materialize_view(
-            view, self._engine, target)
-        entry = MaterializedView(
-            definition=view,
-            groups=stats.groups,
-            triples=stats.triples,
-            nodes=stats.nodes,
-            build_seconds=stats.build_seconds,
-            base_version=self._engine.graph.version,
-        )
-        self._entries[view.mask] = entry
-        _MATERIALIZED.inc()
-        return entry
+        return self._build([view])[0]
 
     def materialize_all(self, views: Iterable[ViewDefinition]
                         ) -> list[MaterializedView]:
-        """Materialize a batch of views through the rollup planner.
+        """Materialize a batch of views, atomically, from one scan per facet.
 
-        Instead of re-evaluating the facet query once per view, each
-        facet's batch takes **one** id-space group table covering the
-        union grain from :func:`~repro.cube.rollup.facet_scan` — the
+        Each facet's batch takes **one** id-space group table covering
+        the union grain from :func:`~repro.cube.rollup.facet_scan` — the
         engine's kept scan when the profiler left one for this graph
         version, else a fresh evaluation — and derives every view from
-        that table or from the smallest already-built ancestor (facets
-        outside the rollup class fall back to per-view builds).
+        that table or from the smallest already-built ancestor.
 
-        The batch is atomic at the catalog level: if any view fails to
-        materialize, every view the batch already built is dropped
-        before the error propagates, so a failed batch never leaves the
-        catalog half-registered.  Target graphs that already existed in
-        the dataset (a :meth:`refresh_stale` rebuild-in-place) are
-        cleared rather than dropped, so cached engine references stay
-        valid and the caller can restore a snapshot into them.  Entries
-        return in input order.
+        If any view fails to materialize, every view the batch already
+        built is dropped before the error propagates, so a failed batch
+        never leaves the catalog half-registered.  Entries return in
+        input order.
         """
         batch = list(views)
         seen: set[int] = set()
@@ -172,84 +168,88 @@ class ViewCatalog:
                     f"view {view.label!r} is already materialized")
             seen.add(view.mask)
         fail_at("catalog.materialize_all")
-        pre_existing = {view.mask for view in batch
-                        if self._dataset.get_graph(view.iri) is not None}
-        built: list[MaterializedView] = []
+        with _TRACER.span("catalog.materialize_all", views=len(batch)):
+            return self._build(batch)
+
+    # -- the one build path --------------------------------------------------
+
+    def _build(self, batch: list[ViewDefinition]) -> list[MaterializedView]:
+        """Snapshot → clear → build → restore-on-failure, for any batch.
+
+        Views already in the catalog are rebuilt *in place* — the named
+        graph object is cleared and refilled, never replaced — so query
+        engines and other holders of the graph observe the fresh data.
+        On any failure (simulated crashes included) every view of the
+        batch returns to what it was before the call: graph content from
+        an id-space snapshot, catalog entry, and graphs the batch created
+        dropped again.  Success lifts the views' quarantines.  Entries
+        return in input order.
+        """
+        saved = []
+        for view in batch:
+            entry = self._entries.pop(view.mask, None)
+            graph = self._dataset.get_graph(view.iri)
+            snapshot = None if graph is None else graph.snapshot_ids()
+            if entry is not None and graph is not None:
+                graph.clear()
+            # A rebuild mints fresh group nodes; an index deposited for
+            # the old ones must not be adopted.
+            self.restored_group_indexes.pop(view.mask, None)
+            saved.append((view, entry, graph, snapshot))
         try:
-            with _TRACER.span("catalog.materialize_all", views=len(batch)):
-                self._materialize_batch(batch, built)
+            self._build_from_scans(batch)
         except BaseException:
             with suppressed():
-                for view in batch:
+                for view, entry, graph, snapshot in saved:
                     self._entries.pop(view.mask, None)
                     self.restored_group_indexes.pop(view.mask, None)
-                    if view.mask in pre_existing:
-                        graph = self._dataset.get_graph(view.iri)
-                        if graph is not None:
-                            graph.clear()
-                    else:
-                        # the in-flight view's (empty or partially
-                        # written) target graph must not survive either
+                    if graph is None:
                         self._dataset.drop(view.iri)
+                    else:
+                        graph.clear()
+                        if snapshot:
+                            graph.add_ids_bulk(snapshot)
+                    if entry is not None:
+                        self._entries[view.mask] = entry
             raise
-        by_mask = {entry.mask: entry for entry in built}
-        return [by_mask[view.mask] for view in batch]
-
-    # -- the rollup build path ---------------------------------------------
-
-    def _materialize_batch(self, batch: list[ViewDefinition],
-                           built: list[MaterializedView]) -> None:
-        """Build a validated batch, appending entries as they land."""
-        by_facet: dict[AnalyticalFacet, list[ViewDefinition]] = {}
         for view in batch:
-            by_facet.setdefault(view.facet, []).append(view)
-        for facet, group in by_facet.items():
-            plan = ViewLattice.rollup_plan(v.mask for v in group)
-            with _TRACER.span("catalog.rollup_scan", facet=facet.name) as sp:
-                scan = facet_scan(self._engine, facet, plan.table_mask,
-                                  dictionary=self._dataset.dictionary)
-                if scan is not None:
-                    sp.set_tags(groups=len(scan.table), views=len(group))
-            if scan is None:
-                for view in group:
-                    built.append(self.materialize(view))
-            else:
-                self._materialize_rollup(group, plan, scan, built)
+            self._quarantined.pop(view.mask, None)
+        return [self._entries[view.mask] for view in batch]
 
-    def _materialize_rollup(self, group: list[ViewDefinition],
-                            plan: RollupPlan, scan: FacetScan,
-                            built: list[MaterializedView]) -> None:
-        """Shared-scan build of one facet's views, finest first."""
+    def _build_from_scans(self, batch: list[ViewDefinition]) -> None:
+        """Encode and register a batch, one shared scan per facet."""
         engine = self._engine
-        views_by_mask = {v.mask: v for v in group}
-        for mask, table in rollup_tables(scan.facet, plan, scan.table):
-            fail_at("catalog.materialize.view")
-            view = views_by_mask[mask]
-            target = self._dataset.graph(view.iri)
-            stats, index = materialize_view_from_table(
-                view, engine, target, table)
-            entry = MaterializedView(
-                definition=view,
-                groups=stats.groups,
-                triples=stats.triples,
-                nodes=stats.nodes,
-                # What a rebuild of this view costs: its own encode plus
-                # an equal share of the measured pattern scan — charged
-                # whether this batch ran the scan or found it kept, so
-                # per-view build costs stay comparable.
-                build_seconds=stats.build_seconds
-                + scan.seconds / len(plan.steps),
-                base_version=engine.graph.version,
-            )
-            self._entries[view.mask] = entry
-            if index is not None:
-                # Seed incremental maintenance: a maintainer adopting
-                # this index can patch the view without a graph scan.
-                self.restored_group_indexes[view.mask] = index
-            else:
-                self.restored_group_indexes.pop(view.mask, None)
-            built.append(entry)
-            _MATERIALIZED.inc()
+        by_facet: dict[AnalyticalFacet, dict[int, ViewDefinition]] = {}
+        for view in batch:
+            by_facet.setdefault(view.facet, {})[view.mask] = view
+        for facet, views_by_mask in by_facet.items():
+            plan = ViewLattice.rollup_plan(views_by_mask)
+            with _TRACER.span("catalog.rollup_scan", facet=facet.name) as sp:
+                scan = facet_scan(engine, facet, plan.table_mask)
+                sp.set_tags(groups=len(scan.table), views=len(views_by_mask))
+            for mask, table in rollup_tables(facet, plan, scan.table):
+                fail_at("catalog.materialize.view")
+                view = views_by_mask[mask]
+                stats, index = materialize_view_from_table(
+                    view, engine, self._dataset.graph(view.iri), table)
+                self._entries[mask] = MaterializedView(
+                    definition=view,
+                    groups=stats.groups,
+                    triples=stats.triples,
+                    nodes=stats.nodes,
+                    # What a rebuild of this view costs: its own encode
+                    # plus an equal share of the measured pattern scan —
+                    # charged whether this batch ran the scan or found it
+                    # kept, so per-view build costs stay comparable.
+                    build_seconds=stats.build_seconds
+                    + scan.seconds / len(plan.steps),
+                    base_version=engine.graph.version,
+                )
+                if index is not None:
+                    # Seed incremental maintenance: a maintainer adopting
+                    # this index can patch the view without a graph scan.
+                    self.restored_group_indexes[mask] = index
+                _MATERIALIZED.inc()
 
     def drop(self, view: ViewDefinition) -> bool:
         """Drop a view's graph, catalog entry, and any quarantine flag."""
@@ -365,93 +365,38 @@ class ViewCatalog:
     def refresh(self, view: ViewDefinition) -> MaterializedView:
         """Rebuild one view against the current base graph, atomically.
 
-        The rebuild happens *in place* — the view's named graph object is
-        cleared and refilled rather than replaced — so query engines and
-        any other holders of the graph reference observe the fresh data.
-        If the rebuild fails partway, the previous view content and
-        catalog entry are restored from an id-space snapshot before the
-        error propagates: the catalog never serves a half-built graph.
-        A successful rebuild lifts any quarantine on the view.
+        In place and all-or-nothing like every build (:meth:`_build`): a
+        rebuild that fails partway restores the previous view content
+        and catalog entry before the error propagates, so the catalog
+        never serves a half-built graph.  A successful rebuild lifts any
+        quarantine on the view.
         """
         if view.mask not in self._entries:
             raise ViewError(f"view {view.label!r} is not materialized")
         fail_at("catalog.refresh")
-        target = self._dataset.graph(view.iri)
-        previous = self._entries[view.mask]
-        snapshot = target.snapshot_ids()
-        target.clear()
-        del self._entries[view.mask]
-        # The rebuild mints fresh group nodes; any restored group index
-        # for this view now references dropped ids and must not be adopted.
-        self.restored_group_indexes.pop(view.mask, None)
-        try:
-            with _TRACER.span("catalog.refresh", view=view.label):
-                stats = materialize_view(view, self._engine, target)
-        except BaseException:
-            with suppressed():
-                target.clear()
-                if snapshot:
-                    target.add_ids_bulk(snapshot)
-            self._entries[view.mask] = previous
-            raise
-        entry = MaterializedView(
-            definition=view,
-            groups=stats.groups,
-            triples=stats.triples,
-            nodes=stats.nodes,
-            build_seconds=stats.build_seconds,
-            base_version=self._engine.graph.version,
-        )
-        self._entries[view.mask] = entry
-        self._quarantined.pop(view.mask, None)
+        with _TRACER.span("catalog.refresh", view=view.label):
+            entry = self._build([view])[0]
         _REFRESHES.inc()
         return entry
 
     def refresh_stale(self) -> list[MaterializedView]:
         """Rebuild every stale or quarantined view as one batch, atomically.
 
-        Pending view graphs are cleared *in place* (holders of the graph
-        objects observe the fresh data, exactly like :meth:`refresh`),
-        then rebuilt together through :meth:`materialize_all` — one
-        shared scan per facet instead of one per view.  Returns the
-        refreshed entries.  On a mid-batch failure every affected view is
-        restored from its pre-refresh snapshot (content and catalog
-        entry) before the error propagates, so a failed batch leaves the
-        catalog exactly as it found it; a successful one lifts all
-        quarantines on the rebuilt views.
+        One shared scan per facet instead of one per view, and the same
+        in-place, all-or-nothing contract as :meth:`refresh`: a mid-batch
+        failure leaves the catalog exactly as it found it, a successful
+        batch lifts all quarantines on the rebuilt views.  Returns the
+        refreshed entries.
         """
         fail_at("catalog.refresh_stale")
         current = self._engine.graph.version
-        pending = [entry for entry in self
+        pending = [entry.definition for entry in self
                    if entry.base_version != current
                    or entry.mask in self._quarantined]
         if not pending:
             return []
-        views: list[ViewDefinition] = []
-        snapshots: list[tuple[MaterializedView, Graph,
-                              list[tuple[int, int, int]]]] = []
-        for entry in pending:
-            view = entry.definition
-            graph = self._dataset.graph(view.iri)
-            snapshots.append((entry, graph, graph.snapshot_ids()))
-            graph.clear()
-            del self._entries[view.mask]
-            self.restored_group_indexes.pop(view.mask, None)
-            views.append(view)
-        try:
-            with _TRACER.span("catalog.refresh_stale", views=len(views)):
-                refreshed = self.materialize_all(views)
-        except BaseException:
-            with suppressed():
-                for entry, graph, snapshot in snapshots:
-                    graph.clear()
-                    if snapshot:
-                        graph.add_ids_bulk(snapshot)
-                    self._entries[entry.mask] = entry
-            raise
-        for view in views:
-            self._quarantined.pop(view.mask, None)
-        return refreshed
+        with _TRACER.span("catalog.refresh_stale", views=len(pending)):
+            return self._build(pending)
 
     # -- storage accounting -------------------------------------------------------
 

@@ -27,7 +27,9 @@ incrementalizable — the change log truncated (``clear()`` or overflow),
 the facet's shape is outside the delta-evaluable class, MIN/MAX facets
 saw deletions, the delta exceeds a size threshold, or the group index
 contradicts the adjustments — the maintainer falls back to the catalog's
-full rebuild for the affected views and reports why.
+full rebuild (``ViewCatalog.refresh``) for the affected views and reports
+why; the rebuild deposits a fresh group index, so the next window patches
+again without a view-graph scan.
 """
 
 from __future__ import annotations
@@ -526,7 +528,7 @@ class ViewMaintainer:
         index = self._indexes.get(view.mask)
         expected = aggregate_kind(view.facet.aggregate.name)
         if index is None or index.kind != expected:
-            # Rollup (re)builds deposit the freshly-encoded group index
+            # Every (re)build deposits the freshly-encoded group index
             # on the catalog; adopting it (consuming, like construction
             # does) saves the view-graph scan.  Anything else re-scans.
             restored = self._catalog.restored_group_indexes.pop(

@@ -19,7 +19,6 @@ from ..cube.facet import AnalyticalFacet
 from ..cube.query import AnalyticalQuery, FilterCondition
 from ..cube.rollup import facet_scan
 from ..sparql.engine import QueryEngine
-from ..sparql.grouptable import KIND_COUNT
 from ..datasets.base import ZipfSampler
 
 __all__ = ["WorkloadConfig", "WorkloadGenerator", "dimension_values"]
@@ -57,15 +56,8 @@ def dimension_values(facet: AnalyticalFacet, engine: QueryEngine
     materialization that follows): only distinct key ids are decoded;
     the per-dimension lists are sorted for determinism.
     """
-    scan = facet_scan(engine, facet, keep=True)
-    if scan is not None:
-        keys = scan.table.groups
-    else:       # outside the rollup class: a keys-only fold, not kept
-        keys = engine.executor.group_table(
-            engine.prepare(facet.binding_query()).plan,
-            facet.grouping_variables, None, KIND_COUNT).groups
     domains: list[set[int]] = [set() for _ in facet.grouping_variables]
-    for key in keys:
+    for key in facet_scan(engine, facet, keep=True).table.groups:
         for ids, tid in zip(domains, key):
             if tid is not None:
                 ids.add(tid)

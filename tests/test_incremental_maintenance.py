@@ -359,21 +359,6 @@ class TestSofosPolicies:
             Sofos(build_population_graph(), population_facet,
                   maintenance="eventually")
 
-    def test_auto_refresh_contradicting_policy_rejected(self,
-                                                        population_facet):
-        graph = build_population_graph()
-        catalog = ViewCatalog(Dataset.wrap(graph))
-        catalog.materialize(ViewDefinition(population_facet, 0b11))
-        maintainer = ViewMaintainer(catalog)
-        with pytest.raises(ReproError):
-            OnlineModule(catalog, auto_refresh=True, policy="deferred")
-        with pytest.raises(ReproError):
-            OnlineModule(catalog, auto_refresh=True, maintainer=maintainer)
-        # the consistent spellings still work
-        assert OnlineModule(catalog, auto_refresh=True,
-                            policy="rebuild").policy == "rebuild"
-        assert OnlineModule(catalog, auto_refresh=True).policy is None
-
     def test_rebuild_policy_repairs_at_answer_time(self, population_facet):
         sofos = Sofos(build_population_graph(), population_facet,
                       maintenance="rebuild")

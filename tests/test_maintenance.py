@@ -111,14 +111,14 @@ class TestCatalogMaintenance:
             catalog.refresh(lattice.apex)
 
 
-class TestOnlineAutoRefresh:
-    def test_auto_refresh_keeps_answers_current(self, population_facet):
+class TestOnlineStaleViews:
+    def test_rebuild_policy_keeps_answers_current(self, population_facet):
         graph = build_population_graph()
         dataset = Dataset.wrap(graph)
         offline = OfflineModule(dataset, population_facet)
         selection = offline.select(UserSelection(["lang+year"]), 1)
         catalog = offline.materialize(selection)
-        online = OnlineModule(catalog, auto_refresh=True)
+        online = OnlineModule(catalog, policy="rebuild")
         query = AnalyticalQuery(population_facet, 0)
 
         first = online.answer(query)
@@ -129,7 +129,7 @@ class TestOnlineAutoRefresh:
         assert second.table.same_solutions(base.table)
         assert not first.table.same_solutions(second.table)
 
-    def test_without_auto_refresh_snapshot_persists(self, population_facet):
+    def test_without_policy_snapshot_persists(self, population_facet):
         """Explicit snapshot serving: with stale routing disabled the view
         keeps answering from its frozen state."""
         graph = build_population_graph()
@@ -137,7 +137,7 @@ class TestOnlineAutoRefresh:
         offline = OfflineModule(dataset, population_facet)
         selection = offline.select(UserSelection(["lang+year"]), 1)
         catalog = offline.materialize(selection)
-        online = OnlineModule(catalog, auto_refresh=False, skip_stale=False)
+        online = OnlineModule(catalog, skip_stale=False)
         query = AnalyticalQuery(population_facet, 0)
         first = online.answer(query)
         add_observation(graph, pop=1_000_000)

@@ -5,8 +5,9 @@ group-table scan.  Three things are pinned here: the counts are *exact*
 (equal to what ``materialize_full_lattice`` then stores, and to the
 per-view-query arithmetic the profiler used before — kept below as the
 oracle); the scan really is shared (profile → select → materialize
-evaluates the facet pattern once, a cost-model comparison once in total);
-and nothing derived from it survives a base-graph update.
+evaluates the facet pattern once, a cost-model comparison once in total)
+for every facet, expression operands included; and nothing derived from
+it survives a base-graph update.
 """
 
 from __future__ import annotations
@@ -17,13 +18,16 @@ from repro.core import OfflineModule, Sofos
 from repro.cost import LatticeProfile
 from repro.cube import AnalyticalFacet, ViewLattice
 from repro.datasets import dataset_spec, load_dataset
+from repro.errors import ViewError
 from repro.rdf import Dataset, Graph, Namespace, Triple, parse_turtle, \
     typed_literal
 from repro.sparql import QueryEngine
 from repro.sparql.executor import Executor
+from repro.views import ViewCatalog
 
 from tests.test_rollup_materialization import AGG_TTL, AGGREGATES, \
-    BGP_TEMPLATE, OPTIONAL_TEMPLATE, agg_facet
+    BGP_TEMPLATE, OPTIONAL_TEMPLATE, agg_facet, group_signatures, \
+    reference_signatures
 
 EX = Namespace("http://example.org/")
 
@@ -48,6 +52,11 @@ SELECT ?a ?b ({agg}(?v) AS ?m) WHERE {{
   BIND(?b0 + 100 AS ?b)
 }} GROUP BY ?a ?b
 """
+
+
+#: An expression operand: evaluated per row inside the scan.
+EXPRESSION_BGP = BGP_TEMPLATE.replace("(?v)", "(?v * 2)")
+EXPRESSION_OPTIONAL = OPTIONAL_TEMPLATE.replace("(?v)", "(?v * 2)")
 
 
 def oracle_view(view, engine: QueryEngine):
@@ -142,13 +151,41 @@ class TestProfileIsExact:
         }[case]
         assert_profile_exact(graph, agg_facet(agg, template))
 
-    def test_expression_operand_keeps_the_per_view_path(self):
-        facet = AnalyticalFacet.from_query("doubled", """
-            PREFIX ex: <http://example.org/>
-            SELECT ?a ?b (SUM(?v * 2) AS ?m) WHERE {
-              ?o ex:a ?a ; ex:b ?b ; ex:v ?v .
-            } GROUP BY ?a ?b""")
-        assert_profile_exact(parse_turtle(AGG_TTL), facet)
+    @pytest.mark.parametrize("agg", AGGREGATES)
+    @pytest.mark.parametrize("case", ["numeric", "non_numeric",
+                                      "optional_unbound"])
+    def test_expression_operand_is_lifted_into_the_scan(
+            self, agg, case, pattern_evaluations, monkeypatch):
+        ttl, template = {
+            "numeric": (AGG_TTL, EXPRESSION_BGP),
+            "non_numeric": (NON_NUMERIC_TTL, EXPRESSION_BGP),
+            "optional_unbound": (AGG_TTL, EXPRESSION_OPTIONAL),
+        }[case]
+        graph = parse_turtle(ttl)
+        facet = agg_facet(agg, template)
+        assert_profile_exact(graph.copy(), facet)
+        lattice = ViewLattice(facet)
+        catalog = ViewCatalog(Dataset.wrap(graph.copy()))
+        catalog.materialize_all(lattice)
+        for view in lattice:
+            assert group_signatures(catalog.graph_of(view)) == \
+                reference_signatures(view, graph), view.label
+
+        # one evaluation for the whole offline phase, none per view
+        queries = []
+        real_query = QueryEngine.query
+        monkeypatch.setattr(
+            QueryEngine, "query",
+            lambda self, query: queries.append(query)
+            or real_query(self, query))
+        before = dict(pattern_evaluations)
+        sofos = Sofos(graph, facet)
+        sofos.profile()
+        assert queries == []
+        sofos.materialize(sofos.select("triples", k=2))
+        assert {name: count - before[name]
+                for name, count in pattern_evaluations.items()} == \
+            {"group_table": 1, "run_ids": 1}
 
 
 #: Greedy picks (k=3; k=2 is the prefix) on the small datasets at the
@@ -287,21 +324,14 @@ class TestOneScan:
         assert engine._scan is None
         assert engine.kept_scan() is None
 
-    def test_foreign_dictionary_catalog_ignores_the_kept_scan(
-            self, pattern_evaluations):
-        from repro.views import ViewCatalog
+    def test_foreign_dictionary_catalog_is_rejected(self):
+        """View graphs are written and patched in the base graph's
+        id-space; a dataset with its own dictionary cannot hold them."""
         graph = parse_turtle(AGG_TTL)
-        facet = agg_facet("SUM")
-        engine = QueryEngine(graph)
-        lattice = ViewLattice(facet)
-        profile = LatticeProfile.profile(lattice, engine)
-        foreign = ViewCatalog(Dataset(), engine)
-        foreign.materialize_all(lattice)
-        assert pattern_evaluations["group_table"] == 1
-        for view in lattice:
-            got, stored = profile.of(view), foreign.get(view)
-            assert (got.rows, got.triples, got.nodes) == \
-                (stored.groups, stored.triples, stored.nodes)
+        with pytest.raises(ViewError, match="dictionary"):
+            ViewCatalog(Dataset(), QueryEngine(graph))
+        assert len(ViewCatalog(Dataset(graph.dictionary),
+                               QueryEngine(graph))) == 0
 
 
 class TestObservability:

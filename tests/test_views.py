@@ -9,7 +9,7 @@ from repro.rdf import Dataset, Graph, Namespace, Variable, typed_literal
 from repro.rdf.namespace import SOFOS
 from repro.sparql import QueryEngine
 from repro.views import ViewCatalog, ViewRouter, can_answer, \
-    dimension_predicate, materialize_view, rewrite_on_view
+    dimension_predicate, materialize_view_from_table, rewrite_on_view
 
 from tests.conftest import build_population_graph
 
@@ -61,13 +61,15 @@ class TestMaterializer:
         assert vg.count(p=SOFOS.groupCount) == vg.count(p=SOFOS.sum)
 
     def test_refuses_dirty_target(self, setup, population_facet):
+        from repro.cube.rollup import facet_scan
         dataset, catalog, lattice = setup
         view = lattice.apex
         engine = QueryEngine(dataset.default)
         target = dataset.graph(view.iri)
-        materialize_view(view, engine, target)
+        table = facet_scan(engine, population_facet).table
+        materialize_view_from_table(view, engine, target, table)
         with pytest.raises(ViewError):
-            materialize_view(view, engine, target)
+            materialize_view_from_table(view, engine, target, table)
 
     def test_stats_match_profiler_prediction(self, setup, population_facet):
         from repro.cost import LatticeProfile
