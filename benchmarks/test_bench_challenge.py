@@ -13,7 +13,7 @@ from repro.core.report import format_table
 from repro.cost import create_model
 from repro.selection import ExhaustiveSelector, GreedySelector
 
-from conftest import emit
+from conftest import emit, emit_timings
 
 K = 2
 WORKLOAD_SIZE = 25
@@ -58,9 +58,12 @@ class TestChallenge:
             rows.append([f"greedy[{model_name}]",
                          ", ".join(sorted(selection.labels)),
                          f"{ms:.1f}", f"{ms / optimal_ms:.2f}x"])
-        emit("E6", format_table(
+        emit_timings("E6", format_table(
             ("strategy", "views", "workload ms", "vs optimal"), rows,
             align_right=[False, False, True, True]))
+        emit("E6", format_table(
+            ("strategy", "views"),
+            [row[:2] for row in rows if row[0] != "greedy[learned]"]))
         # shape: an informed greedy should not be drastically worse than
         # optimal (allow generous noise margins on small timings)
         assert min(regrets["agg_values"], regrets["triples"]) < 3.0

@@ -31,7 +31,7 @@ from repro.rdf import Dataset
 from repro.sparql import QueryEngine
 from repro.views import rewrite_on_view
 
-from conftest import emit
+from conftest import emit_timings
 
 HEADLINE = {
     "dbpedia": "population_cube",
@@ -112,10 +112,11 @@ class TestCostRuntimeCorrelation:
                 rows.append([name, label, f"{rho:.3f}", f"{p:.3g}"])
                 if label in ("triples", "agg_values", "nodes"):
                     informed_rhos.append(rho)
-        emit("E8", "Spearman(cost estimate, measured answer-from-view time) "
-             "per lattice:\n"
-             + format_table(("dataset", "cost model", "rho", "p"), rows,
-                            align_right=[False, False, True, True]))
+        emit_timings(
+            "E8", "Spearman(cost estimate, measured answer-from-view time) "
+            "per lattice:\n"
+            + format_table(("dataset", "cost model", "rho", "p"), rows,
+                           align_right=[False, False, True, True]))
         # shape: size metrics track answering time within a lattice...
         assert np.mean(informed_rhos) > 0.5
         # ...but not perfectly everywhere (the paper's point)
@@ -139,9 +140,9 @@ class TestCostRuntimeCorrelation:
             rho, p = stats.spearmanr(pooled[label], pooled_runtime)
             rhos[label] = rho
             rows.append([label, f"{rho:.3f}", f"{p:.3g}"])
-        emit("E8", "pooled within-lattice ranks (24 views):\n"
-             + format_table(("cost model", "rho", "p"), rows,
-                            align_right=[False, True, True]))
+        emit_timings("E8", "pooled within-lattice ranks (24 views):\n"
+                     + format_table(("cost model", "rho", "p"), rows,
+                                    align_right=[False, True, True]))
         assert rhos["agg_values"] > 0.4
         assert rhos["triples"] > 0.4
 

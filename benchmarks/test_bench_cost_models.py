@@ -11,8 +11,9 @@ with k.
 import pytest
 
 from repro.core import Sofos
+from repro.core.report import format_table
 
-from conftest import emit
+from conftest import emit, emit_timings
 
 HEADLINE = {
     "dbpedia": "population_cube",
@@ -40,7 +41,18 @@ class TestCostModelComparison:
             lambda: sofos.compare_cost_models(k=k, workload=workload,
                                               dataset_name=name),
             rounds=1, iterations=1)
-        emit("E4", report.render())
+        emit_timings("E4", report.render())
+        # what each model picked and what that costs in space and hits;
+        # the learned model trains on measured times, so its row is timing
+        emit("E4", f"dataset={name} facet={report.facet} k={k} "
+             f"workload={report.workload_size} queries\n" + format_table(
+                 ("model", "views", "extra triples", "amplif.", "hit rate"),
+                 [[row.model, ", ".join(sorted(row.selected_views)),
+                   str(row.storage_triples),
+                   f"{row.storage_amplification:.3f}",
+                   f"{row.hit_rate * 100:.0f}%"]
+                  for row in report.rows if row.model != "learned"],
+                 align_right=[False, False, True, True, True]))
 
         informed = report.row("agg_values")
         random_row = report.row("random")

@@ -13,7 +13,7 @@ from repro.core.report import format_table
 from repro.rdf import Graph, Namespace, Triple, typed_literal
 from repro.sparql import QueryEngine
 
-from conftest import emit
+from conftest import emit_timings
 
 EX = Namespace("http://example.org/")
 
@@ -90,7 +90,7 @@ class TestStoreMicrobench:
         for _ in range(3):
             sum(1 for t in medium_graph if t.p == DBP.population)
         naive = (time.perf_counter() - start) / 3
-        emit("E9", format_table(
+        emit_timings("E9", format_table(
             ("access path", "mean ms"),
             [["POS index count", f"{indexed * 1e3:.4f}"],
              ["full scan + filter", f"{naive * 1e3:.4f}"],
@@ -166,11 +166,11 @@ class TestEngineMicrobench:
             speedups.append(naive / batched)
             rows.append([label, f"{batched * 1e3:.2f}", f"{naive * 1e3:.2f}",
                          f"{naive / batched:.1f}x"])
-        emit("E9", f"batched vs tuple-at-a-time executor "
-             f"({len(medium_graph)} triples):\n"
-             + format_table(
-                 ("query", "batched ms", "reference ms", "speedup"),
-                 rows, align_right=[False, True, True, True]))
+        emit_timings("E9", f"batched vs tuple-at-a-time executor "
+                     f"({len(medium_graph)} triples):\n"
+                     + format_table(
+                         ("query", "batched ms", "reference ms", "speedup"),
+                         rows, align_right=[False, True, True, True]))
         assert statistics.median(speedups) >= 3.0
 
     @pytest.mark.benchmark(group="E9-report")
@@ -186,6 +186,6 @@ class TestEngineMicrobench:
                 table = medium_engine.query(prepared)
             mean = (time.perf_counter() - start) / 5
             rows.append([label, str(len(table)), f"{mean * 1e3:.2f}"])
-        emit("E9", f"engine on {len(medium_graph)}-triple graph:\n"
-             + format_table(("query", "rows", "mean ms"), rows,
-                            align_right=[False, True, True]))
+        emit_timings("E9", f"engine on {len(medium_graph)}-triple graph:\n"
+                     + format_table(("query", "rows", "mean ms"), rows,
+                                    align_right=[False, True, True]))

@@ -9,10 +9,9 @@ import pytest
 
 from repro import AnalyticalQuery, FilterCondition, QueryEngine, Sofos, \
     Variable
-from repro.core.report import format_table
 from repro.datasets.dbpedia import DBP
 
-from conftest import emit
+from conftest import emit, emit_table
 
 FRENCH = DBP["language/French"]
 LANG = Variable("lang")
@@ -76,6 +75,6 @@ class TestExample1:
              f"{via_view.outcome.seconds * 1e3:.3f}",
              via_view.table.rows[0][-1].lexical],
         ]
-        emit("E1", format_table(
-            ("answered from", "ms", "french-speaking population"), rows,
-            align_right=[False, True, True]))
+        emit_table("E1",
+                   ("answered from", "ms", "french-speaking population"),
+                   rows, [False, True, True], timing=("ms",))

@@ -9,12 +9,11 @@ workload cost and selection wall time, across budgets.
 import pytest
 
 from repro.core import Sofos
-from repro.core.report import format_table
 from repro.cost import create_model
 from repro.selection import AnnealingSelector, ExhaustiveSelector, \
     GreedySelector
 
-from conftest import emit
+from conftest import emit_table
 
 WORKLOAD_SIZE = 25
 
@@ -61,9 +60,10 @@ class TestSelectorAblation:
                     f"{result.estimated_workload_cost:.1f}",
                     f"{result.select_seconds * 1e3:.2f}",
                 ])
-        emit("E10", format_table(
-            ("k", "strategy", "views", "est. workload cost", "select ms"),
-            rows, align_right=[True, False, False, True, True]))
+        emit_table("E10",
+                   ("k", "strategy", "views", "est. workload cost",
+                    "select ms"), rows, [True, False, False, True, True],
+                   timing=("select ms",))
         # greedy's HRU-style guarantee: within a small factor of optimal
         for k, optimum in optima.items():
             greedy_cost = results[("greedy", k)].estimated_workload_cost

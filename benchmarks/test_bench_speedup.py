@@ -8,10 +8,9 @@ speedup per lattice granularity and the (small) rewriting overhead.
 import pytest
 
 from repro.core import Sofos
-from repro.core.report import format_table
 from repro.cube import AnalyticalQuery
 
-from conftest import emit
+from conftest import emit_table
 
 HEADLINE = {
     "dbpedia": "population_cube",
@@ -56,10 +55,12 @@ class TestViewSpeedup:
                 f"{via.outcome.rewrite_seconds * 1e3:.2f}",
                 f"{speedup:.1f}x",
             ])
-        emit("E7", f"[{name}]\n" + format_table(
-            ("query granularity", "via view", "base ms", "view ms",
-             "rewrite ms", "speedup"), rows,
-            align_right=[False, False, True, True, True, True]))
+        emit_table("E7",
+                   ("query granularity", "via view", "base ms", "view ms",
+                    "rewrite ms", "speedup"), rows,
+                   [False, False, True, True, True, True],
+                   timing=("base ms", "view ms", "rewrite ms", "speedup"),
+                   title=f"[{name}]\n")
         # shape: view answering wins on the meaningful majority of queries
         winning = sum(1 for s in speedups if s > 1.0)
         assert winning >= len(speedups) * 0.6

@@ -8,10 +8,9 @@ workload time, the trade-off the demo asks participants to explore.
 import pytest
 
 from repro.core import Sofos
-from repro.core.report import format_table
 from repro.selection import UserSelection
 
-from conftest import emit
+from conftest import emit_table, emit_timings
 
 WORKLOAD_SIZE = 25
 
@@ -50,9 +49,9 @@ class TestUserViews:
             rows.append([view.label, f"{amplification:.3f}",
                          f"{run.total_seconds * 1e3:.1f}",
                          f"{run.hit_rate * 100:.0f}%"])
-        emit("E5", "single-view selections (space vs time):\n" + format_table(
-            ("selection", "amplif.", "workload ms", "hit rate"), rows,
-            align_right=[False, True, True, True]))
+        emit_table("E5", ("selection", "amplif.", "workload ms", "hit rate"),
+                   rows, [False, True, True, True], timing=("workload ms",),
+                   title="single-view selections (space vs time):\n")
 
     @pytest.mark.benchmark(group="E5-report")
     def test_pair_sweep_finds_sweet_spot(self, benchmark, world):
@@ -76,10 +75,10 @@ class TestUserViews:
             score = run.total_seconds
             if best is None or score < best[1]:
                 best = (labels, score)
-        emit("E5", "pair selections:\n" + format_table(
-            ("selection", "amplif.", "workload ms", "hit rate"), rows,
-            align_right=[False, True, True, True])
-            + f"\nfastest pair: {' + '.join(best[0])}")
+        emit_table("E5", ("selection", "amplif.", "workload ms", "hit rate"),
+                   rows, [False, True, True, True], timing=("workload ms",),
+                   title="pair selections:\n")
+        emit_timings("E5", f"fastest pair: {' + '.join(best[0])}")
         assert best is not None
 
     @pytest.mark.benchmark(group="E5-user-selection")

@@ -14,8 +14,8 @@ Three surfaces over one switchboard:
 
 All three converge on the :class:`ObservabilityHub` (``obs.hub()``,
 also reachable as ``Sofos.obs``), which enables/disables collection as
-a unit and emits combined snapshots for the console panel and the
-``BENCH_*.json`` dumps.
+a unit and emits combined snapshots for the console panel and
+:meth:`ObservabilityHub.dump`.
 
 Everything is **off by default**; the disabled overhead on hot paths is
 one attribute read (see the module docstrings for the mechanics).

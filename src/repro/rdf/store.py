@@ -12,8 +12,8 @@ to a :class:`TripleStore`.  Two layouts ship:
 
 ``ColumnarStore`` (:mod:`repro.rdf.columnar`)
     Each permutation as sorted contiguous ``array('q')`` id columns with
-    binary-search range lookups and vectorized probe kernels (numpy when
-    available).  Best for scan/probe-heavy analytical serving.
+    binary-search range lookups and vectorized numpy probe kernels.
+    Best for scan/probe-heavy analytical serving.
 
 Selection is explicit (``Graph(store="columnar")``) or process-wide via
 the ``REPRO_STORE`` environment variable, so the whole test suite can run

@@ -1,9 +1,10 @@
 """Deterministic fault-injection registry.
 
-Upkeep code calls :func:`fail_at` at named points; tests and the
-robustness benchmark *arm* those points to inject an error, a simulated
-crash, or a delay on a chosen hit.  When nothing is armed the call is a
-single falsy-dict check, so production paths pay no measurable cost.
+Upkeep code calls :func:`fail_at` at named points; tests (the seeded
+schedule of ``tests/test_fault_schedule.py`` among them) *arm* those
+points to inject an error, a simulated crash, or a delay on a chosen
+hit.  When nothing is armed the call is a single falsy-dict check, so
+production paths pay no measurable cost.
 
 The registry is process-global and deterministic: a failpoint fires on
 exactly the hit its arming asked for (``skip`` hits pass through first,
@@ -43,10 +44,9 @@ __all__ = [
 #: ``delay`` sleeps for ``delay_seconds`` then continues.
 MODES = ("error", "crash", "delay")
 
-#: Every failpoint compiled into the library, for discovery by tests and
-#: the robustness benchmark.  Arming a name outside this list still
-#: works (it simply never fires), but schedules drawn from this tuple
-#: are guaranteed to hit live code.
+#: Every failpoint compiled into the library, for discovery by tests.
+#: Arming a name outside this list still works (it simply never fires),
+#: but schedules drawn from this tuple are guaranteed to hit live code.
 KNOWN_FAILPOINTS = (
     "graph.add_ids_bulk",
     "graph.remove_ids_bulk",

@@ -37,6 +37,8 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Callable, Iterator, Optional
 
+import numpy as _np
+
 from ..errors import ExpressionError, QueryEvaluationError
 from ..obs import metrics as _metrics
 from ..obs import tracing as _tracing
@@ -53,11 +55,6 @@ from .ast import AggregateExpr, AndExpr, ArithExpr, CompareExpr, ExistsExpr, \
 from .batch import BindingBatch, dedup_rows
 from .expr import EvalContext, evaluate, evaluate_ebv
 from .values import numeric_result, order_key, to_number
-
-try:  # the vectorized probe paths want numpy, but never require it
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
 
 __all__ = ["Executor"]
 
@@ -114,9 +111,8 @@ class Executor:
         self._graph = graph
         self._dict = graph.dictionary
         # Vectorized probe/fold paths: only when the storage backend
-        # exposes the bulk kernel API (columnar) and numpy is importable.
-        self._vec = bool(_np is not None
-                         and getattr(graph.store, "vectorized", False))
+        # exposes the bulk kernel API (columnar).
+        self._vec = graph.store.vectorized
         # Overlay interning for query-computed terms: ids -1, -2, ...
         self._extra_by_term: dict[Term, int] = {}
         self._extra_by_id: list[Term] = []
@@ -1096,24 +1092,6 @@ class Executor:
             key = tuple(int(a[lo]) for a in sorted_cols)
             groups[key] = order[lo:hi].tolist()
         return groups, gids
-
-    def _group_counts(self, col: list, n: int) -> Optional[dict]:
-        """First-row-ordered ``{id: row count}`` — the COUNT(*) fold.
-
-        Like :meth:`_group_single` but skips materializing member lists;
-        group tables folding pure row counts only need the histogram.
-        """
-        np = _np
-        if not self._vec or not n:
-            return None
-        try:
-            arr = np.asarray(col, dtype=np.int64)
-        except (TypeError, ValueError):
-            return None
-        uniq, first, counts = np.unique(arr, return_index=True,
-                                        return_counts=True)
-        order = np.argsort(first, kind="stable")
-        return dict(zip(uniq[order].tolist(), counts[order].tolist()))
 
     def _fold_sum_np(self, fast_col: list, member_lists: list[list[int]],
                      want_avg: bool, gids=None

@@ -147,21 +147,6 @@ class GroupTable:
             k = batch.index.get(operand)
             operand_col = batch.columns[k] if k is not None else [None] * n
 
-        # COUNT(*) tables at a single grain (the facet rollup workhorse)
-        # fold through the executor's vectorized histogram kernel: group
-        # order and row counts match the scan below exactly.
-        if operand_col is None and len(keys) == 1:
-            k = batch.index.get(keys[0])
-            fold = getattr(executor, "_group_counts", None)
-            if k is not None and fold is not None:
-                pre = fold(batch.columns[k], n)
-                if pre is not None:
-                    for key, rows in pre.items():
-                        entry = GroupEntry()
-                        entry.rows = rows
-                        groups[(key,)] = entry
-                    return table
-
         decode = executor.decode_id
         numbers: dict[int, object] = {}
         sort_keys: dict[int, tuple] = {}

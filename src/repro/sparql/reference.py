@@ -3,8 +3,8 @@
 This is the seed engine's recursive-generator executor, retained verbatim
 as the semantic oracle for the batched id-space pipeline in
 :mod:`repro.sparql.executor`: the parity test suite runs every workload
-through both and asserts bag-equal results, and the benchmark trajectory
-(``BENCH_engine.json``) reports the batched pipeline's speedup against it.
+through both and asserts bag-equal results
+(``tests/test_executor_parity.py``).
 
 It is also the EXISTS evaluation engine for the batched executor: EXISTS
 wants early termination on the first solution of a nested group under one

@@ -341,8 +341,9 @@ class ViewCatalog:
         if view.mask not in self._entries:
             raise ViewError(f"view {view.label!r} is not materialized")
         self._quarantined[view.mask] = reason
-        # Counter and quarantine map move together: the robustness
-        # benchmark cross-checks this count against observed reports.
+        # Counter and quarantine map move together:
+        # tests/test_fault_schedule.py cross-checks this count against
+        # observed reports.
         _QUARANTINE_EVENTS.inc()
         _LOG.warning("quarantined view %s: %s", view.label, reason)
 

@@ -468,8 +468,8 @@ class ViewMaintainer:
                 stats = self._patch_view(entry, adjustments)
             except Exception as exc:
                 report.rollbacks += 1
-                # Counter and report increment together: the robustness
-                # benchmark asserts they agree exactly.
+                # Counter and report increment together:
+                # tests/test_fault_schedule.py asserts they agree exactly.
                 _ROLLBACKS.inc()
                 _LOG.debug("patch of %s rolled back (attempt %d/%d): %s",
                            entry.label, attempt + 1, attempts, exc)

@@ -8,26 +8,23 @@ manifest (per-view statistics, staleness, the per-view group index, and
 the facet's identity for validation).  ``load_expanded`` reverses it
 against the same facet.
 
-Format history:
+The save is crash-safe: both files are written
+temp-then-fsync-then-atomic-rename, and the manifest (``"format": 3``,
+the only format read or written) records a SHA-256 checksum of the whole
+dataset file plus one per component graph (base and each view).
+``load_expanded`` verifies the per-graph checksums and raises
+:class:`~repro.errors.CatalogCorruptError` naming the views that are
+still salvageable; ``recover=True`` loads the intact views and marks the
+rest stale-for-rebuild instead of failing.  A manifest of any other
+format is rejected outright, so no field of it can switch the
+verification off.
 
-* **v1** stored only the raw ``base_version`` counter, which is
-  meaningless in a fresh process; loading re-stamped every entry as
-  current and thereby *erased* recorded staleness.
-* **v2** records whether each view was stale relative to the base graph
-  at save time (restored views stay stale until refreshed or patched)
-  plus the view's group index — group-key terms, blank-node label, and
-  running count/value — so an attached
-  :class:`~repro.views.maintenance.ViewMaintainer` can patch loaded views
-  without re-scanning their graphs.  v1 manifests still load with the old
-  semantics.
-* **v3** makes the save crash-safe: both files are written
-  temp-then-fsync-then-atomic-rename, and the manifest records a SHA-256
-  checksum of the whole dataset file plus one per component graph (base
-  and each view).  ``load_expanded`` verifies the per-graph checksums and
-  raises :class:`~repro.errors.CatalogCorruptError` naming the views that
-  are still salvageable; ``recover=True`` loads the intact views and
-  marks the rest stale-for-rebuild instead of failing.  v1/v2 manifests
-  (no checksums) still load unverified.
+Per view the manifest records whether it was stale relative to the base
+graph at save time (restored views stay stale until refreshed or
+patched) plus the view's group index — group-key terms, blank-node
+label, and running count/value — so an attached
+:class:`~repro.views.maintenance.ViewMaintainer` can patch loaded views
+without re-scanning their graphs.
 """
 
 from __future__ import annotations
@@ -61,7 +58,7 @@ __all__ = ["save_expanded", "load_expanded", "CatalogRecovery",
 DATASET_FILE = "expanded.nq"
 MANIFEST_FILE = "catalog.json"
 _FORMAT_VERSION = 3
-_SUPPORTED_FORMATS = (1, 2, 3)
+_SUPPORTED_FORMATS = (3,)
 
 _LOG = get_logger("views.persistence")
 _REG = _metrics.registry()
@@ -279,7 +276,7 @@ def load_expanded(directory: str, facet: AnalyticalFacet, *,
     aligns with the loaded graph's version.  Restored group indexes are
     left on ``catalog.restored_group_indexes`` for a maintainer to adopt.
 
-    v3 manifests are checksum-verified per component graph.  On any
+    Manifests are checksum-verified per component graph.  On any
     mismatch the default is to raise :class:`CatalogCorruptError` listing
     the still-salvageable views; with ``recover=True`` the verified
     views load intact, failed ones are cleared and marked stale (a base
@@ -350,22 +347,20 @@ def _load_expanded(directory: str, facet: AnalyticalFacet, *,
                 path=dataset_path) from exc
         dataset = _parse_dataset_lenient(dataset_text)
 
-    # -- checksum verification (v3) -----------------------------------------
+    # -- checksum verification ----------------------------------------------
+    recorded = manifest.get("checksums")
+    graph_sums = recorded.get("graphs") if isinstance(recorded, dict) \
+        else None
+    if not isinstance(graph_sums, dict):
+        raise CatalogCorruptError(
+            f"truncated catalog manifest {manifest_path}: no checksum "
+            "table", path=manifest_path)
+    actual = _graph_lines(dataset)
     mismatched: set[str] = set()
-    base_verified = True
-    if fmt >= 3:
-        recorded = manifest.get("checksums")
-        graph_sums = recorded.get("graphs") if isinstance(recorded, dict) \
-            else None
-        if not isinstance(graph_sums, dict):
-            raise CatalogCorruptError(
-                f"truncated catalog manifest {manifest_path}: no checksum "
-                "table", path=manifest_path)
-        actual = _graph_lines(dataset)
-        for key in set(graph_sums) | set(actual):
-            if graph_sums.get(key) != _checksum(actual.get(key, [])):
-                mismatched.add(key)
-        base_verified = "" not in mismatched
+    for key in set(graph_sums) | set(actual):
+        if graph_sums.get(key) != _checksum(actual.get(key, [])):
+            mismatched.add(key)
+    base_verified = "" not in mismatched
 
     def _definition(item) -> ViewDefinition:
         return ViewDefinition(facet, int(item["mask"]))
@@ -388,8 +383,8 @@ def _load_expanded(directory: str, facet: AnalyticalFacet, *,
 
     catalog = ViewCatalog(dataset)
     # Loaded graphs are snapshots: fresh-at-save entries align with the
-    # loaded base graph's version; stale-at-save entries (v2 only) keep a
-    # sentinel version so they still register stale.
+    # loaded base graph's version; stale-at-save entries keep a sentinel
+    # version so they still register stale.
     version = dataset.default.version
     intact: list[str] = []
     rebuilding: list[str] = []
@@ -413,7 +408,7 @@ def _load_expanded(directory: str, facet: AnalyticalFacet, *,
                 rebuilding.append(definition.label)
             elif recover:
                 intact.append(definition.label)
-            stale = failed or (fmt >= 2 and bool(item.get("stale", False)))
+            stale = failed or bool(item.get("stale", False))
             entry = MaterializedView(
                 definition=definition,
                 groups=int(item["groups"]),
@@ -426,7 +421,7 @@ def _load_expanded(directory: str, facet: AnalyticalFacet, *,
             )
             catalog._entries[definition.mask] = entry
             index_payload = item.get("group_index")
-            if fmt >= 2 and not failed and index_payload is not None:
+            if not failed and index_payload is not None:
                 index = _restore_group_index(index_payload, definition, graph)
                 if index is not None:
                     catalog.restored_group_indexes[definition.mask] = index

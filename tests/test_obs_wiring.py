@@ -7,11 +7,13 @@ import json
 import pytest
 
 from repro.core import Sofos
+from repro.cube import AnalyticalQuery
 from repro.errors import FailpointError
 from repro.obs import hub
 from repro.rdf import Namespace, Triple, typed_literal
 from repro.resilience import failpoints
 from repro.sparql import QueryEngine
+from repro.views import load_expanded, save_expanded
 
 from tests.conftest import build_population_graph
 
@@ -43,6 +45,29 @@ def incremental_sofos(population_facet) -> Sofos:
                  maintenance="incremental")
 
 
+def _one_engine_query(_facet, _directory):
+    QueryEngine(build_population_graph()).query(POP_QUERY)
+
+
+def _whole_loop(facet, directory):
+    """Every layer of the SOFOS loop once, offline phase to save + load."""
+    sofos = Sofos(build_population_graph(), facet, seed=0,
+                  maintenance="incremental")
+    sofos.profile()
+    catalog = sofos.materialize(sofos.select("agg_values", k=2))
+    graph = sofos.dataset.default
+    graph.add(Triple(EX.obs_new, EX.ofCountry, EX.greece))
+    graph.add(Triple(EX.obs_new, EX.year, typed_literal(2021)))
+    graph.add(Triple(EX.obs_new, EX.population, typed_literal(123)))
+    assert sofos.maintain().views
+    query = AnalyticalQuery(facet, next(iter(catalog)).mask)
+    assert sofos.answer(query).used_view is not None
+    assert sofos.answer_from_base(query).used_view is None
+    assert sofos.audit().clean
+    save_expanded(catalog, directory)
+    load_expanded(directory, facet)
+
+
 class TestEngineWiring:
     def test_cache_counters_move_on_repeat_queries(self, clean_hub):
         clean_hub.enable(tracing=False)
@@ -61,11 +86,14 @@ class TestEngineWiring:
         names = {s.name for s in clean_hub.tracer.recent()}
         assert "executor.run" in names
 
-    def test_disabled_by_default_records_nothing(self, clean_hub):
-        engine = QueryEngine(build_population_graph())
-        engine.query(POP_QUERY)
+    @pytest.mark.parametrize("drive", [_one_engine_query, _whole_loop],
+                             ids=["engine-query", "whole-loop"])
+    def test_disabled_by_default_records_nothing(self, clean_hub, drive,
+                                                 population_facet, tmp_path):
+        drive(population_facet, str(tmp_path))
         snap = clean_hub.metrics.snapshot()
         assert snap["counters"] == {}
+        assert snap["gauges"] == {}
         assert snap["histograms"] == {}
         assert clean_hub.tracer.recent() == []
 

@@ -283,7 +283,9 @@ class TestManifestV2:
         _dataset, loaded = load_expanded(str(tmp_path), population_facet)
         assert loaded.get(entry.definition).maintain_seconds == 1.5
 
-    def test_format_1_manifest_still_loads(self, tmp_path, population_facet):
+    @pytest.mark.parametrize("recover", [False, True])
+    def test_format_1_manifest_rejected(self, tmp_path, population_facet,
+                                        recover):
         import json
         sofos = Sofos(build_population_graph(), population_facet)
         _selection, catalog = sofos.select_and_materialize("agg_values", k=2)
@@ -296,11 +298,8 @@ class TestManifestV2:
             for key in ("stale", "group_index", "maintain_seconds"):
                 item.pop(key, None)
         manifest_path.write_text(json.dumps(manifest))
-        _dataset, loaded = load_expanded(str(tmp_path), population_facet)
-        assert len(loaded) == len(catalog)
-        # v1 semantics: entries re-stamped fresh, no restored indexes
-        assert loaded.stale_views() == []
-        assert loaded.restored_group_indexes == {}
+        with pytest.raises(ViewError, match="unsupported catalog format"):
+            load_expanded(str(tmp_path), population_facet, recover=recover)
 
     def test_unknown_format_rejected(self, tmp_path, population_facet):
         import json
@@ -346,16 +345,17 @@ class TestChecksumsAndRecovery:
         expected_keys = {""} | {e.definition.iri.value for e in catalog}
         assert set(sums["graphs"]) == expected_keys
 
-    def test_v2_manifest_without_checksums_still_loads(self, saved):
-        tmp_path, facet, catalog = saved
+    @pytest.mark.parametrize("recover", [False, True])
+    def test_v2_manifest_without_checksums_rejected(self, saved, recover):
+        """Editing ``format`` must not switch checksum verification off."""
+        tmp_path, facet, _catalog = saved
         manifest_path = tmp_path / "catalog.json"
         manifest = json.loads(manifest_path.read_text())
         manifest["format"] = 2
         del manifest["checksums"]
         manifest_path.write_text(json.dumps(manifest))
-        _dataset, loaded = load_expanded(str(tmp_path), facet)
-        assert len(loaded) == len(catalog)
-        assert loaded.stale_views() == []
+        with pytest.raises(ViewError, match="unsupported catalog format"):
+            load_expanded(str(tmp_path), facet, recover=recover)
 
     def test_malformed_manifest_raises_typed_error(self, saved):
         tmp_path, facet, _catalog = saved

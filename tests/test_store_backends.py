@@ -6,13 +6,14 @@ behave identically on the nested-hash and sorted-column layouts.  These
 tests drive *twin graphs* — one per backend, sharing a term dictionary so
 ids coincide — through randomized mutation interleavings and assert the
 observable state never diverges; the columnar bulk kernels are checked
-against brute-force scans, including with numpy disabled.
+against brute-force scans.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.obs import metrics as _metrics
@@ -118,10 +119,10 @@ class TestTwinInterleaving:
 class TestColumnarKernels:
     """Bulk kernels and access paths vs brute force over the triple set."""
 
-    @pytest.fixture(params=[True, False], ids=["numpy", "pure-python"])
-    def store(self, request):
+    @pytest.fixture
+    def store(self):
         rng = random.Random(11)
-        s = ColumnarStore(use_numpy=request.param)
+        s = ColumnarStore()
         triples = {(rng.randrange(40), rng.randrange(6), rng.randrange(50))
                    for _ in range(300)}
         s.insert_many(sorted(triples))
@@ -170,22 +171,19 @@ class TestColumnarKernels:
 
 
 class TestBulkKernels:
-    """The vectorized kernel API (numpy only) vs brute force."""
+    """The vectorized kernel API vs brute force."""
 
     @pytest.fixture
     def store(self):
-        np = pytest.importorskip("numpy")
         rng = random.Random(17)
         s = ColumnarStore()
-        if not s.vectorized:
-            pytest.skip("numpy-backed store unavailable")
         triples = {(rng.randrange(30), rng.randrange(5), rng.randrange(40))
                    for _ in range(400)}
         s.insert_many(sorted(triples))
-        return np, s, sorted(triples)
+        return s, sorted(triples)
 
     def test_bulk_probe_single_bound(self, store):
-        np, s, triples = store
+        s, triples = store
         keys = np.asarray([0, 3, 29, 777, -2, 5, 3], dtype=np.int64)
         const = triples[0][1]
         # bound subject, constant predicate, free object (SPO leaf)
@@ -196,7 +194,7 @@ class TestBulkKernels:
             assert cols[2][starts[i]:ends[i]].tolist() == expected
 
     def test_bulk_probe_range(self, store):
-        np, s, triples = store
+        s, triples = store
         keys = np.asarray([1, 4, -9, 999, 2], dtype=np.int64)
         starts, ends, cols = s.bulk_probe((1,), (None, None, None), [keys])
         for i, key in enumerate(keys.tolist()):
@@ -206,7 +204,7 @@ class TestBulkKernels:
             assert got == expected
 
     def test_bulk_probe_pair(self, store):
-        np, s, triples = store
+        s, triples = store
         some = triples[::37] + [(999, 999, 999)]
         skeys = np.asarray([t[0] for t in some], dtype=np.int64)
         okeys = np.asarray([t[2] for t in some], dtype=np.int64)
@@ -218,7 +216,7 @@ class TestBulkKernels:
             assert cols[1][starts[i]:ends[i]].tolist() == expected
 
     def test_bulk_exists(self, store):
-        np, s, triples = store
+        s, triples = store
         present = triples[::29]
         keys = np.asarray([t[0] for t in present] + [999, -1],
                           dtype=np.int64)
@@ -228,7 +226,7 @@ class TestBulkKernels:
             assert got == ((key, pid, oid) in set(triples))
 
     def test_bulk_scan_skeletons(self, store):
-        np, s, triples = store
+        s, triples = store
         t0 = triples[0]
         cases = [(None, None, None), (t0[0], None, None),
                  (None, t0[1], None), (None, None, t0[2]),
