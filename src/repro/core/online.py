@@ -14,10 +14,9 @@ Views can go stale while the graph changes underneath them; the module's
   :class:`~repro.views.maintenance.ViewMaintainer` before answering;
 * ``"deferred"`` — serve the frozen snapshot and leave maintenance to an
   explicit ``maintain()`` call, with the answer flagged ``stale``;
-* ``None`` (no policy) — no repair happens here; unless ``skip_stale`` is
-  disabled, the router then excludes stale views so queries fall back to
-  the always-current base graph rather than silently answering from
-  frozen data.
+* ``None`` (no policy) — no repair happens here; the router then
+  excludes stale views so queries fall back to the always-current base
+  graph rather than silently answering from frozen data.
 """
 
 from __future__ import annotations
@@ -102,8 +101,7 @@ class OnlineModule:
     def __init__(self, catalog: ViewCatalog,
                  ranking: Ranking | None = None,
                  maintainer: ViewMaintainer | None = None,
-                 policy: Optional[str] = None,
-                 skip_stale: Optional[bool] = None) -> None:
+                 policy: Optional[str] = None) -> None:
         if policy is not None and policy not in MAINTENANCE_POLICIES:
             raise ReproError(
                 f"unknown maintenance policy {policy!r}; expected one of "
@@ -119,11 +117,10 @@ class OnlineModule:
         self._catalog = catalog
         self._maintainer = maintainer
         self._policy = policy
-        if skip_stale is None:
-            # Default on exactly when nobody can repair a stale view and
-            # snapshot serving was not explicitly chosen ("deferred").
-            skip_stale = policy is None
-        self._router = ViewRouter(catalog, ranking, skip_stale=skip_stale)
+        # Stale views are skipped exactly when nobody can repair them and
+        # snapshot serving was not explicitly chosen ("deferred").
+        self._router = ViewRouter(catalog, ranking,
+                                  skip_stale=policy is None)
         self._base_engine = catalog.base_engine
         self._view_engines: dict[IRI, QueryEngine] = {}
 
@@ -164,12 +161,12 @@ class OnlineModule:
         """Answer one query, preferring materialized views.
 
         Stale routed views are repaired according to the module's
-        maintenance policy; under ``"deferred"`` (or no policy with
-        ``skip_stale`` disabled) the frozen snapshot answers and the
-        outcome carries ``stale=True`` so callers can see it.  When a
-        quarantined view would normally have answered, the outcome is
-        flagged ``degraded``: the answer (base graph or coarser view) is
-        still correct, just slower, until the quarantined view rebuilds.
+        maintenance policy; under ``"deferred"`` the frozen snapshot
+        answers and the outcome carries ``stale=True`` so callers can
+        see it.  When a quarantined view would normally have answered,
+        the outcome is flagged ``degraded``: the answer (base graph or
+        coarser view) is still correct, just slower, until the
+        quarantined view rebuilds.
         """
         with _TRACER.span("online.answer") as sp:
             degraded = bool(self._router.quarantined_candidates(query))

@@ -142,11 +142,19 @@ class Sofos:
         return selection, catalog
 
     def refresh_views(self) -> list:
-        """Rebuild any materialized views made stale by base-graph updates."""
+        """Rebuild any materialized views made stale by base-graph updates.
+
+        With a maintainer attached the rebuild is a forced window of its
+        own, so the change log is drained and the next window patches.
+        """
         self._offline.release_stale()
         if self._catalog is None:
             return []
-        return self._catalog.refresh_stale()
+        if self._maintainer is None:
+            return self._catalog.refresh_stale()
+        report = self._maintainer.synchronize(force_rebuild=True)
+        rebuilt = {view.label for view in report.rebuilt}
+        return [entry for entry in self._catalog if entry.label in rebuilt]
 
     def maintain(self) -> MaintenanceReport:
         """Reconcile stale views according to the maintenance policy.
@@ -180,8 +188,8 @@ class Sofos:
         Runs a :class:`~repro.resilience.audit.ConsistencyAuditor` over
         the catalog: each fresh view's graph is compared with a recomputed
         aggregation of the current base graph (all groups, or a seeded
-        sample of ``sample_groups``) and with the maintainer's cached
-        group index.  Corrupt views are quarantined (unless
+        sample of ``sample_groups``) and with the catalog's group index
+        of it.  Corrupt views are quarantined (unless
         ``quarantine=False``) so routing degrades to the base graph until
         :meth:`maintain` or :meth:`refresh_views` rebuilds them.  Returns
         the :class:`~repro.resilience.audit.AuditReport`.
@@ -190,7 +198,7 @@ class Sofos:
             raise ReproError(
                 "no views are materialized; nothing to audit")
         from ..resilience.audit import ConsistencyAuditor
-        auditor = ConsistencyAuditor(self._catalog, self._maintainer,
+        auditor = ConsistencyAuditor(self._catalog,
                                      sample_groups=sample_groups,
                                      seed=self._seed)
         return auditor.audit(quarantine=quarantine)

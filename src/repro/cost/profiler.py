@@ -22,14 +22,14 @@ from typing import Iterator
 from ..errors import CostModelError
 from ..obs import tracing as _tracing
 from ..rdf.stats import GraphStatistics
-from ..rdf.terms import Term, typed_literal
+from ..rdf.terms import Term
 from ..cube.facet import AnalyticalFacet
 from ..cube.lattice import ViewLattice
 from ..cube.rollup import facet_scan, rollup_tables
 from ..cube.view import ViewDefinition
 from ..sparql.engine import QueryEngine
-from ..sparql.grouptable import KIND_COUNT, KIND_SUM, GroupEntry, GroupTable
-from ..sparql.values import numeric_result
+from ..sparql.grouptable import KIND_MINMAX, GroupTable
+from ..views.materializer import GroupCodec, stored_literal
 
 _TRACER = _tracing.tracer()
 
@@ -172,18 +172,15 @@ def _footprint(view: ViewDefinition, table: GroupTable, engine: QueryEngine
     from ``table``: ``materialize_view_from_table`` without the writes.
 
     Per group: the view link, one triple per bound dimension, the
-    measure unless the group stores none (poisoned, or no extremum), and
-    ``groupCount``.  Nodes are the group nodes, the view IRI and the
-    distinct object terms — count and measure literals are interned, so
-    a count equal to a dimension literal is one node.
+    measure unless the group stores none, and ``groupCount`` — what each
+    stores is the materializer's :meth:`GroupCodec.numbers`.  Nodes are
+    the group nodes, the view IRI and the distinct object terms — count
+    and measure literals are interned, so a count equal to a dimension
+    literal is one node.
     """
-    groups = table.groups
-    if not groups and view.is_apex:
-        groups = {(): GroupEntry()}     # GROUP BY () over nothing: one group
-    aggregate = view.facet.aggregate
-    is_avg = aggregate.name == "AVG"
-    count_star = aggregate.operand is None
-    kind = table.kind
+    codec = GroupCodec(view)
+    groups = codec.groups(table)
+    is_minmax = codec.kind == KIND_MINMAX
     dim_ids: list[set[int]] = [set() for _ in view.variables]
     object_ids: set[int] = set()
     numbers: set[tuple[bool, int | float]] = set()  # 5 and 5.0 differ
@@ -194,17 +191,14 @@ def _footprint(view: ViewDefinition, table: GroupTable, engine: QueryEngine
             if tid is not None:
                 triples += 1
                 ids.add(tid)
-        numbers.add((True, entry.bound if is_avg else entry.rows))
-        if kind == KIND_SUM:
-            if not entry.poisoned:
-                triples += 1
-                numbers.add((isinstance(entry.value, int), entry.value))
-        elif kind == KIND_COUNT:
+        count, measure = codec.numbers(entry)
+        numbers.add((True, count))
+        if measure is not None:
             triples += 1
-            numbers.add((True, entry.rows if count_star else entry.bound))
-        elif not entry.poisoned and entry.best_id is not None:
-            triples += 1
-            object_ids.add(entry.best_id)
+            if is_minmax:
+                object_ids.add(measure)
+            else:
+                numbers.add((isinstance(measure, int), measure))
     object_ids.update(*dim_ids)
     # Distinct object terms: a dictionary id stands for its term; overlay
     # ids and the computed literals go by the dictionary's id for their
@@ -213,8 +207,7 @@ def _footprint(view: ViewDefinition, table: GroupTable, engine: QueryEngine
     decode = engine.executor.decode_id
     objects: set[int | Term] = {tid for tid in object_ids if tid >= 0}
     for term in [decode(tid) for tid in object_ids if tid < 0] + [
-            typed_literal(value) if is_int else numeric_result(value)
-            for is_int, value in numbers]:
+            stored_literal(value) for _is_int, value in numbers]:
         tid = lookup(term)
         objects.add(term if tid is None else tid)
     nodes = len(groups) + (1 if groups else 0) + len(objects)

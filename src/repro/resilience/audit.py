@@ -4,8 +4,8 @@ A half-patched or bit-flipped view graph is worse than a stale one — it
 answers *wrong*, not merely old.  The auditor recomputes each fresh
 view's aggregation from the current base graph and compares it, group by
 group (all groups or a seeded sample), with what the view graph actually
-stores and with the maintainer's cached
-:class:`~repro.views.maintenance.GroupIndex`.  Views that fail are
+stores and with the catalog's
+:class:`~repro.views.materializer.GroupIndex` of it.  Views that fail are
 quarantined on the catalog: the router stops serving them (queries fall
 back to the base graph, flagged ``degraded``) and the next maintenance
 cycle or ``refresh_stale`` rebuilds them.
@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..errors import ExpressionError
+from ..errors import ExpressionError, ViewError
 from ..obs import get_logger
 from ..obs import metrics as _metrics
 from ..obs import tracing as _tracing
@@ -30,8 +30,7 @@ from ..rdf.terms import Term
 from ..cube.view import COUNT_VAR, MEASURE_VAR, SUM_VAR, ViewDefinition
 from ..sparql.values import to_number
 from ..views.catalog import MaterializedView, ViewCatalog
-from ..views.maintenance import ViewMaintainer
-from ..views.materializer import dimension_predicate
+from ..views.materializer import GroupIndex, dimension_predicate
 
 __all__ = ["ViewAudit", "AuditReport", "ConsistencyAuditor"]
 
@@ -112,16 +111,14 @@ class ConsistencyAuditor:
     ``sample_groups`` bounds the per-group comparison work: when set, at
     most that many group keys (drawn by a ``seed``-deterministic sample)
     are compared in detail; group-count totals and the stored-encoding
-    shape are always checked in full.  A wired ``maintainer`` adds a
-    third leg: its cached group index is cross-checked against the view
-    graph, catching index drift before it corrupts a future patch.
+    shape are always checked in full.  The third leg cross-checks the
+    catalog's group index against the view graph, catching index drift
+    before it corrupts a future patch.
     """
 
-    def __init__(self, catalog: ViewCatalog,
-                 maintainer: ViewMaintainer | None = None, *,
+    def __init__(self, catalog: ViewCatalog, *,
                  sample_groups: int | None = None, seed: int = 0) -> None:
         self._catalog = catalog
-        self._maintainer = maintainer
         self._sample_groups = sample_groups
         self._seed = seed
 
@@ -163,13 +160,13 @@ class ConsistencyAuditor:
         return report
 
     def audit_view(self, entry: MaterializedView) -> ViewAudit:
-        """Audit one view: graph vs recomputed truth vs cached index."""
+        """Audit one view: graph vs recomputed truth vs group index."""
         start = time.perf_counter()
         view = entry.definition
         graph = self._catalog.graph_of(view)
         issues: list[str] = []
 
-        stored, key_ids = self._scan_view(view, graph, issues)
+        stored = self._scan_view(view, graph, issues)
         expected = self._recompute(view)
 
         if len(stored) != len(expected):
@@ -206,8 +203,7 @@ class ConsistencyAuditor:
                     f"{have_value.n3() if have_value else '∅'} != expected "
                     f"{want_value.n3() if want_value else '∅'}")
 
-        if self._maintainer is not None:
-            self._check_index(view, graph, stored, key_ids, issues)
+        self._check_index(view, graph, issues)
 
         return ViewAudit(
             label=view.label,
@@ -220,21 +216,19 @@ class ConsistencyAuditor:
     # -- the three legs ------------------------------------------------------
 
     def _scan_view(self, view: ViewDefinition, graph,
-                   issues: list[str]) -> tuple[dict, dict]:
+                   issues: list[str]) -> dict:
         """Decode the view graph's §3.1 encoding, tolerantly.
 
-        Returns ``(stored, key_ids)``: group key terms → (value term or
-        None, count term), plus the same keys mapped to their node for
-        the index cross-check.  Structural violations (multiple values
-        under one predicate, missing counts, duplicate keys, triples
-        outside the encoding) land in ``issues`` rather than raising —
-        a tampered graph must be *reported*, not crash the auditor.
+        Returns group key terms → (value term or None, count term).
+        Structural violations (multiple values under one predicate,
+        missing counts, duplicate keys, triples outside the encoding)
+        land in ``issues`` rather than raising — a tampered graph must
+        be *reported*, not crash the auditor.
         """
         is_avg = view.facet.aggregate.name == "AVG"
         value_pred = SOFOS.sum if is_avg else SOFOS.measure
         dim_preds = [dimension_predicate(v) for v in view.variables]
         stored: dict[tuple, tuple[Optional[Term], Optional[Term]]] = {}
-        key_ids: dict[tuple, Term] = {}
         nodes = [t.s for t in graph.triples(p=SOFOS.view, o=view.iri)]
         accounted = 0
         for node in nodes:
@@ -262,12 +256,11 @@ class ConsistencyAuditor:
                 issues.append(f"duplicate group key {_describe_key(key)}")
                 continue
             stored[key] = (value, count)
-            key_ids[key] = node
         if accounted != len(graph):
             issues.append(
                 f"view graph holds {len(graph) - accounted} triple(s) "
                 "outside the §3.1 group encoding")
-        return stored, key_ids
+        return stored
 
     def _recompute(self, view: ViewDefinition) -> dict:
         """Ground truth: re-run the materialization query on the base graph."""
@@ -284,33 +277,20 @@ class ConsistencyAuditor:
             expected[key] = (row[value_idx], row[count_idx])
         return expected
 
-    def _check_index(self, view: ViewDefinition, graph, stored: dict,
-                     key_ids: dict, issues: list[str]) -> None:
-        """Cross-check the maintainer's cached group index with the graph."""
-        index = self._maintainer.group_index(view)
-        if index is None:
-            return
-        lookup = graph.dictionary.lookup
-        drift = False
-        if len(index.groups) != len(stored):
+    def _check_index(self, view: ViewDefinition, graph,
+                     issues: list[str]) -> None:
+        """Cross-check the catalog's group index with a scan of the graph."""
+        def states(index: GroupIndex) -> dict:
+            return {key: (s.node_id, s.count_id, s.value_id)
+                    for key, s in index.groups.items()}
+
+        try:
+            held = states(self._catalog.group_index(view))
+        except ViewError:
+            return  # not patchable, so no index to drift (legs 1-2 judge it)
+        try:
+            drift = held != states(GroupIndex.from_graph(view, graph))
+        except ViewError:
             drift = True
-        else:
-            for key, state in index.groups.items():
-                terms = tuple(None if tid is None
-                              else graph.dictionary.decode(tid)
-                              for tid in key)
-                if terms not in stored or terms not in key_ids:
-                    drift = True
-                    break
-                value, count = stored[terms]
-                if lookup(key_ids[terms]) != state.node_id:
-                    drift = True
-                    break
-                if count is None or lookup(count) != state.count_id:
-                    drift = True
-                    break
-                if value is not None and lookup(value) != state.value_id:
-                    drift = True
-                    break
         if drift:
             issues.append("cached group index drifted from the view graph")

@@ -11,8 +11,7 @@ from .algebra import translate_group, translate_query
 from .ast import AggregateExpr, Expression, GroupPattern, ProjectionItem, \
     SelectQuery
 from .batch import BindingBatch
-from .delta import DeltaEvaluator, DeltaPlan, GroupAdjustment, \
-    compile_delta_plan
+from .delta import DeltaEvaluator, DeltaPlan, compile_delta_plan
 from .engine import PreparedQuery, QueryEngine
 from .executor import Executor
 from .grouptable import GroupEntry, GroupTable, KIND_BY_AGGREGATE
@@ -22,7 +21,7 @@ from .results import ResultTable
 
 __all__ = [
     "AggregateExpr", "BindingBatch", "DeltaEvaluator", "DeltaPlan",
-    "Executor", "Expression", "GroupAdjustment", "GroupEntry",
+    "Executor", "Expression", "GroupEntry",
     "GroupPattern", "GroupTable", "KIND_BY_AGGREGATE",
     "PreparedQuery", "ProjectionItem", "QueryEngine", "ReferenceExecutor",
     "ResultTable", "SelectQuery", "compile_delta_plan", "parse_query",

@@ -1,10 +1,13 @@
-"""Delta evaluation: per-group aggregate adjustments from changed triples.
+"""Delta evaluation: a maintenance window as a signed group table.
 
 Given the net insert/delete set of one base-graph update window (a
 :class:`~repro.rdf.changelog.GraphDelta`), this module computes how every
 group of a facet's aggregation query changes — without re-running the
-query over the whole graph.  The result feeds group-level view patching
-(:mod:`repro.views.maintenance`).
+query over the whole graph.  The result is a *signed*
+:class:`~repro.sparql.grouptable.GroupTable` at the facet's finest grain
+(Δrows, Δbound, Δsum, the extremum among inserted rows), folded by the
+same loop that folds a build's scan; :mod:`repro.views.maintenance`
+rolls it up the lattice and merges it into the stored groups.
 
 The algorithm is the classic counting/delta-rules decomposition of a
 multiway join, adapted to the batched id-space pipeline.  Writing the
@@ -21,16 +24,16 @@ the delta triples matching the patterns in ``S`` are joined symbolically
 into a seed :class:`~repro.sparql.batch.BindingBatch` (one row per
 consistent variable assignment, carrying a signed weight), the remaining
 patterns run through the ordinary batched BGP probes, and the output
-rows' group keys accumulate ``weight`` into Δcount and
-``weight · value(u)`` into Δsum.  Subsets with ``|S| ≥ 2`` are the
+rows fold into the table with their seed row's weight
+(:meth:`GroupTable.fold`).  Subsets with ``|S| ≥ 2`` are the
 inclusion–exclusion correction for bindings that touch several changed
 triples at once; with small deltas they are near-empty and cheap.
 
 SUM/COUNT/AVG adjustments are exact under both inserts and deletes (AVG
 via its algebraic (sum, count) decomposition).  MIN/MAX are distributive
-only under inserts: the evaluator records per-group candidate values from
-inserted rows, and callers must fall back to recomputation when the
-window deletes anything.
+only under inserts: the table keeps each group's extremum over the rows
+the single-pattern passes add, and callers must fall back to
+recomputation when the window deletes anything.
 """
 
 from __future__ import annotations
@@ -38,20 +41,22 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional
 
-from ..errors import ExpressionError
 from ..rdf.terms import Variable
 from ..rdf.triples import TriplePattern
 from .algebra import AlgebraOp, BGPOp, FilterOp, translate_group
 from .ast import Expression, VarExpr
 from .batch import BindingBatch
 from .executor import Executor
-from .grouptable import KIND_BY_AGGREGATE, KIND_COUNT, KIND_MINMAX, KIND_SUM
-from .values import to_number
+from .grouptable import KIND_BY_AGGREGATE, KIND_COUNT, GroupTable
 
-__all__ = ["DeltaPlan", "GroupAdjustment", "DeltaEvaluator",
-           "KIND_BY_AGGREGATE", "compile_delta_plan"]
+__all__ = ["MAX_SEED_ROWS", "DeltaPlan", "DeltaEvaluator",
+           "compile_delta_plan"]
 
 IdTriple = tuple[int, int, int]
+
+#: A subset seed growing past this many rows declines the window: the
+#: symbolic join of the delta lists has stopped being cheaper than a scan.
+MAX_SEED_ROWS = 100_000
 
 
 class DeltaPlan:
@@ -65,17 +70,19 @@ class DeltaPlan:
     """
 
     __slots__ = ("patterns", "filters", "group_variables",
-                 "measure_variable", "kind")
+                 "measure_variable", "kind", "keep_max")
 
     def __init__(self, patterns: tuple[TriplePattern, ...],
                  filters: tuple[Expression, ...],
                  group_variables: tuple[Variable, ...],
-                 measure_variable: Optional[Variable], kind: str) -> None:
+                 measure_variable: Optional[Variable], kind: str,
+                 keep_max: bool) -> None:
         self.patterns = patterns
         self.filters = filters
         self.group_variables = group_variables
         self.measure_variable = measure_variable
         self.kind = kind
+        self.keep_max = keep_max
 
     def __repr__(self) -> str:
         return (f"<DeltaPlan {len(self.patterns)} patterns kind={self.kind} "
@@ -113,54 +120,21 @@ def compile_delta_plan(facet) -> Optional[DeltaPlan]:
         group_variables=tuple(facet.grouping_variables),
         measure_variable=measure_var,
         kind=kind,
+        keep_max=facet.aggregate.name == "MAX",
     )
 
 
-class GroupAdjustment:
-    """The net change of one group across an update window.
-
-    ``count`` is the Δ of the group's row count (``COUNT(*)``); ``value``
-    is the Δ of the measured aggregate — the operand sum for SUM/AVG
-    facets, the bound-operand row count for COUNT facets.  For MIN/MAX
-    facets ``candidates`` holds the measure ids of inserted rows; the
-    stored extremum can only move toward a candidate (insert-only).
-    """
-
-    __slots__ = ("count", "value", "candidates")
-
-    def __init__(self) -> None:
-        self.count: int = 0
-        self.value: int | float = 0
-        self.candidates: list[int] = []
-
-    @property
-    def empty(self) -> bool:
-        return self.count == 0 and self.value == 0 and not self.candidates
-
-    def __repr__(self) -> str:
-        return (f"<GroupAdjustment Δcount={self.count} Δvalue={self.value} "
-                f"candidates={len(self.candidates)}>")
-
-
 class DeltaEvaluator:
-    """Turns a net triple delta into per-group aggregate adjustments.
+    """Turns a net triple delta into a signed group table.
 
     Bound to one executor (and therefore one graph + dictionary): the
     delta's id-triples must be encoded against that dictionary, which is
     what :meth:`Graph.subscribe` guarantees.
     """
 
-    def __init__(self, executor: Executor, plan: DeltaPlan,
-                 max_seed_rows: int = 100_000) -> None:
+    def __init__(self, executor: Executor, plan: DeltaPlan) -> None:
         self._executor = executor
-        self._plan = plan
-        self._max_seed_rows = max_seed_rows
-        # id → numeric value memo (ids are stable for the graph lifetime).
-        self._num_cache: dict[int, int | float] = {}
-
-    @property
-    def plan(self) -> DeltaPlan:
-        return self._plan
+        self.plan = plan
 
     # -- pattern ↔ delta matching -------------------------------------------
 
@@ -173,7 +147,7 @@ class DeltaEvaluator:
         """
         lookup = self._executor._dict.lookup
         specs: list[list[tuple[bool, object]]] = []
-        for pattern in self._plan.patterns:
+        for pattern in self.plan.patterns:
             spec: list[tuple[bool, object]] = []
             for position in pattern:
                 if isinstance(position, Variable):
@@ -206,19 +180,21 @@ class DeltaEvaluator:
     # -- the inclusion–exclusion sweep --------------------------------------
 
     def adjustments(self, inserted: tuple[IdTriple, ...],
-                    deleted: tuple[IdTriple, ...]
-                    ) -> Optional[dict[tuple, GroupAdjustment]]:
-        """Per-group adjustments keyed on the full grouping-variable ids.
+                    deleted: tuple[IdTriple, ...]) -> Optional[GroupTable]:
+        """The window's signed group table at the facet's finest grain.
 
-        Keys are id tuples over ``plan.group_variables`` in facet order
-        (the finest grain); coarser views roll them up by projection.
-        Returns ``None`` when the delta is not incrementally evaluable
-        (non-numeric measure, or a seed blow-up past ``max_seed_rows``) —
-        the caller must rebuild.  An empty dict means no group changed.
+        Keys are id tuples over ``plan.group_variables`` in facet order;
+        coarser views roll the table up by projection.  Entries may net
+        to nothing (:attr:`GroupEntry.empty`); an empty table means no
+        row of the query changed.  Returns ``None`` when the delta is
+        not incrementally evaluable (an unbound or non-numeric SUM/AVG
+        operand, an unbound MIN/MAX operand, or a seed blow-up past
+        :data:`MAX_SEED_ROWS`) — the caller must rebuild.
         """
-        plan = self._plan
+        plan = self.plan
         specs = self._pattern_specs()
-        result: dict[tuple, GroupAdjustment] = {}
+        result = GroupTable(self._executor, plan.group_variables, plan.kind,
+                            plan.keep_max)
         if specs is None:
             return result
 
@@ -235,7 +211,6 @@ class DeltaEvaluator:
         if not touched:
             return result
 
-        minmax = plan.kind == KIND_MINMAX
         for size in range(1, len(touched) + 1):
             subset_sign = 1 if size % 2 == 1 else -1
             for subset in combinations(touched, size):
@@ -249,12 +224,12 @@ class DeltaEvaluator:
                 op: AlgebraOp = BGPOp(rest)
                 for expression in plan.filters:
                     op = FilterOp(expression, op)
-                out = self._executor.run_batch(op, seed)
-                ok = self._accumulate(result, out, weights,
-                                      collect_candidates=minmax and size == 1)
-                if not ok:
-                    return None  # non-numeric measure
-        return {key: adj for key, adj in result.items() if not adj.empty}
+                result.fold(self._executor.run_batch(op, seed),
+                            plan.measure_variable, weights,
+                            extrema=size == 1)
+        if any(entry.poisoned for entry in result.groups.values()):
+            return None  # the stored measure would be unbound
+        return result
 
     def _seed_for(self, subset: tuple[int, ...],
                   matches: list[list[tuple[dict[Variable, int], int]]],
@@ -290,7 +265,7 @@ class DeltaEvaluator:
                     merged = dict(binding)
                     merged.update(delta_binding)
                     extended.append((merged, weight * sign))
-                if len(extended) > self._max_seed_rows:
+                if len(extended) > MAX_SEED_ROWS:
                     return None, []
             combos = extended
             for var in per_pattern[0][0]:
@@ -312,50 +287,3 @@ class DeltaEvaluator:
             weights.append(weight)
         seed = BindingBatch(variables, columns, list(range(len(rows))))
         return seed, weights
-
-    def _accumulate(self, result: dict[tuple, GroupAdjustment],
-                    out: BindingBatch, weights: list[int],
-                    collect_candidates: bool) -> bool:
-        """Fold one pass's output rows into the adjustment table."""
-        plan = self._plan
-        n = len(out)
-        if not n:
-            return True
-        keys = out.key_tuples(plan.group_variables)
-        measure_col = None
-        if plan.measure_variable is not None:
-            k = out.index.get(plan.measure_variable)
-            measure_col = out.columns[k] if k is not None else [None] * n
-        prov = out.prov
-        numbers = self._num_cache
-        decode = self._executor.decode_id
-        is_sum = plan.kind == KIND_SUM
-        for row in range(n):
-            weight = weights[prov[row]]
-            key = keys[row]
-            adjustment = result.get(key)
-            if adjustment is None:
-                adjustment = GroupAdjustment()
-                result[key] = adjustment
-            adjustment.count += weight
-            if is_sum:
-                tid = measure_col[row]  # type: ignore[index]
-                if tid is None:
-                    return False  # unbound measure: not incrementalizable
-                value = numbers.get(tid)
-                if value is None:
-                    try:
-                        value = to_number(decode(tid))
-                    except ExpressionError:
-                        return False  # non-numeric measure
-                    numbers[tid] = value
-                adjustment.value += weight * value
-            elif plan.kind == KIND_COUNT:
-                if plan.measure_variable is None \
-                        or measure_col[row] is not None:  # type: ignore[index]
-                    adjustment.value += weight
-            elif collect_candidates and weight > 0:
-                tid = measure_col[row]  # type: ignore[index]
-                if tid is not None:
-                    adjustment.candidates.append(tid)
-        return True

@@ -1,15 +1,19 @@
-"""Id-space group tables: the shared-scan core of rollup materialization.
+"""Id-space group tables: the one accumulator algebra of build and upkeep.
 
-Materializing an n-dimension view selection used to re-evaluate the
-facet's full BGP + GROUP BY once per view — n× the base scan for one
-selection.  A :class:`GroupTable` folds the *single* evaluation of the
-facet pattern into per-group accumulators at the finest grain the batch
-needs, straight from the executor's :class:`~repro.sparql.batch.BindingBatch`
-and entirely in id-space: group keys are id tuples, SUM/AVG totals are
-Python numbers, MIN/MAX extrema are term ids compared through the
-executor's order-key cache.  Every coarser granularity is then derived by
-:meth:`GroupTable.project` — classic data-cube rollup (Gray et al.) over
-the lattice — without touching the base graph again.
+A :class:`GroupTable` folds solution batches of a facet's pattern into
+per-group accumulators, straight from the executor's
+:class:`~repro.sparql.batch.BindingBatch` and entirely in id-space: group
+keys are id tuples, SUM/AVG totals are Python numbers, MIN/MAX extrema
+are term ids compared by order key.  Every coarser granularity is then
+derived by :meth:`GroupTable.project` — classic data-cube rollup (Gray et
+al.) over the lattice — without touching the base graph again.
+
+Two producers run the same :meth:`GroupTable.fold` loop.  A build folds
+the *single* evaluation of the facet pattern, every row weighing +1
+(:meth:`GroupTable.from_batch`).  The delta evaluator
+(:mod:`repro.sparql.delta`) folds each pass of a maintenance window, with
+signed row weights, into one *signed* table — Δrows, Δbound, Δsum, the
+extremum among inserted rows — that rolls up through the same ``project``.
 
 The accumulators replicate the executor's aggregate semantics exactly so
 a view encoded from a table is triple-for-triple identical to one built
@@ -32,6 +36,7 @@ summation.
 
 from __future__ import annotations
 
+from itertools import count, repeat
 from typing import Optional, Sequence
 
 from ..errors import ExpressionError
@@ -42,8 +47,7 @@ from .values import order_key, to_number
 __all__ = ["GroupEntry", "GroupTable",
            "KIND_SUM", "KIND_COUNT", "KIND_MINMAX", "KIND_BY_AGGREGATE"]
 
-#: Aggregate kinds the accumulators distinguish (shared with the delta
-#: evaluator and the view patcher via :mod:`repro.sparql.delta`).
+#: Aggregate kinds the accumulators distinguish.
 KIND_SUM = "sum"        # SUM facets and the (sum, count) half of AVG
 KIND_COUNT = "count"    # COUNT facets: the measure *is* a row count
 KIND_MINMAX = "minmax"  # MIN/MAX: extremum ids under order semantics
@@ -66,6 +70,8 @@ class GroupEntry:
     tie-breaking reproduce the executor's first-row-wins scan order).
     ``poisoned`` records that the measure aggregate evaluates to an error
     (unbound/non-numeric operand), i.e. the group stores no measure.
+    In a signed table (a maintenance window's Δ) ``rows``, ``bound`` and
+    ``value`` are net changes and may be negative.
     """
 
     __slots__ = ("rows", "bound", "value", "best_id", "best_key",
@@ -80,16 +86,11 @@ class GroupEntry:
         self.best_row: int = -1
         self.poisoned: bool = False
 
-    def clone(self) -> "GroupEntry":
-        out = GroupEntry()
-        out.rows = self.rows
-        out.bound = self.bound
-        out.value = self.value
-        out.best_id = self.best_id
-        out.best_key = self.best_key
-        out.best_row = self.best_row
-        out.poisoned = self.poisoned
-        return out
+    @property
+    def empty(self) -> bool:
+        """True for a signed entry whose changes net to nothing."""
+        return not (self.rows or self.bound or self.value) \
+            and self.best_id is None
 
     def __repr__(self) -> str:
         return (f"<GroupEntry rows={self.rows} bound={self.bound} "
@@ -110,13 +111,12 @@ class GroupTable:
     __slots__ = ("variables", "kind", "keep_max", "groups", "executor")
 
     def __init__(self, executor, variables: tuple[Variable, ...], kind: str,
-                 keep_max: bool = False,
-                 groups: Optional[dict[tuple, GroupEntry]] = None) -> None:
+                 keep_max: bool = False) -> None:
         self.executor = executor
         self.variables = variables
         self.kind = kind
         self.keep_max = keep_max
-        self.groups = groups if groups is not None else {}
+        self.groups: dict[tuple, GroupEntry] = {}
 
     def __len__(self) -> int:
         return len(self.groups)
@@ -132,33 +132,51 @@ class GroupTable:
     def from_batch(cls, executor, batch: BindingBatch,
                    keys: Sequence[Variable], operand: Optional[Variable],
                    kind: str, keep_max: bool = False) -> "GroupTable":
-        """Fold a solution batch into per-group accumulators.
+        """A table at the grain of ``keys`` holding one batch's fold."""
+        table = cls(executor, tuple(keys), kind, keep_max)
+        table.fold(batch, operand)
+        return table
+
+    def fold(self, batch: BindingBatch, operand: Optional[Variable],
+             weights: Optional[Sequence[int]] = None,
+             extrema: bool = True) -> None:
+        """Fold a solution batch into the per-group accumulators.
 
         ``operand`` is the measured variable (None = ``COUNT(*)``); the
         batch is consumed row by row in order, so accumulation order —
         and therefore float summation and MIN/MAX tie-breaking — matches
         a direct GROUP BY evaluation of the same pattern.
+
+        ``weights`` makes the fold a signed one: row ``i`` counts
+        ``weights[batch.prov[i]]`` times (the multiplicity of the seed
+        row it extends; None = every row once).  Only rows of positive
+        weight offer an extremum, and none do when ``extrema`` is off
+        (the correction passes of a delta sweep re-visit rows a
+        single-pattern pass already offered).
         """
-        table = cls(executor, tuple(keys), kind, keep_max)
-        groups = table.groups
+        groups = self.groups
         n = len(batch)
         operand_col = None
         if operand is not None:
             k = batch.index.get(operand)
             operand_col = batch.columns[k] if k is not None else [None] * n
+        row_weights = repeat(1) if weights is None \
+            else map(weights.__getitem__, batch.prov)
 
-        decode = executor.decode_id
+        decode = self.executor.decode_id
         numbers: dict[int, object] = {}
         sort_keys: dict[int, tuple] = {}
-        is_sum = kind == KIND_SUM
-        is_minmax = kind == KIND_MINMAX
+        is_sum = self.kind == KIND_SUM
+        is_minmax = self.kind == KIND_MINMAX
+        keep_max = self.keep_max
 
-        for i, key in enumerate(batch.key_tuples(keys)):
+        for i, key, weight in zip(
+                count(), batch.key_tuples(self.variables), row_weights):
             entry = groups.get(key)
             if entry is None:
                 entry = GroupEntry()
                 groups[key] = entry
-            entry.rows += 1
+            entry.rows += weight
             if operand_col is None:
                 continue  # COUNT(*): the row count is the whole story
             tid = operand_col[i]
@@ -166,7 +184,7 @@ class GroupTable:
                 if is_sum or is_minmax:
                     entry.poisoned = True
                 continue
-            entry.bound += 1
+            entry.bound += weight
             if entry.poisoned:
                 continue
             if is_sum:
@@ -180,8 +198,8 @@ class GroupTable:
                 if value is _NOT_NUMERIC:
                     entry.poisoned = True
                 else:
-                    entry.value += value  # type: ignore[operator]
-            elif is_minmax:
+                    entry.value += weight * value  # type: ignore[operator]
+            elif is_minmax and extrema and weight > 0:
                 sort_key = sort_keys.get(tid)
                 if sort_key is None:
                     sort_key = order_key(decode(tid))
@@ -192,7 +210,6 @@ class GroupTable:
                     entry.best_id = tid
                     entry.best_key = sort_key
                     entry.best_row = i
-        return table
 
     # -- rollup --------------------------------------------------------------
 
@@ -216,8 +233,7 @@ class GroupTable:
             sub_key = tuple(key[p] for p in positions)
             target = merged.get(sub_key)
             if target is None:
-                merged[sub_key] = entry.clone()
-                continue
+                target = merged[sub_key] = GroupEntry()
             target.rows += entry.rows
             target.bound += entry.bound
             if is_sum:

@@ -2,11 +2,11 @@
 
 from .analyzer import analyze_query, match_report
 from .catalog import MaterializedView, ViewCatalog
-from .maintenance import MAINTENANCE_POLICIES, GroupIndex, \
-    MaintenanceReport, ViewMaintainer, ViewMaintenance
+from .maintenance import MAINTENANCE_POLICIES, MaintenanceReport, \
+    ViewMaintainer, ViewMaintenance
 from .persistence import CatalogRecovery, load_expanded, save_expanded
-from .materializer import MaterializationStats, dimension_predicate, \
-    materialize_view_from_table
+from .materializer import GroupIndex, MaterializationStats, \
+    dimension_predicate, materialize_view_from_table
 from .rewriter import can_answer, rewrite_on_view
 from .router import ViewRouter
 

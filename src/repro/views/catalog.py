@@ -13,6 +13,12 @@ one, for the single-view pair) to one transactional helper that takes a
 group table from :func:`~repro.cube.rollup.facet_scan`, rolls it up and
 encodes each view through
 :func:`~repro.views.materializer.materialize_view_from_table`.
+
+The catalog also owns each view's
+:class:`~repro.views.materializer.GroupIndex` (:meth:`ViewCatalog.group_index`)
+— the one copy every patcher, the auditor and persistence read: written
+by a build, edited in place by a patch, dropped with the view or a
+rolled-back patch, and scanned from the view graph only when absent.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from ..cube.lattice import ViewLattice
 from ..cube.rollup import facet_scan, rollup_tables
 from ..cube.view import ViewDefinition
 from ..sparql.engine import QueryEngine
-from .materializer import materialize_view_from_table
+from .materializer import GroupIndex, materialize_view_from_table
 
 __all__ = ["MaterializedView", "ViewCatalog"]
 
@@ -106,10 +112,7 @@ class ViewCatalog:
                 "the engine's graph (wrap the base graph with "
                 "Dataset.wrap)")
         self._entries: dict[int, MaterializedView] = {}
-        # Group indexes recovered by persistence (mask → GroupIndex); a
-        # ViewMaintainer attached to this catalog adopts them so loaded
-        # views can be patched without a fresh view-graph scan.
-        self.restored_group_indexes: dict[int, object] = {}
+        self._group_indexes: dict[int, GroupIndex] = {}
         # Views the auditor (or a failed rebuild) has pulled from serving:
         # mask → human-readable reason.  Routing skips them like stale
         # views; refresh clears the flag on a successful rebuild.
@@ -192,9 +195,9 @@ class ViewCatalog:
             snapshot = None if graph is None else graph.snapshot_ids()
             if entry is not None and graph is not None:
                 graph.clear()
-            # A rebuild mints fresh group nodes; an index deposited for
-            # the old ones must not be adopted.
-            self.restored_group_indexes.pop(view.mask, None)
+            # A rebuild mints fresh group nodes (after a failed one the
+            # restored graph is re-scanned on demand).
+            self._group_indexes.pop(view.mask, None)
             saved.append((view, entry, graph, snapshot))
         try:
             self._build_from_scans(batch)
@@ -202,7 +205,7 @@ class ViewCatalog:
             with suppressed():
                 for view, entry, graph, snapshot in saved:
                     self._entries.pop(view.mask, None)
-                    self.restored_group_indexes.pop(view.mask, None)
+                    self._group_indexes.pop(view.mask, None)
                     if graph is None:
                         self._dataset.drop(view.iri)
                     else:
@@ -246,15 +249,13 @@ class ViewCatalog:
                     base_version=engine.graph.version,
                 )
                 if index is not None:
-                    # Seed incremental maintenance: a maintainer adopting
-                    # this index can patch the view without a graph scan.
-                    self.restored_group_indexes[mask] = index
+                    self._group_indexes[mask] = index
                 _MATERIALIZED.inc()
 
     def drop(self, view: ViewDefinition) -> bool:
         """Drop a view's graph, catalog entry, and any quarantine flag."""
         self._entries.pop(view.mask, None)
-        self.restored_group_indexes.pop(view.mask, None)
+        self._group_indexes.pop(view.mask, None)
         self._quarantined.pop(view.mask, None)
         return self._dataset.drop(view.iri)
 
@@ -273,6 +274,25 @@ class ViewCatalog:
         if graph is None or view.mask not in self._entries:
             raise ViewError(f"view {view.label!r} is not materialized")
         return graph
+
+    def group_index(self, view: ViewDefinition) -> GroupIndex:
+        """The view's group index: what its graph stores, keyed by group.
+
+        Every build writes it and the patcher edits it in step with the
+        view graph; it is scanned from the graph only when absent (a
+        manifest without a usable payload, a dropped index).  Raises
+        :class:`ViewError` when the graph is not a complete §3.1
+        encoding — such a view cannot be patched, only rebuilt.
+        """
+        index = self._group_indexes.get(view.mask)
+        if index is None:
+            index = GroupIndex.from_graph(view, self.graph_of(view))
+            self._group_indexes[view.mask] = index
+        return index
+
+    def drop_group_index(self, view: ViewDefinition) -> None:
+        """Forget an index that may have left step with the view graph."""
+        self._group_indexes.pop(view.mask, None)
 
     def covering(self, required_mask: int) -> list[MaterializedView]:
         """Materialized views able to answer a query with this mask."""

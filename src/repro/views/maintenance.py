@@ -1,35 +1,34 @@
 """Incremental view maintenance: group-level patching of materialized views.
 
-The catalog's only maintenance primitive used to be ``refresh()`` — throw
-the view graph away and re-run the aggregation.  This module adds the
-incremental path: a :class:`ViewMaintainer` subscribes to the base graph's
-change log (:meth:`Graph.subscribe`), turns each drained delta window into
-per-group aggregate adjustments (:mod:`repro.sparql.delta`), and applies
-them as *surgical edits* to the view graphs — swapping the
-``sofos:measure`` / ``sofos:sum`` / ``sofos:groupCount`` literals of
-affected group nodes, minting fresh group nodes when a group first
-appears, and deleting a group's node when its count reaches zero.
+A :class:`ViewMaintainer` subscribes to the base graph's change log
+(:meth:`Graph.subscribe`) and brings stale views current one drained
+window at a time.  A window is the same data a build is made of: the
+delta evaluator (:mod:`repro.sparql.delta`) folds it into a *signed*
+finest-grain :class:`~repro.sparql.grouptable.GroupTable`, the stale
+views' grains derive from it through the cheapest-ancestor rollup walk
+the builder and the profiler use (:func:`~repro.cube.rollup.rollup_tables`),
+and each view's table is merged into its stored groups as *surgical
+edits* — swapping the ``sofos:measure`` / ``sofos:sum`` /
+``sofos:groupCount`` literals of changed groups, minting a group node
+when a group first appears, deleting it when its count reaches zero —
+all encoded by the builder's :class:`~repro.views.materializer.GroupCodec`,
+so a patched view graph is indistinguishable from a freshly rebuilt one
+(up to blank-node labels).
 
-The patcher preserves the paper's §3.1 view encoding invariants exactly:
-every group is one blank node carrying a ``sofos:view`` membership link,
-one ``sofos:dim/<name>`` triple per grouping variable, the aggregate under
-``sofos:measure`` (distributive facets) or ``sofos:sum`` (AVG facets, the
-algebraic decomposition), and the group cardinality under
-``sofos:groupCount`` — so a patched view graph is indistinguishable from
-a freshly rebuilt one (up to blank-node labels) and every consumer
-(router, rewriter, roll-up queries) keeps working unchanged.
+The merge reads and edits the view's
+:class:`~repro.views.materializer.GroupIndex`, which the catalog owns
+(:meth:`ViewCatalog.group_index`): the maintainer holds no copy, so any
+number of maintainers, out-of-band rebuilds and audits see one truth.
 
-Patching is driven by a per-view **group index** mapping group-key id
-tuples to the group's blank node and its current count/value — rebuilt by
-scanning the view graph when absent, persisted alongside the catalog
-manifest (:mod:`repro.views.persistence`).  When a window is not
-incrementalizable — the change log truncated (``clear()`` or overflow),
-the facet's shape is outside the delta-evaluable class, MIN/MAX facets
-saw deletions, the delta exceeds a size threshold, or the group index
-contradicts the adjustments — the maintainer falls back to the catalog's
-full rebuild (``ViewCatalog.refresh``) for the affected views and reports
-why; the rebuild deposits a fresh group index, so the next window patches
-again without a view-graph scan.
+When a window is not incrementalizable — the change log truncated
+(``clear()`` or overflow), the facet's shape is outside the
+delta-evaluable class, MIN/MAX facets saw deletions, the delta exceeds a
+size threshold, or the group index contradicts the window — the view is
+*declined* with the reason, and every declined or quarantined view of the
+pass is rebuilt by one ``ViewCatalog.refresh_stale()``: one scan per
+facet, the same batch the ``rebuild`` policy runs.  If that batch fails
+the catalog has already restored every view of it, and all of them are
+quarantined until the next pass retries the batch whole.
 """
 
 from __future__ import annotations
@@ -38,31 +37,34 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..errors import ExpressionError, ViewError
+from ..errors import ViewError
 from ..obs import get_logger
 from ..obs import metrics as _metrics
 from ..obs import tracing as _tracing
 from ..resilience.failpoints import fail_at, suppressed
-from ..rdf.graph import Graph
-from ..rdf.namespace import SOFOS
-from ..rdf.terms import BlankNode, typed_literal
 from ..cube.facet import AnalyticalFacet
-from ..cube.view import ViewDefinition
-from ..sparql.delta import DeltaEvaluator, DeltaPlan, GroupAdjustment, \
-    KIND_BY_AGGREGATE, KIND_COUNT, KIND_MINMAX, compile_delta_plan
-from ..sparql.values import numeric_result, order_key, to_number
+from ..cube.lattice import ViewLattice
+from ..cube.rollup import rollup_tables
+from ..sparql.delta import DeltaEvaluator, compile_delta_plan
+from ..sparql.grouptable import KIND_MINMAX, GroupTable
+from ..sparql.values import order_key
 from .catalog import MaterializedView, ViewCatalog
-from .materializer import dimension_predicate
+from .materializer import GroupCodec, GroupIndex
 
-__all__ = ["MAINTENANCE_POLICIES", "GroupState", "GroupIndex",
-           "ViewMaintenance", "MaintenanceReport", "ViewMaintainer",
-           "aggregate_kind"]
+__all__ = ["MAINTENANCE_POLICIES", "PATCH_RETRIES",
+           "PATCH_RETRY_BACKOFF_SECONDS", "ViewMaintenance",
+           "MaintenanceReport", "ViewMaintainer"]
 
 #: How a system owner asks for stale views to be reconciled:
 #: ``rebuild`` re-materializes from scratch, ``incremental`` patches
 #: group-level deltas eagerly at answer/maintain time, ``deferred`` serves
 #: the frozen snapshot and patches only on explicit ``maintain()`` calls.
 MAINTENANCE_POLICIES = ("rebuild", "incremental", "deferred")
+
+#: A patch that raised is rolled back and tried again this many times,
+#: this long apart (transient faults), before the view is rebuilt instead.
+PATCH_RETRIES = 1
+PATCH_RETRY_BACKOFF_SECONDS = 0.005
 
 _LOG = get_logger("views.maintenance")
 _REG = _metrics.registry()
@@ -100,113 +102,6 @@ def _reason_category(reason: Optional[str]) -> str:
     if reason.startswith("patch window rolled back"):
         return "patch_rolled_back"
     return _REASON_CATEGORIES.get(reason, "other")
-
-
-def aggregate_kind(aggregate_name: str) -> str:
-    """The maintenance kind of a facet aggregate (sum / count / minmax)."""
-    return KIND_BY_AGGREGATE[aggregate_name]
-
-
-class GroupState:
-    """One materialized group: its node plus the stored running values.
-
-    ``value`` is the numeric aggregate for sum/count kinds (the operand
-    sum, or the bound-operand row count) and ``None`` for MIN/MAX, where
-    only the stored term id matters.  ``value_id``/``count_id`` are the
-    exact object ids currently stored in the view graph, kept so patches
-    remove precisely the triples that exist.
-    """
-
-    __slots__ = ("node_id", "count", "value", "value_id", "count_id")
-
-    def __init__(self, node_id: int, count: int, value, value_id: int,
-                 count_id: int) -> None:
-        self.node_id = node_id
-        self.count = count
-        self.value = value
-        self.value_id = value_id
-        self.count_id = count_id
-
-    def __repr__(self) -> str:
-        return (f"<GroupState node={self.node_id} count={self.count} "
-                f"value={self.value!r}>")
-
-
-class GroupIndex:
-    """Group-key ids → :class:`GroupState` for one materialized view."""
-
-    __slots__ = ("kind", "groups")
-
-    def __init__(self, kind: str,
-                 groups: Optional[dict[tuple, GroupState]] = None) -> None:
-        self.kind = kind
-        self.groups = groups if groups is not None else {}
-
-    def __len__(self) -> int:
-        return len(self.groups)
-
-    @classmethod
-    def from_graph(cls, view: ViewDefinition, graph: Graph) -> "GroupIndex":
-        """Scan a view's named graph into its group index.
-
-        Raises :class:`ViewError` when the graph does not follow the §3.1
-        encoding (missing/ambiguous measure or count, duplicate group
-        keys) — callers treat that as "not incrementally maintainable".
-        """
-        kind = aggregate_kind(view.facet.aggregate.name)
-        dictionary = graph.dictionary
-        lookup = dictionary.lookup
-        decode = dictionary.decode
-        index = cls(kind)
-        view_pred = lookup(SOFOS.view)
-        view_iri = lookup(view.iri)
-        if view_pred is None or view_iri is None:
-            return index  # empty view graph: no groups yet
-        is_avg = view.facet.aggregate.name == "AVG"
-        value_pred = lookup(SOFOS.sum if is_avg else SOFOS.measure)
-        count_pred = lookup(SOFOS.groupCount)
-        dim_preds = [lookup(dimension_predicate(v)) for v in view.variables]
-
-        def single(node: int, pred: Optional[int], what: str) -> int:
-            if pred is None:
-                raise ViewError(f"view {view.label!r}: no {what} predicate "
-                                "in dictionary")
-            leaf = graph.adjacent_ids(node, pred, None)
-            if len(leaf) != 1:
-                raise ViewError(
-                    f"view {view.label!r}: group node has {len(leaf)} "
-                    f"{what} values (expected exactly 1)")
-            return next(iter(leaf))
-
-        for node in list(graph.adjacent_ids(None, view_pred, view_iri)):
-            key_parts = []
-            for pred in dim_preds:
-                leaf = graph.adjacent_ids(node, pred, None) \
-                    if pred is not None else ()
-                if len(leaf) > 1:
-                    raise ViewError(f"view {view.label!r}: group node has "
-                                    "multiple values for one dimension")
-                key_parts.append(next(iter(leaf)) if leaf else None)
-            count_id = single(node, count_pred, "groupCount")
-            value_id = single(node, value_pred,
-                              "sum" if is_avg else "measure")
-            try:
-                count = decode(count_id).to_python()
-                value = None if kind == KIND_MINMAX \
-                    else to_number(decode(value_id))
-            except (AttributeError, ExpressionError) as exc:
-                raise ViewError(
-                    f"view {view.label!r}: non-numeric stored aggregate "
-                    f"({exc})") from exc
-            if not isinstance(count, int):
-                raise ViewError(f"view {view.label!r}: non-integer "
-                                "groupCount")
-            key = tuple(key_parts)
-            if key in index.groups:
-                raise ViewError(f"view {view.label!r}: duplicate group key")
-            index.groups[key] = GroupState(node, count, value, value_id,
-                                           count_id)
-        return index
 
 
 @dataclass(frozen=True)
@@ -276,28 +171,13 @@ class ViewMaintainer:
     """
 
     def __init__(self, catalog: ViewCatalog, *,
-                 max_delta_fraction: float = 0.25,
-                 max_seed_rows: int = 100_000,
-                 patch_retries: int = 1,
-                 retry_backoff_seconds: float = 0.005) -> None:
+                 max_delta_fraction: float = 0.25) -> None:
         self._catalog = catalog
         self._graph = catalog.base_engine.graph
         self._log = self._graph.subscribe()
         self._max_delta_fraction = max_delta_fraction
-        self._max_seed_rows = max_seed_rows
-        self._patch_retries = max(0, patch_retries)
-        self._retry_backoff_seconds = max(0.0, retry_backoff_seconds)
-        self._plans: dict[AnalyticalFacet, Optional[DeltaPlan]] = {}
-        self._evaluators: dict[AnalyticalFacet, DeltaEvaluator] = {}
-        self._indexes: dict[int, GroupIndex] = {}
-        # Adoption *consumes* the restored indexes: they describe the view
-        # graphs as loaded, and only this maintainer will keep them true.
-        # A later maintainer must re-scan rather than trust a snapshot the
-        # first one has been patching past.
-        restored = getattr(catalog, "restored_group_indexes", None)
-        if restored:
-            self._indexes.update(restored)
-            restored.clear()
+        # None = the facet's shape is not delta-evaluable.
+        self._evaluators: dict[AnalyticalFacet, Optional[DeltaEvaluator]] = {}
         self._closed = False
 
     # -- introspection -----------------------------------------------------
@@ -310,10 +190,6 @@ class ViewMaintainer:
     def pending(self) -> int:
         """Net changed base triples buffered since the last synchronize."""
         return self._log.pending
-
-    def group_index(self, view: ViewDefinition) -> Optional[GroupIndex]:
-        """The cached group index of a view (None when not yet built)."""
-        return self._indexes.get(view.mask)
 
     def close(self) -> None:
         """Detach from the base graph's change log (idempotent).
@@ -337,9 +213,9 @@ class ViewMaintainer:
 
         Each view is handled all-or-nothing: a patch that fails midway is
         rolled back (and retried once after a short backoff) before the
-        view falls through to the reasoned-rebuild path, and a rebuild
-        that itself fails quarantines the view — the failure lands in the
-        report instead of propagating half-applied state to callers.
+        view joins the pass's rebuild batch, and a batch that itself
+        fails is restored whole and quarantined — the failure lands in
+        the report instead of propagating half-applied state to callers.
         """
         if not _TRACER.enabled:
             return self._synchronize(force_rebuild)
@@ -379,93 +255,133 @@ class ViewMaintainer:
             return report
 
         window_reason = self._window_reason(delta, force_rebuild)
-        adjustment_cache: dict[AnalyticalFacet, Optional[dict]] = {}
+        patchable: dict[AnalyticalFacet, dict[int, MaterializedView]] = {}
+        declined: list[tuple[MaterializedView, str]] = []
         for entry in stale:
-            start = time.perf_counter()
             view = entry.definition
             if view.mask in quarantined:
                 reason = "quarantined: " + \
                     (catalog.quarantine_reason(view) or "unspecified")
             else:
                 reason = window_reason or self._view_reason(entry, delta)
-            stats = None
             if reason is None:
-                facet = view.facet
-                adjustments = adjustment_cache.get(facet, _UNSET)
-                if adjustments is _UNSET:
-                    evaluator = self._evaluator_for(facet)
-                    adjustments = evaluator.adjustments(delta.inserted,
-                                                        delta.deleted)
-                    adjustment_cache[facet] = adjustments
-                if adjustments is None:
-                    reason = "delta not incrementally evaluable"
-                else:
-                    stats, reason = self._patch_with_rollback(
-                        entry, adjustments, report)
-            if stats is not None:
-                created, updated, deleted = stats
-                seconds = time.perf_counter() - start
-                graph = catalog.graph_of(view)
-                catalog.note_maintained(
-                    view, groups=len(self._indexes[view.mask]),
-                    triples=len(graph), nodes=graph.node_count(),
-                    seconds=seconds)
-                report.views.append(ViewMaintenance(
-                    label=view.label, action="patched",
-                    groups_created=created, groups_updated=updated,
-                    groups_deleted=deleted, seconds=seconds))
-                _DECISIONS.inc(labels=("patched", "ok"))
-                _LOG.debug("patched view %s (+%d ~%d -%d groups) in "
-                           "%.3f ms", view.label, created, updated,
-                           deleted, seconds * 1e3)
+                patchable.setdefault(view.facet, {})[view.mask] = entry
             else:
-                self._indexes.pop(view.mask, None)
-                try:
-                    catalog.refresh(view)
-                except Exception as exc:
-                    # The rebuild fallback failed too.  refresh() already
-                    # restored the old snapshot; quarantine the view so
-                    # routing degrades to the base graph until a later
-                    # cycle rebuilds it.
-                    catalog.quarantine(view, f"rebuild failed: {exc}")
-                    report.views.append(ViewMaintenance(
-                        label=view.label, action="quarantined",
-                        seconds=time.perf_counter() - start, reason=reason))
-                    _DECISIONS.inc(
-                        labels=("quarantined", _reason_category(reason)))
-                    _LOG.warning("quarantined view %s: rebuild failed "
-                                 "(%s) after patch declined (%s)",
-                                 view.label, exc, reason)
-                else:
-                    report.views.append(ViewMaintenance(
-                        label=view.label, action="rebuilt",
-                        seconds=time.perf_counter() - start, reason=reason))
-                    _DECISIONS.inc(
-                        labels=("rebuilt", _reason_category(reason)))
-                    _LOG.info("rebuilt view %s (%s)", view.label, reason)
+                declined.append((entry, reason))
+        outcomes: dict[int, ViewMaintenance] = {}
+        for facet, entries in patchable.items():
+            self._patch_facet(facet, entries, delta, report, outcomes,
+                              declined)
+        if declined:
+            self._rebuild(declined, outcomes)
+        report.views = [outcomes[entry.mask] for entry in stale]
         return report
 
+    def _patch_facet(self, facet: AnalyticalFacet,
+                     entries: dict[int, MaterializedView], delta,
+                     report: MaintenanceReport,
+                     outcomes: dict[int, ViewMaintenance],
+                     declined: list[tuple[MaterializedView, str]]) -> None:
+        """Patch a facet's stale views from one evaluation of the window.
+
+        The window's finest-grain table reaches each view's grain by the
+        builder's rollup walk (finest view first, each from the smallest
+        table already derived).  A view's ``seconds`` are its own fold
+        and merge plus an equal share of the evaluation.
+        """
+        start = time.perf_counter()
+        table = self._evaluators[facet].adjustments(delta.inserted,
+                                                    delta.deleted)
+        if table is None:
+            declined.extend((entry, "delta not incrementally evaluable")
+                            for entry in entries.values())
+            return
+        catalog = self._catalog
+        tick = time.perf_counter()
+        share = (tick - start) / len(entries)
+        for mask, view_table in rollup_tables(
+                facet, ViewLattice.rollup_plan(entries), table):
+            entry = entries[mask]
+            view = entry.definition
+            stats, reason = self._patch_with_rollback(entry, view_table,
+                                                      report)
+            now = time.perf_counter()
+            seconds = share + now - tick
+            tick = now
+            if stats is None:
+                declined.append((entry, reason))
+                continue
+            created, updated, deleted = stats
+            graph = catalog.graph_of(view)
+            catalog.note_maintained(
+                view, groups=len(catalog.group_index(view)),
+                triples=len(graph), nodes=graph.node_count(),
+                seconds=seconds)
+            outcomes[mask] = ViewMaintenance(
+                label=view.label, action="patched",
+                groups_created=created, groups_updated=updated,
+                groups_deleted=deleted, seconds=seconds)
+            _DECISIONS.inc(labels=("patched", "ok"))
+            _LOG.debug("patched view %s (+%d ~%d -%d groups) in %.3f ms",
+                       view.label, created, updated, deleted, seconds * 1e3)
+
+    def _rebuild(self, declined: list[tuple[MaterializedView, str]],
+                 outcomes: dict[int, ViewMaintenance]) -> None:
+        """Rebuild the pass's declined and quarantined views as one batch.
+
+        They are exactly what ``refresh_stale`` picks up (every patched
+        view reads fresh by now).  A failed batch has been restored whole
+        by the catalog; all of it is quarantined, so routing degrades to
+        the base graph until a later pass retries it.
+        """
+        catalog = self._catalog
+        start = time.perf_counter()
+        failure = None
+        try:
+            rebuilt = {entry.mask: entry for entry in catalog.refresh_stale()}
+        except Exception as exc:
+            failure = exc
+        seconds = time.perf_counter() - start
+        for entry, reason in declined:
+            if failure is None:
+                action = "rebuilt"
+                seconds = rebuilt[entry.mask].build_seconds
+                _LOG.info("rebuilt view %s (%s)", entry.label, reason)
+            else:
+                action = "quarantined"
+                catalog.quarantine(entry.definition,
+                                   f"rebuild failed: {failure}")
+            outcomes[entry.mask] = ViewMaintenance(
+                label=entry.label, action=action, seconds=seconds,
+                reason=reason)
+            _DECISIONS.inc(labels=(action, _reason_category(reason)))
+
     def _patch_with_rollback(self, entry: MaterializedView,
-                             adjustments: dict[tuple, GroupAdjustment],
-                             report: MaintenanceReport
+                             table: GroupTable, report: MaintenanceReport
                              ) -> tuple[Optional[tuple[int, int, int]],
                                         Optional[str]]:
-        """Attempt a view patch transactionally; ``(stats, reason)``.
+        """Merge a window's table into one view; ``(stats, reason)``.
 
-        :meth:`_patch_view` already rolls the view graph back to its
-        pre-patch state when the apply phase raises; this wrapper counts
-        the rollback, retries once after a short backoff (transient
-        faults), and converts persistent failure into a rebuild reason
-        instead of letting the exception escape the maintenance pass.
+        The catalog's index is edited in step with the view graph, so an
+        attempt that does not land — declined, raised or crashed — drops
+        it: the next reader re-scans the graph, which :meth:`_merge` has
+        rolled back.  A raise counts as a rollback and is retried after a
+        short backoff (transient faults); persistent failure becomes a
+        rebuild reason instead of escaping the maintenance pass.
         Simulated crashes are BaseException and still propagate.
         """
-        attempts = self._patch_retries + 1
+        view = entry.definition
+        catalog = self._catalog
+        attempts = PATCH_RETRIES + 1
         last_error: Exception | None = None
         for attempt in range(attempts):
             if attempt:
-                time.sleep(self._retry_backoff_seconds)
+                time.sleep(PATCH_RETRY_BACKOFF_SECONDS)
+            stats = None
             try:
-                stats = self._patch_view(entry, adjustments)
+                stats = self._merge(view, catalog.group_index(view), table)
+            except ViewError:
+                pass  # the graph is not a complete §3.1 encoding
             except Exception as exc:
                 report.rollbacks += 1
                 # Counter and report increment together:
@@ -475,6 +391,9 @@ class ViewMaintainer:
                            entry.label, attempt + 1, attempts, exc)
                 last_error = exc
                 continue
+            finally:
+                if stats is None:
+                    catalog.drop_group_index(view)
             if stats is None:
                 return None, "group index inconsistent with delta"
             return stats, None
@@ -500,132 +419,56 @@ class ViewMaintainer:
         """A per-view rebuild reason, or None when patchable."""
         if entry.base_version != delta.from_version:
             return "view out of sync with the change window"
-        plan = self._plan_for(entry.definition.facet)
-        if plan is None:
+        facet = entry.definition.facet
+        if facet not in self._evaluators:
+            plan = compile_delta_plan(facet)
+            self._evaluators[facet] = None if plan is None else \
+                DeltaEvaluator(self._catalog.base_engine.executor, plan)
+        evaluator = self._evaluators[facet]
+        if evaluator is None:
             return "facet shape is not delta-evaluable"
-        if plan.kind == KIND_MINMAX and delta.deleted:
+        if evaluator.plan.kind == KIND_MINMAX and delta.deleted:
             return "MIN/MAX cannot be patched under deletions"
         return None
 
-    def _plan_for(self, facet: AnalyticalFacet) -> Optional[DeltaPlan]:
-        if facet not in self._plans:
-            self._plans[facet] = compile_delta_plan(facet)
-        return self._plans[facet]
-
-    def _evaluator_for(self, facet: AnalyticalFacet) -> DeltaEvaluator:
-        evaluator = self._evaluators.get(facet)
-        if evaluator is None:
-            evaluator = DeltaEvaluator(
-                self._catalog.base_engine.executor, self._plan_for(facet),
-                max_seed_rows=self._max_seed_rows)
-            self._evaluators[facet] = evaluator
-        return evaluator
-
     # -- patching ------------------------------------------------------------
 
-    def _index_for(self, entry: MaterializedView) -> GroupIndex:
-        view = entry.definition
-        index = self._indexes.get(view.mask)
-        expected = aggregate_kind(view.facet.aggregate.name)
-        if index is None or index.kind != expected:
-            # Every (re)build deposits the freshly-encoded group index
-            # on the catalog; adopting it (consuming, like construction
-            # does) saves the view-graph scan.  Anything else re-scans.
-            restored = self._catalog.restored_group_indexes.pop(
-                view.mask, None)
-            if isinstance(restored, GroupIndex) and restored.kind == expected:
-                index = restored
-            else:
-                index = GroupIndex.from_graph(view,
-                                              self._catalog.graph_of(view))
-            self._indexes[view.mask] = index
-        return index
-
-    def _rollup(self, view: ViewDefinition,
-                adjustments: dict[tuple, GroupAdjustment]
-                ) -> dict[tuple, GroupAdjustment]:
-        """Project finest-grain adjustments onto a view's key subset."""
-        facet = view.facet
-        positions = [i for i in range(len(facet.grouping_variables))
-                     if view.mask >> i & 1]
-        out: dict[tuple, GroupAdjustment] = {}
-        for key, adjustment in adjustments.items():
-            vkey = tuple(key[i] for i in positions)
-            target = out.get(vkey)
-            if target is None:
-                target = GroupAdjustment()
-                out[vkey] = target
-            target.count += adjustment.count
-            target.value += adjustment.value
-            if adjustment.candidates:
-                target.candidates.extend(adjustment.candidates)
-        return out
-
-    def _patch_view(self, entry: MaterializedView,
-                    adjustments: dict[tuple, GroupAdjustment]
-                    ) -> Optional[tuple[int, int, int]]:
-        """Apply adjustments to one view graph; None = rebuild needed.
+    def _merge(self, view, index: GroupIndex, table: GroupTable
+               ) -> Optional[tuple[int, int, int]]:
+        """Apply a signed table at the view's grain to graph and index;
+        None = they contradict each other, rebuild.
 
         All removals and additions are collected first and applied as two
         bulk id operations, so the view graph's version moves at most
         twice per window regardless of how many groups changed.
         """
-        view = entry.definition
-        try:
-            index = self._index_for(entry)
-        except ViewError:
-            return None
         graph = self._catalog.graph_of(view)
-        rollup = self._rollup(view, adjustments)
-        kind = index.kind
-
-        encode = graph.dictionary.encode
+        codec = GroupCodec(view, graph.dictionary)
         decode = graph.dictionary.decode
-        is_avg = view.facet.aggregate.name == "AVG"
-        value_pred = encode(SOFOS.sum if is_avg else SOFOS.measure)
-        count_pred = encode(SOFOS.groupCount)
-        view_pred = encode(SOFOS.view)
-        view_iri = encode(view.iri)
-        dim_preds = [encode(dimension_predicate(v)) for v in view.variables]
-        keep_max = view.facet.aggregate.name == "MAX"
+        is_minmax = index.kind == KIND_MINMAX
+        keep_max = table.keep_max
+        value_pred = codec.value_pred
+        count_pred = codec.count_pred
 
         adds: list[tuple[int, int, int]] = []
         removes: list[tuple[int, int, int]] = []
         created = updated = deleted = 0
 
-        for key, adjustment in rollup.items():
-            if adjustment.empty:
+        for key, change in table.groups.items():
+            if change.empty:
                 continue
+            count_change, value_change = codec.numbers(change)
             state = index.groups.get(key)
             if state is None:
-                if adjustment.count <= 0:
+                # Birth: the change is the whole group.
+                if count_change <= 0 or value_change is None:
                     return None  # a group the index never saw shrank
-                node = encode(BlankNode.fresh(f"v{view.mask}g"))
-                if kind == KIND_MINMAX:
-                    if not adjustment.candidates:
-                        return None
-                    value_id = self._best(adjustment.candidates, decode,
-                                          keep_max)
-                    value = None
-                elif kind == KIND_COUNT:
-                    value = adjustment.value
-                    value_id = encode(typed_literal(value))
-                else:
-                    value = adjustment.value
-                    value_id = encode(numeric_result(value))
-                count_id = encode(typed_literal(adjustment.count))
-                adds.append((node, view_pred, view_iri))
-                for pred, tid in zip(dim_preds, key):
-                    if tid is not None:
-                        adds.append((node, pred, tid))
-                adds.append((node, value_pred, value_id))
-                adds.append((node, count_pred, count_id))
-                index.groups[key] = GroupState(node, adjustment.count,
-                                               value, value_id, count_id)
+                index.groups[key] = codec.birth(adds, key, count_change,
+                                                value_change)
                 created += 1
                 continue
 
-            new_count = state.count + adjustment.count
+            new_count = state.count + count_change
             if new_count < 0:
                 return None
             if new_count == 0:
@@ -646,28 +489,27 @@ class ViewMaintainer:
 
             node = state.node_id
             changed = False
-            if adjustment.count != 0:
-                new_count_id = encode(typed_literal(new_count))
+            if count_change:
+                new_count_id = codec.number_id(new_count)
                 removes.append((node, count_pred, state.count_id))
                 adds.append((node, count_pred, new_count_id))
                 state.count = new_count
                 state.count_id = new_count_id
                 changed = True
-            if kind == KIND_MINMAX:
-                if adjustment.candidates:
-                    best = self._best(
-                        adjustment.candidates + [state.value_id], decode,
-                        keep_max)
-                    if best != state.value_id:
+            if is_minmax:
+                # The stored extremum can only move toward the best
+                # inserted value (insert-only windows).
+                if value_change is not None:
+                    stored_key = order_key(decode(state.value_id))
+                    if (change.best_key > stored_key if keep_max
+                            else change.best_key < stored_key):
                         removes.append((node, value_pred, state.value_id))
-                        adds.append((node, value_pred, best))
-                        state.value_id = best
+                        adds.append((node, value_pred, value_change))
+                        state.value_id = value_change
                         changed = True
-            elif adjustment.value:
-                new_value = state.value + adjustment.value
-                new_value_id = encode(
-                    typed_literal(new_value) if kind == KIND_COUNT
-                    else numeric_result(new_value))
+            elif value_change:
+                new_value = state.value + value_change
+                new_value_id = codec.number_id(new_value)
                 if new_value_id != state.value_id:
                     removes.append((node, value_pred, state.value_id))
                     adds.append((node, value_pred, new_value_id))
@@ -680,13 +522,13 @@ class ViewMaintainer:
         # The edits must land exactly: every removal referenced a triple
         # the index believed stored, every addition must be new.  A
         # mismatch means the index has drifted from the view graph (e.g.
-        # it survived an out-of-band rebuild) — bail out to the rebuild
-        # fallback, which clears the graph and starts clean, instead of
-        # leaving duplicate or orphaned measure/count triples behind.
-        # An *exception* between the two bulk ops would otherwise leave
-        # the view half-patched yet marked fresh; undo both edits (bulk
-        # ops skip absent/duplicate ids, so the undo is safe wherever the
-        # failure struck) and drop the mutated index before re-raising.
+        # the graph was edited behind the catalog's back) — bail out to
+        # the rebuild fallback, which clears the graph and starts clean,
+        # instead of leaving duplicate or orphaned measure/count triples
+        # behind.  An *exception* between the two bulk ops would
+        # otherwise leave the view half-patched yet marked fresh; undo
+        # both edits (bulk ops skip absent/duplicate ids, so the undo is
+        # safe wherever the failure struck) before re-raising.
         try:
             fail_at("maintenance.patch.before_apply")
             if removes and graph.remove_ids_bulk(removes) != len(removes):
@@ -695,7 +537,6 @@ class ViewMaintainer:
             if adds and graph.add_ids_bulk(adds) != len(adds):
                 return None
         except BaseException:
-            self._indexes.pop(view.mask, None)
             with suppressed():
                 if adds:
                     graph.remove_ids_bulk(adds)
@@ -703,18 +544,3 @@ class ViewMaintainer:
                     graph.add_ids_bulk(removes)
             raise
         return created, updated, deleted
-
-    @staticmethod
-    def _best(candidate_ids: list[int], decode, keep_max: bool) -> int:
-        """The extremum candidate by SPARQL order semantics."""
-        best_id = candidate_ids[0]
-        best_key = order_key(decode(best_id))
-        for tid in candidate_ids[1:]:
-            key = order_key(decode(tid))
-            if (key > best_key) if keep_max else (key < best_key):
-                best_id, best_key = tid, key
-        return best_id
-
-
-#: Sentinel distinguishing "not computed yet" from "computed as None".
-_UNSET = object()

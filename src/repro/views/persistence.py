@@ -22,9 +22,9 @@ verification off.
 Per view the manifest records whether it was stale relative to the base
 graph at save time (restored views stay stale until refreshed or
 patched) plus the view's group index — group-key terms, blank-node
-label, and running count/value — so an attached
-:class:`~repro.views.maintenance.ViewMaintainer` can patch loaded views
-without re-scanning their graphs.
+label, and running count/value — which the loaded catalog owns again
+(:meth:`ViewCatalog.group_index`), so loaded views patch without a scan
+of their graphs.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-from ..errors import CatalogCorruptError, ExpressionError, ParseError, \
-    TermError, ViewError
+from ..errors import CatalogCorruptError, ParseError, TermError, ViewError
 from ..obs import get_logger
 from ..obs import metrics as _metrics
 from ..obs import tracing as _tracing
@@ -45,12 +44,11 @@ from ..rdf.dataset import Dataset
 from ..rdf.graph import Graph
 from ..rdf.nquads import iter_nquads, parse_nquads, serialize_graph_lines
 from ..rdf.ntriples import parse_term
-from ..rdf.terms import typed_literal
 from ..cube.facet import AnalyticalFacet
 from ..cube.view import ViewDefinition
-from ..sparql.values import to_number
+from ..sparql.grouptable import KIND_BY_AGGREGATE
 from .catalog import MaterializedView, ViewCatalog
-from .maintenance import GroupIndex, GroupState, KIND_MINMAX, aggregate_kind
+from .materializer import GroupIndex, stored_literal
 
 __all__ = ["save_expanded", "load_expanded", "CatalogRecovery",
            "DATASET_FILE", "MANIFEST_FILE"]
@@ -129,21 +127,16 @@ def _serialize_group_index(entry: MaterializedView, catalog: ViewCatalog
     """The group index of one view as JSON-safe n3 terms, or None."""
     view = entry.definition
     try:
-        graph = catalog.graph_of(view)
-        index = GroupIndex.from_graph(view, graph)
+        index = catalog.group_index(view)
     except ViewError:
         return None
-    decode = graph.dictionary.decode
-    groups = []
-    for key, state in index.groups.items():
-        groups.append({
-            "node": decode(state.node_id).n3(),
-            "key": [None if tid is None else decode(tid).n3()
-                    for tid in key],
-            "count": state.count,
-            "value": decode(state.value_id).n3(),
-        })
-    return {"kind": index.kind, "groups": groups}
+    decode = catalog.dataset.dictionary.decode
+    return {"kind": index.kind, "groups": [{
+        "node": decode(state.node_id).n3(),
+        "key": [None if tid is None else decode(tid).n3() for tid in key],
+        "count": state.count,
+        "value": decode(state.value_id).n3(),
+    } for key, state in index.groups.items()]}
 
 
 def _restore_group_index(payload: dict, view: ViewDefinition,
@@ -151,39 +144,31 @@ def _restore_group_index(payload: dict, view: ViewDefinition,
     """Rebuild a :class:`GroupIndex` from its manifest payload.
 
     Returns None when anything fails to resolve against the loaded
-    dictionary — the maintainer then simply re-scans the view graph.
+    dictionary — the catalog then simply re-scans the view graph.
     """
     kind = payload.get("kind")
-    if kind != aggregate_kind(view.facet.aggregate.name):
+    if kind != KIND_BY_AGGREGATE[view.facet.aggregate.name]:
         return None
-    lookup = graph.dictionary.lookup
+    dictionary = graph.dictionary
+
+    def resolve(term) -> int:
+        tid = dictionary.lookup(term)
+        if tid is None:
+            raise KeyError(term)
+        return tid
+
     index = GroupIndex(kind)
     try:
         for item in payload.get("groups", ()):
-            node_id = lookup(parse_term(item["node"]))
-            value_term = parse_term(item["value"])
-            value_id = lookup(value_term)
-            count = int(item["count"])
-            count_id = lookup(typed_literal(count))
-            if node_id is None or value_id is None or count_id is None:
-                return None
-            key_parts = []
-            for text in item["key"]:
-                if text is None:
-                    key_parts.append(None)
-                    continue
-                tid = lookup(parse_term(text))
-                if tid is None:
-                    return None
-                key_parts.append(tid)
-            value = None if kind == KIND_MINMAX else to_number(value_term)
-            key = tuple(key_parts)
-            if key in index.groups:
-                return None
-            index.groups[key] = GroupState(node_id, count, value, value_id,
-                                           count_id)
-    except (ExpressionError, KeyError, ParseError, TermError, TypeError,
-            ValueError):
+            index.insert(
+                tuple(None if text is None else resolve(parse_term(text))
+                      for text in item["key"]),
+                resolve(parse_term(item["node"])),
+                resolve(stored_literal(int(item["count"]))),
+                resolve(parse_term(item["value"])),
+                dictionary.decode)
+    except (KeyError, ParseError, TermError, TypeError, ValueError,
+            ViewError):
         return None
     return index
 
@@ -273,8 +258,8 @@ def load_expanded(directory: str, facet: AnalyticalFacet, *,
     catalog against the wrong facet would silently route queries to
     incompatible encodings.  Views recorded stale at save time are
     restored stale (sentinel ``base_version = -1``); everything else
-    aligns with the loaded graph's version.  Restored group indexes are
-    left on ``catalog.restored_group_indexes`` for a maintainer to adopt.
+    aligns with the loaded graph's version.  Restored group indexes go
+    back to the catalog that owns them (:meth:`ViewCatalog.group_index`).
 
     Manifests are checksum-verified per component graph.  On any
     mismatch the default is to raise :class:`CatalogCorruptError` listing
@@ -424,7 +409,7 @@ def _load_expanded(directory: str, facet: AnalyticalFacet, *,
             if not failed and index_payload is not None:
                 index = _restore_group_index(index_payload, definition, graph)
                 if index is not None:
-                    catalog.restored_group_indexes[definition.mask] = index
+                    catalog._group_indexes[definition.mask] = index
     except (KeyError, TypeError, ValueError) as exc:
         raise CatalogCorruptError(
             f"truncated catalog manifest {manifest_path}: bad view entry "

@@ -4,10 +4,11 @@ For each demo dataset the stream test builds a catalog (three lattice
 views) plus a :class:`ViewMaintainer`, then drives the deterministic
 insert/delete update stream while a seeded schedule arms failpoints from
 :data:`FAULT_POOL` — injected errors and simulated crashes landing
-mid-patch, mid-refresh, and mid-bulk-op.  After every window the harness
-clears the faults, runs one recovery synchronize, and asserts the views
-are triple-for-triple equal (up to blank-node labels) to a twin world
-maintained by clean rebuilds; at the end of the stream the routed answers
+mid-patch, mid-rebuild-batch, and mid-bulk-op.  After every window the
+harness clears the faults, runs one recovery synchronize, and asserts the
+views are triple-for-triple equal (up to blank-node labels) to a twin
+world maintained by clean rebuilds and the catalog's group indexes equal
+to a scan of the view graphs; at the end of the stream the routed answers
 are checked against the seed :class:`ReferenceExecutor` on the base
 graph, and the hub's counters against what the harness saw.
 
@@ -34,7 +35,8 @@ from repro.views import ViewCatalog, ViewMaintainer, load_expanded, \
     save_expanded
 from repro.workload import UpdateStreamConfig, UpdateStreamGenerator
 
-from tests.test_incremental_maintenance import assert_view_parity
+from tests.test_incremental_maintenance import assert_index_true, \
+    assert_view_parity
 
 #: Failpoints the schedule draws from — every point that can fire while a
 #: maintenance window reconciles views (persistence points run in their
@@ -45,7 +47,8 @@ FAULT_POOL = (
     "maintenance.patch.between_bulk_ops",
     "graph.add_ids_bulk",
     "graph.remove_ids_bulk",
-    "catalog.refresh",
+    "catalog.refresh_stale",
+    "catalog.materialize.view",
 )
 
 #: One in ``CLEAN_WINDOW_RATIO`` windows runs fault-free, so the stream
@@ -135,6 +138,7 @@ def test_faulted_stream_recovers_to_parity(name, metrics_hub):
 
         shadow_catalog.refresh_stale()
         assert_view_parity(catalog, shadow_catalog, views)
+        assert_index_true(catalog, views)
 
     assert_reference_parity(catalog, base, facet, views)
     maintainer.close()

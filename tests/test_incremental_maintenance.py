@@ -20,7 +20,7 @@ from repro.errors import ReproError
 from repro.rdf import Dataset, Graph, Namespace, Triple, typed_literal
 from repro.sparql import QueryEngine, ReferenceExecutor, ResultTable
 from repro.sparql.delta import DeltaEvaluator, compile_delta_plan
-from repro.views import ViewCatalog, ViewMaintainer
+from repro.views import GroupIndex, ViewCatalog, ViewMaintainer
 from repro.workload import UpdateStreamConfig, UpdateStreamGenerator
 
 from tests.conftest import POPULATION_AVG_FACET_QUERY, \
@@ -60,6 +60,18 @@ def assert_view_parity(catalog_a: ViewCatalog, catalog_b: ViewCatalog,
         got = group_signatures(catalog_a.graph_of(view))
         want = group_signatures(catalog_b.graph_of(view))
         assert got == want, (view.label, got - want, want - got)
+
+
+def assert_index_true(catalog: ViewCatalog, views) -> None:
+    """The catalog's group index says exactly what the view graph stores."""
+    def states(index):
+        return {key: (s.node_id, s.count, s.value, s.value_id, s.count_id)
+                for key, s in index.groups.items()}
+
+    for view in views:
+        scanned = GroupIndex.from_graph(view, catalog.graph_of(view))
+        assert states(catalog.group_index(view)) == states(scanned), \
+            view.label
 
 
 def twin_worlds(facet: AnalyticalFacet, graph_builder, views=None):
@@ -137,10 +149,10 @@ class TestDeltaEvaluator:
         delta = log.drain()
         evaluator = DeltaEvaluator(engine.executor,
                                    compile_delta_plan(population_facet))
-        adjustments = evaluator.adjustments(delta.inserted, delta.deleted)
+        table = evaluator.adjustments(delta.inserted, delta.deleted)
         decode = engine.executor.decode_id
-        got = {tuple(decode(i) for i in key): (a.count, a.value)
-               for key, a in adjustments.items()}
+        got = {tuple(decode(i) for i in key): (entry.rows, entry.value)
+               for key, entry in table.groups.items() if not entry.empty}
         assert got == expected
 
     def test_empty_delta_empty_adjustments(self, population_facet):
@@ -148,7 +160,7 @@ class TestDeltaEvaluator:
         engine = QueryEngine(graph)
         evaluator = DeltaEvaluator(engine.executor,
                                    compile_delta_plan(population_facet))
-        assert evaluator.adjustments((), ()) == {}
+        assert evaluator.adjustments((), ()).groups == {}
 
     def test_irrelevant_delta_ignored(self, population_facet):
         graph = build_population_graph()
@@ -158,7 +170,8 @@ class TestDeltaEvaluator:
         delta = log.drain()
         evaluator = DeltaEvaluator(engine.executor,
                                    compile_delta_plan(population_facet))
-        assert evaluator.adjustments(delta.inserted, delta.deleted) == {}
+        assert evaluator.adjustments(delta.inserted,
+                                     delta.deleted).groups == {}
 
     def test_optional_facet_not_plannable(self):
         facet = AnalyticalFacet.from_query("opt", OPTIONAL_FACET_QUERY)
@@ -319,23 +332,73 @@ class TestFallbacks:
         assert [v.action for v in report.views] == ["rebuilt"]
         assert "not delta-evaluable" in report.views[0].reason
 
-    def test_out_of_band_rebuild_does_not_corrupt(self, population_facet):
-        """Regression: an external refresh orphans the maintainer's cached
-        group index (fresh blank nodes); the next patch must detect the
-        drift and rebuild instead of editing dropped node ids."""
+    def test_out_of_band_rebuild_is_patched_past(self, population_facet):
+        """An external refresh mints fresh group nodes; the catalog's
+        index is rewritten by that same build, so the next window still
+        patches (it used to detect a drifted private copy and rebuild)."""
         (g1, cat1, views), (g2, cat2, _) = twin_worlds(
             population_facet, build_population_graph, views=[0b11])
         maintainer = ViewMaintainer(cat1, max_delta_fraction=1.0)
         standard_mutation(g1)
         standard_mutation(g2)
-        maintainer.synchronize()           # index now cached and true
+        maintainer.synchronize()
         cat1.refresh(views[0])             # out-of-band: new group nodes
+        assert_index_true(cat1, views)
         for g in (g1, g2):
             g.remove([Triple(EX.obs1, EX.ofCountry, EX.france)])
         report = maintainer.synchronize()
-        assert [v.action for v in report.views] == ["rebuilt"]
+        assert [v.action for v in report.views] == ["patched"]
         cat2.refresh_stale()
         assert_view_parity(cat1, cat2, views)
+        assert_index_true(cat1, views)
+
+    def test_two_maintainers_share_the_catalog_index(self, population_facet,
+                                                     monkeypatch):
+        """The index lives on the catalog: whichever maintainer patches a
+        window, the other's next window starts from the truth, without a
+        view-graph scan."""
+        (g1, cat1, views), (g2, cat2, _) = twin_worlds(
+            population_facet, build_population_graph)
+        first = ViewMaintainer(cat1, max_delta_fraction=1.0)
+        second = ViewMaintainer(cat1, max_delta_fraction=1.0)
+        with monkeypatch.context() as patched:
+            patched.setattr(GroupIndex, "from_graph", classmethod(
+                lambda cls, view, graph: pytest.fail("scanned " + view.label)))
+            standard_mutation(g1)
+            standard_mutation(g2)
+            assert len(first.synchronize().patched) == len(views)
+            assert second.synchronize().views == []   # nothing left stale
+            for g in (g1, g2):
+                g.remove([Triple(EX.obs9, EX.ofCountry, EX.spain)])
+            assert len(second.synchronize().patched) == len(views)
+        cat2.refresh_stale()
+        assert_view_parity(cat1, cat2, views)
+        assert_index_true(cat1, views)
+
+    def test_forced_window_rebuilds_from_one_scan(self, tiny_lubm):
+        """Fallback is the batch: k declined views cost one facet scan."""
+        from repro.obs import hub
+        facet = tiny_lubm.facet()
+        graph = tiny_lubm.graph.copy()
+        catalog = ViewCatalog(Dataset.wrap(graph))
+        views = list(ViewLattice(facet))[:4]
+        catalog.materialize_all(views)
+        maintainer = ViewMaintainer(catalog)
+        batch = next(iter(UpdateStreamGenerator(graph, UpdateStreamConfig(
+            batches=1, operations_per_batch=5, seed=3)).stream(apply=False)))
+        batch.apply_to(graph)
+        h = hub()
+        h.reset()
+        h.enable(tracing=False)
+        try:
+            report = maintainer.synchronize(force_rebuild=True)
+            scans = h.metrics.get("facet_scan_total").value(("scan",))
+        finally:
+            h.disable()
+            h.reset()
+        assert [v.action for v in report.views] == ["rebuilt"] * 4
+        assert scans == 1
+        assert_index_true(catalog, views)
 
     def test_fresh_views_untouched(self, population_facet):
         (g1, cat1, views), _ = twin_worlds(
@@ -428,6 +491,31 @@ class TestSofosPolicies:
         current = sofos.answer(query)
         assert not current.stale
         assert current.table.same_solutions(
+            sofos.answer_from_base(query).table)
+
+    @pytest.mark.parametrize("policy", ["incremental", "deferred"])
+    def test_refresh_views_drains_the_window(self, population_facet, policy):
+        """Regression: refresh_views() rebuilt behind the maintainer's back,
+        so the next window found every view out of sync with an undrained
+        log and rebuilt them all a second time."""
+        sofos = Sofos(build_population_graph(), population_facet,
+                      maintenance=policy)
+        sofos.select_and_materialize("agg_values", k=2)
+        graph = sofos.dataset.default
+        graph.update([Triple(EX.obs8, EX.ofCountry, EX.france),
+                      Triple(EX.obs8, EX.year, typed_literal(2019)),
+                      Triple(EX.obs8, EX.population, typed_literal(7))])
+        refreshed = sofos.refresh_views()
+        assert sorted(e.label for e in refreshed) == \
+            sorted(e.label for e in sofos.catalog)
+        assert sofos.catalog.stale_views() == []
+        graph.update([Triple(EX.obs9, EX.ofCountry, EX.germany),
+                      Triple(EX.obs9, EX.year, typed_literal(2019)),
+                      Triple(EX.obs9, EX.population, typed_literal(3))])
+        report = sofos.maintain()
+        assert [v.action for v in report.views] == ["patched", "patched"]
+        query = AnalyticalQuery(population_facet, 0)
+        assert sofos.answer(query).table.same_solutions(
             sofos.answer_from_base(query).table)
 
     def test_rebuild_policy_maintain_reports(self, population_facet):

@@ -129,15 +129,16 @@ class TestOnlineStaleViews:
         assert second.table.same_solutions(base.table)
         assert not first.table.same_solutions(second.table)
 
-    def test_without_policy_snapshot_persists(self, population_facet):
-        """Explicit snapshot serving: with stale routing disabled the view
-        keeps answering from its frozen state."""
+    def test_deferred_policy_snapshot_persists(self, population_facet):
+        """Explicit snapshot serving: under ``deferred`` the view keeps
+        answering from its frozen state."""
         graph = build_population_graph()
         dataset = Dataset.wrap(graph)
         offline = OfflineModule(dataset, population_facet)
         selection = offline.select(UserSelection(["lang+year"]), 1)
         catalog = offline.materialize(selection)
-        online = OnlineModule(catalog, skip_stale=False)
+        online = OnlineModule(catalog, policy="deferred")
+        assert not online.router.skip_stale
         query = AnalyticalQuery(population_facet, 0)
         first = online.answer(query)
         add_observation(graph, pop=1_000_000)

@@ -166,47 +166,64 @@ class TestManifestV2:
         assert len(refreshed) == 2
         assert loaded.stale_views() == []
 
-    def test_group_index_restored_and_adopted(self, tmp_path,
-                                              population_facet):
-        from repro.views import ViewMaintainer
-        sofos = Sofos(build_population_graph(), population_facet)
-        _selection, catalog = sofos.select_and_materialize("agg_values", k=2)
-        save_expanded(catalog, str(tmp_path))
-        _dataset, loaded = load_expanded(str(tmp_path), population_facet)
-        assert set(loaded.restored_group_indexes) == \
-            {entry.mask for entry in loaded}
-        maintainer = ViewMaintainer(loaded)
-        for entry in loaded:
-            index = maintainer.group_index(entry.definition)
-            assert index is not None
-            assert len(index) == entry.groups
-
     def test_restored_index_patches_without_rescan(self, tmp_path,
-                                                   population_facet):
-        """A loaded catalog + adopted index must survive a real patch."""
+                                                   population_facet,
+                                                   monkeypatch):
+        """Save → load hands the catalog its indexes back: a loaded
+        catalog answers ``group_index`` and survives a real patch without
+        scanning a view graph."""
         from repro.core import OnlineModule
         from repro.cube import AnalyticalQuery
         from repro.rdf import Triple, typed_literal
-        from repro.views import ViewMaintainer
+        from repro.views import GroupIndex, ViewMaintainer
         from tests.conftest import EX
+        from tests.test_incremental_maintenance import assert_index_true
         sofos = Sofos(build_population_graph(), population_facet)
         _selection, catalog = sofos.select_and_materialize("agg_values", k=2)
         save_expanded(catalog, str(tmp_path))
         dataset, loaded = load_expanded(str(tmp_path), population_facet)
-        maintainer = ViewMaintainer(loaded, max_delta_fraction=1.0)
-        dataset.default.update([
-            Triple(EX.obs99, EX.ofCountry, EX.france),
-            Triple(EX.obs99, EX.year, typed_literal(2019)),
-            Triple(EX.obs99, EX.population, typed_literal(3)),
-        ])
-        report = maintainer.synchronize()
-        assert report.rebuilt == []
+        views = [entry.definition for entry in loaded]
+        with monkeypatch.context() as patched:
+            patched.setattr(GroupIndex, "from_graph", classmethod(
+                lambda cls, view, g: pytest.fail("scanned " + view.label)))
+            for entry in loaded:
+                assert len(loaded.group_index(entry.definition)) \
+                    == entry.groups
+            maintainer = ViewMaintainer(loaded, max_delta_fraction=1.0)
+            dataset.default.update([
+                Triple(EX.obs99, EX.ofCountry, EX.france),
+                Triple(EX.obs99, EX.year, typed_literal(2019)),
+                Triple(EX.obs99, EX.population, typed_literal(3)),
+            ])
+            report = maintainer.synchronize()
+        assert len(report.patched) == len(views)
+        assert_index_true(loaded, views)
         online = OnlineModule(loaded)
         query = AnalyticalQuery(population_facet, 0)
         answer = online.answer(query)
         assert answer.used_view is not None
         assert answer.table.same_solutions(
             online.answer_from_base(query).table)
+
+    def test_manifest_without_index_payload_scans_once(self, tmp_path,
+                                                       population_facet):
+        """The one case the catalog scans a view graph: a manifest whose
+        index payload is missing or does not resolve."""
+        import json
+        from tests.test_incremental_maintenance import assert_index_true
+        sofos = Sofos(build_population_graph(), population_facet)
+        _selection, catalog = sofos.select_and_materialize("agg_values", k=2)
+        save_expanded(catalog, str(tmp_path))
+        manifest_path = tmp_path / "catalog.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["views"][0]["group_index"] = None
+        manifest["views"][1]["group_index"]["groups"][0]["node"] = "_:gone"
+        manifest_path.write_text(json.dumps(manifest))
+        _dataset, loaded = load_expanded(str(tmp_path), population_facet)
+        views = [entry.definition for entry in loaded]
+        assert_index_true(loaded, views)
+        for view in views:
+            assert loaded.group_index(view) is loaded.group_index(view)
 
     def test_refresh_invalidates_restored_index(self, tmp_path,
                                                 population_facet):
@@ -225,19 +242,10 @@ class TestManifestV2:
         save_expanded(catalog, str(tmp_path))
         dataset, loaded = load_expanded(str(tmp_path), population_facet)
         loaded.refresh_stale()            # fresh blank nodes everywhere
-        # The persisted indexes (orphaned node ids) must be gone; the
-        # rollup rebuild deposits freshly-encoded ones that describe the
-        # rebuilt graphs exactly, so adoption is still safe.
-        from repro.views.maintenance import GroupIndex
-        for entry in loaded:
-            fresh = loaded.restored_group_indexes.get(entry.mask)
-            assert fresh is not None
-            scanned = GroupIndex.from_graph(entry.definition,
-                                            loaded.graph_of(entry.definition))
-            assert {key: (s.node_id, s.count, s.value_id, s.count_id)
-                    for key, s in fresh.groups.items()} == \
-                   {key: (s.node_id, s.count, s.value_id, s.count_id)
-                    for key, s in scanned.groups.items()}
+        # The persisted indexes (orphaned node ids) must be gone: the
+        # rebuild rewrote them to describe the rebuilt graphs exactly.
+        from tests.test_incremental_maintenance import assert_index_true
+        assert_index_true(loaded, [entry.definition for entry in loaded])
         maintainer = ViewMaintainer(loaded, max_delta_fraction=1.0)
         dataset.default.update([
             Triple(EX.obs99, EX.ofCountry, EX.france),
@@ -251,22 +259,6 @@ class TestManifestV2:
         assert answer.used_view is not None
         assert answer.table.same_solutions(
             online.answer_from_base(query).table)
-
-    def test_restored_index_consumed_by_first_maintainer(self, tmp_path,
-                                                         population_facet):
-        """Adoption is consume-once: a second maintainer must re-scan
-        rather than trust a snapshot the first one has patched past."""
-        from repro.views import ViewMaintainer
-        sofos = Sofos(build_population_graph(), population_facet)
-        _selection, catalog = sofos.select_and_materialize("agg_values", k=2)
-        save_expanded(catalog, str(tmp_path))
-        _dataset, loaded = load_expanded(str(tmp_path), population_facet)
-        first = ViewMaintainer(loaded)
-        assert loaded.restored_group_indexes == {}
-        second = ViewMaintainer(loaded)
-        for entry in loaded:
-            assert first.group_index(entry.definition) is not None
-            assert second.group_index(entry.definition) is None
 
     def test_maintain_seconds_round_trip(self, tmp_path, population_facet):
         import json

@@ -285,6 +285,140 @@ class TestRewriteEquivalenceProperty:
 
 
 # --------------------------------------------------------------------------
+# the Δ algebra: a maintenance window is the difference of two scans
+# --------------------------------------------------------------------------
+
+_COUNTRIES = ["france", "germany", "canada", "italy", "spain"]
+_WINDOW_PREDICATES = (EX.ofCountry, EX.year, EX.population, EX.language)
+
+
+def _population_facet(agg: str) -> AnalyticalFacet:
+    return AnalyticalFacet.from_query("delta", f"""
+        PREFIX ex: <http://example.org/>
+        SELECT ?lang ?year ({agg}(?pop) AS ?m) WHERE {{
+          ?obs ex:ofCountry ?c ; ex:year ?year ; ex:population ?pop .
+          ?c ex:language ?lang .
+        }} GROUP BY ?lang ?year""")
+
+
+@st.composite
+def population_windows(draw):
+    """An aggregate plus an insert/delete window over the population
+    graph: whole and partial new observations, second values on existing
+    ones, new language edges; deletions of any pattern-relevant triple."""
+    from tests.conftest import build_population_graph
+    agg = draw(st.sampled_from(["SUM", "COUNT", "AVG", "MIN", "MAX"]))
+    graph = build_population_graph()
+    relevant = sorted((t for t in graph if t.p in _WINDOW_PREDICATES),
+                      key=lambda t: t.n3())
+    countries = st.sampled_from(_COUNTRIES).map(lambda name: EX[name])
+    years = st.sampled_from([2018, 2019, 2021]).map(typed_literal)
+    pops = st.integers(-50, 1000).map(typed_literal)
+    inserts = []
+    for i in range(draw(st.integers(0, 3))):
+        obs = EX[f"new{i}"]
+        parts = [Triple(obs, EX.ofCountry, draw(countries)),
+                 Triple(obs, EX.year, draw(years)),
+                 Triple(obs, EX.population, draw(pops))]
+        inserts += [t for t in parts if draw(st.integers(0, 4))]
+    for _ in range(draw(st.integers(0, 2))):
+        obs = EX[f"obs{draw(st.integers(1, 7))}"]
+        inserts.append(draw(st.sampled_from([
+            Triple(obs, EX.year, draw(years)),
+            Triple(obs, EX.population, draw(pops))])))
+    for _ in range(draw(st.integers(0, 2))):
+        inserts.append(Triple(draw(countries), EX.language,
+                              EX[draw(st.sampled_from(_LANG_POOL))]))
+    deletes = draw(st.lists(st.sampled_from(relevant), unique=True,
+                            max_size=4))
+    return agg, graph, inserts, deletes
+
+
+class TestDeltaAlgebraProperty:
+    @staticmethod
+    def _window(graph, facet, inserts, deletes, plan=None):
+        """``(before, Δ, after)``: the facet's scans around the window and
+        the delta evaluator's signed table for it, one executor's ids."""
+        from repro.cube.rollup import facet_scan
+        from repro.sparql.delta import DeltaEvaluator, compile_delta_plan
+        engine = QueryEngine(graph)
+        before = facet_scan(engine, facet).table
+        log = graph.subscribe()
+        graph.update(inserts)
+        graph.remove(deletes)
+        delta = log.drain()
+        evaluator = DeltaEvaluator(engine.executor,
+                                   plan or compile_delta_plan(facet))
+        change = evaluator.adjustments(delta.inserted, delta.deleted)
+        return before, change, facet_scan(engine, facet).table
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    @given(population_windows())
+    def test_window_table_is_the_difference_of_two_scans(self, window):
+        """``adjustments(Δ) == GroupTable(after) − GroupTable(before)``
+        entry by entry — at the finest grain and, projected, at every
+        lattice mask (so rolling Δ up commutes with rolling the scans
+        up).  MIN/MAX: Δ's extremum is one of the after-table's rows, and
+        over an insert-only window merging it into the before-table's
+        gives the after-table's."""
+        from repro.sparql.grouptable import GroupEntry
+        agg, graph, inserts, deletes = window
+        facet = _population_facet(agg)
+        before, change, after = self._window(graph, facet, inserts, deletes)
+        assert change is not None
+        assert not any(e.poisoned for e in change.groups.values())
+        pick = max if agg == "MAX" else min
+        zero = GroupEntry()
+        for mask in range(facet.lattice_size):
+            variables = facet.mask_variables(mask)
+            b, d, a = (table.project_variables(variables).groups
+                       for table in (before, change, after))
+            for key in set(b) | set(d) | set(a):
+                eb, ed, ea = (t.get(key, zero) for t in (b, d, a))
+                assert (ed.rows, ed.bound, ed.value) == (
+                    ea.rows - eb.rows, ea.bound - eb.bound,
+                    ea.value - eb.value), (agg, mask, key)
+                if ed.best_key is not None:
+                    assert ea.best_key == pick(ea.best_key, ed.best_key)
+                if not deletes:
+                    offered = [k for k in (eb.best_key, ed.best_key)
+                               if k is not None]
+                    assert ea.best_key == \
+                        (pick(offered) if offered else None)
+                assert ed.empty == (
+                    (ea.rows, ea.bound, ea.value) ==
+                    (eb.rows, eb.bound, eb.value) and ed.best_id is None)
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    @given(population_windows(), st.sampled_from(["non-numeric", "unbound"]))
+    def test_unusable_operand_declines_the_window(self, window, how):
+        """A row whose operand is unbound (SUM/AVG/MIN/MAX) or not a
+        number (SUM/AVG) would leave its group without a measure: no Δ."""
+        from repro.sparql.delta import compile_delta_plan
+        agg, graph, inserts, deletes = window
+        facet = _population_facet(agg)
+        plan = compile_delta_plan(facet)
+        # one whole new row no deletion of the window can take apart
+        inserts = inserts + [
+            Triple(EX.bad, EX.ofCountry, EX.badland),
+            Triple(EX.badland, EX.language, EX.french),
+            Triple(EX.bad, EX.year, typed_literal(2019)),
+            Triple(EX.bad, EX.population,
+                   Literal("n/a") if how == "non-numeric"
+                   else typed_literal(1))]
+        if how == "unbound":
+            plan.measure_variable = Variable("never_bound")
+        declines = agg in ("SUM", "AVG") or (
+            how == "unbound" and agg in ("MIN", "MAX"))
+        _, change, _ = self._window(graph, facet, inserts, deletes, plan)
+        assert (change is None) == declines
+
+
+# --------------------------------------------------------------------------
 # more round-trip properties
 # --------------------------------------------------------------------------
 

@@ -21,13 +21,15 @@ from repro.rdf import Dataset, Triple, typed_literal
 from repro.rdf.changelog import ChangeLog
 from repro.rdf.namespace import SOFOS
 from repro.resilience import ConsistencyAuditor, failpoints
+from repro.sparql import delta as delta_module
 from repro.views import ViewCatalog, ViewMaintainer
+from repro.views import maintenance as maintenance_module
 
 from tests.conftest import EX, build_population_graph, \
     build_population_facet
 from tests.test_incremental_maintenance import OPTIONAL_FACET_QUERY, \
-    PEAK_FACET_QUERY, assert_view_parity, group_signatures, \
-    standard_mutation, twin_worlds
+    PEAK_FACET_QUERY, assert_index_true, assert_view_parity, \
+    group_signatures, standard_mutation, twin_worlds
 
 
 @pytest.fixture(autouse=True)
@@ -64,6 +66,7 @@ class TestTransactionalPatch:
         assert report.rebuilt == []
         cat2.refresh_stale()
         assert_view_parity(cat1, cat2, views)
+        assert_index_true(cat1, views)
 
     def test_persistent_fault_falls_back_to_rebuild(self, population_facet):
         (g1, cat1, views), (g2, cat2, _) = twin_worlds(
@@ -86,12 +89,13 @@ class TestTransactionalPatch:
         assert cat1.stale_views() == []
 
     def test_crash_mid_patch_leaves_view_graph_intact(self,
-                                                      population_facet):
+                                                      population_facet,
+                                                      monkeypatch):
         (g1, cat1, views), (g2, cat2, _) = twin_worlds(
             population_facet, build_population_graph, views=[0b11])
         view = views[0]
-        maintainer = ViewMaintainer(cat1, max_delta_fraction=1.0,
-                                    patch_retries=0)
+        monkeypatch.setattr(maintenance_module, "PATCH_RETRIES", 0)
+        maintainer = ViewMaintainer(cat1, max_delta_fraction=1.0)
         before = group_signatures(cat1.graph_of(view))
         standard_mutation(g1)
         standard_mutation(g2)
@@ -101,6 +105,7 @@ class TestTransactionalPatch:
         # the half-applied window was undone and the view is still stale
         assert group_signatures(cat1.graph_of(view)) == before
         assert [e.definition.mask for e in cat1.stale_views()] == [view.mask]
+        assert_index_true(cat1, views)
         # after the "restart", plain maintenance converges to the twin
         failpoints.reset()
         report = maintainer.synchronize()
@@ -127,6 +132,7 @@ class TestTransactionalRefresh:
         assert group_signatures(cat1.graph_of(view)) == before
         assert cat1.get(view).base_version == version_before
         assert [e.definition.mask for e in cat1.stale_views()] == [view.mask]
+        assert_index_true(cat1, views)
         cat1.refresh(view)                     # failpoint auto-disarmed
         cat2.refresh_stale()
         assert_view_parity(cat1, cat2, views)
@@ -145,9 +151,11 @@ class TestTransactionalRefresh:
             assert group_signatures(cat1.graph_of(view)) == before[view.mask]
         assert {e.definition.mask for e in cat1.stale_views()} \
             == {v.mask for v in views}
+        assert_index_true(cat1, views)
         cat1.refresh_stale()
         cat2.refresh_stale()
         assert_view_parity(cat1, cat2, views)
+        assert_index_true(cat1, views)
 
     def test_materialize_all_failure_leaves_no_partial_views(self,
                                                              population_facet):
@@ -217,12 +225,13 @@ class TestQuarantineAndDegradedServing:
         standard_mutation(g1)
         standard_mutation(g2)
         # ... and the rebuild itself keeps dying
-        failpoints.arm("catalog.refresh", count=None)
+        failpoints.arm("catalog.refresh_stale", count=None)
         report = maintainer.synchronize()
         assert [v.action for v in report.views] == ["quarantined"]
         assert report.views[0].reason == "change log truncated"
         assert cat1.quarantine_reason(view) == (
-            "rebuild failed: injected fault at failpoint 'catalog.refresh'")
+            "rebuild failed: injected fault at failpoint "
+            "'catalog.refresh_stale'")
         # degraded-but-correct serving while quarantined
         query = AnalyticalQuery(population_facet, 0b11)
         answer = online.answer(query)
@@ -335,11 +344,12 @@ class TestConsistencyAuditor:
         maintainer = ViewMaintainer(cat1, max_delta_fraction=1.0)
         standard_mutation(g1)
         report = maintainer.synchronize()
-        assert len(report.patched) == 1    # the index is now cached
-        index = maintainer.group_index(views[0])
-        state = next(iter(index.groups.values()))
+        assert len(report.patched) == 1
+        auditor = ConsistencyAuditor(cat1)
+        assert auditor.audit_view(cat1.get(views[0])).ok
+        assert_index_true(cat1, views)     # an audit leaves it alone
+        state = next(iter(cat1.group_index(views[0]).groups.values()))
         state.count_id = state.node_id     # an id that is not the count
-        auditor = ConsistencyAuditor(cat1, maintainer)
         result = auditor.audit_view(cat1.get(views[0]))
         assert result.status == "corrupt"
         assert result.issues == (
@@ -441,26 +451,29 @@ class TestVerbatimRebuildReasons:
         assert [v.reason for v in report.views] == [
             "MIN/MAX cannot be patched under deletions"]
 
-    def test_delta_not_incrementally_evaluable(self, population_facet):
+    def test_delta_not_incrementally_evaluable(self, population_facet,
+                                               monkeypatch):
         # a zero seed budget makes the evaluator refuse any delta whose
         # inclusion–exclusion sweep needs seeded re-evaluation
         graph, catalog = self._world(population_facet)
-        maintainer = ViewMaintainer(catalog, max_delta_fraction=1.0,
-                                    max_seed_rows=0)
+        monkeypatch.setattr(delta_module, "MAX_SEED_ROWS", 0)
+        maintainer = ViewMaintainer(catalog, max_delta_fraction=1.0)
         standard_mutation(graph)
         report = maintainer.synchronize()
         assert [v.reason for v in report.views] == [
             "delta not incrementally evaluable"]
 
     def test_group_index_inconsistent_with_delta(self, population_facet):
-        graph, catalog = self._world(population_facet)
+        # the apex: one group, which any window changes
+        graph, catalog = self._world(population_facet, views=(0,))
         maintainer = ViewMaintainer(catalog, max_delta_fraction=1.0)
-        standard_mutation(graph)
-        maintainer.synchronize()           # caches a true group index
         view = next(iter(catalog)).definition
-        catalog.refresh(view)              # out-of-band: fresh group nodes
-        graph.remove([Triple(EX.obs1, EX.ofCountry, EX.france)])
+        catalog.group_index(view)          # held, and true so far
+        vgraph = catalog.graph_of(view)    # ... until the graph is tampered
+        assert vgraph.discard(next(iter(vgraph.triples(p=SOFOS.groupCount))))
+        standard_mutation(graph)
         report = maintainer.synchronize()
         assert [v.reason for v in report.views] == [
             "group index inconsistent with delta"]
         assert catalog.stale_views() == []
+        assert_index_true(catalog, [view])

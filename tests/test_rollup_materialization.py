@@ -7,9 +7,9 @@ to blank-node labels — to the §3.1 encoding of its materialization query
 as the seed tuple-at-a-time :class:`ReferenceExecutor` evaluates it, and
 its catalog entry counts exactly that encoding.  Around that core: the
 lattice's cheapest-ancestor planner, batch atomicity (rollback on
-mid-batch failure), iterable acceptance, group-index seeding of
-incremental maintenance by every build and rebuild, and the router's
-upkeep-history tie-break.
+mid-batch failure), iterable acceptance, the catalog's group index as
+every build and rebuild leaves it (true to the graph, so the next window
+patches without a scan), and the router's upkeep-history tie-break.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from repro.sparql import PreparedQuery, ReferenceExecutor
 from repro.views import ViewCatalog, ViewMaintainer, ViewRouter, \
     dimension_predicate
 from repro.views.catalog import MaterializedView
+
+from tests.test_incremental_maintenance import assert_index_true
 
 EX = Namespace("http://example.org/")
 
@@ -236,7 +238,8 @@ class TestMaterializeAllBatch:
                                      lattice.finest])
         assert len(catalog) == 0
         assert lattice.finest.iri not in catalog.dataset
-        assert catalog.restored_group_indexes == {}
+        with pytest.raises(ViewError):
+            catalog.group_index(lattice.finest)
 
     def test_mid_batch_failure_drops_built_views(self, population_graph,
                                                  population_facet,
@@ -262,10 +265,9 @@ class TestMaterializeAllBatch:
         for view in lattice:
             assert view.iri not in catalog.dataset
 
-    def test_refresh_stale_batches_and_seeds_indexes(self, population_facet):
+    def test_refresh_stale_batches_and_leaves_true_indexes(
+            self, population_facet):
         from repro.rdf import Triple, typed_literal
-        from repro.views.maintenance import GroupIndex
-        graph = parse_turtle(AGG_TTL)  # unrelated shape is fine
         graph = parse_turtle(
             "@prefix ex: <http://example.org/> .\n"
             "ex:obs1 ex:ofCountry ex:fr ; ex:year 2019 ; ex:population 7 .\n"
@@ -273,6 +275,7 @@ class TestMaterializeAllBatch:
         catalog = ViewCatalog(Dataset.wrap(graph))
         lattice = ViewLattice(population_facet)
         catalog.materialize_all(lattice)
+        assert_index_true(catalog, lattice)
         held = {v.mask: catalog.graph_of(v) for v in lattice}
         graph.add(Triple(EX.obs2, EX.ofCountry, EX.fr))
         graph.add(Triple(EX.obs2, EX.year, typed_literal(2020)))
@@ -283,88 +286,45 @@ class TestMaterializeAllBatch:
             # in-place rebuild: previously held graph objects see the data
             assert catalog.graph_of(view) is held[view.mask]
             assert not catalog.is_stale(view)
-            index = catalog.restored_group_indexes[view.mask]
-            assert isinstance(index, GroupIndex)
-            assert len(index) == catalog.get(view).groups
+            assert len(catalog.group_index(view)) == catalog.get(view).groups
+        assert_index_true(catalog, lattice)
+        catalog.drop(lattice.apex)
+        with pytest.raises(ViewError):
+            catalog.group_index(lattice.apex)
 
 
-class TestMaintainerSeeding:
-    def test_maintainer_adopts_deposited_indexes(self, population_facet):
-        from repro.rdf import Triple, typed_literal
-        graph = parse_turtle(
-            "@prefix ex: <http://example.org/> .\n"
-            "ex:obs1 ex:ofCountry ex:fr ; ex:year 2019 ; ex:population 7 .\n"
-            "ex:obs2 ex:ofCountry ex:de ; ex:year 2019 ; ex:population 5 .\n"
-            "ex:fr ex:language ex:french .\n"
-            "ex:de ex:language ex:german .\n")
-        shadow = graph.copy()
-        catalog = ViewCatalog(Dataset.wrap(graph))
-        rebuild = ViewCatalog(Dataset.wrap(shadow))
-        lattice = ViewLattice(population_facet)
-        catalog.materialize_all(lattice)
-        for view in lattice:
-            rebuild.materialize(view)
-        deposited = dict(catalog.restored_group_indexes)
-        assert set(deposited) == {v.mask for v in lattice}
-
-        maintainer = ViewMaintainer(catalog, max_delta_fraction=1.0)
-        # adoption consumed the deposits: no per-view graph scan needed
-        assert catalog.restored_group_indexes == {}
-        for view in lattice:
-            assert maintainer.group_index(view) is deposited[view.mask]
-
-        update = [Triple(EX.obs3, EX.ofCountry, EX.fr),
-                  Triple(EX.obs3, EX.year, typed_literal(2020)),
-                  Triple(EX.obs3, EX.population, typed_literal(11))]
-        graph.update(update)
-        shadow.update(update)
-        report = maintainer.synchronize()
-        assert len(report.patched) == len(lattice)
-        assert not report.rebuilt
-        for view in lattice:
-            rebuild.refresh(view)
-            assert group_signatures(catalog.graph_of(view)) == \
-                group_signatures(rebuild.graph_of(view)), view.label
-
-
-    @pytest.mark.parametrize("rebuild", ["direct", "fallback"])
-    def test_refresh_deposits_an_index_the_next_window_adopts(
+class TestBuildsLeaveThePatcherAnIndex:
+    @pytest.mark.parametrize("rebuild", ["none", "direct", "fallback"])
+    def test_a_built_view_patches_without_a_graph_scan(
             self, rebuild, monkeypatch):
-        """A rebuilt view patches again without a view-graph scan —
-        after a direct ``refresh`` and after the maintainer's own
-        MIN/MAX-under-delete fallback alike."""
+        """Every build writes the catalog's index, so the next window
+        patches without scanning a view graph — after the first
+        ``materialize_all``, after a direct ``refresh`` and after the
+        maintainer's own MIN/MAX-under-delete fallback alike."""
         from repro.rdf import Triple, typed_literal
-        from repro.views.maintenance import GroupIndex
+        from repro.views import GroupIndex
         graph = parse_turtle(AGG_TTL)
         lattice = ViewLattice(agg_facet("MAX"))
         catalog = ViewCatalog(Dataset.wrap(graph))
         catalog.materialize_all(lattice)
-        scans = []
-        real = GroupIndex.from_graph.__func__
-        monkeypatch.setattr(
-            GroupIndex, "from_graph",
-            classmethod(lambda cls, view, g: scans.append(view.label)
-                        or real(cls, view, g)))
-        masks = {view.mask for view in lattice}
-        if rebuild == "direct":
-            for view in lattice:
-                catalog.refresh(view)
-            assert set(catalog.restored_group_indexes) == masks
-            maintainer = ViewMaintainer(catalog, max_delta_fraction=1.0)
-        else:
-            maintainer = ViewMaintainer(catalog, max_delta_fraction=1.0)
-            graph.discard(Triple(EX.obs4, EX.v, typed_literal(9)))
+        maintainer = ViewMaintainer(catalog, max_delta_fraction=1.0)
+        with monkeypatch.context() as patched:
+            patched.setattr(GroupIndex, "from_graph", classmethod(
+                lambda cls, view, g: pytest.fail("scanned " + view.label)))
+            if rebuild == "direct":
+                for view in lattice:
+                    catalog.refresh(view)
+            elif rebuild == "fallback":
+                graph.discard(Triple(EX.obs4, EX.v, typed_literal(9)))
+                report = maintainer.synchronize()
+                assert len(report.rebuilt) == len(lattice)
+                assert all("MIN/MAX" in v.reason for v in report.rebuilt)
+            graph.update([Triple(EX.obs11, EX.a, EX.a2),
+                          Triple(EX.obs11, EX.b, EX.b1),
+                          Triple(EX.obs11, EX.v, typed_literal(12))])
             report = maintainer.synchronize()
-            assert len(report.rebuilt) == len(lattice)
-            assert all("MIN/MAX" in v.reason for v in report.rebuilt)
-            assert set(catalog.restored_group_indexes) == masks
-
-        graph.update([Triple(EX.obs11, EX.a, EX.a2),
-                      Triple(EX.obs11, EX.b, EX.b1),
-                      Triple(EX.obs11, EX.v, typed_literal(12))])
-        report = maintainer.synchronize()
         assert len(report.patched) == len(lattice) and not report.rebuilt
-        assert scans == []
+        assert_index_true(catalog, lattice)
         for view in lattice:
             assert group_signatures(catalog.graph_of(view)) == \
                 reference_signatures(view, graph), view.label
