@@ -9,54 +9,65 @@ query over the whole graph.  The result is a *signed*
 same loop that folds a build's scan; :mod:`repro.views.maintenance`
 rolls it up the lattice and merges it into the stored groups.
 
-The algorithm is the classic counting/delta-rules decomposition of a
-multiway join, adapted to the batched id-space pipeline.  Writing the
-facet's BGP as ``Q = R₁ ⋈ … ⋈ Rₙ`` (one relation per triple pattern) and
-the signed per-pattern delta as ``ΔRᵢ`` (+1 for inserts, −1 for deletes),
-the post-update state satisfies ``Rᵢ_old = Rᵢ_new − ΔRᵢ``, so
+The algorithm is the telescoping delta rule of a multiway join, adapted
+to the batched id-space pipeline.  Writing the facet's BGP as
+``Q = R₁ ⋈ … ⋈ Rₙ`` (one relation per triple pattern) and the signed
+per-pattern delta as ``ΔRᵢ`` (+1 for inserts, −1 for deletes),
 
     ΔQ = Q_new − Q_old
-       = Σ_{∅≠S⊆[n]} (−1)^{|S|+1} (⋈_{i∈S} ΔRᵢ) ⋈ (⋈_{i∉S} Rᵢ_new)
+       = Σᵢ (⋈_{j<i} Rⱼ_new) ⋈ ΔRᵢ ⋈ (⋈_{j>i} Rⱼ_old)
 
-— every term is evaluated against the *current* graph only, which is
-exactly what the executor has.  Each subset ``S`` contributes one pass:
-the delta triples matching the patterns in ``S`` are joined symbolically
-into a seed :class:`~repro.sparql.batch.BindingBatch` (one row per
-consistent variable assignment, carrying a signed weight), the remaining
-patterns run through the ordinary batched BGP probes, and the output
-rows fold into the table with their seed row's weight
-(:meth:`GroupTable.fold`).  Subsets with ``|S| ≥ 2`` are the
-inclusion–exclusion correction for bindings that touch several changed
-triples at once; with small deltas they are near-empty and cheap.
+— one term per *touched* pattern, where inclusion–exclusion over them
+costs 2ⁿ−1 passes.  Term ``i`` seeds a
+:class:`~repro.sparql.batch.BindingBatch` with the window's triples
+matching pattern ``i`` (their signs are the row weights) and extends it
+by the other patterns one at a time, connected patterns first, each
+through the ordinary batched probe (:meth:`Executor.run_batch`); weights
+follow the rows through the provenance array and the final batch folds
+into the table (:meth:`GroupTable.fold`).
+
+The executor only has the *current* graph, so the old state is never
+materialized: it is the signed multiset ``Rⱼ_old = Rⱼ_new ⊎ (−ΔRⱼ)``,
+applied to the result of probing ``Rⱼ_new`` (:func:`_old_state`) — a row
+through a triple inserted in this window is cancelled, the rows a
+deleted one used to give are restored.  No store overlay, no second
+probe path.
 
 SUM/COUNT/AVG adjustments are exact under both inserts and deletes (AVG
 via its algebraic (sum, count) decomposition).  MIN/MAX are distributive
-only under inserts: the table keeps each group's extremum over the rows
-the single-pattern passes add, and callers must fall back to
-recomputation when the window deletes anything.
+only under inserts, and only delete-free windows offer extrema: there
+the folded rows are exactly the new rows of ``Q_new``, each folded once
+(by the term of its last inserted pattern), so the offered extremum is
+complete.  Under deletions a restored row has positive weight and is
+*not* in ``Q_new``; callers must fall back to recomputation.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Optional
 
+from ..obs import metrics as _metrics
 from ..rdf.terms import Variable
 from ..rdf.triples import TriplePattern
-from .algebra import AlgebraOp, BGPOp, FilterOp, translate_group
+from .algebra import AlgebraOp, BGPOp, FilterOp, UnitOp, translate_group
 from .ast import Expression, VarExpr
 from .batch import BindingBatch
-from .executor import Executor
+from .executor import Executor, _mentions_exists
 from .grouptable import KIND_BY_AGGREGATE, KIND_COUNT, GroupTable
 
-__all__ = ["MAX_SEED_ROWS", "DeltaPlan", "DeltaEvaluator",
-           "compile_delta_plan"]
+__all__ = ["DeltaPlan", "DeltaEvaluator", "compile_delta_plan"]
 
 IdTriple = tuple[int, int, int]
+#: ΔRᵢ: the window's matches of one pattern, and their ±1 signs by row.
+PatternDelta = tuple[BindingBatch, list[int]]
 
-#: A subset seed growing past this many rows declines the window: the
-#: symbolic join of the delta lists has stopped being cheaper than a scan.
-MAX_SEED_ROWS = 100_000
+_REG = _metrics.registry()
+_TERMS = _REG.counter(
+    "maintenance_delta_terms_total",
+    "telescoping terms evaluated (one per pattern a window touches)")
+_ROWS = _REG.counter(
+    "maintenance_delta_rows_total",
+    "signed rows the delta terms folded into window tables")
 
 
 class DeltaPlan:
@@ -65,8 +76,8 @@ class DeltaPlan:
     Only the SOFOS query class is supported: a basic graph pattern
     (optionally under group-wide FILTERs) grouped on plain variables with
     one rollup aggregate over a plain variable (or ``COUNT(*)``).
-    Anything richer — OPTIONAL, UNION, BIND, expression operands — is not
-    delta-evaluable and callers must rebuild instead.
+    Anything richer — OPTIONAL, UNION, BIND, EXISTS, expression operands
+    — is not delta-evaluable and callers must rebuild instead.
     """
 
     __slots__ = ("patterns", "filters", "group_variables",
@@ -98,6 +109,8 @@ def compile_delta_plan(facet) -> Optional[DeltaPlan]:
     op: AlgebraOp = translate_group(facet.pattern)
     filters: list[Expression] = []
     while isinstance(op, FilterOp):
+        if _mentions_exists(op.expression):
+            return None  # EXISTS reads triples no pattern's ΔRᵢ sees
         filters.append(op.expression)
         op = op.child
     if not isinstance(op, BGPOp) or not op.patterns:
@@ -135,49 +148,61 @@ class DeltaEvaluator:
     def __init__(self, executor: Executor, plan: DeltaPlan) -> None:
         self._executor = executor
         self.plan = plan
+        self._probes = [BGPOp((p,)) for p in plan.patterns]
+        self._variables = [p.variables() for p in plan.patterns]
+        self._filter: Optional[AlgebraOp] = None
+        for expression in plan.filters:
+            self._filter = FilterOp(expression, self._filter or UnitOp())
 
     # -- pattern ↔ delta matching -------------------------------------------
 
-    def _pattern_specs(self) -> Optional[list[list[tuple[bool, object]]]]:
-        """Per-pattern position specs: (is_constant, id-or-variable).
+    def _pattern_deltas(self, inserted: tuple[IdTriple, ...],
+                        deleted: tuple[IdTriple, ...]
+                        ) -> Optional[list[Optional[PatternDelta]]]:
+        """ΔRᵢ for every pattern, built column-wise (None where empty).
 
-        Returns None when a pattern constant was never interned — then
-        neither the old nor the new graph (nor the delta) can match it, so
-        the whole query is empty in both states and ΔQ = ∅.
+        One pattern's binding determines its triple, so distinct window
+        triples give distinct rows and nothing needs deduplicating.  The
+        window is bucketed by predicate once; a pattern with a constant
+        predicate reads only its bucket.  Returns None when a pattern
+        constant was never interned — then neither graph state (nor the
+        delta) can match it, so ΔQ = ∅.
         """
         lookup = self._executor._dict.lookup
-        specs: list[list[tuple[bool, object]]] = []
+        signed = [(t, 1) for t in inserted] + [(t, -1) for t in deleted]
+        by_predicate: dict[int, list[tuple[IdTriple, int]]] = {}
+        for item in signed:
+            by_predicate.setdefault(item[0][1], []).append(item)
+        deltas: list[Optional[PatternDelta]] = []
         for pattern in self.plan.patterns:
-            spec: list[tuple[bool, object]] = []
-            for position in pattern:
-                if isinstance(position, Variable):
-                    spec.append((False, position))
-                else:
+            first: dict[Variable, int] = {}   # variable → first position
+            again: list[tuple[int, int]] = []  # (position, first position)
+            ids: dict[int, int] = {}          # position → constant id
+            for k, position in enumerate(pattern):
+                if not isinstance(position, Variable):
                     tid = lookup(position)
                     if tid is None:
                         return None
-                    spec.append((True, tid))
-            specs.append(spec)
-        return specs
+                    ids[k] = tid
+                elif position in first:
+                    again.append((k, first[position]))
+                else:
+                    first[position] = k
+            rows = by_predicate.get(ids.pop(1), []) if 1 in ids else signed
+            if ids or again:
+                rows = [(t, sign) for t, sign in rows
+                        if all(t[k] == tid for k, tid in ids.items())
+                        and all(t[k] == t[f] for k, f in again)]
+            if not rows:
+                deltas.append(None)
+                continue
+            batch = BindingBatch(
+                tuple(first), [[t[k] for t, _ in rows] for k in first.values()],
+                list(range(len(rows))))
+            deltas.append((batch, [sign for _, sign in rows]))
+        return deltas
 
-    @staticmethod
-    def _match(spec: list[tuple[bool, object]], triple: IdTriple
-               ) -> Optional[dict[Variable, int]]:
-        """The variable binding of one delta triple against one pattern."""
-        binding: dict[Variable, int] = {}
-        for (is_const, payload), tid in zip(spec, triple):
-            if is_const:
-                if payload != tid:
-                    return None
-            else:
-                prev = binding.get(payload)  # type: ignore[arg-type]
-                if prev is None:
-                    binding[payload] = tid  # type: ignore[index]
-                elif prev != tid:
-                    return None
-        return binding
-
-    # -- the inclusion–exclusion sweep --------------------------------------
+    # -- the telescoping sum ------------------------------------------------
 
     def adjustments(self, inserted: tuple[IdTriple, ...],
                     deleted: tuple[IdTriple, ...]) -> Optional[GroupTable]:
@@ -188,102 +213,81 @@ class DeltaEvaluator:
         to nothing (:attr:`GroupEntry.empty`); an empty table means no
         row of the query changed.  Returns ``None`` when the delta is
         not incrementally evaluable (an unbound or non-numeric SUM/AVG
-        operand, an unbound MIN/MAX operand, or a seed blow-up past
-        :data:`MAX_SEED_ROWS`) — the caller must rebuild.
+        operand or an unbound MIN/MAX operand on any folded row,
+        whatever its sign) — the caller must rebuild.
         """
         plan = self.plan
-        specs = self._pattern_specs()
         result = GroupTable(self._executor, plan.group_variables, plan.kind,
                             plan.keep_max)
-        if specs is None:
+        deltas = self._pattern_deltas(inserted, deleted)
+        if deltas is None:
             return result
-
-        signed = [(t, 1) for t in inserted] + [(t, -1) for t in deleted]
-        matches: list[list[tuple[dict[Variable, int], int]]] = []
-        for spec in specs:
-            per_pattern = []
-            for triple, sign in signed:
-                binding = self._match(spec, triple)
-                if binding is not None:
-                    per_pattern.append((binding, sign))
-            matches.append(per_pattern)
-        touched = [i for i, m in enumerate(matches) if m]
-        if not touched:
-            return result
-
-        for size in range(1, len(touched) + 1):
-            subset_sign = 1 if size % 2 == 1 else -1
-            for subset in combinations(touched, size):
-                seed, weights = self._seed_for(subset, matches, subset_sign)
-                if seed is None:
-                    return None  # seed blow-up
-                if not len(seed):
-                    continue
-                rest = tuple(p for j, p in enumerate(plan.patterns)
-                             if j not in subset)
-                op: AlgebraOp = BGPOp(rest)
-                for expression in plan.filters:
-                    op = FilterOp(expression, op)
-                result.fold(self._executor.run_batch(op, seed),
-                            plan.measure_variable, weights,
-                            extrema=size == 1)
+        run = self._executor.run_batch
+        for i, delta in enumerate(deltas):
+            if delta is None:
+                continue
+            cur, weights = delta
+            bound = set(cur.variables)
+            rest = [j for j in range(len(deltas)) if j != i]
+            while rest and len(cur):
+                # Connected first (ties: pattern order), so a term never
+                # builds a cross product the facet does not contain.
+                j = max(rest, key=lambda j: len(self._variables[j] & bound))
+                rest.remove(j)
+                bound |= self._variables[j]
+                out = run(self._probes[j], cur)
+                out_weights = [weights[r] for r in out.prov]
+                if j > i and deltas[j] is not None:
+                    out, out_weights = _old_state(
+                        cur, weights, out, out_weights, *deltas[j])
+                cur, weights = out, out_weights
+            if len(cur):
+                cur = cur.renumbered() if self._filter is None \
+                    else run(self._filter, cur)
+                result.fold(cur, plan.measure_variable, weights,
+                            extrema=not deleted)
+            if _REG.enabled:
+                _TERMS.inc()
+                _ROWS.inc(len(cur))
         if any(entry.poisoned for entry in result.groups.values()):
             return None  # the stored measure would be unbound
         return result
 
-    def _seed_for(self, subset: tuple[int, ...],
-                  matches: list[list[tuple[dict[Variable, int], int]]],
-                  subset_sign: int
-                  ) -> tuple[Optional[BindingBatch], list[int]]:
-        """The seed batch for one pattern subset, plus per-row weights.
 
-        Joins the subset patterns' delta matches on their shared
-        variables; identical assignments merge, summing their weights
-        (``subset_sign × Π pattern signs``).
-        """
-        combos: list[tuple[dict[Variable, int], int]] = [({}, subset_sign)]
-        bound: set[Variable] = set()
-        for i in subset:
-            per_pattern = matches[i]
-            if not combos or not per_pattern:
-                combos = []
-                break
-            # Hash-join the accumulated combos with this pattern's delta
-            # matches on their shared variables, so subset seeding costs
-            # output size — not the cross product of the delta lists.
-            shared = [v for v in per_pattern[0][0] if v in bound]
-            by_key: dict[tuple, list[tuple[dict[Variable, int], int]]] = {}
-            for delta_binding, sign in per_pattern:
-                key = tuple(delta_binding[v] for v in shared)
-                by_key.setdefault(key, []).append((delta_binding, sign))
-            extended: list[tuple[dict[Variable, int], int]] = []
-            for binding, weight in combos:
-                bucket = by_key.get(tuple(binding[v] for v in shared))
-                if not bucket:
-                    continue
-                for delta_binding, sign in bucket:
-                    merged = dict(binding)
-                    merged.update(delta_binding)
-                    extended.append((merged, weight * sign))
-                if len(extended) > MAX_SEED_ROWS:
-                    return None, []
-            combos = extended
-            for var in per_pattern[0][0]:
-                bound.add(var)
-        if not combos:
-            return BindingBatch.unit().gather([]), []
+def _old_state(cur: BindingBatch, weights: list[int], out: BindingBatch,
+               out_weights: list[int], delta: BindingBatch,
+               signs: list[int]) -> tuple[BindingBatch, list[int]]:
+    """Turn ``out = cur ⋈ Rⱼ_new`` into ``cur ⋈ (Rⱼ_new ⊎ (−ΔRⱼ))``.
 
-        variables = tuple(combos[0][0])
-        weight_by_row: dict[tuple, int] = {}
-        for binding, weight in combos:
-            key = tuple(binding[v] for v in variables)
-            weight_by_row[key] = weight_by_row.get(key, 0) + weight
-        rows = [(key, w) for key, w in weight_by_row.items() if w]
-        columns: list[list] = [[] for _ in variables]
-        weights: list[int] = []
-        for key, weight in rows:
-            for col, tid in zip(columns, key):
-                col.append(tid)
-            weights.append(weight)
-        seed = BindingBatch(variables, columns, list(range(len(rows))))
-        return seed, weights
+    The signed multiset is netted on the spot.  The −1 of an inserted
+    triple lands on the very row the probe produced through it, so that
+    row is dropped: carried as a cancelling pair it would double at every
+    later pattern, and a wholly new row would cost 2ⁿ⁻¹ again.  The +1 of
+    a deleted triple restores the rows of ``cur ⋈ ΔRⱼ⁻`` the probe can no
+    longer find.  Weights are row-aligned with their batches.
+    """
+    new = {key for key, sign in zip(delta.row_tuples(), signs) if sign > 0}
+    if new:
+        keep = [r for r, key in enumerate(out.key_tuples(delta.variables))
+                if key not in new]
+        out, out_weights = out.gather(keep), [out_weights[r] for r in keep]
+    if -1 not in signs:
+        return out, out_weights
+    gone = delta.gather([d for d, sign in enumerate(signs) if sign < 0])
+    shared = [v for v in gone.variables if v in cur.index]
+    by_key = gone.group_rows(shared)
+    left: list[int] = []    # rows of cur ...
+    right: list[int] = []   # ... and the deleted match each one regains
+    for r, key in enumerate(cur.key_tuples(shared)):
+        for d in by_key.get(key, ()):
+            left.append(r)
+            right.append(d)
+    columns = []
+    for var in out.variables:
+        k = cur.index.get(var)
+        col, rows = (gone.column(var), right) if k is None \
+            else (cur.columns[k], left)
+        columns.append(out.column(var) + [col[r] for r in rows])
+    out_weights = out_weights + [weights[r] for r in left]
+    return BindingBatch(out.variables, columns,
+                        list(range(len(out_weights)))), out_weights

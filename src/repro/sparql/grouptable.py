@@ -11,7 +11,7 @@ al.) over the lattice — without touching the base graph again.
 Two producers run the same :meth:`GroupTable.fold` loop.  A build folds
 the *single* evaluation of the facet pattern, every row weighing +1
 (:meth:`GroupTable.from_batch`).  The delta evaluator
-(:mod:`repro.sparql.delta`) folds each pass of a maintenance window, with
+(:mod:`repro.sparql.delta`) folds each term of a maintenance window, with
 signed row weights, into one *signed* table — Δrows, Δbound, Δsum, the
 extremum among inserted rows — that rolls up through the same ``project``.
 
@@ -150,9 +150,10 @@ class GroupTable:
         ``weights`` makes the fold a signed one: row ``i`` counts
         ``weights[batch.prov[i]]`` times (the multiplicity of the seed
         row it extends; None = every row once).  Only rows of positive
-        weight offer an extremum, and none do when ``extrema`` is off
-        (the correction passes of a delta sweep re-visit rows a
-        single-pattern pass already offered).
+        weight offer an extremum, and none do when ``extrema`` is off:
+        the delta evaluator turns it off for a window that deletes
+        anything, where a positive row may be one the old state is
+        restored with — not a row of the current query result.
         """
         groups = self.groups
         n = len(batch)

@@ -23,7 +23,8 @@ number of maintainers, out-of-band rebuilds and audits see one truth.
 When a window is not incrementalizable — the change log truncated
 (``clear()`` or overflow), the facet's shape is outside the
 delta-evaluable class, MIN/MAX facets saw deletions, the delta exceeds a
-size threshold, or the group index contradicts the window — the view is
+size threshold, a changed row's operand is unbound or not a number, or
+the group index contradicts the window — the view is
 *declined* with the reason, and every declined or quarantined view of the
 pass is rebuilt by one ``ViewCatalog.refresh_stale()``: one scan per
 facet, the same batch the ``rebuild`` policy runs.  If that batch fails

@@ -36,6 +36,14 @@ SELECT ?lang ?year (MAX(?pop) AS ?peak) WHERE {
 } GROUP BY ?lang ?year
 """
 
+FILTERED_FACET_QUERY = """
+PREFIX ex: <http://example.org/>
+SELECT ?lang ?year (SUM(?pop) AS ?total) WHERE {
+  ?obs ex:ofCountry ?c ; ex:year ?year ; ex:population ?pop .
+  ?c ex:language ?lang FILTER(?pop > 10)
+} GROUP BY ?lang ?year
+"""
+
 OPTIONAL_FACET_QUERY = """
 PREFIX ex: <http://example.org/>
 SELECT ?lang (SUM(?pop) AS ?total) WHERE {
@@ -95,9 +103,9 @@ def standard_mutation(graph: Graph) -> None:
         Triple(EX.obs8, EX.ofCountry, EX.france),
         Triple(EX.obs8, EX.year, typed_literal(2019)),
         Triple(EX.obs8, EX.population, typed_literal(5)),
-        # a new country + language + observation: the delta binding spans
-        # several patterns at once (exercises the inclusion–exclusion
-        # correction, not just singleton passes)
+        # a new country + language + observation: a row whose triples
+        # are all new (every term but the one of its last inserted
+        # pattern has to cancel it)
         Triple(EX.obs9, EX.ofCountry, EX.spain),
         Triple(EX.obs9, EX.year, typed_literal(2021)),
         Triple(EX.obs9, EX.population, typed_literal(47)),
@@ -176,6 +184,71 @@ class TestDeltaEvaluator:
     def test_optional_facet_not_plannable(self):
         facet = AnalyticalFacet.from_query("opt", OPTIONAL_FACET_QUERY)
         assert compile_delta_plan(facet) is None
+
+    @pytest.mark.parametrize("facet_query,mutate,touched,new_rows", [
+        # all four patterns touched, inserts and deletes mixed
+        (POPULATION_FACET_QUERY, standard_mutation, 4, None),
+        # one pattern touched: a second value on an existing observation
+        (POPULATION_FACET_QUERY, lambda g: g.add(
+            Triple(EX.obs1, EX.population, typed_literal(1))), 1, 1),
+        # insert-only, under a group-wide FILTER: five new rows (obs8 ×
+        # French and Breton, obs9 × Spanish, obs1 and obs2 × Breton), of
+        # which obs8's two fail it; the other three are folded once each
+        (FILTERED_FACET_QUERY, lambda g: g.update([
+            Triple(EX.obs8, EX.ofCountry, EX.france),
+            Triple(EX.obs8, EX.year, typed_literal(2019)),
+            Triple(EX.obs8, EX.population, typed_literal(5)),
+            Triple(EX.obs9, EX.ofCountry, EX.spain),
+            Triple(EX.obs9, EX.year, typed_literal(2021)),
+            Triple(EX.obs9, EX.population, typed_literal(47)),
+            Triple(EX.spain, EX.language, EX.spanish),
+            Triple(EX.france, EX.language, EX.breton)]), 4, 3),
+    ], ids=["mixed", "one-pattern", "filtered-inserts"])
+    def test_work_is_linear_in_the_touched_patterns(
+            self, facet_query, mutate, touched, new_rows, monkeypatch):
+        """A window touching k of the facet's n patterns evaluates k
+        terms and probes at most k·(n−1) single patterns (plus one
+        FILTER pass per term) — counts, so the 2ⁿ−1 subset passes of
+        inclusion–exclusion cannot come back unnoticed.  An insert-only
+        window folds exactly the new rows that pass the FILTER."""
+        from repro.obs import hub
+        from repro.sparql.algebra import BGPOp
+        from repro.sparql.executor import Executor
+        facet = AnalyticalFacet.from_query("counted", facet_query)
+        graph = build_population_graph()
+        engine = QueryEngine(graph)
+        log = graph.subscribe()
+        mutate(graph)
+        delta = log.drain()
+        plan = compile_delta_plan(facet)
+        probes, filters = [], []
+        run_batch = Executor.run_batch
+
+        def counting(self, op, seed):
+            (probes if isinstance(op, BGPOp) else filters).append(op)
+            return run_batch(self, op, seed)
+
+        monkeypatch.setattr(Executor, "run_batch", counting)
+        h = hub()
+        h.reset()
+        h.enable(tracing=False)
+        try:
+            table = DeltaEvaluator(engine.executor, plan).adjustments(
+                delta.inserted, delta.deleted)
+            terms = h.metrics.counter_total("maintenance_delta_terms_total")
+            rows = h.metrics.counter_total("maintenance_delta_rows_total")
+        finally:
+            h.disable()
+            h.reset()
+        n = len(plan.patterns)
+        assert table is not None and len(table)
+        assert terms == touched
+        assert all(len(op.patterns) == 1 for op in probes)
+        assert len(probes) <= touched * (n - 1)
+        assert len(filters) <= (touched if plan.filters else 0)
+        if new_rows is not None:
+            assert rows == new_rows
+            assert sum(e.rows for e in table.groups.values()) == new_rows
 
 
 class TestViewMaintainerPatching:
@@ -331,6 +404,38 @@ class TestFallbacks:
         report = maintainer.synchronize()
         assert [v.action for v in report.views] == ["rebuilt"]
         assert "not delta-evaluable" in report.views[0].reason
+
+    @pytest.mark.parametrize("negation", ["", "NOT "],
+                             ids=["exists", "not-exists"])
+    def test_exists_filter_facet_rebuilds(self, negation):
+        """EXISTS is not linear in the graph: a window that only adds
+        ``?c ex:flagged true`` touches no pattern of the BGP, so Δ would
+        come out empty and the view be reported patched while differing
+        from a rebuild.  Such a facet has no delta plan."""
+        facet = AnalyticalFacet.from_query("flagged", f"""
+            PREFIX ex: <http://example.org/>
+            SELECT ?lang (SUM(?pop) AS ?total) WHERE {{
+              ?obs ex:ofCountry ?c ; ex:population ?pop .
+              ?c ex:language ?lang
+              FILTER {negation}EXISTS {{ ?c ex:flagged true }}
+            }} GROUP BY ?lang""")
+        assert compile_delta_plan(facet) is None
+
+        def flagged_graph():
+            graph = build_population_graph()
+            graph.add(Triple(EX.germany, EX.flagged, typed_literal(True)))
+            return graph
+
+        (g1, cat1, views), (g2, cat2, _) = twin_worlds(facet, flagged_graph)
+        maintainer = ViewMaintainer(cat1, max_delta_fraction=1.0)
+        for g in (g1, g2):
+            g.add(Triple(EX.france, EX.flagged, typed_literal(True)))
+        report = maintainer.synchronize()
+        assert [v.action for v in report.views] == ["rebuilt"] * len(views)
+        assert {v.reason for v in report.views} == {
+            "facet shape is not delta-evaluable"}
+        cat2.refresh_stale()
+        assert_view_parity(cat1, cat2, views)
 
     def test_out_of_band_rebuild_is_patched_past(self, population_facet):
         """An external refresh mints fresh group nodes; the catalog's

@@ -123,6 +123,10 @@ class TestServingWiring:
         assert m.counter_total("maintenance_decisions_total") \
             == len(report.patched) + len(report.rebuilt)
         assert m.get("maintenance_changelog_window_size").total_count() >= 1
+        # the window touches three of the facet's four patterns; Greece
+        # has no language, so none of the terms reaches a row
+        assert m.counter_total("maintenance_delta_terms_total") == 3
+        assert m.counter_total("maintenance_delta_rows_total") == 0
 
     def test_quarantine_counter(self, clean_hub, incremental_sofos):
         clean_hub.enable(tracing=False)

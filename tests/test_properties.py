@@ -329,8 +329,48 @@ def population_windows(draw):
     for _ in range(draw(st.integers(0, 2))):
         inserts.append(Triple(draw(countries), EX.language,
                               EX[draw(st.sampled_from(_LANG_POOL))]))
+    if draw(st.booleans()):
+        # rows whose triples are all new: every term but the one of the
+        # last inserted pattern has to cancel them
+        country = draw(st.sampled_from(_COUNTRIES + ["atlantis"]))
+        inserts += [Triple(EX.whole, EX.ofCountry, EX[country]),
+                    Triple(EX.whole, EX.year, draw(years)),
+                    Triple(EX.whole, EX.population, draw(pops)),
+                    Triple(EX[country], EX.language, EX.atlantean)]
     deletes = draw(st.lists(st.sampled_from(relevant), unique=True,
                             max_size=4))
+    return agg, graph, inserts, deletes
+
+
+def _knows_facet(agg: str) -> AnalyticalFacet:
+    return AnalyticalFacet.from_query("knows", f"""
+        PREFIX ex: <http://example.org/>
+        SELECT ?a ?c ({agg}(?w) AS ?m) WHERE {{
+          ?a ex:knows ?b . ?b ex:knows ?c . ?c ex:weight ?w
+          FILTER(?w > 1)
+        }} GROUP BY ?a ?c""")
+
+
+@st.composite
+def knows_windows(draw):
+    """An aggregate plus a window over a random small ``knows`` graph.
+
+    The facet joins ``ex:knows`` with itself, so one delta triple matches
+    two patterns (a self-loop is both hops of one row), and it carries a
+    group-wide FILTER; the window inserts and deletes ``knows`` and
+    ``weight`` triples at once."""
+    agg = draw(st.sampled_from(["SUM", "COUNT", "AVG", "MIN", "MAX"]))
+    nodes = st.sampled_from([EX[f"n{i}"] for i in range(5)])
+    edges = st.builds(Triple, nodes, st.just(EX.knows), nodes)
+    weights = st.builds(Triple, nodes, st.just(EX.weight),
+                        st.integers(0, 4).map(typed_literal))
+    graph = Graph()
+    graph.update(draw(st.lists(edges, max_size=10)))
+    graph.update(draw(st.lists(weights, max_size=6)))
+    inserts = draw(st.lists(st.one_of(edges, weights), max_size=5))
+    present = sorted(graph, key=lambda t: t.n3())
+    deletes = draw(st.lists(st.sampled_from(present), unique=True,
+                            max_size=4)) if present else []
     return agg, graph, inserts, deletes
 
 
@@ -352,11 +392,7 @@ class TestDeltaAlgebraProperty:
         change = evaluator.adjustments(delta.inserted, delta.deleted)
         return before, change, facet_scan(engine, facet).table
 
-    @settings(max_examples=80, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow,
-                                     HealthCheck.data_too_large])
-    @given(population_windows())
-    def test_window_table_is_the_difference_of_two_scans(self, window):
+    def _assert_difference(self, agg, facet, graph, inserts, deletes):
         """``adjustments(Δ) == GroupTable(after) − GroupTable(before)``
         entry by entry — at the finest grain and, projected, at every
         lattice mask (so rolling Δ up commutes with rolling the scans
@@ -364,8 +400,6 @@ class TestDeltaAlgebraProperty:
         over an insert-only window merging it into the before-table's
         gives the after-table's."""
         from repro.sparql.grouptable import GroupEntry
-        agg, graph, inserts, deletes = window
-        facet = _population_facet(agg)
         before, change, after = self._window(graph, facet, inserts, deletes)
         assert change is not None
         assert not any(e.poisoned for e in change.groups.values())
@@ -390,6 +424,27 @@ class TestDeltaAlgebraProperty:
                 assert ed.empty == (
                     (ea.rows, ea.bound, ea.value) ==
                     (eb.rows, eb.bound, eb.value) and ed.best_id is None)
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    @given(population_windows())
+    def test_window_table_is_the_difference_of_two_scans(self, window):
+        agg, graph, inserts, deletes = window
+        self._assert_difference(agg, _population_facet(agg), graph,
+                                inserts, deletes)
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    @given(knows_windows())
+    def test_self_join_under_a_filter(self, window):
+        """The same identity where telescoping can go wrong: one delta
+        triple seeds two terms, rows mix inserted and deleted triples,
+        and the group-wide FILTER runs on each term's final batch."""
+        agg, graph, inserts, deletes = window
+        self._assert_difference(agg, _knows_facet(agg), graph,
+                                inserts, deletes)
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.too_slow,

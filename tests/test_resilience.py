@@ -17,11 +17,10 @@ from repro.core import OnlineModule, Sofos
 from repro.cube import AnalyticalFacet, AnalyticalQuery, ViewDefinition
 from repro.errors import FailpointError, ReproError, SimulatedCrash, \
     ViewError
-from repro.rdf import Dataset, Triple, typed_literal
+from repro.rdf import Dataset, Literal, Triple, typed_literal
 from repro.rdf.changelog import ChangeLog
 from repro.rdf.namespace import SOFOS
 from repro.resilience import ConsistencyAuditor, failpoints
-from repro.sparql import delta as delta_module
 from repro.views import ViewCatalog, ViewMaintainer
 from repro.views import maintenance as maintenance_module
 
@@ -451,14 +450,12 @@ class TestVerbatimRebuildReasons:
         assert [v.reason for v in report.views] == [
             "MIN/MAX cannot be patched under deletions"]
 
-    def test_delta_not_incrementally_evaluable(self, population_facet,
-                                               monkeypatch):
-        # a zero seed budget makes the evaluator refuse any delta whose
-        # inclusion–exclusion sweep needs seeded re-evaluation
+    def test_delta_not_incrementally_evaluable(self, population_facet):
+        # a new row whose SUM operand is not a number poisons its group's
+        # Δ entry: the stored measure would be unbound, so no patch
         graph, catalog = self._world(population_facet)
-        monkeypatch.setattr(delta_module, "MAX_SEED_ROWS", 0)
         maintainer = ViewMaintainer(catalog, max_delta_fraction=1.0)
-        standard_mutation(graph)
+        graph.add(Triple(EX.obs1, EX.population, Literal("n/a")))
         report = maintainer.synchronize()
         assert [v.reason for v in report.views] == [
             "delta not incrementally evaluable"]
