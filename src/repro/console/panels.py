@@ -202,6 +202,9 @@ def panel_observability(hub: ObservabilityHub, max_spans: int = 6) -> str:
         _hit_rate_row("prepared queries",
                       reg.counter_total("engine_prepared_cache_hits_total"),
                       reg.counter_total("engine_prepared_cache_misses_total")),
+        _hit_rate_row("serving plans",
+                      reg.counter_total("serving_plan_cache_hits_total"),
+                      reg.counter_total("serving_plan_cache_misses_total")),
         _hit_rate_row("decode memo",
                       reg.counter_total("engine_decode_memo_hits_total"),
                       reg.counter_total("engine_decode_memo_misses_total")),

@@ -50,7 +50,9 @@ class QueryOutcome:
     """How one analytical query was answered and what it cost.
 
     ``query`` is None for raw-SPARQL answers that did not match the facet
-    (they carry no structured form).
+    (they carry no structured form).  ``rewrite_seconds`` is the time to
+    obtain the rewritten plan when a view answers: rewrite + translate
+    the first time, a serving-plan memo lookup on a repeat.
     """
 
     query: Optional[AnalyticalQuery]

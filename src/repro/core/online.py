@@ -17,28 +17,40 @@ Views can go stale while the graph changes underneath them; the module's
 * ``None`` (no policy) — no repair happens here; the router then
   excludes stale views so queries fall back to the always-current base
   graph rather than silently answering from frozen data.
+
+A repeated query is parsed once and planned once: :class:`ServingPlans`
+memoizes text → recognized query and (query, view) → rewritten prepared
+plan, pure functions of the text and the facet, of the query and the
+view's *definition*, so no catalog event invalidates them.  What depends
+on catalog *state* is decided again on every answer: the route,
+quarantine, staleness and its repair, and the execution itself.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from ..errors import ReproError
 from ..obs import metrics as _metrics
 from ..obs import tracing as _tracing
 from ..rdf.terms import IRI
+from ..cube.facet import AnalyticalFacet
 from ..cube.query import AnalyticalQuery
-from ..sparql.engine import QueryEngine
+from ..cube.view import ViewDefinition
+from ..sparql import parser as _parser
+from ..sparql.engine import PreparedQuery, QueryEngine, remember
 from ..sparql.results import ResultTable
+from ..views import analyzer as _analyzer
 from ..views.catalog import ViewCatalog
 from ..views.maintenance import MAINTENANCE_POLICIES, ViewMaintainer
 from ..views.rewriter import rewrite_on_view
 from ..views.router import Ranking, ViewRouter
 from .metrics import QueryOutcome, WorkloadRun
 
-__all__ = ["Answer", "OnlineModule"]
+__all__ = ["Answer", "OnlineModule", "ServingPlans"]
 
 _REG = _metrics.registry()
 _TRACER = _tracing.tracer()
@@ -58,7 +70,15 @@ _DEGRADED_ANSWERS = _REG.counter(
     "answers where quarantine forced a slower-but-correct path")
 _REWRITE_SECONDS = _REG.histogram(
     "online_rewrite_seconds",
-    "query-rewrite cost when a view answers")
+    "seconds to obtain the rewritten plan when a view answers")
+_PLAN_HITS = _REG.counter(
+    "serving_plan_cache_hits_total",
+    "serving-plan memo lookups answered from the memo",
+    labels=("level",))
+_PLAN_MISSES = _REG.counter(
+    "serving_plan_cache_misses_total",
+    "serving-plan memo lookups derived fresh and inserted",
+    labels=("level",))
 
 
 def _observe_outcome(outcome: QueryOutcome) -> None:
@@ -95,13 +115,82 @@ class Answer:
         return self.outcome.degraded
 
 
+class ServingPlans:
+    """The serving-plan memo of one facet: two levels, each bounded by the
+    engine's rule (:func:`~repro.sparql.engine.remember`), neither ever
+    invalidated (module docstring).  A miss derives the value the way an
+    unmemoized answer would and inserts it."""
+
+    def __init__(self, facet: AnalyticalFacet | None = None) -> None:
+        self._facet = facet     # None: the module is never asked a text
+        self._texts: dict[str, tuple] = {}
+        self._plans: dict[tuple, PreparedQuery] = {}
+
+    def recognize(self, text: str, engine: QueryEngine) -> tuple:
+        """``(query, header, reorder, base)`` of a SPARQL text.
+
+        For an instance of the facet: its :class:`AnalyticalQuery`, the
+        SELECT's own output variables (the caller's aggregate alias among
+        them) and the row permutation from the facet's canonical column
+        order to the SELECT's (None when they agree); the parse tree is
+        not kept.  Otherwise ``query`` is None and ``base`` the text's own
+        plan.  ``engine`` compiles a miss; the plan runs on any engine.
+        """
+        entry = self._texts.get(text)
+        if _REG.enabled:
+            (_PLAN_MISSES if entry is None else _PLAN_HITS).inc(
+                labels=("text",))
+        if entry is None:
+            if self._facet is None:
+                raise ReproError("no facet to recognize raw SPARQL against")
+            ast = _parser.parse_query(text)
+            query = _analyzer.analyze_query(ast, self._facet)
+            if query is None:
+                entry = (None, None, None, engine.prepare(ast))
+            else:
+                dims = query.group_variables
+                order = tuple(len(dims) if item.expression is not None
+                              else dims.index(item.var)
+                              for item in ast.projection)
+                entry = (query, tuple(ast.projected_variables()),
+                         None if order == tuple(range(len(order)))
+                         else itemgetter(*order), None)
+            remember(self._texts, text, entry)
+        return entry
+
+    def rewritten(self, query: AnalyticalQuery, view: ViewDefinition,
+                  engine: QueryEngine) -> tuple[PreparedQuery, float]:
+        """The prepared rewriting of ``query`` onto ``view``, and the
+        seconds it took to obtain (a lookup, or rewrite + translate).
+
+        Keyed on what the rewriting reads (the view's graph name, the
+        grouped subset, the filters; not the label), so the object path
+        and every text spelling of a query share one entry.
+        """
+        start = time.perf_counter()
+        key = (view.iri, query.group_mask, query.filters)
+        prepared = self._plans.get(key)
+        if _REG.enabled:
+            (_PLAN_MISSES if prepared is None else _PLAN_HITS).inc(
+                labels=("plan",))
+        if prepared is None:
+            prepared = engine.prepare(rewrite_on_view(query, view))
+            remember(self._plans, key, prepared)
+        return prepared, time.perf_counter() - start
+
+
 class OnlineModule:
-    """Routes, rewrites, executes, and measures analytical queries."""
+    """Routes, rewrites, executes, and measures analytical queries.
+
+    ``plans`` shares a serving-plan memo between modules (``Sofos`` keeps
+    one across re-materializations); without it the module has its own.
+    """
 
     def __init__(self, catalog: ViewCatalog,
                  ranking: Ranking | None = None,
                  maintainer: ViewMaintainer | None = None,
-                 policy: Optional[str] = None) -> None:
+                 policy: Optional[str] = None,
+                 plans: ServingPlans | None = None) -> None:
         if policy is not None and policy not in MAINTENANCE_POLICIES:
             raise ReproError(
                 f"unknown maintenance policy {policy!r}; expected one of "
@@ -123,6 +212,7 @@ class OnlineModule:
                                   skip_stale=policy is None)
         self._base_engine = catalog.base_engine
         self._view_engines: dict[IRI, QueryEngine] = {}
+        self._plans = plans if plans is not None else ServingPlans()
 
     @property
     def catalog(self) -> ViewCatalog:
@@ -178,12 +268,9 @@ class OnlineModule:
             if self._catalog.is_stale(view):
                 self._repair(view)
 
-            rewrite_start = time.perf_counter()
-            rewritten = rewrite_on_view(query, view)
             engine = self._engine_for(view.iri)
-            prepared = engine.prepare(rewritten)
-            rewrite_seconds = time.perf_counter() - rewrite_start
-
+            prepared, rewrite_seconds = self._plans.rewritten(
+                query, view, engine)
             table, exec_seconds = engine.timed_query(prepared)
             outcome = QueryOutcome(
                 query=query,
@@ -200,11 +287,32 @@ class OnlineModule:
                 _observe_outcome(outcome)
             return Answer(table=table, outcome=outcome)
 
+    def answer_sparql(self, text: str) -> Answer:
+        """Answer raw SPARQL: an instance of the facet goes through
+        :meth:`answer` and comes back under the SELECT's own column order
+        and aggregate alias; any other text runs on the base graph."""
+        query, header, reorder, base = self._plans.recognize(
+            text, self._base_engine)
+        if query is None:
+            with _TRACER.span("online.answer"):
+                return self._run_on_base(base, None, in_span=True)
+        answer = self.answer(query)
+        table = answer.table
+        if reorder is not None:
+            table.rows = [reorder(row) for row in table.rows]
+        table.variables = list(header)
+        return answer
+
     def answer_from_base(self, query: AnalyticalQuery,
                          degraded: bool = False,
                          _in_span: bool = False) -> Answer:
         """Answer directly from the base graph (the no-view fallback)."""
         prepared = self._base_engine.prepare(query.to_select_query())
+        return self._run_on_base(prepared, query, degraded, _in_span)
+
+    def _run_on_base(self, prepared: PreparedQuery,
+                     query: Optional[AnalyticalQuery],
+                     degraded: bool = False, in_span: bool = False) -> Answer:
         table, exec_seconds = self._base_engine.timed_query(prepared)
         outcome = QueryOutcome(
             query=query,
@@ -213,24 +321,35 @@ class OnlineModule:
             view_label=None,
             degraded=degraded,
         )
-        if _in_span:
+        if in_span:
             _TRACER.annotate(route="base", rows=len(table),
                              degraded=degraded)
         if _REG.enabled:
             _observe_outcome(outcome)
         return Answer(table=table, outcome=outcome)
 
-    def explain(self, query: AnalyticalQuery):
+    def explain(self, query: AnalyticalQuery | str):
         """EXPLAIN ANALYZE plus the routing decision for one query.
 
-        Executes the query for real through the same route
-        :meth:`answer` would take (including stale-view repair under the
-        module's maintenance policy) and returns a
+        Executes the query — an :class:`AnalyticalQuery` or raw SPARQL,
+        recognized as :meth:`answer_sparql` does — for real through the
+        same route :meth:`answer` would take (including stale-view repair
+        under the module's maintenance policy) and returns a
         :class:`~repro.obs.explain.RoutedExplain`: which views were
         candidates, which were quarantined, which one answered and why,
-        the rewrite cost, and the measured per-operator plan tree.
+        the seconds to obtain the rewritten plan, and the measured
+        per-operator plan tree.
         """
         from ..obs.explain import RoutedExplain
+        if isinstance(query, str):
+            query, _header, _reorder, base = self._plans.recognize(
+                query, self._base_engine)
+            if query is None:
+                return RoutedExplain(
+                    query=base.text or "<sparql>", route="base",
+                    why="query does not target the facet", view=None,
+                    candidates=[], quarantined=[], rewrite_seconds=0.0,
+                    plan=self._base_engine.explain(base))
         quarantined = [e.label
                        for e in self._router.quarantined_candidates(query)]
         candidates = self._router.candidates(query)
@@ -238,7 +357,8 @@ class OnlineModule:
                       "stale": self._catalog.is_stale(e.definition)}
                      for e in candidates]
         if not candidates:
-            why = "no usable view covers the query"
+            why = "no usable view covers the query" if len(self._catalog) \
+                else "no views are materialized"
             if quarantined:
                 why += " (every covering view is quarantined)"
             plan = self._base_engine.explain(query.to_select_query())
@@ -250,11 +370,9 @@ class OnlineModule:
         view = entry.definition
         if self._catalog.is_stale(view):
             self._repair(view)
-        rewrite_start = time.perf_counter()
-        rewritten = rewrite_on_view(query, view)
         engine = self._engine_for(view.iri)
-        prepared = engine.prepare(rewritten)
-        rewrite_seconds = time.perf_counter() - rewrite_start
+        prepared, rewrite_seconds = self._plans.rewritten(query, view,
+                                                          engine)
         why = f"ranked first of {len(candidates)} covering view(s)"
         if self._catalog.is_stale(view):
             why += "; serving a stale snapshot"

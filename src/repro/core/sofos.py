@@ -31,7 +31,7 @@ from ..views.maintenance import MAINTENANCE_POLICIES, MaintenanceReport, \
 from ..workload.generator import WorkloadConfig, WorkloadGenerator
 from .metrics import Timer, WorkloadRun
 from .offline import OfflineModule, Selector
-from .online import Answer, OnlineModule
+from .online import Answer, OnlineModule, ServingPlans
 from .report import ComparisonReport, ComparisonRow
 
 __all__ = ["Sofos", "DEFAULT_MODELS"]
@@ -61,6 +61,8 @@ class Sofos:
         self._catalog: ViewCatalog | None = None
         self._online: OnlineModule | None = None
         self._maintainer: ViewMaintainer | None = None
+        # one memo for the facet's lifetime: it outlives every catalog
+        self._plans = ServingPlans(facet)
 
     # -- introspection ------------------------------------------------------
 
@@ -129,7 +131,8 @@ class Sofos:
         if self._maintenance != "rebuild":
             self._maintainer = ViewMaintainer(catalog)
         self._online = OnlineModule(catalog, maintainer=self._maintainer,
-                                    policy=self._maintenance)
+                                    policy=self._maintenance,
+                                    plans=self._plans)
         return catalog
 
     def select_and_materialize(self, model: str | CostModel = "agg_values",
@@ -227,6 +230,14 @@ class Sofos:
                 "first (or use answer_from_base)")
         return self._online
 
+    def _serving(self) -> OnlineModule:
+        """The online module; before materialization one over an empty
+        catalog, where every route ends at the base graph."""
+        if self._online is not None:
+            return self._online
+        return OnlineModule(ViewCatalog(self._dataset, self._offline.engine),
+                            plans=self._plans)
+
     def answer(self, query: AnalyticalQuery) -> Answer:
         """Answer a query using the materialized views when possible."""
         return self._require_online().answer(query)
@@ -250,87 +261,30 @@ class Sofos:
         The query executes for real; the returned
         :class:`~repro.obs.explain.RoutedExplain` reports which view
         answered (or why the base graph did), candidate/quarantined
-        views, rewrite cost, and per-operator wall time and row counts.
+        views, the seconds to obtain the rewritten plan, and per-operator
+        wall time and row counts.
         """
-        from ..obs.explain import RoutedExplain
-
-        if isinstance(query, str):
-            from ..sparql.parser import parse_query
-            from ..views.analyzer import analyze_query
-            ast = parse_query(query)
-            analytical = analyze_query(ast, self._facet) \
-                if self._online is not None else None
-            if analytical is None:
-                plan = self._offline.engine.explain(ast)
-                return RoutedExplain(
-                    query=ast.text or "<sparql>", route="base",
-                    why="query does not target the facet"
-                    if self._online is not None
-                    else "no views are materialized",
-                    view=None, candidates=[], quarantined=[],
-                    rewrite_seconds=0.0, plan=plan)
-            query = analytical
-        if self._online is not None:
-            return self._online.explain(query)
-        plan = self._offline.engine.explain(query.to_select_query())
-        return RoutedExplain(
-            query=query.describe(), route="base",
-            why="no views are materialized", view=None, candidates=[],
-            quarantined=[], rewrite_seconds=0.0, plan=plan)
+        return self._serving().explain(query)
 
     def answer_from_base(self, query: AnalyticalQuery) -> Answer:
         """Answer a query directly on G, ignoring any views."""
-        if self._online is not None:
-            return self._online.answer_from_base(query)
-        return OnlineModule(ViewCatalog(self._dataset,
-                                        self._offline.engine)
-                            ).answer_from_base(query)
+        return self._serving().answer_from_base(query)
 
     def run_workload(self, queries: Sequence[AnalyticalQuery],
                      force_base: bool = False) -> WorkloadRun:
-        if force_base and self._online is None:
-            module = OnlineModule(ViewCatalog(self._dataset,
-                                              self._offline.engine))
-            return module.run_workload(queries, force_base=True)
-        return self._require_online().run_workload(queries,
-                                                   force_base=force_base)
+        module = self._serving() if force_base else self._require_online()
+        return module.run_workload(queries, force_base=force_base)
 
     def answer_sparql(self, query_text: str) -> Answer:
         """Answer raw SPARQL, routing through views when the query targets
         this facet (paper §3.2: "given any query Q targeting F").
 
-        The query is recognized via :func:`repro.views.analyzer.analyze_query`;
-        on a match it is answered from the best materialized view (with the
-        measure column renamed back to the query's own alias), otherwise it
-        executes directly on the base graph.
+        The query is recognized via :func:`repro.views.analyzer.analyze_query`
+        (once per distinct text); on a match it is answered from the best
+        materialized view, under the query's own aggregate alias and
+        column order, otherwise it executes directly on the base graph.
         """
-        from ..sparql.ast import AggregateExpr
-        from ..sparql.parser import parse_query
-        from ..views.analyzer import analyze_query
-        from .metrics import QueryOutcome
-
-        ast = parse_query(query_text)
-        analytical = analyze_query(ast, self._facet) \
-            if self._online is not None else None
-        if analytical is None:
-            engine = self._offline.engine
-            prepared = engine.prepare(ast)
-            table, seconds = engine.timed_query(prepared)
-            outcome = QueryOutcome(query=analytical, rows=len(table),
-                                   seconds=seconds, view_label=None)
-            return Answer(table=table, outcome=outcome)
-
-        answer = self._online.answer(analytical)
-        # restore the caller's aggregate alias on the measure column
-        for item in ast.projection:
-            if item.expression is not None and isinstance(
-                    item.expression, AggregateExpr):
-                table = answer.table
-                table.variables = [
-                    item.var if v == self._facet.measure_alias else v
-                    for v in table.variables]
-                break
-        return answer
+        return self._serving().answer_sparql(query_text)
 
     def generate_workload(self, size: int = 50,
                           config: WorkloadConfig | None = None

@@ -175,7 +175,8 @@ class RoutedExplain:
     view: Optional[str]         #: label of the answering view, if any
     candidates: list[dict]      #: considered views: label/groups/stale
     quarantined: list[str]      #: labels excluded by quarantine
-    rewrite_seconds: float      #: query-rewrite cost (view route only)
+    #: seconds to obtain the rewritten plan: a memo lookup on a repeat
+    rewrite_seconds: float
     plan: QueryExplain          #: the execution that produced the answer
 
     def render(self) -> str:

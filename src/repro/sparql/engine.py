@@ -5,7 +5,11 @@ parsed AST plus translated algebra and can be executed repeatedly (the
 workload runner re-executes the same prepared queries across view
 configurations).  ``query()`` is the convenience one-shot — and it caches
 its compilations by query text, so a workload replayed as raw strings
-still compiles each distinct query once.
+still compiles each distinct query once.  That memo serves direct
+``QueryEngine.query(text)`` callers; ``Sofos`` keeps the promise for
+routed queries with the serving-plan memo of :mod:`repro.core.online`,
+which holds rewritten plans and is bounded by the same rule
+(:func:`remember`).
 
 Execution goes through the batched id-space executor: the result batch is
 decoded column-wise straight into a :class:`ResultTable`, never building a
@@ -27,9 +31,10 @@ from .executor import Executor
 from .parser import parse_query
 from .results import ResultTable
 
-__all__ = ["PreparedQuery", "QueryEngine"]
+__all__ = ["PreparedQuery", "QueryEngine", "remember"]
 
-#: How many distinct query texts the engine memoizes compilations for.
+#: How many entries a query-keyed memo keeps (the engine's compilations by
+#: text, and each level of the serving-plan memo).
 _PREPARED_CACHE_LIMIT = 1024
 
 _REG = _metrics.registry()
@@ -39,6 +44,13 @@ _PREPARED_HITS = _REG.counter(
 _PREPARED_MISSES = _REG.counter(
     "engine_prepared_cache_misses_total",
     "string queries parsed + translated fresh")
+
+
+def remember(memo: dict, key, value) -> None:
+    """Insert into a bounded memo, evicting its oldest entry at the limit."""
+    if len(memo) >= _PREPARED_CACHE_LIMIT:
+        del memo[next(iter(memo))]
+    memo[key] = value
 
 
 class PreparedQuery:
@@ -99,9 +111,7 @@ class QueryEngine:
             if _REG.enabled:
                 _PREPARED_MISSES.inc()
             prepared = PreparedQuery.compile(query, self._prefixes)
-            if len(self._prepared) >= _PREPARED_CACHE_LIMIT:
-                self._prepared.pop(next(iter(self._prepared)))
-            self._prepared[query] = prepared
+            remember(self._prepared, query, prepared)
         elif _REG.enabled:
             _PREPARED_HITS.inc()
         return prepared

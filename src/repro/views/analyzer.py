@@ -55,10 +55,11 @@ def match_report(query: SelectQuery | str, facet: AnalyticalFacet) -> str:
 
 def _match(ast: SelectQuery, facet: AnalyticalFacet):
     """Either an AnalyticalQuery or a string explaining the mismatch."""
-    if ast.star or ast.distinct or ast.having or ast.limit is not None \
-            or ast.offset:
-        return ("uses SELECT */DISTINCT/HAVING/LIMIT/OFFSET, outside the "
-                "analytical facet form")
+    if ast.star or ast.distinct or ast.having or ast.order_by \
+            or ast.limit is not None or ast.offset:
+        # a view answer is re-aggregated, unordered and uncut
+        return ("uses SELECT */DISTINCT/HAVING/ORDER BY/LIMIT/OFFSET, "
+                "outside the analytical facet form")
 
     core, extra_filters = _split_where(ast.where)
     if core is None:

@@ -86,6 +86,8 @@ class TestAnalyzeRejections:
          "dimension"),
         (lambda q: q("?lang (SUM(?pop) AS ?t)",
                      tail="GROUP BY ?lang LIMIT 5"), "LIMIT"),
+        (lambda q: q("?lang (SUM(?pop) AS ?t)",
+                     tail="GROUP BY ?lang ORDER BY DESC(?t)"), "ORDER BY"),
         (lambda q: q("DISTINCT ?lang (SUM(?pop) AS ?t)"), "DISTINCT"),
         (lambda q: q("?lang (SUM(?pop) AS ?a) (COUNT(*) AS ?b)"),
          "one aggregate"),
@@ -142,6 +144,30 @@ class TestAnswerSparql:
         via_views = sofos.answer_sparql(text)
         direct = population_engine.query(text)
         assert via_views.table.same_solutions(direct)
+
+    def test_order_by_is_answered_in_order(self, sofos, population_engine):
+        # a view answer is unordered: ORDER BY must reach the base engine
+        text = query("?lang ?year (SUM(?pop) AS ?t)",
+                     tail="GROUP BY ?lang ?year ORDER BY DESC(?t) ?lang")
+        answer = sofos.answer_sparql(text)
+        assert answer.used_view is None
+        assert answer.table.rows == population_engine.query(text).rows
+
+    @pytest.mark.parametrize("select", [
+        "?lang ?year (SUM(?pop) AS ?t)",        # the facet's own order
+        "(SUM(?pop) AS ?t) ?year ?lang",
+        "?year (SUM(?pop) AS ?t) ?lang",
+    ])
+    def test_view_answer_keeps_the_select_column_order(
+            self, sofos, population_engine, select):
+        text = query(select, tail="GROUP BY ?year ?lang")
+        answer = sofos.answer_sparql(text)
+        direct = population_engine.query(text)
+        assert answer.used_view == "lang+year"
+        assert answer.table.variables == direct.variables
+        # positional: a reader of table.rows gets the cells it asked for
+        assert sorted(answer.table.rows, key=repr) \
+            == sorted(direct.rows, key=repr)
 
     def test_non_matching_query_runs_on_base(self, sofos):
         answer = sofos.answer_sparql(

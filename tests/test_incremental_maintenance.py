@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from repro.core import OnlineModule, Sofos
+from repro.core import OnlineModule, ServingPlans, Sofos
 from repro.cube import AnalyticalFacet, AnalyticalQuery, ViewDefinition, \
     ViewLattice
 from repro.errors import ReproError
@@ -21,7 +21,8 @@ from repro.rdf import Dataset, Graph, Namespace, Triple, typed_literal
 from repro.sparql import QueryEngine, ReferenceExecutor, ResultTable
 from repro.sparql.delta import DeltaEvaluator, compile_delta_plan
 from repro.views import GroupIndex, ViewCatalog, ViewMaintainer
-from repro.workload import UpdateStreamConfig, UpdateStreamGenerator
+from repro.workload import UpdateStreamConfig, UpdateStreamGenerator, \
+    render_analytical_query
 
 from tests.conftest import POPULATION_AVG_FACET_QUERY, \
     POPULATION_FACET_QUERY, build_population_graph
@@ -654,6 +655,11 @@ class TestRandomStreamParity:
         maintainer = ViewMaintainer(cat1)
         generator = UpdateStreamGenerator(g1, UpdateStreamConfig(
             batches=batches, operations_per_batch=5, seed=seed))
+        # One online module for the whole stream, so from the second
+        # window on every ask is served from a warm serving-plan memo.
+        online = OnlineModule(cat1, plans=ServingPlans(facet))
+        reference = ReferenceExecutor(g1)
+        engine = QueryEngine(g1)
         for batch in generator.stream(apply=False):
             batch.apply_to(g1)
             batch.apply_to(g2)
@@ -661,18 +667,20 @@ class TestRandomStreamParity:
             cat2.refresh_stale()
             assert_view_parity(cat1, cat2, selected)
 
-        # routed answers must match the seed reference executor on G
-        online = OnlineModule(cat1)
-        reference = ReferenceExecutor(g1)
-        engine = QueryEngine(g1)
-        for mask in range(facet.lattice_size):
-            query = AnalyticalQuery(facet, mask)
-            answer = online.answer(query)
-            prepared = engine.prepare(query.to_select_query())
-            want = ResultTable.from_bindings(
-                prepared.ast.projected_variables(),
-                reference.run(prepared.plan))
-            assert answer.table.same_solutions(want), (facet.name, mask)
+            # routed answers, asked as an object and as rendered text,
+            # must match the seed reference executor on the current G
+            for mask in range(facet.lattice_size):
+                query = AnalyticalQuery(facet, mask)
+                prepared = engine.prepare(query.to_select_query())
+                want = ResultTable.from_bindings(
+                    prepared.ast.projected_variables(),
+                    reference.run(prepared.plan))
+                for answer in (
+                        online.answer(query),
+                        online.answer_sparql(render_analytical_query(query))):
+                    assert answer.used_view is not None
+                    assert answer.table.same_solutions(want), \
+                        (facet.name, mask)
 
     @pytest.mark.parametrize("policy", ["incremental", "rebuild"])
     def test_sofos_profile_follows_the_stream(self, tiny_lubm, policy):

@@ -14,6 +14,7 @@ from repro.rdf import Namespace, Triple, typed_literal
 from repro.resilience import failpoints
 from repro.sparql import QueryEngine
 from repro.views import load_expanded, save_expanded
+from repro.workload import render_analytical_query
 
 from tests.conftest import build_population_graph
 
@@ -63,6 +64,10 @@ def _whole_loop(facet, directory):
     query = AnalyticalQuery(facet, next(iter(catalog)).mask)
     assert sofos.answer(query).used_view is not None
     assert sofos.answer_from_base(query).used_view is None
+    for _ in range(2):      # a serving-plan memo miss, then a hit
+        assert sofos.answer_sparql(
+            render_analytical_query(query)).used_view is not None
+    assert sofos.answer_sparql(POP_QUERY).used_view is None
     assert sofos.audit().clean
     save_expanded(catalog, directory)
     load_expanded(directory, facet)
@@ -109,6 +114,36 @@ class TestServingWiring:
         hist = m.get("online_query_seconds")
         assert hist.total_count() == 5
         assert m.counter_total("online_answers_total") == 5
+
+    def test_raw_sparql_off_the_facet_is_counted_as_a_base_answer(
+            self, clean_hub, incremental_sofos):
+        clean_hub.enable()
+        incremental_sofos.select_and_materialize("agg_values", k=2)
+        answer = incremental_sofos.answer_sparql(POP_QUERY)
+        assert answer.used_view is None and answer.outcome.query is None
+        m = clean_hub.metrics
+        assert m.value("online_answers_total", ("base",)) == 1
+        assert m.get("online_query_seconds").total_count() == 1
+        span = next(s for s in clean_hub.tracer.recent()
+                    if s.name == "online.answer")
+        assert span.tags["route"] == "base"
+
+    def test_serving_plan_memo_is_countable_by_level(self, clean_hub,
+                                                     incremental_sofos):
+        clean_hub.enable(tracing=False)
+        _, catalog = incremental_sofos.select_and_materialize(
+            "agg_values", k=2)
+        query = AnalyticalQuery(incremental_sofos.facet,
+                                next(iter(catalog)).mask)
+        text = render_analytical_query(query)
+        incremental_sofos.answer_sparql(text)
+        incremental_sofos.answer_sparql(text)
+        incremental_sofos.answer(query)     # object path: plan level only
+        m = clean_hub.metrics
+        assert m.value("serving_plan_cache_misses_total", ("text",)) == 1
+        assert m.value("serving_plan_cache_hits_total", ("text",)) == 1
+        assert m.value("serving_plan_cache_misses_total", ("plan",)) == 1
+        assert m.value("serving_plan_cache_hits_total", ("plan",)) == 2
 
     def test_maintenance_window_counters(self, clean_hub, incremental_sofos):
         clean_hub.enable(tracing=False)
