@@ -6,6 +6,14 @@ back onto the (immutable, shared-substructure) algebra tree, computes
 exclusive ("self") time by subtracting child-inclusive time, and
 renders the familiar plan-tree text.
 
+The plan shown is the plan that ran: a BGP lists its probe order with the
+rows after each probe (``6 pattern(s): 2→18 3→18 0→755 …``), a ``Filter``
+where it was placed and what it saw and kept there (``filter after
+pattern 0: 755→212 rows``, or ``after BGP``; never ran: ``filter``).  A
+``Filter*(BGP)`` stack runs as one unit: its BGP and inner filters carry
+rows only, its time is the outermost filter's.  Rows sum over evaluations;
+the trace is the first one's (``… (first of 2 calls)``).
+
 Two result shapes:
 
 * :class:`QueryExplain` — one engine-level execution: operator tree,
@@ -42,10 +50,16 @@ def _children_of(op: AlgebraOp) -> tuple[AlgebraOp, ...]:
     return (child,) if child is not None else ()
 
 
-def _describe(op: AlgebraOp) -> str:
+def _describe(op: AlgebraOp, stats=None) -> str:
+    """What ``op`` is and, from its ``stats``, what the plan did with it."""
+    ran = stats.detail if stats is not None else ""
+    if ran and stats.calls > 1:  # rows are summed, the trace is one run's
+        ran += f" (first of {stats.calls} calls)"
     if isinstance(op, BGPOp):
-        return f"{len(op.patterns)} pattern(s)"
-    if isinstance(op, FilterOp):
+        return f"{len(op.patterns)} pattern(s)" + (f": {ran}" if ran else "")
+    if isinstance(op, FilterOp) and ran:
+        return f"filter {ran}: {stats.rows_in}→{stats.rows_out} rows"
+    if isinstance(op, FilterOp):  # its condition never ran
         return "filter"
     if isinstance(op, ExtendOp):
         return f"bind ?{op.var.name}"
@@ -114,7 +128,7 @@ def _build_node(op: AlgebraOp, records: dict) -> ExplainNode:
     child_seconds = sum(c.seconds for c in children)
     return ExplainNode(
         operator=type(op).__name__.removesuffix("Op"),
-        detail=_describe(op),
+        detail=_describe(op, stats),
         calls=stats.calls if stats is not None else 0,
         rows_in=stats.rows_in if stats is not None else 0,
         rows_out=stats.rows_out if stats is not None else 0,

@@ -414,18 +414,14 @@ class ColumnarStore(TripleStore):
         np.not_equal(a[1:], a[:-1], out=keep[1:])
         return a[keep].tolist()
 
-    def predicate_stats(self) -> Iterator[tuple]:
+    def predicate_profile(self, pid: int) -> tuple[int, int, int]:
         self._flush()
-        ab = self._pos_ab
-        _, bv, cv = self._v_pos
-        for pid in self._distinct_a("pos"):
-            lo, hi = self._a_range(ab, pid)
-            triples = hi - lo
-            run_b = bv[lo:hi]
-            distinct_objects = 1 + int(
-                (run_b[1:] != run_b[:-1]).sum()) if triples else 0
-            distinct_subjects = int(np.unique(cv[lo:hi]).size)
-            yield (pid, triples, distinct_subjects, distinct_objects)
+        lo, hi = self._a_range(self._pos_ab, pid)
+        if lo == hi:
+            return (0, 0, 0)
+        run_b = self._v_pos[1][lo:hi]
+        return (hi - lo, len(set(self._pos_c[lo:hi])),
+                1 + int(np.count_nonzero(run_b[1:] != run_b[:-1])))
 
     # -- lifecycle ----------------------------------------------------------
 

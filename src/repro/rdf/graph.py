@@ -56,7 +56,7 @@ class Graph:
     """
 
     __slots__ = ("_dict", "_store", "_version", "_node_cache",
-                 "_hist_cache", "_logs")
+                 "_hist_cache", "_profile_cache", "_logs")
 
     def __init__(self, dictionary: TermDictionary | None = None,
                  triples: Iterable[Triple] | None = None,
@@ -68,6 +68,7 @@ class Graph:
         # models probe repeatedly: (version, payload) tuples.
         self._node_cache: dict[bool, tuple[int, set[int]]] = {}
         self._hist_cache: Optional[tuple[int, dict[IRI, int]]] = None
+        self._profile_cache: tuple[int, dict[int, tuple]] = (0, {})
         # Live change-capture subscriptions (held weakly, so a log whose
         # owner forgot close() stops costing per-mutation work once it is
         # collected).  Copies start with no subscribers of their own.
@@ -481,6 +482,22 @@ class Graph:
                      for pid, n in self._store.predicate_counts().items()}
         self._hist_cache = (self._version, histogram)
         return dict(histogram)
+
+    def predicate_profile(self, pid: int) -> tuple[int, int, int]:
+        """``(triples, distinct subjects, distinct objects)`` of one predicate.
+
+        The one home of per-predicate cardinalities (the BGP planner reads
+        the predicates it orders, ``GraphStatistics`` all of them): on
+        demand, once per graph version, in O(triples of that predicate).
+        """
+        version, profiles = self._profile_cache
+        if version != self._version:
+            profiles = {}
+            self._profile_cache = (self._version, profiles)
+        profile = profiles.get(pid)
+        if profile is None:
+            profile = profiles[pid] = self._store.predicate_profile(pid)
+        return profile
 
     def matches(self, pattern: TriplePattern) -> Iterator[dict[Variable, Term]]:
         """Bindings of ``pattern``'s variables against this graph.

@@ -1,8 +1,10 @@
-"""Whole-graph statistics: the raw inputs of cost models and planners.
+"""Whole-graph statistics: the raw inputs of the cost models.
 
 :class:`GraphStatistics` is a snapshot — compute it once per graph version
-and share it between the selectivity planner, the learned cost model's
-feature encoder, and the console's dataset panel.
+and share it between the cost estimators, the learned cost model's
+feature encoder, and the console's dataset panel.  It decodes every node,
+so the BGP planner builds none: it reads the predicates it plans from
+:meth:`~repro.rdf.graph.Graph.predicate_profile`, as the profiles below do.
 """
 
 from __future__ import annotations
@@ -52,8 +54,9 @@ class GraphStatistics:
         """Profile ``graph`` in a single pass over its storage backend."""
         decode = graph.dictionary.decode
         profiles: dict[IRI, PredicateProfile] = {}
-        for pid, triples, distinct_subjects, distinct_objects \
-                in graph.store.predicate_stats():
+        for pid in graph.store.predicate_counts():
+            triples, distinct_subjects, distinct_objects = \
+                graph.predicate_profile(pid)
             predicate = decode(pid)
             profiles[predicate] = PredicateProfile(
                 predicate=predicate,

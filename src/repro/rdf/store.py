@@ -118,8 +118,9 @@ class TripleStore:
         """Distinct object ids (read-only; order backend-defined)."""
         raise NotImplementedError
 
-    def predicate_stats(self) -> Iterator[tuple]:
-        """Yield ``(pid, triples, distinct_subjects, distinct_objects)``."""
+    def predicate_profile(self, pid: int) -> tuple[int, int, int]:
+        """``(triples, distinct subjects, distinct objects)`` of one
+        predicate, in O(triples of that predicate)."""
         raise NotImplementedError
 
     # -- lifecycle ----------------------------------------------------------
@@ -388,14 +389,12 @@ class DictStore(TripleStore):
     def object_ids(self):
         return self._osp.keys()
 
-    def predicate_stats(self) -> Iterator[tuple]:
-        for pid, by_object in self._pos.items():
-            subjects: set[int] = set()
-            triples = 0
-            for subs in by_object.values():
-                subjects.update(subs)
-                triples += len(subs)
-            yield (pid, triples, len(subjects), len(by_object))
+    def predicate_profile(self, pid: int) -> tuple[int, int, int]:
+        by_object = self._pos.get(pid)
+        if by_object is None:
+            return (0, 0, 0)
+        subjects = set().union(*by_object.values())
+        return (self._pred_counts[pid], len(subjects), len(by_object))
 
     # -- lifecycle ----------------------------------------------------------
 

@@ -21,10 +21,12 @@ per-pattern delta as ``ΔRᵢ`` (+1 for inserts, −1 for deletes),
 costs 2ⁿ−1 passes.  Term ``i`` seeds a
 :class:`~repro.sparql.batch.BindingBatch` with the window's triples
 matching pattern ``i`` (their signs are the row weights) and extends it
-by the other patterns one at a time, connected patterns first, each
-through the ordinary batched probe (:meth:`Executor.run_batch`); weights
-follow the rows through the provenance array and the final batch folds
-into the table (:meth:`GroupTable.fold`).
+by the other patterns one at a time, in the BGP planner's order for them
+under ΔRᵢ's variables (:meth:`Executor.bgp_order`: connected first,
+smallest fan-out among them), each through the ordinary batched probe
+(:meth:`Executor.run_batch`); weights follow the rows through the
+provenance array and the final batch folds into the table
+(:meth:`GroupTable.fold`).
 
 The executor only has the *current* graph, so the old state is never
 materialized: it is the signed multiset ``Rⱼ_old = Rⱼ_new ⊎ (−ΔRⱼ)``,
@@ -149,7 +151,7 @@ class DeltaEvaluator:
         self._executor = executor
         self.plan = plan
         self._probes = [BGPOp((p,)) for p in plan.patterns]
-        self._variables = [p.variables() for p in plan.patterns]
+        self._orders: dict[int, list[int]] = {}
         self._filter: Optional[AlgebraOp] = None
         for expression in plan.filters:
             self._filter = FilterOp(expression, self._filter or UnitOp())
@@ -204,6 +206,30 @@ class DeltaEvaluator:
 
     # -- the telescoping sum ------------------------------------------------
 
+    def term_order(self, i: int) -> list[int]:
+        """The order in which term ``i`` extends ΔRᵢ by the other patterns.
+
+        The BGP planner's order for them under ΔRᵢ's variables, planned
+        at the first window that touches the term and kept: only the
+        structural rule (connected first, so no cross product the facet
+        does not contain) is guaranteed for delta terms.  The fan-out
+        ranking is that window's — reading statistics again every window
+        costs O(predicate) to order probes over a handful of rows.  While
+        a pattern constant is unknown to the dictionary there is no plan
+        (and :meth:`adjustments` evaluates no term): index order, not kept.
+        """
+        order = self._orders.get(i)
+        if order is None:
+            patterns = self.plan.patterns
+            rest = [j for j in range(len(patterns)) if j != i]
+            planned = self._executor.bgp_order(
+                tuple(patterns[j] for j in rest),
+                tuple(patterns[i].variables()))
+            if planned is None:
+                return rest
+            order = self._orders[i] = [rest[k] for k in planned]
+        return order
+
     def adjustments(self, inserted: tuple[IdTriple, ...],
                     deleted: tuple[IdTriple, ...]) -> Optional[GroupTable]:
         """The window's signed group table at the facet's finest grain.
@@ -227,14 +253,9 @@ class DeltaEvaluator:
             if delta is None:
                 continue
             cur, weights = delta
-            bound = set(cur.variables)
-            rest = [j for j in range(len(deltas)) if j != i]
-            while rest and len(cur):
-                # Connected first (ties: pattern order), so a term never
-                # builds a cross product the facet does not contain.
-                j = max(rest, key=lambda j: len(self._variables[j] & bound))
-                rest.remove(j)
-                bound |= self._variables[j]
+            for j in self.term_order(i):
+                if not len(cur):
+                    break
                 out = run(self._probes[j], cur)
                 out_weights = [weights[r] for r in out.prov]
                 if j > i and deltas[j] is not None:

@@ -23,8 +23,9 @@ Terms produced by expressions (BIND values, aggregate results, VALUES
 constants unknown to the store) are interned into a private overlay with
 negative ids so id equality stays term equality end to end.
 
-Compiled id-space BGP plans (constant ids + greedy probe order) are cached
-per graph version, so re-running a prepared workload skips recompilation.
+Compiled id-space BGP plans (constant ids, probe order, the probe each
+FILTER above the BGP runs after) are cached per graph version, so
+re-running a prepared workload skips recompilation.
 
 The tuple-at-a-time semantics are preserved exactly; the retained
 :class:`~repro.sparql.reference.ReferenceExecutor` is the oracle the parity
@@ -35,7 +36,7 @@ streaming early termination under a single concrete binding).
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as _np
 
@@ -95,13 +96,14 @@ _PROBE_BULK = _REG.counter(
 class _OpStats:
     """Per-operator accumulator for EXPLAIN ANALYZE runs."""
 
-    __slots__ = ("calls", "seconds", "rows_in", "rows_out")
+    __slots__ = ("calls", "seconds", "rows_in", "rows_out", "detail")
 
     def __init__(self) -> None:
         self.calls = 0
         self.seconds = 0.0
         self.rows_in = 0
         self.rows_out = 0
+        self.detail = ""  #: a BGP's probe trace; where a FILTER ran
 
 
 class Executor:
@@ -272,20 +274,19 @@ class Executor:
         start = perf_counter()
         out = self._eval_inner(op, seed)
         elapsed = perf_counter() - start
-        stats = records.get(id(op))
-        if stats is None:
-            records[id(op)] = stats = _OpStats()
-        stats.calls += 1
+        stats = records.setdefault(id(op), _OpStats())
         stats.seconds += elapsed
-        stats.rows_in += len(seed)
-        stats.rows_out += len(out)
+        if not isinstance(op, FilterOp):  # _keep counted it, where it ran
+            stats.calls += 1
+            stats.rows_in += len(seed)
+            stats.rows_out += len(out)
         return out
 
     def _eval_inner(self, op: AlgebraOp, seed: BindingBatch) -> BindingBatch:
         if isinstance(op, UnitOp):
             return seed.renumbered()
         if isinstance(op, BGPOp):
-            return self._eval_bgp(op.patterns, seed)
+            return self._eval_bgp(op, seed)
         if isinstance(op, JoinOp):
             left = self._eval(op.left, seed)
             return self._bind_right(op.right, left, outer=False)
@@ -317,23 +318,28 @@ class Executor:
     # -- basic graph patterns -------------------------------------------------
 
     def _compiled_bgp(self, patterns: tuple[TriplePattern, ...],
-                      seed_vars: tuple[Variable, ...]):
+                      seed_vars: tuple[Variable, ...],
+                      wanted: tuple[Optional[frozenset[Variable]], ...] = ()):
         """The cached id-space plan for ``patterns`` under ``seed_vars``.
 
-        Returns ``(specs, order)`` or ``None`` when a constant term is not
-        in the dictionary (the BGP can match nothing).  Cache entries are
-        keyed on the pattern tuple plus the seed-variable overlap and are
-        dropped wholesale when the graph version moves.
+        ``wanted`` holds, per FILTER stacked on the BGP, the variables its
+        condition reads (``None``: EXISTS may read any).  Returns ``(specs,
+        steps, late)`` — see :meth:`_plan_bgp` — or ``None`` when a constant
+        is not in the dictionary (the BGP can match nothing).  Entries are
+        keyed on the pattern tuple, the seed-variable overlap and ``wanted``
+        (conditions differing in their constants share a plan) and dropped
+        wholesale when the graph version moves.
         """
         graph = self._graph
         if graph.version != self._bgp_cache_version:
             self._bgp_cache.clear()
             self._bgp_cache_version = graph.version
 
-        pattern_vars: set[Variable] = set()
-        for p in patterns:
-            pattern_vars.update(p.variables())
-        key = (patterns, frozenset(v for v in seed_vars if v in pattern_vars))
+        overlap: frozenset[Variable] = frozenset()
+        if seed_vars:  # the unit seed of a top-level BGP has none
+            pattern_vars = set().union(*(p.variables() for p in patterns))
+            overlap = frozenset(v for v in seed_vars if v in pattern_vars)
+        key = (patterns, overlap, wanted)
         if key in self._bgp_cache:
             if _REG.enabled:
                 _BGP_PLAN_HITS.inc()
@@ -341,74 +347,146 @@ class Executor:
         if _REG.enabled:
             _BGP_PLAN_MISSES.inc()
 
-        dictionary = self._dict
+        lookup = self._dict.lookup
+        specs = [[("v", t) if isinstance(t, Variable) else ("c", lookup(t))
+                  for t in p] for p in patterns]
         compiled: Optional[tuple] = None
-        specs: list[list[tuple[str, object]]] = []
-        possible = True
-        for p in patterns:
-            spec: list[tuple[str, object]] = []
-            for position in p:
-                if isinstance(position, Variable):
-                    spec.append(("v", position))
-                else:
-                    tid = dictionary.lookup(position)
-                    if tid is None:
-                        possible = False
-                        break
-                    spec.append(("c", tid))
-            if not possible:
-                break
-            specs.append(spec)
-        if possible:
-            compiled = (specs, self._plan_order(specs, key[1]))
+        if all(payload is not None for spec in specs for _, payload in spec):
+            compiled = (specs, *self._plan_bgp(specs, key[1], wanted))
         self._bgp_cache[key] = compiled
         return compiled
 
-    def _plan_order(self, specs: list[list[tuple[str, object]]],
-                    seed_vars: frozenset[Variable]) -> list[int]:
-        """Greedy selectivity ordering of BGP patterns.
+    def _plan_bgp(self, specs: list[list[tuple[str, object]]],
+                  seed_vars: frozenset[Variable],
+                  wanted: tuple[Optional[frozenset[Variable]], ...]
+                  ) -> tuple[list[tuple[int, tuple[int, ...]]],
+                             tuple[int, ...]]:
+        """Probe order and filter placement of one BGP: ``(steps, late)``.
 
-        The base estimate is the exact count of the pattern's constant
-        skeleton; each position whose variable will already be bound when
-        the pattern runs (from the seed batch or an earlier pattern)
-        divides the estimate — bound joins are selective.
+        ``steps``: ``[(pattern index, conditions run right after its
+        probe), ...]`` in probe order; ``late``: the conditions run after
+        the last probe; ``wanted[k]``: the variables condition ``k`` reads
+        (``None``: anything).
+
+        *Order.*  Structural first: a pattern sharing no variable with
+        what is bound (seed variables included) is never taken while a
+        connected one remains — a cross product only where the BGP is
+        one.  Among the candidates the smallest estimated output wins;
+        they extend the same batch, so its row count cancels and growth is
+        compared: the exact count of the constant skeleton, divided by the
+        predicate's distinct subjects for a bound subject and by its
+        distinct objects for a bound object — the measured mean fan-out
+        (:meth:`Graph.predicate_profile`: per graph version, this BGP's
+        predicates, only where two candidates compete).  Ties go to the
+        pattern completing a pending condition, then to pattern index
+        (``min`` keeps the first of equals).
+
+        *Filters.*  A condition runs right after the first probe at which
+        every variable it reads has been bound by a pattern *of this BGP*
+        (a seed column may hold unbound rows from an OPTIONAL upstream,
+        which the probe fills): selection commutes with a join on bound
+        columns — same rows, same multiplicities, an erroring expression
+        drops its row early or late alike.  A condition reading a variable
+        no pattern binds (or no variable) stays late.
         """
-        graph = self._graph
-        base: list[int] = []
-        for spec in specs:
-            ids = [payload if kind == "c" else None for kind, payload in spec]
-            base.append(graph.count_ids(*ids))  # type: ignore[arg-type]
-
+        count_ids = self._graph.count_ids
+        profile = self._graph.predicate_profile
+        pattern_vars = [{payload for kind, payload in spec if kind == "v"}
+                        for spec in specs]
+        all_vars = set().union(*pattern_vars) if wanted else ()
+        pending = [k for k, need in enumerate(wanted)
+                   if need and need <= all_vars]
+        late = tuple(k for k in range(len(wanted)) if k not in pending)
         remaining = list(range(len(specs)))
-        bound_vars: set[Variable] = set(seed_vars)
-        order: list[int] = []
+        bound: set[Variable] = set(seed_vars)
+        bgp_bound: set[Variable] = set()
+        estimates: dict[int, float] = {}  # dropped when a variable is bound
+
+        def growth(i: int) -> float:
+            estimate = estimates.get(i)
+            if estimate is None:
+                (skind, subject), (pkind, pid), (okind, obj) = specs[i]
+                by_subject = skind == "v" and subject in bound
+                by_object = okind == "v" and obj in bound
+                estimate = count_ids(None if skind == "v" else subject,
+                                     None if pkind == "v" else pid,
+                                     None if okind == "v" else obj)
+                if pkind == "c" and estimate and (by_subject or by_object):
+                    _, subjects, objects = profile(pid)
+                    if by_subject:
+                        estimate /= subjects
+                    if by_object:
+                        estimate /= objects
+                estimates[i] = estimate
+            return estimate
+
+        def rank(i: int) -> tuple[float, bool]:
+            seen = bgp_bound | pattern_vars[i]
+            return growth(i), not any(wanted[k] <= seen for k in pending)
+
+        steps: list[tuple[int, tuple[int, ...]]] = []
         while remaining:
-            def score(i: int) -> float:
-                estimate = float(base[i])
-                for kind, payload in specs[i]:
-                    if kind == "v" and payload in bound_vars:
-                        estimate /= 20.0
-                return estimate
-
-            best = min(remaining, key=score)
-            order.append(best)
+            candidates = [i for i in remaining if
+                          not pattern_vars[i].isdisjoint(bound)] or remaining
+            best = candidates[0] if len(candidates) == 1 \
+                else min(candidates, key=rank if pending else growth)
             remaining.remove(best)
-            for kind, payload in specs[best]:
-                if kind == "v":
-                    bound_vars.add(payload)  # type: ignore[arg-type]
-        return order
+            new = pattern_vars[best] - bound
+            bound |= new
+            for i in remaining:
+                if not pattern_vars[i].isdisjoint(new):
+                    estimates.pop(i, None)
+            ready: tuple[int, ...] = ()
+            if pending:
+                bgp_bound |= pattern_vars[best]
+                ready = tuple(k for k in pending if wanted[k] <= bgp_bound)
+                pending = [k for k in pending if k not in ready]
+            steps.append((best, ready))
+        return steps, late
 
-    def _eval_bgp(self, patterns: tuple[TriplePattern, ...],
-                  seed: BindingBatch) -> BindingBatch:
-        if not patterns:
-            return seed.renumbered()
-        compiled = self._compiled_bgp(patterns, seed.variables)
+    def bgp_order(self, patterns: tuple[TriplePattern, ...],
+                  seed_vars: tuple[Variable, ...] = ()
+                  ) -> Optional[list[int]]:
+        """The order in which ``patterns`` are probed under ``seed_vars``.
+
+        The one ordering function: :meth:`_eval_bgp` runs it, the delta
+        evaluator orders the rest of a term with it, seeded with ΔRᵢ's
+        variables.  ``None``: a constant unknown to the dictionary.
+        """
+        plan = self._compiled_bgp(patterns, seed_vars)
+        return None if plan is None else [i for i, _ in plan[1]]
+
+    def _eval_bgp(self, op: BGPOp, seed: BindingBatch,
+                  filters: Sequence[FilterOp] = ()) -> BindingBatch:
+        """The planned evaluation of a BGP and the FILTERs stacked on it.
+
+        Patterns are probed in plan order; each of ``filters`` (the stack
+        above ``op``, innermost first) runs where the plan placed it.
+        """
         cur = seed.renumbered()
-        if compiled is None:
+        plan = self._compiled_bgp(
+            op.patterns, seed.variables,
+            tuple(_expr_variables(f.expression) for f in filters))
+        if plan is None:
             return BindingBatch.empty(cur.variables)
-        specs, order = compiled
-        for i in order:
+        specs, steps, late = plan
+        records = self._explain
+        trace: list[str] = []
+        for i, ready in steps:
             cur = self._probe(cur, specs[i])
+            if records is not None:
+                trace.append(f"{i}→{len(cur)}")
+            for k in ready:
+                cur = self._keep(filters[k], cur, i)
+        if records is not None:
+            stats = records.setdefault(id(op), _OpStats())
+            stats.detail = stats.detail or " ".join(trace)  # the first run's
+            if filters:  # under a filter stack _eval does not dispatch op
+                stats.calls += 1
+                stats.rows_in += len(seed)
+                stats.rows_out += len(cur)
+        for k in late:
+            cur = self._keep(filters[k], cur, op)
         return cur
 
     def _probe(self, cur: BindingBatch,
@@ -977,16 +1055,38 @@ class Executor:
         return tuple(v for v in batch.variables if v in evars)
 
     def _eval_filter(self, op: FilterOp, seed: BindingBatch) -> BindingBatch:
-        child = self._eval(op.child, seed)
+        stack = [op]
+        while isinstance(stack[-1].child, FilterOp):
+            stack.append(stack[-1].child)
+        base = stack[-1].child
+        if isinstance(base, BGPOp):
+            # Filter*(BGP): the plan places each condition among the probes.
+            return self._eval_bgp(base, seed, stack[::-1])
+        return self._keep(op, self._eval(op.child, seed), base)
+
+    def _keep(self, op: FilterOp, batch: BindingBatch,
+              after: int | AlgebraOp) -> BindingBatch:
+        """The rows of ``batch`` on which ``op``'s condition holds; it runs
+        ``after`` a pattern of the BGP below it, or a whole operator."""
         expr = op.expression
         ctx = self._ctx
         flags = self._per_row_eval(
-            child, self._needed_vars(child, expr),
+            batch, self._needed_vars(batch, expr),
             lambda binding: evaluate_ebv(expr, binding, ctx))
         keep = [i for i, flag in enumerate(flags) if flag]
-        if len(keep) == len(child):
-            return child
-        return child.gather(keep)
+        out = batch if len(keep) == len(batch) else batch.gather(keep)
+        records = self._explain
+        if records is not None:
+            # A filter counts the rows its condition saw, where it ran;
+            # _eval adds the time of the ones it dispatched.
+            stats = records.setdefault(id(op), _OpStats())
+            stats.calls += 1
+            stats.rows_in += len(batch)
+            stats.rows_out += len(out)
+            stats.detail = stats.detail or (
+                f"after pattern {after}" if isinstance(after, int)
+                else f"after {type(after).__name__.removesuffix('Op')}")
+        return out
 
     def _eval_extend(self, op: ExtendOp, seed: BindingBatch) -> BindingBatch:
         child = self._eval(op.child, seed)
@@ -1416,11 +1516,11 @@ def _mentions_exists(expr: Expression) -> bool:
     return False
 
 
-def _expr_variables(expr: Expression) -> Optional[set[Variable]]:
+def _expr_variables(expr: Expression) -> Optional[frozenset[Variable]]:
     """Variables an expression can observe; None = potentially any (EXISTS)."""
     if _mentions_exists(expr):
         return None
-    return expr.variables()
+    return frozenset(expr.variables())
 
 
 def _op_variables(op: AlgebraOp) -> Optional[set[Variable]]:

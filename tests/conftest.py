@@ -9,6 +9,7 @@ convention — tests that mutate graphs build their own.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.cube import AnalyticalFacet
 from repro.datasets import load_dataset
@@ -16,6 +17,17 @@ from repro.rdf import Graph, Namespace, parse_turtle
 from repro.sparql import QueryEngine
 
 EX = Namespace("http://example.org/")
+
+
+def pytest_configure(config):
+    """One hypothesis profile for tier-1: the same examples on every run
+    and on both backends of the CI matrix (``-x`` and ``git diff
+    --exit-code`` must not depend on a random draw or on how loaded the
+    runner is).  A hook, not module level: tests import this module a
+    second time as ``tests.conftest``, from inside ``@settings`` tests."""
+    settings.register_profile("tier1", derandomize=True, deadline=None)
+    settings.load_profile("tier1")
+
 
 POPULATION_TTL = """
 @prefix ex: <http://example.org/> .
@@ -57,6 +69,27 @@ def build_population_graph() -> Graph:
 
 def build_population_facet(name: str = "pop") -> AnalyticalFacet:
     return AnalyticalFacet.from_query(name, POPULATION_FACET_QUERY)
+
+
+def on_store(graph: Graph, store: str) -> Graph:
+    """``graph``'s triples on the named backend, same dictionary and ids."""
+    clone = Graph(graph.dictionary, store=store)
+    clone.add_ids_bulk(graph.snapshot_ids())
+    return clone
+
+
+def probe_rows(run) -> int:
+    """``engine_probe_rows_total`` counted while ``run()`` executes."""
+    from repro.obs import hub
+    h = hub()
+    h.reset()
+    h.enable(tracing=False)
+    try:
+        run()
+        return h.metrics.counter_total("engine_probe_rows_total")
+    finally:
+        h.disable()
+        h.reset()
 
 
 @pytest.fixture(scope="session")

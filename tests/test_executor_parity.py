@@ -18,6 +18,8 @@ from repro.sparql import QueryEngine, ReferenceExecutor, ResultTable
 from repro.sparql.values import order_key
 from repro.workload import WorkloadConfig, WorkloadGenerator
 
+from tests.conftest import on_store, probe_rows
+
 DATASETS = ("dbpedia", "lubm", "swdf")
 
 
@@ -211,3 +213,158 @@ class TestEdgeCaseParity:
             tuple(sorted((v.name, t.n3()) for v, t in b.items()))
             for b in ReferenceExecutor(engine.graph).run(plan, seed))
         assert batched == reference
+
+
+# --------------------------------------------------------------------------
+# FILTER placement: a condition runs at the first probe that binds it
+# --------------------------------------------------------------------------
+
+PLACEMENT_TTL = """
+@prefix ex: <http://example.org/> .
+
+ex:a ex:p ex:b ; ex:name "a" ; ex:score 3 ; ex:val 5 .
+ex:b ex:p ex:c ; ex:name "b" ; ex:score 5 ; ex:val ex:a .
+ex:c ex:p ex:a ; ex:name "c" ; ex:score 1 ; ex:val 1 .
+ex:d ex:p ex:a ; ex:name "d" ; ex:score 5 ; ex:tag "x" ; ex:val "n/a" .
+ex:e ex:p ex:d ; ex:name "e" ; ex:score 1 ; ex:tag "x" .
+ex:f ex:name "f" ; ex:tag "y" .
+ex:a ex:knows ex:b , ex:d .
+ex:b ex:knows ex:d , ex:e .
+"""
+
+PLACEMENT_QUERIES = {
+    "one variable":
+        "SELECT ?s ?n WHERE { ?s ex:name ?n ; ex:p ?o ; ex:score ?sc . "
+        "FILTER(?sc >= 3) }",
+    "two variables bound by different patterns":
+        "SELECT ?a ?b WHERE { ?a ex:p ?b . ?a ex:score ?x . "
+        "?b ex:score ?y . ?a ex:name ?n . FILTER(?x < ?y) }",
+    "two stacked filters":
+        "SELECT ?a ?b WHERE { ?a ex:p ?b . ?a ex:score ?x . "
+        "?b ex:score ?y . ?a ex:name ?n . FILTER(?x <= ?y) "
+        "FILTER(?n != \"c\") }",
+    "an expression that errors on some rows":
+        "SELECT ?s ?n WHERE { ?s ex:val ?v . ?s ex:name ?n . ?s ex:p ?o . "
+        "FILTER(?v + 1 > 2) }",
+    "an expression that errors on every row":
+        "SELECT ?s WHERE { ?s ex:p ?o . ?s ex:name ?n . "
+        "FILTER(?o + 1 > 2) }",
+    "!BOUND of a variable no pattern binds (late)":
+        "SELECT ?s WHERE { ?s ex:name ?n ; ex:score ?sc . "
+        "FILTER(!BOUND(?nowhere)) }",
+    "a variable no pattern binds (late, always an error)":
+        "SELECT ?s WHERE { ?s ex:name ?n ; ex:score ?sc . "
+        "FILTER(?nowhere > 1 || ?sc > 100) }",
+    "!BOUND of a variable a pattern binds":
+        "SELECT ?s WHERE { ?s ex:name ?n ; ex:score ?sc . "
+        "FILTER(!BOUND(?sc)) }",
+    "EXISTS (late)":
+        "SELECT ?s WHERE { ?s ex:name ?n ; ex:score ?sc . "
+        "FILTER EXISTS { ?s ex:tag ?t . } FILTER(?sc > 1) }",
+    "NOT EXISTS (late)":
+        "SELECT ?s WHERE { ?s ex:name ?n ; ex:score ?sc . "
+        "FILTER NOT EXISTS { ?s ex:knows ?k . ?k ex:score ?sc . } }",
+    "inside OPTIONAL, reading a left-side variable":
+        "SELECT ?s ?o ?os WHERE { ?s ex:score ?sc . OPTIONAL { "
+        "?s ex:knows ?o . ?o ex:score ?os . FILTER(?os > ?sc) } }",
+    "inside OPTIONAL, on the optional side only":
+        "SELECT ?s ?o WHERE { ?s ex:name ?n . OPTIONAL { "
+        "?s ex:knows ?o . ?o ex:score ?os . FILTER(?os > 1) } }",
+    "under a seed whose shared column has unbound rows":
+        "SELECT ?s ?t ?x WHERE { ?s ex:name ?n . OPTIONAL { ?s ex:tag ?t . } "
+        "OPTIONAL { ?x ex:tag ?t . ?x ex:score ?sc . "
+        "FILTER(?t = \"x\" && ?sc > 2) } }",
+    "BIND between the BGP and the filter (not a stack)":
+        "SELECT ?s ?d WHERE { ?s ex:score ?sc . ?s ex:name ?n . "
+        "BIND(?sc * 2 AS ?d) FILTER(?d > 5) }",
+    "a constant condition":
+        "SELECT ?s WHERE { ?s ex:name ?n ; ex:score ?sc . FILTER(1 = 2) }",
+    "a filter over no pattern at all":
+        "SELECT ?s WHERE { ?s ex:name ?n . OPTIONAL { FILTER(?n = \"a\") } }",
+    "a disconnected BGP, one filter per island":
+        "SELECT ?a ?x WHERE { ?a ex:score ?sa . ?x ex:tag ?t . "
+        "FILTER(?sa > 3) FILTER(?t = \"x\") }",
+}
+
+
+@pytest.fixture(params=["hub off", "hub on"])
+def hub_state(request):
+    from repro.obs import hub
+    h = hub()
+    h.disable()
+    h.reset()
+    if request.param == "hub on":
+        h.enable(tracing=False)
+    yield h
+    h.disable()
+    h.reset()
+
+
+@pytest.mark.parametrize("store", ["dict", "columnar"])
+class TestFilterPlacementParity:
+    """Selection commutes with a join on bound columns: wherever the plan
+    runs a condition, the bag is the reference's (which filters last)."""
+
+    @pytest.mark.parametrize("case", PLACEMENT_QUERIES)
+    def test_placement_case_bag_equal(self, store, hub_state, case):
+        engine = QueryEngine(on_store(parse_turtle(PLACEMENT_TTL), store))
+        table = assert_parity(engine, PREFIX + PLACEMENT_QUERIES[case])
+        if "errors on every row" in case or "always an error" in case \
+                or "constant" in case:
+            assert len(table) == 0
+        elif "late" in case or "some rows" in case or "stacked" in case:
+            assert 0 < len(table)
+
+    @pytest.mark.parametrize("name", DATASETS)
+    def test_rewritten_view_queries_with_one_and_two_filters(
+            self, store, hub_state, name):
+        """The facet's query over its finest view, as the router sends it."""
+        from repro.cube import ViewLattice
+        from repro.rdf import Dataset
+        from repro.views import ViewCatalog, rewrite_on_view
+        ds = load_dataset(name, "tiny")
+        dataset = Dataset.wrap(on_store(ds.graph, store))
+        facet = ds.facet()
+        view = ViewLattice(facet)[facet.lattice_size - 1]
+        ViewCatalog(dataset).materialize(view)
+        base = QueryEngine(dataset.default)
+        on_view = QueryEngine(dataset.graph(view.iri))
+        generator = WorkloadGenerator(
+            facet, base, WorkloadConfig(size=30, seed=5,
+                                        filter_probability=1.0))
+        seen: set[int] = set()
+        for query in generator.generate():
+            if len(query.filters) not in (1, 2):
+                continue
+            seen.add(len(query.filters))
+            via_view = assert_parity(on_view, rewrite_on_view(query, view))
+            direct = assert_parity(base, query.to_select_query())
+            assert via_view.same_solutions(direct)
+        assert seen == {1, 2}
+
+
+class TestFilterPlacementWork:
+    def test_a_filtered_cube_query_probes_a_third_of_the_rows(self):
+        """DBpedia 4-d cube, ``FILTER(?continent = …)``: the condition
+        runs after the second probe, not after the sixth."""
+        from dataclasses import replace
+        from repro.sparql.ast import CompareExpr, FilterElement, \
+            GroupPattern, TermExpr, VarExpr
+        ds = load_dataset("dbpedia", "tiny")
+        engine = QueryEngine(ds.graph)
+        facet = ds.facets["population_cube_4d"]
+        unfiltered = facet.binding_query()
+        continent = next(v for v in facet.grouping_variables
+                         if v.name == "continent")
+        value = sorted(engine.query(unfiltered).column(continent),
+                       key=lambda t: t.n3())[0]
+        filtered = replace(unfiltered, where=GroupPattern(
+            unfiltered.where.elements + (FilterElement(CompareExpr(
+                "=", VarExpr(continent), TermExpr(value))),)))
+        assert 0 < len(engine.query(filtered)) < len(engine.query(unfiltered))
+
+        def probed(query) -> int:
+            prepared = engine.prepare(query)
+            return probe_rows(lambda: engine.query(prepared))
+
+        assert 3 * probed(filtered) <= probed(unfiltered)

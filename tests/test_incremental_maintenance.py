@@ -251,6 +251,58 @@ class TestDeltaEvaluator:
             assert rows == new_rows
             assert sum(e.rows for e in table.groups.values()) == new_rows
 
+    def test_a_term_is_planned_once_and_later_windows_read_no_statistics(
+            self, monkeypatch):
+        """The per-term order comes from the BGP planner at the first
+        window that touches the term; after that a window costs its
+        probes — no O(predicate) statistics to order a handful of rows."""
+        facet = AnalyticalFacet.from_query("planned", POPULATION_FACET_QUERY)
+        graph = build_population_graph()
+        engine = QueryEngine(graph)
+        evaluator = DeltaEvaluator(engine.executor,
+                                   compile_delta_plan(facet))
+        reads: list[int] = []
+        profile = Graph.predicate_profile
+        monkeypatch.setattr(
+            Graph, "predicate_profile",
+            lambda self, pid: reads.append(pid) or profile(self, pid))
+        log = graph.subscribe()
+        for year, expect_reads in ((2030, True), (2031, False)):
+            graph.update([
+                Triple(EX[f"obs{year}"], EX.ofCountry, EX.france),
+                Triple(EX[f"obs{year}"], EX.year, typed_literal(year)),
+                Triple(EX[f"obs{year}"], EX.population, typed_literal(1))])
+            delta = log.drain()
+            del reads[:]
+            table = evaluator.adjustments(delta.inserted, delta.deleted)
+            assert sum(e.rows for e in table.groups.values()) == 1
+            assert bool(reads) == expect_reads
+
+    def test_a_term_with_a_constant_nobody_has_used_yet_matches_nothing(self):
+        """Until ``ex:language`` is interned the planner has no order for
+        the observation terms (``bgp_order`` is None) and the window folds
+        nothing; ``term_order`` answers index order without keeping it,
+        and plans once the constant exists."""
+        facet = AnalyticalFacet.from_query("early", POPULATION_FACET_QUERY)
+        graph = Graph()
+        evaluator = DeltaEvaluator(QueryEngine(graph).executor,
+                                   compile_delta_plan(facet))
+        log = graph.subscribe()
+        graph.update([Triple(EX.obs1, EX.ofCountry, EX.france),
+                      Triple(EX.obs1, EX.year, typed_literal(2030)),
+                      Triple(EX.obs1, EX.population, typed_literal(7))])
+        delta = log.drain()
+        assert not evaluator.adjustments(delta.inserted, delta.deleted).groups
+        n = len(evaluator.plan.patterns)
+        assert all(evaluator.term_order(i) == [j for j in range(n) if j != i]
+                   for i in range(n))
+        graph.add(Triple(EX.france, EX.language, EX.french))
+        delta = log.drain()
+        table = evaluator.adjustments(delta.inserted, delta.deleted)
+        assert sum(e.rows for e in table.groups.values()) == 1
+        for i in range(n):
+            assert evaluator.term_order(i) is evaluator.term_order(i)
+
 
 class TestViewMaintainerPatching:
     @pytest.mark.parametrize("facet_query,name", [

@@ -86,6 +86,122 @@ class TestEngineExplain:
         assert records and len(batch) > 0
 
 
+FILTERED_QUERY = """
+PREFIX ex: <http://example.org/>
+SELECT ?year (SUM(?pop) AS ?total) WHERE {
+  ?obs ex:ofCountry ?c ; ex:year ?year ; ex:population ?pop .
+  ?c ex:language ?lang .
+  FILTER(?lang = ex:french)
+  FILTER(?pop > 36)
+  FILTER NOT EXISTS { ?c ex:partOf ex:eu . }
+} GROUP BY ?year
+"""
+
+
+class TestExplainShowsThePlanThatRan:
+    @staticmethod
+    def _steps(node) -> list[tuple[int, int]]:
+        """``[(pattern, rows after its probe), ...]`` off a BGP's detail."""
+        head, _, ran = node.detail.partition(": ")
+        assert head.endswith("pattern(s)")
+        return [tuple(map(int, step.split("→"))) for step in ran.split()]
+
+    def test_bgp_lists_probe_order_with_rows(self, engine):
+        ex = engine.explain(POP_QUERY)
+        bgp, = (n for n in ex.root.walk() if n.operator == "BGP")
+        steps = self._steps(bgp)
+        assert sorted(i for i, _ in steps) == [0, 1, 2, 3]
+        assert steps[-1][1] == bgp.rows_out == 9   # canada speaks twice
+        prepared = engine.prepare(POP_QUERY)
+        assert [i for i, _ in steps] == engine.executor.bgp_order(
+            prepared.plan.child.child.child.patterns)
+
+    def test_filters_say_where_they_ran_and_what_they_saw(self, engine):
+        ex = engine.explain(FILTERED_QUERY)
+        assert ex.rows == len(engine.query(FILTERED_QUERY)) == 1
+        nodes = list(ex.root.walk())
+        bgp, = (n for n in nodes if n.operator == "BGP")
+        filters = [n for n in nodes if n.operator == "Filter"]
+        steps = self._steps(bgp)
+        after = dict(steps)
+        early = [f for f in filters if "after pattern" in f.detail]
+        late = [f for f in filters if "after BGP" in f.detail]
+        assert len(early) == 2 and len(late) == 1     # NOT EXISTS waits
+        for f in early:
+            k = int(f.detail.split("after pattern ")[1].split(":")[0])
+            # the first condition after a probe sees that probe's rows
+            assert f.rows_in <= after[k]
+            assert f.rows_out < f.rows_in
+            assert f"{f.rows_in}→{f.rows_out} rows" in f.detail
+        # ?lang = french needs pattern 3, ?pop > 36 needs pattern 2; each
+        # ran right after it, so the last probe saw fewer rows than the
+        # an unfiltered evaluation ends with (9)
+        assert {f.detail.split(":")[0] for f in early} == {
+            "filter after pattern 3", "filter after pattern 2"}
+        assert steps[-1][1] < 9
+        assert late[0].rows_in == bgp.rows_out
+        assert (late[0].rows_in, late[0].rows_out) == (3, 1)
+        for node in nodes:
+            assert node.calls == 1
+
+    def test_a_seeded_filter_waits_for_the_pattern_that_binds_it(
+            self, engine):
+        """?lang is in the seed with unbound rows (italy's observation
+        has no optional match below): only this BGP's own pattern fills
+        the column, so the condition is placed after it, not before."""
+        query = """
+            PREFIX ex: <http://example.org/>
+            SELECT ?c ?lang ?o WHERE {
+              ?c ex:name ?n .
+              OPTIONAL { ?c ex:partOf ?lang . }
+              OPTIONAL { ?o ex:ofCountry ?c . ?c ex:language ?lang .
+                         FILTER(?lang = ex:french) }
+            }"""
+        ex = engine.explain(query)
+        assert ex.rows == len(engine.query(query))
+        inner, = (n for n in ex.root.walk() if n.operator == "Filter")
+        assert "after pattern 1" in inner.detail
+
+    def test_a_filter_whose_condition_never_ran_claims_no_placement(
+            self, engine):
+        """ex:nope is unknown to the dictionary: the BGP matches nothing
+        and returns before any probe, so no condition is evaluated."""
+        query = """
+            PREFIX ex: <http://example.org/>
+            SELECT ?c WHERE { ?o ex:ofCountry ?c . ?o ex:nope ?z .
+                              FILTER(?z > 3) }"""
+        ex = engine.explain(query)
+        assert ex.rows == len(engine.query(query)) == 0
+        node, = (n for n in ex.root.walk() if n.operator == "Filter")
+        assert node.detail == "filter" and node.calls == 0
+
+    def test_an_operator_evaluated_twice_shows_its_first_trace(self, engine):
+        """Rows and calls accumulate over evaluations; the trace beside
+        them is one run's, and says so."""
+        from types import SimpleNamespace
+        from repro.obs.explain import build_query_explain
+        from repro.sparql.algebra import UnionOp
+        stack = engine.prepare("""
+            PREFIX ex: <http://example.org/>
+            SELECT * WHERE { ?o ex:ofCountry ?c . ?o ex:population ?pop .
+                             FILTER(?pop > 36) }""").plan.child
+        once = len(engine.executor.run_ids(stack))
+        twice = SimpleNamespace(plan=UnionOp((stack, stack)), ast=None)
+        batch, records = engine.executor.run_ids_explained(twice.plan)
+        ex = build_query_explain(twice, batch, records, 0.0)
+        assert len(batch) == 2 * once
+        for node in ex.root.children:
+            bgp, = node.children
+            assert (node.operator, bgp.operator) == ("Filter", "BGP")
+            assert node.calls == bgp.calls == 2
+            assert node.rows_out == 2 * once
+            assert node.detail.startswith(
+                "filter after pattern 1 (first of 2 calls): ")
+            assert bgp.detail.endswith(" (first of 2 calls)")
+            # the trace is the first run's: it ends on one run's rows
+            assert f"→{bgp.rows_out // 2} (first" in bgp.detail
+
+
 class TestRoutedExplain:
     def test_view_route(self, sofos):
         sofos.select_and_materialize("agg_values", k=2)

@@ -248,7 +248,7 @@ def population_worlds(draw):
 
 
 class TestRewriteEquivalenceProperty:
-    @settings(max_examples=40, deadline=None,
+    @settings(max_examples=40,
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.data_too_large])
     @given(population_worlds())
@@ -266,7 +266,7 @@ class TestRewriteEquivalenceProperty:
             f"query={query.describe()} view={view.label}\n"
             f"base:\n{base.render()}\nview:\n{via_view.render()}")
 
-    @settings(max_examples=20, deadline=None,
+    @settings(max_examples=20,
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.data_too_large])
     @given(population_worlds())
@@ -282,6 +282,96 @@ class TestRewriteEquivalenceProperty:
             assert entry.triples == profile.triples(view)
             assert entry.groups == profile.rows(view)
             assert entry.nodes == profile.nodes(view)
+
+
+# --------------------------------------------------------------------------
+# the BGP planner: the join order is guarded structurally, not by a timer
+# --------------------------------------------------------------------------
+
+_PLAN_VARS = [Variable(f"v{i}") for i in range(6)]
+_PLAN_PREDICATES = [EX.one_to_one, EX.fans_out, EX.fans_in, EX.rare]
+
+
+def _planner_graph() -> Graph:
+    """Four predicates with different fan-out, so estimates do differ."""
+    g = Graph()
+    for i in range(12):
+        g.add(Triple(EX[f"n{i}"], EX.one_to_one, EX[f"n{(i + 1) % 12}"]))
+        for j in range(3):
+            g.add(Triple(EX[f"n{i}"], EX.fans_out, EX[f"m{3 * i + j}"]))
+        g.add(Triple(EX[f"m{i}"], EX.fans_in, EX[f"n{i % 2}"]))
+    g.add(Triple(EX.n0, EX.rare, EX.n1))
+    return g
+
+
+@st.composite
+def planner_bgps(draw):
+    """``(patterns, seed variables)``: 1–7 patterns on 2–6 variables.
+
+    Half of the draws split the variables into two islands no pattern
+    bridges, so a cross product is unavoidable — but only once.
+    """
+    from repro.rdf.triples import TriplePattern
+    variables = _PLAN_VARS[:draw(st.integers(2, 6))]
+    islands = [variables]
+    if len(variables) >= 4 and draw(st.booleans()):
+        cut = draw(st.integers(2, len(variables) - 2))
+        islands = [variables[:cut], variables[cut:]]
+    constants = st.sampled_from([EX.n0, EX.n1, EX.m0])
+    patterns = []
+    for _ in range(draw(st.integers(1, 7))):
+        end = st.sampled_from(draw(st.sampled_from(islands)))
+        patterns.append(TriplePattern(
+            draw(st.one_of(end, end, constants)),
+            draw(st.sampled_from(_PLAN_PREDICATES)),
+            draw(st.one_of(end, end, constants))))
+    seed_vars = draw(st.lists(st.sampled_from(variables), unique=True,
+                              max_size=2))
+    return tuple(patterns), tuple(seed_vars)
+
+
+def _assert_connected_first(patterns, order, indices, bound):
+    """``order`` is a permutation of ``indices`` that never takes a pattern
+    sharing no variable with ``bound`` while one that does remains."""
+    assert sorted(order) == sorted(indices)
+    remaining, bound = set(indices), set(bound)
+    for i in order:
+        connected = {j for j in remaining
+                     if patterns[j].variables() & bound}
+        assert not connected or i in connected, (order, i, connected)
+        remaining.discard(i)
+        bound |= patterns[i].variables()
+
+
+class TestBgpOrderProperty:
+    @settings(max_examples=150)
+    @given(planner_bgps())
+    def test_order_is_a_connected_first_permutation(self, bgp):
+        patterns, seed_vars = bgp
+        graph = _planner_graph()
+        order = QueryEngine(graph).executor.bgp_order(patterns, seed_vars)
+        _assert_connected_first(patterns, order, range(len(patterns)),
+                                seed_vars)
+        # deterministic: a fresh executor, a fresh plan cache, same order
+        assert QueryEngine(graph).executor.bgp_order(
+            patterns, seed_vars) == order
+
+    @settings(max_examples=100)
+    @given(planner_bgps())
+    def test_delta_terms_take_their_order_from_the_same_function(self, bgp):
+        from repro.sparql.delta import DeltaEvaluator, DeltaPlan
+        from repro.sparql.grouptable import KIND_COUNT
+        patterns, _ = bgp
+        executor = QueryEngine(_planner_graph()).executor
+        evaluator = DeltaEvaluator(
+            executor, DeltaPlan(patterns, (), (), None, KIND_COUNT, False))
+        for i, seed in enumerate(patterns):
+            rest = [j for j in range(len(patterns)) if j != i]
+            order = evaluator.term_order(i)
+            _assert_connected_first(patterns, order, rest, seed.variables())
+            assert order == [rest[k] for k in executor.bgp_order(
+                tuple(patterns[j] for j in rest), tuple(seed.variables()))]
+            assert evaluator.term_order(i) == order
 
 
 # --------------------------------------------------------------------------
@@ -425,7 +515,7 @@ class TestDeltaAlgebraProperty:
                     (ea.rows, ea.bound, ea.value) ==
                     (eb.rows, eb.bound, eb.value) and ed.best_id is None)
 
-    @settings(max_examples=80, deadline=None,
+    @settings(max_examples=80,
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.data_too_large])
     @given(population_windows())
@@ -434,7 +524,7 @@ class TestDeltaAlgebraProperty:
         self._assert_difference(agg, _population_facet(agg), graph,
                                 inserts, deletes)
 
-    @settings(max_examples=120, deadline=None,
+    @settings(max_examples=120,
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.data_too_large])
     @given(knows_windows())
@@ -446,7 +536,7 @@ class TestDeltaAlgebraProperty:
         self._assert_difference(agg, _knows_facet(agg), graph,
                                 inserts, deletes)
 
-    @settings(max_examples=30, deadline=None,
+    @settings(max_examples=30,
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.data_too_large])
     @given(population_windows(), st.sampled_from(["non-numeric", "unbound"]))
@@ -478,7 +568,7 @@ class TestDeltaAlgebraProperty:
 # --------------------------------------------------------------------------
 
 class TestMoreRoundTrips:
-    @settings(max_examples=30, deadline=None,
+    @settings(max_examples=30,
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.data_too_large])
     @given(population_worlds())

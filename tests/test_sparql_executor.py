@@ -370,3 +370,48 @@ class TestEngineFacade:
                                    seed={Variable("p"): EX.bob}))
         assert len(seeded) == 1
         assert seeded[0][Variable("n")] == Literal("Bob")
+
+
+class TestJoinOrderCliff:
+    """`deep-join`'s shape across the papers/edition boundary where the
+    old rule flipped to a cross product: the guard is a row count."""
+
+    SIZES = ((40, 45), (45, 50), (50, 55))
+
+    @staticmethod
+    def _scan(store: str, papers: tuple[int, int]):
+        """``(|G|, rows after each probe, probe rows)`` of one facet scan."""
+        from dataclasses import replace
+        from repro.datasets import SWDFConfig, dataset_spec, generate_swdf
+        from tests.conftest import probe_rows
+        specs = {f.name: f for f in dataset_spec("swdf").facets}
+        facet = specs["papers_by_country"].build()
+        graph = generate_swdf(
+            replace(SWDFConfig(seed=7), years=(2017, 2018, 2019),
+                    authors_pool=200, papers_per_edition_min=papers[0],
+                    papers_per_edition_max=papers[1]),
+            Graph(store=store))
+        engine = QueryEngine(graph)
+        explained = []
+        probed = probe_rows(lambda: explained.append(
+            engine.explain(facet.binding_query())))
+        explained, = explained
+        bgp, = (n for n in explained.root.walk() if n.operator == "BGP")
+        sizes = [int(step.split("→")[1])
+                 for step in bgp.detail.split(": ")[1].split()]
+        assert len(sizes) == 6 and sizes[-1] == bgp.rows_out
+        return len(graph), sizes, probed
+
+    @pytest.mark.parametrize("store", ["dict", "columnar"])
+    def test_no_batch_outgrows_the_result_at_any_size(self, store):
+        scans = [self._scan(store, papers) for papers in self.SIZES]
+        for triples, sizes, probed in scans:
+            # parent: 60,720 and 151,800 rows on the way to 1,860
+            assert max(sizes) <= 2 * sizes[-1], sizes
+            assert probed <= triples
+        # Work follows the data.  Papers grow while the 200 authors and
+        # 80 organizations do not, so probe rows per triple creep up by
+        # 1-3 %; falling off the cliff was 47x.
+        (g0, _, p0), *larger = scans
+        for triples, _, probed in larger:
+            assert probed / p0 <= 1.05 * triples / g0

@@ -23,6 +23,8 @@ from repro.rdf.columnar import ID_LIMIT
 from repro.sparql import QueryEngine
 from repro.workload import WorkloadConfig, WorkloadGenerator
 
+from tests.conftest import on_store
+
 EX = "http://example.org/"
 
 
@@ -38,6 +40,11 @@ def _assert_same_state(gd: Graph, gc: Graph) -> None:
     assert gd.predicate_histogram() == gc.predicate_histogram()
     assert gd.node_ids() == gc.node_ids()
     assert set(gd.subject_ids()) == set(gc.subject_ids())
+    triples = gd.snapshot_ids()
+    for pid in {p for _, p, _ in triples} | {10 ** 6}:
+        mine = [(s, o) for s, p, o in triples if p == pid]
+        assert gd.predicate_profile(pid) == gc.predicate_profile(pid) == (
+            len(mine), len({s for s, _ in mine}), len({o for _, o in mine}))
 
 
 def _random_triples(rng: random.Random, n: int) -> list[Triple]:
@@ -114,6 +121,42 @@ class TestTwinInterleaving:
             g.add_ids_bulk(snap)
         _assert_same_state(gd, gc)
         assert sorted(gd.snapshot_ids()) == sorted(snap_d)
+
+
+class TestPredicateProfile:
+    """The planner's statistics: per predicate, per version, on demand."""
+
+    @pytest.mark.parametrize("store", ["dict", "columnar"])
+    def test_read_once_per_version_and_only_when_asked(self, store,
+                                                       monkeypatch):
+        g = Graph(store=store)
+        g.update(_random_triples(random.Random(3), 40))
+        reads: list[int] = []
+        real = type(g.store).predicate_profile
+        monkeypatch.setattr(
+            type(g.store), "predicate_profile",
+            lambda self, pid: reads.append(pid) or real(self, pid))
+        pid = g.dictionary.lookup(IRI(f"{EX}p1"))
+        first = g.predicate_profile(pid)
+        assert g.predicate_profile(pid) == first and reads == [pid]
+        g.add(Triple(IRI(f"{EX}new"), IRI(f"{EX}p1"), typed_literal(99)))
+        assert g.predicate_profile(pid) == (
+            first[0] + 1, first[1] + 1, first[2] + 1)
+        assert reads == [pid, pid]
+        # a single-pattern BGP is not planned: it reads no statistics
+        QueryEngine(g).query(f"SELECT ?s WHERE {{ ?s <{EX}p2> ?o }}")
+        assert reads == [pid, pid]
+        # a two-pattern join has one candidate per step: still none
+        QueryEngine(g).query(
+            f"SELECT ?s WHERE {{ ?s <{EX}p2> ?o . ?s <{EX}p3> ?x }}")
+        assert reads == [pid, pid]
+        # three patterns: the first is the smallest skeleton (a count),
+        # the other two compete on fan-out — their statistics, once each
+        QueryEngine(g).query(
+            f"SELECT ?s WHERE {{ ?s <{EX}p2> ?o . ?s <{EX}p3> ?x . "
+            f"?s <{EX}p0> ?y }}")
+        planned = {g.dictionary.lookup(IRI(f"{EX}p{k}")) for k in (0, 2, 3)}
+        assert len(reads[2:]) == 2 and set(reads[2:]) < planned
 
 
 class TestColumnarKernels:
@@ -285,19 +328,13 @@ QUERIES = (
 )
 
 
-def _columnar_clone(graph: Graph) -> Graph:
-    clone = Graph(graph.dictionary, store="columnar")
-    clone.add_ids_bulk(graph.snapshot_ids())
-    return clone
-
-
 class TestExecutorParityOnColumnar:
     """The batched executor agrees with the reference on columnar graphs."""
 
     def test_edge_queries_bag_equal(self):
         from test_executor_parity import assert_parity
         graph = parse_turtle(EX_TTL)
-        engine = QueryEngine(_columnar_clone(graph))
+        engine = QueryEngine(on_store(graph, "columnar"))
         dict_engine = QueryEngine(graph)
         for q in QUERIES:
             columnar = assert_parity(engine, q)
@@ -308,7 +345,7 @@ class TestExecutorParityOnColumnar:
         from repro.datasets import load_dataset
         from test_executor_parity import assert_parity
         ds = load_dataset("dbpedia", "tiny")
-        engine = QueryEngine(_columnar_clone(ds.graph))
+        engine = QueryEngine(on_store(ds.graph, "columnar"))
         facet = ds.facet()
         generator = WorkloadGenerator(
             facet, engine, WorkloadConfig(size=10, seed=42,
