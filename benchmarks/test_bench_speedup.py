@@ -3,6 +3,10 @@
 For each dataset's headline facet, runs the same analytical queries on
 the raw graph and through the best materialized view, reporting the
 speedup per lattice granularity and the (small) rewriting overhead.
+Both sides are timed warm — one untimed answer first, so neither pays
+its plan, its statistics or its first touch of a graph inside the timed
+one — and each keeps the fastest of three: the answers take 0.2–0.6 ms,
+where one cold execution per side measured whichever side planned last.
 """
 
 import pytest
@@ -30,6 +34,13 @@ def systems(all_small):
     return out
 
 
+def warm_best(answer, query, repeats=3):
+    """(the first, untimed answer; the fastest of ``repeats`` warm ones)."""
+    first = answer(query)
+    return first, min((answer(query) for _ in range(repeats)),
+                      key=lambda a: a.outcome.seconds)
+
+
 class TestViewSpeedup:
     @pytest.mark.benchmark(group="E7-report")
     @pytest.mark.parametrize("name", sorted(HEADLINE))
@@ -37,22 +48,23 @@ class TestViewSpeedup:
         sofos = systems[name]
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
         rows = []
-        speedups = []
+        base_total = view_total = 0.0
         for mask in range(sofos.facet.lattice_size):
             query = AnalyticalQuery(sofos.facet, mask)
-            base = sofos.answer_from_base(query)
-            via = sofos.answer(query)
+            first, via = warm_best(sofos.answer, query)
+            _, base = warm_best(sofos.answer_from_base, query)
             assert via.table.same_solutions(base.table)
             if via.used_view is None:
                 continue
+            base_total += base.outcome.seconds
+            view_total += via.outcome.seconds
             speedup = base.outcome.seconds / max(via.outcome.seconds, 1e-9)
-            speedups.append(speedup)
             rows.append([
                 sofos.lattice[mask].label,
                 via.used_view,
                 f"{base.outcome.seconds * 1e3:.2f}",
                 f"{via.outcome.seconds * 1e3:.2f}",
-                f"{via.outcome.rewrite_seconds * 1e3:.2f}",
+                f"{first.outcome.rewrite_seconds * 1e3:.2f}",
                 f"{speedup:.1f}x",
             ])
         emit_table("E7",
@@ -61,9 +73,9 @@ class TestViewSpeedup:
                    [False, False, True, True, True, True],
                    timing=("base ms", "view ms", "rewrite ms", "speedup"),
                    title=f"[{name}]\n")
-        # shape: view answering wins on the meaningful majority of queries
-        winning = sum(1 for s in speedups if s > 1.0)
-        assert winning >= len(speedups) * 0.6
+        # the claim (§3.2): the routed queries cost less from their views
+        # than from the base graph
+        assert rows and view_total < base_total
 
     @pytest.mark.benchmark(group="E7-base-vs-view")
     @pytest.mark.parametrize("mode", ("base", "view"))

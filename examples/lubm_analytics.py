@@ -7,7 +7,7 @@ between storage amplification and workload latency.
 Run:  python examples/lubm_analytics.py
 """
 
-from repro import Sofos, SpaceBudgetSelector, create_model, load_dataset
+from repro import GreedySelector, Sofos, create_model, load_dataset
 
 loaded = load_dataset("lubm", scale="small")
 facet = loaded.facet("students_by_department")
@@ -33,9 +33,8 @@ print(f"no views:      {base_run.total_seconds * 1000:8.1f} ms "
 
 # A space budget of ~20% of the base graph, instead of "k views".
 budget = len(loaded.graph) // 5
-selector = SpaceBudgetSelector(create_model("agg_values"),
-                               triple_budget=budget)
-selection = sofos.select(selector=selector, k=None, workload=workload)
+selector = GreedySelector(create_model("agg_values"), triple_budget=budget)
+selection = sofos.select(selector=selector, workload=workload)
 catalog = sofos.materialize(selection)
 run = sofos.run_workload(workload)
 print(f"budget {budget:5d}: {run.total_seconds * 1000:8.1f} ms "

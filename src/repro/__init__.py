@@ -4,8 +4,10 @@ Reproduces *Sofos: Demonstrating the Challenges of Materialized View
 Selection on Knowledge Graphs* (Troullinou, Kondylakis, Lissandrini,
 Mottin; SIGMOD 2021 demo) as a self-contained Python library: an RDF
 store, a SPARQL analytical engine, view lattices over analytical facets,
-six cost models, selection strategies, MARVEL-style view materialization,
-and query rewriting — plus the three demo datasets and the benchmark
+six cost models, selection strategies (greedy under a view count or a
+triple budget, exhaustive, annealing, user — all searches over one priced
+``SelectionProblem``), MARVEL-style view materialization, and query
+rewriting — plus the three demo datasets and the benchmark
 harness regenerating every demonstration experiment.
 
 Quick start::
@@ -58,7 +60,7 @@ from .rdf import Dataset, Graph, IRI, Literal, Namespace, Triple, Variable, \
     parse_ntriples, parse_turtle, serialize_ntriples, serialize_turtle, \
     typed_literal
 from .selection import AnnealingSelector, ExhaustiveSelector, \
-    GreedySelector, SelectionResult, SpaceBudgetSelector, UserSelection
+    GreedySelector, SelectionResult, UserSelection
 from .sparql import QueryEngine, ResultTable, parse_query
 from .views import ViewCatalog, ViewRouter, rewrite_on_view
 from .workload import WorkloadConfig, WorkloadGenerator
@@ -76,7 +78,7 @@ __all__ = [
     "Namespace", "NodeCountCost", "ObservabilityHub", "QueryEngine",
     "QueryOutcome",
     "RandomCost", "ReproError", "ResultTable", "SelectionResult", "Sofos",
-    "SpaceBudgetSelector", "Triple", "TripleCountCost", "UserDefinedCost",
+    "Triple", "TripleCountCost", "UserDefinedCost",
     "UserSelection", "Variable", "ViewCatalog", "ViewDefinition",
     "ViewLattice", "ViewRouter", "WorkloadConfig", "WorkloadGenerator",
     "WorkloadRun", "configure_logging", "create_model", "get_logger",

@@ -19,6 +19,7 @@ from ..core.metrics import WorkloadRun
 from ..core.report import ComparisonReport, format_table
 from ..datasets.catalog import DATASET_NAMES, LoadedDataset, dataset_spec
 from ..selection.plans import SelectionResult
+from ..selection.problem import SelectionProblem
 from ..views.catalog import ViewCatalog
 from .lattice_render import render_lattice
 
@@ -83,17 +84,12 @@ def panel_full_lattice(lattice: ViewLattice, profile: LatticeProfile) -> str:
 def panel_cost_functions(lattice: ViewLattice, profile: LatticeProfile,
                          models: Sequence[CostModel]) -> str:
     """② per-view costs under each cost model."""
-    for model in models:
-        model.prepare(profile)
-    headers = ["view"] + [m.describe() for m in models]
-    rows = []
-    for view in lattice:
-        cells = [view.label]
-        for model in models:
-            cells.append(f"{model.cost(view, profile):.1f}")
-        rows.append(cells)
-    base = ["(base graph)"] + [f"{m.base_cost(profile):.1f}" for m in models]
-    rows.append(base)
+    priced = [SelectionProblem(lattice, profile, model) for model in models]
+    headers = ["view"] + [problem.cost_model for problem in priced]
+    rows = [[view.label] + [f"{problem.costs[view.mask]:.1f}"
+                            for problem in priced] for view in lattice]
+    rows.append(["(base graph)"]
+                + [f"{problem.base_cost:.1f}" for problem in priced])
     table = format_table(headers, rows,
                          align_right=[False] + [True] * len(models))
     return _section("② Cost function selection", table)

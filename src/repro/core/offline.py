@@ -32,9 +32,11 @@ __all__ = ["Selector", "OfflineModule"]
 
 
 class Selector(Protocol):
-    """Anything that picks views: greedy, exhaustive, budget, or a user."""
+    """Anything that picks views: greedy, exhaustive, annealing, a user.
+    ``k`` caps their number; None leaves it to the selector (a budget)."""
 
-    def select(self, lattice: ViewLattice, profile: LatticeProfile, k: int,
+    def select(self, lattice: ViewLattice, profile: LatticeProfile,
+               k: int | None,
                workload: Sequence[AnalyticalQuery] | None = None
                ) -> SelectionResult: ...
 
@@ -80,7 +82,7 @@ class OfflineModule:
         small cached profile is simply re-keyed by the next profile())."""
         self._engine.kept_scan()        # a stale scan is dropped on the look
 
-    def select(self, selector: Selector, k: int,
+    def select(self, selector: Selector, k: int | None,
                workload: Sequence[AnalyticalQuery] | None = None
                ) -> SelectionResult:
         """Run a selection strategy against the cached profile."""

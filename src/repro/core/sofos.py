@@ -108,13 +108,17 @@ class Sofos:
             return model
         return create_model(model)
 
-    def select(self, model: str | CostModel = "agg_values", k: int = 2,
+    def select(self, model: str | CostModel = "agg_values",
+               k: int | None = None,
                workload: Sequence[AnalyticalQuery] | None = None,
                selector: Selector | None = None) -> SelectionResult:
-        """Choose k views (greedy under ``model`` unless a selector is given)."""
+        """Choose views: greedily under ``model`` (k = 2 unless given), or
+        with ``selector``, which gets ``k`` exactly as passed."""
         if selector is None:
             selector = GreedySelector(self._resolve_model(model),
                                       seed=self._seed)
+            if k is None:
+                k = 2
         return self._offline.select(selector, k, workload)
 
     def materialize(self, selection: SelectionResult) -> ViewCatalog:
@@ -330,33 +334,13 @@ class Sofos:
             workload_size=len(workload),
             base_workload_seconds=base_run.total_seconds,
         )
-        base_triples = len(self._dataset.default)
-        for model_spec in models:
-            model = self._resolve_model(model_spec)
-            selection = self.select(model, k, selection_workload)
-            with Timer() as materialize_timer:
-                catalog = self.materialize(selection)
-            run = self.run_workload(workload)
-            speedup = (base_run.total_seconds / run.total_seconds
-                       if run.total_seconds > 0 else float("inf"))
-            report.add(ComparisonRow(
-                model=model.describe(),
-                selected_views=tuple(selection.labels),
-                select_seconds=selection.select_seconds,
-                materialize_seconds=materialize_timer.seconds,
-                storage_triples=catalog.total_triples,
-                storage_amplification=(
-                    (base_triples + catalog.total_triples) / base_triples
-                    if base_triples else 0.0),
-                workload_seconds=run.total_seconds,
-                mean_query_seconds=run.mean_seconds,
-                hit_rate=run.hit_rate,
-                speedup_vs_base=speedup,
-            ))
-            self.drop_views()
-        for label, selector in (extra_selectors or ()):
-            selection = self._offline.select(selector, k,
-                                             selection_workload)
+        contenders: list[tuple[str, Selector]] = [
+            (model.describe(), GreedySelector(model, seed=self._seed))
+            for model in map(self._resolve_model, models)]
+        contenders.extend(extra_selectors or ())
+        for label, selector in contenders:
+            selection = self.select(selector=selector, k=k,
+                                    workload=selection_workload)
             with Timer() as materialize_timer:
                 catalog = self.materialize(selection)
             run = self.run_workload(workload)
@@ -368,9 +352,7 @@ class Sofos:
                 select_seconds=selection.select_seconds,
                 materialize_seconds=materialize_timer.seconds,
                 storage_triples=catalog.total_triples,
-                storage_amplification=(
-                    (base_triples + catalog.total_triples) / base_triples
-                    if base_triples else 0.0),
+                storage_amplification=catalog.storage_amplification(),
                 workload_seconds=run.total_seconds,
                 mean_query_seconds=run.mean_seconds,
                 hit_rate=run.hit_rate,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from typing import Sequence
 
 from ..errors import SelectionError
@@ -24,8 +23,8 @@ from ..cube.lattice import ViewLattice
 from ..cube.query import AnalyticalQuery
 from ..cost.base import CostModel
 from ..cost.profiler import LatticeProfile
-from .greedy import evaluate_selection_cost, workload_masks
 from .plans import SelectionResult
+from .problem import SelectionProblem
 
 __all__ = ["AnnealingSelector"]
 
@@ -48,28 +47,17 @@ class AnnealingSelector:
         self._initial_temperature = initial_temperature
         self._cooling = cooling
 
-    def select(self, lattice: ViewLattice, profile: LatticeProfile, k: int,
+    def select(self, lattice: ViewLattice, profile: LatticeProfile,
+               k: int | None,
                workload: Sequence[AnalyticalQuery] | None = None
                ) -> SelectionResult:
-        if k < 0:
-            raise SelectionError(f"k must be non-negative, got {k}")
-        start = time.perf_counter()
-        model = self._model
-        model.prepare(profile)
+        problem = SelectionProblem(lattice, profile, self._model, workload)
+        k = problem.count(k)
         rng = random.Random(self._seed)
-
-        views = list(lattice)
-        k = min(k, len(views))
-        costs = {view.mask: model.cost(view, profile) for view in views}
-        base_cost = model.base_cost(profile)
-        query_masks = workload_masks(lattice, workload)
-
-        def objective(subset: list) -> float:
-            return evaluate_selection_cost(
-                [v.mask for v in subset], query_masks, costs, base_cost)
+        views = problem.views
 
         current = rng.sample(views, k)
-        current_cost = objective(current)
+        current_cost = problem.cost_of(current)
         best = list(current)
         best_cost = current_cost
 
@@ -84,7 +72,7 @@ class AnnealingSelector:
             swap_in = rng.choice(outside)
             candidate = list(current)
             candidate[swap_out] = swap_in
-            candidate_cost = objective(candidate)
+            candidate_cost = problem.cost_of(candidate)
             delta = candidate_cost - current_cost
             if delta <= 0 or (temperature > 1e-12
                               and rng.random() < math.exp(-delta / temperature)):
@@ -96,10 +84,4 @@ class AnnealingSelector:
             temperature *= self._cooling
 
         best.sort(key=lambda v: v.mask)
-        return SelectionResult(
-            strategy=self.strategy,
-            cost_model=model.describe(),
-            views=best,
-            estimated_workload_cost=best_cost,
-            select_seconds=time.perf_counter() - start,
-        )
+        return problem.result(self.strategy, best)

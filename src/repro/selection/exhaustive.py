@@ -10,7 +10,6 @@ scale.
 
 from __future__ import annotations
 
-import time
 from itertools import combinations
 from math import comb
 from typing import Sequence
@@ -20,8 +19,8 @@ from ..cube.lattice import ViewLattice
 from ..cube.query import AnalyticalQuery
 from ..cost.base import CostModel
 from ..cost.profiler import LatticeProfile
-from .greedy import evaluate_selection_cost, workload_masks
 from .plans import SelectionResult
+from .problem import SelectionProblem
 
 __all__ = ["ExhaustiveSelector"]
 
@@ -36,40 +35,18 @@ class ExhaustiveSelector:
         self._model = cost_model
         self._max_combinations = max_combinations
 
-    def select(self, lattice: ViewLattice, profile: LatticeProfile, k: int,
+    def select(self, lattice: ViewLattice, profile: LatticeProfile,
+               k: int | None,
                workload: Sequence[AnalyticalQuery] | None = None
                ) -> SelectionResult:
-        if k < 0:
-            raise SelectionError(f"k must be non-negative, got {k}")
-        n = len(lattice)
-        k = min(k, n)
+        problem = SelectionProblem(lattice, profile, self._model, workload)
+        n = len(problem.views)
+        k = problem.count(k)
         total_combinations = comb(n, k)
         if total_combinations > self._max_combinations:
             raise SelectionError(
                 f"C({n},{k}) = {total_combinations} exceeds the enumeration "
                 f"limit {self._max_combinations}; use the greedy selector")
-        start = time.perf_counter()
-        model = self._model
-        model.prepare(profile)
-        costs = {view.mask: model.cost(view, profile) for view in lattice}
-        base_cost = model.base_cost(profile)
-        query_masks = workload_masks(lattice, workload)
-
-        views = list(lattice)
-        best_cost = float("inf")
-        best_subset: tuple = ()
-        for subset in combinations(views, k):
-            masks = [v.mask for v in subset]
-            total = evaluate_selection_cost(masks, query_masks, costs,
-                                            base_cost)
-            if total < best_cost:
-                best_cost = total
-                best_subset = subset
-
-        return SelectionResult(
-            strategy=self.strategy,
-            cost_model=model.describe(),
-            views=list(best_subset),
-            estimated_workload_cost=best_cost,
-            select_seconds=time.perf_counter() - start,
-        )
+        # min() keeps the first of equally cheap subsets, in lattice order
+        best = min(combinations(problem.views, k), key=problem.cost_of)
+        return problem.result(self.strategy, best)

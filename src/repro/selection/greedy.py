@@ -3,21 +3,15 @@
 Following the paper (§3): "Given a set of selected views, the greedy
 approach exploits the estimated time from the cost function and compares
 the expected running time of a set of queries with and without including
-the candidate view."
-
-The *query set* is either an explicit workload of analytical queries or —
-when none is given — the lattice itself (every view doubles as the query
-asking for its granularity), which is the classic HRU setting.  The cost
-to answer a query is the model's estimate of the cheapest selected view
-able to answer it, falling back to the model's base-graph cost.  Ties are
-broken by a seeded RNG, so the constant (random) cost model degenerates
-into a uniformly random k-subset exactly as the paper describes.
+the candidate view" — and selects "up to k views up to a certain memory
+budget".  One loop serves both constraints: each round adds the admissible
+view with the best score over the :class:`SelectionProblem`, ties broken
+by a seeded RNG.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from typing import Sequence
 
 from ..errors import SelectionError
@@ -27,106 +21,82 @@ from ..cube.view import ViewDefinition
 from ..cost.base import CostModel
 from ..cost.profiler import LatticeProfile
 from .plans import SelectionResult, SelectionStep
+from .problem import SelectionProblem
 
-__all__ = ["GreedySelector", "workload_masks", "evaluate_selection_cost"]
-
-
-def workload_masks(lattice: ViewLattice,
-                   workload: Sequence[AnalyticalQuery] | None
-                   ) -> list[tuple[int, float]]:
-    """(required mask, weight) pairs for the query set driving selection."""
-    if workload:
-        masks: dict[int, float] = {}
-        for query in workload:
-            masks[query.required_mask] = masks.get(query.required_mask, 0.0) + 1.0
-        return sorted(masks.items())
-    return [(view.mask, 1.0) for view in lattice]
-
-
-def evaluate_selection_cost(selected_masks: Sequence[int],
-                            query_masks: Sequence[tuple[int, float]],
-                            costs: dict[int, float],
-                            base_cost: float) -> float:
-    """Total estimated cost of a query set under a set of selected views."""
-    total = 0.0
-    for required, weight in query_masks:
-        best = base_cost
-        for mask in selected_masks:
-            if (required & mask) == required:
-                candidate = costs[mask]
-                if candidate < best:
-                    best = candidate
-        total += weight * best
-    return total
+__all__ = ["GreedySelector"]
 
 
 class GreedySelector:
-    """Benefit-greedy selection of k views under a cost model."""
+    """Benefit-greedy selection under a view count, a triple budget, or both.
+
+    Under a count every view takes one slot and the best view is the one
+    with the largest benefit; under a ``triple_budget`` a view takes its
+    exact size out of the remaining space, only views that still fit are
+    admissible and the best is the largest benefit per triple (HRU's rule
+    for a space constraint).  A round in which no view has a positive
+    benefit still picks under a pure count — k is the paper's k, and the
+    seeded shuffle then makes the constant ``random`` model a uniformly
+    random k-subset — but ends a budgeted selection: space is not spent on
+    a view the objective does not want (``random`` under a budget selects
+    nothing).
+    """
 
     strategy = "greedy"
 
     def __init__(self, cost_model: CostModel, seed: int = 0,
-                 per_unit_space: bool = False) -> None:
+                 triple_budget: int | None = None) -> None:
+        if triple_budget is not None and triple_budget < 0:
+            raise SelectionError("triple budget must be non-negative")
         self._model = cost_model
         self._seed = seed
-        self._per_unit_space = per_unit_space
+        self._budget = triple_budget
 
-    def select(self, lattice: ViewLattice, profile: LatticeProfile, k: int,
+    def select(self, lattice: ViewLattice, profile: LatticeProfile,
+               k: int | None = None,
                workload: Sequence[AnalyticalQuery] | None = None
                ) -> SelectionResult:
-        """Pick up to ``k`` views maximizing cumulative benefit."""
-        if k < 0:
-            raise SelectionError(f"k must be non-negative, got {k}")
-        start = time.perf_counter()
-        model = self._model
-        model.prepare(profile)
+        """Pick up to ``k`` views (None: as many as the budget admits)
+        maximizing cumulative benefit."""
+        problem = SelectionProblem(lattice, profile, self._model, workload)
+        limit = problem.count(k)
+        budgeted = self._budget is not None
+        space_left = self._budget
         rng = random.Random(self._seed)
-
-        costs = {view.mask: model.cost(view, profile) for view in lattice}
-        base_cost = model.base_cost(profile)
-        query_masks = workload_masks(lattice, workload)
+        costs, sizes = problem.costs, problem.sizes
 
         # current cheapest answer-cost per query mask
-        current: dict[int, float] = {mask: base_cost for mask, _ in query_masks}
-
-        remaining = list(lattice)
-        selected: list[ViewDefinition] = []
+        current = {mask: problem.base_cost for mask, _ in problem.queries}
+        remaining = list(problem.views)
         steps: list[SelectionStep] = []
-        for _round in range(min(k, len(remaining))):
+        while len(steps) < limit:
             rng.shuffle(remaining)  # seeded tie-breaking (random model!)
             best_view: ViewDefinition | None = None
-            best_benefit = -1.0
+            best_score = -1.0
+            best_benefit = 0.0
             for view in remaining:
+                if budgeted and sizes[view.mask] > space_left:
+                    continue
                 view_cost = costs[view.mask]
                 benefit = 0.0
-                for mask, weight in query_masks:
+                for mask, weight in problem.queries:
                     if view.covers_mask(mask) and view_cost < current[mask]:
                         benefit += weight * (current[mask] - view_cost)
-                if self._per_unit_space:
-                    size = max(profile.triples(view), 1)
-                    benefit /= size
-                if benefit > best_benefit:
-                    best_benefit = benefit
-                    best_view = view
-            if best_view is None:
+                score = (benefit / max(sizes[view.mask], 1) if budgeted
+                         else benefit)
+                if score > best_score:
+                    best_view, best_score, best_benefit = view, score, benefit
+            # the zero-benefit rule: a count still picks, a budget stops
+            if best_view is None or (budgeted and best_benefit <= 0.0):
                 break
-            selected.append(best_view)
             remaining.remove(best_view)
-            steps.append(SelectionStep(best_view, best_benefit,
-                                       costs[best_view.mask]))
             view_cost = costs[best_view.mask]
-            for mask, _weight in query_masks:
+            steps.append(SelectionStep(best_view, best_benefit, view_cost))
+            if budgeted:
+                space_left -= sizes[best_view.mask]
+            for mask, _weight in problem.queries:
                 if best_view.covers_mask(mask) and view_cost < current[mask]:
                     current[mask] = view_cost
 
-        total = evaluate_selection_cost(
-            [v.mask for v in selected], query_masks, costs, base_cost)
-        return SelectionResult(
-            strategy=self.strategy
-            + ("/unit-space" if self._per_unit_space else ""),
-            cost_model=model.describe(),
-            views=selected,
-            steps=steps,
-            estimated_workload_cost=total,
-            select_seconds=time.perf_counter() - start,
-        )
+        return problem.result(
+            self.strategy + ("/unit-space" if budgeted else ""),
+            [step.view for step in steps], steps)

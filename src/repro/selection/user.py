@@ -9,7 +9,6 @@ like a cost model.
 
 from __future__ import annotations
 
-import time
 from typing import Iterable, Sequence
 
 from ..errors import SelectionError
@@ -17,9 +16,10 @@ from ..cube.lattice import ViewLattice
 from ..cube.query import AnalyticalQuery
 from ..cube.view import ViewDefinition
 from ..rdf.terms import Variable
+from ..cost.models import AggregatedValuesCost
 from ..cost.profiler import LatticeProfile
-from .greedy import evaluate_selection_cost, workload_masks
 from .plans import SelectionResult
+from .problem import SelectionProblem
 
 __all__ = ["UserSelection"]
 
@@ -72,19 +72,9 @@ class UserSelection:
         that user selections can be compared on the same scale the demo's
         performance panel uses.
         """
-        start = time.perf_counter()
-        views = self._resolve(lattice)
-        if k is not None:
-            views = views[:k]
-        rows = {view.mask: float(profile.rows(view)) for view in lattice}
-        base_cost = float(profile.base.rows)
-        query_masks = workload_masks(lattice, workload)
-        total = evaluate_selection_cost(
-            [v.mask for v in views], query_masks, rows, base_cost)
-        return SelectionResult(
-            strategy=self.strategy,
-            cost_model=self._label,
-            views=views,
-            estimated_workload_cost=total,
-            select_seconds=time.perf_counter() - start,
-        )
+        problem = SelectionProblem(lattice, profile, AggregatedValuesCost(),
+                                   workload)
+        views = self._resolve(lattice)[:problem.count(k)]
+        result = problem.result(self.strategy, views)
+        result.cost_model = self._label
+        return result

@@ -2,10 +2,10 @@
 
 Given an analytical query, the router finds the catalog views that *can*
 answer it (dimension coverage, see :func:`repro.views.rewriter.can_answer`)
-and picks the one with the lowest predicted cost.  By default the
-prediction is the view's group count — the aggregated-values cost model —
-but any ranking can be injected, which is how the online module routes
-consistently with the cost model that selected the views.
+and picks the one with the lowest predicted cost.  The prediction is the
+view's stored group count — the aggregated-values cost model — whatever
+model selected the views: ``ranking`` can be injected, but the online
+module (the only caller outside the tests) does not pass one.
 """
 
 from __future__ import annotations

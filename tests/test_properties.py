@@ -13,12 +13,16 @@ import string
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.cost import AggregatedValuesCost
+from repro.cost.profiler import BaseProfile, LatticeProfile, ViewProfile
 from repro.cube import AnalyticalFacet, AnalyticalQuery, FilterCondition, \
     ViewLattice
 from repro.rdf import Dataset, Graph, IRI, Literal, Namespace, \
     TermDictionary, Triple, Variable, XSD, parse_ntriples, \
     serialize_ntriples, typed_literal
 from repro.rdf.terms import BlankNode
+from repro.selection import AnnealingSelector, ExhaustiveSelector, \
+    GreedySelector, SelectionProblem
 from repro.sparql import QueryEngine
 from repro.sparql.aggregates import make_accumulator
 from repro.sparql.values import order_key
@@ -615,17 +619,102 @@ class TestMoreRoundTrips:
             g.add(t)
         assert set(parse_turtle(serialize_turtle(g))) == set(g)
 
-    @given(st.lists(st.integers(-100, 100), min_size=1, max_size=12),
-           st.integers(1, 4))
-    def test_selection_cost_monotone_in_k(self, costs, k):
-        """More views never increase the evaluate_selection_cost total."""
-        from repro.selection import evaluate_selection_cost
-        cost_map = {i: float(abs(c)) for i, c in enumerate(costs)}
-        query_masks = [(i, 1.0) for i in cost_map]
-        base = max(cost_map.values()) + 1.0
-        smaller = evaluate_selection_cost(
-            list(cost_map)[:k], query_masks, cost_map, base)
-        larger = evaluate_selection_cost(
-            list(cost_map)[:min(k + 1, len(cost_map))], query_masks,
-            cost_map, base)
-        assert larger <= smaller + 1e-9
+
+# --------------------------------------------------------------------------
+# view selection: invariants of the priced problem and its searches
+# --------------------------------------------------------------------------
+
+def _star_facet(dimensions: int) -> AnalyticalFacet:
+    names = "abcde"[:dimensions]
+    return AnalyticalFacet.from_query(f"star{dimensions}", f"""
+        PREFIX ex: <http://example.org/>
+        SELECT {" ".join(f"?{n}" for n in names)} (SUM(?m) AS ?total) WHERE {{
+          ?s ex:pm ?m . {" ".join(f"?s ex:p{n} ?{n} ." for n in names)}
+        }} GROUP BY {" ".join(f"?{n}" for n in names)}""")
+
+
+_STAR_FACETS = {n: _star_facet(n) for n in (3, 4, 5)}
+
+
+@st.composite
+def priced_lattices(draw):
+    """A lattice with a made-up profile (random positive prices and sizes —
+    no graph is scanned), a query set, a count k and a triple budget."""
+    facet = _STAR_FACETS[draw(st.integers(3, 5))]
+    lattice = ViewLattice(facet)
+    price, size = st.integers(1, 500), st.integers(1, 300)
+    profile = LatticeProfile(
+        facet, BaseProfile(triples=draw(size), rows=draw(price), nodes=1,
+                           eval_seconds=0.0), graph_stats=None,
+        views={view.mask: ViewProfile(view.mask, view.label, view.level,
+                                      rows=draw(price), triples=draw(size),
+                                      nodes=1, eval_seconds=0.0)
+               for view in lattice})
+    workload = [AnalyticalQuery(facet, mask) for mask in draw(st.lists(
+        st.integers(0, facet.lattice_size - 1), max_size=12))]
+    return (lattice, profile, workload or None, draw(st.integers(0, 3)),
+            draw(st.integers(0, 2000)))
+
+
+class TestSelectionProperties:
+    """Over generated problems priced by ``agg_values`` (a view's price is
+    its made-up ``rows``, its size its made-up ``triples``)."""
+
+    @staticmethod
+    def _searches(seed=0):
+        model = AggregatedValuesCost()
+        return {"greedy": GreedySelector(model, seed=seed),
+                "exhaustive": ExhaustiveSelector(model),
+                "annealing": AnnealingSelector(model, seed=seed,
+                                               iterations=150)}
+
+    @given(priced_lattices(), st.data())
+    def test_cost_never_increases_when_a_view_is_added(self, drawn, data):
+        lattice, profile, workload, _k, _budget = drawn
+        problem = SelectionProblem(lattice, profile, AggregatedValuesCost(),
+                                   workload)
+        views = data.draw(st.lists(st.sampled_from(problem.views),
+                                   min_size=1, unique_by=lambda v: v.mask))
+        for size in range(len(views)):
+            assert problem.cost_of(views[:size + 1]) <= \
+                problem.cost_of(views[:size])
+
+    @settings(max_examples=40)
+    @given(priced_lattices(), st.integers(0, 3))
+    def test_strategies_agree_with_the_objective(self, drawn, seed):
+        lattice, profile, workload, k, _budget = drawn
+        problem = SelectionProblem(lattice, profile, AggregatedValuesCost(),
+                                   workload)
+        results = {name: selector.select(lattice, profile, k, workload)
+                   for name, selector in self._searches(seed).items()}
+        again = {name: selector.select(lattice, profile, k, workload)
+                 for name, selector in self._searches(seed).items()}
+        for name, result in results.items():
+            assert len(result.masks) == len(result.views) == k
+            # result() prices what was picked with the one objective
+            assert result.estimated_workload_cost == \
+                problem.cost_of(result.views)
+            # deterministic under its seed
+            assert result.labels == again[name].labels
+        # exhaustive is the optimum of the same objective
+        optimum = results["exhaustive"].estimated_workload_cost
+        assert optimum <= results["greedy"].estimated_workload_cost
+        assert optimum <= results["annealing"].estimated_workload_cost
+        # each view's benefit only shrinks as views are added, so greedy's
+        # picks come in non-increasing benefit
+        benefits = [step.benefit for step in results["greedy"].steps]
+        assert benefits == sorted(benefits, reverse=True)
+
+    @given(priced_lattices(), st.booleans(), st.integers(0, 3))
+    def test_budgeted_selection_fits_its_budget_and_its_k(self, drawn,
+                                                          capped, seed):
+        lattice, profile, workload, k, budget = drawn
+        k = k if capped else None
+        selector = GreedySelector(AggregatedValuesCost(), seed=seed,
+                                  triple_budget=budget)
+        result = selector.select(lattice, profile, k, workload)
+        assert sum(profile.triples(v) for v in result.views) <= budget
+        assert k is None or len(result.views) <= k
+        assert all(step.benefit > 0 for step in result.steps)
+        assert result.labels == selector.select(lattice, profile, k,
+                                                workload).labels

@@ -1,4 +1,5 @@
-"""Tests for the selection strategies: greedy, exhaustive, budget, user."""
+"""Tests for view selection: the priced problem and the strategies that
+search it (greedy under a count or a budget, exhaustive, annealing, user)."""
 
 import pytest
 
@@ -7,9 +8,9 @@ from repro.cost import AggregatedValuesCost, LatticeProfile, RandomCost, \
     TripleCountCost, create_model
 from repro.cube import AnalyticalQuery, FilterCondition, ViewLattice
 from repro.rdf import Variable, typed_literal
-from repro.selection import ExhaustiveSelector, GreedySelector, \
-    SpaceBudgetSelector, UserSelection, evaluate_selection_cost, \
-    workload_masks
+from repro.core import Sofos
+from repro.selection import AnnealingSelector, ExhaustiveSelector, \
+    GreedySelector, SelectionProblem, UserSelection, workload_masks
 from repro.sparql import QueryEngine
 
 from tests.conftest import build_population_graph
@@ -52,12 +53,24 @@ class TestWorkloadMasks:
         assert masks[0b11] == 2.0   # the filtered query requires lang+year
         assert masks[0] == 1.0
 
-    def test_evaluate_selection_cost(self):
-        query_masks = [(0b01, 1.0), (0b11, 1.0)]
-        costs = {0b01: 5.0, 0b11: 20.0}
-        # only view 0b01 selected: second query falls back to base
-        total = evaluate_selection_cost([0b01], query_masks, costs, 100.0)
-        assert total == 5.0 + 100.0
+    def test_cost_of_falls_back_to_the_base(self, world, population_facet):
+        lattice, profile = world
+        problem = SelectionProblem(lattice, profile, AggregatedValuesCost(),
+                                   workload_for(population_facet))
+        lang, base = profile.rows(lattice[0b01]), profile.base.rows
+        # only view 0b01 selected: it answers masks 0 and 0b01, the two
+        # queries that need lang+year fall back to the base graph
+        assert problem.cost_of([lattice[0b01]]) == 2 * lang + 2 * base
+        assert problem.cost_of([]) == 4 * base
+
+    def test_result_is_priced_by_the_problem(self, world):
+        lattice, profile = world
+        problem = SelectionProblem(lattice, profile, TripleCountCost())
+        picked = [lattice[0b01], lattice[0]]
+        result = problem.result("by-hand", picked)
+        assert result.estimated_workload_cost == problem.cost_of(picked)
+        assert (result.strategy, result.cost_model) == ("by-hand", "triples")
+        assert result.labels == ["lang", "apex"]
 
 
 class TestGreedy:
@@ -110,47 +123,18 @@ class TestGreedy:
         assert costs == sorted(costs, reverse=True)
 
     def test_random_model_gives_random_subset(self, world):
+        # the zero-benefit rule under a count: every view costs the same, no
+        # round has a positive benefit, and each still picks — exactly k
+        # views, which ones decided by the seeded shuffle
         lattice, profile = world
         picks = set()
         for seed in range(8):
             result = GreedySelector(RandomCost(), seed=seed).select(
                 lattice, profile, 2)
+            assert len(result.views) == 2
+            assert [step.benefit for step in result.steps] == [0.0, 0.0]
             picks.add(result.masks)
         assert len(picks) > 1  # different seeds, different subsets
-
-    def test_deterministic_under_seed(self, world):
-        lattice, profile = world
-        a = GreedySelector(RandomCost(), seed=5).select(lattice, profile, 2)
-        b = GreedySelector(RandomCost(), seed=5).select(lattice, profile, 2)
-        assert a.masks == b.masks
-
-    def test_k_zero(self, world):
-        lattice, profile = world
-        result = GreedySelector(AggregatedValuesCost()).select(
-            lattice, profile, 0)
-        assert result.views == []
-
-    def test_k_larger_than_lattice(self, world):
-        lattice, profile = world
-        result = GreedySelector(AggregatedValuesCost()).select(
-            lattice, profile, 99)
-        assert len(result.views) == len(lattice)
-
-    def test_negative_k_rejected(self, world):
-        lattice, profile = world
-        with pytest.raises(SelectionError):
-            GreedySelector(AggregatedValuesCost()).select(lattice, profile,
-                                                          -1)
-
-    def test_per_unit_space_prefers_small_views(self, world):
-        lattice, profile = world
-        plain = GreedySelector(TripleCountCost(), per_unit_space=False
-                               ).select(lattice, profile, 1)
-        normalized = GreedySelector(TripleCountCost(), per_unit_space=True
-                                    ).select(lattice, profile, 1)
-        size_plain = profile.triples(plain.views[0])
-        size_normalized = profile.triples(normalized.views[0])
-        assert size_normalized <= size_plain
 
 
 class TestExhaustive:
@@ -171,41 +155,153 @@ class TestExhaustive:
         with pytest.raises(SelectionError):
             selector.select(lattice, profile, 2)
 
-    def test_k_capped_at_lattice_size(self, world):
-        lattice, profile = world
-        result = ExhaustiveSelector(AggregatedValuesCost()).select(
-            lattice, profile, 10)
-        assert len(result.views) == len(lattice)
-
 
 class TestSpaceBudget:
     def test_respects_budget(self, world):
         lattice, profile = world
         budget = profile.triples(lattice[1]) + profile.triples(lattice[2])
-        result = SpaceBudgetSelector(AggregatedValuesCost(),
-                                     triple_budget=budget).select(
-            lattice, profile)
+        result = GreedySelector(AggregatedValuesCost(),
+                                triple_budget=budget).select(lattice, profile)
         used = sum(profile.triples(v) for v in result.views)
         assert used <= budget
         assert result.views  # something fits
 
     def test_zero_budget_selects_nothing(self, world):
         lattice, profile = world
-        result = SpaceBudgetSelector(AggregatedValuesCost(),
-                                     triple_budget=0).select(lattice,
-                                                             profile)
+        result = GreedySelector(AggregatedValuesCost(),
+                                triple_budget=0).select(lattice, profile)
         assert result.views == []
 
-    def test_max_views_cap(self, world):
+    def test_k_caps_a_budgeted_selection(self, world):
         lattice, profile = world
-        result = SpaceBudgetSelector(
-            AggregatedValuesCost(), triple_budget=10 ** 9,
-            max_views=1).select(lattice, profile)
+        result = GreedySelector(AggregatedValuesCost(),
+                                triple_budget=10 ** 9).select(lattice,
+                                                              profile, 1)
         assert len(result.views) == 1
 
     def test_negative_budget_rejected(self):
         with pytest.raises(SelectionError):
-            SpaceBudgetSelector(AggregatedValuesCost(), triple_budget=-1)
+            GreedySelector(AggregatedValuesCost(), triple_budget=-1)
+
+    def test_budget_scores_benefit_per_triple(self, world):
+        lattice, profile = world
+        plain = GreedySelector(TripleCountCost()).select(lattice, profile, 1)
+        per_triple = GreedySelector(
+            TripleCountCost(), triple_budget=profile.total_triples()
+        ).select(lattice, profile, 1)
+        assert profile.triples(per_triple.views[0]) <= \
+            profile.triples(plain.views[0])
+
+    def test_zero_benefit_round_ends_a_budgeted_selection(self, world):
+        # the zero-benefit rule under a budget: space is not spent on a view
+        # the objective does not want.  lang+year holds more triples than the
+        # base graph, so under `triples` nothing is gained by adding it and
+        # the selection ends with more than half the budget unspent ...
+        lattice, profile = world
+        budget = profile.total_triples()
+        result = GreedySelector(TripleCountCost(),
+                                triple_budget=budget).select(lattice, profile)
+        assert result.labels == ["apex", "year", "lang"]
+        assert all(step.benefit > 0 for step in result.steps)
+        assert 2 * sum(profile.triples(v) for v in result.views) < budget
+        # ... and `random`, where no view ever has a benefit, selects nothing
+        # (under a count it selects k: TestGreedy)
+        nothing = GreedySelector(RandomCost(), triple_budget=budget).select(
+            lattice, profile)
+        assert nothing.views == []
+
+    def test_facade_does_not_cap_a_budgeted_selection(self, tiny_dbpedia):
+        # regression: Sofos.select used to hand its model-path default k=2
+        # to a caller's selector, silently capping the budget at two views
+        sofos = Sofos(tiny_dbpedia.graph,
+                      tiny_dbpedia.facet("population_cube_4d"))
+        selector = GreedySelector(
+            TripleCountCost(), triple_budget=sofos.profile().total_triples())
+        direct = selector.select(sofos.lattice, sofos.profile())
+        assert len(direct.views) > 2
+        assert sofos.select(selector=selector).labels == direct.labels
+        assert len(sofos.select(selector=selector, k=3).views) == 3
+        # the model path still means k = 2 when no k is given
+        assert len(sofos.select().views) == 2
+        assert len(sofos.select("triples").views) == 2
+
+
+STRATEGIES = {
+    "greedy": lambda model, seed=0: GreedySelector(model, seed=seed),
+    "exhaustive": lambda model, seed=0: ExhaustiveSelector(model),
+    "annealing": lambda model, seed=0: AnnealingSelector(model, seed=seed),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+class TestEveryStrategy:
+    """What holds for any search over the same problem under a count k."""
+
+    def test_selects_k_distinct_views(self, world, name):
+        lattice, profile = world
+        result = STRATEGIES[name](AggregatedValuesCost()).select(
+            lattice, profile, 2)
+        assert len(result.masks) == len(result.views) == 2
+        assert result.strategy == name
+        assert result.cost_model == "agg_values"
+
+    def test_k_zero(self, world, name):
+        lattice, profile = world
+        result = STRATEGIES[name](AggregatedValuesCost()).select(
+            lattice, profile, 0)
+        assert result.views == []
+
+    def test_k_larger_than_lattice(self, world, name):
+        lattice, profile = world
+        result = STRATEGIES[name](AggregatedValuesCost()).select(
+            lattice, profile, 99)
+        assert result.masks == {view.mask for view in lattice}
+
+    def test_negative_k_rejected(self, world, name):
+        lattice, profile = world
+        with pytest.raises(SelectionError):
+            STRATEGIES[name](AggregatedValuesCost()).select(lattice, profile,
+                                                            -1)
+
+    @pytest.mark.parametrize("model", (AggregatedValuesCost, RandomCost))
+    def test_deterministic_under_seed(self, world, name, model):
+        lattice, profile = world
+        a = STRATEGIES[name](model(), seed=5).select(lattice, profile, 2)
+        b = STRATEGIES[name](model(), seed=5).select(lattice, profile, 2)
+        assert a.labels == b.labels
+        assert a.estimated_workload_cost == b.estimated_workload_cost
+
+    def test_never_worse_than_no_views(self, world, population_facet, name):
+        lattice, profile = world
+        queries = workload_for(population_facet)
+        selector = STRATEGIES[name](AggregatedValuesCost(), seed=3)
+        nothing = selector.select(lattice, profile, 0, queries)
+        for k in (1, 2, 3):
+            assert selector.select(lattice, profile, k, queries) \
+                .estimated_workload_cost <= nothing.estimated_workload_cost
+
+
+class TestAnnealing:
+    def test_matches_exhaustive_on_the_8_view_lattice(self, tiny_dbpedia):
+        sofos = Sofos(tiny_dbpedia.graph,
+                      tiny_dbpedia.facet("population_cube"), seed=0)
+        lattice, profile = sofos.lattice, sofos.profile()
+        workload = sofos.generate_workload(25)
+        model = AggregatedValuesCost()
+        for k in (1, 2, 3):
+            optimal = ExhaustiveSelector(model).select(lattice, profile, k,
+                                                       workload)
+            annealed = AnnealingSelector(model, seed=0, iterations=500
+                                         ).select(lattice, profile, k,
+                                                  workload)
+            assert annealed.estimated_workload_cost == pytest.approx(
+                optimal.estimated_workload_cost)
+
+    def test_parameter_validation(self):
+        with pytest.raises(SelectionError):
+            AnnealingSelector(AggregatedValuesCost(), iterations=0)
+        with pytest.raises(SelectionError):
+            AnnealingSelector(AggregatedValuesCost(), cooling=1.5)
 
 
 class TestUserSelection:
