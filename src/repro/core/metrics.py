@@ -140,10 +140,6 @@ class WorkloadRun:
             })
         return records
 
-    def percentile_seconds(self, fraction: float) -> float:
-        """Latency at ``fraction`` (0..1) across all outcomes, interpolated."""
-        return _percentile(sorted(o.seconds for o in self.outcomes), fraction)
-
     def summary(self) -> dict[str, float]:
         ordered = sorted(o.seconds for o in self.outcomes)
         return {

@@ -8,8 +8,8 @@ workload numbers the demo's "query performance analyzer" panel plots.
 Views can go stale while the graph changes underneath them; the module's
 **maintenance policy** decides what happens when a stale view is routed:
 
-* ``"rebuild"`` — re-materialize the view in place before answering
-  (``ViewCatalog.refresh``);
+* ``"rebuild"`` — re-materialize all stale views in place before
+  answering (``ViewCatalog.refresh_stale``: one scan per facet);
 * ``"incremental"`` — patch all stale views through the wired
   :class:`~repro.views.maintenance.ViewMaintainer` before answering;
 * ``"deferred"`` — serve the frozen snapshot and leave maintenance to an
@@ -24,6 +24,11 @@ plan, pure functions of the text and the facet, of the query and the
 view's *definition*, so no catalog event invalidates them.  What depends
 on catalog *state* is decided again on every answer: the route,
 quarantine, staleness and its repair, and the execution itself.
+
+:meth:`OnlineModule.answer` is the one place that happens: ``explain``
+is that call with the span tracer live, reported from the :class:`Answer`
+and its ``online.answer`` span, so an explained query counts as the answer
+it is (metrics, spans, repairs) and shows that answer's header and rows.
 """
 
 from __future__ import annotations
@@ -237,12 +242,12 @@ class OnlineModule:
             self._view_engines[name] = engine
         return engine
 
-    def _repair(self, view) -> None:
-        """Bring a stale routed view current, per the maintenance policy."""
+    def _repair(self) -> None:
+        """Bring the stale views current, per the maintenance policy."""
         if self._policy == "rebuild":
-            # refresh rebuilds the named graph in place, so the cached
-            # engine over that graph keeps working
-            self._catalog.refresh(view)
+            # rebuilt in place (one scan per facet, however many views),
+            # so the cached engines over those graphs keep working
+            self._catalog.refresh_stale()
         elif self._policy == "incremental":
             self._maintainer.synchronize()
         # "deferred" (and no policy): serve the snapshot as-is
@@ -259,14 +264,17 @@ class OnlineModule:
         quarantined view rebuilds.
         """
         with _TRACER.span("online.answer") as sp:
-            degraded = bool(self._router.quarantined_candidates(query))
+            quarantined = self._router.quarantined_candidates(query)
+            degraded = bool(quarantined)
             entry = self._router.route(query)
+            if _TRACER.enabled:
+                sp.set_tags(**self._decision(query, quarantined))
             if entry is None:
                 return self.answer_from_base(query, degraded=degraded,
                                              _in_span=True)
             view = entry.definition
             if self._catalog.is_stale(view):
-                self._repair(view)
+                self._repair()
 
             engine = self._engine_for(view.iri)
             prepared, rewrite_seconds = self._plans.rewritten(
@@ -287,6 +295,21 @@ class OnlineModule:
                 _observe_outcome(outcome)
             return Answer(table=table, outcome=outcome)
 
+    def _decision(self, query: AnalyticalQuery, quarantined: list) -> dict:
+        """The routing decision as JSON-shaped tags of the answer's span
+        (staleness as of before any repair)."""
+        candidates = self._router.candidates(query)
+        why = f"ranked first of {len(candidates)} covering view(s)"
+        if not candidates:
+            why = "no usable view covers the query" if len(self._catalog) \
+                else "no views are materialized"
+            if quarantined:
+                why += " (every covering view is quarantined)"
+        return {"why": why, "quarantined": [e.label for e in quarantined],
+                "candidates": [{"label": e.label, "groups": e.groups,
+                                "stale": self._catalog.is_stale(e.definition)}
+                               for e in candidates]}
+
     def answer_sparql(self, text: str) -> Answer:
         """Answer raw SPARQL: an instance of the facet goes through
         :meth:`answer` and comes back under the SELECT's own column order
@@ -294,7 +317,8 @@ class OnlineModule:
         query, header, reorder, base = self._plans.recognize(
             text, self._base_engine)
         if query is None:
-            with _TRACER.span("online.answer"):
+            with _TRACER.span("online.answer",
+                              why="query does not target the facet"):
                 return self._run_on_base(base, None, in_span=True)
         answer = self.answer(query)
         table = answer.table
@@ -331,56 +355,30 @@ class OnlineModule:
     def explain(self, query: AnalyticalQuery | str):
         """EXPLAIN ANALYZE plus the routing decision for one query.
 
-        Executes the query — an :class:`AnalyticalQuery` or raw SPARQL,
-        recognized as :meth:`answer_sparql` does — for real through the
-        same route :meth:`answer` would take (including stale-view repair
-        under the module's maintenance policy) and returns a
+        :meth:`answer` (raw SPARQL: :meth:`answer_sparql`) with the span
+        tracer live, and what that answer did as a
         :class:`~repro.obs.explain.RoutedExplain`: which views were
         candidates, which were quarantined, which one answered and why,
         the seconds to obtain the rewritten plan, and the measured
-        per-operator plan tree.
+        per-operator plan tree around the answer's own table.
         """
-        from ..obs.explain import RoutedExplain
-        if isinstance(query, str):
-            query, _header, _reorder, base = self._plans.recognize(
-                query, self._base_engine)
-            if query is None:
-                return RoutedExplain(
-                    query=base.text or "<sparql>", route="base",
-                    why="query does not target the facet", view=None,
-                    candidates=[], quarantined=[], rewrite_seconds=0.0,
-                    plan=self._base_engine.explain(base))
-        quarantined = [e.label
-                       for e in self._router.quarantined_candidates(query)]
-        candidates = self._router.candidates(query)
-        described = [{"label": e.label, "groups": e.groups,
-                      "stale": self._catalog.is_stale(e.definition)}
-                     for e in candidates]
-        if not candidates:
-            why = "no usable view covers the query" if len(self._catalog) \
-                else "no views are materialized"
-            if quarantined:
-                why += " (every covering view is quarantined)"
-            plan = self._base_engine.explain(query.to_select_query())
-            return RoutedExplain(
-                query=query.describe(), route="base", why=why, view=None,
-                candidates=described, quarantined=quarantined,
-                rewrite_seconds=0.0, plan=plan)
-        entry = candidates[0]
-        view = entry.definition
-        if self._catalog.is_stale(view):
-            self._repair(view)
-        engine = self._engine_for(view.iri)
-        prepared, rewrite_seconds = self._plans.rewritten(query, view,
-                                                          engine)
-        why = f"ranked first of {len(candidates)} covering view(s)"
-        if self._catalog.is_stale(view):
-            why += "; serving a stale snapshot"
+        from ..obs.explain import RoutedExplain, build_query_explain
+        with _TRACER.capture() as roots:
+            answer = self.answer_sparql(query) if isinstance(query, str) \
+                else self.answer(query)
+        span, outcome = roots[-1], answer.outcome
+        asked = outcome.query       # None: a text that is off the facet
         return RoutedExplain(
-            query=query.describe(), route="view", why=why,
-            view=view.label, candidates=described,
-            quarantined=quarantined, rewrite_seconds=rewrite_seconds,
-            plan=engine.explain(prepared))
+            query=query if asked is None else asked.describe(),
+            route=span.tags["route"],
+            why=span.tags["why"]
+            + ("; serving a stale snapshot" if outcome.stale else ""),
+            view=outcome.view_label,
+            candidates=span.tags.get("candidates", []),
+            quarantined=span.tags.get("quarantined", []),
+            rewrite_seconds=outcome.rewrite_seconds,
+            plan=build_query_explain(span, answer.table, outcome.seconds,
+                                     query if asked is None else ""))
 
     def run_workload(self, queries: Sequence[AnalyticalQuery],
                      force_base: bool = False) -> WorkloadRun:

@@ -262,8 +262,8 @@ class Sofos:
 
         Accepts an :class:`AnalyticalQuery` or raw SPARQL text (matched
         against this facet the same way :meth:`answer_sparql` does).
-        The query executes for real; the returned
-        :class:`~repro.obs.explain.RoutedExplain` reports which view
+        The query is answered for real, and counted as an answer; the
+        :class:`~repro.obs.explain.RoutedExplain` of it reports which view
         answered (or why the base graph did), candidate/quarantined
         views, the seconds to obtain the rewritten plan, and per-operator
         wall time and row counts.

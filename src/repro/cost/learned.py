@@ -21,8 +21,8 @@ from ..errors import CostModelError
 from ..cube.view import ViewDefinition
 from ..rdf.stats import GraphStatistics
 from .base import CostModel, register_model
-from .estimator import dimension_domains, estimate_binding_count, \
-    estimate_group_count, pattern_frequencies
+from .estimator import estimate_binding_count, estimate_group_count, \
+    pattern_frequencies
 from .profiler import LatticeProfile
 
 __all__ = ["MLPRegressor", "LearnedCost", "encode_view", "FEATURE_NAMES"]
@@ -49,8 +49,6 @@ def encode_view(view: ViewDefinition, stats: GraphStatistics) -> np.ndarray:
     logs = [np.log1p(f) for f in frequencies] or [0.0]
     agg_onehot = [1.0 if facet.aggregate.name == name else 0.0
                   for name in _AGG_ORDER]
-    domains = dimension_domains(facet, stats)
-    del domains  # kept for symmetry; group estimate recomputes internally
     return np.array(
         [
             float(len(view.variables)),

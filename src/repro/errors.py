@@ -20,6 +20,10 @@ class TermError(RDFError):
     """An RDF term was constructed from invalid components."""
 
 
+class StoreCapacityError(RDFError, ValueError):
+    """A triple id exceeds the store's id width; its batch is refused whole."""
+
+
 class ParseError(RDFError):
     """A serialized RDF document or SPARQL query could not be parsed.
 

@@ -1,10 +1,12 @@
 """EXPLAIN ANALYZE: the algebra tree with measured per-operator cost.
 
-``Executor.run_ids_explained`` times every ``_eval`` dispatch and
-returns ``{id(op): stats}`` records; this module folds those records
-back onto the (immutable, shared-substructure) algebra tree, computes
-exclusive ("self") time by subtracting child-inclusive time, and
-renders the familiar plan-tree text.
+EXPLAIN is a reading of the span tracer, not a second execution path: the
+query is answered the way every query is (``QueryEngine.timed_query``,
+``OnlineModule.answer``) under :meth:`~repro.obs.tracing.SpanTracer.capture`,
+and this module folds the operator spans of the answering ``executor.run``
+back onto the (immutable, shared-substructure) algebra tree — N evaluations
+of an operator are N spans — computes exclusive ("self") time by
+subtracting child-inclusive time, and renders the familiar plan-tree text.
 
 The plan shown is the plan that ran: a BGP lists its probe order with the
 rows after each probe (``6 pattern(s): 2→18 3→18 0→755 …``), a ``Filter``
@@ -32,10 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..sparql.algebra import (AlgebraOp, BGPOp, DistinctOp, ExtendOp,
-                              FilterOp, GroupOp, JoinOp, LeftJoinOp,
-                              OrderByOp, ProjectOp, SliceOp, TableOp,
-                              UnionOp, UnitOp)
+from ..sparql.algebra import (AlgebraOp, BGPOp, ExtendOp, FilterOp, GroupOp,
+                              JoinOp, LeftJoinOp, OrderByOp, ProjectOp,
+                              SliceOp, TableOp, UnionOp)
 
 __all__ = ["ExplainNode", "QueryExplain", "RoutedExplain",
            "build_query_explain"]
@@ -50,15 +51,13 @@ def _children_of(op: AlgebraOp) -> tuple[AlgebraOp, ...]:
     return (child,) if child is not None else ()
 
 
-def _describe(op: AlgebraOp, stats=None) -> str:
-    """What ``op`` is and, from its ``stats``, what the plan did with it."""
-    ran = stats.detail if stats is not None else ""
-    if ran and stats.calls > 1:  # rows are summed, the trace is one run's
-        ran += f" (first of {stats.calls} calls)"
+def _describe(op: AlgebraOp, ran: str, rows_in: int, rows_out: int) -> str:
+    """What ``op`` is and, from ``ran`` (its first span's ``detail`` tag)
+    and its summed rows, what the plan did with it."""
     if isinstance(op, BGPOp):
         return f"{len(op.patterns)} pattern(s)" + (f": {ran}" if ran else "")
     if isinstance(op, FilterOp) and ran:
-        return f"filter {ran}: {stats.rows_in}→{stats.rows_out} rows"
+        return f"filter {ran}: {rows_in}→{rows_out} rows"
     if isinstance(op, FilterOp):  # its condition never ran
         return "filter"
     if isinstance(op, ExtendOp):
@@ -76,8 +75,6 @@ def _describe(op: AlgebraOp, stats=None) -> str:
         return f"offset={op.offset} limit={limit}"
     if isinstance(op, TableOp):
         return f"{len(op.rows)} inline row(s)"
-    if isinstance(op, (UnitOp, DistinctOp, JoinOp, LeftJoinOp, UnionOp)):
-        return ""
     return ""
 
 
@@ -121,17 +118,25 @@ class ExplainNode:
             yield from child.walk()
 
 
-def _build_node(op: AlgebraOp, records: dict) -> ExplainNode:
-    stats = records.get(id(op))
-    children = [_build_node(c, records) for c in _children_of(op)]
-    seconds = stats.seconds if stats is not None else 0.0
+def _build_node(op: AlgebraOp, spans: dict[int, list]) -> ExplainNode:
+    mine = spans.get(id(op), ())
+    # a call is a span that carries rows: a filter whose condition never
+    # ran (the BGP below it could match nothing) was timed, not called
+    calls = [sp.tags for sp in mine if "rows_out" in sp.tags]
+    rows_in = sum(tags["rows_in"] for tags in calls)
+    rows_out = sum(tags["rows_out"] for tags in calls)
+    ran = next((tags["detail"] for tags in calls if tags.get("detail")), "")
+    if ran and len(calls) > 1:  # rows are summed, the trace is one run's
+        ran += f" (first of {len(calls)} calls)"
+    children = [_build_node(c, spans) for c in _children_of(op)]
+    seconds = sum(sp.seconds for sp in mine)
     child_seconds = sum(c.seconds for c in children)
     return ExplainNode(
         operator=type(op).__name__.removesuffix("Op"),
-        detail=_describe(op, stats),
-        calls=stats.calls if stats is not None else 0,
-        rows_in=stats.rows_in if stats is not None else 0,
-        rows_out=stats.rows_out if stats is not None else 0,
+        detail=_describe(op, ran, rows_in, rows_out),
+        calls=len(calls),
+        rows_in=rows_in,
+        rows_out=rows_out,
         seconds=seconds,
         self_seconds=max(0.0, seconds - child_seconds),
         children=children,
@@ -165,12 +170,18 @@ class QueryExplain:
         }
 
 
-def build_query_explain(prepared, table, records: dict,
-                        total_seconds: float) -> QueryExplain:
-    """Fold executor timing records onto the prepared plan tree."""
-    root = _build_node(prepared.plan, records)
+def build_query_explain(span, table, total_seconds: float,
+                        text: str = "") -> QueryExplain:
+    """Fold the operator spans of the run that produced ``table`` onto its
+    plan: the last ``executor.run`` at or under ``span`` (a stale view's
+    repair runs first), whose one child is the root operator's span."""
+    run = [sp for sp in span.walk() if sp.name == "executor.run"][-1]
+    spans: dict[int, list] = {}
+    for sp in run.walk():
+        spans.setdefault(id(sp.ref), []).append(sp)
+    root = _build_node(run.children[0].ref, spans)
     return QueryExplain(
-        text=getattr(prepared.ast, "text", "") or "",
+        text=text,
         root=root,
         rows=len(table),
         total_seconds=total_seconds,

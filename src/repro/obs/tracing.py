@@ -19,6 +19,12 @@ trace.
 Finished root spans accumulate in a bounded ring buffer on the tracer
 (``finished``); the hub snapshots them alongside the metrics registry.
 
+It is also the executor's only clock: while live, every dispatched
+algebra operator is a span under its ``executor.run`` (``ref`` the
+operator, rows in / out as tags).  :meth:`SpanTracer.capture` makes it
+live for one ``with`` body, switch on or off, and hands back that body's
+root spans — which is all EXPLAIN is (:mod:`repro.obs.explain`).
+
 Stdlib-only by design: imported from the bottom layers of the package.
 """
 
@@ -26,8 +32,9 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Optional
+from typing import Iterator, Optional
 
 __all__ = ["Span", "SpanTracer", "tracer", "span", "annotate", "current"]
 
@@ -35,12 +42,14 @@ __all__ = ["Span", "SpanTracer", "tracer", "span", "annotate", "current"]
 class Span:
     """One timed, tagged unit of work; context manager when live."""
 
-    __slots__ = ("name", "tags", "children", "start", "end", "status",
-                 "error", "_tracer", "_token", "_parent")
+    __slots__ = ("name", "tags", "ref", "children", "start", "end",
+                 "status", "error", "_tracer", "_token", "_parent")
 
-    def __init__(self, tracer: "SpanTracer", name: str, tags: dict) -> None:
+    def __init__(self, tracer: "SpanTracer", name: str, tags: dict,
+                 ref: object = None) -> None:
         self.name = name
         self.tags = tags
+        self.ref = ref      #: what it observed (an operator); never serialized
         self.children: list[Span] = []
         self.start = 0.0
         self.end = 0.0
@@ -62,6 +71,13 @@ class Span:
     def set_tags(self, **tags) -> "Span":
         self.tags.update(tags)
         return self
+
+    def mark(self, name: str, ref: object = None) -> "Span":
+        """An untimed child: a fact about work this span's time covers."""
+        child = Span(self._tracer, name, {}, ref)
+        child.start = child.end = self.start
+        self.children.append(child)
+        return child
 
     def __enter__(self) -> "Span":
         tracer = self._tracer
@@ -89,15 +105,15 @@ class Span:
             tracer.finished.append(self)
         return False
 
+    def walk(self) -> Iterator["Span"]:
+        """Self and every descendant, depth-first in start order."""
+        yield self
+        for child in self.children:
+            yield from child.walk()
+
     def find(self, name: str) -> Optional["Span"]:
         """Depth-first search for a descendant (or self) by name."""
-        if self.name == name:
-            return self
-        for child in self.children:
-            found = child.find(name)
-            if found is not None:
-                return found
-        return None
+        return next((s for s in self.walk() if s.name == name), None)
 
     def to_dict(self) -> dict:
         return {
@@ -166,11 +182,11 @@ class SpanTracer:
     def reset(self) -> None:
         self.finished.clear()
 
-    def span(self, name: str, **tags):
+    def span(self, name: str, ref: object = None, **tags):
         """A context-manager span, or the shared no-op when disabled."""
         if not self.enabled:
             return _NOOP_SPAN
-        return Span(self, name, tags)
+        return Span(self, name, tags, ref)
 
     def current(self) -> Optional[Span]:
         if not self.enabled:
@@ -184,6 +200,23 @@ class SpanTracer:
         span = self._current.get()
         if span is not None:
             span.tags.update(tags)
+
+    @contextmanager
+    def capture(self) -> Iterator[list[Span]]:
+        """Trace the body of a ``with`` whatever the switch says, yielding
+        the list its root spans collect in (read it after the block).  The
+        switch is restored on the way out, and the ring buffer gets the
+        roots only if it would have got them uncaptured: tracing was on."""
+        scope = Span(self, "capture", {})   # never entered: a parent only
+        was, self.enabled = self.enabled, True
+        token = self._current.set(scope)
+        try:
+            yield scope.children
+        finally:
+            self._current.reset(token)
+            self.enabled = was
+            if was:
+                self.finished.extend(scope.children)
 
     def recent(self, limit: int = 16) -> list[Span]:
         """The most recent finished root spans, newest first."""

@@ -37,6 +37,7 @@ from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
+from ..errors import StoreCapacityError
 from ..obs import metrics as _metrics
 from .store import TripleStore
 
@@ -138,11 +139,13 @@ class ColumnarStore(TripleStore):
         adds, dels = self._adds, self._dels
         pred_counts = self._pred_counts
         added: list = []
-        for sid, pid, oid in id_triples:
+        batch = list(id_triples)
+        for sid, pid, oid in batch:     # all or nothing: before any write
             if not (0 <= sid < ID_LIMIT and 0 <= pid < ID_LIMIT
                     and 0 <= oid < ID_LIMIT):
-                raise ValueError(
+                raise StoreCapacityError(
                     f"id out of columnar range: ({sid}, {pid}, {oid})")
+        for sid, pid, oid in batch:
             t = (sid, pid, oid)
             if t in dels:
                 dels.discard(t)

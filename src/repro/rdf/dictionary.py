@@ -10,7 +10,7 @@ are comparable across graphs.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .terms import Term
 

@@ -13,7 +13,8 @@ which holds rewritten plans and is bounded by the same rule
 
 Execution goes through the batched id-space executor: the result batch is
 decoded column-wise straight into a :class:`ResultTable`, never building a
-per-row binding dict.
+per-row binding dict.  There is one execution path: ``explain()`` is
+``timed_query()`` with the span tracer live, read back as a plan tree.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import time
 
 from ..obs import metrics as _metrics
+from ..obs import tracing as _tracing
 from ..rdf.graph import Graph
 from ..rdf.namespace import PrefixMap
 from ..rdf.terms import Variable
@@ -151,22 +153,17 @@ class QueryEngine:
     def explain(self, query: str | SelectQuery | PreparedQuery):
         """EXPLAIN ANALYZE: execute and return the measured plan tree.
 
-        The query runs for real (same code path as :meth:`query`, with a
-        thin per-operator timing wrapper active in the executor); the
-        returned :class:`~repro.obs.explain.QueryExplain` carries the
-        operator tree with inclusive/exclusive wall time and row counts,
-        the decoded result table, and a total wall clock comparable to
-        :meth:`timed_query`.
+        :meth:`timed_query` with the tracer live for the run (hub on or
+        off); the returned :class:`~repro.obs.explain.QueryExplain` reads
+        its spans: the operator tree with inclusive/exclusive wall time
+        and row counts, the decoded result table, that call's wall clock.
         """
         # Imported lazily: obs.explain sits above the sparql layer.
         from ..obs.explain import build_query_explain
         prepared = self.prepare(query)
-        variables = prepared.ast.projected_variables()
-        start = time.perf_counter()
-        batch, records = self._executor.run_ids_explained(prepared.plan)
-        table = self._decode_table(variables, batch)
-        total = time.perf_counter() - start
-        return build_query_explain(prepared, table, records, total)
+        with _tracing.tracer().capture() as roots:
+            table, total = self.timed_query(prepared)
+        return build_query_explain(roots[-1], table, total, prepared.text)
 
     def timed_query(self, query: str | SelectQuery | PreparedQuery
                     ) -> tuple[ResultTable, float]:

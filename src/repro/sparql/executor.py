@@ -35,7 +35,6 @@ streaming early termination under a single concrete binding).
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as _np
@@ -93,19 +92,6 @@ _PROBE_BULK = _REG.counter(
     labels=("kernel",))
 
 
-class _OpStats:
-    """Per-operator accumulator for EXPLAIN ANALYZE runs."""
-
-    __slots__ = ("calls", "seconds", "rows_in", "rows_out", "detail")
-
-    def __init__(self) -> None:
-        self.calls = 0
-        self.seconds = 0.0
-        self.rows_in = 0
-        self.rows_out = 0
-        self.detail = ""  #: a BGP's probe trace; where a FILTER ran
-
-
 class Executor:
     """Evaluates algebra trees against one graph, a batch at a time."""
 
@@ -132,9 +118,6 @@ class Executor:
         self._exists_cache: dict[GroupPattern, AlgebraOp] = {}
         self._reference = None
         self._ctx = EvalContext(exists=self._exists)
-        # EXPLAIN ANALYZE: {id(op): _OpStats} while an explained run is
-        # active, else None (the disabled fast path in _eval).
-        self._explain: Optional[dict[int, _OpStats]] = None
 
     # -- term ↔ id bridging ---------------------------------------------------
 
@@ -198,25 +181,6 @@ class Executor:
             sp.set_tag("rows_out", len(batch))
             return batch
 
-    def run_ids_explained(self, op: AlgebraOp, seed: Binding | None = None
-                          ) -> tuple[BindingBatch, dict[int, _OpStats]]:
-        """Evaluate ``op`` with per-operator timing (EXPLAIN ANALYZE).
-
-        Returns the result batch plus ``{id(op): stats}`` records for
-        every operator dispatched; fold them back onto the plan with
-        :func:`repro.obs.explain.build_query_explain`.
-        """
-        if self._explain is not None:
-            raise QueryEvaluationError(
-                "explained evaluation is not re-entrant")
-        records: dict[int, _OpStats] = {}
-        self._explain = records
-        try:
-            batch = self.run_ids(op, seed)
-        finally:
-            self._explain = None
-        return batch, records
-
     def group_table(self, op: AlgebraOp, keys: tuple[Variable, ...],
                     operand: Optional[Variable], kind: str,
                     keep_max: bool = False) -> "GroupTable":
@@ -268,19 +232,24 @@ class Executor:
     # -- dispatch ------------------------------------------------------------
 
     def _eval(self, op: AlgebraOp, seed: BindingBatch) -> BindingBatch:
-        records = self._explain
-        if records is None:
+        if not _TRACER.enabled:
             return self._eval_inner(op, seed)
-        start = perf_counter()
-        out = self._eval_inner(op, seed)
-        elapsed = perf_counter() - start
-        stats = records.setdefault(id(op), _OpStats())
-        stats.seconds += elapsed
-        if not isinstance(op, FilterOp):  # _keep counted it, where it ran
-            stats.calls += 1
-            stats.rows_in += len(seed)
-            stats.rows_out += len(out)
-        return out
+        with _TRACER.span(type(op).__name__, op) as sp:
+            out = self._eval_inner(op, seed)
+            if not isinstance(op, FilterOp):  # _keep tags it, where it ran
+                sp.set_tags(rows_in=len(seed), rows_out=len(out))
+            return out
+
+    @staticmethod
+    def _observe(op: AlgebraOp, rows_in: int, rows_out: int,
+                 detail: str) -> None:
+        """Tag ``op``'s span with what the plan did with it.  The BGP and
+        inner filters of a ``Filter*(BGP)`` stack, which :meth:`_eval` did
+        not dispatch, are marks under the stack's span: rows, no time."""
+        sp = _TRACER.current()
+        if sp.ref is not op:
+            sp = sp.mark(type(op).__name__, op)
+        sp.set_tags(rows_in=rows_in, rows_out=rows_out, detail=detail)
 
     def _eval_inner(self, op: AlgebraOp, seed: BindingBatch) -> BindingBatch:
         if isinstance(op, UnitOp):
@@ -470,21 +439,16 @@ class Executor:
         if plan is None:
             return BindingBatch.empty(cur.variables)
         specs, steps, late = plan
-        records = self._explain
+        tracing = _TRACER.enabled
         trace: list[str] = []
         for i, ready in steps:
             cur = self._probe(cur, specs[i])
-            if records is not None:
+            if tracing:
                 trace.append(f"{i}→{len(cur)}")
             for k in ready:
                 cur = self._keep(filters[k], cur, i)
-        if records is not None:
-            stats = records.setdefault(id(op), _OpStats())
-            stats.detail = stats.detail or " ".join(trace)  # the first run's
-            if filters:  # under a filter stack _eval does not dispatch op
-                stats.calls += 1
-                stats.rows_in += len(seed)
-                stats.rows_out += len(cur)
+        if tracing:
+            self._observe(op, len(seed), len(cur), " ".join(trace))
         for k in late:
             cur = self._keep(filters[k], cur, op)
         return cur
@@ -1075,17 +1039,11 @@ class Executor:
             lambda binding: evaluate_ebv(expr, binding, ctx))
         keep = [i for i, flag in enumerate(flags) if flag]
         out = batch if len(keep) == len(batch) else batch.gather(keep)
-        records = self._explain
-        if records is not None:
-            # A filter counts the rows its condition saw, where it ran;
-            # _eval adds the time of the ones it dispatched.
-            stats = records.setdefault(id(op), _OpStats())
-            stats.calls += 1
-            stats.rows_in += len(batch)
-            stats.rows_out += len(out)
-            stats.detail = stats.detail or (
+        if _TRACER.enabled:
+            # A filter reports the rows its condition saw, where it ran.
+            self._observe(op, len(batch), len(out), (
                 f"after pattern {after}" if isinstance(after, int)
-                else f"after {type(after).__name__.removesuffix('Op')}")
+                else f"after {type(after).__name__.removesuffix('Op')}"))
         return out
 
     def _eval_extend(self, op: ExtendOp, seed: BindingBatch) -> BindingBatch:

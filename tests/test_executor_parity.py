@@ -368,3 +368,41 @@ class TestFilterPlacementWork:
             return probe_rows(lambda: engine.query(prepared))
 
         assert 3 * probed(filtered) <= probed(unfiltered)
+
+
+# --------------------------------------------------------------------------
+# Observation: a traced run is the same run, and its spans are the plan
+# --------------------------------------------------------------------------
+
+OBSERVED = [(EDGE_TTL, query) for query in EDGE_QUERIES] \
+    + [(EDGE_TTL, query) for query, _ in ORDERED_QUERIES] \
+    + [(PLACEMENT_TTL, PREFIX + query)
+       for query in PLACEMENT_QUERIES.values()]
+
+
+@pytest.mark.parametrize("store", ["dict", "columnar"])
+def test_the_battery_under_the_tracer(store):
+    """With the tracer live every query returns the bag it returns with
+    it off, its ``executor.run`` root has the plan's root operator as a
+    child carrying the rows that came out, and the span tree serializes
+    (the operator is on the span, not in a tag)."""
+    import json
+    from repro.obs import tracer
+    engines = {ttl: QueryEngine(on_store(parse_turtle(ttl), store))
+               for ttl in (EDGE_TTL, PLACEMENT_TTL)}
+    ring = list(tracer().finished)
+    for ttl, query in OBSERVED:
+        engine = engines[ttl]
+        prepared = engine.prepare(query)
+        quiet = engine.query(prepared)
+        with tracer().capture() as roots:
+            traced = engine.query(prepared)
+        assert traced.same_solutions(quiet), query
+        run, = roots
+        assert run.name == "executor.run" and run.children, query
+        top = run.children[0]
+        assert top.ref is prepared.plan, query
+        assert top.tags["rows_out"] == len(quiet), query
+        assert all(sp.end >= sp.start for sp in run.walk()), query
+        json.dumps(run.to_dict())
+    assert not tracer().enabled and list(tracer().finished) == ring

@@ -594,6 +594,35 @@ class TestSofosPolicies:
         assert answer.table.same_solutions(
             sofos.answer_from_base(query).table)
 
+    def test_rebuild_policy_repairs_every_stale_view_in_one_scan(
+            self, tiny_dbpedia):
+        """The update-churn selection after one update batch: the first
+        stale route rebuilds all three views from one facet scan (the
+        rule ``maintain()`` follows), not one scan per routed view."""
+        from repro.obs import hub
+        from repro.selection import UserSelection
+        graph = tiny_dbpedia.graph.copy()
+        sofos = Sofos(graph, tiny_dbpedia.facet("population_cube_4d"),
+                      seed=1, maintenance="rebuild")
+        sofos.materialize(sofos.select(k=None, selector=UserSelection(
+            ["country+lang+year+continent", "lang+year", "year+continent"])))
+        workload = sofos.generate_workload(40)
+        UpdateStreamGenerator(graph, UpdateStreamConfig(
+            operations_per_batch=5)).next_batch().apply_to(graph)
+        h = hub()
+        h.reset()
+        h.enable(tracing=False)
+        try:
+            answers = [sofos.answer(query) for query in workload]
+            scans = h.metrics.value("facet_scan_total", ("scan",))
+        finally:
+            h.disable()
+            h.reset()
+        assert len({a.used_view for a in answers}) == 3
+        assert not any(a.stale for a in answers)
+        assert scans == 1
+        assert not sofos.catalog.stale_views()
+
     def test_maintainer_without_policy_defaults_to_incremental(
             self, population_facet):
         """A wired maintainer is the refresher: it must actually repair

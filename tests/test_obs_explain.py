@@ -79,12 +79,6 @@ class TestEngineExplain:
         assert payload["rows"] == payload["plan"]["rows_out"]
         assert isinstance(payload["plan"]["children"], list)
 
-    def test_explain_not_reentrant(self, engine):
-        # run_ids_explained guards against nested explain on one executor
-        prepared = engine.prepare(POP_QUERY)
-        batch, records = engine._executor.run_ids_explained(prepared.plan)
-        assert records and len(batch) > 0
-
 
 FILTERED_QUERY = """
 PREFIX ex: <http://example.org/>
@@ -178,7 +172,7 @@ class TestExplainShowsThePlanThatRan:
     def test_an_operator_evaluated_twice_shows_its_first_trace(self, engine):
         """Rows and calls accumulate over evaluations; the trace beside
         them is one run's, and says so."""
-        from types import SimpleNamespace
+        from repro.obs import tracer
         from repro.obs.explain import build_query_explain
         from repro.sparql.algebra import UnionOp
         stack = engine.prepare("""
@@ -186,9 +180,9 @@ class TestExplainShowsThePlanThatRan:
             SELECT * WHERE { ?o ex:ofCountry ?c . ?o ex:population ?pop .
                              FILTER(?pop > 36) }""").plan.child
         once = len(engine.executor.run_ids(stack))
-        twice = SimpleNamespace(plan=UnionOp((stack, stack)), ast=None)
-        batch, records = engine.executor.run_ids_explained(twice.plan)
-        ex = build_query_explain(twice, batch, records, 0.0)
+        with tracer().capture() as roots:
+            batch = engine.executor.run_ids(UnionOp((stack, stack)))
+        ex = build_query_explain(roots[-1], batch, 0.0)
         assert len(batch) == 2 * once
         for node in ex.root.children:
             bgp, = node.children
@@ -251,3 +245,78 @@ class TestRoutedExplain:
             assert ex.plan.rows == len(answer.table)
             if answer.used_view is not None:
                 assert ex.route == "view"
+
+
+OWN_HEADER = """
+PREFIX ex: <http://example.org/>
+SELECT (SUM(?pop) AS ?mine) ?year ?lang WHERE {
+  ?obs ex:ofCountry ?c ; ex:year ?year ; ex:population ?pop .
+  ?c ex:language ?lang .
+} GROUP BY ?year ?lang
+"""
+
+REBINDS = """
+PREFIX ex: <http://example.org/>
+SELECT ?c WHERE { ?c ex:name ?n . BIND(1 AS ?n) }
+"""
+
+
+class TestExplainIsTheAnswerObserved:
+    """One serving path: what ``explain`` reports is what ``answer_sparql``
+    did, and the hub counts an explained query as the answer it is."""
+
+    @pytest.fixture
+    def clean_hub(self):
+        from repro.obs import hub
+        h = hub()
+        h.disable()
+        h.reset()
+        yield h
+        h.disable()
+        h.reset()
+
+    @staticmethod
+    def _materialize_lang_year(sofos):
+        from repro.selection import UserSelection
+        sofos.materialize(sofos.select(
+            k=None, selector=UserSelection(["lang+year"])))
+
+    @pytest.mark.parametrize("route", ["view", "base"])
+    def test_same_header_and_rows_as_answer_sparql(self, sofos, route):
+        if route == "view":
+            self._materialize_lang_year(sofos)
+        explained = sofos.explain(OWN_HEADER)
+        answer = sofos.answer_sparql(OWN_HEADER)
+        assert explained.route == route
+        assert (answer.used_view is not None) == (route == "view")
+        assert [v.name for v in explained.plan.table.variables] \
+            == [v.name for v in answer.table.variables] \
+            == ["mine", "year", "lang"]
+        assert explained.plan.table.rows == answer.table.rows
+        assert explained.plan.rows == len(answer.table) == 7
+
+    def test_hub_on_an_explain_is_one_counted_answer(self, sofos, clean_hub):
+        self._materialize_lang_year(sofos)
+        clean_hub.enable()
+        explained = sofos.explain(OWN_HEADER)
+        root, = clean_hub.tracer.recent()
+        assert root.name == "online.answer"
+        assert root.tags["route"] == explained.route == "view"
+        assert root.find("executor.run").children
+        m = clean_hub.metrics
+        assert m.counter_total("online_answers_total") == 1
+        assert m.get("online_query_seconds").total_count() == 1
+        assert clean_hub.tracer.enabled
+        clean_hub.to_json()     # candidates / quarantined / why are tags
+
+    def test_hub_off_an_explain_leaves_nothing(self, sofos, clean_hub):
+        from repro.errors import QueryEvaluationError
+        self._materialize_lang_year(sofos)
+        assert sofos.explain(OWN_HEADER).plan.root.calls == 1
+        with pytest.raises(QueryEvaluationError):
+            sofos.explain(REBINDS)
+        snap = clean_hub.metrics.snapshot()
+        assert snap["counters"] == snap["gauges"] == snap["histograms"] == {}
+        assert clean_hub.tracer.recent() == []
+        assert not clean_hub.tracer.enabled
+        assert clean_hub.tracer.current() is None

@@ -120,3 +120,36 @@ class TestDisabledAndRing:
             pass
         tracer.reset()
         assert tracer.recent() == []
+
+
+class TestCapture:
+    def test_off_it_is_live_for_the_block_and_leaves_nothing(self):
+        import json
+        tracer = SpanTracer()
+        subject = object()
+        with pytest.raises(KeyError):
+            with tracer.capture() as roots:
+                assert tracer.enabled
+                with tracer.span("work", subject, n=1) as work:
+                    work.mark("fact", subject).set_tags(rows=3)
+                with tracer.span("more"):
+                    raise KeyError("boom")
+        assert [s.name for s in roots] == ["work", "more"]
+        assert roots[1].status == "error"
+        assert not tracer.enabled and tracer.current() is None
+        assert tracer.recent() == []
+        fact, = work.children
+        assert fact.ref is work.ref is subject and fact.seconds == 0.0
+        assert [s.name for s in work.walk()] == ["work", "fact"]
+        # what a span observed rides on the span, not in its tags
+        assert json.loads(json.dumps(work.to_dict()))["tags"] == {"n": 1}
+
+    def test_on_the_roots_reach_the_ring_as_they_would_have(self, tracer):
+        with tracer.span("before"):
+            pass
+        with tracer.capture() as roots:
+            with tracer.span("inside"):
+                pass
+        assert [s.name for s in roots] == ["inside"]
+        assert [s.name for s in tracer.recent()] == ["inside", "before"]
+        assert tracer.enabled and tracer.current() is None

@@ -68,6 +68,7 @@ def _whole_loop(facet, directory):
         assert sofos.answer_sparql(
             render_analytical_query(query)).used_view is not None
     assert sofos.answer_sparql(POP_QUERY).used_view is None
+    assert sofos.explain(query).route == "view"     # traced, hub untouched
     assert sofos.audit().clean
     save_expanded(catalog, directory)
     load_expanded(directory, facet)

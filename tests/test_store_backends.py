@@ -212,6 +212,23 @@ class TestColumnarKernels:
         with pytest.raises(ValueError):
             s.insert_many([(ID_LIMIT, 0, 0)])
 
+    def test_a_rejected_batch_writes_nothing(self):
+        """The ids are checked before the first write: a batch with one
+        bad id leaves no triple behind that was never counted, versioned
+        or logged, and the store takes later batches as usual."""
+        from repro.errors import StoreCapacityError
+        g = Graph(store="columnar")
+        log = g.subscribe()
+        with pytest.raises(StoreCapacityError):
+            g.add_ids_bulk(iter([(1, 2, 3), (ID_LIMIT, 0, 0)]))
+        assert g.snapshot_ids() == [] and len(g) == 0
+        assert g.count_ids(None, 2, None) == 0 and g.version == 0
+        assert log.pending == 0
+        assert g.add_ids_bulk([(1, 2, 3)]) == 1
+        assert g.snapshot_ids() == [(1, 2, 3)] and len(g) == 1
+        assert g.count_ids(None, 2, None) == 1 and g.version == 1
+        assert log.drain().inserted == ((1, 2, 3),)
+
 
 class TestBulkKernels:
     """The vectorized kernel API vs brute force."""
