@@ -109,7 +109,7 @@ def panel_materialized_lattice(lattice: ViewLattice, profile: LatticeProfile,
         kib = graph_memory_bytes(graph) / 1024.0
         view_bytes += kib
         rows.append([entry.label, str(entry.groups), str(entry.triples),
-                     str(entry.nodes), f"{kib:.1f}",
+                     str(catalog.node_count(entry.definition)), f"{kib:.1f}",
                      f"{entry.build_seconds * 1000:.1f}"])
     table = format_table(
         ("view", "groups", "triples", "nodes", "mem KiB", "build ms"),

@@ -11,17 +11,19 @@ binary-search range over one permutation, and bulk probes become
 
 Writes are buffered: inserts/deletes land in pending sets and are folded
 into the sorted base by a compaction pass on the next read (or when the
-buffer crosses a size threshold).  Buffering is what keeps
-``add_ids_bulk``/``remove_ids_bulk`` a single O(n log n) rebuild instead
-of per-triple array shifting, while mutation results (dup/absent
-detection for changelog capture) stay exact via binary search against
-the base plus set lookups against the buffers.
+buffer crosses a size threshold).  Compaction merges, O(n + k log k): the
+k pending rows are sorted and ranked in each permutation by
+``searchsorted``, the deleted ones masked out, the added ones placed with
+``np.insert`` into *fresh* columns — numpy views taken before the pass
+keep their rows.  Mutation results (dup/absent detection for changelog
+capture) stay exact via binary search against the base plus set lookups
+against the buffers.
 
-numpy (a declared dependency) re-sorts the permutations on compaction
-(``lexsort``) and powers the bulk kernel API (``bulk_probe``/
-``bulk_exists``/``bulk_scan``) the batched executor's vectorized probe
-paths consume; the single-key access paths stay plain ``bisect`` over the
-``array('q')`` columns, which the numpy views share memory with.
+numpy (a declared dependency) does that merge and powers the bulk kernel
+API (``bulk_probe``/``bulk_exists``/``bulk_scan``) the batched executor's
+vectorized probe paths consume; the single-key access paths stay plain
+``bisect`` over the ``array('q')`` columns, which the numpy views share
+memory with.
 
 Layout cribs from the ordered-key-range design documented for RDF
 quad stores (cf. lakesuperior's indexing strategy notes): permutation
@@ -33,6 +35,7 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
@@ -53,7 +56,6 @@ _COMPACT_PENDING = _REG.histogram(
     "Buffered mutations folded per compaction pass",
     buckets=_metrics.DEFAULT_SIZE_BUCKETS)
 
-_MASK = 0xFFFFFFFF
 #: Ids must fit 32 bits signed so (a, b) packs into one int64 key.
 ID_LIMIT = 1 << 31
 
@@ -61,6 +63,43 @@ ID_LIMIT = 1 << 31
 DEFAULT_PENDING_LIMIT = 1 << 18
 
 _PERMS = ("spo", "pos", "osp")
+
+
+def _merge(columns: tuple, adds: np.ndarray, dels: np.ndarray) -> tuple:
+    """Fresh sorted columns of one permutation: ``dels`` out, ``adds`` in.
+
+    ``adds`` / ``dels`` are ``(k, 3)`` rows in the permutation's (a, b, c)
+    order.  A row's rank among the sorted rows is a ``searchsorted`` on
+    ``ab``, then on the run key ``(run << 31) | c`` (``run`` numbers the
+    ``ab`` runs; the key is sorted because ``c < ID_LIMIT``).
+    """
+    ab, _, c = columns
+    n = len(ab)
+    key = np.ones(n + 1, dtype=np.int64)    # key[n]: past the last run
+    key[0] = 0
+    np.not_equal(ab[1:], ab[:-1], out=key[1:n])
+    np.cumsum(key, out=key)
+    key <<= 31
+    key[:n] |= c
+
+    def place(rows):
+        """Ranks of the rows, and the rows as columns sorted by (ab, c)."""
+        rows_ab = (rows[:, 0] << 32) | rows[:, 1]
+        order = np.lexsort((rows[:, 2], rows_ab))
+        cols = rows_ab[order], rows[order, 1], rows[order, 2]
+        lo = np.searchsorted(ab, cols[0])
+        # a row of an absent pair goes first in the run after it
+        hit = np.searchsorted(ab, cols[0], side="right") > lo
+        target = (key[lo] >> 31 << 31) | np.where(hit, cols[2], 0)
+        return np.searchsorted(key, target), cols
+
+    gone, _ = place(dels)
+    keep = np.ones(n, dtype=bool)
+    keep[gone] = False
+    at, added = place(adds)
+    at -= np.searchsorted(gone, at)    # the deleted rows before each
+    return tuple(array("q", np.insert(col[keep], at, new).tobytes())
+                 for col, new in zip(columns, added))
 
 
 class ColumnarStore(TripleStore):
@@ -106,22 +145,14 @@ class ColumnarStore(TripleStore):
 
     # -- base binary search -------------------------------------------------
 
-    def _base_find(self, sid: int, pid: int, oid: int) -> int:
-        """Row index of (sid, pid, oid) in the SPO base, or -1."""
+    def _base_contains(self, sid: int, pid: int, oid: int) -> bool:
         ab = self._spo_ab
         packed = (sid << 32) | pid
         lo = bisect_left(ab, packed)
         hi = bisect_right(ab, packed, lo)
-        if lo == hi:
-            return -1
         c = self._spo_c
         j = bisect_left(c, oid, lo, hi)
-        if j < hi and c[j] == oid:
-            return j
-        return -1
-
-    def _base_contains(self, sid: int, pid: int, oid: int) -> bool:
-        return self._base_find(sid, pid, oid) >= 0
+        return j < hi and c[j] == oid
 
     @staticmethod
     def _ab_range(ab, packed: int) -> tuple:
@@ -195,40 +226,13 @@ class ColumnarStore(TripleStore):
 
     def _compact(self) -> None:
         pending = len(self._adds) + len(self._dels)
-        n = len(self._spo_c)
-        if n:
-            ab, b, c = self._v_spo
-            s = ab >> 32
-            p, o = b, c
-            if self._dels:
-                keep = np.ones(n, dtype=bool)
-                for sid, pid, oid in self._dels:
-                    keep[self._base_find(sid, pid, oid)] = False
-                s, p, o = s[keep], p[keep], o[keep]
-        else:
-            s = p = o = np.empty(0, dtype=np.int64)
-        if self._adds:
-            k = len(self._adds)
-            extra = np.fromiter(
-                (x for t in self._adds for x in t),
-                dtype=np.int64, count=3 * k).reshape(k, 3)
-            s = np.concatenate([s, extra[:, 0]])
-            p = np.concatenate([p, extra[:, 1]])
-            o = np.concatenate([o, extra[:, 2]])
-        for perm, (a_col, b_col, c_col) in (
-                ("spo", (s, p, o)), ("pos", (p, o, s)), ("osp", (o, s, p))):
-            order = np.lexsort((c_col, b_col, a_col))
-            a_s = a_col[order]
-            b_s = b_col[order]
-            c_s = c_col[order]
-            ab_s = (a_s << 32) | b_s
-            ab_q = array("q")
-            ab_q.frombytes(ab_s.tobytes())
-            b_q = array("q")
-            b_q.frombytes(b_s.tobytes())
-            c_q = array("q")
-            c_q.frombytes(c_s.tobytes())
-            self._store_perm(perm, ab_q, b_q, c_q)
+        adds, dels = (np.fromiter(chain.from_iterable(rows), dtype=np.int64,
+                                  count=3 * len(rows)).reshape(-1, 3)
+                      for rows in (self._adds, self._dels))
+        for perm, order in (("spo", [0, 1, 2]), ("pos", [1, 2, 0]),
+                            ("osp", [2, 0, 1])):
+            self._store_perm(perm, *_merge(getattr(self, f"_v_{perm}"),
+                                           adds[:, order], dels[:, order]))
         self._adds = set()
         self._dels = set()
         if _REG.enabled:
@@ -443,10 +447,10 @@ class ColumnarStore(TripleStore):
     def memory_bytes(self) -> int:
         total = sys.getsizeof(self._pred_counts)
         total += sys.getsizeof(self._adds) + sys.getsizeof(self._dels)
+        total += sys.getsizeof((0, 0, 0)) * (len(self._adds) + len(self._dels))
         for perm in _PERMS:
             for col in ("ab", "b", "c"):
-                arr = getattr(self, f"_{perm}_{col}")
-                total += sys.getsizeof(arr)
+                total += sys.getsizeof(getattr(self, f"_{perm}_{col}"))
         return total
 
     # -- bulk kernel API (advertised by .vectorized) ------------------------
@@ -520,16 +524,15 @@ class ColumnarStore(TripleStore):
         self._flush()
         sid, pid, oid = const_ids
         if key_pos == 0:
-            ab, _, c = self._v_pos
+            ab, c = self._pos_ab, self._v_pos[2]
             packed = (pid << 32) | oid
         elif key_pos == 1:
-            ab, _, c = self._v_osp
+            ab, c = self._osp_ab, self._v_osp[2]
             packed = (oid << 32) | sid
         else:
-            ab, _, c = self._v_spo
+            ab, c = self._spo_ab, self._v_spo[2]
             packed = (sid << 32) | pid
-        lo = bisect_left(ab, packed)
-        hi = bisect_right(ab, packed, lo)
+        lo, hi = self._ab_range(ab, packed)
         if lo == hi:
             return np.zeros(len(keys), dtype=bool)
         run = c[lo:hi]

@@ -58,15 +58,15 @@ _QUARANTINE_EVENTS = _REG.counter(
 class MaterializedView:
     """A catalog entry: the definition plus its exact materialized footprint.
 
-    ``base_version`` snapshots the base graph's mutation counter at build
-    time; the catalog compares it against the current version to detect
-    stale views after base-graph updates.
+    Node counts are read on demand (:meth:`ViewCatalog.node_count`), so a
+    patch never recounts its graph.  ``base_version`` snapshots the base
+    graph's mutation counter at build time; the catalog compares it
+    against the current version to detect stale views.
     """
 
     definition: ViewDefinition
     groups: int
     triples: int
-    nodes: int
     build_seconds: float
     base_version: int = 0
     maintain_seconds: float = 0.0
@@ -239,7 +239,6 @@ class ViewCatalog:
                     definition=view,
                     groups=stats.groups,
                     triples=stats.triples,
-                    nodes=stats.nodes,
                     # What a rebuild of this view costs: its own encode
                     # plus an equal share of the measured pattern scan —
                     # charged whether this batch ran the scan or found it
@@ -275,6 +274,10 @@ class ViewCatalog:
             raise ViewError(f"view {view.label!r} is not materialized")
         return graph
 
+    def node_count(self, view: ViewDefinition) -> int:
+        """Distinct nodes of a view's graph (cached per graph version)."""
+        return self.graph_of(view).node_count()
+
     def group_index(self, view: ViewDefinition) -> GroupIndex:
         """The view's group index: what its graph stores, keyed by group.
 
@@ -307,8 +310,8 @@ class ViewCatalog:
         return self._engine.graph.version
 
     def note_maintained(self, view: ViewDefinition, *, groups: int,
-                        triples: int, nodes: int,
-                        seconds: float = 0.0) -> MaterializedView:
+                        triples: int, seconds: float = 0.0
+                        ) -> MaterializedView:
         """Record that a view was brought current by incremental patching.
 
         The entry keeps its original ``build_seconds`` (the full-rebuild
@@ -323,7 +326,6 @@ class ViewCatalog:
             definition=entry.definition,
             groups=groups,
             triples=triples,
-            nodes=nodes,
             build_seconds=entry.build_seconds,
             base_version=self._engine.graph.version,
             maintain_seconds=entry.maintain_seconds + seconds,

@@ -313,11 +313,9 @@ class ViewMaintainer:
                 declined.append((entry, reason))
                 continue
             created, updated, deleted = stats
-            graph = catalog.graph_of(view)
             catalog.note_maintained(
                 view, groups=len(catalog.group_index(view)),
-                triples=len(graph), nodes=graph.node_count(),
-                seconds=seconds)
+                triples=len(catalog.graph_of(view)), seconds=seconds)
             outcomes[mask] = ViewMaintenance(
                 label=view.label, action="patched",
                 groups_created=created, groups_updated=updated,

@@ -247,13 +247,11 @@ class MaterializationStats:
     view: ViewDefinition
     groups: int
     triples: int
-    nodes: int
     build_seconds: float
 
     def __str__(self) -> str:
         return (f"{self.view.label}: {self.groups} groups, "
-                f"{self.triples} triples, {self.nodes} nodes, "
-                f"{self.build_seconds * 1000:.1f} ms")
+                f"{self.triples} triples, {self.build_seconds * 1000:.1f} ms")
 
 
 def materialize_view_from_table(view: ViewDefinition, engine: QueryEngine,
@@ -319,7 +317,6 @@ def materialize_view_from_table(view: ViewDefinition, engine: QueryEngine,
         view=view,
         groups=len(groups),
         triples=triples_added,
-        nodes=target.node_count(),
         build_seconds=time.perf_counter() - start,
     )
     return stats, index

@@ -208,7 +208,7 @@ def _save_expanded(catalog: ViewCatalog, directory: str) -> None:
             "label": entry.label,
             "groups": entry.groups,
             "triples": entry.triples,
-            "nodes": entry.nodes,
+            "nodes": catalog.node_count(entry.definition),
             "build_seconds": entry.build_seconds,
             "maintain_seconds": entry.maintain_seconds,
             "maintain_count": entry.maintain_count,
@@ -398,7 +398,6 @@ def _load_expanded(directory: str, facet: AnalyticalFacet, *,
                 definition=definition,
                 groups=int(item["groups"]),
                 triples=int(item["triples"]),
-                nodes=int(item["nodes"]),
                 build_seconds=float(item["build_seconds"]),
                 base_version=-1 if stale else version,
                 maintain_seconds=float(item.get("maintain_seconds", 0.0)),

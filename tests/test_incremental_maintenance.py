@@ -394,6 +394,49 @@ class TestViewMaintainerPatching:
         cat2.refresh_stale()
         assert_view_parity(cat1, cat2, views)
 
+    def test_a_small_window_compacts_no_view_graph(self, monkeypatch):
+        """The e2e ``update-churn`` selection on the columnar store: a
+        small window compacts the base graph (the delta evaluator's first
+        probe) and none of the three view graphs it patches, and counts
+        no nodes; the first read of a view graph compacts it, and its
+        node count is then a rebuild's."""
+        from repro.datasets import load_dataset
+        from repro.obs import hub
+        from repro.selection.user import UserSelection
+        monkeypatch.setenv("REPRO_STORE", "columnar")
+        data = load_dataset("dbpedia", "tiny")
+        graph, facet = data.graph, data.facet("population_cube_4d")
+        sofos = Sofos(graph, facet, seed=1, maintenance="incremental")
+        selection = sofos.select(selector=UserSelection((
+            "country+lang+year+continent", "lang+year", "year+continent")),
+            k=None)
+        sofos.materialize(selection)
+        UpdateStreamGenerator(graph, UpdateStreamConfig(
+            operations_per_batch=5, seed=7)).next_batch().apply_to(graph)
+        counted = []
+        node_ids = Graph.node_ids
+        monkeypatch.setattr(Graph, "node_ids", lambda self, *args: (
+            counted.append(self) or node_ids(self, *args)))
+        h = hub()
+        h.reset()
+        h.enable(tracing=False)
+        try:
+            report = sofos.maintain()
+            compactions = h.metrics.counter_total("store_compactions_total")
+        finally:
+            h.disable()
+            h.reset()
+        assert len(report.patched) == 3
+        assert all(v.groups_updated for v in report.views)    # all written
+        assert compactions == 1 and counted == []
+        sofos.answer(sofos.generate_workload(1)[0])
+        twin = Sofos(graph.copy(), facet, seed=1)
+        twin.materialize(selection)
+        for entry in sofos.catalog:
+            view = entry.definition
+            assert sofos.catalog.node_count(view) == \
+                twin.catalog.node_count(view), view.label
+
     def test_second_window_continues_from_first(self, population_facet):
         (g1, cat1, views), (g2, cat2, _) = twin_worlds(
             population_facet, build_population_graph)

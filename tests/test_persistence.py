@@ -123,7 +123,7 @@ class TestExpandedPersistence:
         manifest = json.loads(manifest_path.read_text())
         manifest["views"].append({
             "mask": 2, "label": "year", "groups": 1, "triples": 1,
-            "nodes": 1, "build_seconds": 0.0, "base_version": 0})
+            "build_seconds": 0.0, "base_version": 0})
         manifest_path.write_text(json.dumps(manifest))
         if any(e.mask == 2 for e in catalog):
             pytest.skip("selection already contains mask 2")
@@ -267,7 +267,7 @@ class TestManifestV2:
         entry = next(iter(catalog))
         catalog.note_maintained(
             entry.definition, groups=entry.groups, triples=entry.triples,
-            nodes=entry.nodes, seconds=1.5)
+            seconds=1.5)
         save_expanded(catalog, str(tmp_path))
         manifest = json.loads((tmp_path / "catalog.json").read_text())
         saved = {item["mask"]: item for item in manifest["views"]}

@@ -10,16 +10,20 @@ exactly the answers the base graph gives.
 from __future__ import annotations
 
 import string
+from collections import Counter
+from itertools import product
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, \
+    strategies as st
 
 from repro.cost import AggregatedValuesCost
 from repro.cost.profiler import BaseProfile, LatticeProfile, ViewProfile
 from repro.cube import AnalyticalFacet, AnalyticalQuery, FilterCondition, \
     ViewLattice
-from repro.rdf import Dataset, Graph, IRI, Literal, Namespace, \
-    TermDictionary, Triple, Variable, XSD, parse_ntriples, \
+from repro.rdf import ColumnarStore, Dataset, Graph, IRI, Literal, \
+    Namespace, TermDictionary, Triple, Variable, XSD, parse_ntriples, \
     serialize_ntriples, typed_literal
+from repro.rdf.columnar import ID_LIMIT
 from repro.rdf.terms import BlankNode
 from repro.selection import AnnealingSelector, ExhaustiveSelector, \
     GreedySelector, SelectionProblem
@@ -113,6 +117,68 @@ class TestStoreProperties:
             assert d.decode(tid) == term
             assert d.encode(term) == tid  # stable on re-encode
         assert len(d) == len(set(terms))
+
+
+# --------------------------------------------------------------------------
+# columnar compaction: a merge that must equal a full sort
+# --------------------------------------------------------------------------
+
+_TOP = ID_LIMIT - 1      # the largest id fills the run key's 31-bit c half
+_store_ids = st.one_of(st.integers(0, 6), st.just(_TOP))
+_store_ops = st.lists(st.tuples(
+    st.sampled_from(("insert", "delete", "reinsert", "compact")),
+    st.lists(st.tuples(_store_ids, _store_ids, _store_ids), max_size=10)),
+    max_size=12)
+#: one (p, o) pair with forty subjects: a long run in POS
+_RUN = [(s, 1, 2) for s in range(0, 80, 2)]
+_PERM_ORDERS = (("spo", (0, 1, 2)), ("pos", (1, 2, 0)), ("osp", (2, 0, 1)))
+
+
+class TestColumnarCompaction:
+    """Whatever the interleaving, compaction leaves the sorted live set."""
+
+    @given(_store_ops, st.sampled_from((4, 1 << 18)))
+    @example([("insert", _RUN)], 1 << 18)                       # empty base
+    @example([("insert", _RUN), ("compact", []), ("delete", _RUN)],
+             1 << 18)                                           # every row
+    @example([("insert", _RUN), ("compact", []),
+              ("insert", [(s, 1, 2) for s in range(1, 81, 2)]),
+              ("delete", _RUN[::3]), ("reinsert", [])], 1 << 18)
+    @example([("insert", [(_TOP, _TOP, _TOP), (0, _TOP, 0), (_TOP, 0, 0)]),
+              ("compact", []),
+              ("insert", [(_TOP, _TOP, 0), (0, 0, _TOP), (0, _TOP, _TOP)]),
+              ("delete", [(0, _TOP, 0), (_TOP, _TOP, _TOP)])], 1 << 18)
+    def test_compaction_equals_a_full_sort(self, ops, pending_limit):
+        store = ColumnarStore(pending_limit=pending_limit)
+        live: set = set()
+        deleted: list = []
+        for op, batch in ops:
+            if op == "insert":
+                store.insert_many(batch)
+                live.update(batch)
+            elif op == "delete":
+                store.delete_many(batch)
+                deleted = sorted(live.intersection(batch))
+                live.difference_update(batch)
+            elif op == "reinsert":      # the triples the last delete took
+                store.insert_many(deleted)
+                live.update(deleted)
+            else:
+                store.compact()
+        store.compact()
+        for perm, order in _PERM_ORDERS:
+            ab, b, c = getattr(store, f"_v_{perm}")
+            assert ((ab & 0xFFFFFFFF) == b).all(), perm
+            rows = list(zip((ab >> 32).tolist(), b.tolist(), c.tolist()))
+            assert rows == sorted(tuple(t[i] for i in order) for t in live), \
+                perm
+        assert len(store) == len(live)
+        assert store.predicate_counts() == Counter(p for _, p, _ in live)
+        for probe in sorted(live)[:8] + [(0, 1, 2)]:
+            for pattern in product(*((x, None) for x in probe)):
+                assert store.count_ids(*pattern) == sum(
+                    all(x is None or x == y for x, y in zip(pattern, t))
+                    for t in live), pattern
 
 
 # --------------------------------------------------------------------------
@@ -285,7 +351,7 @@ class TestRewriteEquivalenceProperty:
             entry = catalog.materialize(view)
             assert entry.triples == profile.triples(view)
             assert entry.groups == profile.rows(view)
-            assert entry.nodes == profile.nodes(view)
+            assert catalog.node_count(view) == profile.nodes(view)
 
 
 # --------------------------------------------------------------------------

@@ -142,7 +142,8 @@ class TestRollupParity:
         catalog, lattice = build_lattice(graph, agg_facet(agg))
         for view in lattice:
             entry = catalog.get(view)
-            assert (entry.groups, entry.triples, entry.nodes) == \
+            assert (entry.groups, entry.triples,
+                    catalog.node_count(view)) == \
                 reference_footprint(view, graph), view.label
 
     def test_avg_views_store_sum_and_bound_count(self):
@@ -336,7 +337,7 @@ class TestRouterUpkeepTieBreak:
                maintain_count=0):
         return MaterializedView(
             definition=view, groups=groups, triples=groups * 4,
-            nodes=groups, build_seconds=build_seconds, base_version=0,
+            build_seconds=build_seconds, base_version=0,
             maintain_seconds=maintain_seconds,
             maintain_count=maintain_count)
 

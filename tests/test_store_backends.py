@@ -12,6 +12,7 @@ against brute-force scans.
 from __future__ import annotations
 
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -207,6 +208,18 @@ class TestColumnarKernels:
                 got = leaf(key)
                 assert (got or set()) == expected
 
+    def test_memory_charges_the_pending_tail(self):
+        s = ColumnarStore()
+        s.insert_many([(i, 1, i) for i in range(100)])
+        s.compact()
+        compacted = s.memory_bytes()
+        s.insert_many([(i, 2, i) for i in range(100)])
+        s.delete_many([(i, 1, i) for i in range(50)])
+        tables = sys.getsizeof(s._adds) + sys.getsizeof(s._dels) \
+            - 2 * sys.getsizeof(set())
+        assert s.memory_bytes() - compacted >= \
+            tables + 150 * sys.getsizeof((0, 0, 0))
+
     def test_insert_rejects_oversized_ids(self):
         s = ColumnarStore()
         with pytest.raises(ValueError):
@@ -301,6 +314,22 @@ class TestBulkKernels:
             for pos, col in cols.items():
                 assert sorted(col.tolist()) == \
                     sorted(t[pos] for t in expected)
+
+    def test_arrays_taken_before_a_compaction_keep_their_rows(self, store):
+        """A compaction writes fresh columns: the views a batch holds
+        neither block it (``BufferError``) nor change under it."""
+        s, triples = store
+        _, scanned = s.bulk_scan((None, None, None))
+        keys = np.asarray([1, 2], dtype=np.int64)
+        _, _, probed = s.bulk_probe((1,), (None, None, None), [keys])
+        held = list(scanned.values()) + list(probed.values())
+        before = [col.copy() for col in held]
+        s.insert_many([(999, 1, 0), (0, 2, 999)])
+        s.delete_many(triples[:50])
+        s.compact()
+        assert all((col == old).all() for col, old in zip(held, before))
+        count, _ = s.bulk_scan((None, None, None))
+        assert count == len(triples) - 50 + 2
 
 
 class TestStoreResolution:
