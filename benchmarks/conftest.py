@@ -6,9 +6,8 @@ lattice renders, groups, triples, amplification, hit rates, routed views,
 picked labels, selector objectives) is the tracked golden
 ``benchmarks/out/<exp>.txt``: :func:`emit` compares against it and writes
 it only when it is absent, so regenerating one is "delete it and re-run".
-The **timing** part (every ms / speedup / rho column, and whatever the
-timing-trained ``learned`` cost model picked) goes to stdout and the
-git-ignored ``benchmarks/out/timings/<exp>.txt`` (:func:`emit_timings`);
+The **timing** part (every ms / speedup / rho column) goes to stdout and
+the git-ignored ``benchmarks/out/timings/<exp>.txt`` (:func:`emit_timings`);
 it is for reading — a timing is claimed from ``benchmarks/e2e`` only.
 """
 

@@ -42,8 +42,7 @@ class TestCostModelComparison:
                                               dataset_name=name),
             rounds=1, iterations=1)
         emit_timings("E4", report.render())
-        # what each model picked and what that costs in space and hits;
-        # the learned model trains on measured times, so its row is timing
+        # what each model picked and what that costs in space and hits
         emit("E4", f"dataset={name} facet={report.facet} k={k} "
              f"workload={report.workload_size} queries\n" + format_table(
                  ("model", "views", "extra triples", "amplif.", "hit rate"),
@@ -51,7 +50,7 @@ class TestCostModelComparison:
                    str(row.storage_triples),
                    f"{row.storage_amplification:.3f}",
                    f"{row.hit_rate * 100:.0f}%"]
-                  for row in report.rows if row.model != "learned"],
+                  for row in report.rows],
                  align_right=[False, False, True, True, True]))
 
         informed = report.row("agg_values")

@@ -42,6 +42,7 @@ import numpy as np
 
 from ..errors import StoreCapacityError
 from ..obs import metrics as _metrics
+from .dictionary import ID_LIMIT
 from .store import TripleStore
 
 __all__ = ["ColumnarStore"]
@@ -55,9 +56,6 @@ _COMPACT_PENDING = _REG.histogram(
     "store_compaction_pending_ops",
     "Buffered mutations folded per compaction pass",
     buckets=_metrics.DEFAULT_SIZE_BUCKETS)
-
-#: Ids must fit 32 bits signed so (a, b) packs into one int64 key.
-ID_LIMIT = 1 << 31
 
 #: Pending-buffer size that triggers an eager compaction mid-load.
 DEFAULT_PENDING_LIMIT = 1 << 18

@@ -12,9 +12,19 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
 
+from ..errors import StoreCapacityError
 from .terms import Term
 
-__all__ = ["TermDictionary"]
+__all__ = ["ID_LIMIT", "TermDictionary"]
+
+#: Ids must fit 32 bits signed so the columnar store packs (a, b) into one
+#: int64 key; the dictionary refuses to mint an id at or past it.
+ID_LIMIT = 1 << 31
+
+
+def _capacity_error(term: Term) -> StoreCapacityError:
+    return StoreCapacityError(
+        f"term dictionary is full ({ID_LIMIT} ids): cannot intern {term}")
 
 
 class TermDictionary:
@@ -43,6 +53,8 @@ class TermDictionary:
         tid = self._by_term.get(term)
         if tid is None:
             tid = len(self._by_id)
+            if tid >= ID_LIMIT:
+                raise _capacity_error(term)
             self._by_term[term] = tid
             self._by_id.append(term)
         return tid
@@ -57,7 +69,11 @@ class TermDictionary:
         return self._by_term.get(term)
 
     def encode_many(self, terms: Iterable[Term]) -> list[int]:
-        """Intern many terms at once; returns their ids in input order."""
+        """Intern many terms at once; returns their ids in input order.
+
+        A term that would be minted past :data:`ID_LIMIT` raises
+        :class:`~repro.errors.StoreCapacityError`; the terms minted before
+        it stay interned, and it and the rest are left out."""
         by_term = self._by_term
         by_id = self._by_id
         out: list[int] = []
@@ -65,6 +81,8 @@ class TermDictionary:
             tid = by_term.get(term)
             if tid is None:
                 tid = len(by_id)
+                if tid >= ID_LIMIT:
+                    raise _capacity_error(term)
                 by_term[term] = tid
                 by_id.append(term)
             out.append(tid)

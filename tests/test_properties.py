@@ -23,7 +23,7 @@ from repro.cube import AnalyticalFacet, AnalyticalQuery, FilterCondition, \
 from repro.rdf import ColumnarStore, Dataset, Graph, IRI, Literal, \
     Namespace, TermDictionary, Triple, Variable, XSD, parse_ntriples, \
     serialize_ntriples, typed_literal
-from repro.rdf.columnar import ID_LIMIT
+from repro.rdf.dictionary import ID_LIMIT
 from repro.rdf.terms import BlankNode
 from repro.selection import AnnealingSelector, ExhaustiveSelector, \
     GreedySelector, SelectionProblem

@@ -20,7 +20,7 @@ import pytest
 from repro.obs import metrics as _metrics
 from repro.rdf import ColumnarStore, DictStore, Graph, IRI, TermDictionary, \
     Triple, parse_turtle, resolve_store, typed_literal
-from repro.rdf.columnar import ID_LIMIT
+from repro.rdf.dictionary import ID_LIMIT
 from repro.sparql import QueryEngine
 from repro.workload import WorkloadConfig, WorkloadGenerator
 
@@ -241,6 +241,24 @@ class TestColumnarKernels:
         assert g.snapshot_ids() == [(1, 2, 3)] and len(g) == 1
         assert g.count_ids(None, 2, None) == 1 and g.version == 1
         assert log.drain().inserted == ((1, 2, 3),)
+
+    def test_dictionary_refuses_to_mint_past_the_limit(self, monkeypatch):
+        """The dictionary checks the limit before it mints, so no id a
+        store would refuse ever exists; a hit is never checked."""
+        from repro.errors import StoreCapacityError
+        from repro.rdf import dictionary
+        monkeypatch.setattr(dictionary, "ID_LIMIT", 3)
+        d = TermDictionary()
+        a, b, c, e = (IRI(EX + name) for name in "abce")
+        assert d.encode_many([a, b]) == [0, 1]
+        with pytest.raises(StoreCapacityError):
+            d.encode_many([a, c, e, b])     # c takes id 2, e would be 3
+        assert list(d.terms()) == [a, b, c]
+        assert e not in d and d.lookup(e) is None
+        with pytest.raises(StoreCapacityError):
+            d.encode(e)
+        assert len(d) == 3
+        assert d.encode(b) == 1 and d.encode_many([c, a]) == [2, 0]
 
 
 class TestBulkKernels:
