@@ -10,7 +10,7 @@ are comparable across graphs.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ..errors import StoreCapacityError
 from .terms import Term
@@ -91,6 +91,11 @@ class TermDictionary:
     def decode(self, tid: int) -> Term:
         """Return the term for ``tid``; raises ``IndexError`` for bad ids."""
         return self._by_id[tid]
+
+    def id_terms(self) -> Sequence[Term]:
+        """The id → term list itself (``id_terms()[tid]`` decodes ``tid``):
+        live and growing, read-only for callers."""
+        return self._by_id
 
     def decode_many(self, tids: Iterable[int]) -> list[Term]:
         """Return the terms for many ids in input order (bulk ``decode``)."""

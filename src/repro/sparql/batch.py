@@ -16,7 +16,7 @@ compares strings.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ..rdf.terms import Term, Variable
 
@@ -125,29 +125,19 @@ class BindingBatch:
             [[col[i] for i in row_indexes] for col in self.columns],
             [prov[i] for i in row_indexes])
 
-    def decode_rows(self, decode: Callable[[int], Term],
-                    cache: Optional[dict[int, Term]] = None
+    def decode_rows(self, terms: Sequence[Term], overlay: Sequence[Term]
                     ) -> list[tuple[Optional[Term], ...]]:
-        """All rows as term tuples, decoding each distinct id once.
+        """All rows as term tuples, each column decoded by indexing.
 
-        ``cache`` is the lazy decode cache; pass a shared dict to amortize
-        decoding across several batches of one query.
+        ``terms`` is the dictionary's id → term list and ``overlay`` the
+        executor's list of query-computed terms (id ``-1`` is
+        ``overlay[0]``); ``None`` stays unbound.  This is the one decode of
+        a result batch: a list comprehension per column, no cache and no
+        call per cell.
         """
-        if cache is None:
-            cache = {}
-        decoded: list[IdColumn] = []
-        for col in self.columns:
-            out = []
-            for tid in col:
-                if tid is None:
-                    out.append(None)
-                else:
-                    term = cache.get(tid)
-                    if term is None:
-                        term = decode(tid)
-                        cache[tid] = term
-                    out.append(term)
-            decoded.append(out)
+        decoded = [[None if t is None else terms[t] if t >= 0
+                    else overlay[~t] for t in col]
+                   for col in self.columns]
         if not decoded:
             return [()] * len(self)
         return list(zip(*decoded))

@@ -147,8 +147,7 @@ class QueryEngine:
             columns = [batch.columns[batch.index[v]] if v in batch.index
                        else [None] * n for v in variables]
             batch = BindingBatch(tuple(variables), columns, batch.prov)
-        return ResultTable(variables,
-                           batch.decode_rows(self._executor.decode_id))
+        return ResultTable(variables, self._executor.decode_batch(batch))
 
     def explain(self, query: str | SelectQuery | PreparedQuery):
         """EXPLAIN ANALYZE: execute and return the measured plan tree.

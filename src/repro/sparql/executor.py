@@ -16,8 +16,8 @@ algebra tree:
 * FILTER, BIND, ORDER BY keys, and aggregate operands are evaluated once
   per distinct operand-id tuple; DISTINCT and GROUP BY keys never leave
   id-space;
-* terms are decoded only at the expression/projection boundary, through a
-  lazy per-query decode cache.
+* terms are decoded only at the expression/projection boundary: a result
+  batch by indexing the dictionary's id → term list (and the overlay).
 
 Terms produced by expressions (BIND values, aggregate results, VALUES
 constants unknown to the store) are interned into a private overlay with
@@ -107,6 +107,9 @@ class Executor:
         # Compiled id-space BGP plans, invalidated on graph mutation.
         self._bgp_cache: dict[tuple, object] = {}
         self._bgp_cache_version = -1
+        # Aggregate value → id, see _encode_numbers.
+        self._value_ids: dict[int, int] = {}
+        self._value_ids_at = len(self._dict)
         # id → numeric value / order key, stable for the executor's
         # lifetime (ids are append-only in both dictionary and overlay).
         self._num_cache: dict[int, object] = {}
@@ -139,6 +142,44 @@ class Executor:
             return self._dict.decode(tid)
         return self._extra_by_id[-tid - 1]
 
+    def decode_batch(self, batch: BindingBatch
+                     ) -> list[tuple[Optional[Term], ...]]:
+        """All rows of ``batch`` as term tuples (see
+        :meth:`BindingBatch.decode_rows`)."""
+        return batch.decode_rows(self._dict.id_terms(), self._extra_by_id)
+
+    def _encode_numbers(self, values: Sequence[int | float | None],
+                        as_term: Callable[[int | float], Term] = typed_literal
+                        ) -> list[Optional[int]]:
+        """The ids of ``as_term(v)`` for aggregate results ``values``
+        (``None`` stays unbound).
+
+        Ints go through the value → id memo: ``numeric_result`` and
+        ``typed_literal`` make the same term of an int, so COUNT, integer
+        SUM and the numpy fold share it.  Floats bypass it (SUM makes an
+        integral float ``xsd:decimal``, AVG ``xsd:double``).  The memo is
+        emptied whenever the dictionary has grown since it was filled: a
+        memoized overlay id may then name a term :meth:`encode_term` now
+        finds in the dictionary (memoized dictionary ids stay valid).
+        """
+        memo = self._value_ids
+        size = len(self._dict)
+        if size != self._value_ids_at:
+            memo.clear()
+            self._value_ids_at = size
+        get = memo.get
+        encode = self.encode_term
+        out: list[Optional[int]] = []
+        for value in values:
+            if type(value) is int:
+                tid = get(value)
+                if tid is None:
+                    tid = memo[value] = encode(as_term(value))
+            else:
+                tid = None if value is None else encode(as_term(value))
+            out.append(tid)
+        return out
+
     # -- public API -----------------------------------------------------------
 
     def run(self, op: AlgebraOp, seed: Binding | None = None
@@ -146,30 +187,13 @@ class Executor:
         """Stream the solutions of ``op``, optionally under a seed binding.
 
         Kept for API compatibility with the seed engine: the batch is
-        materialized first, then decoded row by row (unbound variables are
-        absent from the yielded dicts, as before).
+        materialized and decoded first, then yielded row by row (unbound
+        variables are absent from the yielded dicts, as before).
         """
         batch = self.run_ids(op, seed)
         variables = batch.variables
-        decode = self.decode_id
-        cache: dict[int, Term] = {}
-
-        def rows() -> Iterator[Binding]:
-            columns = batch.columns
-            for i in range(len(batch)):
-                out: Binding = {}
-                for var, col in zip(variables, columns):
-                    tid = col[i]
-                    if tid is None:
-                        continue
-                    term = cache.get(tid)
-                    if term is None:
-                        term = decode(tid)
-                        cache[tid] = term
-                    out[var] = term
-                yield out
-
-        return rows()
+        return ({var: term for var, term in zip(variables, row)
+                 if term is not None} for row in self.decode_batch(batch))
 
     def run_ids(self, op: AlgebraOp, seed: Binding | None = None
                 ) -> BindingBatch:
@@ -570,6 +594,15 @@ class Executor:
                     for r in rows:
                         out_index.extend([r] * m)
                     free_col.extend(values * len(rows))
+        elif (len(bound_positions) == 1 and len(const_positions) == 2
+              and pos_ord[bound_positions[0]] is None):
+            # Existence — one clean bound column, two constants: the leaf
+            # of ids at the bound position is looked up once and each
+            # group is a membership test.
+            leaf = graph.adjacent_ids(*const_ids)
+            for key, rows in groups.items():
+                if key in leaf:
+                    out_index.extend(rows)
         else:
             out_index = self._probe_general(
                 graph, groups, const_ids, pos_vars, bound_positions,
@@ -1211,18 +1244,13 @@ class Executor:
             for gi, members in enumerate(member_lists):
                 gids[members] = gi
         sums = np.bincount(gids, weights=row_vals, minlength=k)
-        encode = self.encode_term
         if not want_avg:
-            return [encode(numeric_result(int(total)))
-                    for total in sums.tolist()]
+            return self._encode_numbers([int(total)
+                                         for total in sums.tolist()])
         counts = np.bincount(gids, minlength=k)
-        out: list[Optional[int]] = []
-        for total, count in zip(sums.tolist(), counts.tolist()):
-            if count == 0:
-                out.append(encode(typed_literal(0)))
-            else:
-                out.append(encode(typed_literal(int(total) / count)))
-        return out
+        return self._encode_numbers([
+            int(total) / count if count else 0
+            for total, count in zip(sums.tolist(), counts.tolist())])
 
     def _eval_groupby(self, op: GroupOp, seed: BindingBatch) -> BindingBatch:
         child = self._eval(op.child, seed)
@@ -1277,15 +1305,28 @@ class Executor:
         """One aggregate evaluated over every group, in id-space.
 
         Non-DISTINCT COUNT/SUM/AVG/MIN/MAX over a plain variable — the
-        whole SOFOS query class — run on ids with a per-distinct-id numeric
-        memo and never build accumulator objects; everything else falls
-        back to the spec-faithful accumulators.
+        whole SOFOS query class — run on ids and never build accumulator
+        objects; everything else falls back to the spec-faithful
+        accumulators.  Two memos carry the fast path across queries:
+
+        * operand id → number (``_num_cache``, and its float64 table for
+          :meth:`_fold_sum_np`): each id is decoded at most once per
+          executor, as ids never change meaning;
+        * result value → id (:meth:`_encode_numbers`): an integer COUNT,
+          SUM or AVG result is turned into a literal and interned once,
+          not once per group per query (float results bypass it).  It
+          lives with the executor and is emptied whenever the dictionary
+          has grown, because a memoized overlay id may then name a term
+          the dictionary now holds.
+
+        MIN/MAX return an operand id as is; the generic path encodes its
+        accumulator's term.
         """
         encode = self.encode_term
         operand = agg.operand
         if operand is None:  # COUNT(*)
-            return [encode(typed_literal(len(members)))
-                    for members in member_lists]
+            return self._encode_numbers([len(members)
+                                         for members in member_lists])
 
         fast_col: Optional[list] = None
         if not agg.distinct and isinstance(operand, VarExpr):
@@ -1296,11 +1337,11 @@ class Executor:
         if fast_col is not None and agg.name == "COUNT":
             if self._vec and None not in fast_col:
                 # Fully-bound column: the member count is the answer.
-                return [encode(typed_literal(len(members)))
-                        for members in member_lists]
-            return [encode(typed_literal(
-                sum(1 for i in members if fast_col[i] is not None)))
-                for members in member_lists]
+                return self._encode_numbers([len(members)
+                                             for members in member_lists])
+            return self._encode_numbers([
+                sum(1 for i in members if fast_col[i] is not None)
+                for members in member_lists])
 
         if fast_col is not None and agg.name in ("SUM", "AVG"):
             if self._vec:
@@ -1310,7 +1351,8 @@ class Executor:
                     return out
             decode = self.decode_id
             numbers = self._num_cache
-            out: list[Optional[int]] = []
+            want_avg = agg.name == "AVG"
+            results: list[int | float | None] = []
             for members in member_lists:
                 total: int | float = 0
                 count = 0
@@ -1333,14 +1375,13 @@ class Executor:
                     total += value  # type: ignore[operator]
                     count += 1
                 if poisoned:
-                    out.append(None)
-                elif agg.name == "SUM":
-                    out.append(encode(numeric_result(total)))
-                elif count == 0:
-                    out.append(encode(typed_literal(0)))
+                    results.append(None)
+                elif want_avg:
+                    results.append(total / count if count else 0)
                 else:
-                    out.append(encode(typed_literal(total / count)))
-            return out
+                    results.append(total)
+            return self._encode_numbers(
+                results, typed_literal if want_avg else numeric_result)
 
         if fast_col is not None and agg.name in ("MIN", "MAX"):
             decode = self.decode_id

@@ -151,19 +151,16 @@ class TestBindingBatch:
         assert by_key == {(1,): 0, (2,): 1}
         assert row_map == [0, 1, 0, 0]
 
-    def test_decode_rows_uses_cache(self):
-        x = Variable("x")
-        calls = []
-
-        def decode(tid):
-            calls.append(tid)
-            return typed_literal(tid)
-
-        batch = BindingBatch((x,), [[5, 5, None, 6]], [0, 1, 2, 3])
-        rows = batch.decode_rows(decode)
-        assert rows[2] == (None,)
-        assert rows[0] == rows[1] == (typed_literal(5),)
-        assert sorted(calls) == [5, 6]          # each id decoded once
+    def test_decode_rows_by_index(self):
+        x, y = Variable("x"), Variable("y")
+        terms = [typed_literal(i) for i in range(8)]
+        overlay = [typed_literal(-1), typed_literal(-2)]
+        batch = BindingBatch((x, y), [[5, 5, None, -2], [0, -1, 7, None]],
+                             [0, 1, 2, 3])
+        assert batch.decode_rows(terms, overlay) == [
+            (terms[5], terms[0]), (terms[5], overlay[0]),
+            (None, terms[7]), (overlay[1], None)]
+        assert BindingBatch.unit().decode_rows(terms, overlay) == [()]
 
 
 class TestEngineCaches:

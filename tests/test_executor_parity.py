@@ -406,3 +406,132 @@ def test_the_battery_under_the_tracer(store):
         assert all(sp.end >= sp.start for sp in run.walk()), query
         json.dumps(run.to_dict())
     assert not tracer().enabled and list(tracer().finished) == ring
+
+
+# --------------------------------------------------------------------------
+# Aggregate result ids: interned once per value, never a stale overlay id
+# --------------------------------------------------------------------------
+
+SUM_BY_COUNTRY = PREFIX + """SELECT ?c (SUM(?pop) AS ?total) WHERE {
+  ?obs ex:ofCountry ?c ; ex:population ?pop . } GROUP BY ?c"""
+
+
+@pytest.mark.parametrize("store", ["dict", "columnar"])
+def test_an_overlay_sum_takes_the_dictionary_id_once_the_graph_holds_it(
+        store):
+    """France's SUM (133) is first minted in the executor's overlay; once
+    the base graph holds the literal, the next answer carries the
+    dictionary id, so the column joins and dedups with the graph's 133."""
+    from repro.core import Sofos
+    from repro.rdf import Triple, TriplePattern, Variable, typed_literal
+    from repro.sparql.algebra import BGPOp, DistinctOp, JoinOp, \
+        ProjectOp, UnionOp
+    from tests.conftest import EX, build_population_facet, \
+        build_population_graph
+    graph = on_store(build_population_graph(), store)
+    sofos = Sofos(graph, build_population_facet())
+    engine = sofos.offline.engine
+    prepared = engine.prepare(SUM_BY_COUNTRY)
+    country, total = prepared.ast.projected_variables()
+    france = typed_literal(66 + 67)
+
+    def france_total_id() -> int:
+        batch = engine.executor.run_ids(prepared.plan)
+        row = batch.column(country).index(graph.dictionary.lookup(EX.france))
+        return batch.column(total)[row]
+
+    assert graph.dictionary.lookup(france) is None
+    assert (EX.france, france) in sofos.answer_sparql(SUM_BY_COUNTRY).table
+    assert france_total_id() < 0
+    graph.add(Triple(EX.census, EX.recorded, france))
+    assert (EX.france, france) in sofos.answer_sparql(SUM_BY_COUNTRY).table
+    assert france_total_id() == graph.dictionary.lookup(france) >= 0
+
+    recorded = BGPOp((TriplePattern(Variable("x"), EX.recorded, total),))
+    joined = JoinOp(prepared.plan, recorded)
+    distinct = DistinctOp(ProjectOp(UnionOp((prepared.plan, recorded)),
+                                    (total,)))
+    for plan, variables, rows in ((joined, [country, total, Variable("x")],
+                                   1), (distinct, [total], 4)):
+        batched = ResultTable.from_bindings(
+            variables, engine.executor.run(plan))
+        reference = ResultTable.from_bindings(
+            variables, ReferenceExecutor(graph).run(plan))
+        assert len(batched) == rows
+        assert batched.same_solutions(reference)
+
+
+def test_the_value_memo_holds_only_values_since_the_dictionary_grew():
+    """Over 20 maintenance windows the base executor's value → id memo
+    never holds more than the integer aggregate values answered since
+    the dictionary last grew, so it does not grow with the stream."""
+    from repro.core import Sofos
+    from repro.rdf import Literal
+    from repro.workload import UpdateStreamConfig, UpdateStreamGenerator
+    ds = load_dataset("dbpedia", "tiny")
+    graph = ds.graph.copy()
+    sofos = Sofos(graph, ds.facet("population_cube_4d"), seed=1,
+                  maintenance="incremental")
+    sofos.select_and_materialize("triples", k=2)
+    queries = sofos.generate_workload(12)
+    memo = sofos.offline.engine.executor._value_ids
+    stream = UpdateStreamGenerator(
+        graph, UpdateStreamConfig(operations_per_batch=5, seed=3))
+    live: set[int] = set()
+    size = len(graph.dictionary)
+    for _ in range(20):
+        stream.next_batch().apply_to(graph)
+        sofos.maintain()
+        if len(graph.dictionary) != size:
+            size = len(graph.dictionary)
+            live.clear()
+        for query in queries:
+            base = sofos.answer_from_base(query).table
+            assert sofos.answer(query).table.same_solutions(base)
+            live.update(term.to_python() for row in base for term in row
+                        if isinstance(term, Literal) and term.is_numeric)
+        assert set(memo) <= live and memo
+
+
+# --------------------------------------------------------------------------
+# Existence probes: one bound variable and two constants
+# --------------------------------------------------------------------------
+
+EXISTENCE_QUERIES = [
+    # bound subject: (?obs, ex:year, 2019) after ?obs is bound
+    "SELECT ?obs WHERE { ?obs ex:ofCountry ex:france . ?obs ex:year 2019 }",
+    # bound object: (ex:obs1, ex:ofCountry, ?c) after ?c is bound
+    "SELECT ?c WHERE { ?c ex:name \"France\" . ex:obs1 ex:ofCountry ?c }",
+    # bound predicate: (ex:obs3, ?p, 2018) after ?p is bound
+    "SELECT ?p WHERE { ex:obs1 ?p 2018 . ex:obs3 ?p 2018 }",
+    # no row survives the existence test
+    "SELECT ?obs WHERE { ?obs ex:ofCountry ex:italy . ?obs ex:year 2018 }",
+    # the existence probe under a join seed, keys repeating across rows
+    "SELECT ?c ?lang WHERE { ?c ex:language ?lang . "
+    "OPTIONAL { ?c ex:partOf ?u } ?c ex:partOf ex:eu }",
+]
+
+
+@pytest.mark.parametrize("store", ["dict", "columnar"])
+def test_existence_probes_match_the_reference(store, monkeypatch):
+    """Each query's last probe has one bound variable and two constants:
+    its bag is the reference's, and the general probe loop never sees
+    that shape."""
+    from repro.sparql.executor import Executor
+    from tests.conftest import build_population_graph
+    general = Executor._probe_general
+    shapes: list[tuple[int, int]] = []
+
+    def spy(self, graph, groups, const_ids, pos_vars, bound_positions,
+            *rest):
+        shapes.append((len(bound_positions),
+                       sum(c is not None for c in const_ids)))
+        return general(self, graph, groups, const_ids, pos_vars,
+                       bound_positions, *rest)
+
+    monkeypatch.setattr(Executor, "_probe_general", spy)
+    engine = QueryEngine(on_store(build_population_graph(), store))
+    sizes = [len(assert_parity(engine, PREFIX + query))
+             for query in EXISTENCE_QUERIES]
+    assert sizes == [1, 1, 1, 0, 3]
+    assert (1, 2) not in shapes
