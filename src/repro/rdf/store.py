@@ -60,8 +60,8 @@ class TripleStore:
 
     kind = "abstract"
     #: True when the backend exposes the bulk kernel API
-    #: (``bulk_probe``/``bulk_exists``/``bulk_scan``) the executor's
-    #: vectorized probe paths consume.
+    #: (``bulk_probe``/``bulk_exists``/``bulk_scan``); the executor's
+    #: whole-batch probe is its one consumer.
     vectorized = False
 
     # -- mutation -----------------------------------------------------------

@@ -97,9 +97,9 @@ class BindingBatch:
         """Row indexes grouped by the id tuples of ``variables``.
 
         Groups appear in first-row order and each member list is in row
-        order — the contract GROUP BY evaluation and group-table
-        extraction both rely on for deterministic, order-exact
-        aggregation.
+        order.  The delta evaluator's hash join of a batch with a window's
+        deleted matches reads it (GROUP BY folds over group ids instead,
+        see :func:`dedup_rows`).
         """
         groups: dict[tuple, list[int]] = {}
         for i, key in enumerate(self.key_tuples(variables)):
@@ -146,15 +146,11 @@ class BindingBatch:
 def dedup_rows(keys: Sequence[tuple]) -> tuple[dict[tuple, int], list[int]]:
     """Assign each distinct key a dense index; return (key→index, per-row map).
 
-    The executor uses this to probe/evaluate once per *distinct* bound
-    prefix and hash-join the results back onto the full row set.
+    Indexes are given in first-row order, so ``by_key`` iterates the
+    distinct keys in the order they first appear.  The executor uses this
+    to probe/evaluate once per *distinct* bound prefix and hash-join the
+    results back onto the full row set, and as GROUP BY's group ids.
     """
     by_key: dict[tuple, int] = {}
-    row_map: list[int] = []
-    for key in keys:
-        j = by_key.get(key)
-        if j is None:
-            j = len(by_key)
-            by_key[key] = j
-        row_map.append(j)
-    return by_key, row_map
+    index_of = by_key.setdefault
+    return by_key, [index_of(key, len(by_key)) for key in keys]

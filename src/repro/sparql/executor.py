@@ -14,8 +14,10 @@ algebra tree:
   projection of the left batch onto the shared variables, then hash-join
   the result back through the provenance array;
 * FILTER, BIND, ORDER BY keys, and aggregate operands are evaluated once
-  per distinct operand-id tuple; DISTINCT and GROUP BY keys never leave
-  id-space;
+  per distinct operand-id tuple; DISTINCT never leaves id-space;
+* GROUP BY gives every row a dense group id in first-row order, in one
+  pass over its id key tuples that is the same on every store, and folds
+  each aggregate over those row-aligned ids — no member list per group;
 * terms are decoded only at the expression/projection boundary: a result
   batch by indexing the dictionary's id → term list (and the overlay).
 
@@ -98,8 +100,9 @@ class Executor:
     def __init__(self, graph: Graph) -> None:
         self._graph = graph
         self._dict = graph.dictionary
-        # Vectorized probe/fold paths: only when the storage backend
-        # exposes the bulk kernel API (columnar).
+        # The whole-batch probe (_probe_bulk): only when the storage
+        # backend exposes the bulk kernel API (columnar).  Nothing else in
+        # the executor depends on the store.
         self._vec = graph.store.vectorized
         # Overlay interning for query-computed terms: ids -1, -2, ...
         self._extra_by_term: dict[Term, int] = {}
@@ -113,7 +116,6 @@ class Executor:
         # id → numeric value / order key, stable for the executor's
         # lifetime (ids are append-only in both dictionary and overlay).
         self._num_cache: dict[int, object] = {}
-        self._num_tbl = None  # id-indexed float64 view of _num_cache
         self._okey_cache: dict[int, tuple] = {}
         # EXISTS: compiled per group pattern (keyed on the frozen group
         # itself — the strong reference rules out id-reuse staleness) and
@@ -156,7 +158,7 @@ class Executor:
 
         Ints go through the value → id memo: ``numeric_result`` and
         ``typed_literal`` make the same term of an int, so COUNT, integer
-        SUM and the numpy fold share it.  Floats bypass it (SUM makes an
+        SUM and integral AVG share it.  Floats bypass it (SUM makes an
         integral float ``xsd:decimal``, AVG ``xsd:double``).  The memo is
         emptied whenever the dictionary has grown since it was filled: a
         memoized overlay id may then name a term :meth:`encode_term` now
@@ -1117,201 +1119,41 @@ class Executor:
 
     # -- grouping -------------------------------------------------------------
 
-    def _group_single(self, col: list, n: int) -> Optional[tuple]:
-        """First-row-ordered ``({id: member rows}, gid-per-row)`` via argsort.
-
-        The vectorized grouping kernel: one ``np.unique`` + stable
-        argsort instead of n dict probes.  The second element maps each
-        batch row to its group's output index so aggregate folds can
-        histogram without rebuilding membership.  Returns ``None`` when
-        the key column holds unbound rows (the dict loop owns None
-        groups) or vectorization is off.
-        """
-        np = _np
-        if not self._vec or not n:
-            return None
-        try:
-            arr = np.asarray(col, dtype=np.int64)
-        except (TypeError, ValueError):
-            return None
-        uniq, first, inverse, counts = np.unique(
-            arr, return_index=True, return_inverse=True, return_counts=True)
-        order = np.argsort(first, kind="stable")
-        rank = np.empty(len(uniq), dtype=np.int64)
-        rank[order] = np.arange(len(uniq))
-        gids = rank[inverse]
-        members = np.split(np.argsort(gids, kind="stable"),
-                           np.cumsum(counts[order])[:-1])
-        return {key: rows.tolist()
-                for key, rows in zip(uniq[order].tolist(), members)}, gids
-
-    def _group_multi(self, cols: list, n: int) -> Optional[tuple]:
-        """First-row-ordered ``({id tuple: member rows}, gid-per-row)``.
-
-        The multi-key analogue of :meth:`_group_single`: one stable
-        lexsort + run detection instead of n tuple hashes.  ``None``
-        anywhere (missing key column or unbound row) falls back.
-        """
-        np = _np
-        if not self._vec or not n or not cols \
-                or any(c is None for c in cols):
-            return None
-        try:
-            arrs = [np.asarray(c, dtype=np.int64) for c in cols]
-        except (TypeError, ValueError):
-            return None
-        # lexsort keys run least-significant first; stability keeps rows
-        # of equal keys in row order, so each run leads with its first row.
-        order = np.lexsort(arrs[::-1])
-        sorted_cols = [a[order] for a in arrs]
-        change = np.zeros(n, dtype=bool)
-        change[0] = True
-        for a in sorted_cols:
-            change[1:] |= a[1:] != a[:-1]
-        run_starts = np.flatnonzero(change)
-        run_ends = np.append(run_starts[1:], n)
-        first_rows = order[run_starts]
-        perm = np.argsort(first_rows, kind="stable")
-        inv_perm = np.empty(len(run_starts), dtype=np.int64)
-        inv_perm[perm] = np.arange(len(run_starts))
-        gids = np.empty(n, dtype=np.int64)
-        gids[order] = inv_perm[np.cumsum(change) - 1]
-        groups: dict = {}
-        for gi in perm.tolist():
-            lo = int(run_starts[gi])
-            hi = int(run_ends[gi])
-            key = tuple(int(a[lo]) for a in sorted_cols)
-            groups[key] = order[lo:hi].tolist()
-        return groups, gids
-
-    def _fold_sum_np(self, fast_col: list, member_lists: list[list[int]],
-                     want_avg: bool, gids=None
-                     ) -> Optional[list[Optional[int]]]:
-        """Vectorized SUM/AVG over an all-integer operand column.
-
-        Operand values live in a growable id-indexed float64 table: an id
-        is decoded at most once per executor lifetime, after which the
-        per-row value map is a single C gather and the per-group totals
-        are histogram folds.  NaN marks a not-yet-decoded slot, +inf a
-        value the scalar scan owns (unbound/non-numeric/non-integer, or
-        big enough that float64 accumulation could round — the scalar
-        path keeps exact poisoning and arbitrary-precision semantics).
-        """
-        np = _np
-        n = len(fast_col)
-        if not n:
-            return None
-        try:  # unbound (None) rows raise: the scalar scan owns poisoning
-            arr = np.asarray(fast_col, dtype=np.int64)
-        except (TypeError, ValueError):
-            return None
-        if int(arr.min()) < 0:  # overlay ids: keep the scalar scan
-            return None
-        tbl = self._num_tbl
-        need = int(arr.max()) + 1
-        if tbl is None or len(tbl) < need:
-            cap = max(need, 1024 if tbl is None else 2 * len(tbl))
-            fresh = np.full(cap, np.nan)
-            if tbl is not None:
-                fresh[:len(tbl)] = tbl
-            self._num_tbl = tbl = fresh
-        row_vals = tbl[arr]
-        miss = np.isnan(row_vals)
-        if miss.any():
-            numbers = self._num_cache
-            decode = self.decode_id
-            for tid in np.unique(arr[miss]).tolist():
-                value = numbers.get(tid)
-                if value is None:
-                    try:
-                        value = to_number(decode(tid))
-                    except ExpressionError:
-                        value = _EVAL_ERROR
-                    numbers[tid] = value
-                if (value is _EVAL_ERROR or type(value) is not int
-                        or not -2 ** 52 < value < 2 ** 52):
-                    tbl[tid] = np.inf
-                else:
-                    tbl[tid] = float(value)
-            row_vals = tbl[arr]
-        # Every partial sum stays exact in float64 when the total
-        # absolute mass is below 2**52 (inf rows also trip this guard).
-        if float(np.abs(row_vals).sum()) >= 2.0 ** 52:
-            return None
-        k = len(member_lists)
-        if gids is None:
-            gids = np.empty(n, dtype=np.int64)
-            for gi, members in enumerate(member_lists):
-                gids[members] = gi
-        sums = np.bincount(gids, weights=row_vals, minlength=k)
-        if not want_avg:
-            return self._encode_numbers([int(total)
-                                         for total in sums.tolist()])
-        counts = np.bincount(gids, minlength=k)
-        return self._encode_numbers([
-            int(total) / count if count else 0
-            for total, count in zip(sums.tolist(), counts.tolist())])
-
     def _eval_groupby(self, op: GroupOp, seed: BindingBatch) -> BindingBatch:
+        """GROUP BY in one pass over the rows, the same on every store.
+
+        :func:`dedup_rows` gives every row a dense group id in first-row
+        order; the distinct keys it collects are the output key columns,
+        and every aggregate folds over the row-aligned ids in row order
+        (:meth:`_aggregate_column`).  No group owns a member list.
+        """
         child = self._eval(op.child, seed)
-        n = len(child)
-        single_key = len(op.keys) == 1
-        gids = None
-        if single_key:
-            k = child.index.get(op.keys[0])
-            keys = child.columns[k] if k is not None else [None] * n
-            grouped = self._group_single(keys, n)
-            if grouped is not None:
-                groups, gids = grouped
-            else:
-                groups = {}
-                for i, key in enumerate(keys):
-                    bucket = groups.get(key)
-                    if bucket is None:
-                        groups[key] = [i]
-                    else:
-                        bucket.append(i)
-        else:
-            groups = None
-            if self._vec:
-                kcols = [child.columns[k] if (k := child.index.get(v))
-                         is not None else None for v in op.keys]
-                grouped = self._group_multi(kcols, n)
-                if grouped is not None:
-                    groups, gids = grouped
-            if groups is None:
-                groups = child.group_rows(op.keys)
-        if not groups and not op.keys:
-            groups[()] = []  # implicit single group over empty input
-
-        member_lists = list(groups.values())
-        key_cols: list[list] = [[] for _ in op.keys]
-        if single_key:
-            key_cols[0] = list(groups)
-        else:
-            for key in groups:
-                for col, tid in zip(key_cols, key):
-                    col.append(tid)
-
-        agg_cols = [self._aggregate_column(child, agg, member_lists, gids)
+        by_key, gids = dedup_rows(child.key_tuples(op.keys))
+        if not by_key and not op.keys:
+            by_key[()] = 0  # implicit single group over empty input
+        groups = len(by_key)
+        key_cols = [list(col) for col in zip(*by_key)] if groups \
+            else [[] for _ in op.keys]
+        agg_cols = [self._aggregate_column(child, agg, gids, groups)
                     for _var, agg in op.aggregates]
         out_vars = op.keys + tuple(var for var, _agg in op.aggregates)
-        return BindingBatch(out_vars, key_cols + agg_cols,
-                            [0] * len(member_lists))
+        return BindingBatch(out_vars, key_cols + agg_cols, [0] * groups)
 
     def _aggregate_column(self, child: BindingBatch, agg: AggregateExpr,
-                          member_lists: list[list[int]],
-                          gids=None) -> list[Optional[int]]:
-        """One aggregate evaluated over every group, in id-space.
+                          gids: list[int], groups: int
+                          ) -> list[Optional[int]]:
+        """One aggregate over every group, in id-space: a fold over the
+        row-aligned group ids ``gids`` in row order.
 
         Non-DISTINCT COUNT/SUM/AVG/MIN/MAX over a plain variable — the
         whole SOFOS query class — run on ids and never build accumulator
-        objects; everything else falls back to the spec-faithful
-        accumulators.  Two memos carry the fast path across queries:
+        objects; everything else gets one spec-faithful accumulator per
+        group.  Row order within a group is kept everywhere, so float
+        summation and first-row-wins MIN/MAX ties match the reference.
+        Two memos carry the fast path across queries:
 
-        * operand id → number (``_num_cache``, and its float64 table for
-          :meth:`_fold_sum_np`): each id is decoded at most once per
-          executor, as ids never change meaning;
+        * operand id → number (``_num_cache``): each id is decoded at most
+          once per executor, as ids never change meaning;
         * result value → id (:meth:`_encode_numbers`): an integer COUNT,
           SUM or AVG result is turned into a literal and interned once,
           not once per group per query (float results bypass it).  It
@@ -1322,128 +1164,88 @@ class Executor:
         MIN/MAX return an operand id as is; the generic path encodes its
         accumulator's term.
         """
-        encode = self.encode_term
         operand = agg.operand
-        if operand is None:  # COUNT(*)
-            return self._encode_numbers([len(members)
-                                         for members in member_lists])
-
         fast_col: Optional[list] = None
-        if not agg.distinct and isinstance(operand, VarExpr):
+        if operand is None:  # COUNT(*): no row is unbound
+            fast_col = []
+        elif not agg.distinct and isinstance(operand, VarExpr):
             k = child.index.get(operand.var)
             fast_col = child.columns[k] if k is not None \
                 else [None] * len(child)
 
         if fast_col is not None and agg.name == "COUNT":
-            if self._vec and None not in fast_col:
-                # Fully-bound column: the member count is the answer.
-                return self._encode_numbers([len(members)
-                                             for members in member_lists])
-            return self._encode_numbers([
-                sum(1 for i in members if fast_col[i] is not None)
-                for members in member_lists])
+            return self._encode_numbers(_count_ids(gids, groups, fast_col))
 
         if fast_col is not None and agg.name in ("SUM", "AVG"):
-            if self._vec:
-                out = self._fold_sum_np(fast_col, member_lists,
-                                        agg.name == "AVG", gids)
-                if out is not None:
-                    return out
+            want_avg = agg.name == "AVG"
             decode = self.decode_id
             numbers = self._num_cache
-            want_avg = agg.name == "AVG"
-            results: list[int | float | None] = []
-            for members in member_lists:
-                total: int | float = 0
-                count = 0
-                poisoned = False
-                for i in members:
-                    tid = fast_col[i]
-                    if tid is None:  # unbound poisons SUM/AVG
-                        poisoned = True
-                        break
-                    value = numbers.get(tid)
-                    if value is None:
-                        try:
-                            value = to_number(decode(tid))
-                        except ExpressionError:
-                            value = _EVAL_ERROR
-                        numbers[tid] = value
-                    if value is _EVAL_ERROR:
-                        poisoned = True
-                        break
-                    total += value  # type: ignore[operator]
-                    count += 1
-                if poisoned:
-                    results.append(None)
-                elif want_avg:
-                    results.append(total / count if count else 0)
+            totals: list[int | float | None] = [0] * groups
+            for g, tid in zip(gids, fast_col):
+                total = totals[g]
+                if total is None:
+                    continue  # poisoned
+                value = _EVAL_ERROR if tid is None else numbers.get(tid)
+                if value is None:
+                    try:
+                        value = to_number(decode(tid))
+                    except ExpressionError:
+                        value = _EVAL_ERROR
+                    numbers[tid] = value
+                if value is _EVAL_ERROR:  # unbound or non-numeric
+                    totals[g] = None
                 else:
-                    results.append(total)
+                    totals[g] = total + value  # type: ignore[operator]
+            if want_avg:  # an unpoisoned group's rows all bound a number
+                totals = [None if total is None
+                          else total / count if count else 0
+                          for total, count in zip(
+                              totals, _count_ids(gids, groups, fast_col))]
             return self._encode_numbers(
-                results, typed_literal if want_avg else numeric_result)
+                totals, typed_literal if want_avg else numeric_result)
 
         if fast_col is not None and agg.name in ("MIN", "MAX"):
             decode = self.decode_id
             keep_max = agg.name == "MAX"
             sort_keys = self._okey_cache
-            out = []
-            for members in member_lists:
-                best: Optional[int] = None
-                best_key: Optional[tuple] = None
-                poisoned = False
-                for i in members:
-                    tid = fast_col[i]
-                    if tid is None:  # unbound poisons MIN/MAX
-                        poisoned = True
-                        break
-                    key = sort_keys.get(tid)
-                    if key is None:
-                        key = order_key(decode(tid))
-                        sort_keys[tid] = key
-                    if best_key is None or (key > best_key if keep_max
-                                            else key < best_key):
-                        best, best_key = tid, key
-                out.append(None if poisoned else best)
-            return out
+            best: list[Optional[int]] = [None] * groups
+            best_keys: list = [None] * groups
+            poisoned = [False] * groups
+            for g, tid in zip(gids, fast_col):
+                if tid is None:  # unbound poisons MIN/MAX
+                    poisoned[g] = True
+                    continue
+                key = sort_keys.get(tid)
+                if key is None:
+                    key = sort_keys[tid] = order_key(decode(tid))
+                best_key = best_keys[g]
+                # Strict comparison: the first row wins a tie.
+                if best_key is None or (key > best_key if keep_max
+                                        else key < best_key):
+                    best[g] = tid
+                    best_keys[g] = key
+            return [None if dead else tid
+                    for tid, dead in zip(best, poisoned)]
 
-        # Generic path: accumulators over per-row operand terms.
+        # Generic path: one accumulator per group over per-row operand terms.
         ctx = self._ctx
-        if fast_col is not None:
-            decode = self.decode_id
-            term_memo: dict[int, Term] = {}
 
-            def term_at(i: int) -> Optional[Term]:
-                tid = fast_col[i]
-                if tid is None:
-                    return None
-                term = term_memo.get(tid)
-                if term is None:
-                    term = decode(tid)
-                    term_memo[tid] = term
-                return term
+        def compute(binding: Binding, _e=operand):
+            try:
+                return evaluate(_e, binding, ctx)
+            except ExpressionError:
+                return None
 
-            values = None
-        else:
-            def compute(binding: Binding, _e=operand):
-                try:
-                    return evaluate(_e, binding, ctx)
-                except ExpressionError:
-                    return _EVAL_ERROR
-
-            values = self._per_row_eval(
-                child, self._needed_vars(child, operand), compute)
-
+        values = self._per_row_eval(
+            child, self._needed_vars(child, operand), compute)
+        accumulators = [make_accumulator(agg.name, agg.distinct,
+                                         agg.separator)
+                        for _ in range(groups)]
+        for g, value in zip(gids, values):
+            accumulators[g].add(value)
+        encode = self.encode_term
         out = []
-        for members in member_lists:
-            acc = make_accumulator(agg.name, agg.distinct, agg.separator)
-            if values is None:
-                for i in members:
-                    acc.add(term_at(i))
-            else:
-                for i in members:
-                    value = values[i]
-                    acc.add(None if value is _EVAL_ERROR else value)
+        for acc in accumulators:
             result = acc.result()
             out.append(None if result is None else encode(result))
         return out
@@ -1492,6 +1294,19 @@ class Executor:
             idx.sort(key=sort_keys.__getitem__,
                      reverse=not condition.ascending)
         return child.gather(idx)
+
+
+def _count_ids(gids: list[int], groups: int, column: list) -> list[int]:
+    """Per group id, the rows whose ``column`` id is bound."""
+    counts = [0] * groups
+    if None in column:
+        for g, tid in zip(gids, column):
+            if tid is not None:
+                counts[g] += 1
+    else:
+        for g in gids:
+            counts[g] += 1
+    return counts
 
 
 # --------------------------------------------------------------------------

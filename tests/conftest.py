@@ -23,10 +23,14 @@ def pytest_configure(config):
     """One hypothesis profile for tier-1: the same examples on every run
     and on both backends of the CI matrix (``-x`` and ``git diff
     --exit-code`` must not depend on a random draw or on how loaded the
-    runner is).  A hook, not module level: tests import this module a
-    second time as ``tests.conftest``, from inside ``@settings`` tests."""
+    runner is).  ``--hypothesis-profile explore`` draws fresh, and more,
+    examples instead (the scheduled CI job).  A hook, not module level:
+    tests import this module a second time as ``tests.conftest``, from
+    inside ``@settings`` tests."""
     settings.register_profile("tier1", derandomize=True, deadline=None)
-    settings.load_profile("tier1")
+    settings.register_profile("explore", deadline=None, max_examples=500)
+    settings.load_profile(
+        config.getoption("hypothesis_profile", None) or "tier1")
 
 
 POPULATION_TTL = """

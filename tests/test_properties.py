@@ -234,7 +234,7 @@ _AGG_ALL = """
     WHERE { ?x ex:val ?v . }"""
 
 # Doubles include both zeros, NaN and the infinities; decimals are exact
-# quarters; big ints push a fold past 2**52, where the numpy SUM declines.
+# quarters; big ints push a sum past 2**52, past float64's exact integers.
 aggregate_operands = st.one_of(
     st.integers(-10 ** 6, 10 ** 6).map(typed_literal),
     st.integers(2 ** 52, 2 ** 60).map(
@@ -258,7 +258,6 @@ class TestAggregateResultParity:
               (1, typed_literal(-0.0)), (2, typed_literal(2 ** 52))])
     @example([(g, typed_literal(2 ** 51)) for g in (0, 0, 1, 1, 1)])
     def test_count_sum_avg_match_the_reference(self, rows):
-        from repro.sparql import ReferenceExecutor, ResultTable
         for store in ("dict", "columnar"):
             graph = Graph(store=store)
             for i, (group, value) in enumerate(rows):
@@ -266,13 +265,124 @@ class TestAggregateResultParity:
                 graph.add(Triple(EX[f"x{i}"], EX.val, value))
             engine = QueryEngine(graph)
             for text in (_AGG_BY_GROUP, _AGG_ALL, _AGG_BY_GROUP):
-                prepared = engine.prepare(text)
-                expected = ResultTable.from_bindings(
-                    prepared.ast.projected_variables(),
-                    ReferenceExecutor(graph).run(prepared.plan))
-                got = engine.query(prepared)
-                assert got.variables == expected.variables
-                assert got.rows == expected.rows, (store, text)
+                _assert_rows_match_the_reference(engine, text, store)
+
+
+def _assert_rows_match_the_reference(engine: QueryEngine, text: str,
+                                     store: str) -> None:
+    """``text`` answers with the reference executor's rows, in its order."""
+    from repro.sparql import ReferenceExecutor, ResultTable
+    prepared = engine.prepare(text)
+    expected = ResultTable.from_bindings(
+        prepared.ast.projected_variables(),
+        ReferenceExecutor(engine.graph).run(prepared.plan))
+    got = engine.query(prepared)
+    assert got.variables == expected.variables
+    assert got.rows == expected.rows, (store, text)
+
+
+# Operands with MIN/MAX ties (1, 1.0 and 01 are equal numbers, different
+# terms: the first row's term must win) and a string that poisons SUM/AVG.
+_GROUP_OPERANDS = (typed_literal(1), Literal("1.0", datatype=XSD.decimal),
+                   Literal("01", datatype=XSD.integer), typed_literal(2),
+                   typed_literal(-3), Literal("b"))
+
+# ?g and ?h are IRI keys, unbound where OPTIONAL finds nothing; ?o is a
+# computed key the store never saw (an overlay id), unbound with ?h.
+# VALUES fixes the input row order, and each OPTIONAL probes a distinct
+# ?x, so both executors see the rows in the same order.
+_GROUP_BY_TEMPLATE = """
+    PREFIX ex: <http://example.org/>
+    SELECT {keys} {aggregates} WHERE {{
+      VALUES ?x {{ {rows} }}
+      OPTIONAL {{ ?x ex:g ?g }}
+      OPTIONAL {{ ?x ex:h ?h }}
+      OPTIONAL {{ ?x ex:val ?v }}
+      BIND(CONCAT("k", STR(?h)) AS ?o)
+    }} {group_by} {having}"""
+_GROUP_AGGREGATES = (
+    "(COUNT(*) AS ?n) (COUNT(?v) AS ?nv) (SUM(?v) AS ?s) (AVG(?v) AS ?a) "
+    "(MIN(?v) AS ?lo) (MAX(?v) AS ?hi) (SAMPLE(?v) AS ?any) "
+    "(GROUP_CONCAT(STR(?v); SEPARATOR=\"|\") AS ?all) "
+    "(COUNT(DISTINCT ?v) AS ?d)")
+_GROUP_KEYS = ((), ("?g",), ("?o",), ("?g", "?h"), ("?o", "?g"),
+               ("?h", "?o", "?g"))
+#: (keys, HAVING) per query: every key set, and HAVING with and without
+_GROUP_CASES = tuple((keys, "") for keys in _GROUP_KEYS) + (
+    ((), "HAVING (COUNT(*) > 1)"), (("?o", "?g"), "HAVING (COUNT(?v) > 1)"))
+_GROUP_ORDER_TEMPLATE = """
+    PREFIX ex: <http://example.org/>
+    SELECT {keys} (COUNT(*) AS ?n) WHERE {{
+      ?x ex:row ?i
+      OPTIONAL {{ ?x ex:g ?g }}
+      OPTIONAL {{ ?x ex:h ?h }}
+      BIND(CONCAT("k", STR(?h)) AS ?o)
+    }} GROUP BY {keys}"""
+
+group_rows = st.lists(st.tuples(
+    st.one_of(st.none(), st.integers(0, 3)),
+    st.one_of(st.none(), st.integers(0, 2)),
+    st.one_of(st.none(), st.sampled_from(_GROUP_OPERANDS))), max_size=16)
+
+
+class TestGroupByParity:
+    """GROUP BY on 0–3 keys out of the batched executor is the reference
+    executor's answer row for row, in output order: groups in first-row
+    order, MIN/MAX ties to the first row, on both stores."""
+
+    @given(group_rows)
+    @example([])  # empty input: one group without keys, none with
+    @example([(2, 1, _GROUP_OPERANDS[1]), (0, None, _GROUP_OPERANDS[0]),
+              (2, 1, _GROUP_OPERANDS[0]), (None, 0, None),
+              (0, None, _GROUP_OPERANDS[2]), (2, 1, _GROUP_OPERANDS[3])])
+    def test_group_by_matches_the_reference_in_order(self, rows):
+        for store in ("dict", "columnar"):
+            graph = Graph(store=store)
+            for k in range(4):  # key ids in an order the rows do not follow
+                graph.add(Triple(EX[f"g{k}"], EX.rank, typed_literal(k)))
+            for i, (g, h, value) in enumerate(rows):
+                if g is not None:
+                    graph.add(Triple(EX[f"x{i}"], EX.g, EX[f"g{g}"]))
+                if h is not None:
+                    graph.add(Triple(EX[f"x{i}"], EX.h, EX[f"h{h}"]))
+                if value is not None:
+                    graph.add(Triple(EX[f"x{i}"], EX.val, value))
+            engine = QueryEngine(graph)
+            values = " ".join(f"ex:x{i}" for i in range(len(rows)))
+            for keys, having in _GROUP_CASES:
+                _assert_rows_match_the_reference(
+                    engine, _GROUP_BY_TEMPLATE.format(
+                        keys=" ".join(keys), aggregates=_GROUP_AGGREGATES,
+                        rows=values, having=having,
+                        group_by=f"GROUP BY {' '.join(keys)}" if keys
+                        else ""), store)
+
+    @given(group_rows)
+    def test_group_table_order_is_the_group_by_order(self, rows):
+        """``GroupTable.from_batch`` lists its groups in the order GROUP BY
+        emits them — the contract the builder and the patcher rely on."""
+        from repro.sparql.algebra import GroupOp
+        from repro.sparql.grouptable import KIND_SUM
+        for store in ("dict", "columnar"):
+            graph = Graph(store=store)
+            for i, (g, h, _value) in enumerate(rows):
+                graph.add(Triple(EX[f"x{i}"], EX.row, typed_literal(i)))
+                if g is not None:
+                    graph.add(Triple(EX[f"x{i}"], EX.g, EX[f"g{g}"]))
+                if h is not None:
+                    graph.add(Triple(EX[f"x{i}"], EX.h, EX[f"h{h}"]))
+            engine = QueryEngine(graph)
+            executor = engine.executor
+            for keys in _GROUP_KEYS[1:]:
+                op = engine.prepare(_GROUP_ORDER_TEMPLATE.format(
+                    keys=" ".join(keys))).plan
+                while not isinstance(op, GroupOp):
+                    op = op.child
+                table = executor.group_table(op.child, op.keys, None,
+                                             KIND_SUM)
+                out = executor.run_ids(op)
+                assert list(table.groups) == \
+                    list(zip(*out.columns[:len(op.keys)])), (store, keys)
 
 
 # --------------------------------------------------------------------------
