@@ -5,18 +5,16 @@ usable materialized view (or the base graph), rewrites it onto the view's
 encoding, executes, and measures — producing the per-query and per-
 workload numbers the demo's "query performance analyzer" panel plots.
 
-Views can go stale while the graph changes underneath them; the module's
-**maintenance policy** decides what happens when a stale view is routed:
-
-* ``"rebuild"`` — re-materialize all stale views in place before
-  answering (``ViewCatalog.refresh_stale``: one scan per facet);
-* ``"incremental"`` — patch all stale views through the wired
-  :class:`~repro.views.maintenance.ViewMaintainer` before answering;
-* ``"deferred"`` — serve the frozen snapshot and leave maintenance to an
-  explicit ``maintain()`` call, with the answer flagged ``stale``;
-* ``None`` (no policy) — no repair happens here; the router then
-  excludes stale views so queries fall back to the always-current base
-  graph rather than silently answering from frozen data.
+Views can go stale while the graph changes underneath them.  With a
+:class:`~repro.views.maintenance.ViewMaintainer` wired, a routed stale
+view is handed to :meth:`ViewMaintainer.repair`, and the maintainer's
+policy decides what happens: ``rebuild`` and ``incremental`` bring every
+stale view current first; ``deferred`` serves the frozen snapshot, with
+the answer flagged ``stale``.  A repair whose rebuild fails quarantines
+the view, and the query is routed again around it (flagged
+``degraded``).  Without a maintainer nothing can repair a view, so the
+router excludes stale views and queries fall back to the always-current
+base graph rather than silently answering from frozen data.
 
 A repeated query is parsed once and planned once: :class:`ServingPlans`
 memoizes text → recognized query and (query, view) → rewritten prepared
@@ -49,10 +47,10 @@ from ..sparql import parser as _parser
 from ..sparql.engine import PreparedQuery, QueryEngine, remember
 from ..sparql.results import ResultTable
 from ..views import analyzer as _analyzer
-from ..views.catalog import ViewCatalog
-from ..views.maintenance import MAINTENANCE_POLICIES, ViewMaintainer
+from ..views.catalog import MaterializedView, ViewCatalog
+from ..views.maintenance import ViewMaintainer
 from ..views.rewriter import rewrite_on_view
-from ..views.router import Ranking, ViewRouter
+from ..views.router import ViewRouter
 from .metrics import QueryOutcome, WorkloadRun
 
 __all__ = ["Answer", "OnlineModule", "ServingPlans"]
@@ -187,34 +185,19 @@ class ServingPlans:
 class OnlineModule:
     """Routes, rewrites, executes, and measures analytical queries.
 
-    ``plans`` shares a serving-plan memo between modules (``Sofos`` keeps
-    one across re-materializations); without it the module has its own.
+    ``maintainer`` repairs the stale views this module routes (module
+    docstring); without one, stale views are not routed.  ``plans``
+    shares a serving-plan memo between modules (``Sofos`` keeps one
+    across re-materializations); without it the module has its own.
     """
 
     def __init__(self, catalog: ViewCatalog,
-                 ranking: Ranking | None = None,
                  maintainer: ViewMaintainer | None = None,
-                 policy: Optional[str] = None,
                  plans: ServingPlans | None = None) -> None:
-        if policy is not None and policy not in MAINTENANCE_POLICIES:
-            raise ReproError(
-                f"unknown maintenance policy {policy!r}; expected one of "
-                + ", ".join(MAINTENANCE_POLICIES))
-        if policy == "incremental" and maintainer is None:
-            raise ReproError(
-                "the 'incremental' policy needs a ViewMaintainer")
-        if policy is None and maintainer is not None:
-            # A wired maintainer IS the refresher; without an explicit
-            # policy it would otherwise sit idle while also suppressing
-            # the skip-stale default — the worst of both worlds.
-            policy = "incremental"
         self._catalog = catalog
         self._maintainer = maintainer
-        self._policy = policy
-        # Stale views are skipped exactly when nobody can repair them and
-        # snapshot serving was not explicitly chosen ("deferred").
-        self._router = ViewRouter(catalog, ranking,
-                                  skip_stale=policy is None)
+        # Stale views are skipped exactly when nobody can repair them.
+        self._router = ViewRouter(catalog, skip_stale=maintainer is None)
         self._base_engine = catalog.base_engine
         self._view_engines: dict[IRI, QueryEngine] = {}
         self._plans = plans if plans is not None else ServingPlans()
@@ -231,10 +214,6 @@ class OnlineModule:
     def maintainer(self) -> Optional[ViewMaintainer]:
         return self._maintainer
 
-    @property
-    def policy(self) -> Optional[str]:
-        return self._policy
-
     def _engine_for(self, name: IRI) -> QueryEngine:
         engine = self._view_engines.get(name)
         if engine is None:
@@ -242,40 +221,27 @@ class OnlineModule:
             self._view_engines[name] = engine
         return engine
 
-    def _repair(self) -> None:
-        """Bring the stale views current, per the maintenance policy."""
-        if self._policy == "rebuild":
-            # rebuilt in place (one scan per facet, however many views),
-            # so the cached engines over those graphs keep working
-            self._catalog.refresh_stale()
-        elif self._policy == "incremental":
-            self._maintainer.synchronize()
-        # "deferred" (and no policy): serve the snapshot as-is
-
     def answer(self, query: AnalyticalQuery) -> Answer:
         """Answer one query, preferring materialized views.
 
-        Stale routed views are repaired according to the module's
-        maintenance policy; under ``"deferred"`` the frozen snapshot
-        answers and the outcome carries ``stale=True`` so callers can
-        see it.  When a quarantined view would normally have answered,
-        the outcome is flagged ``degraded``: the answer (base graph or
-        coarser view) is still correct, just slower, until the
-        quarantined view rebuilds.
+        A stale routed view goes to the maintainer's :meth:`repair`;
+        under ``"deferred"`` the frozen snapshot answers and the outcome
+        carries ``stale=True`` so callers can see it.  When a quarantined
+        view would normally have answered — quarantined before, or by a
+        repair whose rebuild failed — the outcome is flagged
+        ``degraded``: the answer (base graph or coarser view) is still
+        correct, just slower, until the quarantined view rebuilds.
         """
         with _TRACER.span("online.answer") as sp:
-            quarantined = self._router.quarantined_candidates(query)
-            degraded = bool(quarantined)
-            entry = self._router.route(query)
-            if _TRACER.enabled:
-                sp.set_tags(**self._decision(query, quarantined))
+            entry, degraded = self._route(query, sp)
+            if entry is not None and self._catalog.is_stale(entry.definition):
+                self._maintainer.repair()
+                if self._catalog.is_quarantined(entry.definition):
+                    entry, degraded = self._route(query, sp)
             if entry is None:
                 return self.answer_from_base(query, degraded=degraded,
                                              _in_span=True)
             view = entry.definition
-            if self._catalog.is_stale(view):
-                self._repair()
-
             engine = self._engine_for(view.iri)
             prepared, rewrite_seconds = self._plans.rewritten(
                 query, view, engine)
@@ -295,9 +261,20 @@ class OnlineModule:
                 _observe_outcome(outcome)
             return Answer(table=table, outcome=outcome)
 
+    def _route(self, query: AnalyticalQuery, sp
+               ) -> tuple[Optional[MaterializedView], bool]:
+        """The routed view (None: the base graph) and whether a
+        quarantine pulled a covering view from serving; the decision goes
+        on the answer's span while the tracer is live."""
+        quarantined = self._router.quarantined_candidates(query)
+        entry = self._router.route(query)
+        if _TRACER.enabled:
+            sp.set_tags(**self._decision(query, quarantined))
+        return entry, bool(quarantined)
+
     def _decision(self, query: AnalyticalQuery, quarantined: list) -> dict:
         """The routing decision as JSON-shaped tags of the answer's span
-        (staleness as of before any repair)."""
+        (staleness as of the routing, so before the answer's repair)."""
         candidates = self._router.candidates(query)
         why = f"ranked first of {len(candidates)} covering view(s)"
         if not candidates:

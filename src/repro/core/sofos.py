@@ -26,8 +26,8 @@ from ..cost.profiler import LatticeProfile
 from ..selection.greedy import GreedySelector
 from ..selection.plans import SelectionResult
 from ..views.catalog import ViewCatalog
-from ..views.maintenance import MAINTENANCE_POLICIES, MaintenanceReport, \
-    ViewMaintainer, ViewMaintenance
+from ..views.maintenance import MaintenanceReport, ViewMaintainer, \
+    check_policy
 from ..workload.generator import WorkloadConfig, WorkloadGenerator
 from .metrics import Timer, WorkloadRun
 from .offline import OfflineModule, Selector
@@ -46,17 +46,13 @@ class Sofos:
 
     def __init__(self, graph: Graph | Dataset, facet: AnalyticalFacet,
                  seed: int = 0, maintenance: str = "rebuild") -> None:
-        if maintenance not in MAINTENANCE_POLICIES:
-            raise ReproError(
-                f"unknown maintenance policy {maintenance!r}; expected one "
-                "of " + ", ".join(MAINTENANCE_POLICIES))
+        self._maintenance = check_policy(maintenance)
         if isinstance(graph, Dataset):
             self._dataset = graph
         else:
             self._dataset = Dataset.wrap(graph)
         self._facet = facet
         self._seed = seed
-        self._maintenance = maintenance
         self._offline = OfflineModule(self._dataset, facet)
         self._catalog: ViewCatalog | None = None
         self._online: OnlineModule | None = None
@@ -94,7 +90,8 @@ class Sofos:
 
     @property
     def maintainer(self) -> ViewMaintainer | None:
-        """The incremental maintainer (None under the rebuild policy)."""
+        """The maintainer of the current views, under
+        :attr:`maintenance_policy` (None before materialization)."""
         return self._maintainer
 
     def profile(self) -> LatticeProfile:
@@ -124,18 +121,15 @@ class Sofos:
     def materialize(self, selection: SelectionResult) -> ViewCatalog:
         """Materialize a selection, replacing any current views.
 
-        Under the ``incremental`` and ``deferred`` policies a
-        :class:`ViewMaintainer` is attached to the fresh catalog, so
-        subsequent base-graph updates are captured as deltas from the
-        moment the views are built.
+        A :class:`ViewMaintainer` under the maintenance policy is
+        attached to the fresh catalog, so subsequent base-graph updates
+        are captured as deltas from the moment the views are built.
         """
         self.drop_views()
         catalog = self._offline.materialize(selection)
         self._catalog = catalog
-        if self._maintenance != "rebuild":
-            self._maintainer = ViewMaintainer(catalog)
-        self._online = OnlineModule(catalog, maintainer=self._maintainer,
-                                    policy=self._maintenance,
+        self._maintainer = ViewMaintainer(catalog, policy=self._maintenance)
+        self._online = OnlineModule(catalog, self._maintainer,
                                     plans=self._plans)
         return catalog
 
@@ -151,42 +145,29 @@ class Sofos:
     def refresh_views(self) -> list:
         """Rebuild any materialized views made stale by base-graph updates.
 
-        With a maintainer attached the rebuild is a forced window of its
-        own, so the change log is drained and the next window patches.
+        A forced maintenance window: the change log is drained, so the
+        next window patches.  Returns the rebuilt catalog entries.
         """
-        self._offline.release_stale()
-        if self._catalog is None:
-            return []
-        if self._maintainer is None:
-            return self._catalog.refresh_stale()
-        report = self._maintainer.synchronize(force_rebuild=True)
+        report = self._synchronize(force_rebuild=True)
         rebuilt = {view.label for view in report.rebuilt}
-        return [entry for entry in self._catalog if entry.label in rebuilt]
+        return [entry for entry in self._catalog or ()
+                if entry.label in rebuilt]
 
     def maintain(self) -> MaintenanceReport:
-        """Reconcile stale views according to the maintenance policy.
+        """Reconcile stale views under the maintenance policy.
 
-        Under ``incremental``/``deferred`` the maintainer drains the
-        change log and patches (falling back to rebuilds when a window is
-        not incrementalizable); under ``rebuild`` every stale view is
-        re-materialized.  Either way the returned report itemizes what
-        happened to each view.
+        One maintenance window: the maintainer drains the change log and
+        patches (falling back to rebuilds when a window is not
+        incrementalizable), or under ``rebuild`` rebuilds every stale
+        view; the returned report itemizes what happened to each view.
         """
+        return self._synchronize(force_rebuild=False)
+
+    def _synchronize(self, force_rebuild: bool) -> MaintenanceReport:
         self._offline.release_stale()
-        if self._maintainer is not None:
-            return self._maintainer.synchronize()
-        report = MaintenanceReport()
-        if self._catalog is None:
-            return report
-        version = self._catalog.base_version
-        report.from_version = report.to_version = version
-        # One plan-driven batch: stale views of a facet share a single
-        # base scan instead of re-evaluating the query per view.
-        for entry in self._catalog.refresh_stale():
-            report.views.append(ViewMaintenance(
-                label=entry.label, action="rebuilt",
-                seconds=entry.build_seconds, reason="rebuild policy"))
-        return report
+        if self._maintainer is None:
+            return MaintenanceReport()
+        return self._maintainer.synchronize(force_rebuild)
 
     def audit(self, *, sample_groups: int | None = None,
               quarantine: bool = True):

@@ -27,9 +27,16 @@ size threshold, a changed row's operand is unbound or not a number, or
 the group index contradicts the window — the view is
 *declined* with the reason, and every declined or quarantined view of the
 pass is rebuilt by one ``ViewCatalog.refresh_stale()``: one scan per
-facet, the same batch the ``rebuild`` policy runs.  If that batch fails
-the catalog has already restored every view of it, and all of them are
-quarantined until the next pass retries the batch whole.
+facet.  If that batch fails the catalog has already restored every view
+of it, and all of them are quarantined until the next pass retries the
+batch whole.
+
+The maintainer owns the maintenance policy (:data:`MAINTENANCE_POLICIES`),
+so every window passes through it whatever the policy: ``rebuild``
+declines each stale view with the reason ``"rebuild policy"`` into that
+same batch, ``incremental`` patches, and ``deferred`` patches too but
+only when asked — :meth:`ViewMaintainer.repair`, the hook an answer
+calls on routing a stale view, does nothing under it.
 """
 
 from __future__ import annotations
@@ -54,13 +61,23 @@ from .materializer import GroupCodec, GroupIndex
 
 __all__ = ["MAINTENANCE_POLICIES", "PATCH_RETRIES",
            "PATCH_RETRY_BACKOFF_SECONDS", "ViewMaintenance",
-           "MaintenanceReport", "ViewMaintainer"]
+           "MaintenanceReport", "ViewMaintainer", "check_policy"]
 
 #: How a system owner asks for stale views to be reconciled:
 #: ``rebuild`` re-materializes from scratch, ``incremental`` patches
 #: group-level deltas eagerly at answer/maintain time, ``deferred`` serves
 #: the frozen snapshot and patches only on explicit ``maintain()`` calls.
 MAINTENANCE_POLICIES = ("rebuild", "incremental", "deferred")
+
+
+def check_policy(policy: str) -> str:
+    """``policy`` if it is one of :data:`MAINTENANCE_POLICIES`."""
+    if policy not in MAINTENANCE_POLICIES:
+        raise ViewError(
+            f"unknown maintenance policy {policy!r}; expected one of "
+            + ", ".join(MAINTENANCE_POLICIES))
+    return policy
+
 
 #: A patch that raised is rolled back and tried again this many times,
 #: this long apart (transient faults), before the view is rebuilt instead.
@@ -85,6 +102,7 @@ _ROLLBACKS = _REG.counter(
 _REASON_CATEGORIES = {
     "change log truncated": "log_truncated",
     "rebuild forced": "forced",
+    "rebuild policy": "policy",
     "view out of sync with the change window": "out_of_sync",
     "facet shape is not delta-evaluable": "not_delta_evaluable",
     "MIN/MAX cannot be patched under deletions": "minmax_deletions",
@@ -166,13 +184,15 @@ class ViewMaintainer:
     Construction subscribes to the base graph's change log; every
     :meth:`synchronize` call drains the accumulated window and reconciles
     each stale view — by group-level patching when the window is
-    incrementalizable, by full rebuild otherwise.  ``max_delta_fraction``
-    bounds when patching is still worthwhile: windows changing more than
-    that fraction of the base graph fall back to rebuilds wholesale.
+    incrementalizable and ``policy`` is not ``rebuild``, by full rebuild
+    otherwise.  ``max_delta_fraction`` bounds when patching is still
+    worthwhile: windows changing more than that fraction of the base
+    graph fall back to rebuilds wholesale.
     """
 
-    def __init__(self, catalog: ViewCatalog, *,
+    def __init__(self, catalog: ViewCatalog, *, policy: str = "incremental",
                  max_delta_fraction: float = 0.25) -> None:
+        self._policy = check_policy(policy)
         self._catalog = catalog
         self._graph = catalog.base_engine.graph
         self._log = self._graph.subscribe()
@@ -186,6 +206,10 @@ class ViewMaintainer:
     @property
     def catalog(self) -> ViewCatalog:
         return self._catalog
+
+    @property
+    def policy(self) -> str:
+        return self._policy
 
     @property
     def pending(self) -> int:
@@ -208,6 +232,13 @@ class ViewMaintainer:
             self._graph.unsubscribe(self._log)
 
     # -- the synchronization pass -------------------------------------------
+
+    def repair(self) -> None:
+        """Bring the stale views current before an answer reads one:
+        :meth:`synchronize`, except under ``deferred``, whose answers
+        serve the snapshot until an explicit window."""
+        if self._policy != "deferred":
+            self.synchronize()
 
     def synchronize(self, force_rebuild: bool = False) -> MaintenanceReport:
         """Reconcile every stale or quarantined view with the drained window.
@@ -405,6 +436,8 @@ class ViewMaintainer:
         """A rebuild reason applying to the whole window, or None."""
         if force_rebuild:
             return "rebuild forced"
+        if self._policy == "rebuild":
+            return "rebuild policy"
         if delta.truncated:
             return "change log truncated"
         base_size = len(self._graph)

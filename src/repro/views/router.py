@@ -4,24 +4,17 @@ Given an analytical query, the router finds the catalog views that *can*
 answer it (dimension coverage, see :func:`repro.views.rewriter.can_answer`)
 and picks the one with the lowest predicted cost.  The prediction is the
 view's stored group count — the aggregated-values cost model — whatever
-model selected the views: ``ranking`` can be injected, but the online
-module (the only caller outside the tests) does not pass one.
+model selected the views.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from ..cube.query import AnalyticalQuery
 from .catalog import MaterializedView, ViewCatalog
 
 __all__ = ["ViewRouter"]
-
-Ranking = Callable[[MaterializedView], float]
-
-
-def _default_ranking(entry: MaterializedView) -> float:
-    return float(entry.groups)
 
 
 class ViewRouter:
@@ -29,17 +22,14 @@ class ViewRouter:
 
     ``skip_stale`` excludes views whose base graph moved on since they
     were built: without a refresher in the loop, routing to a stale view
-    silently serves frozen data, so callers that cannot repair views
-    (:class:`~repro.core.online.OnlineModule` without an auto-refresh or
-    maintainer wired) enable it by default and fall back to the base
-    graph instead.
+    silently serves frozen data, so a caller that cannot repair views
+    (:class:`~repro.core.online.OnlineModule` without a maintainer)
+    enables it and falls back to the base graph instead.
     """
 
     def __init__(self, catalog: ViewCatalog,
-                 ranking: Ranking | None = None,
                  skip_stale: bool = False) -> None:
         self._catalog = catalog
-        self._ranking = ranking if ranking is not None else _default_ranking
         self._skip_stale = skip_stale
 
     @property
@@ -51,7 +41,7 @@ class ViewRouter:
         return self._skip_stale
 
     def candidates(self, query: AnalyticalQuery) -> list[MaterializedView]:
-        """All usable views, cheapest first.
+        """All usable views, cheapest first (fewest stored groups).
 
         Ranking ties break *delta-aware* before falling back to mask
         order: among equally-ranked views the one with the lowest
@@ -71,8 +61,7 @@ class ViewRouter:
             current = self._catalog.base_version
             usable = [entry for entry in usable
                       if entry.base_version == current]
-        usable.sort(key=lambda e: (self._ranking(e), e.upkeep_seconds,
-                                   e.mask))
+        usable.sort(key=lambda e: (e.groups, e.upkeep_seconds, e.mask))
         return usable
 
     def quarantined_candidates(self, query: AnalyticalQuery

@@ -20,7 +20,8 @@ from repro.errors import ReproError
 from repro.rdf import Dataset, Graph, Namespace, Triple, typed_literal
 from repro.sparql import QueryEngine, ReferenceExecutor, ResultTable
 from repro.sparql.delta import DeltaEvaluator, compile_delta_plan
-from repro.views import GroupIndex, ViewCatalog, ViewMaintainer
+from repro.views import MAINTENANCE_POLICIES, GroupIndex, ViewCatalog, \
+    ViewMaintainer
 from repro.workload import UpdateStreamConfig, UpdateStreamGenerator, \
     render_analytical_query
 
@@ -622,6 +623,53 @@ class TestSofosPolicies:
         with pytest.raises(ReproError):
             Sofos(build_population_graph(), population_facet,
                   maintenance="eventually")
+        catalog = ViewCatalog(Dataset.wrap(build_population_graph()))
+        with pytest.raises(ReproError):
+            ViewMaintainer(catalog, policy="eventually")
+
+    @pytest.mark.parametrize("policy", MAINTENANCE_POLICIES)
+    def test_every_policy_is_the_maintainers(self, population_facet,
+                                              policy):
+        sofos = Sofos(build_population_graph(), population_facet,
+                      maintenance=policy)
+        assert sofos.maintainer is None
+        sofos.select_and_materialize("agg_values", k=2)
+        assert sofos.maintainer.policy == policy == sofos.maintenance_policy
+        sofos.drop_views()
+        assert sofos.maintainer is None
+
+    @pytest.mark.parametrize("policy", MAINTENANCE_POLICIES)
+    def test_an_answer_time_repair_leaves_the_next_window_patchable(
+            self, population_facet, policy):
+        """Regression: under ``rebuild`` an answer repaired with
+        ``refresh_stale()`` behind the wired maintainer, whose next window
+        then rebuilt every view as out of sync instead of patching."""
+        graph = build_population_graph()
+        catalog = ViewCatalog(Dataset.wrap(graph))
+        for mask in (0b11, 0b01):
+            catalog.materialize(ViewDefinition(population_facet, mask))
+        maintainer = ViewMaintainer(catalog, policy=policy,
+                                    max_delta_fraction=1.0)
+        online = OnlineModule(catalog, maintainer)
+        query = AnalyticalQuery(population_facet, 0)
+        graph.update([Triple(EX.obs8, EX.ofCountry, EX.france),
+                      Triple(EX.obs8, EX.year, typed_literal(2019)),
+                      Triple(EX.obs8, EX.population, typed_literal(7))])
+        assert online.answer(query).used_view is not None
+        graph.update([Triple(EX.obs9, EX.ofCountry, EX.germany),
+                      Triple(EX.obs9, EX.year, typed_literal(2019)),
+                      Triple(EX.obs9, EX.population, typed_literal(3))])
+        report = maintainer.synchronize()
+        assert len(report.views) == 2
+        assert "view out of sync with the change window" not in \
+            [v.reason for v in report.views]
+        if policy == "rebuild":
+            assert [(v.action, v.reason) for v in report.views] == \
+                [("rebuilt", "rebuild policy")] * 2
+        else:
+            assert [v.action for v in report.views] == ["patched"] * 2
+        assert online.answer(query).table.same_solutions(
+            online.answer_from_base(query).table)
 
     def test_rebuild_policy_repairs_at_answer_time(self, population_facet):
         sofos = Sofos(build_population_graph(), population_facet,
@@ -666,7 +714,7 @@ class TestSofosPolicies:
         assert scans == 1
         assert not sofos.catalog.stale_views()
 
-    def test_maintainer_without_policy_defaults_to_incremental(
+    def test_a_maintainers_default_policy_is_incremental(
             self, population_facet):
         """A wired maintainer is the refresher: it must actually repair
         stale routed views, not sit idle while disabling skip-stale."""
@@ -674,8 +722,9 @@ class TestSofosPolicies:
         catalog = ViewCatalog(Dataset.wrap(graph))
         catalog.materialize(ViewDefinition(population_facet, 0b11))
         maintainer = ViewMaintainer(catalog, max_delta_fraction=1.0)
-        online = OnlineModule(catalog, maintainer=maintainer)
-        assert online.policy == "incremental"
+        assert maintainer.policy == "incremental"
+        online = OnlineModule(catalog, maintainer)
+        assert not online.router.skip_stale
         graph.update([Triple(EX.obs8, EX.ofCountry, EX.france),
                       Triple(EX.obs8, EX.year, typed_literal(2019)),
                       Triple(EX.obs8, EX.population, typed_literal(7))])

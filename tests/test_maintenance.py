@@ -10,7 +10,7 @@ from repro.rdf import Dataset, Graph, Namespace, Triple, \
     typed_literal
 from repro.selection import UserSelection
 from repro.sparql import QueryEngine
-from repro.views import ViewCatalog, rewrite_on_view
+from repro.views import ViewCatalog, ViewMaintainer, rewrite_on_view
 
 from tests.conftest import build_population_graph
 
@@ -118,7 +118,8 @@ class TestOnlineStaleViews:
         offline = OfflineModule(dataset, population_facet)
         selection = offline.select(UserSelection(["lang+year"]), 1)
         catalog = offline.materialize(selection)
-        online = OnlineModule(catalog, policy="rebuild")
+        online = OnlineModule(catalog,
+                              ViewMaintainer(catalog, policy="rebuild"))
         query = AnalyticalQuery(population_facet, 0)
 
         first = online.answer(query)
@@ -137,7 +138,8 @@ class TestOnlineStaleViews:
         offline = OfflineModule(dataset, population_facet)
         selection = offline.select(UserSelection(["lang+year"]), 1)
         catalog = offline.materialize(selection)
-        online = OnlineModule(catalog, policy="deferred")
+        online = OnlineModule(catalog,
+                              ViewMaintainer(catalog, policy="deferred"))
         assert not online.router.skip_stale
         query = AnalyticalQuery(population_facet, 0)
         first = online.answer(query)

@@ -164,6 +164,22 @@ class TestServingWiring:
         assert m.counter_total("maintenance_delta_terms_total") == 3
         assert m.counter_total("maintenance_delta_rows_total") == 0
 
+    def test_rebuild_policy_windows_are_counted(self, clean_hub,
+                                                population_facet):
+        sofos = Sofos(build_population_graph(), population_facet,
+                      maintenance="rebuild")
+        catalog = sofos.materialize(sofos.select("agg_values", k=2))
+        clean_hub.enable(tracing=False)
+        sofos.dataset.default.add(Triple(EX.obs_new, EX.ofCountry, EX.greece))
+        report = sofos.maintain()
+        assert [(v.action, v.reason) for v in report.views] == \
+            [("rebuilt", "rebuild policy")] * len(catalog)
+        m = clean_hub.metrics
+        assert m.counter_total("maintenance_windows_total") == 1
+        assert m.value("maintenance_decisions_total",
+                       ("rebuilt", "policy")) == len(catalog)
+        assert m.value("facet_scan_total", ("scan",)) == 1
+
     def test_quarantine_counter(self, clean_hub, incremental_sofos):
         clean_hub.enable(tracing=False)
         incremental_sofos.select_and_materialize("agg_values", k=1)

@@ -215,8 +215,9 @@ class TestQuarantineAndDegradedServing:
         (g1, cat1, views), (g2, cat2, _) = twin_worlds(
             population_facet, build_population_graph, views=[0b11])
         view = views[0]
-        maintainer = ViewMaintainer(cat1, max_delta_fraction=1.0)
-        online = OnlineModule(cat1, policy="deferred")
+        maintainer = ViewMaintainer(cat1, policy="deferred",
+                                    max_delta_fraction=1.0)
+        online = OnlineModule(cat1, maintainer)
         # a truncated log forces the rebuild path ...
         snapshot = list(g1)
         g1.clear()
@@ -248,6 +249,53 @@ class TestQuarantineAndDegradedServing:
         assert_view_parity(cat1, cat2, views)
         healed = online.answer(query)
         assert healed.used_view == view.label and not healed.degraded
+
+
+class TestOneFailureDomain:
+    """A repair whose rebuild fails quarantines under every policy: the
+    answer comes from the base graph, current and flagged degraded."""
+
+    def _sofos(self, policy):
+        sofos = Sofos(build_population_graph(), build_population_facet(),
+                      maintenance=policy)
+        sofos.select_and_materialize("agg_values", k=2)
+        sofos.dataset.default.update([   # small enough to patch
+            Triple(EX.obs8, EX.ofCountry, EX.france),
+            Triple(EX.obs8, EX.year, typed_literal(2019)),
+            Triple(EX.obs8, EX.population, typed_literal(7))])
+        return sofos
+
+    def _assert_degraded_to_base(self, sofos):
+        query = AnalyticalQuery(sofos.facet, 0)
+        answer = sofos.answer(query)
+        assert answer.used_view is None
+        assert answer.degraded and not answer.stale
+        assert answer.table.same_solutions(
+            sofos.answer_from_base(query).table)
+        assert len(sofos.catalog.quarantined_views()) == len(sofos.catalog)
+
+    def test_rebuild_policy_quarantines_a_failed_rebuild(self):
+        sofos = self._sofos("rebuild")
+        failpoints.arm("catalog.refresh_stale", count=None)
+        self._assert_degraded_to_base(sofos)
+        report = sofos.maintain()
+        assert [v.action for v in report.views] == ["quarantined"] * 2
+        failpoints.reset()
+        report = sofos.maintain()
+        assert [v.action for v in report.views] == ["rebuilt"] * 2
+        assert sofos.catalog.quarantined_views() == []
+        assert sofos.answer(AnalyticalQuery(sofos.facet, 0)).used_view
+
+    def test_incremental_policy_never_serves_the_restored_snapshot(self):
+        sofos = self._sofos("incremental")
+        patch = failpoints.arm("maintenance.patch.before_apply", count=None)
+        failpoints.arm("catalog.refresh_stale", count=None)
+        self._assert_degraded_to_base(sofos)
+        assert patch.hits >= 1            # the patch ran and was rolled back
+        failpoints.reset()
+        report = sofos.maintain()
+        assert [v.action for v in report.views] == ["rebuilt"] * 2
+        assert sofos.answer(AnalyticalQuery(sofos.facet, 0)).used_view
 
 
 class TestConsistencyAuditor:

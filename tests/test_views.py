@@ -164,15 +164,6 @@ class TestRouterAndCanAnswer:
         q = AnalyticalQuery(population_facet, 0b10)   # needs year
         assert ViewRouter(catalog).route(q) is None
 
-    def test_custom_ranking(self, setup, population_facet):
-        dataset, catalog, lattice = setup
-        catalog.materialize(lattice[1])
-        catalog.materialize(lattice[3])
-        # invert: prefer most groups
-        router = ViewRouter(catalog, ranking=lambda e: -e.groups)
-        q = AnalyticalQuery(population_facet, 0b01)
-        assert router.route(q).mask == 3
-
 
 class TestRewriteEquivalence:
     """The core correctness property: views answer exactly like the graph."""
