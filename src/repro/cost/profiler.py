@@ -90,7 +90,7 @@ class LatticeProfile:
         scan = facet_scan(engine, facet, keep=True)
         base = BaseProfile(
             triples=len(graph),
-            rows=sum(e.rows for e in scan.table.groups.values()),
+            rows=sum(scan.table.rows),
             nodes=graph.node_count(),
             eval_seconds=scan.seconds,
         )
@@ -179,19 +179,18 @@ def _footprint(view: ViewDefinition, table: GroupTable, engine: QueryEngine
     literal is one node.
     """
     codec = GroupCodec(view)
-    groups = codec.groups(table)
     is_minmax = codec.kind == KIND_MINMAX
     dim_ids: list[set[int]] = [set() for _ in view.variables]
     object_ids: set[int] = set()
     numbers: set[tuple[bool, int | float]] = set()  # 5 and 5.0 differ
     triples = 0
-    for key, entry in groups.items():
+    for key, g in table.groups.items():
         triples += 2
         for ids, tid in zip(dim_ids, key):
             if tid is not None:
                 triples += 1
                 ids.add(tid)
-        count, measure = codec.numbers(entry)
+        count, measure = codec.numbers(table, g)
         numbers.add((True, count))
         if measure is not None:
             triples += 1
@@ -210,5 +209,6 @@ def _footprint(view: ViewDefinition, table: GroupTable, engine: QueryEngine
             stored_literal(value) for _is_int, value in numbers]:
         tid = lookup(term)
         objects.add(term if tid is None else tid)
-    nodes = len(groups) + (1 if groups else 0) + len(objects)
-    return len(groups), triples, nodes, tuple(len(ids) for ids in dim_ids)
+    groups = len(table)
+    nodes = groups + (1 if groups else 0) + len(objects)
+    return groups, triples, nodes, tuple(len(ids) for ids in dim_ids)

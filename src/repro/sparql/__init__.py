@@ -14,16 +14,15 @@ from .batch import BindingBatch
 from .delta import DeltaEvaluator, DeltaPlan, compile_delta_plan
 from .engine import PreparedQuery, QueryEngine
 from .executor import Executor
-from .grouptable import GroupEntry, GroupTable, KIND_BY_AGGREGATE
+from .grouptable import GroupTable, KIND_BY_AGGREGATE
 from .parser import parse_query
 from .reference import ReferenceExecutor
 from .results import ResultTable
 
 __all__ = [
     "AggregateExpr", "BindingBatch", "DeltaEvaluator", "DeltaPlan",
-    "Executor", "Expression", "GroupEntry",
-    "GroupPattern", "GroupTable", "KIND_BY_AGGREGATE",
-    "PreparedQuery", "ProjectionItem", "QueryEngine", "ReferenceExecutor",
-    "ResultTable", "SelectQuery", "compile_delta_plan", "parse_query",
-    "translate_group", "translate_query",
+    "Executor", "Expression", "GroupPattern", "GroupTable",
+    "KIND_BY_AGGREGATE", "PreparedQuery", "ProjectionItem", "QueryEngine",
+    "ReferenceExecutor", "ResultTable", "SelectQuery", "compile_delta_plan",
+    "parse_query", "translate_group", "translate_query",
 ]

@@ -143,14 +143,17 @@ class BindingBatch:
         return list(zip(*decoded))
 
 
-def dedup_rows(keys: Sequence[tuple]) -> tuple[dict[tuple, int], list[int]]:
+def dedup_rows(keys: Sequence[tuple],
+               by_key: Optional[dict[tuple, int]] = None
+               ) -> tuple[dict[tuple, int], list[int]]:
     """Assign each distinct key a dense index; return (key→index, per-row map).
 
     Indexes are given in first-row order, so ``by_key`` iterates the
     distinct keys in the order they first appear.  The executor uses this
     to probe/evaluate once per *distinct* bound prefix and hash-join the
-    results back onto the full row set, and as GROUP BY's group ids.
+    results back onto the full row set, and as GROUP BY's (and a group
+    table's, which passes its own ``by_key``) group ids.
     """
-    by_key: dict[tuple, int] = {}
+    by_key = {} if by_key is None else by_key
     index_of = by_key.setdefault
     return by_key, [index_of(key, len(by_key)) for key in keys]

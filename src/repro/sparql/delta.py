@@ -235,8 +235,8 @@ class DeltaEvaluator:
         """The window's signed group table at the facet's finest grain.
 
         Keys are id tuples over ``plan.group_variables`` in facet order;
-        coarser views roll the table up by projection.  Entries may net
-        to nothing (:attr:`GroupEntry.empty`); an empty table means no
+        coarser views roll the table up by projection.  Groups may net
+        to nothing (:meth:`GroupTable.empty`); an empty table means no
         row of the query changed.  Returns ``None`` when the delta is
         not incrementally evaluable (an unbound or non-numeric SUM/AVG
         operand or an unbound MIN/MAX operand on any folded row,
@@ -270,7 +270,7 @@ class DeltaEvaluator:
             if _REG.enabled:
                 _TERMS.inc()
                 _ROWS.inc(len(cur))
-        if any(entry.poisoned for entry in result.groups.values()):
+        if None in result.value:
             return None  # the stored measure would be unbound
         return result
 

@@ -56,14 +56,27 @@ from .ast import AggregateExpr, AndExpr, ArithExpr, CompareExpr, ExistsExpr, \
     TermExpr, VarExpr
 from .batch import BindingBatch, dedup_rows
 from .expr import EvalContext, evaluate, evaluate_ebv
+from .grouptable import NOT_A_NUMBER, GroupTable, count_bound, \
+    fold_extremum, fold_sum, poison_unbound
 from .values import numeric_result, order_key, to_number
 
 __all__ = ["Executor"]
 
 Binding = dict[Variable, Term]
 
-#: Memo sentinel for "operand evaluation raised ExpressionError".
-_EVAL_ERROR = object()
+
+class _IdMemo(dict):
+    """id → ``compute(id)``, computed on first lookup and kept."""
+
+    __slots__ = ("_compute",)
+
+    def __init__(self, compute: Callable[[int], object]) -> None:
+        super().__init__()
+        self._compute = compute
+
+    def __missing__(self, tid: int) -> object:
+        value = self[tid] = self._compute(tid)
+        return value
 
 # Observability instruments for the executor's hot seams.  Disabled (the
 # default) every seam costs one `_REG.enabled` attribute read; the
@@ -113,10 +126,13 @@ class Executor:
         # Aggregate value → id, see _encode_numbers.
         self._value_ids: dict[int, int] = {}
         self._value_ids_at = len(self._dict)
-        # id → numeric value / order key, stable for the executor's
-        # lifetime (ids are append-only in both dictionary and overlay).
-        self._num_cache: dict[int, object] = {}
-        self._okey_cache: dict[int, tuple] = {}
+        # Operand id → number / order key, the memos of every aggregate
+        # fold (repro.sparql.grouptable): an id is decoded at most once,
+        # as ids never change meaning.  A term that is not a number, and
+        # an unbound operand (None), read as NOT_A_NUMBER.
+        self.numbers = _IdMemo(self._number)
+        self.numbers[None] = NOT_A_NUMBER
+        self.order_keys = _IdMemo(lambda t: order_key(self.decode_id(t)))
         # EXISTS: compiled per group pattern (keyed on the frozen group
         # itself — the strong reference rules out id-reuse staleness) and
         # evaluated by the streaming reference executor for early exit.
@@ -143,6 +159,12 @@ class Executor:
         if tid >= 0:
             return self._dict.decode(tid)
         return self._extra_by_id[-tid - 1]
+
+    def _number(self, tid: int) -> object:
+        try:
+            return to_number(self.decode_id(tid))
+        except ExpressionError:
+            return NOT_A_NUMBER
 
     def decode_batch(self, batch: BindingBatch
                      ) -> list[tuple[Optional[Term], ...]]:
@@ -217,13 +239,13 @@ class Executor:
         result batch is aggregated at the grain of ``keys`` *before any
         term is decoded* — only distinct operand ids cross the term
         boundary (for numeric/order coercion).  Coarser granularities
-        derive from the returned table via :meth:`GroupTable.project`
-        instead of re-running the query.
+        derive from the returned table via
+        :meth:`GroupTable.project_variables` instead of re-running the
+        query.
         """
-        from .grouptable import GroupTable
-        batch = self.run_ids(op)
-        return GroupTable.from_batch(self, batch, keys, operand, kind,
-                                     keep_max)
+        table = GroupTable(self, tuple(keys), kind, keep_max)
+        table.fold(self.run_ids(op), operand)
+        return table
 
     def run_batch(self, op: AlgebraOp, seed: BindingBatch) -> BindingBatch:
         """Evaluate ``op`` under an explicit id-space seed batch.
@@ -1125,7 +1147,9 @@ class Executor:
         :func:`dedup_rows` gives every row a dense group id in first-row
         order; the distinct keys it collects are the output key columns,
         and every aggregate folds over the row-aligned ids in row order
-        (:meth:`_aggregate_column`).  No group owns a member list.
+        (:meth:`_aggregate_column`) — the layout, and the folds, of a
+        :class:`~repro.sparql.grouptable.GroupTable`.  No group owns a
+        member list.
         """
         child = self._eval(op.child, seed)
         by_key, gids = dedup_rows(child.key_tuples(op.keys))
@@ -1146,23 +1170,18 @@ class Executor:
         row-aligned group ids ``gids`` in row order.
 
         Non-DISTINCT COUNT/SUM/AVG/MIN/MAX over a plain variable — the
-        whole SOFOS query class — run on ids and never build accumulator
-        objects; everything else gets one spec-faithful accumulator per
-        group.  Row order within a group is kept everywhere, so float
-        summation and first-row-wins MIN/MAX ties match the reference.
-        Two memos carry the fast path across queries:
-
-        * operand id → number (``_num_cache``): each id is decoded at most
-          once per executor, as ids never change meaning;
-        * result value → id (:meth:`_encode_numbers`): an integer COUNT,
-          SUM or AVG result is turned into a literal and interned once,
-          not once per group per query (float results bypass it).  It
-          lives with the executor and is emptied whenever the dictionary
-          has grown, because a memoized overlay id may then name a term
-          the dictionary now holds.
-
-        MIN/MAX return an operand id as is; the generic path encodes its
-        accumulator's term.
+        whole SOFOS query class — run on ids through the folds of
+        :mod:`repro.sparql.grouptable`, the ones view builds and
+        maintenance windows run, and never build accumulator objects;
+        everything else gets one spec-faithful accumulator per group.
+        Row order within a group is kept everywhere, so float summation
+        and first-row-wins MIN/MAX ties match the reference.  Two memos
+        carry the fast path across queries: operand id → number or order
+        key (``numbers``, ``order_keys``), and result value → id
+        (:meth:`_encode_numbers`), so an integer COUNT, SUM or AVG result
+        is turned into a literal and interned once, not once per group
+        per query.  MIN/MAX return an operand id as is; the generic path
+        encodes its accumulator's term.
         """
         operand = agg.operand
         fast_col: Optional[list] = None
@@ -1172,60 +1191,30 @@ class Executor:
             k = child.index.get(operand.var)
             fast_col = child.columns[k] if k is not None \
                 else [None] * len(child)
+        name = agg.name
 
-        if fast_col is not None and agg.name == "COUNT":
-            return self._encode_numbers(_count_ids(gids, groups, fast_col))
-
-        if fast_col is not None and agg.name in ("SUM", "AVG"):
-            want_avg = agg.name == "AVG"
-            decode = self.decode_id
-            numbers = self._num_cache
-            totals: list[int | float | None] = [0] * groups
-            for g, tid in zip(gids, fast_col):
-                total = totals[g]
-                if total is None:
-                    continue  # poisoned
-                value = _EVAL_ERROR if tid is None else numbers.get(tid)
-                if value is None:
-                    try:
-                        value = to_number(decode(tid))
-                    except ExpressionError:
-                        value = _EVAL_ERROR
-                    numbers[tid] = value
-                if value is _EVAL_ERROR:  # unbound or non-numeric
-                    totals[g] = None
-                else:
-                    totals[g] = total + value  # type: ignore[operator]
-            if want_avg:  # an unpoisoned group's rows all bound a number
-                totals = [None if total is None
-                          else total / count if count else 0
-                          for total, count in zip(
-                              totals, _count_ids(gids, groups, fast_col))]
-            return self._encode_numbers(
-                totals, typed_literal if want_avg else numeric_result)
-
-        if fast_col is not None and agg.name in ("MIN", "MAX"):
-            decode = self.decode_id
-            keep_max = agg.name == "MAX"
-            sort_keys = self._okey_cache
+        if fast_col is not None and name in ("MIN", "MAX"):
             best: list[Optional[int]] = [None] * groups
-            best_keys: list = [None] * groups
-            poisoned = [False] * groups
-            for g, tid in zip(gids, fast_col):
-                if tid is None:  # unbound poisons MIN/MAX
-                    poisoned[g] = True
-                    continue
-                key = sort_keys.get(tid)
-                if key is None:
-                    key = sort_keys[tid] = order_key(decode(tid))
-                best_key = best_keys[g]
-                # Strict comparison: the first row wins a tie.
-                if best_key is None or (key > best_key if keep_max
-                                        else key < best_key):
-                    best[g] = tid
-                    best_keys[g] = key
-            return [None if dead else tid
-                    for tid, dead in zip(best, poisoned)]
+            fold_extremum(gids, fast_col, self.order_keys,
+                          name == "MAX", best, [None] * groups,
+                          [-1] * groups)
+            poison_unbound(gids, fast_col, best)
+            return best
+
+        if fast_col is not None and name in ("COUNT", "SUM", "AVG"):
+            counts = [0] * groups
+            if name != "SUM":
+                count_bound(gids, fast_col, counts)
+                if name == "COUNT":
+                    return self._encode_numbers(counts)
+            totals: list[int | float | None] = [0] * groups
+            fold_sum(gids, fast_col, totals, self.numbers)
+            if name == "SUM":
+                return self._encode_numbers(totals, numeric_result)
+            # AVG: an unpoisoned group's rows all bound a number.
+            return self._encode_numbers(
+                [None if total is None else total / n if n else 0
+                 for total, n in zip(totals, counts)], typed_literal)
 
         # Generic path: one accumulator per group over per-row operand terms.
         ctx = self._ctx
@@ -1294,19 +1283,6 @@ class Executor:
             idx.sort(key=sort_keys.__getitem__,
                      reverse=not condition.ascending)
         return child.gather(idx)
-
-
-def _count_ids(gids: list[int], groups: int, column: list) -> list[int]:
-    """Per group id, the rows whose ``column`` id is bound."""
-    counts = [0] * groups
-    if None in column:
-        for g, tid in zip(gids, column):
-            if tid is not None:
-                counts[g] += 1
-    else:
-        for g in gids:
-            counts[g] += 1
-    return counts
 
 
 # --------------------------------------------------------------------------

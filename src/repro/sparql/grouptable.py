@@ -1,37 +1,26 @@
-"""Id-space group tables: the one accumulator algebra of build and upkeep.
+"""The per-row aggregate folds, and id-space group tables built on them.
 
-A :class:`GroupTable` folds solution batches of a facet's pattern into
-per-group accumulators, straight from the executor's
-:class:`~repro.sparql.batch.BindingBatch` and entirely in id-space: group
-keys are id tuples, SUM/AVG totals are Python numbers, MIN/MAX extrema
-are term ids compared by order key.  Every coarser granularity is then
-derived by :meth:`GroupTable.project` — classic data-cube rollup (Gray et
-al.) over the lattice — without touching the base graph again.
+:func:`count_bound`, :func:`fold_sum` and :func:`fold_extremum` are the
+one implementation of COUNT, SUM/AVG and MIN/MAX over solution rows.
+Each walks the rows' dense group ids (:func:`~repro.sparql.batch.dedup_rows`)
+with the operand column, in row order, and accumulates into per-group
+lists its caller owns: GROUP BY (:meth:`Executor._aggregate_column`)
+folds a query's rows, a :class:`GroupTable` a facet scan or a
+maintenance window.  The rules are SPARQL's: COUNT counts bound operands
+(``COUNT(*)`` every row), an unbound or non-numeric operand *poisons*
+SUM/AVG and an unbound one MIN/MAX (no stored measure), and MIN/MAX keep
+the extremum id under order semantics, the first row winning a tie.
 
-Two producers run the same :meth:`GroupTable.fold` loop.  A build folds
-the *single* evaluation of the facet pattern, every row weighing +1
-(:meth:`GroupTable.from_batch`).  The delta evaluator
-(:mod:`repro.sparql.delta`) folds each term of a maintenance window, with
-signed row weights, into one *signed* table — Δrows, Δbound, Δsum, the
-extremum among inserted rows — that rolls up through the same ``project``.
-
-The accumulators replicate the executor's aggregate semantics exactly so
-a view encoded from a table is triple-for-triple identical to one built
-by running its materialization query:
-
-* ``rows`` is ``COUNT(*)`` (the stored ``sofos:groupCount`` of non-AVG
-  facets); ``bound`` counts bound operands (``COUNT(?u)``, the stored
-  count of AVG facets) — bound-but-non-numeric operands still count;
-* SUM/AVG totals *poison* (aggregate unbound → no stored measure) on any
-  unbound or non-numeric operand, exactly like the executor's fast path;
-* MIN/MAX keep the extremum id under SPARQL order semantics with
-  first-row tie-breaking, so projections merge associatively to the same
-  winner the executor's member-order scan picks.
-
-Projection is exact for SUM/COUNT/AVG over integer measures (the SOFOS
-datasets) because integer addition is associative; float measures can in
-principle differ in the last ulp from a direct evaluation's row-order
-summation.
+A build folds the *single* evaluation of a facet's pattern into a table,
+every row weighing +1; the delta evaluator (:mod:`repro.sparql.delta`)
+folds each term of a maintenance window, with signed row weights, into a
+*signed* table — Δrows, Δbound, Δsum, the extremum among inserted rows.
+Every coarser granularity of either is derived by
+:meth:`GroupTable.project_variables` — classic data-cube rollup (Gray et
+al.) over the lattice — without touching the base graph again.  It is
+exact for SUM/COUNT/AVG over integer measures (the SOFOS datasets);
+float measures can in principle differ in the last ulp from a direct
+evaluation's row-order summation.
 """
 
 from __future__ import annotations
@@ -39,12 +28,11 @@ from __future__ import annotations
 from itertools import count, repeat
 from typing import Optional, Sequence
 
-from ..errors import ExpressionError
 from ..rdf.terms import Variable
-from .batch import BindingBatch
-from .values import order_key, to_number
+from .batch import BindingBatch, dedup_rows
 
-__all__ = ["GroupEntry", "GroupTable",
+__all__ = ["GroupTable", "NOT_A_NUMBER", "count_bound", "fold_extremum",
+           "fold_sum", "poison_unbound",
            "KIND_SUM", "KIND_COUNT", "KIND_MINMAX", "KIND_BY_AGGREGATE"]
 
 #: Aggregate kinds the accumulators distinguish.
@@ -57,58 +45,121 @@ KIND_BY_AGGREGATE = {"SUM": KIND_SUM, "AVG": KIND_SUM,
                      "COUNT": KIND_COUNT, "MIN": KIND_MINMAX,
                      "MAX": KIND_MINMAX}
 
-#: Memo sentinel for "operand decoded to a non-numeric term".
-_NOT_NUMERIC = object()
+#: What the number memo holds for an operand that is not a number.
+NOT_A_NUMBER = object()
 
 
-class GroupEntry:
-    """Accumulators of one group: COUNT(*), COUNT(u), and the measure.
+# -- the folds ---------------------------------------------------------------
 
-    ``value`` is the running operand sum (sum kind); ``best_id`` /
-    ``best_key`` / ``best_row`` track the extremum id, its order key, and
-    the batch row it came from (minmax kind — ``best_row`` makes merge
-    tie-breaking reproduce the executor's first-row-wins scan order).
-    ``poisoned`` records that the measure aggregate evaluates to an error
-    (unbound/non-numeric operand), i.e. the group stores no measure.
-    In a signed table (a maintenance window's Δ) ``rows``, ``bound`` and
-    ``value`` are net changes and may be negative.
+def count_bound(gids: Sequence[int], column: Sequence, counts: list,
+                weights: Optional[Sequence[int]] = None) -> None:
+    """Add one (``weights[i]`` for row ``i``) to ``counts[g]`` per row
+    whose ``column`` id is bound; the empty column is ``COUNT(*)``."""
+    if weights is not None:
+        for g, weight, tid in zip(gids, weights, column or repeat(0)):
+            if tid is not None:
+                counts[g] += weight
+    elif None in column:
+        for g, tid in zip(gids, column):
+            if tid is not None:
+                counts[g] += 1
+    else:
+        for g in gids:
+            counts[g] += 1
+
+
+def fold_sum(gids: Sequence[int], column: Sequence, totals: list,
+             numbers: dict, weights: Optional[Sequence[int]] = None
+             ) -> None:
+    """Add each row's operand (times ``weights[i]``) to ``totals[g]``.
+
+    ``numbers`` is the executor's id → number memo
+    (``Executor.numbers``; ``get`` first, as a subscript of a dict
+    subclass is the slower hit).  An operand that is not a number — an
+    unbound one included — poisons its group: ``totals[g]`` becomes None
+    and stays None.  The unweighted loop, GROUP BY's, pays no weight.
     """
+    get = numbers.get
+    if weights is None:
+        for g, tid in zip(gids, column):
+            total = totals[g]
+            if total is not None:
+                value = get(tid)
+                if value is None:
+                    value = numbers[tid]
+                totals[g] = None if value is NOT_A_NUMBER \
+                    else total + value
+    else:
+        for g, tid, weight in zip(gids, column, weights):
+            total = totals[g]
+            if total is not None:
+                value = get(tid)
+                if value is None:
+                    value = numbers[tid]
+                totals[g] = None if value is NOT_A_NUMBER \
+                    else total + weight * value
 
-    __slots__ = ("rows", "bound", "value", "best_id", "best_key",
-                 "best_row", "poisoned")
 
-    def __init__(self) -> None:
-        self.rows: int = 0
-        self.bound: int = 0
-        self.value: int | float = 0
-        self.best_id: Optional[int] = None
-        self.best_key: Optional[tuple] = None
-        self.best_row: int = -1
-        self.poisoned: bool = False
+def fold_extremum(gids: Sequence[int], column: Sequence, keys: dict,
+                  keep_max: bool, best: list, best_key: list,
+                  best_row: list) -> None:
+    """Keep per group the operand id of least (``keep_max``: greatest)
+    order key, with that key and its row index; the first row wins a
+    tie, and so does an extremum already held.  ``keys`` is the
+    executor's id → order-key memo (``Executor.order_keys``).  Unbound
+    rows offer nothing; their poison is :func:`poison_unbound`'s.
+    """
+    get = keys.get
+    for i, g, tid in zip(count(), gids, column):
+        if tid is None:
+            continue
+        key = get(tid)
+        if key is None:
+            key = keys[tid]
+        held = best_key[g]
+        if held is None or (key > held if keep_max else key < held):
+            best[g] = tid
+            best_key[g] = key
+            best_row[g] = i
 
-    @property
-    def empty(self) -> bool:
-        """True for a signed entry whose changes net to nothing."""
-        return not (self.rows or self.bound or self.value) \
-            and self.best_id is None
 
-    def __repr__(self) -> str:
-        return (f"<GroupEntry rows={self.rows} bound={self.bound} "
-                f"value={self.value!r} best={self.best_id} "
-                f"poisoned={self.poisoned}>")
+def poison_unbound(gids: Sequence[int], column: Sequence,
+                   measure: list) -> None:
+    """Set ``measure[g]`` to None for each group with an unbound row."""
+    if None in column:
+        for g, tid in zip(gids, column):
+            if tid is None:
+                measure[g] = None
 
+
+# -- group tables ------------------------------------------------------------
 
 class GroupTable:
     """Finest-grain aggregation state of one facet scan, in id-space.
 
     ``groups`` maps group-key id tuples (aligned with ``variables``,
-    ``None`` = unbound) to :class:`GroupEntry` accumulators, in first-row
-    order — the same group order the executor's GROUP BY produces.  Ids
-    belong to the executor the table was built by (negative ids are that
-    executor's overlay).
+    ``None`` = unbound) to dense group ids in first-row order — the
+    group order the executor's GROUP BY produces.  Per group id:
+
+    * ``rows`` — ``COUNT(*)``, the stored ``sofos:groupCount`` of non-AVG
+      facets;
+    * ``bound`` — bound operands, ``COUNT(?u)``, the stored count of AVG
+      facets;
+    * ``value`` — the SUM/AVG running total; None when the group's
+      measure is poisoned, whatever the kind;
+    * ``best`` / ``best_key`` / ``best_row`` — the MIN/MAX extremum id,
+      its order key and the row of its fold it came from (None, None, -1
+      while no row offered one).
+
+    A table over no variables always holds the one group ``()``, as
+    ``GROUP BY ()`` does over no input.  In a signed table (a maintenance
+    window's Δ) ``rows``, ``bound`` and ``value`` are net changes and may
+    be negative.  Ids belong to the executor the table was built by
+    (negative ids are that executor's overlay).
     """
 
-    __slots__ = ("variables", "kind", "keep_max", "groups", "executor")
+    __slots__ = ("variables", "kind", "keep_max", "executor", "groups",
+                 "rows", "bound", "value", "best", "best_key", "best_row")
 
     def __init__(self, executor, variables: tuple[Variable, ...], kind: str,
                  keep_max: bool = False) -> None:
@@ -116,7 +167,15 @@ class GroupTable:
         self.variables = variables
         self.kind = kind
         self.keep_max = keep_max
-        self.groups: dict[tuple, GroupEntry] = {}
+        self.groups: dict[tuple, int] = {}
+        self.rows: list[int] = []
+        self.bound: list[int] = []
+        self.value: list[int | float | None] = []
+        self.best: list[Optional[int]] = []
+        self.best_key: list[Optional[tuple]] = []
+        self.best_row: list[int] = []
+        if not variables:  # GROUP BY () has its one group over no rows too
+            self.group_ids([()])
 
     def __len__(self) -> int:
         return len(self.groups)
@@ -126,16 +185,24 @@ class GroupTable:
         return (f"<GroupTable [{names}] kind={self.kind} "
                 f"{len(self.groups)} groups>")
 
-    # -- construction --------------------------------------------------------
+    def group_ids(self, keys: Sequence[tuple]) -> list[int]:
+        """The group id of each key; a new key gets the next id and an
+        all-zero group."""
+        _, gids = dedup_rows(keys, self.groups)
+        new = len(self.groups) - len(self.rows)
+        if new:
+            self.rows += [0] * new
+            self.bound += [0] * new
+            self.value += [0] * new
+            self.best += [None] * new
+            self.best_key += [None] * new
+            self.best_row += [-1] * new
+        return gids
 
-    @classmethod
-    def from_batch(cls, executor, batch: BindingBatch,
-                   keys: Sequence[Variable], operand: Optional[Variable],
-                   kind: str, keep_max: bool = False) -> "GroupTable":
-        """A table at the grain of ``keys`` holding one batch's fold."""
-        table = cls(executor, tuple(keys), kind, keep_max)
-        table.fold(batch, operand)
-        return table
+    def empty(self, g: int) -> bool:
+        """True for a signed group whose changes net to nothing."""
+        return not (self.rows[g] or self.bound[g] or self.value[g]) \
+            and self.best[g] is None
 
     def fold(self, batch: BindingBatch, operand: Optional[Variable],
              weights: Optional[Sequence[int]] = None,
@@ -143,121 +210,79 @@ class GroupTable:
         """Fold a solution batch into the per-group accumulators.
 
         ``operand`` is the measured variable (None = ``COUNT(*)``); the
-        batch is consumed row by row in order, so accumulation order —
-        and therefore float summation and MIN/MAX tie-breaking — matches
-        a direct GROUP BY evaluation of the same pattern.
+        batch is folded in row order, so float summation and MIN/MAX
+        tie-breaking match a direct GROUP BY evaluation of the same
+        pattern.
 
         ``weights`` makes the fold a signed one: row ``i`` counts
         ``weights[batch.prov[i]]`` times (the multiplicity of the seed
-        row it extends; None = every row once).  Only rows of positive
-        weight offer an extremum, and none do when ``extrema`` is off:
-        the delta evaluator turns it off for a window that deletes
-        anything, where a positive row may be one the old state is
-        restored with — not a row of the current query result.
+        row it extends; None = every row once).  An unbound operand
+        poisons whatever its weight, but only rows of positive weight
+        offer an extremum, and none do when ``extrema`` is off: the
+        delta evaluator turns it off for a window that deletes anything,
+        where a positive row may be one the old state is restored with —
+        not a row of the current query result.
         """
-        groups = self.groups
-        n = len(batch)
-        operand_col = None
-        if operand is not None:
-            k = batch.index.get(operand)
-            operand_col = batch.columns[k] if k is not None else [None] * n
-        row_weights = repeat(1) if weights is None \
-            else map(weights.__getitem__, batch.prov)
-
-        decode = self.executor.decode_id
-        numbers: dict[int, object] = {}
-        sort_keys: dict[int, tuple] = {}
-        is_sum = self.kind == KIND_SUM
-        is_minmax = self.kind == KIND_MINMAX
-        keep_max = self.keep_max
-
-        for i, key, weight in zip(
-                count(), batch.key_tuples(self.variables), row_weights):
-            entry = groups.get(key)
-            if entry is None:
-                entry = GroupEntry()
-                groups[key] = entry
-            entry.rows += weight
-            if operand_col is None:
-                continue  # COUNT(*): the row count is the whole story
-            tid = operand_col[i]
-            if tid is None:
-                if is_sum or is_minmax:
-                    entry.poisoned = True
-                continue
-            entry.bound += weight
-            if entry.poisoned:
-                continue
-            if is_sum:
-                value = numbers.get(tid)
-                if value is None:
-                    try:
-                        value = to_number(decode(tid))
-                    except ExpressionError:
-                        value = _NOT_NUMERIC
-                    numbers[tid] = value
-                if value is _NOT_NUMERIC:
-                    entry.poisoned = True
-                else:
-                    entry.value += weight * value  # type: ignore[operator]
-            elif is_minmax and extrema and weight > 0:
-                sort_key = sort_keys.get(tid)
-                if sort_key is None:
-                    sort_key = order_key(decode(tid))
-                    sort_keys[tid] = sort_key
-                if entry.best_key is None or (
-                        sort_key > entry.best_key if keep_max
-                        else sort_key < entry.best_key):
-                    entry.best_id = tid
-                    entry.best_key = sort_key
-                    entry.best_row = i
-
-    # -- rollup --------------------------------------------------------------
-
-    def project(self, positions: Sequence[int]) -> "GroupTable":
-        """Roll this table up to the key subset at ``positions``.
-
-        Entries of finer groups sharing a projected key merge exactly:
-        counts add, sums add (poison propagates), extrema compare by
-        order key with the earliest originating row winning ties — the
-        associative formulation of the executor's scan.  Group order is
-        first-seen order of the finer groups, which is first-row order.
-        """
-        out = GroupTable(self.executor,
-                         tuple(self.variables[p] for p in positions),
-                         self.kind, self.keep_max)
-        merged = out.groups
-        keep_max = self.keep_max
-        is_sum = self.kind == KIND_SUM
-        is_minmax = self.kind == KIND_MINMAX
-        for key, entry in self.groups.items():
-            sub_key = tuple(key[p] for p in positions)
-            target = merged.get(sub_key)
-            if target is None:
-                target = merged[sub_key] = GroupEntry()
-            target.rows += entry.rows
-            target.bound += entry.bound
-            if is_sum:
-                if entry.poisoned:
-                    target.poisoned = True
-                elif not target.poisoned:
-                    target.value += entry.value
-            elif is_minmax:
-                if entry.poisoned:
-                    target.poisoned = True
-                if entry.best_id is not None and (
-                        target.best_key is None
-                        or (entry.best_key > target.best_key if keep_max
-                            else entry.best_key < target.best_key)
-                        or (entry.best_key == target.best_key
-                            and entry.best_row < target.best_row)):
-                    target.best_id = entry.best_id
-                    target.best_key = entry.best_key
-                    target.best_row = entry.best_row
-        return out
+        gids = self.group_ids(batch.key_tuples(self.variables))
+        row_weights = None if weights is None \
+            else [weights[p] for p in batch.prov]
+        count_bound(gids, (), self.rows, row_weights)
+        if operand is None:
+            return  # COUNT(*): the row count is the whole story
+        k = batch.index.get(operand)
+        column = batch.columns[k] if k is not None else [None] * len(batch)
+        count_bound(gids, column, self.bound, row_weights)
+        executor = self.executor
+        if self.kind == KIND_SUM:
+            fold_sum(gids, column, self.value, executor.numbers,
+                     row_weights)
+        elif self.kind == KIND_MINMAX:
+            poison_unbound(gids, column, self.value)
+            if not extrema:
+                return
+            if row_weights is not None:
+                column = [tid if weight > 0 else None
+                          for tid, weight in zip(column, row_weights)]
+            fold_extremum(gids, column, executor.order_keys,
+                          self.keep_max, self.best, self.best_key,
+                          self.best_row)
 
     def project_variables(self, variables: Sequence[Variable]
                           ) -> "GroupTable":
-        """:meth:`project` by variable names (must be a subset of ours)."""
+        """Roll this table up to ``variables`` (a subset of ours).
+
+        Finer groups sharing a projected key merge exactly: counts add,
+        sums add (poison propagates), extrema compare by order key with
+        the earliest originating row winning ties — the associative
+        formulation of a direct scan.  Group order is first-seen order
+        of the finer groups, which is first-row order.
+        """
         index = {v: p for p, v in enumerate(self.variables)}
-        return self.project([index[v] for v in variables])
+        positions = [index[v] for v in variables]
+        out = GroupTable(self.executor, tuple(variables), self.kind,
+                         self.keep_max)
+        into = out.group_ids(
+            [tuple(key[p] for p in positions) for key in self.groups])
+        # The finer groups are the rows here, each weighing its count.
+        count_bound(into, (), out.rows, self.rows)
+        count_bound(into, (), out.bound, self.bound)
+        value = out.value
+        for t, v in zip(into, self.value):
+            total = value[t]
+            if total is not None:
+                value[t] = None if v is None else total + v
+        if self.kind == KIND_MINMAX:
+            keep_max = self.keep_max
+            best, best_key, best_row = out.best, out.best_key, out.best_row
+            for t, tid, key, row in zip(into, self.best, self.best_key,
+                                        self.best_row):
+                if tid is None:
+                    continue
+                held = best_key[t]
+                if held is None or (key > held if keep_max
+                                    else key < held) \
+                        or (key == held and row < best_row[t]):
+                    best[t] = tid
+                    best_key[t] = key
+                    best_row[t] = row
+        return out

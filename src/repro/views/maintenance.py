@@ -12,8 +12,10 @@ edits* — swapping the ``sofos:measure`` / ``sofos:sum`` /
 ``sofos:groupCount`` literals of changed groups, minting a group node
 when a group first appears, deleting it when its count reaches zero —
 all encoded by the builder's :class:`~repro.views.materializer.GroupCodec`,
-so a patched view graph is indistinguishable from a freshly rebuilt one
-(up to blank-node labels).
+so a patched view graph equals a freshly rebuilt one up to blank-node
+labels and value-equal measure literals: a MIN/MAX keeps its stored term
+when an inserted one ties it by value (``1`` vs ``"01"``), and a SUM/AVG
+literal's datatype follows the running number (``"3"`` vs ``"3.0"``).
 
 The merge reads and edits the view's
 :class:`~repro.views.materializer.GroupIndex`, which the catalog owns
@@ -486,10 +488,10 @@ class ViewMaintainer:
         removes: list[tuple[int, int, int]] = []
         created = updated = deleted = 0
 
-        for key, change in table.groups.items():
-            if change.empty:
+        for key, g in table.groups.items():
+            if table.empty(g):
                 continue
-            count_change, value_change = codec.numbers(change)
+            count_change, value_change = codec.numbers(table, g)
             state = index.groups.get(key)
             if state is None:
                 # Birth: the change is the whole group.
@@ -533,8 +535,9 @@ class ViewMaintainer:
                 # inserted value (insert-only windows).
                 if value_change is not None:
                     stored_key = order_key(decode(state.value_id))
-                    if (change.best_key > stored_key if keep_max
-                            else change.best_key < stored_key):
+                    best_key = table.best_key[g]
+                    if (best_key > stored_key if keep_max
+                            else best_key < stored_key):
                         removes.append((node, value_pred, state.value_id))
                         adds.append((node, value_pred, value_change))
                         state.value_id = value_change

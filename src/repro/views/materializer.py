@@ -39,8 +39,8 @@ from ..rdf.namespace import SOFOS
 from ..rdf.terms import IRI, BlankNode, Literal, Term, Variable
 from ..cube.view import ViewDefinition
 from ..sparql.engine import QueryEngine
-from ..sparql.grouptable import GroupEntry, GroupTable, KIND_BY_AGGREGATE, \
-    KIND_COUNT, KIND_MINMAX
+from ..sparql.grouptable import GroupTable, KIND_BY_AGGREGATE, KIND_COUNT, \
+    KIND_MINMAX
 from ..sparql.values import numeric_result, to_number
 
 __all__ = ["GroupCodec", "GroupIndex", "GroupState", "MaterializationStats",
@@ -91,31 +91,25 @@ class GroupCodec:
         self.dim_preds = [encode(dimension_predicate(v))
                           for v in view.variables]
 
-    def groups(self, table: GroupTable) -> dict[tuple, GroupEntry]:
-        """The groups a table at the view's grain encodes as: its own,
-        or the one all-zero group ``GROUP BY ()`` yields over no input."""
-        if not table.groups and self.view.is_apex:
-            return {(): GroupEntry()}
-        return table.groups
-
-    def numbers(self, entry: GroupEntry
+    def numbers(self, table: GroupTable, g: int
                 ) -> tuple[int, int | float | None]:
-        """``(count, measure)`` a group with these accumulators stores.
+        """``(count, measure)`` the table's group ``g`` stores.
 
         The count is ``COUNT(u)`` for AVG (its divisor), else
         ``COUNT(*)``.  The measure is a number (SUM/AVG and COUNT
         kinds), the extremum's term id (MIN/MAX), or None when the
         aggregate errors or saw nothing: no measure triple.  Numbers are
-        linear in the accumulators, so a signed entry maps to the
-        *change* of what is stored.
+        linear in the accumulators, so a signed table's group maps to
+        the *change* of what is stored.
         """
-        count = entry.bound if self._is_avg else entry.rows
+        count = table.bound[g] if self._is_avg else table.rows[g]
         if self.kind == KIND_COUNT:
-            return count, entry.rows if self._count_star else entry.bound
-        if entry.poisoned:
+            return count, \
+                table.rows[g] if self._count_star else table.bound[g]
+        value = table.value[g]
+        if value is None:
             return count, None
-        return count, \
-            entry.best_id if self.kind == KIND_MINMAX else entry.value
+        return count, table.best[g] if self.kind == KIND_MINMAX else value
 
     def number_id(self, value: int | float) -> int:
         """The id of a count's or numeric measure's literal, memoized:
@@ -286,7 +280,6 @@ def materialize_view_from_table(view: ViewDefinition, engine: QueryEngine,
     if table.variables != view.variables:
         table = table.project_variables(view.variables)
     codec = GroupCodec(view, target.dictionary)
-    groups = codec.groups(table)
     is_minmax = codec.kind == KIND_MINMAX
     decode_query_id = engine.executor.decode_id
     encode = target.dictionary.encode
@@ -297,9 +290,9 @@ def materialize_view_from_table(view: ViewDefinition, engine: QueryEngine,
 
     index: Optional[GroupIndex] = GroupIndex(codec.kind)
     id_triples: list[IdTriple] = []
-    for key, entry in groups.items():
+    for key, g in table.groups.items():
         key = tuple(None if tid is None else target_id(tid) for tid in key)
-        count, value = codec.numbers(entry)
+        count, value = codec.numbers(table, g)
         if value is None:
             index = None
         elif is_minmax:
@@ -315,7 +308,7 @@ def materialize_view_from_table(view: ViewDefinition, engine: QueryEngine,
     triples_added = target.add_ids_bulk(id_triples)
     stats = MaterializationStats(
         view=view,
-        groups=len(groups),
+        groups=len(table),
         triples=triples_added,
         build_seconds=time.perf_counter() - start,
     )

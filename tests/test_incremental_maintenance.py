@@ -161,8 +161,8 @@ class TestDeltaEvaluator:
                                    compile_delta_plan(population_facet))
         table = evaluator.adjustments(delta.inserted, delta.deleted)
         decode = engine.executor.decode_id
-        got = {tuple(decode(i) for i in key): (entry.rows, entry.value)
-               for key, entry in table.groups.items() if not entry.empty}
+        got = {tuple(decode(i) for i in key): (table.rows[g], table.value[g])
+               for key, g in table.groups.items() if not table.empty(g)}
         assert got == expected
 
     def test_empty_delta_empty_adjustments(self, population_facet):
@@ -250,7 +250,7 @@ class TestDeltaEvaluator:
         assert len(filters) <= (touched if plan.filters else 0)
         if new_rows is not None:
             assert rows == new_rows
-            assert sum(e.rows for e in table.groups.values()) == new_rows
+            assert sum(table.rows) == new_rows
 
     def test_a_term_is_planned_once_and_later_windows_read_no_statistics(
             self, monkeypatch):
@@ -276,7 +276,7 @@ class TestDeltaEvaluator:
             delta = log.drain()
             del reads[:]
             table = evaluator.adjustments(delta.inserted, delta.deleted)
-            assert sum(e.rows for e in table.groups.values()) == 1
+            assert sum(table.rows) == 1
             assert bool(reads) == expect_reads
 
     def test_a_term_with_a_constant_nobody_has_used_yet_matches_nothing(self):
@@ -300,7 +300,7 @@ class TestDeltaEvaluator:
         graph.add(Triple(EX.france, EX.language, EX.french))
         delta = log.drain()
         table = evaluator.adjustments(delta.inserted, delta.deleted)
-        assert sum(e.rows for e in table.groups.values()) == 1
+        assert sum(table.rows) == 1
         for i in range(n):
             assert evaluator.term_order(i) is evaluator.term_order(i)
 

@@ -1,7 +1,7 @@
 """Rollup materialization: parity, planning, batching, and seeding.
 
 The contract under test: a view built by the shared-scan rollup path
-(``ViewCatalog.materialize_all`` → group table → ``project`` →
+(``ViewCatalog.materialize_all`` → group table → ``project_variables`` →
 ``materialize_view_from_table``) is **triple-for-triple identical** — up
 to blank-node labels — to the §3.1 encoding of its materialization query
 as the seed tuple-at-a-time :class:`ReferenceExecutor` evaluates it, and
@@ -15,18 +15,22 @@ patches without a scan), and the router's upkeep-history tie-break.
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cube import AnalyticalFacet, AnalyticalQuery, ViewLattice
 from repro.cube.lattice import RollupPlan
-from repro.errors import CubeError, ViewError
-from repro.rdf import Dataset, Graph, Namespace, parse_turtle
+from repro.errors import CubeError, ExpressionError, ViewError
+from repro.rdf import Dataset, Graph, Namespace, Triple, parse_turtle
 from repro.rdf.namespace import SOFOS
+from repro.resilience import ConsistencyAuditor
 from repro.sparql import PreparedQuery, ReferenceExecutor
+from repro.sparql.values import to_number
 from repro.views import ViewCatalog, ViewMaintainer, ViewRouter, \
     dimension_predicate
 from repro.views.catalog import MaterializedView
 
 from tests.test_incremental_maintenance import assert_index_true
+from tests.test_properties import _GROUP_OPERANDS
 
 EX = Namespace("http://example.org/")
 
@@ -117,6 +121,44 @@ def reference_footprint(view, graph: Graph) -> tuple[int, int, int]:
     return groups, triples, groups + len(objects)
 
 
+#: Observations (a, b, operand) over ``_GROUP_OPERANDS``: MIN/MAX ties
+#: between equal numbers written as different terms, a string that
+#: poisons SUM/AVG, and (None) no ``ex:v`` at all — poison under OPTIONAL.
+operand_rows = st.lists(st.tuples(
+    st.integers(0, 2), st.integers(0, 1),
+    st.one_of(st.none(), st.sampled_from(_GROUP_OPERANDS))), max_size=10)
+
+
+def add_operand_rows(graph: Graph, rows, first: int = 0) -> Graph:
+    """``rows`` as observations ``obs<first>``, ``obs<first+1>``, … of
+    the templates' shape; returns ``graph``."""
+    triples = []
+    for i, (a, b, value) in enumerate(rows, first):
+        obs = EX[f"obs{i}"]
+        triples += [Triple(obs, EX.a, EX[f"a{a}"]),
+                    Triple(obs, EX.b, EX[f"b{b}"])]
+        if value is not None:
+            triples.append(Triple(obs, EX.v, value))
+    graph.update(triples)
+    return graph
+
+
+def value_signatures(graph: Graph) -> dict:
+    """:func:`group_signatures` with every numeric literal read as its
+    number: equality up to bnode labels and value-equal literals."""
+    def value(term):
+        try:
+            return to_number(term)
+        except ExpressionError:
+            return term
+
+    out: dict = {}
+    for pairs, n in group_signatures(graph).items():
+        key = frozenset((p, value(o)) for p, o in pairs)
+        out[key] = out.get(key, 0) + n
+    return out
+
+
 def build_lattice(graph: Graph, facet: AnalyticalFacet):
     """(full-lattice catalog over a copy of the graph, lattice)."""
     lattice = ViewLattice(facet)
@@ -184,6 +226,71 @@ class TestRollupParity:
                 reference_signatures(view, Graph()), view.label
         # the apex keeps its implicit zero group even over no data
         assert rolled.get(lattice.apex).groups == 1
+
+
+class TestRollupOnTiesAndPoison:
+    """Every lattice view built from one scan is its query's encoding
+    when operands tie by value under different terms (the first row's
+    term must win, through the rollup's ``best_row`` too), poison SUM/AVG
+    as a string, or are missing under OPTIONAL — on both stores."""
+
+    @pytest.mark.parametrize("agg", AGGREGATES)
+    @pytest.mark.parametrize("template", [BGP_TEMPLATE, OPTIONAL_TEMPLATE],
+                             ids=["bgp", "optional"])
+    @settings(max_examples=25)
+    @given(rows=operand_rows)
+    @example(rows=[(0, 1, _GROUP_OPERANDS[2]), (1, 0, _GROUP_OPERANDS[1]),
+                   (0, 0, _GROUP_OPERANDS[0]), (1, 1, None),
+                   (2, 0, _GROUP_OPERANDS[5])])
+    def test_lattice_views_match_reference(self, agg, template, rows):
+        facet = agg_facet(agg, template)
+        for store in ("dict", "columnar"):
+            graph = add_operand_rows(Graph(store=store), rows)
+            catalog, lattice = build_lattice(graph, facet)
+            for view in lattice:
+                assert group_signatures(catalog.graph_of(view)) == \
+                    reference_signatures(view, graph), (store, view.label)
+
+
+class TestPatchContract:
+    """A patched view is its rebuild up to bnode labels and value-equal
+    measure literals.  Insert-only windows over ``_GROUP_OPERANDS`` are
+    where the terms can differ: a MIN/MAX keeps its stored term when an
+    inserted one ties it by value (``1`` vs ``"01"``), and a SUM/AVG
+    literal's datatype follows the running number (a window netting
+    ``0.0`` leaves ``"3"^^xsd:integer`` where a rebuild writes ``"3.0"``).
+    The audit finds every patched view ok all the same."""
+
+    @pytest.mark.parametrize("agg", AGGREGATES)
+    @settings(max_examples=15)
+    @given(rows=operand_rows, windows=st.lists(
+        operand_rows.filter(bool), min_size=1, max_size=3))
+    @example(rows=[(0, 0, _GROUP_OPERANDS[0]), (0, 0, _GROUP_OPERANDS[3])],
+             windows=[[(0, 0, _GROUP_OPERANDS[4]), (0, 0, _GROUP_OPERANDS[1]),
+                       (0, 0, _GROUP_OPERANDS[3])]])
+    def test_patched_views_are_value_equal_to_a_refresh(self, agg, rows,
+                                                         windows):
+        lattice = ViewLattice(agg_facet(agg))
+        for store in ("dict", "columnar"):
+            patched, rebuilt = (
+                ViewCatalog(Dataset.wrap(add_operand_rows(
+                    Graph(store=store), rows))) for _ in range(2))
+            for catalog in (patched, rebuilt):
+                catalog.materialize_all(lattice)
+            maintainer = ViewMaintainer(patched, max_delta_fraction=1.0)
+            first = len(rows)
+            for window in windows:
+                for catalog in (patched, rebuilt):
+                    add_operand_rows(catalog.base_engine.graph, window, first)
+                first += len(window)
+                maintainer.synchronize()
+                rebuilt.refresh_stale()
+                report = ConsistencyAuditor(patched).audit()
+                assert len(report.ok) == len(lattice), (store, report)
+                for view in lattice:
+                    assert value_signatures(patched.graph_of(view)) == \
+                        value_signatures(rebuilt.graph_of(view)), \
+                        (store, view.label)
 
 
 class TestRollupPlan:
