@@ -11,7 +11,9 @@ subtracting child-inclusive time, and renders the familiar plan-tree text.
 The plan shown is the plan that ran: a BGP lists its probe order with the
 rows after each probe (``6 pattern(s): 2→18 3→18 0→755 …``), a ``Filter``
 where it was placed and what it saw and kept there (``filter after
-pattern 0: 755→212 rows``, or ``after BGP``; never ran: ``filter``).  A
+pattern 0: 755→212 rows``, or ``after BGP``; run on the distinct objects
+of its variable's predicate before any probe: ``filter before pattern 3:
+20→4 values``; never ran: ``filter``).  A
 ``Filter*(BGP)`` stack runs as one unit: its BGP and inner filters carry
 rows only, its time is the outermost filter's.  Rows sum over evaluations;
 the trace is the first one's (``… (first of 2 calls)``).
@@ -57,7 +59,9 @@ def _describe(op: AlgebraOp, ran: str, rows_in: int, rows_out: int) -> str:
     if isinstance(op, BGPOp):
         return f"{len(op.patterns)} pattern(s)" + (f": {ran}" if ran else "")
     if isinstance(op, FilterOp) and ran:
-        return f"filter {ran}: {rows_in}→{rows_out} rows"
+        # run on its variable's distinct values before the probes, or on rows
+        unit = "values" if ran.startswith("before") else "rows"
+        return f"filter {ran}: {rows_in}→{rows_out} {unit}"
     if isinstance(op, FilterOp):  # its condition never ran
         return "filter"
     if isinstance(op, ExtendOp):

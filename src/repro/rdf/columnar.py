@@ -428,6 +428,14 @@ class ColumnarStore(TripleStore):
         return (hi - lo, len(set(self._pos_c[lo:hi])),
                 1 + int(np.count_nonzero(run_b[1:] != run_b[:-1])))
 
+    def object_domain(self, pid: int):
+        self._flush()
+        lo, hi = self._a_range(self._pos_ab, pid)
+        run_b = self._v_pos[1][lo:hi]
+        heads = np.ones(len(run_b), dtype=bool)   # the runs counted above
+        np.not_equal(run_b[1:], run_b[:-1], out=heads[1:])
+        return run_b[heads].tolist()
+
     # -- lifecycle ----------------------------------------------------------
 
     def copy(self) -> "ColumnarStore":

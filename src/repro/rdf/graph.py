@@ -499,6 +499,12 @@ class Graph:
             profile = profiles[pid] = self._store.predicate_profile(pid)
         return profile
 
+    def object_domain(self, pid: int):
+        """The distinct object ids of one predicate (read-only), the values
+        ``predicate_profile(pid)[2]`` counts: the executor evaluates a
+        one-variable FILTER over them once, before any probe."""
+        return self._store.object_domain(pid)
+
     def matches(self, pattern: TriplePattern) -> Iterator[dict[Variable, Term]]:
         """Bindings of ``pattern``'s variables against this graph.
 

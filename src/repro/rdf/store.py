@@ -123,6 +123,11 @@ class TripleStore:
         predicate, in O(triples of that predicate)."""
         raise NotImplementedError
 
+    def object_domain(self, pid: int):
+        """The distinct object ids of one predicate (read-only; order
+        backend-defined): the objects ``predicate_profile`` counts."""
+        raise NotImplementedError
+
     # -- lifecycle ----------------------------------------------------------
 
     def copy(self) -> "TripleStore":
@@ -395,6 +400,9 @@ class DictStore(TripleStore):
             return (0, 0, 0)
         subjects = set().union(*by_object.values())
         return (self._pred_counts[pid], len(subjects), len(by_object))
+
+    def object_domain(self, pid: int):
+        return self._pos.get(pid, {}).keys()
 
     # -- lifecycle ----------------------------------------------------------
 

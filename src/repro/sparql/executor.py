@@ -10,6 +10,11 @@ algebra tree:
 * BGPs are evaluated as batched index probes: each triple pattern is
   probed once per **distinct** bound prefix (not once per row) and the
   matches are fanned back out with a hash join on the prefix;
+* a FILTER stacked on a BGP runs right after the probe that binds what
+  it reads — or, if it reads one variable that is the object of a
+  constant predicate whose distinct objects are fewer than the first
+  probe's rows, once per such object before any probe, the accepted ids
+  then seeding the BGP;
 * Join/OPTIONAL evaluate their right side under a *deduplicated*
   projection of the left batch onto the shared variables, then hash-join
   the result back through the provenance array;
@@ -26,8 +31,10 @@ constants unknown to the store) are interned into a private overlay with
 negative ids so id equality stays term equality end to end.
 
 Compiled id-space BGP plans (constant ids, probe order, the probe each
-FILTER above the BGP runs after) are cached per graph version, so
-re-running a prepared workload skips recompilation.
+FILTER above the BGP runs after, the conditions that may run on a
+domain first) are cached per graph version, with the ids each such
+condition accepts, so re-running a prepared workload skips
+recompilation.
 
 The tuple-at-a-time semantics are preserved exactly; the retained
 :class:`~repro.sparql.reference.ReferenceExecutor` is the oracle the parity
@@ -105,6 +112,11 @@ _PROBE_BULK = _REG.counter(
     "engine_probe_bulk_total",
     "whole-batch probes answered by vectorized store kernels",
     labels=("kernel",))
+_PUSHDOWN = _REG.counter(
+    "sparql_filter_pushdown_total",
+    "one-variable FILTERs whose accepted object ids were read before a "
+    "BGP: pushed (seeded the probes) or kept (placed as planned)",
+    labels=("outcome",))
 
 
 class Executor:
@@ -120,8 +132,12 @@ class Executor:
         # Overlay interning for query-computed terms: ids -1, -2, ...
         self._extra_by_term: dict[Term, int] = {}
         self._extra_by_id: list[Term] = []
-        # Compiled id-space BGP plans, invalidated on graph mutation.
+        # Compiled id-space BGP plans, invalidated on graph mutation, and
+        # beside them (condition, predicate id) → (the predicate's object
+        # ids the condition accepts, how many it read), see _pushdown.
         self._bgp_cache: dict[tuple, object] = {}
+        self._accepted: dict[tuple[Expression, int],
+                             tuple[list[int], int]] = {}
         self._bgp_cache_version = -1
         # Aggregate value → id, see _encode_numbers.
         self._value_ids: dict[int, int] = {}
@@ -341,15 +357,17 @@ class Executor:
 
         ``wanted`` holds, per FILTER stacked on the BGP, the variables its
         condition reads (``None``: EXISTS may read any).  Returns ``(specs,
-        steps, late)`` — see :meth:`_plan_bgp` — or ``None`` when a constant
-        is not in the dictionary (the BGP can match nothing).  Entries are
-        keyed on the pattern tuple, the seed-variable overlap and ``wanted``
-        (conditions differing in their constants share a plan) and dropped
-        wholesale when the graph version moves.
+        steps, late, push)`` — see :meth:`_plan_bgp` — or ``None`` when a
+        constant is not in the dictionary (the BGP can match nothing).
+        Entries are keyed on the pattern tuple, the seed-variable overlap
+        and ``wanted`` (conditions differing in their constants share a
+        plan) and dropped wholesale, with the accepted-id memo, when the
+        graph version moves.
         """
         graph = self._graph
         if graph.version != self._bgp_cache_version:
             self._bgp_cache.clear()
+            self._accepted.clear()
             self._bgp_cache_version = graph.version
 
         overlap: frozenset[Variable] = frozenset()
@@ -377,13 +395,15 @@ class Executor:
                   seed_vars: frozenset[Variable],
                   wanted: tuple[Optional[frozenset[Variable]], ...]
                   ) -> tuple[list[tuple[int, tuple[int, ...]]],
-                             tuple[int, ...]]:
-        """Probe order and filter placement of one BGP: ``(steps, late)``.
+                             tuple[int, ...], Optional[tuple]]:
+        """Probe order, filter placement and domain seeds of one BGP:
+        ``(steps, late, push)``.
 
         ``steps``: ``[(pattern index, conditions run right after its
         probe), ...]`` in probe order; ``late``: the conditions run after
         the last probe; ``wanted[k]``: the variables condition ``k`` reads
-        (``None``: anything).
+        (``None``: anything); ``push``: ``None``, or ``(first, candidates)``
+        for :meth:`_pushdown`.
 
         *Order.*  Structural first: a pattern sharing no variable with
         what is bound (seed variables included) is never taken while a
@@ -405,11 +425,35 @@ class Executor:
         columns — same rows, same multiplicities, an erroring expression
         drops its row early or late alike.  A condition reading a variable
         no pattern binds (or no variable) stays late.
+
+        *Domain seeds.*  A condition reading one variable ``?v`` that is no
+        seed variable and is the object of a pattern with a constant
+        predicate ``p`` may instead run once on each distinct object of
+        ``p``, before any probe, and seed ``?v`` with the ids it accepts
+        (the same ``evaluate_ebv`` on the same terms: same rows).  A
+        candidate is ``(k, pattern, p, ?v, triples ÷ distinct objects of
+        p)``, through the pattern whose ``p`` has the fewest objects, and
+        only if those are fewer than ``first``, the estimated rows of the
+        first probe: reading a domain must cost less than the probe it may
+        save.  None when a condition mentions EXISTS.
         """
         count_ids = self._graph.count_ids
         profile = self._graph.predicate_profile
         pattern_vars = [{payload for kind, payload in spec if kind == "v"}
                         for spec in specs]
+        domains: dict[int, tuple[int, int, Variable, int, int]] = {}
+        if wanted and None not in wanted:
+            for k, need in enumerate(wanted):
+                if len(need) != 1 or not need.isdisjoint(seed_vars):
+                    continue
+                var, = need
+                for i, (_, (pkind, pid), (okind, obj)) in enumerate(specs):
+                    if pkind == "c" and okind == "v" and obj == var:
+                        triples, _, objects = profile(pid)
+                        if objects and (k not in domains
+                                        or objects < domains[k][4]):
+                            domains[k] = (i, pid, var, triples, objects)
+        first = 0.0
         all_vars = set().union(*pattern_vars) if wanted else ()
         pending = [k for k, need in enumerate(wanted)
                    if need and need <= all_vars]
@@ -447,6 +491,8 @@ class Executor:
                           not pattern_vars[i].isdisjoint(bound)] or remaining
             best = candidates[0] if len(candidates) == 1 \
                 else min(candidates, key=rank if pending else growth)
+            if domains and not steps:
+                first = growth(best)
             remaining.remove(best)
             new = pattern_vars[best] - bound
             bound |= new
@@ -459,7 +505,10 @@ class Executor:
                 ready = tuple(k for k in pending if wanted[k] <= bgp_bound)
                 pending = [k for k in pending if k not in ready]
             steps.append((best, ready))
-        return steps, late
+        push = tuple((k, i, pid, var, triples / objects)
+                     for k, (i, pid, var, triples, objects) in domains.items()
+                     if objects < first)
+        return steps, late, ((first, push) if push else None)
 
     def bgp_order(self, patterns: tuple[TriplePattern, ...],
                   seed_vars: tuple[Variable, ...] = ()
@@ -478,17 +527,38 @@ class Executor:
         """The planned evaluation of a BGP and the FILTERs stacked on it.
 
         Patterns are probed in plan order; each of ``filters`` (the stack
-        above ``op``, innermost first) runs where the plan placed it.
+        above ``op``, innermost first) runs where the plan placed it.  Under
+        a one-row seed, one condition may run first, on its variable's
+        domain (see :meth:`_pushdown`): the row is crossed with the
+        accepted ids and the other patterns and conditions follow the plan
+        made with that variable bound.
         """
         cur = seed.renumbered()
-        plan = self._compiled_bgp(
-            op.patterns, seed.variables,
-            tuple(_expr_variables(f.expression) for f in filters))
+        wanted = tuple(_expr_variables(f.expression) for f in filters)
+        plan = self._compiled_bgp(op.patterns, seed.variables, wanted)
         if plan is None:
             return BindingBatch.empty(cur.variables)
-        specs, steps, late = plan
+        specs, steps, late, push = plan
         tracing = _TRACER.enabled
         trace: list[str] = []
+        if push is not None and len(cur) == 1:
+            pushed = self._pushdown(push, filters)
+            if pushed is not None:
+                k, i, var, (accepted, read) = pushed
+                if tracing:
+                    self._observe(filters[k], read, len(accepted),
+                                  f"before pattern {i}")
+                cur = BindingBatch(
+                    (*cur.variables, var),
+                    [col * len(accepted) for col in cur.columns] + [accepted],
+                    [0] * len(accepted))
+                if not accepted:
+                    if tracing:
+                        self._observe(op, len(seed), 0, "")
+                    return cur
+                filters = filters[:k] + filters[k + 1:]
+                specs, steps, late, _ = self._compiled_bgp(
+                    op.patterns, cur.variables, wanted[:k] + wanted[k + 1:])
         for i, ready in steps:
             cur = self._probe(cur, specs[i])
             if tracing:
@@ -500,6 +570,42 @@ class Executor:
         for k in late:
             cur = self._keep(filters[k], cur, op)
         return cur
+
+    def _pushdown(self, push: tuple, filters: Sequence[FilterOp]
+                  ) -> Optional[tuple]:
+        """The condition to run before the probes, or ``None``.
+
+        ``push`` is the plan's ``(first, candidates)`` (see
+        :meth:`_plan_bgp`).  Each candidate's accepted ids are read once
+        per graph version: the condition evaluated on every distinct
+        object of its predicate.  The one with the smallest estimate —
+        accepted ids × the predicate's mean triples per object — is
+        pushed if that is below ``first``.  Returns ``(k, pattern, ?v,
+        (accepted ids, objects read))``.
+        """
+        first, candidates = push
+        memo = self._accepted
+        best = None
+        for k, i, pid, var, fanout in candidates:
+            expr = filters[k].expression
+            hit = memo.get((expr, pid))
+            if hit is None:
+                decode, ctx = self.decode_id, self._ctx
+                domain = self._graph.object_domain(pid)
+                hit = memo[expr, pid] = (
+                    [oid for oid in domain
+                     if evaluate_ebv(expr, {var: decode(oid)}, ctx)],
+                    len(domain))
+            estimate = len(hit[0]) * fanout
+            if estimate < first and (best is None or estimate < best[0]):
+                best = (estimate, k, i, var, hit)
+        if _REG.enabled:
+            kept = len(candidates) - (best is not None)
+            if best is not None:
+                _PUSHDOWN.inc(1, ("pushed",))
+            if kept:
+                _PUSHDOWN.inc(kept, ("kept",))
+        return None if best is None else best[1:]
 
     def _probe(self, cur: BindingBatch,
                spec: list[tuple[str, object]]) -> BindingBatch:

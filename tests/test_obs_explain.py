@@ -138,6 +138,29 @@ class TestExplainShowsThePlanThatRan:
         for node in nodes:
             assert node.calls == 1
 
+        # Without NOT EXISTS in the stack, ?lang = french reads one variable
+        # bound as the object of ex:language, whose 4 languages are fewer
+        # than the 5 triples the first probe would read: it runs first, on
+        # those values, and the probes start from the one it accepts.
+        pushed_query = FILTERED_QUERY.replace(
+            "FILTER NOT EXISTS { ?c ex:partOf ex:eu . }", "")
+        ex = engine.explain(pushed_query)
+        assert ex.rows == len(engine.query(pushed_query)) == 2
+        nodes = list(ex.root.walk())
+        bgp, = (n for n in nodes if n.operator == "BGP")
+        steps = self._steps(bgp)
+        where = {f.detail.split(":")[0]: f for f in nodes
+                 if f.operator == "Filter"}
+        assert set(where) == {"filter before pattern 3",
+                              "filter after pattern 2"}
+        before = where["filter before pattern 3"]
+        assert (before.rows_in, before.rows_out) == (4, 1)
+        assert before.detail.endswith(": 4→1 values")
+        assert steps[0] == (3, 2)      # canada and france speak french
+        after = where["filter after pattern 2"]
+        assert after.rows_in == dict(steps)[2] and after.rows_out < \
+            after.rows_in
+
     def test_a_seeded_filter_waits_for_the_pattern_that_binds_it(
             self, engine):
         """?lang is in the seed with unbound rows (italy's observation

@@ -7,10 +7,10 @@ import json
 import pytest
 
 from repro.core import Sofos
-from repro.cube import AnalyticalQuery
+from repro.cube import AnalyticalQuery, FilterCondition
 from repro.errors import FailpointError
 from repro.obs import hub
-from repro.rdf import Namespace, Triple, typed_literal
+from repro.rdf import Namespace, Triple, Variable, typed_literal
 from repro.resilience import failpoints
 from repro.sparql import QueryEngine
 from repro.views import load_expanded, save_expanded
@@ -64,6 +64,11 @@ def _whole_loop(facet, directory):
     query = AnalyticalQuery(facet, next(iter(catalog)).mask)
     assert sofos.answer(query).used_view is not None
     assert sofos.answer_from_base(query).used_view is None
+    # a one-variable FILTER on the base graph runs on ex:year's 3 values
+    # before the probes (the counted pushdown path, here uncounted)
+    in_2021 = AnalyticalQuery(facet, 0, (FilterCondition(
+        Variable("year"), "=", typed_literal(2021)),))
+    assert len(sofos.answer_from_base(in_2021).table) == 1
     for _ in range(2):      # a serving-plan memo miss, then a hit
         assert sofos.answer_sparql(
             render_analytical_query(query)).used_view is not None
@@ -84,6 +89,21 @@ class TestEngineWiring:
         assert m.counter_total("engine_prepared_cache_misses_total") == 1
         assert m.counter_total("engine_prepared_cache_hits_total") >= 1
         assert m.counter_total("engine_bgp_plan_cache_hits_total") >= 1
+
+    def test_filter_pushdown_is_counted_by_outcome(self, clean_hub):
+        """Both conditions read one variable with fewer values than the
+        first probe's 5 rows; ?lang = french (1 of 4 languages, ~1 row)
+        beats ?year = 2019 (1 of 2 years, ~3.5 rows) and is pushed."""
+        clean_hub.enable(tracing=False)
+        engine = QueryEngine(build_population_graph())
+        query = POP_QUERY.replace(
+            "ex:population ?pop .", "ex:population ?pop . "
+            "?c ex:language ?lang . FILTER(?lang = ex:french) "
+            "FILTER(?year = 2019)")
+        assert len(engine.query(query)) == 1
+        outcomes = clean_hub.metrics.get("sparql_filter_pushdown_total")
+        assert (outcomes.value(("pushed",)), outcomes.value(("kept",))) \
+            == (1, 1)
 
     def test_spans_cover_execution(self, clean_hub):
         clean_hub.enable()

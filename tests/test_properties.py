@@ -611,6 +611,105 @@ class TestBgpOrderProperty:
 
 
 # --------------------------------------------------------------------------
+# FILTER pushdown: a one-variable condition seeds the BGP, same bag
+# --------------------------------------------------------------------------
+
+#: Objects of ex:d: value-equal but distinct terms, other numbers, IRIs
+#: and a bnode, so ``=`` (value equality) and term identity disagree.
+_PUSH_VALUES = (typed_literal(2019), Literal("02019", datatype=XSD.integer),
+                Literal("2019.0", datatype=XSD.decimal), Literal("2019"),
+                Literal("2019", language="en"), typed_literal(2020),
+                typed_literal(2018), EX.a, EX.b, BlankNode("b1"))
+#: One-variable conditions on ?v; ``?v > "2019"`` raises a type error on
+#: every number and IRI, ``?v = 1999`` accepts nothing.
+_PUSH_CONDITIONS = ("?v = 2019", "?v != 2019", "?v < 2020", "?v >= 2019",
+                    "isIRI(?v)", 'STR(?v) = "2019"', '?v > "2019"',
+                    "?v = 1999")
+#: Reads two variables: never pushed.
+_TWO_VARIABLE_CONDITION = "STR(?v) != STR(?w)"
+_PUSH_TEMPLATE = """
+    PREFIX ex: <http://example.org/>
+    SELECT {select} WHERE {{
+      ?x ex:d ?v ; ex:m ?m ; ex:w ?w ; ex:k ?k .
+      {filters}
+    }} {group_by}"""
+#: (projection, GROUP BY): plain rows, and groups on ?k and on ?v; the
+#: aggregated ?m is a distinct integer per row (no MIN/MAX tie to order)
+_PUSH_SHAPES = (("?x ?v ?m", ""),
+                ("?k (SUM(?m) AS ?s) (MIN(?m) AS ?lo) (COUNT(*) AS ?n)",
+                 "GROUP BY ?k"),
+                ("?v (MAX(?m) AS ?hi)", "GROUP BY ?v"))
+
+pushdown_worlds = st.tuples(
+    # per subject: its ex:d object, whether it has ex:k (3 in 4 do: a
+    # domain is read only when smaller than the first probe), its ex:w
+    st.lists(st.tuples(st.integers(0, len(_PUSH_VALUES) - 1),
+                       st.integers(0, 3).map(bool), st.integers(0, 1)),
+             max_size=14),
+    # ex:d objects of subjects no solution reaches
+    st.lists(st.integers(0, len(_PUSH_VALUES) - 1), max_size=3),
+    st.lists(st.sampled_from(_PUSH_CONDITIONS), min_size=1, max_size=3),
+    st.booleans())
+
+
+class TestFilterPushdownParity:
+    """Answers are the reference executor's bag whether or not a FILTER
+    was run on its variable's domain first, on both stores."""
+
+    @given(pushdown_worlds)
+    # the accepted set is empty: ?v = 1999 seeds no row and probes nothing
+    @example(([(0, True, 0), (5, True, 1)] * 3, [], ["?v = 1999"], False))
+    # two pushable conditions on one predicate, asked in both orders: each
+    # is pushed once, with the ids it accepts (2018 passes one, not both)
+    @example(([(0, True, 0), (6, True, 1), (5, True, 0)] * 2, [],
+              ["?v < 2020", "?v >= 2019"], False))
+    def test_pushed_and_kept_filters_match_the_reference(self, world):
+        from hypothesis import event
+        from repro.obs import hub
+        from repro.sparql import ReferenceExecutor, ResultTable
+        rows, unreached, conditions, two_variable = world
+        if two_variable:
+            conditions = [*conditions, _TWO_VARIABLE_CONDITION]
+        # both stacking orders, asked of one engine: each condition's
+        # accepted ids are its own, whichever was read first
+        stacks = [" ".join(f"FILTER({c})" for c in order)
+                  for order in (conditions, conditions[::-1])]
+        for store in ("dict", "columnar"):
+            graph = Graph(store=store)
+            for i, (value, has_key, w) in enumerate(rows):
+                graph.add(Triple(EX[f"x{i}"], EX.d, _PUSH_VALUES[value]))
+                graph.add(Triple(EX[f"x{i}"], EX.m, typed_literal(i)))
+                graph.add(Triple(EX[f"x{i}"], EX.w, typed_literal(2019 + w)))
+                if has_key:
+                    graph.add(Triple(EX[f"x{i}"], EX.k, EX[f"k{i % 3}"]))
+            for j, value in enumerate(unreached):
+                graph.add(Triple(EX[f"y{j}"], EX.d, _PUSH_VALUES[value]))
+            engine = QueryEngine(graph)
+            for (select, group_by), filters in product(_PUSH_SHAPES, stacks):
+                prepared = engine.prepare(_PUSH_TEMPLATE.format(
+                    select=select, filters=filters, group_by=group_by))
+                h = hub()
+                h.reset()
+                h.enable(tracing=False)
+                try:
+                    got = engine.query(prepared)
+                    outcomes = h.metrics.get("sparql_filter_pushdown_total")
+                    pushed = outcomes.value(("pushed",))
+                    kept = outcomes.value(("kept",))
+                finally:
+                    h.disable()
+                    h.reset()
+                if pushed:
+                    event("a condition was pushed")
+                if kept:
+                    event("a candidate condition was kept")
+                expected = ResultTable.from_bindings(
+                    prepared.ast.projected_variables(),
+                    ReferenceExecutor(graph).run(prepared.plan))
+                assert got.same_solutions(expected), (store, prepared.text)
+
+
+# --------------------------------------------------------------------------
 # the Δ algebra: a maintenance window is the difference of two scans
 # --------------------------------------------------------------------------
 

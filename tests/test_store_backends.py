@@ -46,6 +46,8 @@ def _assert_same_state(gd: Graph, gc: Graph) -> None:
         mine = [(s, o) for s, p, o in triples if p == pid]
         assert gd.predicate_profile(pid) == gc.predicate_profile(pid) == (
             len(mine), len({s for s, _ in mine}), len({o for _, o in mine}))
+        assert sorted(gd.object_domain(pid)) == \
+            sorted(gc.object_domain(pid)) == sorted({o for _, o in mine})
 
 
 def _random_triples(rng: random.Random, n: int) -> list[Triple]:
