@@ -4,14 +4,26 @@ Paper §3.2: "the translation straightforwardly substitutes aggregate
 variables with the blank nodes representing the aggregation and
 reformulates triple patterns accordingly."  Concretely, a query grouping
 on X_q with filters over X_f is answered from a view V (with
-X_q ∪ X_f ⊆ X_V) by matching V's group nodes, re-aggregating the stored
-per-group values, and re-applying the filters on the stored dimension
-values:
+X_q ∪ X_f ⊆ X_V) by matching V's group nodes on the dimensions it reads
+and its stored values, and re-applying the filters on the stored
+dimension values.
 
-* SUM / COUNT facets roll up with ``SUM(?__measure)``;
-* MIN / MAX facets roll up with ``MIN`` / ``MAX``;
-* AVG facets compute ``SUM(?__sum) / SUM(?__count)`` (exact, because the
-  materializer stores the algebraic decomposition).
+Precondition: Q' runs over V's own named graph, never over G+ or a
+union of views.  Every node there is one of V's groups, and the codec
+writes a node's ``sofos:view`` link with its other triples (the patcher
+deletes them together), so Q' has no ``sofos:view`` pattern: it would
+filter nothing.  The link stays stored; the auditor counts groups by it.
+The stored values are read by one of two rules:
+
+* **Rollup** (X_q ⊊ X_V, or X_q = X_V = ∅): re-aggregate per X_q group —
+  SUM / COUNT facets with ``SUM(?__measure)``, MIN / MAX with ``MIN`` /
+  ``MAX``, AVG with ``SUM(?__sum) / SUM(?__count)`` (exact, because the
+  materializer stores the algebraic decomposition).  The apex keeps its
+  implicit group, so a view with no stored measure still answers one row.
+* **Own grain** (X_q = X_V ≠ ∅): §3.1 stores one node per X_V key, so
+  each node *is* one answer row and Q' is a projection with no GROUP BY —
+  the stored measure binds straight to the query's alias, and AVG
+  divides ``?__sum`` by ``?__count`` per row.
 """
 
 from __future__ import annotations
@@ -55,30 +67,35 @@ def rewrite_on_view(query: AnalyticalQuery, view: ViewDefinition
             f"cannot answer query {query.describe()!r}")
 
     facet = query.facet
+    alias = facet.measure_alias
+    own_grain = view.mask == query.group_mask != 0
     needed = set(query.group_variables)
     for condition in query.filters:
         needed.add(condition.var)
 
-    patterns = [TriplePattern(_GROUP_NODE, SOFOS.view, view.iri)]
-    for var in facet.grouping_variables:  # canonical order, deterministic
-        if var in needed:
-            patterns.append(
-                TriplePattern(_GROUP_NODE, dimension_predicate(var), var))
+    patterns = [TriplePattern(_GROUP_NODE, dimension_predicate(var), var)
+                for var in facet.grouping_variables  # canonical order
+                if var in needed]
 
     agg_name = facet.aggregate.name
     if agg_name == "AVG":
         patterns.append(TriplePattern(_GROUP_NODE, SOFOS.sum, SUM_VAR))
         patterns.append(TriplePattern(_GROUP_NODE, SOFOS.groupCount,
                                       COUNT_VAR))
-        sum_of_sums = AggregateExpr("SUM", VarExpr(SUM_VAR))
-        sum_of_counts = AggregateExpr("SUM", VarExpr(COUNT_VAR))
-        # IF guards the all-groups-empty edge so Q' matches the base
-        # engine's AVG-of-nothing = 0 behaviour.
+        total, count = VarExpr(SUM_VAR), VarExpr(COUNT_VAR)
+        if not own_grain:
+            total = AggregateExpr("SUM", total)
+            count = AggregateExpr("SUM", count)
+        # IF guards a zero count (no group, or no bound operand) so Q'
+        # matches the base engine's AVG-of-nothing = 0 behaviour.
         measure_expr = FuncCall("IF", (
-            CompareExpr(">", sum_of_counts, _zero()),
-            ArithExpr("/", sum_of_sums, sum_of_counts),
+            CompareExpr(">", count, _zero()),
+            ArithExpr("/", total, count),
             _zero(),
         ))
+    elif own_grain:
+        patterns.append(TriplePattern(_GROUP_NODE, SOFOS.measure, alias))
+        measure_expr = None
     else:
         patterns.append(TriplePattern(_GROUP_NODE, SOFOS.measure,
                                       MEASURE_VAR))
@@ -91,11 +108,11 @@ def rewrite_on_view(query: AnalyticalQuery, view: ViewDefinition
         elements.append(FilterElement(condition.to_expression()))
 
     items = [ProjectionItem(v) for v in query.group_variables]
-    items.append(ProjectionItem(facet.measure_alias, measure_expr))
+    items.append(ProjectionItem(alias, measure_expr))
     return SelectQuery(
         projection=tuple(items),
         where=GroupPattern(tuple(elements)),
-        group_by=query.group_variables,
+        group_by=() if own_grain else query.group_variables,
     )
 
 

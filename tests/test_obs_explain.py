@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.sofos import Sofos
+from repro.cube import AnalyticalQuery
 from repro.obs.explain import ExplainNode, QueryExplain, RoutedExplain
+from repro.selection import UserSelection
 from repro.sparql import QueryEngine
 
 from tests.conftest import build_population_graph
@@ -268,6 +270,34 @@ class TestRoutedExplain:
             assert ex.plan.rows == len(answer.table)
             if answer.used_view is not None:
                 assert ex.route == "view"
+
+    def test_an_own_grain_answer_projects_the_stored_rows(self, tiny_dbpedia):
+        """On the 4-dimension finest view, a query at the view's grain
+        reads 4 dimensions and the measure — no ``sofos:view`` link — and
+        does not regroup; one dimension fewer rolls up through a Group."""
+        facet = tiny_dbpedia.facet("population_cube_4d")
+        sofos = Sofos(tiny_dbpedia.graph, facet)
+        finest = sofos.lattice.finest
+        sofos.materialize(sofos.select(
+            selector=UserSelection([finest.label]), k=1))
+        own = AnalyticalQuery(facet, finest.mask, ())
+        ex = sofos.explain(own)
+        assert (ex.route, ex.view) == ("view", finest.label)
+        nodes = list(ex.plan.root.walk())
+        assert "Group" not in {n.operator for n in nodes}
+        assert "Group" not in ex.plan.render()
+        bgp, = (n for n in nodes if n.operator == "BGP")
+        steps = TestExplainShowsThePlanThatRan._steps(bgp)
+        assert bgp.detail.startswith("5 pattern(s)")
+        assert sorted(i for i, _ in steps) == [0, 1, 2, 3, 4]
+        assert ex.plan.rows == bgp.rows_out == \
+            len(sofos.answer_from_base(own).table)
+
+        rollup = sofos.explain(AnalyticalQuery(facet, finest.mask >> 1, ()))
+        assert rollup.view == finest.label
+        bgp, = (n for n in rollup.plan.root.walk() if n.operator == "BGP")
+        assert bgp.detail.startswith("4 pattern(s)")
+        assert "Group" in {n.operator for n in rollup.plan.root.walk()}
 
 
 OWN_HEADER = """

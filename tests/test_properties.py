@@ -14,7 +14,8 @@ from collections import Counter
 from itertools import product
 from typing import NamedTuple, Optional
 
-from hypothesis import HealthCheck, example, given, settings, \
+import pytest
+from hypothesis import HealthCheck, event, example, given, settings, \
     strategies as st
 
 from repro.cost import AggregatedValuesCost
@@ -457,30 +458,45 @@ def population_worlds(draw):
             graph.add(Triple(obs, EX.population,
                              typed_literal(draw(st.integers(-100, 1000)))))
 
-    agg = draw(st.sampled_from(["SUM", "COUNT", "AVG", "MIN", "MAX"]))
-    facet = AnalyticalFacet.from_query("prop", f"""
-        PREFIX ex: <http://example.org/>
-        SELECT ?lang ?year ({agg}(?pop) AS ?m) WHERE {{
-          ?obs ex:ofCountry ?c ; ex:year ?year ; ex:population ?pop .
-          ?c ex:language ?lang .
-        }} GROUP BY ?lang ?year""")
+    facet = population_facet(
+        draw(st.sampled_from(["SUM", "COUNT", "AVG", "MIN", "MAX"])))
 
-    group_mask = draw(st.integers(0, 3))
+    # Half the draws are own-grain: the view is the query's grouped
+    # subset, so any filter reads a grouped dimension (lang = bit 0,
+    # year = bit 1).
+    own_grain = draw(st.booleans())
+    group_mask = draw(st.integers(1 if own_grain else 0, 3))
     filters = []
     if draw(st.booleans()):
-        var, value = draw(st.sampled_from([
-            ("lang", EX[draw(st.sampled_from(_LANG_POOL))]),
-            ("year", typed_literal(draw(st.sampled_from(_YEAR_POOL)))),
-        ]))
-        op = draw(st.sampled_from(["=", "!=", "<", ">="])) \
-            if var == "year" else "="
+        names = [name for bit, name in enumerate(("lang", "year"))
+                 if not own_grain or group_mask >> bit & 1]
+        var = draw(st.sampled_from(names))
+        if var == "lang":
+            value = EX[draw(st.sampled_from(_LANG_POOL))]
+            op = "="
+        else:
+            value = typed_literal(draw(st.sampled_from(_YEAR_POOL)))
+            op = draw(st.sampled_from(["=", "!=", "<", ">="]))
         filters.append(FilterCondition(Variable(var), op, value))
     query = AnalyticalQuery(facet, group_mask, tuple(filters))
 
     covering = [m for m in range(4)
                 if (query.required_mask & m) == query.required_mask]
-    view_mask = draw(st.sampled_from(covering))
+    # The other half rolls up, unless only the finest view covers it.
+    rollups = [m for m in covering if m != group_mask or m == 0]
+    view_mask = group_mask if own_grain else \
+        draw(st.sampled_from(rollups or covering))
     return graph, facet, query, view_mask
+
+
+def population_facet(agg: str) -> AnalyticalFacet:
+    """The two-dimension population facet under aggregate ``agg``."""
+    return AnalyticalFacet.from_query("prop", f"""
+        PREFIX ex: <http://example.org/>
+        SELECT ?lang ?year ({agg}(?pop) AS ?m) WHERE {{
+          ?obs ex:ofCountry ?c ; ex:year ?year ; ex:population ?pop .
+          ?c ex:language ?lang .
+        }} GROUP BY ?lang ?year""")
 
 
 class TestRewriteEquivalenceProperty:
@@ -490,6 +506,8 @@ class TestRewriteEquivalenceProperty:
     @given(population_worlds())
     def test_view_rewrite_equivalence(self, world):
         graph, facet, query, view_mask = world
+        event("own grain" if view_mask == query.group_mask != 0
+              else "rollup")
         dataset = Dataset.wrap(graph)
         catalog = ViewCatalog(dataset)
         view = ViewLattice(facet)[view_mask]
@@ -501,6 +519,31 @@ class TestRewriteEquivalenceProperty:
         assert base.same_solutions(via_view), (
             f"query={query.describe()} view={view.label}\n"
             f"base:\n{base.render()}\nview:\n{via_view.render()}")
+
+    @pytest.mark.parametrize("agg", ["SUM", "COUNT", "AVG", "MIN", "MAX"])
+    def test_own_grain_projects_and_every_rollup_groups(self, agg):
+        """Every (view, query) pair of the lattice, unfiltered: at the
+        view's own grain Q' aggregates nothing; below it (the apex
+        included) Q' still groups; no Q' reads the ``sofos:view`` link."""
+        from repro.rdf.namespace import SOFOS
+        facet = population_facet(agg)
+        lattice = ViewLattice(facet)
+        for view_mask, group_mask in product(range(4), repeat=2):
+            if group_mask & view_mask != group_mask:
+                continue
+            query = AnalyticalQuery(facet, group_mask, ())
+            rewritten = rewrite_on_view(query, lattice[view_mask])
+            patterns = rewritten.where.elements[0].patterns
+            assert all(t.p != SOFOS.view for t in patterns)
+            aggregates = [a for item in rewritten.projection
+                          if item.expression is not None
+                          for a in item.expression.aggregates()]
+            if view_mask == group_mask != 0:
+                assert rewritten.group_by == ()
+                assert not aggregates
+            else:
+                assert rewritten.group_by == query.group_variables
+                assert aggregates
 
     @settings(max_examples=20,
               suppress_health_check=[HealthCheck.too_slow,
@@ -664,7 +707,6 @@ class TestFilterPushdownParity:
     @example(([(0, True, 0), (6, True, 1), (5, True, 0)] * 2, [],
               ["?v < 2020", "?v >= 2019"], False))
     def test_pushed_and_kept_filters_match_the_reference(self, world):
-        from hypothesis import event
         from repro.obs import hub
         from repro.sparql import ReferenceExecutor, ResultTable
         rows, unreached, conditions, two_variable = world
