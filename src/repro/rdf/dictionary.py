@@ -13,13 +13,16 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from ..errors import StoreCapacityError
-from .terms import Term
+from .terms import XSD, Literal, Term
 
 __all__ = ["ID_LIMIT", "TermDictionary"]
 
 #: Ids must fit 32 bits signed so the columnar store packs (a, b) into one
 #: int64 key; the dictionary refuses to mint an id at or past it.
 ID_LIMIT = 1 << 31
+
+
+_INTEGER = XSD.integer.value
 
 
 def _capacity_error(term: Term) -> StoreCapacityError:
@@ -34,13 +37,22 @@ class TermDictionary:
     never removed: a graph that drops its last triple for a term simply
     leaves the id unused, which keeps ids stable for the lifetime of a
     dataset (a property the view catalog relies on).
+
+    Beside the two directions it keeps one value index: an int ``v`` →
+    the id of ``Literal(str(v), XSD.integer)``, the canonical literal of
+    ``v`` (:meth:`integer_id`).  Only a non-language ``xsd:integer``
+    literal whose lexical form is ``str(int(lexical))`` enters it, so
+    ``"05"``, ``"+5"`` and ``"-0"`` never answer for 5 or 0.  It is
+    filled as terms are minted, O(1) per new term, and like the ids it
+    never goes stale.
     """
 
-    __slots__ = ("_by_term", "_by_id")
+    __slots__ = ("_by_term", "_by_id", "_by_integer")
 
     def __init__(self) -> None:
         self._by_term: dict[Term, int] = {}
         self._by_id: list[Term] = []
+        self._by_integer: dict[int, int] = {}
 
     def __len__(self) -> int:
         return len(self._by_id)
@@ -57,7 +69,35 @@ class TermDictionary:
                 raise _capacity_error(term)
             self._by_term[term] = tid
             self._by_id.append(term)
+            if isinstance(term, Literal):
+                self._index_integer(term, tid)
         return tid
+
+    def _index_integer(self, term: Literal, tid: int) -> None:
+        """Index ``tid`` under ``v`` if ``term`` is ``v``'s canonical
+        ``xsd:integer`` literal: ``"5"`` is 5's; ``"05"``, ``"+5"``,
+        ``"-0"``, ``" 5"`` and ``"5"`` under any other datatype (a
+        language tag included) are nobody's."""
+        if term.datatype.value != _INTEGER:
+            return
+        lexical = term.lexical
+        try:
+            value = int(lexical)
+        except ValueError:
+            return
+        if str(value) == lexical:
+            self._by_integer[value] = tid
+
+    def integer_id(self, value: int) -> Optional[int]:
+        """The id of ``value``'s canonical ``xsd:integer`` literal, or
+        None when it was never minted: ``lookup(Literal(str(value),
+        XSD.integer))`` without building the literal.
+
+        ``value`` must be an exact ``int`` (``type(value) is int``): the
+        index is a dict, where ``True`` and ``5.0`` would read the ids
+        of ``"1"`` and ``"5"``.  Callers guard.
+        """
+        return self._by_integer.get(value)
 
     def lookup(self, term: Term) -> Optional[int]:
         """Return the id for ``term`` or ``None`` when it was never seen.
@@ -85,6 +125,8 @@ class TermDictionary:
                     raise _capacity_error(term)
                 by_term[term] = tid
                 by_id.append(term)
+                if isinstance(term, Literal):
+                    self._index_integer(term, tid)
             out.append(tid)
         return out
 

@@ -53,9 +53,11 @@ def graph_memory_bytes(graph: Graph, include_dictionary: bool = False) -> int:
 
 
 def dictionary_memory_bytes(dictionary: TermDictionary) -> int:
-    """Estimated bytes of the interned terms plus both lookup directions."""
+    """Estimated bytes of the interned terms plus both lookup directions
+    and the integer index."""
     total = sys.getsizeof(dictionary._by_term) \
-        + sys.getsizeof(dictionary._by_id)
+        + sys.getsizeof(dictionary._by_id) \
+        + sys.getsizeof(dictionary._by_integer)
     for term in dictionary.terms():
         total += _term_bytes(term)
     return total

@@ -112,6 +112,11 @@ _PROBE_BULK = _REG.counter(
     "engine_probe_bulk_total",
     "whole-batch probes answered by vectorized store kernels",
     labels=("kernel",))
+_AGGREGATE_IDS = _REG.counter(
+    "engine_aggregate_ids_total",
+    "COUNT/SUM/AVG result values given an id: reused (an int already "
+    "interned) or minted (a literal built)",
+    labels=("outcome",))
 _PUSHDOWN = _REG.counter(
     "sparql_filter_pushdown_total",
     "one-variable FILTERs whose accepted object ids were read before a "
@@ -139,9 +144,8 @@ class Executor:
         self._accepted: dict[tuple[Expression, int],
                              tuple[list[int], int]] = {}
         self._bgp_cache_version = -1
-        # Aggregate value → id, see _encode_numbers.
-        self._value_ids: dict[int, int] = {}
-        self._value_ids_at = len(self._dict)
+        # An int aggregate value → its overlay id, see _encode_numbers.
+        self._overlay_ints: dict[int, int] = {}
         # Operand id → number / order key, the memos of every aggregate
         # fold (repro.sparql.grouptable): an id is decoded at most once,
         # as ids never change meaning.  A term that is not a number, and
@@ -194,30 +198,42 @@ class Executor:
         """The ids of ``as_term(v)`` for aggregate results ``values``
         (``None`` stays unbound).
 
-        Ints go through the value → id memo: ``numeric_result`` and
-        ``typed_literal`` make the same term of an int, so COUNT, integer
-        SUM and integral AVG share it.  Floats bypass it (SUM makes an
-        integral float ``xsd:decimal``, AVG ``xsd:double``).  The memo is
-        emptied whenever the dictionary has grown since it was filled: a
-        memoized overlay id may then name a term :meth:`encode_term` now
-        finds in the dictionary (memoized dictionary ids stay valid).
+        ``numeric_result`` and ``typed_literal`` make the same term of an
+        int, its canonical ``xsd:integer`` literal, so an int COUNT or
+        SUM result (and AVG's empty-group 0) is looked up by value: in
+        the dictionary's integer index first, then in the overlay memo
+        (int → overlay id), and only then built and interned.  That is
+        :meth:`encode_term`'s order, so the id handed out is always the
+        one it would return now: once the graph mints a value the index
+        answers for it and its overlay entry is never read again.
+        Floats are built every time (SUM makes an integral float
+        ``xsd:decimal``, AVG ``xsd:double``).
         """
-        memo = self._value_ids
-        size = len(self._dict)
-        if size != self._value_ids_at:
-            memo.clear()
-            self._value_ids_at = size
-        get = memo.get
+        integer_id = self._dict.integer_id
+        overlay = self._overlay_ints
         encode = self.encode_term
         out: list[Optional[int]] = []
+        minted = 0
         for value in values:
             if type(value) is int:
-                tid = get(value)
+                tid = integer_id(value)
                 if tid is None:
-                    tid = memo[value] = encode(as_term(value))
+                    tid = overlay.get(value)
+                    if tid is None:
+                        tid = overlay[value] = encode(as_term(value))
+                        minted += 1
+            elif value is None:
+                tid = None
             else:
-                tid = None if value is None else encode(as_term(value))
+                tid = encode(as_term(value))
+                minted += 1
             out.append(tid)
+        if _REG.enabled:
+            reused = len(values) - minted - values.count(None)
+            if reused:
+                _AGGREGATE_IDS.inc(reused, ("reused",))
+            if minted:
+                _AGGREGATE_IDS.inc(minted, ("minted",))
         return out
 
     # -- public API -----------------------------------------------------------
@@ -1283,11 +1299,11 @@ class Executor:
         Row order within a group is kept everywhere, so float summation
         and first-row-wins MIN/MAX ties match the reference.  Two memos
         carry the fast path across queries: operand id → number or order
-        key (``numbers``, ``order_keys``), and result value → id
-        (:meth:`_encode_numbers`), so an integer COUNT, SUM or AVG result
-        is turned into a literal and interned once, not once per group
-        per query.  MIN/MAX return an operand id as is; the generic path
-        encodes its accumulator's term.
+        key (``numbers``, ``order_keys``), and int result → id
+        (:meth:`_encode_numbers`), so an integer COUNT or SUM result is
+        turned into a literal at most once per executor, never once the
+        dictionary holds it.  MIN/MAX return an operand id as is; the
+        generic path encodes its accumulator's term.
         """
         operand = agg.operand
         fast_col: Optional[list] = None

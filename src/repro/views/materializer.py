@@ -70,7 +70,7 @@ class GroupCodec:
     """
 
     __slots__ = ("view", "kind", "_is_avg", "_count_star", "_encode",
-                 "_number_ids", "view_pred", "view_iri", "value_pred",
+                 "_integer_id", "view_pred", "view_iri", "value_pred",
                  "count_pred", "dim_preds")
 
     def __init__(self, view: ViewDefinition,
@@ -83,7 +83,7 @@ class GroupCodec:
         if dictionary is None:
             return
         encode = self._encode = dictionary.encode
-        self._number_ids: dict[int, int] = {}
+        self._integer_id = dictionary.integer_id
         self.view_pred = encode(SOFOS.view)
         self.view_iri = encode(view.iri)
         self.value_pred = encode(SOFOS.sum if self._is_avg else SOFOS.measure)
@@ -112,16 +112,18 @@ class GroupCodec:
         return count, table.best[g] if self.kind == KIND_MINMAX else value
 
     def number_id(self, value: int | float) -> int:
-        """The id of a count's or numeric measure's literal, memoized:
-        group sizes cluster and COUNT measures are counts."""
-        # int-only: 5 and 5.0 hash equal but are different literals.
-        if not isinstance(value, int):
-            return self._encode(stored_literal(value))
-        tid = self._number_ids.get(value)
-        if tid is None:
-            tid = self._number_ids[value] = self._encode(
-                stored_literal(value))
-        return tid
+        """The id of a count's or numeric measure's literal.
+
+        An int's literal is its canonical ``xsd:integer`` one, so it is
+        read from the dictionary's integer index by value and built only
+        when the dictionary never minted it: group sizes cluster, COUNT
+        measures are counts, and every window's codec starts warm."""
+        # Exact ints only: True and 5.0 would read the ids of 1 and 5.
+        if type(value) is int:
+            tid = self._integer_id(value)
+            if tid is not None:
+                return tid
+        return self._encode(stored_literal(value))
 
     def birth(self, triples: list[IdTriple], key: tuple, count: int,
               value: int | float | None) -> "GroupState":

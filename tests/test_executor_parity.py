@@ -461,36 +461,64 @@ def test_an_overlay_sum_takes_the_dictionary_id_once_the_graph_holds_it(
         assert batched.same_solutions(reference)
 
 
-def test_the_value_memo_holds_only_values_since_the_dictionary_grew():
-    """Over 20 maintenance windows the base executor's value → id memo
-    never holds more than the integer aggregate values answered since
-    the dictionary last grew, so it does not grow with the stream."""
+def test_int_aggregates_are_built_once_across_windows(monkeypatch):
+    """Over 20 maintenance windows routed answers equal the base graph's;
+    every executor's int memo holds overlay ids only, at most one per
+    overlay term; and a SUM answer the window left unchanged, asked
+    again after a window that grew the dictionary, builds no literal."""
     from repro.core import Sofos
-    from repro.rdf import Literal
+    from repro.rdf import XSD, Literal
+    from repro.sparql import executor as executor_module
+    from repro.sparql.executor import Executor
     from repro.workload import UpdateStreamConfig, UpdateStreamGenerator
+    built = [0]
+    for name in ("numeric_result", "typed_literal"):
+        def spy(*args, _make=getattr(executor_module, name)):
+            built[0] += 1
+            return _make(*args)
+        monkeypatch.setattr(executor_module, name, spy)
+    executors: set[Executor] = set()
+    encode_numbers = Executor._encode_numbers
+
+    def record(self, *args):
+        executors.add(self)
+        return encode_numbers(self, *args)
+
+    monkeypatch.setattr(Executor, "_encode_numbers", record)
     ds = load_dataset("dbpedia", "tiny")
     graph = ds.graph.copy()
     sofos = Sofos(graph, ds.facet("population_cube_4d"), seed=1,
                   maintenance="incremental")
     sofos.select_and_materialize("triples", k=2)
     queries = sofos.generate_workload(12)
-    memo = sofos.offline.engine.executor._value_ids
     stream = UpdateStreamGenerator(
         graph, UpdateStreamConfig(operations_per_batch=5, seed=3))
-    live: set[int] = set()
-    size = len(graph.dictionary)
+    before = [sofos.answer(query).table for query in queries]
+    warm = 0
     for _ in range(20):
+        size = len(graph.dictionary)
         stream.next_batch().apply_to(graph)
         sofos.maintain()
-        if len(graph.dictionary) != size:
-            size = len(graph.dictionary)
-            live.clear()
-        for query in queries:
+        grew = len(graph.dictionary) > size
+        for i, query in enumerate(queries):
+            built[0] = 0
+            routed = sofos.answer(query)
+            routed_built = built[0]
             base = sofos.answer_from_base(query).table
-            assert sofos.answer(query).table.same_solutions(base)
-            live.update(term.to_python() for row in base for term in row
-                        if isinstance(term, Literal) and term.is_numeric)
-        assert set(memo) <= live and memo
+            assert routed.table.same_solutions(base)
+            if grew and routed.used_view is not None \
+                    and base.same_solutions(before[i]):
+                assert routed_built == 0, query
+                warm += 1
+            before[i] = base
+    assert warm >= 20 and len(executors) >= 2
+    for executor in executors:
+        memo = executor._overlay_ints
+        assert all(tid < 0 for tid in memo.values())
+        assert len(set(memo.values())) == len(memo) \
+            <= len(executor._extra_by_id)
+        assert all(executor.decode_id(tid) == Literal(str(v), XSD.integer)
+                   for v, tid in memo.items())
 
 
 # --------------------------------------------------------------------------

@@ -105,6 +105,32 @@ class TestEngineWiring:
         assert (outcomes.value(("pushed",)), outcomes.value(("kept",))) \
             == (1, 1)
 
+    def test_aggregate_ids_are_counted_reused_or_minted(self, clean_hub):
+        """SUM by year answers 183 and 246, which no triple holds: both
+        are built once, then reused.  A window adds a 2018 observation
+        (2018 → 184, built) and a triple holding 246, whose id the
+        dictionary's integer index now gives without a literal."""
+        clean_hub.enable(tracing=False)
+        graph = build_population_graph()
+        engine = QueryEngine(graph)
+        ids = clean_hub.metrics.get("engine_aggregate_ids_total")
+
+        def counts() -> tuple[int, int]:
+            return ids.value(("reused",)), ids.value(("minted",))
+
+        engine.query(POP_QUERY)
+        assert counts() == (0, 2)
+        engine.query(POP_QUERY)
+        assert counts() == (2, 2)
+        graph.add(Triple(EX.obs8, EX.ofCountry, EX.greece))
+        graph.add(Triple(EX.obs8, EX.year, typed_literal(2018)))
+        graph.add(Triple(EX.obs8, EX.population, typed_literal(1)))
+        graph.add(Triple(EX.census, EX.recorded, typed_literal(246)))
+        totals = {row[0].to_python(): row[1].to_python()
+                  for row in engine.query(POP_QUERY)}
+        assert totals == {2018: 184, 2019: 246}
+        assert counts() == (3, 3)
+
     def test_spans_cover_execution(self, clean_hub):
         clean_hub.enable()
         engine = QueryEngine(build_population_graph())

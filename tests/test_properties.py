@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import string
 from collections import Counter
+from contextlib import contextmanager
 from itertools import product
 from typing import NamedTuple, Optional
 
@@ -119,6 +120,107 @@ class TestStoreProperties:
             assert d.decode(tid) == term
             assert d.encode(term) == tid  # stable on re-encode
         assert len(d) == len(set(terms))
+
+
+# --------------------------------------------------------------------------
+# the dictionary's integer index: an int → its canonical literal's id
+# --------------------------------------------------------------------------
+
+_index_ints = st.one_of(st.integers(-1000, 1000),
+                        st.integers(2 ** 63 - 3, 2 ** 63 + 3),
+                        st.integers(-2 ** 70, 2 ** 70))
+#: lexicals whose value is an int but which are not its canonical form,
+#: and one int() rejects
+_non_canonical = ("05", "+5", "-0", " 5", "5 ", "1_0", "five")
+_index_terms = st.one_of(
+    _index_ints.map(lambda v: Literal(str(v), XSD.integer)),
+    st.sampled_from(_non_canonical).map(lambda s: Literal(s, XSD.integer)),
+    st.tuples(st.one_of(_index_ints.map(str), st.sampled_from(_non_canonical)),
+              st.sampled_from([XSD.int, XSD.decimal, XSD.string])).map(
+        lambda pair: Literal(*pair)),
+    st.sampled_from(["5", "0", "-3"]).map(
+        lambda s: Literal(s, language="en")),
+    iris,
+)
+_index_steps = st.lists(st.one_of(
+    st.tuples(st.just("encode"), _index_terms),
+    st.tuples(st.just("encode_many"), st.lists(_index_terms, max_size=6))),
+    max_size=20)
+
+
+@contextmanager
+def _integer_id_guarded():
+    """Every ``TermDictionary.integer_id`` call inside asserts its caller
+    passed an exact int: a bool or a float must never reach the index."""
+    integer_id = TermDictionary.integer_id
+
+    def guarded(self, value):
+        assert type(value) is int, value
+        return integer_id(self, value)
+
+    TermDictionary.integer_id = guarded
+    try:
+        yield
+    finally:
+        TermDictionary.integer_id = integer_id
+
+
+class TestIntegerIndex:
+    """``integer_id(v)`` is ``lookup(Literal(str(v), XSD.integer))`` after
+    any interleaving of the two minting paths; callers guard its key."""
+
+    @given(_index_steps, st.lists(_index_ints, max_size=5))
+    @example([("encode", Literal("05", XSD.integer)),
+              ("encode_many", [Literal("-0", XSD.integer),
+                               Literal("5", XSD.int),
+                               Literal("5", language="en")])], [5, 0])
+    def test_the_index_is_the_canonical_literal_lookup(self, steps, extra):
+        d = TermDictionary()
+        drawn = {0, 5, *extra}
+        for kind, payload in steps:
+            if kind == "encode":
+                d.encode(payload)
+                terms = [payload]
+            else:
+                d.encode_many(payload)
+                terms = payload
+            for term in terms:
+                if isinstance(term, Literal):
+                    try:
+                        drawn.add(int(term.lexical))
+                    except ValueError:
+                        pass
+            for v in drawn:
+                assert d.integer_id(v) == d.lookup(
+                    Literal(str(v), XSD.integer)), v
+
+    @given(st.lists(st.one_of(st.none(), st.booleans(), _index_ints,
+                              st.sampled_from([5.0, 0.0, -0.0, 1.0]),
+                              st.floats(allow_nan=False)), max_size=12))
+    def test_callers_read_the_index_with_exact_ints_only(self, values):
+        from repro.sparql.executor import Executor
+        from repro.views.materializer import GroupCodec, stored_literal
+        graph = Graph()
+        for v in (0, 1, 5):
+            graph.add(Triple(EX.s, EX.p, typed_literal(v)))
+        executor = Executor(graph)
+        codec = GroupCodec(ViewLattice(population_facet("SUM")).apex,
+                           graph.dictionary)
+
+        def expected() -> list:
+            return [None if v is None
+                    else executor.encode_term(typed_literal(v))
+                    for v in values]
+
+        with _integer_id_guarded():
+            ids = executor._encode_numbers(values)
+            assert ids == executor._encode_numbers(values) == expected()
+            # the codec mints what the executor held in its overlay
+            number_ids = [codec.number_id(v) for v in values
+                          if v is not None]
+            assert executor._encode_numbers(values) == expected()
+        assert number_ids == [graph.dictionary.lookup(stored_literal(v))
+                              for v in values if v is not None]
 
 
 # --------------------------------------------------------------------------
