@@ -34,6 +34,19 @@ SELECT ?continent (SUM(?pop) AS ?total) WHERE {
 } GROUP BY ?continent
 """
 
+LUBM_PREFIX = (
+    "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>\n"
+    "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n")
+
+LUBM_MEMBERS = LUBM_PREFIX + """
+SELECT ?d (COUNT(?s) AS ?n) WHERE { ?s ub:memberOf ?d . ?s rdf:type ?t . }
+GROUP BY ?d
+"""
+
+#: The same aggregate over the members without an advisor: one semi-join.
+LUBM_UNADVISED = LUBM_MEMBERS.replace(
+    "?t . }", "?t . FILTER NOT EXISTS { ?s ub:advisor ?a } }")
+
 
 @pytest.fixture(scope="module")
 def medium_graph():
@@ -189,3 +202,48 @@ class TestEngineMicrobench:
         emit_timings("E9", f"engine on {len(medium_graph)}-triple graph:\n"
                      + format_table(("query", "rows", "mean ms"), rows,
                                     align_right=[False, True, True]))
+
+    @pytest.mark.benchmark(group="E9-report")
+    def test_emit_exists_semi_join(self, benchmark, small_lubm):
+        """NOT EXISTS beside the plain aggregate on LUBM small, on both
+        executors: the batched one runs the group once over the distinct
+        ?s, the reference once per row."""
+        benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+        import time
+        from repro.sparql import ReferenceExecutor, ResultTable
+
+        graph = small_lubm.graph
+        engine = QueryEngine(graph)
+        reference = ReferenceExecutor(graph)
+
+        def best_of(runs, fn):
+            times = []
+            for _ in range(runs):
+                start = time.perf_counter()
+                fn()
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        rows, batched = [], {}
+        for label, query in (("plain", LUBM_MEMBERS),
+                             ("NOT EXISTS", LUBM_UNADVISED)):
+            prepared = engine.prepare(query)
+            variables = prepared.ast.projected_variables()
+            table = engine.query(prepared)
+            assert table.same_solutions(ResultTable.from_bindings(
+                variables, reference.run(prepared.plan)))
+            batched[label] = best_of(5, lambda: engine.query(prepared))
+            naive = best_of(3, lambda: ResultTable.from_bindings(
+                variables, reference.run(prepared.plan)))
+            rows.append([label, str(len(table)),
+                         f"{batched[label] * 1e3:.2f}", f"{naive * 1e3:.2f}",
+                         f"{naive / batched[label]:.1f}x"])
+        emit_timings("E9", f"NOT EXISTS as a semi-join, LUBM small "
+                     f"({len(graph)} triples, store "
+                     f"{type(graph.store).__name__}):\n" + format_table(
+                         ("query", "rows", "batched ms", "reference ms",
+                          "speedup"), rows,
+                         align_right=[False, True, True, True, True])
+                     + f"\nNOT EXISTS / plain (batched): "
+                     f"{batched['NOT EXISTS'] / batched['plain']:.2f}x")
+        assert batched["NOT EXISTS"] < naive

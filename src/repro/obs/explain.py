@@ -15,8 +15,10 @@ pattern 0: 755→212 rows``, or ``after BGP``; run on the distinct objects
 of its variable's predicate before any probe: ``filter before pattern 3:
 20→4 values``; never ran: ``filter``).  A
 ``Filter*(BGP)`` stack runs as one unit: its BGP and inner filters carry
-rows only, its time is the outermost filter's.  Rows sum over evaluations;
-the trace is the first one's (``… (first of 2 calls)``).
+rows only, its time is the outermost filter's.  An EXISTS's group is one
+semi-join, its operators under the one whose expression holds it
+(``…, exists: 3 keys→1 matched``).  Rows sum over evaluations; the trace
+is the first one's (``… (first of 2 calls)``).
 
 Two result shapes:
 
@@ -51,6 +53,12 @@ def _children_of(op: AlgebraOp) -> tuple[AlgebraOp, ...]:
         return tuple(op.branches)
     child = getattr(op, "child", None)
     return (child,) if child is not None else ()
+
+
+def _walk(op: AlgebraOp):
+    yield op
+    for child in _children_of(op):
+        yield from _walk(child)
 
 
 def _describe(op: AlgebraOp, ran: str, rows_in: int, rows_out: int) -> str:
@@ -122,8 +130,26 @@ class ExplainNode:
             yield from child.walk()
 
 
+def _by_ref(roots) -> dict[int, list]:
+    """Every span at or under ``roots``, by the id of its operator."""
+    spans: dict[int, list] = {}
+    for root in roots:
+        for sp in root.walk():
+            spans.setdefault(id(sp.ref), []).append(sp)
+    return spans
+
+
 def _build_node(op: AlgebraOp, spans: dict[int, list]) -> ExplainNode:
+    """``op``'s node.  A span under ``op``'s for an operator outside its
+    subtree is a semi-join ``op`` ran: a child built from the spans under
+    it alone (an EXISTS group two operators share shows under each)."""
     mine = spans.get(id(op), ())
+    below = {id(o) for o in _walk(op)}
+    nested: dict[int, list] = {}
+    for sp in mine:
+        for child in sp.children:
+            if isinstance(child.ref, AlgebraOp) and id(child.ref) not in below:
+                nested.setdefault(id(child.ref), []).append(child)
     # a call is a span that carries rows: a filter whose condition never
     # ran (the BGP below it could match nothing) was timed, not called
     calls = [sp.tags for sp in mine if "rows_out" in sp.tags]
@@ -133,11 +159,18 @@ def _build_node(op: AlgebraOp, spans: dict[int, list]) -> ExplainNode:
     if ran and len(calls) > 1:  # rows are summed, the trace is one run's
         ran += f" (first of {len(calls)} calls)"
     children = [_build_node(c, spans) for c in _children_of(op)]
+    children += [_build_node(roots[0].ref, _by_ref(roots))
+                 for roots in nested.values()]
     seconds = sum(sp.seconds for sp in mine)
     child_seconds = sum(c.seconds for c in children)
+    detail = _describe(op, ran, rows_in, rows_out)
+    if any("keys" in sp.tags for sp in mine):  # it ran a semi-join
+        detail += ", exists: %d keys→%d matched" % tuple(
+            sum(sp.tags.get(tag, 0) for sp in mine)
+            for tag in ("keys", "matched"))
     return ExplainNode(
         operator=type(op).__name__.removesuffix("Op"),
-        detail=_describe(op, ran, rows_in, rows_out),
+        detail=detail,
         calls=len(calls),
         rows_in=rows_in,
         rows_out=rows_out,
@@ -180,10 +213,7 @@ def build_query_explain(span, table, total_seconds: float,
     plan: the last ``executor.run`` at or under ``span`` (a stale view's
     repair runs first), whose one child is the root operator's span."""
     run = [sp for sp in span.walk() if sp.name == "executor.run"][-1]
-    spans: dict[int, list] = {}
-    for sp in run.walk():
-        spans.setdefault(id(sp.ref), []).append(sp)
-    root = _build_node(run.children[0].ref, spans)
+    root = _build_node(run.children[0].ref, _by_ref([run]))
     return QueryExplain(
         text=text,
         root=root,

@@ -64,18 +64,5 @@ class TriplePattern(NamedTuple):
         """The set of variables appearing in this pattern."""
         return {t for t in self if isinstance(t, Variable)}
 
-    def is_concrete(self) -> bool:
-        """True when the pattern contains no variables."""
-        return not any(isinstance(t, Variable) for t in self)
-
     def n3(self) -> str:
         return f"{self.s.n3()} {self.p.n3()} {self.o.n3()} ."
-
-    def substitute(self, bindings: dict[Variable, Term]) -> "TriplePattern":
-        """Replace bound variables with their terms."""
-        def subst(t: TermOrVariable) -> TermOrVariable:
-            if isinstance(t, Variable) and t in bindings:
-                return bindings[t]
-            return t
-
-        return TriplePattern(subst(self.s), subst(self.p), subst(self.o))

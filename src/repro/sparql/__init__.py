@@ -4,7 +4,7 @@ Pipeline: ``parse_query`` → :class:`SelectQuery` AST → ``translate_query``
 → algebra → :class:`Executor` pushes columnar id-space batches
 (:class:`BindingBatch`) → :class:`ResultTable`.  Most callers only need
 :class:`QueryEngine`.  :class:`ReferenceExecutor` is the retained
-tuple-at-a-time evaluator used as the parity/benchmark oracle.
+tuple-at-a-time evaluator: the parity and benchmark oracle, test-only.
 """
 
 from .algebra import translate_group, translate_query

@@ -21,7 +21,7 @@ __all__ = [
     "PatternElement", "BGPElement", "FilterElement", "OptionalElement",
     "UnionElement", "BindElement", "ValuesElement", "GroupPattern",
     "ProjectionItem", "OrderCondition", "SelectQuery",
-    "AGGREGATE_NAMES",
+    "AGGREGATE_NAMES", "SUBEXPRESSIONS",
 ]
 
 AGGREGATE_NAMES = frozenset(
@@ -129,44 +129,40 @@ class AggregateExpr(Expression):
     separator: str = " "
 
 
+#: The sub-expression fields of each composite node: one expression
+#: (``None`` for ``COUNT(*)``) or a tuple of them.  Others are leaves.
+SUBEXPRESSIONS: dict[type, tuple[str, ...]] = {
+    OrExpr: ("left", "right"), AndExpr: ("left", "right"),
+    CompareExpr: ("left", "right"), ArithExpr: ("left", "right"),
+    NotExpr: ("operand",), NegExpr: ("operand",), FuncCall: ("args",),
+    InExpr: ("operand", "options"), AggregateExpr: ("operand",)}
+
+
 def _collect_vars(expr: Expression, out: set[Variable]) -> None:
     if isinstance(expr, VarExpr):
         out.add(expr.var)
-    elif isinstance(expr, (OrExpr, AndExpr, CompareExpr, ArithExpr)):
-        _collect_vars(expr.left, out)
-        _collect_vars(expr.right, out)
-    elif isinstance(expr, (NotExpr, NegExpr)):
-        _collect_vars(expr.operand, out)
-    elif isinstance(expr, FuncCall):
-        for a in expr.args:
-            _collect_vars(a, out)
-    elif isinstance(expr, InExpr):
-        _collect_vars(expr.operand, out)
-        for a in expr.options:
-            _collect_vars(a, out)
-    elif isinstance(expr, AggregateExpr):
-        if expr.operand is not None:
-            _collect_vars(expr.operand, out)
     elif isinstance(expr, ExistsExpr):
         out.update(expr.group.variables())
+    for name in SUBEXPRESSIONS.get(type(expr), ()):
+        sub = getattr(expr, name)
+        if type(sub) is tuple:
+            for item in sub:
+                _collect_vars(item, out)
+        elif sub is not None:
+            _collect_vars(sub, out)
 
 
 def _collect_aggs(expr: Expression, out: list["AggregateExpr"]) -> None:
     if isinstance(expr, AggregateExpr):
         out.append(expr)
         return
-    if isinstance(expr, (OrExpr, AndExpr, CompareExpr, ArithExpr)):
-        _collect_aggs(expr.left, out)
-        _collect_aggs(expr.right, out)
-    elif isinstance(expr, (NotExpr, NegExpr)):
-        _collect_aggs(expr.operand, out)
-    elif isinstance(expr, FuncCall):
-        for a in expr.args:
-            _collect_aggs(a, out)
-    elif isinstance(expr, InExpr):
-        _collect_aggs(expr.operand, out)
-        for a in expr.options:
-            _collect_aggs(a, out)
+    for name in SUBEXPRESSIONS.get(type(expr), ()):
+        sub = getattr(expr, name)
+        if type(sub) is tuple:
+            for item in sub:
+                _collect_aggs(item, out)
+        elif sub is not None:
+            _collect_aggs(sub, out)
 
 
 # --------------------------------------------------------------------------

@@ -54,7 +54,7 @@ from ..rdf.triples import TriplePattern
 from .algebra import AlgebraOp, BGPOp, FilterOp, UnitOp, translate_group
 from .ast import Expression, VarExpr
 from .batch import BindingBatch
-from .executor import Executor, _mentions_exists
+from .executor import Executor, _lift_exists
 from .grouptable import KIND_BY_AGGREGATE, KIND_COUNT, GroupTable
 
 __all__ = ["DeltaPlan", "DeltaEvaluator", "compile_delta_plan"]
@@ -111,7 +111,7 @@ def compile_delta_plan(facet) -> Optional[DeltaPlan]:
     op: AlgebraOp = translate_group(facet.pattern)
     filters: list[Expression] = []
     while isinstance(op, FilterOp):
-        if _mentions_exists(op.expression):
+        if _lift_exists(op.expression)[1]:
             return None  # EXISTS reads triples no pattern's ΔRᵢ sees
         filters.append(op.expression)
         op = op.child

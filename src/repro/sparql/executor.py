@@ -20,6 +20,10 @@ algebra tree:
   the result back through the provenance array;
 * FILTER, BIND, ORDER BY keys, and aggregate operands are evaluated once
   per distinct operand-id tuple; DISTINCT never leaves id-space;
+* an ``[NOT] EXISTS`` in any of them is a semi-join: its group runs once,
+  seeded with the distinct keys of the variables it mentions, and the
+  keys it matches become a ``true`` / ``false`` column the expression
+  reads in its place;
 * GROUP BY gives every row a dense group id in first-row order, in one
   pass over its id key tuples that is the same on every store, and folds
   each aggregate over those row-aligned ids — no member list per group;
@@ -38,12 +42,13 @@ recompilation.
 
 The tuple-at-a-time semantics are preserved exactly; the retained
 :class:`~repro.sparql.reference.ReferenceExecutor` is the oracle the parity
-suite checks against, and the engine EXISTS is delegated to (EXISTS wants
-streaming early termination under a single concrete binding).
+suite checks against.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+from operator import is_not
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as _np
@@ -58,11 +63,10 @@ from .aggregates import make_accumulator
 from .algebra import AlgebraOp, BGPOp, DistinctOp, ExtendOp, FilterOp, \
     GroupOp, JoinOp, LeftJoinOp, OrderByOp, ProjectOp, SliceOp, TableOp, \
     UnionOp, UnitOp, translate_group
-from .ast import AggregateExpr, AndExpr, ArithExpr, CompareExpr, ExistsExpr, \
-    Expression, FuncCall, GroupPattern, InExpr, NegExpr, NotExpr, OrExpr, \
-    TermExpr, VarExpr
+from .ast import SUBEXPRESSIONS, AggregateExpr, ExistsExpr, Expression, \
+    GroupPattern, NotExpr, TermExpr, VarExpr
 from .batch import BindingBatch, dedup_rows
-from .expr import EvalContext, evaluate, evaluate_ebv
+from .expr import evaluate, evaluate_ebv
 from .grouptable import NOT_A_NUMBER, GroupTable, count_bound, \
     fold_extremum, fold_sum, poison_unbound
 from .values import numeric_result, order_key, to_number
@@ -153,12 +157,10 @@ class Executor:
         self.numbers = _IdMemo(self._number)
         self.numbers[None] = NOT_A_NUMBER
         self.order_keys = _IdMemo(lambda t: order_key(self.decode_id(t)))
-        # EXISTS: compiled per group pattern (keyed on the frozen group
-        # itself — the strong reference rules out id-reuse staleness) and
-        # evaluated by the streaming reference executor for early exit.
-        self._exists_cache: dict[GroupPattern, AlgebraOp] = {}
-        self._reference = None
-        self._ctx = EvalContext(exists=self._exists)
+        # EXISTS group → (its algebra, the variables it mentions), keyed on
+        # the frozen group: equal groups from separate parses share one.
+        self._groups: dict[GroupPattern,
+                           tuple[AlgebraOp, frozenset[Variable]]] = {}
 
     # -- term ↔ id bridging ---------------------------------------------------
 
@@ -297,18 +299,6 @@ class Executor:
         columns = [[self.encode_term(seed[v])] for v in variables]
         return BindingBatch(variables, columns, [0])
 
-    def _exists(self, group: GroupPattern, binding: Binding) -> bool:
-        op = self._exists_cache.get(group)
-        if op is None:
-            op = translate_group(group)
-            self._exists_cache[group] = op
-        if self._reference is None:
-            from .reference import ReferenceExecutor
-            self._reference = ReferenceExecutor(self._graph)
-        for _ in self._reference.run(op, binding):
-            return True
-        return False
-
     # -- dispatch ------------------------------------------------------------
 
     def _eval(self, op: AlgebraOp, seed: BindingBatch) -> BindingBatch:
@@ -368,11 +358,11 @@ class Executor:
 
     def _compiled_bgp(self, patterns: tuple[TriplePattern, ...],
                       seed_vars: tuple[Variable, ...],
-                      wanted: tuple[Optional[frozenset[Variable]], ...] = ()):
+                      wanted: tuple[frozenset[Variable], ...] = ()):
         """The cached id-space plan for ``patterns`` under ``seed_vars``.
 
         ``wanted`` holds, per FILTER stacked on the BGP, the variables its
-        condition reads (``None``: EXISTS may read any).  Returns ``(specs,
+        condition reads (:meth:`_expr_variables`).  Returns ``(specs,
         steps, late, push)`` — see :meth:`_plan_bgp` — or ``None`` when a
         constant is not in the dictionary (the BGP can match nothing).
         Entries are keyed on the pattern tuple, the seed-variable overlap
@@ -409,7 +399,7 @@ class Executor:
 
     def _plan_bgp(self, specs: list[list[tuple[str, object]]],
                   seed_vars: frozenset[Variable],
-                  wanted: tuple[Optional[frozenset[Variable]], ...]
+                  wanted: tuple[frozenset[Variable], ...]
                   ) -> tuple[list[tuple[int, tuple[int, ...]]],
                              tuple[int, ...], Optional[tuple]]:
         """Probe order, filter placement and domain seeds of one BGP:
@@ -417,9 +407,9 @@ class Executor:
 
         ``steps``: ``[(pattern index, conditions run right after its
         probe), ...]`` in probe order; ``late``: the conditions run after
-        the last probe; ``wanted[k]``: the variables condition ``k`` reads
-        (``None``: anything); ``push``: ``None``, or ``(first, candidates)``
-        for :meth:`_pushdown`.
+        the last probe; ``wanted[k]``: the variables condition ``k`` reads,
+        an EXISTS group's included; ``push``: ``None``, or ``(first,
+        candidates)`` for :meth:`_pushdown`.
 
         *Order.*  Structural first: a pattern sharing no variable with
         what is bound (seed variables included) is never taken while a
@@ -446,29 +436,28 @@ class Executor:
         seed variable and is the object of a pattern with a constant
         predicate ``p`` may instead run once on each distinct object of
         ``p``, before any probe, and seed ``?v`` with the ids it accepts
-        (the same ``evaluate_ebv`` on the same terms: same rows).  A
+        (the same condition on the same terms: same rows).  A
         candidate is ``(k, pattern, p, ?v, triples ÷ distinct objects of
         p)``, through the pattern whose ``p`` has the fewest objects, and
         only if those are fewer than ``first``, the estimated rows of the
         first probe: reading a domain must cost less than the probe it may
-        save.  None when a condition mentions EXISTS.
+        save.
         """
         count_ids = self._graph.count_ids
         profile = self._graph.predicate_profile
         pattern_vars = [{payload for kind, payload in spec if kind == "v"}
                         for spec in specs]
         domains: dict[int, tuple[int, int, Variable, int, int]] = {}
-        if wanted and None not in wanted:
-            for k, need in enumerate(wanted):
-                if len(need) != 1 or not need.isdisjoint(seed_vars):
-                    continue
-                var, = need
-                for i, (_, (pkind, pid), (okind, obj)) in enumerate(specs):
-                    if pkind == "c" and okind == "v" and obj == var:
-                        triples, _, objects = profile(pid)
-                        if objects and (k not in domains
-                                        or objects < domains[k][4]):
-                            domains[k] = (i, pid, var, triples, objects)
+        for k, need in enumerate(wanted):
+            if len(need) != 1 or not need.isdisjoint(seed_vars):
+                continue
+            var, = need
+            for i, (_, (pkind, pid), (okind, obj)) in enumerate(specs):
+                if pkind == "c" and okind == "v" and obj == var:
+                    triples, _, objects = profile(pid)
+                    if objects and (k not in domains
+                                    or objects < domains[k][4]):
+                        domains[k] = (i, pid, var, triples, objects)
         first = 0.0
         all_vars = set().union(*pattern_vars) if wanted else ()
         pending = [k for k, need in enumerate(wanted)
@@ -550,7 +539,7 @@ class Executor:
         made with that variable bound.
         """
         cur = seed.renumbered()
-        wanted = tuple(_expr_variables(f.expression) for f in filters)
+        wanted = tuple(self._expr_variables(f.expression) for f in filters)
         plan = self._compiled_bgp(op.patterns, seed.variables, wanted)
         if plan is None:
             return BindingBatch.empty(cur.variables)
@@ -593,24 +582,32 @@ class Executor:
 
         ``push`` is the plan's ``(first, candidates)`` (see
         :meth:`_plan_bgp`).  Each candidate's accepted ids are read once
-        per graph version: the condition evaluated on every distinct
-        object of its predicate.  The one with the smallest estimate —
-        accepted ids × the predicate's mean triples per object — is
-        pushed if that is below ``first``.  Returns ``(k, pattern, ?v,
-        (accepted ids, objects read))``.
+        per graph version: the condition's :meth:`_mask` over a one-column
+        batch of the distinct objects of its predicate.  The one with the
+        smallest estimate — accepted ids × the predicate's mean triples per
+        object — is pushed if that is below ``first``.  A condition holding
+        an EXISTS reads its domain by a semi-join: it is tried only if no
+        plain condition is pushed.  Returns ``(k, pattern, ?v, (accepted
+        ids, objects read))``.
         """
         first, candidates = push
         memo = self._accepted
         best = None
+        semi = () if len(candidates) < 2 else {  # holding EXISTS: last
+            k for k, *_ in candidates
+            if _lift_exists(filters[k].expression)[1]}
+        candidates = sorted(candidates, key=lambda c: c[0] in semi)
         for k, i, pid, var, fanout in candidates:
+            if k in semi and best is not None:
+                break
             expr = filters[k].expression
             hit = memo.get((expr, pid))
             if hit is None:
-                decode, ctx = self.decode_id, self._ctx
-                domain = self._graph.object_domain(pid)
+                domain = list(self._graph.object_domain(pid))
+                flags = self._mask(filters[k], BindingBatch(
+                    (var,), [domain], list(range(len(domain)))))
                 hit = memo[expr, pid] = (
-                    [oid for oid in domain
-                     if evaluate_ebv(expr, {var: decode(oid)}, ctx)],
+                    [oid for oid, flag in zip(domain, flags) if flag],
                     len(domain))
             estimate = len(hit[0]) * fanout
             if estimate < first and (best is None or estimate < best[0]):
@@ -1004,20 +1001,8 @@ class Executor:
         right subtree runs once per distinct shared-variable combination
         instead of once per left row.
         """
-        mentioned = _op_variables(right_op)
-        if mentioned is None:
-            shared = left.variables
-        else:
-            shared = tuple(v for v in left.variables if v in mentioned)
-
-        keys = left.key_tuples(shared)
-        by_key, row_map = dedup_rows(keys)
-        seed_cols: list[list] = [[] for _ in shared]
-        for key in by_key:
-            for col, value in zip(seed_cols, key):
-                col.append(value)
-        sub_seed = BindingBatch(shared, seed_cols,
-                                list(range(len(by_key))))
+        sub_seed, row_map = _distinct_seed(left,
+                                           self._op_variables(right_op))
         right = self._eval(right_op, sub_seed)
 
         matches: dict[int, list[int]] = {}
@@ -1133,69 +1118,88 @@ class Executor:
 
     # -- expression evaluation over batches -----------------------------------
 
-    def _per_row_eval(self, batch: BindingBatch,
-                      needed: tuple[Variable, ...],
-                      fn: Callable[[Binding], object]) -> list:
-        """``fn`` applied to each row's (partial) binding, memoized per
-        distinct id tuple — the expression analogue of the batched probe."""
-        present = [v for v in needed if v in batch.index]
-        decode = self.decode_id
-        term_cache: dict[int, Term] = {}
-
-        def binding_for(key: tuple) -> Binding:
-            out: Binding = {}
-            for var, tid in zip(present, key):
-                if tid is None:
-                    continue
-                term = term_cache.get(tid)
-                if term is None:
-                    term = decode(tid)
-                    term_cache[tid] = term
-                out[var] = term
-            return out
-
+    def _per_row_eval(self, batch: BindingBatch, expr: Expression,
+                      fn: Callable[[Expression, Binding], object]) -> list:
+        """``fn(expr, binding)`` for each row's (partial) binding, memoized
+        per distinct id tuple of the variables ``expr`` reads, in first-row
+        order — the expression analogue of the batched probe.  Each EXISTS
+        is first lifted out of ``expr`` (:func:`_lift_exists`) into a column
+        of ``batch``, its semi-join (:meth:`_exists_column`)."""
+        expr, groups, evars = _lift_exists(expr)
+        if groups:
+            batch = BindingBatch(
+                batch.variables + tuple(var for var, _ in groups),
+                batch.columns + [self._exists_column(batch, group)
+                                 for _, group in groups], batch.prov)
+        present = [v for v in batch.variables if v in evars]
         if not present:
-            value = fn({})
-            return [value] * len(batch)
+            return [fn(expr, {})] * len(batch)
+        terms, overlay = self._dict.id_terms(), self._extra_by_id
         cols = [batch.columns[batch.index[v]] for v in present]
-        memo: dict = {}
-        out_values = []
-        if len(cols) == 1:
-            for tid in cols[0]:
-                if tid in memo:
-                    out_values.append(memo[tid])
-                else:
-                    value = fn(binding_for((tid,)))
-                    memo[tid] = value
-                    out_values.append(value)
-            if _REG.enabled:
-                _DECODE_MEMO_MISSES.inc(len(memo))
-                _DECODE_MEMO_HITS.inc(len(out_values) - len(memo))
-            return out_values
-        for key in zip(*cols):
-            if key in memo:
-                out_values.append(memo[key])
-            else:
-                value = fn(binding_for(key))
-                memo[key] = value
-                out_values.append(value)
+        if len(cols) == 1:  # decoded inline: the hot loop of every filter
+            var, = present
+            keys = cols[0]
+            memo = dict.fromkeys(keys)
+            for t in memo:
+                memo[t] = fn(expr, {} if t is None else {
+                    var: terms[t] if t >= 0 else overlay[~t]})
+        else:
+            keys = list(zip(*cols))
+            memo = dict.fromkeys(keys)
+            for key in memo:
+                memo[key] = fn(expr, {
+                    var: terms[t] if t >= 0 else overlay[~t]
+                    for var, t in zip(present, key) if t is not None})
         if _REG.enabled:
             _DECODE_MEMO_MISSES.inc(len(memo))
-            _DECODE_MEMO_HITS.inc(len(out_values) - len(memo))
-        return out_values
+            _DECODE_MEMO_HITS.inc(len(keys) - len(memo))
+        return list(map(memo.__getitem__, keys))
 
-    def _needed_vars(self, batch: BindingBatch,
-                     expr: Expression) -> tuple[Variable, ...]:
-        """The batch variables an expression evaluation can observe.
+    def _exists_column(self, batch: BindingBatch,
+                       group: GroupPattern) -> list[int]:
+        """Per row of ``batch``, the id of ``true`` if ``group`` has a
+        solution under its ids of the variables ``group`` mentions, else of
+        ``false``: one semi-join (:meth:`_matched`)."""
+        op, mentioned = self._group_plan(group)
+        cells, keys, matched = self._matched(op, batch, mentioned)
+        if _TRACER.enabled:  # the keys and matches of the span it ran in
+            tags = _TRACER.current().tags
+            tags["keys"] = tags.get("keys", 0) + keys
+            tags["matched"] = tags.get("matched", 0) + len(matched)
+        yes, no = self.encode_term(_TRUE), self.encode_term(_FALSE)
+        return [yes if cell in matched else no for cell in cells]
 
-        EXISTS sub-groups may reference any outer variable (including some
-        its ``variables()`` summary misses, e.g. filter-only mentions), so
-        their presence widens the slice to the whole row.
-        """
-        if _mentions_exists(expr):
-            return batch.variables
-        evars = expr.variables()
-        return tuple(v for v in batch.variables if v in evars)
+    def _matched(self, op: AlgebraOp, batch: BindingBatch,
+                 mentioned: frozenset[Variable]) -> tuple[list, int, set]:
+        """Per row of ``batch`` its key, the number of distinct keys, and
+        the keys under which ``op`` has a solution: ``op`` runs once over
+        the distinct keys (an unbound cell leaves its variable free), and a
+        key matches iff a result row's provenance is it.  One pattern ``?v
+        p ?x`` (or ``?x p ?v``), ``?v`` the one key variable and bound in
+        every row, ``p`` no larger than the keys, is a set intersection."""
+        shared = tuple(v for v in batch.variables if v in mentioned)
+        end = None
+        if (isinstance(op, BGPOp) and len(op.patterns) == 1
+                and len(shared) == 1
+                and (plan := self._compiled_bgp(op.patterns, shared))):
+            (s, (pkind, pid), o), = plan[0]
+            key = ("v", shared[0])
+            if pkind == "c" and s != o and key in (s, o) and o[0] == s[0]:
+                cells = batch.column(shared[0])
+                keys = set(cells)
+                if (None not in keys and self._graph.count_ids(
+                        None, pid, None) <= len(keys)):
+                    end = 0 if s == key else 2
+        if end is None:
+            seed, row_map = _distinct_seed(batch, mentioned)
+            return row_map, len(seed), set(self._eval(op, seed).prov)
+        with _TRACER.span(type(op).__name__, op) as sp:
+            domain = {t[end] for t in self._graph.match_ids(None, pid, None)}
+            matched = keys & domain
+            sp.set_tags(rows_in=len(keys), rows_out=len(matched),
+                        detail=f"{len(keys)} keys ∩ {len(domain)} "
+                               + ("objects" if end else "subjects"))
+        return cells, len(keys), matched
 
     def _eval_filter(self, op: FilterOp, seed: BindingBatch) -> BindingBatch:
         stack = [op]
@@ -1207,16 +1211,22 @@ class Executor:
             return self._eval_bgp(base, seed, stack[::-1])
         return self._keep(op, self._eval(op.child, seed), base)
 
+    def _mask(self, op: FilterOp, batch: BindingBatch) -> list:
+        """Per row of ``batch``, whether ``op``'s condition holds (an
+        error reads as false)."""
+        if (_TRACER.enabled and _TRACER.current().ref is not op
+                and _lift_exists(op.expression)[1]):
+            # an inner filter of a stack: its semi-joins run (and show)
+            # under a span of its own
+            with _TRACER.span(type(op).__name__, op):
+                return self._mask(op, batch)
+        return self._per_row_eval(batch, op.expression, evaluate_ebv)
+
     def _keep(self, op: FilterOp, batch: BindingBatch,
               after: int | AlgebraOp) -> BindingBatch:
         """The rows of ``batch`` on which ``op``'s condition holds; it runs
         ``after`` a pattern of the BGP below it, or a whole operator."""
-        expr = op.expression
-        ctx = self._ctx
-        flags = self._per_row_eval(
-            batch, self._needed_vars(batch, expr),
-            lambda binding: evaluate_ebv(expr, binding, ctx))
-        keep = [i for i, flag in enumerate(flags) if flag]
+        keep = [i for i, flag in enumerate(self._mask(op, batch)) if flag]
         out = batch if len(keep) == len(batch) else batch.gather(keep)
         if _TRACER.enabled:
             # A filter reports the rows its condition saw, where it ran.
@@ -1232,7 +1242,6 @@ class Executor:
             raise QueryEvaluationError(
                 f"BIND would rebind already-bound variable ?{op.var.name}")
         expr = op.expression
-        ctx = self._ctx
         encode = self.encode_term
 
         if isinstance(expr, VarExpr):
@@ -1245,15 +1254,8 @@ class Executor:
             tid = encode(expr.term)
             new_col = [tid] * len(child)
         else:
-            def compute(binding: Binding) -> Optional[int]:
-                try:
-                    value = evaluate(expr, binding, ctx)
-                except ExpressionError:
-                    return None
-                return None if value is None else encode(value)
-
-            new_col = self._per_row_eval(
-                child, self._needed_vars(child, expr), compute)
+            new_col = self._per_row_eval(child, expr, lambda e, b: (
+                None if (value := _value(e, b)) is None else encode(value)))
         if k is not None:
             columns = list(child.columns)
             columns[k] = new_col
@@ -1339,16 +1341,7 @@ class Executor:
                  for total, n in zip(totals, counts)], typed_literal)
 
         # Generic path: one accumulator per group over per-row operand terms.
-        ctx = self._ctx
-
-        def compute(binding: Binding, _e=operand):
-            try:
-                return evaluate(_e, binding, ctx)
-            except ExpressionError:
-                return None
-
-        values = self._per_row_eval(
-            child, self._needed_vars(child, operand), compute)
+        values = self._per_row_eval(child, operand, _value)
         accumulators = [make_accumulator(agg.name, agg.distinct,
                                          agg.separator)
                         for _ in range(groups)]
@@ -1387,125 +1380,122 @@ class Executor:
 
     def _eval_orderby(self, op: OrderByOp, seed: BindingBatch) -> BindingBatch:
         child = self._eval(op.child, seed)
-        ctx = self._ctx
         idx = list(range(len(child)))
         # Stable-sort from the least-significant condition backwards so the
         # per-condition ascending/descending flags compose correctly.
         for condition in reversed(op.conditions):
-            expr = condition.expression
-
-            def compute(binding: Binding, _e=expr) -> tuple:
-                try:
-                    return order_key(evaluate(_e, binding, ctx))
-                except ExpressionError:
-                    return (0,)
-
             sort_keys = self._per_row_eval(
-                child, self._needed_vars(child, expr), compute)
+                child, condition.expression,
+                lambda e, b: order_key(_value(e, b)))
             idx.sort(key=sort_keys.__getitem__,
                      reverse=not condition.ascending)
         return child.gather(idx)
+
+    # -- what an expression or operator reads ---------------------------------
+
+    def _group_plan(self, group: GroupPattern
+                    ) -> tuple[AlgebraOp, frozenset[Variable]]:
+        """An EXISTS group's algebra and every variable it mentions,
+        filter-only and nested-group mentions included."""
+        plan = self._groups.get(group)
+        if plan is None:
+            op = translate_group(group)
+            plan = self._groups[group] = (op,
+                                          frozenset(self._op_variables(op)))
+        return plan
+
+    def _expr_variables(self, expr: Expression) -> frozenset[Variable]:
+        """Every variable an expression reads, its EXISTS groups' included."""
+        _, groups, reads = _lift_exists(expr)
+        return frozenset(reads.difference(var for var, _ in groups).union(
+            *(self._group_plan(g)[1] for _, g in groups)))
+
+    def _op_variables(self, op: AlgebraOp) -> set[Variable]:
+        """All variables an operator subtree can observe or bind: what a
+        join's right side, or an EXISTS group, is seeded with (see
+        :func:`_distinct_seed`)."""
+        if isinstance(op, UnitOp):
+            return set()
+        if isinstance(op, BGPOp):
+            return set().union(*(p.variables() for p in op.patterns))
+        if isinstance(op, (JoinOp, LeftJoinOp)):
+            return self._op_variables(op.left) | self._op_variables(op.right)
+        if isinstance(op, UnionOp):
+            return set().union(*map(self._op_variables, op.branches))
+        if isinstance(op, TableOp):
+            return set(op.variables)
+        out = self._op_variables(op.child)  # type: ignore[attr-defined]
+        if isinstance(op, FilterOp):
+            out |= self._expr_variables(op.expression)
+        elif isinstance(op, ExtendOp):
+            out |= self._expr_variables(op.expression) | {op.var}
+        elif isinstance(op, GroupOp):
+            out.update(op.keys)
+            for var, agg in op.aggregates:
+                out.add(var)
+                out |= self._expr_variables(agg)
+        elif isinstance(op, ProjectOp):
+            out.update(op.variables)
+        elif isinstance(op, OrderByOp):
+            for condition in op.conditions:
+                out |= self._expr_variables(condition.expression)
+        return out
 
 
 # --------------------------------------------------------------------------
 # Static analysis helpers
 # --------------------------------------------------------------------------
 
-def _mentions_exists(expr: Expression) -> bool:
-    if isinstance(expr, ExistsExpr):
-        return True
-    if isinstance(expr, (OrExpr, AndExpr, CompareExpr, ArithExpr)):
-        return _mentions_exists(expr.left) or _mentions_exists(expr.right)
-    if isinstance(expr, (NotExpr, NegExpr)):
-        return _mentions_exists(expr.operand)
-    if isinstance(expr, FuncCall):
-        return any(_mentions_exists(a) for a in expr.args)
-    if isinstance(expr, InExpr):
-        return (_mentions_exists(expr.operand)
-                or any(_mentions_exists(o) for o in expr.options))
-    if isinstance(expr, AggregateExpr):
-        return expr.operand is not None and _mentions_exists(expr.operand)
-    return False
+_TRUE, _FALSE = typed_literal(True), typed_literal(False)
 
 
-def _expr_variables(expr: Expression) -> Optional[frozenset[Variable]]:
-    """Variables an expression can observe; None = potentially any (EXISTS)."""
-    if _mentions_exists(expr):
+def _value(expr: Expression, binding: Binding) -> Optional[Term]:
+    """``expr`` on ``binding``; ``None`` for an error (as for unbound)."""
+    try:
+        return evaluate(expr, binding)
+    except ExpressionError:
         return None
-    return frozenset(expr.variables())
 
 
-def _op_variables(op: AlgebraOp) -> Optional[set[Variable]]:
-    """All variables an operator subtree can observe or bind.
+def _lift_exists(expr: Expression) -> tuple[
+        Expression, tuple[tuple[Variable, GroupPattern], ...], set[Variable]]:
+    """``expr`` with each ``[NOT] EXISTS {group}`` replaced by ``?col`` /
+    ``!?col`` over a fresh column variable, ``((col, group), ...)`` in
+    order (``expr`` itself and ``()`` when it holds none), and the
+    variables the result reads, in one walk.  The executor fills each
+    column with one semi-join (:meth:`Executor._exists_column`)."""
+    groups: list[tuple[Variable, GroupPattern]] = []
+    reads: set[Variable] = set()
+    return _lift(expr, groups, reads), tuple(groups), reads
 
-    ``None`` means "cannot be determined" (an EXISTS filter may peek at any
-    outer variable); callers must then assume the whole seed row matters.
-    This drives the deduplicated seeding of join right-hand sides.
-    """
-    if isinstance(op, UnitOp):
-        return set()
-    if isinstance(op, BGPOp):
-        out: set[Variable] = set()
-        for p in op.patterns:
-            out.update(p.variables())
-        return out
-    if isinstance(op, (JoinOp, LeftJoinOp)):
-        left = _op_variables(op.left)
-        right = _op_variables(op.right)
-        if left is None or right is None:
-            return None
-        return left | right
-    if isinstance(op, UnionOp):
-        out = set()
-        for branch in op.branches:
-            sub = _op_variables(branch)
-            if sub is None:
-                return None
-            out.update(sub)
-        return out
-    if isinstance(op, FilterOp):
-        child = _op_variables(op.child)
-        evars = _expr_variables(op.expression)
-        if child is None or evars is None:
-            return None
-        return child | evars
-    if isinstance(op, ExtendOp):
-        child = _op_variables(op.child)
-        evars = _expr_variables(op.expression)
-        if child is None or evars is None:
-            return None
-        return child | evars | {op.var}
-    if isinstance(op, TableOp):
-        return set(op.variables)
-    if isinstance(op, GroupOp):
-        child = _op_variables(op.child)
-        if child is None:
-            return None
-        out = child | set(op.keys)
-        for var, agg in op.aggregates:
-            out.add(var)
-            if agg.operand is not None:
-                evars = _expr_variables(agg.operand)
-                if evars is None:
-                    return None
-                out.update(evars)
-        return out
-    if isinstance(op, ProjectOp):
-        child = _op_variables(op.child)
-        if child is None:
-            return None
-        return child | set(op.variables)
-    if isinstance(op, (DistinctOp, SliceOp)):
-        return _op_variables(op.child)
-    if isinstance(op, OrderByOp):
-        child = _op_variables(op.child)
-        if child is None:
-            return None
-        out = set(child)
-        for condition in op.conditions:
-            evars = _expr_variables(condition.expression)
-            if evars is None:
-                return None
-            out.update(evars)
-        return out
-    return None
+
+def _lift(expr: Expression, groups: list, reads: set) -> Expression:
+    if isinstance(expr, VarExpr):
+        reads.add(expr.var)
+        return expr
+    if isinstance(expr, ExistsExpr):
+        var = Variable(f"__exists{len(groups)}")
+        groups.append((var, expr.group))
+        reads.add(var)
+        return NotExpr(VarExpr(var)) if expr.negated else VarExpr(var)
+    changed = None
+    for name in SUBEXPRESSIONS.get(type(expr), ()):
+        old = getattr(expr, name)
+        if type(old) is tuple:
+            new = [_lift(sub, groups, reads) for sub in old]
+            if any(map(is_not, new, old)):
+                changed = {**(changed or {}), name: tuple(new)}
+        elif old is not None and (new := _lift(old, groups, reads)) is not old:
+            changed = {**(changed or {}), name: new}
+    return replace(expr, **changed) if changed else expr
+
+
+def _distinct_seed(batch: BindingBatch, mentioned
+                   ) -> tuple[BindingBatch, list[int]]:
+    """``batch`` projected onto its variables in ``mentioned`` and
+    deduplicated, as a seed batch (row k = the k-th distinct key in
+    first-row order), and each row's key index."""
+    shared = tuple(v for v in batch.variables if v in mentioned)
+    by_key, row_map = dedup_rows(batch.key_tuples(shared))
+    columns = [[key[k] for key in by_key] for k in range(len(shared))]
+    return BindingBatch(shared, columns, list(range(len(by_key)))), row_map

@@ -5,15 +5,16 @@
 :class:`~repro.errors.ExpressionError` and are handled at the FILTER /
 BIND / aggregate boundaries by the executor.
 
-``EXISTS`` needs to evaluate a nested graph pattern; the executor injects
-that capability through :class:`EvalContext` to avoid a circular import.
+``EXISTS`` runs a nested group through the reference executor's
+:class:`EvalContext`; the batched executor lifts it out first, so without
+one it is an engine fault no FILTER reads as false (not an ExpressionError).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..errors import ExpressionError
+from ..errors import ExpressionError, QueryEvaluationError
 from ..rdf.terms import Term, Variable, typed_literal
 from .ast import AggregateExpr, AndExpr, ArithExpr, CompareExpr, ExistsExpr, \
     Expression, FuncCall, GroupPattern, InExpr, NegExpr, NotExpr, OrExpr, \
@@ -30,7 +31,7 @@ class EvalContext:
     """Evaluation services an expression may need beyond its binding.
 
     ``exists`` is a callback ``(group, binding) -> bool`` provided by the
-    executor; expressions without EXISTS never touch it.
+    reference executor; expressions without EXISTS never touch it.
     """
 
     __slots__ = ("exists",)
@@ -73,7 +74,7 @@ def evaluate(expr: Expression, binding: Binding,
         return _call(expr, binding, ctx)
     if isinstance(expr, ExistsExpr):
         if ctx.exists is None:
-            raise ExpressionError("EXISTS outside an executor context")
+            raise QueryEvaluationError("EXISTS outside an executor context")
         found = ctx.exists(expr.group, binding)
         return typed_literal(not found if expr.negated else found)
     if isinstance(expr, AggregateExpr):

@@ -4,11 +4,7 @@ This is the seed engine's recursive-generator executor, retained verbatim
 as the semantic oracle for the batched id-space pipeline in
 :mod:`repro.sparql.executor`: the parity test suite runs every workload
 through both and asserts bag-equal results
-(``tests/test_executor_parity.py``).
-
-It is also the EXISTS evaluation engine for the batched executor: EXISTS
-wants early termination on the first solution of a nested group under one
-concrete binding, which a streaming evaluator does naturally.
+(``tests/test_executor_parity.py``).  Only tests and benchmarks run it.
 """
 
 from __future__ import annotations

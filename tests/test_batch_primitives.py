@@ -200,4 +200,4 @@ class TestEngineCaches:
             plan = translate_query(parse_query(text))
             # ex:a has two ex:p objects, and only ex:a passes the EXISTS.
             assert len(list(engine.executor.run(plan))) == 2
-        assert len(engine.executor._exists_cache) == 1
+        assert len(engine.executor._groups) == 1

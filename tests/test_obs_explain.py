@@ -116,27 +116,31 @@ class TestExplainShowsThePlanThatRan:
         ex = engine.explain(FILTERED_QUERY)
         assert ex.rows == len(engine.query(FILTERED_QUERY)) == 1
         nodes = list(ex.root.walk())
-        bgp, = (n for n in nodes if n.operator == "BGP")
-        filters = [n for n in nodes if n.operator == "Filter"]
-        steps = self._steps(bgp)
-        after = dict(steps)
-        early = [f for f in filters if "after pattern" in f.detail]
-        late = [f for f in filters if "after BGP" in f.detail]
-        assert len(early) == 2 and len(late) == 1     # NOT EXISTS waits
-        for f in early:
-            k = int(f.detail.split("after pattern ")[1].split(":")[0])
-            # the first condition after a probe sees that probe's rows
-            assert f.rows_in <= after[k]
-            assert f.rows_out < f.rows_in
-            assert f"{f.rows_in}→{f.rows_out} rows" in f.detail
-        # ?lang = french needs pattern 3, ?pop > 36 needs pattern 2; each
-        # ran right after it, so the last probe saw fewer rows than the
-        # an unfiltered evaluation ends with (9)
-        assert {f.detail.split(":")[0] for f in early} == {
-            "filter after pattern 3", "filter after pattern 2"}
-        assert steps[-1][1] < 9
-        assert late[0].rows_in == bgp.rows_out
-        assert (late[0].rows_in, late[0].rows_out) == (3, 1)
+        # the facet's BGP, then the NOT EXISTS group's, under its filter
+        bgp, group = (n for n in nodes if n.operator == "BGP")
+        where = {f.detail.split(":")[0]: f for f in nodes
+                 if f.operator == "Filter"}
+        assert set(where) == {"filter before pattern 3",
+                              "filter after pattern 3",
+                              "filter after pattern 2"}
+        # ?lang = french ran on the 4 languages and seeded the probes with
+        # the one it accepts; canada and france speak french
+        assert where["filter before pattern 3"].detail.endswith(
+            ": 4→1 values")
+        assert self._steps(bgp) == [(3, 2), (0, 2), (2, 2), (1, 1)]
+        # NOT EXISTS reads ?c, which pattern 3 binds: it runs right after
+        # it and drops france.  It was a domain seed candidate too, but a
+        # semi-join's domain is read only if no plain condition is pushed,
+        # and french was: its group ran once, on the 2 rows' keys
+        not_exists = where["filter after pattern 3"]
+        assert not_exists.detail == ("filter after pattern 3: 2→1 rows, "
+                                     "exists: 2 keys→1 matched")
+        assert not_exists.children[1] is group
+        assert (group.calls, group.rows_in, group.rows_out) == (1, 2, 1)
+        # ?pop > 36 needs pattern 2 and runs right after it
+        after = where["filter after pattern 2"]
+        assert (after.rows_in, after.rows_out) == (2, 1)
+        assert bgp.rows_out == 1 < 9   # an unfiltered evaluation ends with 9
         for node in nodes:
             assert node.calls == 1
 
@@ -219,6 +223,87 @@ class TestExplainShowsThePlanThatRan:
             assert bgp.detail.endswith(" (first of 2 calls)")
             # the trace is the first run's: it ends on one run's rows
             assert f"→{bgp.rows_out // 2} (first" in bgp.detail
+
+
+SEMI_JOIN_QUERY = """
+PREFIX ex: <http://example.org/>
+SELECT ?c (COUNT(?obs) AS ?n) WHERE {
+  ?obs ex:ofCountry ?c ; ex:year ?year .
+  FILTER NOT EXISTS { ?c ex:partOf ?union . }
+} GROUP BY ?c
+"""
+
+
+class TestExplainShowsTheSemiJoin:
+    """An EXISTS is one run of its group, seeded with the distinct keys of
+    the variables it mentions: its operators appear once, under the
+    operator whose expression holds it, which counts keys and matches."""
+
+    def test_the_group_runs_once_under_its_filter(self, engine):
+        ex = engine.explain(SEMI_JOIN_QUERY)
+        assert ex.rows == len(engine.query(SEMI_JOIN_QUERY)) == 1  # canada
+        node, = (n for n in ex.root.walk() if n.operator == "Filter")
+        # ?union is bound by no outer pattern: the condition runs last, on
+        # the 7 observations of 4 countries; 3 of them are in a union
+        assert node.detail == ("filter after BGP: 7→2 rows, "
+                               "exists: 4 keys→3 matched")
+        bgp, group = node.children
+        assert bgp.detail == "2 pattern(s): 0→7 1→7"
+        # one pattern under a seed of its subject: the 4 keys meet the 3
+        # subjects of ex:partOf as a key set, no probe per key
+        assert group.operator == "BGP" and group.detail == \
+            "1 pattern(s): 4 keys ∩ 3 subjects"
+        assert (group.calls, group.rows_in, group.rows_out) == (1, 4, 3)
+        assert node.seconds >= group.seconds > 0.0
+
+    def test_an_inner_filter_times_its_own_semi_join(self, engine):
+        """NOT EXISTS under another FILTER of the stack runs inside that
+        filter's span; it opens its own, so its group is not shown (nor
+        timed) under the outer condition."""
+        query = SEMI_JOIN_QUERY.replace(
+            "?union . }", "?union . }\n  FILTER(?year > 2018)")
+        ex = engine.explain(query)
+        assert ex.rows == len(engine.query(query)) == 1
+        outer, inner = (n for n in ex.root.walk() if n.operator == "Filter")
+        assert outer.detail == "filter before pattern 1: 2→1 values"
+        assert outer.children == [inner]
+        assert inner.detail == ("filter after BGP: 4→1 rows, "
+                                "exists: 4 keys→3 matched")
+        _bgp, group = inner.children
+        assert (group.calls, group.rows_in, group.rows_out) == (1, 4, 3)
+        assert outer.seconds >= inner.seconds >= group.seconds > 0.0
+
+    def test_a_bind_shows_its_semi_join(self, engine):
+        query = SEMI_JOIN_QUERY.replace(
+            "FILTER NOT EXISTS { ?c ex:partOf ?union . }",
+            "BIND(EXISTS { ?c ex:partOf ex:eu } AS ?eu)").replace(
+            "GROUP BY ?c", "GROUP BY ?c ?eu").replace(
+            "SELECT ?c", "SELECT ?c ?eu")
+        ex = engine.explain(query)
+        assert ex.rows == len(engine.query(query)) == 4
+        node = next(n for n in ex.root.walk() if n.operator == "Extend"
+                    and "?eu" in n.detail)
+        assert node.detail == "bind ?eu, exists: 4 keys→3 matched"
+        _bgp, group = node.children
+        assert (group.calls, group.rows_in, group.rows_out) == (1, 4, 3)
+
+    def test_a_group_in_two_places_shows_under_each(self, engine):
+        """Equal EXISTS groups share one compiled operator; each operator
+        that ran one shows it with its own run, not both under the first."""
+        query = SEMI_JOIN_QUERY.replace(
+            "FILTER NOT", "BIND(EXISTS { ?c ex:partOf ?union . } AS ?eu)\n"
+            "  FILTER NOT").replace("GROUP BY ?c", "GROUP BY ?c ?eu").replace(
+            "SELECT ?c", "SELECT ?c ?eu")
+        ex = engine.explain(query)
+        assert ex.rows == len(engine.query(query)) == 1
+        node, = (n for n in ex.root.walk() if n.operator == "Filter")
+        bind, group = node.children
+        assert bind.detail == "bind ?eu, exists: 4 keys→3 matched"
+        _bgp, bind_group = bind.children
+        assert group is not bind_group
+        for g in (group, bind_group):
+            assert g.detail == "1 pattern(s): 4 keys ∩ 3 subjects"
+            assert (g.calls, g.rows_in, g.rows_out) == (1, 4, 3)
 
 
 class TestRoutedExplain:

@@ -854,6 +854,125 @@ class TestFilterPushdownParity:
 
 
 # --------------------------------------------------------------------------
+# EXISTS: one semi-join per condition, the reference's per-row answer
+# --------------------------------------------------------------------------
+
+_EXISTS_PREDICATES = ("p", "q", "r", "s", "t")
+#: ?x ex:p ?o . ?o ex:s ?k, and (drawn) OPTIONAL { ?x ex:q ?y }: where it
+#: finds nothing, ?y is an unbound cell of the EXISTS seed
+_EXISTS_OUTER = "?x ex:p ?o . ?o ex:s ?k ."
+_EXISTS_OPTIONAL = "OPTIONAL { ?x ex:q ?y }"
+#: where the condition sits: {c} is ``[NOT] EXISTS {…}``
+_EXISTS_PLACEMENTS = {
+    "filter": ("?x ?o ?y", "FILTER({c})", ""),
+    "under ||": ("?x ?o ?y", "FILTER(?o = ex:n0 || {c})", ""),
+    "bind": ("?x ?o ?y ?b", "BIND({c} AS ?b)", ""),
+    "order by": ("?x ?o ?y ?k", "", "ORDER BY DESC({c}) ?x ?o ?y ?k"),
+    "aggregate": ("?o (SUM(IF({c}, 1, 0)) AS ?n)", "", "GROUP BY ?o"),
+}
+
+
+@st.composite
+def exists_queries(draw):
+    """A small graph over five nodes, and a query whose ``[NOT] EXISTS``
+    group shares 0–2 variables with the outer pattern, may mention an
+    outer one only in a FILTER, may hold an OPTIONAL (binding an outer
+    variable the row leaves unbound) and a nested ``[NOT] EXISTS``."""
+    nodes = st.integers(0, 4).map(lambda i: EX[f"n{i}"])
+    edges = draw(st.lists(st.tuples(
+        nodes, st.sampled_from(_EXISTS_PREDICATES), nodes), max_size=30))
+    shared = draw(st.sampled_from(
+        [(), ("x",), ("o",), ("y",), ("x", "o"), ("o", "y")]))
+    if not shared:
+        group = ["?w0 ex:r ?w ."]
+    elif len(shared) == 1 and draw(st.booleans()):  # only ?a: a domain seed
+        group = [f"?{shared[0]} ex:r ex:n1 ."]
+    else:
+        group = [f"?{shared[0]} ex:r ?w ."]
+        if len(shared) == 2:
+            group.append(f"?w ex:s ?{shared[1]} .")
+    if draw(st.booleans()):
+        group.append(f"FILTER(?w != ?{draw(st.sampled_from('oxy'))})")
+    if draw(st.booleans()):
+        group.append(f"OPTIONAL {{ ?w ex:t ?{draw(st.sampled_from('zy'))} }}")
+    if draw(st.booleans()):
+        group.append(f"FILTER({'NOT ' * draw(st.booleans())}EXISTS "
+                     f"{{ ?w ex:q ?{draw(st.sampled_from('xo'))} }})")
+    condition = ("NOT " * draw(st.booleans())
+                 + "EXISTS { " + " ".join(group) + " }")
+    placement = draw(st.sampled_from(sorted(_EXISTS_PLACEMENTS)))
+    select, where, modifier = _EXISTS_PLACEMENTS[placement]
+    optional = _EXISTS_OPTIONAL if draw(st.integers(0, 3)) else ""
+    text = (f"PREFIX ex: <http://example.org/> SELECT {select} WHERE {{ "
+            f"{_EXISTS_OUTER} {optional} {where} }} {modifier}"
+            ).replace("{c}", condition)
+    return edges, placement, text
+
+
+class TestExistsSemiJoin:
+    """``[NOT] EXISTS`` out of the batched executor — one semi-join per
+    condition over the distinct keys of the variables its group mentions —
+    is the reference executor's per-row answer, on both stores, wherever
+    the condition sits (ORDER BY: in order)."""
+
+    @given(exists_queries())
+    # ?y unbound in every row: the group's OPTIONAL binds it freely
+    @example(([(EX.n0, "p", EX.n1), (EX.n1, "s", EX.n2),
+               (EX.n3, "r", EX.n4), (EX.n4, "t", EX.n2)], "filter",
+              "PREFIX ex: <http://example.org/> SELECT ?x ?o ?y WHERE { "
+              f"{_EXISTS_OUTER} {_EXISTS_OPTIONAL} FILTER(EXISTS {{ ?y ex:r "
+              "?w . OPTIONAL { ?w ex:t ?y } }) }"))
+    # NOT EXISTS on ?o alone, over fewer ex:p objects than rows: it runs
+    # on that domain, before any probe
+    @example(([(EX[f"n{i}"], "p", EX.n0) for i in range(4)]
+              + [(EX.n0, "s", EX.n1), (EX.n0, "s", EX.n2),
+                 (EX.n1, "p", EX.n3), (EX.n3, "s", EX.n4),
+                 (EX.n3, "r", EX.n1)], "filter",
+              "PREFIX ex: <http://example.org/> SELECT ?x ?o ?y WHERE { "
+              f"{_EXISTS_OUTER} FILTER(NOT EXISTS {{ ?o ex:r ex:n1 . }}) }}"))
+    # ?o at the object end of a one-pattern group, 2 objects of ex:r for 3
+    # keys: a key-set semi-join
+    @example(([(EX.n0, "p", EX[f"n{i}"]) for i in (1, 2, 3)]
+              + [(EX[f"n{i}"], "s", EX.n4) for i in (1, 2, 3)]
+              + [(EX.n4, "r", EX.n1), (EX.n0, "r", EX.n2)], "bind",
+              "PREFIX ex: <http://example.org/> SELECT ?x ?o ?y ?b WHERE { "
+              f"{_EXISTS_OUTER} BIND(EXISTS {{ ?w ex:r ?o }} AS ?b) }}"))
+    def test_exists_matches_the_reference(self, case):
+        from repro.obs import hub
+        from repro.sparql import ReferenceExecutor, ResultTable
+        edges, placement, text = case
+        event(placement)
+        for store in ("dict", "columnar"):
+            graph = Graph(store=store)
+            for s, p, o in edges:
+                graph.add(Triple(s, EX[p], o))
+            engine = QueryEngine(graph)
+            prepared = engine.prepare(text)
+            h = hub()
+            h.reset()
+            h.enable(tracing=False)
+            try:
+                got = engine.query(prepared)
+                pushed = h.metrics.get(
+                    "sparql_filter_pushdown_total").value(("pushed",))
+            finally:
+                h.disable()
+                h.reset()
+            if pushed:
+                event("an EXISTS condition seeded the BGP")
+            if any(" keys ∩ " in node.detail
+                   for node in engine.explain(prepared).root.walk()):
+                event("a group was a key-set semi-join")
+            expected = ResultTable.from_bindings(
+                prepared.ast.projected_variables(),
+                ReferenceExecutor(graph).run(prepared.plan))
+            if placement == "order by":
+                assert got.rows == expected.rows, (store, text)
+            else:
+                assert got.same_solutions(expected), (store, text)
+
+
+# --------------------------------------------------------------------------
 # the Δ algebra: a maintenance window is the difference of two scans
 # --------------------------------------------------------------------------
 

@@ -347,6 +347,85 @@ class TestExists:
         assert names(t) == ["Dave"]
 
 
+class TestExistsIsOneEngine:
+    """EXISTS runs on the batched pipeline only: a condition that reaches
+    per-row evaluation is an engine fault, and only the package facade
+    imports the tuple-at-a-time oracle."""
+
+    def test_an_exists_reaching_per_row_evaluation_is_loud(self):
+        from repro.errors import ExpressionError
+        from repro.sparql.ast import ExistsExpr, GroupPattern
+        from repro.sparql.expr import evaluate, evaluate_ebv
+        exists = ExistsExpr(GroupPattern(()), negated=True)
+        for run in (evaluate, evaluate_ebv):
+            with pytest.raises(QueryEvaluationError) as caught:
+                run(exists, {})
+            # a type error would read as false, and drop the row silently
+            assert not isinstance(caught.value, ExpressionError)
+
+    def test_only_the_facade_imports_the_reference_executor(self):
+        import ast
+        from pathlib import Path
+        import repro
+        root = Path(repro.__file__).parent
+        importers = []
+        for path in sorted(root.rglob("*.py")):
+            package = [root.name, *path.relative_to(root).parent.parts]
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    base = package[:len(package) - node.level + 1] \
+                        if node.level else []
+                    module = ".".join(base + (node.module or "").split("."))
+                    names = {alias.name for alias in node.names}
+                elif isinstance(node, ast.Import):
+                    module, names = "", {a.name for a in node.names}
+                else:
+                    continue
+                if module.rstrip(".").endswith("sparql.reference") \
+                        or "ReferenceExecutor" in names \
+                        or "repro.sparql.reference" in names:
+                    importers.append(path.relative_to(root).as_posix())
+        assert importers == ["sparql/__init__.py"]
+
+    # (condition, its answer, whether it is a key-set semi-join)
+    KEY_SETS = [
+        # 2 subjects of ex:knows meet the 4 keys of ?p
+        ("FILTER NOT EXISTS { ?p ex:knows ?q }", ["Carol", "Dave"], True),
+        ("FILTER EXISTS { ?q ex:knows ?p }", ["Bob", "Carol"], True),
+        # ?p at both ends, or a constant at the other: a probe
+        ("FILTER EXISTS { ?p ex:knows ?p }", [], False),
+        ("FILTER EXISTS { ?p ex:knows ex:bob }", ["Alice"], False),
+        # a predicate no triple holds matches nothing
+        ("FILTER NOT EXISTS { ?p ex:likes ?q }",
+         ["Alice", "Bob", "Carol", "Dave"], False),
+        # the 4 subjects of ex:name outnumber the 2 keys: a probe each
+        ("?p ex:knows ex:carol . FILTER EXISTS { ?p ex:name ?x }",
+         ["Alice", "Bob"], False),
+        # ?e unbound in 2 rows leaves it free there, so ex:knows matches:
+        # a probe, though its 3 triples are no more than the 3 keys
+        ("OPTIONAL { ?p ex:knows ?e } FILTER NOT EXISTS { ?e ex:knows ?q }",
+         ["Alice", "Bob"], False),
+    ]
+
+    @pytest.mark.parametrize("store", ["dict", "columnar"])
+    @pytest.mark.parametrize("condition,answer,key_set", KEY_SETS)
+    def test_a_one_pattern_group_may_be_a_key_set(self, store, condition,
+                                                   answer, key_set):
+        from repro.sparql import ReferenceExecutor, ResultTable
+        from tests.conftest import on_store
+        engine = QueryEngine(on_store(parse_turtle(DATA), store))
+        prepared = engine.prepare(
+            PREFIX + f"SELECT ?n WHERE {{ ?p ex:name ?n . {condition} }}")
+        got = engine.query(prepared)
+        assert names(got, "n") == answer
+        assert got.same_solutions(ResultTable.from_bindings(
+            prepared.ast.projected_variables(),
+            ReferenceExecutor(engine.graph).run(prepared.plan)))
+        details = [node.detail for node in
+                   engine.explain(prepared).root.walk()]
+        assert any(" keys ∩ " in d for d in details) is key_set
+
+
 class TestEngineFacade:
     def test_prepared_query_reuse(self, engine):
         prepared = engine.prepare(
