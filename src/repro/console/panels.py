@@ -226,6 +226,10 @@ def panel_observability(hub: ObservabilityHub, max_spans: int = 6) -> str:
     storage_rows.append(
         ["store compactions",
          str(reg.counter_total("store_compactions_total"))])
+    compaction = reg.get("store_compaction_seconds")
+    if compaction is not None:
+        seconds = sum(series.sum for _, series in compaction.labeled_series())
+        storage_rows.append(["store compaction ms", f"{seconds * 1e3:.2f}"])
     parts.append("Storage engine:\n" + format_table(
         ("probe/kernel", "count"), storage_rows,
         align_right=[False, True]))

@@ -1,23 +1,31 @@
 """Sorted-array columnar triple storage with vectorized probe kernels.
 
 :class:`ColumnarStore` keeps each (S,P,O) permutation — SPO, POS, OSP —
-as sorted contiguous ``array('q')`` columns.  A permutation stores three
-parallel columns: ``ab`` packs the two leading positions into one 64-bit
-key (``a << 32 | b``), ``b`` repeats the middle position unpacked (cheap
-gather), and ``c`` holds the trailing position.  Rows are sorted by
-``(ab, c)``, so every one of the eight triple-pattern access paths is a
-binary-search range over one permutation, and bulk probes become
-``searchsorted`` over the whole key column at once.
+as two sorted contiguous ``array('q')`` columns: ``ab`` packs the two
+leading positions into one 64-bit key (``a << 32 | b``) and ``c`` holds
+the trailing position.  Rows are sorted by ``(ab, c)``, so every one of
+the eight triple-pattern access paths is a binary-search range over one
+permutation, and bulk probes become ``searchsorted`` over the whole key
+column at once.  The middle position is the low half of ``ab``: numpy
+readers get it as a zero-copy strided ``int32`` view of the same buffer
+(``_frame``), the scalar loops as ``ab[i] & 0xFFFFFFFF``.  Ids are
+minted below ``ID_LIMIT``; a caller's id outside ``[0, ID_LIMIT)`` would
+pack to another pair's key, so every path that packs one (``_pack``, the
+batch pass) treats it as absent.
 
 Writes are buffered: inserts/deletes land in pending sets and are folded
 into the sorted base by a compaction pass on the next read (or when the
-buffer crosses a size threshold).  Compaction merges, O(n + k log k): the
-k pending rows are sorted and ranked in each permutation by
-``searchsorted``, the deleted ones masked out, the added ones placed with
-``np.insert`` into *fresh* columns — numpy views taken before the pass
-keep their rows.  Mutation results (dup/absent detection for changelog
-capture) stay exact via binary search against the base plus set lookups
-against the buffers.
+buffer crosses a size threshold).  Both ends of a write rank only the
+rows they touch, with one helper, :func:`_locate`: two ``searchsorted``
+calls find each row's ``ab`` run, then every run is bisected on ``c`` at
+once, one round per bit of the longest run touched — O(k log n) for k
+rows.  ``insert_many`` / ``delete_many`` check a whole batch against the
+base with one such pass over the SPO columns (the pending sets are
+plain set lookups), so the rows they return — and their order — stay
+exact for changelog capture.  Compaction locates the k pending rows in
+each permutation and fills *fresh* columns, each allocated once, with
+two masked copies (kept rows, then added rows); numpy views taken before
+the pass keep their rows.
 
 numpy (a declared dependency) does that merge and powers the bulk kernel
 API (``bulk_probe``/``bulk_exists``/``bulk_scan``) the batched executor's
@@ -33,6 +41,7 @@ keyspaces + range scans, with the dictionary living elsewhere.
 from __future__ import annotations
 
 import sys
+import time
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import chain
@@ -56,48 +65,106 @@ _COMPACT_PENDING = _REG.histogram(
     "store_compaction_pending_ops",
     "Buffered mutations folded per compaction pass",
     buckets=_metrics.DEFAULT_SIZE_BUCKETS)
+_COMPACT_SECONDS = _REG.histogram(
+    "store_compaction_seconds",
+    "Wall time of one compaction pass",
+    labels=("store",))
 
 #: Pending-buffer size that triggers an eager compaction mid-load.
 DEFAULT_PENDING_LIMIT = 1 << 18
 
-_PERMS = ("spo", "pos", "osp")
+#: Each permutation and where its (a, b, c) positions sit in an SPO row.
+_PERMS = (("spo", [0, 1, 2]), ("pos", [1, 2, 0]), ("osp", [2, 0, 1]))
+#: The ``int32`` half of an ``int64`` that holds its low 32 bits.
+_LOW_HALF = 0 if sys.byteorder == "little" else 1
+_LOW = 0xFFFFFFFF
+_ZERO = array("q", [0])
 
 
-def _merge(columns: tuple, adds: np.ndarray, dels: np.ndarray) -> tuple:
-    """Fresh sorted columns of one permutation: ``dels`` out, ``adds`` in.
+def _pack(a: int, b: int) -> int:
+    """``a << 32 | b``, or -1 (no stored key) when an id lies outside
+    ``[0, ID_LIMIT)``: a wider ``b`` would alias another pair's key."""
+    if 0 <= a < ID_LIMIT and 0 <= b < ID_LIMIT:
+        return (a << 32) | b
+    return -1
 
-    ``adds`` / ``dels`` are ``(k, 3)`` rows in the permutation's (a, b, c)
-    order.  A row's rank among the sorted rows is a ``searchsorted`` on
-    ``ab``, then on the run key ``(run << 31) | c`` (``run`` numbers the
-    ``ab`` runs; the key is sorted because ``c < ID_LIMIT``).
+
+def _frame(ab: array, c: array) -> tuple:
+    """numpy ``(ab, b, c)`` over a permutation's two columns; ``b`` is
+    the strided ``int32`` view of ``ab``'s low halves."""
+    packed = np.frombuffer(ab, dtype=np.int64)
+    return (packed, packed.view(np.int32)[_LOW_HALF::2],
+            np.frombuffer(c, dtype=np.int64))
+
+
+def _rows(batch: list) -> np.ndarray:
+    """A batch of id-triples as a ``(k, 3)`` int64 array."""
+    return np.fromiter(chain.from_iterable(batch), dtype=np.int64,
+                       count=3 * len(batch)).reshape(-1, 3)
+
+
+def _in_range(batch: list) -> bool:
+    """Whether every id of a batch of id-triples lies in ``[0, ID_LIMIT)``."""
+    for sid, pid, oid in batch:
+        if not (0 <= sid < ID_LIMIT and 0 <= pid < ID_LIMIT
+                and 0 <= oid < ID_LIMIT):
+            return False
+    return True
+
+
+def _locate(ab: np.ndarray, c: np.ndarray, keys_ab: np.ndarray,
+            keys_c: np.ndarray) -> np.ndarray:
+    """Each key's lower bound among the rows sorted by ``(ab, c)``.
+
+    Two ``searchsorted`` calls find each key's ``ab`` run; the runs are
+    then bisected on ``c`` all at once, one round per bit of the longest
+    run touched — O(k log n) for k keys.  The bisection is branch-free:
+    the bound stays in ``[lo, lo + width]`` and a row whose width is down
+    to one (or was zero) stops moving, so no row needs a mask.
     """
-    ab, _, c = columns
-    n = len(ab)
-    key = np.ones(n + 1, dtype=np.int64)    # key[n]: past the last run
-    key[0] = 0
-    np.not_equal(ab[1:], ab[:-1], out=key[1:n])
-    np.cumsum(key, out=key)
-    key <<= 31
-    key[:n] |= c
+    lo = np.searchsorted(ab, keys_ab)
+    if not len(c):                      # an empty column: nothing to take
+        return lo
+    width = np.searchsorted(ab, keys_ab, side="right") - lo
+    for _ in range(int(width.max(initial=1) - 1).bit_length()):
+        half = width >> 1
+        probe = lo + half
+        lo = np.where(c.take(probe, mode="clip") < keys_c, probe, lo)
+        width -= half
+    return lo + ((width > 0) & (c.take(lo, mode="clip") < keys_c))
 
-    def place(rows):
-        """Ranks of the rows, and the rows as columns sorted by (ab, c)."""
-        rows_ab = (rows[:, 0] << 32) | rows[:, 1]
-        order = np.lexsort((rows[:, 2], rows_ab))
-        cols = rows_ab[order], rows[order, 1], rows[order, 2]
-        lo = np.searchsorted(ab, cols[0])
-        # a row of an absent pair goes first in the run after it
-        hit = np.searchsorted(ab, cols[0], side="right") > lo
-        target = (key[lo] >> 31 << 31) | np.where(hit, cols[2], 0)
-        return np.searchsorted(key, target), cols
 
-    gone, _ = place(dels)
-    keep = np.ones(n, dtype=bool)
+def _merge(ab: np.ndarray, c: np.ndarray, adds: np.ndarray,
+           dels: np.ndarray) -> tuple:
+    """Fresh ``(ab, c)`` columns of one permutation: ``dels`` out,
+    ``adds`` in.
+
+    ``adds`` / ``dels`` are ``(k, 3)`` rows in the permutation's (a, b,
+    c) order; every deleted row is stored and no added one is.  Only the
+    pending rows are ranked (:func:`_locate`); each new column is
+    allocated once and filled with the kept rows, then the added ones.
+    """
+    add_ab = (adds[:, 0] << 32) | adds[:, 1]
+    order = np.lexsort((adds[:, 2], add_ab))
+    add_ab, add_c = add_ab[order], adds[order, 2]
+    gone = np.sort(_locate(ab, c, (dels[:, 0] << 32) | dels[:, 1],
+                           dels[:, 2]))
+    at = _locate(ab, c, add_ab, add_c)
+    # an added row lands after the kept rows and the added rows before it
+    at += np.arange(len(at)) - np.searchsorted(gone, at)
+    size = len(ab) - len(gone) + len(at)
+    kept = np.ones(size, dtype=bool)
+    kept[at] = False
+    keep = np.ones(len(ab), dtype=bool)
     keep[gone] = False
-    at, added = place(adds)
-    at -= np.searchsorted(gone, at)    # the deleted rows before each
-    return tuple(array("q", np.insert(col[keep], at, new).tobytes())
-                 for col, new in zip(columns, added))
+    columns = []
+    for old, new in ((ab, add_ab), (c, add_c)):
+        column = _ZERO * size
+        fill = np.frombuffer(column, dtype=np.int64)
+        fill[kept] = old[keep]
+        fill[at] = new
+        columns.append(column)
+    return tuple(columns)
 
 
 class ColumnarStore(TripleStore):
@@ -107,9 +174,7 @@ class ColumnarStore(TripleStore):
     vectorized = True
 
     __slots__ = (
-        "_spo_ab", "_spo_b", "_spo_c",
-        "_pos_ab", "_pos_b", "_pos_c",
-        "_osp_ab", "_osp_b", "_osp_c",
+        "_spo_ab", "_spo_c", "_pos_ab", "_pos_c", "_osp_ab", "_osp_c",
         "_v_spo", "_v_pos", "_v_osp",
         "_adds", "_dels", "_size", "_pred_counts",
         "_pending_limit",
@@ -121,18 +186,15 @@ class ColumnarStore(TripleStore):
         self._dels: set = set()
         self._size = 0
         self._pred_counts: dict[int, int] = {}
-        for perm in _PERMS:
-            self._store_perm(perm, array("q"), array("q"), array("q"))
+        for perm, _ in _PERMS:
+            self._store_perm(perm, array("q"), array("q"))
 
     # -- column plumbing ----------------------------------------------------
 
-    def _store_perm(self, perm: str, ab: array, b: array, c: array) -> None:
+    def _store_perm(self, perm: str, ab: array, c: array) -> None:
         setattr(self, f"_{perm}_ab", ab)
-        setattr(self, f"_{perm}_b", b)
         setattr(self, f"_{perm}_c", c)
-        setattr(self, f"_v_{perm}", (np.frombuffer(ab, dtype=np.int64),
-                                     np.frombuffer(b, dtype=np.int64),
-                                     np.frombuffer(c, dtype=np.int64)))
+        setattr(self, f"_v_{perm}", _frame(ab, c))
 
     def _flush(self) -> None:
         if self._adds or self._dels:
@@ -144,13 +206,26 @@ class ColumnarStore(TripleStore):
     # -- base binary search -------------------------------------------------
 
     def _base_contains(self, sid: int, pid: int, oid: int) -> bool:
-        ab = self._spo_ab
-        packed = (sid << 32) | pid
-        lo = bisect_left(ab, packed)
-        hi = bisect_right(ab, packed, lo)
+        lo, hi = self._ab_range(self._spo_ab, _pack(sid, pid))
         c = self._spo_c
         j = bisect_left(c, oid, lo, hi)
         return j < hi and c[j] == oid
+
+    def _base_holds(self, batch: list) -> Optional[list]:
+        """Per id-triple of ``batch``, whether the sorted columns store
+        it — one :func:`_locate` for the batch — or None when an id lies
+        outside ``[0, ID_LIMIT)``.  An empty base takes no numpy pass, so
+        a graph loaded one triple at a time pays no per-batch setup."""
+        if not _in_range(batch):
+            return None
+        ab, _, c = self._v_spo
+        if not len(c):
+            return [False] * len(batch)
+        rows = _rows(batch)
+        keys_ab = (rows[:, 0] << 32) | rows[:, 1]
+        at = _locate(ab, c, keys_ab, rows[:, 2])
+        return ((ab.take(at, mode="clip") == keys_ab)
+                & (c.take(at, mode="clip") == rows[:, 2])).tolist()
 
     @staticmethod
     def _ab_range(ab, packed: int) -> tuple:
@@ -165,20 +240,19 @@ class ColumnarStore(TripleStore):
     # -- mutation -----------------------------------------------------------
 
     def insert_many(self, id_triples: Iterable[tuple]) -> list:
+        batch = list(id_triples)
+        stored = self._base_holds(batch)
+        if stored is None:              # all or nothing: before any write
+            bad = next(t for t in batch if not _in_range((t,)))
+            raise StoreCapacityError(f"id out of columnar range: {bad}")
         adds, dels = self._adds, self._dels
         pred_counts = self._pred_counts
         added: list = []
-        batch = list(id_triples)
-        for sid, pid, oid in batch:     # all or nothing: before any write
-            if not (0 <= sid < ID_LIMIT and 0 <= pid < ID_LIMIT
-                    and 0 <= oid < ID_LIMIT):
-                raise StoreCapacityError(
-                    f"id out of columnar range: ({sid}, {pid}, {oid})")
-        for sid, pid, oid in batch:
+        for (sid, pid, oid), held in zip(batch, stored):
             t = (sid, pid, oid)
             if t in dels:
                 dels.discard(t)
-            elif t in adds or self._base_contains(sid, pid, oid):
+            elif held or t in adds:
                 continue
             else:
                 adds.add(t)
@@ -190,14 +264,19 @@ class ColumnarStore(TripleStore):
         return added
 
     def delete_many(self, id_triples: Iterable[tuple]) -> list:
+        batch = list(id_triples)
+        stored = self._base_holds(batch)
+        if stored is None:              # such a triple is stored nowhere
+            batch = [t for t in batch if _in_range((t,))]
+            stored = self._base_holds(batch)
         adds, dels = self._adds, self._dels
         pred_counts = self._pred_counts
         removed: list = []
-        for sid, pid, oid in id_triples:
+        for (sid, pid, oid), held in zip(batch, stored):
             t = (sid, pid, oid)
             if t in adds:
                 adds.discard(t)
-            elif t in dels or not self._base_contains(sid, pid, oid):
+            elif not held or t in dels:
                 continue
             else:
                 dels.add(t)
@@ -217,30 +296,30 @@ class ColumnarStore(TripleStore):
         self._dels.clear()
         self._size = 0
         self._pred_counts.clear()
-        for perm in _PERMS:
-            self._store_perm(perm, array("q"), array("q"), array("q"))
+        for perm, _ in _PERMS:
+            self._store_perm(perm, array("q"), array("q"))
 
     # -- compaction ---------------------------------------------------------
 
     def _compact(self) -> None:
+        start = time.perf_counter()
         pending = len(self._adds) + len(self._dels)
-        adds, dels = (np.fromiter(chain.from_iterable(rows), dtype=np.int64,
-                                  count=3 * len(rows)).reshape(-1, 3)
-                      for rows in (self._adds, self._dels))
-        for perm, order in (("spo", [0, 1, 2]), ("pos", [1, 2, 0]),
-                            ("osp", [2, 0, 1])):
-            self._store_perm(perm, *_merge(getattr(self, f"_v_{perm}"),
-                                           adds[:, order], dels[:, order]))
+        adds, dels = (_rows(rows) for rows in (self._adds, self._dels))
+        for perm, order in _PERMS:
+            ab, _, c = getattr(self, f"_v_{perm}")
+            self._store_perm(perm, *_merge(ab, c, adds[:, order],
+                                           dels[:, order]))
         self._adds = set()
         self._dels = set()
         if _REG.enabled:
             _COMPACTIONS.inc(1, (self.kind,))
             _COMPACT_PENDING.observe(pending)
+            _COMPACT_SECONDS.observe(time.perf_counter() - start,
+                                     (self.kind,))
 
     def _iter_base(self) -> Iterator[tuple]:
-        ab, b, c = self._spo_ab, self._spo_b, self._spo_c
-        for i in range(len(c)):
-            yield (ab[i] >> 32, b[i], c[i])
+        for ab, c in zip(self._spo_ab, self._spo_c):
+            yield (ab >> 32, ab & _LOW, c)
 
     # -- cardinalities ------------------------------------------------------
 
@@ -278,39 +357,39 @@ class ColumnarStore(TripleStore):
                     if self._base_contains(sid, pid, oid):
                         yield (sid, pid, oid)
                     return
-                lo, hi = self._ab_range(self._spo_ab, (sid << 32) | pid)
+                lo, hi = self._ab_range(self._spo_ab, _pack(sid, pid))
                 c = self._spo_c
                 for i in range(lo, hi):
                     yield (sid, pid, c[i])
                 return
             if oid is not None:
-                lo, hi = self._ab_range(self._osp_ab, (oid << 32) | sid)
+                lo, hi = self._ab_range(self._osp_ab, _pack(oid, sid))
                 c = self._osp_c
                 for i in range(lo, hi):
                     yield (sid, c[i], oid)
                 return
             lo, hi = self._a_range(self._spo_ab, sid)
-            b, c = self._spo_b, self._spo_c
+            ab, c = self._spo_ab, self._spo_c
             for i in range(lo, hi):
-                yield (sid, b[i], c[i])
+                yield (sid, ab[i] & _LOW, c[i])
             return
         if pid is not None:
             if oid is not None:
-                lo, hi = self._ab_range(self._pos_ab, (pid << 32) | oid)
+                lo, hi = self._ab_range(self._pos_ab, _pack(pid, oid))
                 c = self._pos_c
                 for i in range(lo, hi):
                     yield (c[i], pid, oid)
                 return
             lo, hi = self._a_range(self._pos_ab, pid)
-            b, c = self._pos_b, self._pos_c
+            ab, c = self._pos_ab, self._pos_c
             for i in range(lo, hi):
-                yield (c[i], pid, b[i])
+                yield (c[i], pid, ab[i] & _LOW)
             return
         if oid is not None:
             lo, hi = self._a_range(self._osp_ab, oid)
-            b, c = self._osp_b, self._osp_c
+            ab, c = self._osp_ab, self._osp_c
             for i in range(lo, hi):
-                yield (b[i], c[i], oid)
+                yield (ab[i] & _LOW, c[i], oid)
             return
         yield from self._iter_base()
 
@@ -320,16 +399,16 @@ class ColumnarStore(TripleStore):
         if sid is None:
             if pid is None or oid is None:
                 raise ValueError("adjacent_ids needs exactly one wildcard")
-            lo, hi = self._ab_range(self._pos_ab, (pid << 32) | oid)
+            lo, hi = self._ab_range(self._pos_ab, _pack(pid, oid))
             return set(self._pos_c[lo:hi])
         if pid is None:
             if oid is None:
                 raise ValueError("adjacent_ids needs exactly one wildcard")
-            lo, hi = self._ab_range(self._osp_ab, (oid << 32) | sid)
+            lo, hi = self._ab_range(self._osp_ab, _pack(oid, sid))
             return set(self._osp_c[lo:hi])
         if oid is not None:
             raise ValueError("adjacent_ids needs exactly one wildcard")
-        lo, hi = self._ab_range(self._spo_ab, (sid << 32) | pid)
+        lo, hi = self._ab_range(self._spo_ab, _pack(sid, pid))
         return set(self._spo_c[lo:hi])
 
     def pair_adjacency(self, key_pos: int, free_pos: int, const_id: int):
@@ -355,7 +434,7 @@ class ColumnarStore(TripleStore):
     def _pair_key_hi(ab, c, const_id: int):
         """Leaf accessor where the probe key is the high packed half."""
         def get(key: int, _lo_const: int = const_id):
-            packed = (key << 32) | _lo_const
+            packed = _pack(key, _lo_const)
             lo = bisect_left(ab, packed)
             hi = bisect_right(ab, packed, lo)
             if lo == hi:
@@ -366,8 +445,8 @@ class ColumnarStore(TripleStore):
     @staticmethod
     def _pair_key_lo(ab, c, const_id: int):
         """Leaf accessor where the probe key is the low packed half."""
-        def get(key: int, _base: int = const_id << 32):
-            packed = _base | key
+        def get(key: int, _hi_const: int = const_id):
+            packed = _pack(_hi_const, key)
             lo = bisect_left(ab, packed)
             hi = bisect_right(ab, packed, lo)
             if lo == hi:
@@ -388,15 +467,15 @@ class ColumnarStore(TripleStore):
             if pid is not None:
                 if oid is not None:
                     return 1 if self._base_contains(sid, pid, oid) else 0
-                lo, hi = self._ab_range(self._spo_ab, (sid << 32) | pid)
+                lo, hi = self._ab_range(self._spo_ab, _pack(sid, pid))
                 return hi - lo
             if oid is not None:
-                lo, hi = self._ab_range(self._osp_ab, (oid << 32) | sid)
+                lo, hi = self._ab_range(self._osp_ab, _pack(oid, sid))
                 return hi - lo
             lo, hi = self._a_range(self._spo_ab, sid)
             return hi - lo
         if pid is not None:
-            lo, hi = self._ab_range(self._pos_ab, (pid << 32) | oid)
+            lo, hi = self._ab_range(self._pos_ab, _pack(pid, oid))
             return hi - lo
         lo, hi = self._a_range(self._osp_ab, oid)
         return hi - lo
@@ -441,10 +520,8 @@ class ColumnarStore(TripleStore):
     def copy(self) -> "ColumnarStore":
         self._flush()
         clone = ColumnarStore(pending_limit=self._pending_limit)
-        for perm in _PERMS:
-            clone._store_perm(perm,
-                              getattr(self, f"_{perm}_ab")[:],
-                              getattr(self, f"_{perm}_b")[:],
+        for perm, _ in _PERMS:
+            clone._store_perm(perm, getattr(self, f"_{perm}_ab")[:],
                               getattr(self, f"_{perm}_c")[:])
         clone._size = self._size
         clone._pred_counts = dict(self._pred_counts)
@@ -454,8 +531,8 @@ class ColumnarStore(TripleStore):
         total = sys.getsizeof(self._pred_counts)
         total += sys.getsizeof(self._adds) + sys.getsizeof(self._dels)
         total += sys.getsizeof((0, 0, 0)) * (len(self._adds) + len(self._dels))
-        for perm in _PERMS:
-            for col in ("ab", "b", "c"):
+        for perm, _ in _PERMS:
+            for col in ("ab", "c"):
                 total += sys.getsizeof(getattr(self, f"_{perm}_{col}"))
         return total
 
@@ -531,13 +608,13 @@ class ColumnarStore(TripleStore):
         sid, pid, oid = const_ids
         if key_pos == 0:
             ab, c = self._pos_ab, self._v_pos[2]
-            packed = (pid << 32) | oid
+            packed = _pack(pid, oid)
         elif key_pos == 1:
             ab, c = self._osp_ab, self._v_osp[2]
-            packed = (oid << 32) | sid
+            packed = _pack(oid, sid)
         else:
             ab, c = self._spo_ab, self._v_spo[2]
-            packed = (sid << 32) | pid
+            packed = _pack(sid, pid)
         lo, hi = self._ab_range(ab, packed)
         if lo == hi:
             return np.zeros(len(keys), dtype=bool)
@@ -566,12 +643,12 @@ class ColumnarStore(TripleStore):
             lo, hi = self._a_range(self._osp_ab, oid)
             return hi - lo, {0: b[lo:hi], 1: c[lo:hi]}
         if sid is not None and pid is not None and oid is None:
-            lo, hi = self._ab_range(self._spo_ab, (sid << 32) | pid)
+            lo, hi = self._ab_range(self._spo_ab, _pack(sid, pid))
             return hi - lo, {2: self._v_spo[2][lo:hi]}
         if pid is not None and oid is not None and sid is None:
-            lo, hi = self._ab_range(self._pos_ab, (pid << 32) | oid)
+            lo, hi = self._ab_range(self._pos_ab, _pack(pid, oid))
             return hi - lo, {0: self._v_pos[2][lo:hi]}
         if sid is not None and oid is not None and pid is None:
-            lo, hi = self._ab_range(self._osp_ab, (oid << 32) | sid)
+            lo, hi = self._ab_range(self._osp_ab, _pack(oid, sid))
             return hi - lo, {1: self._v_osp[2][lo:hi]}
         return (1 if self._base_contains(sid, pid, oid) else 0), {}

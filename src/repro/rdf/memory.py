@@ -4,9 +4,11 @@ The demo reports "statistics and insights about time, memory consumption,
 and query characteristics"; this module estimates the resident bytes of
 the store's index structures and interned terms with ``sys.getsizeof``.
 
-The estimate is structural: it sums the hash-table containers (outer and
-inner dicts, leaf sets) and the interned term objects.  Small-int ids are
-interned by CPython and therefore not charged per reference — the figure
+The estimate is structural: each store charges its own index containers
+(``DictStore`` its outer and inner dicts and leaf sets, ``ColumnarStore``
+its two ``array('q')`` columns per permutation and its pending sets), and
+the dictionary its interned term objects.  Small-int ids are interned by
+CPython and therefore not charged per reference — the figure
 approximates *marginal* memory attributable to a graph, which is the
 quantity the storage-amplification panels contrast between G and G+.
 """

@@ -474,7 +474,13 @@ class ViewMaintainer:
 
         All removals and additions are collected first and applied as two
         bulk id operations, so the view graph's version moves at most
-        twice per window regardless of how many groups changed.
+        twice per window regardless of how many groups changed.  Every
+        edit is read off the index and the codec — a dying group's
+        triples are :meth:`GroupCodec.death`'s, not its stored star — so
+        a window never reads (and never compacts) a view graph.  A stray
+        triple the codec never wrote is therefore left on a dying node:
+        the view graph belongs to the catalog, and the auditor reports
+        such triples.
         """
         graph = self._catalog.graph_of(view)
         codec = GroupCodec(view, graph.dictionary)
@@ -511,12 +517,10 @@ class ViewMaintainer:
                     # (GROUP BY () has an implicit group); rebuilding is
                     # the simplest way to reproduce that encoding.
                     return None
-                star = list(graph.match_ids(state.node_id, None, None))
-                if not star:
-                    # A group the index tracks but whose node stores
-                    # nothing: the index has drifted from the graph.
-                    return None
-                removes.extend(star)
+                # What the group stores, as the index knows it: a triple
+                # the graph lost makes the bulk removal below come up
+                # short, and the view is rebuilt.
+                codec.death(removes, key, state)
                 del index.groups[key]
                 deleted += 1
                 continue

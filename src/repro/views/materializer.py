@@ -66,7 +66,9 @@ class GroupCodec:
     Without a dictionary only the accumulators → stored numbers rule
     (:meth:`numbers`) is available, which is all a footprint count
     needs; with the view graph's dictionary the codec also holds the
-    view's predicate ids and mints group triples.
+    view's predicate ids and mints group triples (:meth:`birth`) and
+    lists them again when a group dies (:meth:`death`), so the patcher
+    never reads a view graph's star back.
     """
 
     __slots__ = ("view", "kind", "_is_avg", "_count_star", "_encode",
@@ -137,14 +139,25 @@ class GroupCodec:
             value_id = self.number_id(value)
         count_id = self.number_id(count)
         node = self._encode(BlankNode.fresh(f"v{self.view.mask}g"))
+        state = GroupState(node, count, value, value_id, count_id)
+        self.death(triples, key, state)
+        return state
+
+    def death(self, triples: list[IdTriple], key: tuple,
+              state: "GroupState") -> None:
+        """Append the triples a group stores — :meth:`birth`'s, as the
+        patches left them — to ``triples``: the view link, one per bound
+        key id, the measure when ``value_id`` is set, and the count.
+        Read from the key and the state, not from the view graph;
+        :meth:`birth` lists a new group's triples with it too."""
+        node = state.node_id
         triples.append((node, self.view_pred, self.view_iri))
         for pred, tid in zip(self.dim_preds, key):
             if tid is not None:
                 triples.append((node, pred, tid))
-        if value_id is not None:
-            triples.append((node, self.value_pred, value_id))
-        triples.append((node, self.count_pred, count_id))
-        return GroupState(node, count, value, value_id, count_id)
+        if state.value_id is not None:
+            triples.append((node, self.value_pred, state.value_id))
+        triples.append((node, self.count_pred, state.count_id))
 
 
 class GroupState:

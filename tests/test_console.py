@@ -151,6 +151,17 @@ class TestCLI:
         from repro.obs import hub
         assert hub().enabled is False
 
+    def test_observe_times_store_compactions(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE", "columnar")
+        assert main(["observe", "--dataset", "dbpedia", "--scale", "tiny",
+                     "--facet", "population_by_language_year",
+                     "--queries", "4", "--batches", "1",
+                     "--operations", "5", "--k", "1"]) == 0
+        storage = capsys.readouterr().out.split("Storage engine:")[1]
+        row = next(line for line in storage.splitlines()
+                   if "store compaction ms" in line)
+        assert float(row.split()[-1]) > 0
+
     def test_challenge_command(self, capsys):
         assert main(["challenge", "--dataset", "dbpedia", "--scale", "tiny",
                      "--facet", "population_by_language_year",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import string
 from collections import Counter
 from contextlib import contextmanager
-from itertools import product
+from itertools import product, zip_longest
 from typing import NamedTuple, Optional
 
 import pytest
@@ -227,7 +227,7 @@ class TestIntegerIndex:
 # columnar compaction: a merge that must equal a full sort
 # --------------------------------------------------------------------------
 
-_TOP = ID_LIMIT - 1      # the largest id fills the run key's 31-bit c half
+_TOP = ID_LIMIT - 1      # the largest id: packed keys reach 2**63 - 1
 _store_ids = st.one_of(st.integers(0, 6), st.just(_TOP))
 _store_ops = st.lists(st.tuples(
     st.sampled_from(("insert", "delete", "reinsert", "compact")),
@@ -283,6 +283,76 @@ class TestColumnarCompaction:
                 assert store.count_ids(*pattern) == sum(
                     all(x is None or x == y for x, y in zip(pattern, t))
                     for t in live), pattern
+
+
+#: ids no stored triple can hold: deletes only (inserts raise on them);
+#: ``(s, 2**32 + p, o)`` packs to the key of ``(s + 1, p, o)``
+_absent_ids = st.one_of(st.integers(2 ** 32, 2 ** 32 + 6),
+                        st.sampled_from((-1, ID_LIMIT, 2 ** 64)))
+_write_ops = st.lists(st.tuples(
+    st.sampled_from(("insert", "delete", "reinsert", "unwrite", "run",
+                     "compact")),
+    st.lists(st.tuples(_store_ids, _store_ids, _store_ids), max_size=10),
+    st.lists(st.tuples(_store_ids, _absent_ids, _store_ids), max_size=2)),
+    max_size=12)
+
+
+class TestColumnarWriteBatches:
+    """A write batch is checked against the base in one pass; what it
+    returns is still exactly what the dict store returns."""
+
+    @given(_write_ops, st.sampled_from((4, 1 << 18)))
+    @example([("run", [], []), ("compact", [], []),
+              ("delete", _RUN[::2] + _RUN[:3], [(1, 2 ** 32 + 1, 2)]),
+              ("reinsert", [], []), ("unwrite", [], [])], 1 << 18)
+    @example([("insert", [(_TOP, _TOP, _TOP), (_TOP, _TOP, _TOP)], []),
+              ("compact", [], []),
+              ("delete", [(_TOP, _TOP, _TOP)], [(_TOP, ID_LIMIT, _TOP)]),
+              ("reinsert", [], [])], 1 << 18)
+    def test_batches_return_what_the_dict_store_returns(self, ops,
+                                                        pending_limit):
+        from repro.rdf import DictStore
+        store = ColumnarStore(pending_limit=pending_limit)
+        twin = DictStore()
+        last_deleted: list = []
+        last_added: list = []
+        for op, batch, absent in ops:
+            if op == "compact":
+                store.compact()
+                continue
+            if op == "delete":
+                # out-of-range ids interleaved with the real rows
+                batch = [t for pair in zip_longest(batch, absent)
+                         for t in pair if t is not None]
+            batch = {"reinsert": last_deleted, "unwrite": last_added,
+                     "run": _RUN + _RUN[:5]}.get(op, batch)
+            if op in ("delete", "unwrite"):
+                got, want = store.delete_many(batch), twin.delete_many(batch)
+                last_deleted = want
+            else:
+                got, want = store.insert_many(batch), twin.insert_many(batch)
+                last_added = want
+            assert got == want, (op, batch)
+            assert len(store) == len(twin)
+            assert dict(store.predicate_counts()) == \
+                dict(twin.predicate_counts())
+        assert sorted(store.snapshot_ids()) == sorted(twin.snapshot_ids())
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 60)),
+                    max_size=120),
+           st.lists(st.tuples(st.integers(-1, 4), st.integers(-1, 62)),
+                    max_size=30))
+    @example([(1, c) for c in range(0, 120, 2)], [(1, c) for c in range(61)])
+    def test_locate_is_a_per_row_lower_bound(self, rows, keys):
+        import numpy as np
+        from bisect import bisect_left
+        from repro.rdf.columnar import _locate
+        rows = sorted(rows)
+        ab = np.asarray([r[0] for r in rows], dtype=np.int64)
+        c = np.asarray([r[1] for r in rows], dtype=np.int64)
+        got = _locate(ab, c, np.asarray([k[0] for k in keys], dtype=np.int64),
+                      np.asarray([k[1] for k in keys], dtype=np.int64))
+        assert got.tolist() == [bisect_left(rows, k) for k in keys]
 
 
 # --------------------------------------------------------------------------
@@ -1177,6 +1247,129 @@ class TestDeltaAlgebraProperty:
             how == "unbound" and agg in ("MIN", "MAX"))
         _, change, _ = self._window(graph, facet, inserts, deletes, plan)
         assert (change is None) == declines
+
+
+def _population_graph() -> Graph:
+    from tests.conftest import build_population_graph
+    return build_population_graph()
+
+
+def _stored_groups(view, graph):
+    """``(key, state)`` of every group node a view graph stores, read
+    from the graph itself — a group without a measure triple too."""
+    from repro.views.materializer import GroupCodec, GroupState
+    codec = GroupCodec(view, graph.dictionary)
+
+    def one(node: int, pred: int) -> Optional[int]:
+        leaf = graph.adjacent_ids(node, pred, None)
+        return min(leaf) if leaf else None
+
+    for node in sorted(graph.adjacent_ids(None, codec.view_pred,
+                                          codec.view_iri)):
+        yield (tuple(one(node, pred) for pred in codec.dim_preds),
+               GroupState(node, 0, None, one(node, codec.value_pred),
+                          one(node, codec.count_pred)))
+
+
+def _star_signatures(graph: Graph) -> Counter:
+    """Each node's (p, o) ids: a view graph up to blank-node ids."""
+    stars: dict = {}
+    for s, p, o in graph.match_ids(None, None, None):
+        stars.setdefault(s, set()).add((p, o))
+    return Counter(frozenset(star) for star in stars.values())
+
+
+class TestGroupDeathProperty:
+    """A dying group's triples come from the codec, not from the view
+    graph: after any window, on either store, ``GroupCodec.death`` lists
+    exactly what each group stores."""
+
+    @staticmethod
+    def _assert_death_is_the_star(catalog: ViewCatalog) -> None:
+        from repro.errors import ViewError
+        from repro.views.materializer import GroupCodec
+        for entry in catalog:
+            view = entry.definition
+            graph = catalog.graph_of(view)
+            codec = GroupCodec(view, graph.dictionary)
+            try:
+                groups = list(catalog.group_index(view).groups.items())
+            except ViewError:           # a poisoned group: no index
+                event("poisoned view")
+                groups = list(_stored_groups(view, graph))
+            for key, state in groups:
+                died: list = []
+                codec.death(died, key, state)
+                assert len(died) == len(set(died))
+                assert set(died) == set(graph.match_ids(
+                    state.node_id, None, None)), (view.label, key)
+
+    @settings(max_examples=60,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    @given(population_windows(), st.sampled_from(["dict", "columnar"]),
+           st.booleans())
+    @example(("AVG", _population_graph(), [],
+              [Triple(EX.obs7, EX.ofCountry, EX.italy)]), "columnar", True)
+    @example(("MAX", _population_graph(),
+              [Triple(EX.obs1, EX.population, typed_literal(99))], []),
+             "dict", False)
+    def test_death_equals_the_stored_star(self, window, store, poison):
+        from repro.views import ViewMaintainer
+        from tests.conftest import on_store
+        agg, graph, inserts, deletes = window
+        graph = on_store(graph, store)
+        if poison:      # SUM/AVG: obs1's group stores no measure
+            graph.add(Triple(EX.obs1, EX.population, Literal("n/a")))
+        catalog = ViewCatalog(Dataset.wrap(graph))
+        catalog.materialize_all(list(ViewLattice(_population_facet(agg))))
+        maintainer = ViewMaintainer(catalog, max_delta_fraction=1.0)
+        self._assert_death_is_the_star(catalog)
+        log = graph.subscribe()
+        graph.update(inserts)
+        graph.remove(deletes)
+        maintainer.synchronize()
+        self._assert_death_is_the_star(catalog)
+        # the window undone: groups it gave birth to die
+        delta = log.drain()
+        graph.remove_ids_bulk(delta.inserted)
+        graph.add_ids_bulk(delta.deleted)
+        maintainer.synchronize()
+        self._assert_death_is_the_star(catalog)
+
+    @pytest.mark.parametrize("store", ["dict", "columnar"])
+    def test_a_lost_count_triple_declines_the_dying_group(self, store):
+        """A window kills a group whose count triple was removed behind
+        the catalog's back: the removal comes up short, the view is
+        declined and rebuilt as a scratch build would be."""
+        from repro.views import ViewMaintainer
+        from repro.views.materializer import GroupCodec
+        from tests.conftest import build_population_graph, on_store
+        graph = on_store(build_population_graph(), store)
+        lattice = ViewLattice(_population_facet("SUM"))
+        catalog = ViewCatalog(Dataset.wrap(graph))
+        catalog.materialize_all(list(lattice))
+        finest = lattice[0b11]
+        vgraph = catalog.graph_of(finest)
+        codec = GroupCodec(finest, vgraph.dictionary)
+        terms = {"lang": EX.italian, "year": typed_literal(2019)}
+        key = tuple(graph.dictionary.lookup(terms[v.name])
+                    for v in finest.variables)
+        state = catalog.group_index(finest).groups[key]
+        assert vgraph.discard_ids(state.node_id, codec.count_pred,
+                                  state.count_id)
+        maintainer = ViewMaintainer(catalog, max_delta_fraction=1.0)
+        graph.remove([Triple(EX.obs7, EX.ofCountry, EX.italy)])
+        report = maintainer.synchronize()
+        outcome = {v.label: (v.action, v.reason) for v in report.views}
+        assert outcome[finest.label] == (
+            "rebuilt", "group index inconsistent with delta")
+        assert len(report.patched) == len(lattice) - 1
+        scratch = ViewCatalog(Dataset.wrap(graph.copy()))
+        scratch.materialize(finest)
+        assert _star_signatures(vgraph) == \
+            _star_signatures(scratch.graph_of(finest))
+        self._assert_death_is_the_star(catalog)
 
 
 # --------------------------------------------------------------------------

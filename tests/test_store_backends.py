@@ -263,6 +263,55 @@ class TestColumnarKernels:
         assert d.encode(b) == 1 and d.encode_many([c, a]) == [2, 0]
 
 
+class TestOutOfRangeIds:
+    """An id outside ``[0, ID_LIMIT)`` is absent on both stores: packed
+    as ``(s << 32) | p`` a wider ``p`` would read as another pair."""
+
+    ALIAS = (0, 2 ** 32 + 5, 7)      # packs to the key of (1, 5, ·)
+
+    @pytest.mark.parametrize("kind", ["dict", "columnar"])
+    def test_reads_and_deletes_treat_it_as_absent(self, kind):
+        store = resolve_store(kind)
+        store.insert_many([(1, 5, 7), (2, 5, 8)])
+        sid, pid, oid = self.ALIAS
+        for bad in ((sid, pid, oid), (-1, 5, 7), (1, -1, 7), (1, 5, -1),
+                    (ID_LIMIT, 5, 7), (1, ID_LIMIT + 5, 7)):
+            assert not store.contains(*bad)
+            assert store.count_ids(*bad) == 0
+            for free in range(3):
+                if bad[free] != bad[free] % ID_LIMIT:
+                    continue        # the one bad id, wildcarded
+                pattern = list(bad)
+                pattern[free] = None
+                assert list(store.match_ids(*pattern)) == []
+                assert store.count_ids(*pattern) == 0
+                assert not store.adjacent_ids(*pattern)
+        assert list(store.match_ids(sid, pid, None)) == []
+        for key_pos, free_pos, const in ((1, 2, 0), (0, 2, 2 ** 32 + 5),
+                                         (2, 0, 2 ** 32 + 5)):
+            leaf = store.pair_adjacency(key_pos, free_pos, const)
+            assert not leaf(2 ** 32 + 5 if key_pos == 1 else 0)
+        counts = dict(store.predicate_counts())
+        assert store.delete_many([self.ALIAS, (2 ** 70, 5, 7),
+                                  (1, 5, ID_LIMIT)]) == []
+        assert len(store) == 2 and dict(store.predicate_counts()) == counts
+        if kind == "columnar":
+            store.compact()
+        assert sorted(store.snapshot_ids()) == [(1, 5, 7), (2, 5, 8)]
+        assert len(store) == 2 and dict(store.predicate_counts()) == counts
+
+    def test_a_batch_mixing_absent_ids_deletes_the_stored_rows(self):
+        """The columnar batch pass masks the out-of-range rows only."""
+        stores = [resolve_store(kind) for kind in ("dict", "columnar")]
+        batch = [(2, 5, 8), self.ALIAS, (1, 5, 7), (2, 5, 8)]
+        for store in stores:
+            store.insert_many([(1, 5, 7), (2, 5, 8), (3, 5, 9)])
+        stores[1].compact()                 # the rows are in the base
+        assert stores[0].delete_many(batch) == stores[1].delete_many(batch) \
+            == [(2, 5, 8), (1, 5, 7)]
+        assert sorted(stores[1].snapshot_ids()) == [(3, 5, 9)]
+
+
 class TestBulkKernels:
     """The vectorized kernel API vs brute force."""
 
@@ -441,3 +490,30 @@ class TestCompactionMetrics:
         g.add(Triple(IRI(f"{EX}s"), IRI(f"{EX}p"), typed_literal(1)))
         list(g.snapshot_ids())
         assert reg.counter_total("store_compactions_total") == 0
+
+    def test_compaction_seconds_observed_once_per_pass(self):
+        reg = _metrics.registry()
+        reg.reset()
+        reg.enable()
+        try:
+            g = Graph(store="columnar")
+            for value in (1, 2):
+                g.add(Triple(IRI(f"{EX}s"), IRI(f"{EX}p"),
+                             typed_literal(value)))
+                list(g.snapshot_ids())      # one pass per buffered write
+            list(g.snapshot_ids())          # nothing pending: no pass
+            seconds = reg.get("store_compaction_seconds")
+            assert seconds.count(("columnar",)) == 2
+            assert reg.counter_total("store_compactions_total") == 2
+        finally:
+            reg.disable()
+            reg.reset()
+
+    def test_compaction_seconds_need_the_registry(self):
+        reg = _metrics.registry()
+        reg.reset()
+        g = Graph(store="columnar")
+        g.add(Triple(IRI(f"{EX}s"), IRI(f"{EX}p"), typed_literal(1)))
+        list(g.snapshot_ids())
+        assert list(reg.get("store_compaction_seconds").labeled_series()) \
+            == []
