@@ -112,21 +112,6 @@ class ViewDefinition:
             group_by=self.variables,
         )
 
-    def answer_query(self) -> SelectQuery:
-        """This view expressed as a user-facing analytical query on G.
-
-        Used when the lattice itself serves as the query-workload proxy in
-        HRU-style selection.
-        """
-        facet = self.facet
-        items = [ProjectionItem(v) for v in self.variables]
-        items.append(ProjectionItem(facet.measure_alias, facet.aggregate))
-        return SelectQuery(
-            projection=tuple(items),
-            where=facet.pattern,
-            group_by=self.variables,
-        )
-
     @property
     def stored_columns(self) -> int:
         """Number of value columns each materialized group row carries."""

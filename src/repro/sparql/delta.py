@@ -151,7 +151,6 @@ class DeltaEvaluator:
         self._executor = executor
         self.plan = plan
         self._probes = [BGPOp((p,)) for p in plan.patterns]
-        self._orders: dict[int, list[int]] = {}
         self._filter: Optional[AlgebraOp] = None
         for expression in plan.filters:
             self._filter = FilterOp(expression, self._filter or UnitOp())
@@ -209,26 +208,19 @@ class DeltaEvaluator:
     def term_order(self, i: int) -> list[int]:
         """The order in which term ``i`` extends ΔRᵢ by the other patterns.
 
-        The BGP planner's order for them under ΔRᵢ's variables, planned
-        at the first window that touches the term and kept: only the
-        structural rule (connected first, so no cross product the facet
-        does not contain) is guaranteed for delta terms.  The fan-out
-        ranking is that window's — reading statistics again every window
-        costs O(predicate) to order probes over a handful of rows.  While
-        a pattern constant is unknown to the dictionary there is no plan
-        (and :meth:`adjustments` evaluates no term): index order, not kept.
+        The BGP planner's order for them under ΔRᵢ's variables, asked of
+        the executor every window: its one plan cache keeps the plan
+        across windows and plans again once the graph has halved or
+        doubled (:meth:`Executor.bgp_order`), the rule every query
+        follows.  While a pattern constant is unknown to the dictionary
+        there is no plan (and :meth:`adjustments` evaluates no term):
+        index order.
         """
-        order = self._orders.get(i)
-        if order is None:
-            patterns = self.plan.patterns
-            rest = [j for j in range(len(patterns)) if j != i]
-            planned = self._executor.bgp_order(
-                tuple(patterns[j] for j in rest),
-                tuple(patterns[i].variables()))
-            if planned is None:
-                return rest
-            order = self._orders[i] = [rest[k] for k in planned]
-        return order
+        patterns = self.plan.patterns
+        rest = [j for j in range(len(patterns)) if j != i]
+        planned = self._executor.bgp_order(
+            tuple(patterns[j] for j in rest), tuple(patterns[i].variables()))
+        return rest if planned is None else [rest[k] for k in planned]
 
     def adjustments(self, inserted: tuple[IdTriple, ...],
                     deleted: tuple[IdTriple, ...]) -> Optional[GroupTable]:

@@ -49,8 +49,9 @@ _PREPARED_MISSES = _REG.counter(
 
 
 def remember(memo: dict, key, value) -> None:
-    """Insert into a bounded memo, evicting its oldest entry at the limit."""
-    if len(memo) >= _PREPARED_CACHE_LIMIT:
+    """Insert into a bounded memo, evicting its oldest entry at the limit
+    (replacing a key's value evicts nothing)."""
+    if key not in memo and len(memo) >= _PREPARED_CACHE_LIMIT:
         del memo[next(iter(memo))]
     memo[key] = value
 

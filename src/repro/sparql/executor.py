@@ -36,9 +36,10 @@ negative ids so id equality stays term equality end to end.
 
 Compiled id-space BGP plans (constant ids, probe order, the probe each
 FILTER above the BGP runs after, the conditions that may run on a
-domain first) are cached per graph version, with the ids each such
-condition accepts, so re-running a prepared workload skips
-recompilation.
+domain first) are cached across writes until the graph halves or
+doubles, and such a condition judges each object id once, so neither
+re-running a prepared workload nor the answers after an update window
+recompile or re-judge what they already have.
 
 The tuple-at-a-time semantics are preserved exactly; the retained
 :class:`~repro.sparql.reference.ReferenceExecutor` is the oracle the parity
@@ -96,10 +97,12 @@ _REG = _metrics.registry()
 _TRACER = _tracing.tracer()
 _BGP_PLAN_HITS = _REG.counter(
     "engine_bgp_plan_cache_hits_total",
-    "compiled id-space BGP plan reused from the per-version cache")
+    "compiled id-space BGP plan reused: kept across writes until the "
+    "graph has halved or doubled since it was planned")
 _BGP_PLAN_MISSES = _REG.counter(
     "engine_bgp_plan_cache_misses_total",
-    "BGP plans compiled fresh (cold cache or graph version moved)")
+    "BGP plans compiled fresh: none kept, or the graph has halved or "
+    "doubled since")
 _DECODE_MEMO_HITS = _REG.counter(
     "engine_decode_memo_hits_total",
     "per-row expression rows answered from the distinct-id memo")
@@ -141,13 +144,15 @@ class Executor:
         # Overlay interning for query-computed terms: ids -1, -2, ...
         self._extra_by_term: dict[Term, int] = {}
         self._extra_by_id: list[Term] = []
-        # Compiled id-space BGP plans, invalidated on graph mutation, and
-        # beside them (condition, predicate id) → (the predicate's object
-        # ids the condition accepts, how many it read), see _pushdown.
-        self._bgp_cache: dict[tuple, object] = {}
+        # Compiled id-space BGP plans with the graph size each was planned
+        # at (see _compiled_bgp), per condition its verdict on each object
+        # id it has judged, and (condition, predicate id) → (graph
+        # version, (the object ids it accepts there, how many it read)),
+        # see _pushdown.  They outlive writes, so each is bounded.
+        self._bgp_cache: dict[tuple, tuple[int, tuple]] = {}
+        self._verdicts: dict[Expression, dict[int, bool]] = {}
         self._accepted: dict[tuple[Expression, int],
-                             tuple[list[int], int]] = {}
-        self._bgp_cache_version = -1
+                             tuple[int, tuple[list[int], int]]] = {}
         # An int aggregate value → its overlay id, see _encode_numbers.
         self._overlay_ints: dict[int, int] = {}
         # Operand id → number / order key, the memos of every aggregate
@@ -367,34 +372,34 @@ class Executor:
         constant is not in the dictionary (the BGP can match nothing).
         Entries are keyed on the pattern tuple, the seed-variable overlap
         and ``wanted`` (conditions differing in their constants share a
-        plan) and dropped wholesale, with the accepted-id memo, when the
-        graph version moves.
+        plan) and kept across writes: a constant's id never changes
+        meaning, placement reads only variable sets, and the probe order
+        and the domain-seed guard are estimates.  An entry is planned
+        again once the graph has halved or doubled since it was planned
+        (so a plan made on an empty graph is not kept); ``None`` is never
+        kept, as a later write may intern the constant.
         """
-        graph = self._graph
-        if graph.version != self._bgp_cache_version:
-            self._bgp_cache.clear()
-            self._accepted.clear()
-            self._bgp_cache_version = graph.version
-
+        size = len(self._graph)
         overlap: frozenset[Variable] = frozenset()
         if seed_vars:  # the unit seed of a top-level BGP has none
             pattern_vars = set().union(*(p.variables() for p in patterns))
             overlap = frozenset(v for v in seed_vars if v in pattern_vars)
         key = (patterns, overlap, wanted)
-        if key in self._bgp_cache:
+        entry = self._bgp_cache.get(key)
+        if entry is not None and entry[0] >> 1 < size < 2 * entry[0]:
             if _REG.enabled:
                 _BGP_PLAN_HITS.inc()
-            return self._bgp_cache[key]
+            return entry[1]
         if _REG.enabled:
             _BGP_PLAN_MISSES.inc()
 
         lookup = self._dict.lookup
         specs = [[("v", t) if isinstance(t, Variable) else ("c", lookup(t))
                   for t in p] for p in patterns]
-        compiled: Optional[tuple] = None
-        if all(payload is not None for spec in specs for _, payload in spec):
-            compiled = (specs, *self._plan_bgp(specs, key[1], wanted))
-        self._bgp_cache[key] = compiled
+        if any(payload is None for spec in specs for _, payload in spec):
+            return None
+        compiled = (specs, *self._plan_bgp(specs, overlap, wanted))
+        _remember(self._bgp_cache, key, (size, compiled))
         return compiled
 
     def _plan_bgp(self, specs: list[list[tuple[str, object]]],
@@ -582,8 +587,7 @@ class Executor:
 
         ``push`` is the plan's ``(first, candidates)`` (see
         :meth:`_plan_bgp`).  Each candidate's accepted ids are read once
-        per graph version: the condition's :meth:`_mask` over a one-column
-        batch of the distinct objects of its predicate.  The one with the
+        per graph version (:meth:`_accepted_ids`).  The one with the
         smallest estimate — accepted ids × the predicate's mean triples per
         object — is pushed if that is below ``first``.  A condition holding
         an EXISTS reads its domain by a semi-join: it is tried only if no
@@ -591,7 +595,6 @@ class Executor:
         ids, objects read))``.
         """
         first, candidates = push
-        memo = self._accepted
         best = None
         semi = () if len(candidates) < 2 else {  # holding EXISTS: last
             k for k, *_ in candidates
@@ -600,15 +603,7 @@ class Executor:
         for k, i, pid, var, fanout in candidates:
             if k in semi and best is not None:
                 break
-            expr = filters[k].expression
-            hit = memo.get((expr, pid))
-            if hit is None:
-                domain = list(self._graph.object_domain(pid))
-                flags = self._mask(filters[k], BindingBatch(
-                    (var,), [domain], list(range(len(domain)))))
-                hit = memo[expr, pid] = (
-                    [oid for oid, flag in zip(domain, flags) if flag],
-                    len(domain))
+            hit = self._accepted_ids(filters[k], pid, var)
             estimate = len(hit[0]) * fanout
             if estimate < first and (best is None or estimate < best[0]):
                 best = (estimate, k, i, var, hit)
@@ -619,6 +614,39 @@ class Executor:
             if kept:
                 _PUSHDOWN.inc(kept, ("kept",))
         return None if best is None else best[1:]
+
+    def _accepted_ids(self, op: FilterOp, pid: int, var: Variable
+                      ) -> tuple[list[int], int]:
+        """The distinct objects of ``pid`` on which ``op``'s condition
+        holds, and how many objects there are, read once per graph version.
+
+        The condition reads only ``var``, so its verdict on an id is a pure
+        function of the id's term, and ids never change meaning: each id is
+        judged once per condition (:meth:`_mask` over a one-column batch of
+        the ids not judged yet) and a new version re-reads only the domain.
+        A condition holding ``[NOT] EXISTS`` reads the graph, so its
+        verdicts hold for one version.
+        """
+        expr = op.expression
+        version = self._graph.version
+        hit = self._accepted.get((expr, pid))
+        if hit is not None and hit[0] == version:
+            return hit[1]
+        domain = list(self._graph.object_domain(pid))
+        if _lift_exists(expr)[1]:
+            verdicts, fresh = {}, domain
+        else:
+            verdicts = self._verdicts.get(expr)
+            if verdicts is None:
+                verdicts = {}
+                _remember(self._verdicts, expr, verdicts)
+            fresh = [oid for oid in domain if oid not in verdicts]
+        if fresh:
+            verdicts.update(zip(fresh, self._mask(op, BindingBatch(
+                (var,), [fresh], list(range(len(fresh)))))))
+        accepted = ([oid for oid in domain if verdicts[oid]], len(domain))
+        _remember(self._accepted, (expr, pid), (version, accepted))
+        return accepted
 
     def _probe(self, cur: BindingBatch,
                spec: list[tuple[str, object]]) -> BindingBatch:
@@ -1488,6 +1516,13 @@ def _lift(expr: Expression, groups: list, reads: set) -> Expression:
         elif old is not None and (new := _lift(old, groups, reads)) is not old:
             changed = {**(changed or {}), name: new}
     return replace(expr, **changed) if changed else expr
+
+
+def _remember(memo: dict, key, value) -> None:
+    """:func:`repro.sparql.engine.remember`: the memos of an executor
+    outlive graph versions, so they are bounded by the engine's rule."""
+    from .engine import remember  # the engine module imports this one
+    remember(memo, key, value)
 
 
 def _distinct_seed(batch: BindingBatch, mentioned

@@ -175,9 +175,80 @@ class TestEngineCaches:
         engine = QueryEngine(g)
         text = ("PREFIX ex: <http://example.org/> "
                 "SELECT ?s WHERE { ?s ex:r ?o . }")
-        assert len(engine.query(text)) == 0     # ex:r unknown → cached None
+        assert len(engine.query(text)) == 0     # ex:r unknown → None, not kept
         g.add(Triple(EX.a, EX.r, EX.b))
         assert len(engine.query(text)) == 1     # version bump recompiles
+
+    @staticmethod
+    def _plan_counts(engine, text) -> tuple[int, int]:
+        """(hits, misses) of the BGP plan cache over one answer of ``text``."""
+        from repro.obs import hub
+        h = hub()
+        h.reset()
+        h.enable(tracing=False)
+        try:
+            engine.query(text)
+            return (h.metrics.counter_total("engine_bgp_plan_cache_hits_total"),
+                    h.metrics.counter_total(
+                        "engine_bgp_plan_cache_misses_total"))
+        finally:
+            h.disable()
+            h.reset()
+
+    def test_bgp_plan_is_kept_across_a_write(self):
+        g = small_graph()
+        engine = QueryEngine(g)
+        text = ("PREFIX ex: <http://example.org/> "
+                "SELECT ?s WHERE { ?s ex:p ?o . }")
+        assert self._plan_counts(engine, text) == (0, 1)
+        g.add(Triple(EX.d, EX.p, EX.e))          # 3 → 4 triples
+        assert self._plan_counts(engine, text) == (1, 0)
+        assert len(engine.query(text)) == 3
+
+    def test_bgp_plan_is_made_again_once_the_graph_doubles(self):
+        g = small_graph()
+        engine = QueryEngine(g)
+        text = ("PREFIX ex: <http://example.org/> "
+                "SELECT ?s WHERE { ?s ex:p ?o . }")
+        engine.query(text)
+        g.update(Triple(EX[f"s{i}"], EX.q, EX.c) for i in range(3))
+        assert self._plan_counts(engine, text) == (0, 1)   # 3 → 6 triples
+        assert self._plan_counts(engine, text) == (1, 0)
+        g.remove(Triple(EX[f"s{i}"], EX.q, EX.c) for i in range(3))
+        assert self._plan_counts(engine, text) == (0, 1)   # 6 → 3: halved
+
+    def test_plan_and_verdict_memos_are_bounded(self, monkeypatch):
+        """The memos outlive writes, so they evict oldest-first at the
+        engine's limit: distinct conditions (and plans) past it leave each
+        at or under it, and answers stay right."""
+        import repro.sparql.engine as engine_module
+        monkeypatch.setattr(engine_module, "_PREPARED_CACHE_LIMIT", 4)
+        g = Graph()
+        g.update(Triple(EX[f"s{i}"], EX.p, EX[f"o{i % 3}"]) for i in range(20))
+        engine = QueryEngine(g)
+        executor = engine.executor
+        for k in range(10):
+            # ?o{k}: a plan of its own; the condition is read on the domain
+            table = engine.query(
+                "PREFIX ex: <http://example.org/> SELECT ?s WHERE { "
+                f'?s ex:p ?o{k} . FILTER(STR(?o{k}) != "{k}") }}')
+            assert len(table) == 20
+        assert 0 < len(executor._bgp_cache) <= 4
+        assert 0 < len(executor._accepted) <= 4
+        assert 0 < len(executor._verdicts) <= 4
+
+    def test_remember_replaces_a_value_without_evicting(self, monkeypatch):
+        """A verdict list is refreshed in place at each graph version: at
+        the limit that must not push out another entry."""
+        import repro.sparql.engine as engine_module
+        monkeypatch.setattr(engine_module, "_PREPARED_CACHE_LIMIT", 3)
+        memo: dict = {}
+        for key in "abc":
+            engine_module.remember(memo, key, 0)
+        engine_module.remember(memo, "c", 1)
+        assert memo == {"a": 0, "b": 0, "c": 1}
+        engine_module.remember(memo, "d", 0)
+        assert memo == {"b": 0, "c": 1, "d": 0}
 
     def test_overlay_ids_are_private_to_executor(self):
         g = small_graph()

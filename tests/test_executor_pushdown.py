@@ -6,7 +6,8 @@ per distinct object of that predicate and start the probes from the
 accepted ids (``Executor._pushdown``).  These tests pin the rules that
 decide it — read a domain only when it is smaller than the first probe,
 push only when that wins — and that the accepted ids never outlive the
-graph version they were read at.
+graph version they were read at (a condition judges an id once, unless it
+holds ``[NOT] EXISTS`` and so reads the graph).
 """
 
 from __future__ import annotations
@@ -212,3 +213,33 @@ class TestFreshness:
         graph.update([Triple(EX.obs8, EX.year, typed_literal(2021)),
                       Triple(EX.obs8, EX.population, typed_literal(70))])
         assert len(assert_parity(engine, query)) == 1
+
+    @pytest.mark.parametrize("store", STORES)
+    def test_an_exists_domain_seed_is_judged_again_after_a_write(self, store):
+        """An EXISTS condition's verdict on an object reads the graph, so
+        it is not kept across a write: after ``ex:o1 ex:r ex:n1`` lands,
+        ex:o1 passes and the answer doubles (the write leaves the plan
+        kept, so only the verdicts can go stale)."""
+        graph = Graph(store=store)
+        graph.update([Triple(EX[f"x{i}"], EX.p, EX[f"o{i % 2}"])
+                      for i in range(20)])
+        graph.add(Triple(EX.o0, EX.r, EX.n1))
+        engine = QueryEngine(graph)
+        query = """
+            PREFIX ex: <http://example.org/>
+            SELECT ?x ?o WHERE {
+              ?x ex:p ?o . FILTER EXISTS { ?o ex:r ex:n1 }
+            }"""
+        h = hub()
+        h.reset()
+        h.enable(tracing=False)
+        try:
+            assert len(engine.query(query)) == 10
+            pushed = h.metrics.get(
+                "sparql_filter_pushdown_total").value(("pushed",))
+        finally:
+            h.disable()
+            h.reset()
+        assert pushed == 1
+        graph.add(Triple(EX.o1, EX.r, EX.n1))
+        assert len(assert_parity(engine, query)) == 20

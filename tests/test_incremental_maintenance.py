@@ -283,7 +283,9 @@ class TestDeltaEvaluator:
         """Until ``ex:language`` is interned the planner has no order for
         the observation terms (``bgp_order`` is None) and the window folds
         nothing; ``term_order`` answers index order without keeping it,
-        and plans once the constant exists."""
+        and plans once the constant exists: asked again, every term's
+        order is the executor's kept plan (a hit, no miss)."""
+        from repro.obs import hub
         facet = AnalyticalFacet.from_query("early", POPULATION_FACET_QUERY)
         graph = Graph()
         evaluator = DeltaEvaluator(QueryEngine(graph).executor,
@@ -301,8 +303,19 @@ class TestDeltaEvaluator:
         delta = log.drain()
         table = evaluator.adjustments(delta.inserted, delta.deleted)
         assert sum(table.rows) == 1
-        for i in range(n):
-            assert evaluator.term_order(i) is evaluator.term_order(i)
+        orders = [evaluator.term_order(i) for i in range(n)]
+        h = hub()
+        h.reset()
+        h.enable(tracing=False)
+        try:
+            assert [evaluator.term_order(i) for i in range(n)] == orders
+            hits = h.metrics.counter_total("engine_bgp_plan_cache_hits_total")
+            misses = h.metrics.counter_total(
+                "engine_bgp_plan_cache_misses_total")
+        finally:
+            h.disable()
+            h.reset()
+        assert (hits, misses) == (n, 0)
 
 
 class TestViewMaintainerPatching:

@@ -865,22 +865,32 @@ pushdown_worlds = st.tuples(
     st.lists(st.integers(0, len(_PUSH_VALUES) - 1), max_size=3),
     st.lists(st.sampled_from(_PUSH_CONDITIONS), min_size=1, max_size=3),
     st.booleans())
+#: A write after the first asks: new subjects as ``pushdown_worlds`` draws
+#: them (their ex:d objects may be new to the graph, accepted or not), and
+#: rows whose ex:d triple is deleted (index modulo the rows)
+pushdown_writes = st.tuples(
+    st.lists(st.tuples(st.integers(0, len(_PUSH_VALUES) - 1),
+                       st.integers(0, 3).map(bool), st.integers(0, 1)),
+             max_size=5),
+    st.lists(st.integers(0, 13), max_size=4))
 
 
 class TestFilterPushdownParity:
     """Answers are the reference executor's bag whether or not a FILTER
-    was run on its variable's domain first, on both stores."""
+    was run on its variable's domain first, on both stores — and still
+    after a write, asked of the same engine (its plans and verdicts kept)."""
 
-    @given(pushdown_worlds)
+    @given(pushdown_worlds, pushdown_writes)
     # the accepted set is empty: ?v = 1999 seeds no row and probes nothing
-    @example(([(0, True, 0), (5, True, 1)] * 3, [], ["?v = 1999"], False))
+    @example(([(0, True, 0), (5, True, 1)] * 3, [], ["?v = 1999"], False),
+             ([(0, True, 0)], [1]))
     # two pushable conditions on one predicate, asked in both orders: each
-    # is pushed once, with the ids it accepts (2018 passes one, not both)
+    # is pushed once, with the ids it accepts (2018 passes one, not both);
+    # the write adds an object never judged (02019) and deletes a 2019 row
     @example(([(0, True, 0), (6, True, 1), (5, True, 0)] * 2, [],
-              ["?v < 2020", "?v >= 2019"], False))
-    def test_pushed_and_kept_filters_match_the_reference(self, world):
-        from repro.obs import hub
-        from repro.sparql import ReferenceExecutor, ResultTable
+              ["?v < 2020", "?v >= 2019"], False),
+             ([(1, True, 1), (6, True, 0)], [0]))
+    def test_pushed_and_kept_filters_match_the_reference(self, world, write):
         rows, unreached, conditions, two_variable = world
         if two_variable:
             conditions = [*conditions, _TWO_VARIABLE_CONDITION]
@@ -888,39 +898,60 @@ class TestFilterPushdownParity:
         # accepted ids are its own, whichever was read first
         stacks = [" ".join(f"FILTER({c})" for c in order)
                   for order in (conditions, conditions[::-1])]
+        added, deleted = write
         for store in ("dict", "columnar"):
             graph = Graph(store=store)
-            for i, (value, has_key, w) in enumerate(rows):
-                graph.add(Triple(EX[f"x{i}"], EX.d, _PUSH_VALUES[value]))
-                graph.add(Triple(EX[f"x{i}"], EX.m, typed_literal(i)))
-                graph.add(Triple(EX[f"x{i}"], EX.w, typed_literal(2019 + w)))
-                if has_key:
-                    graph.add(Triple(EX[f"x{i}"], EX.k, EX[f"k{i % 3}"]))
+            graph.update(_push_rows("x", rows))
             for j, value in enumerate(unreached):
                 graph.add(Triple(EX[f"y{j}"], EX.d, _PUSH_VALUES[value]))
             engine = QueryEngine(graph)
-            for (select, group_by), filters in product(_PUSH_SHAPES, stacks):
-                prepared = engine.prepare(_PUSH_TEMPLATE.format(
-                    select=select, filters=filters, group_by=group_by))
-                h = hub()
+            self._ask(engine, graph, stacks, store, "")
+            graph.update(_push_rows("z", added, first_m=len(rows)))
+            if rows:
+                graph.remove(Triple(EX[f"x{i % len(rows)}"], EX.d,
+                                    _PUSH_VALUES[rows[i % len(rows)][0]])
+                             for i in deleted)
+            self._ask(engine, graph, stacks, store, " after the write")
+
+    @staticmethod
+    def _ask(engine, graph, stacks, store, when):
+        from repro.obs import hub
+        from repro.sparql import ReferenceExecutor, ResultTable
+        for (select, group_by), filters in product(_PUSH_SHAPES, stacks):
+            prepared = engine.prepare(_PUSH_TEMPLATE.format(
+                select=select, filters=filters, group_by=group_by))
+            h = hub()
+            h.reset()
+            h.enable(tracing=False)
+            try:
+                got = engine.query(prepared)
+                outcomes = h.metrics.get("sparql_filter_pushdown_total")
+                pushed = outcomes.value(("pushed",))
+                kept = outcomes.value(("kept",))
+            finally:
+                h.disable()
                 h.reset()
-                h.enable(tracing=False)
-                try:
-                    got = engine.query(prepared)
-                    outcomes = h.metrics.get("sparql_filter_pushdown_total")
-                    pushed = outcomes.value(("pushed",))
-                    kept = outcomes.value(("kept",))
-                finally:
-                    h.disable()
-                    h.reset()
-                if pushed:
-                    event("a condition was pushed")
-                if kept:
-                    event("a candidate condition was kept")
-                expected = ResultTable.from_bindings(
-                    prepared.ast.projected_variables(),
-                    ReferenceExecutor(graph).run(prepared.plan))
-                assert got.same_solutions(expected), (store, prepared.text)
+            if pushed:
+                event("a condition was pushed" + when)
+            if kept:
+                event("a candidate condition was kept" + when)
+            expected = ResultTable.from_bindings(
+                prepared.ast.projected_variables(),
+                ReferenceExecutor(graph).run(prepared.plan))
+            assert got.same_solutions(expected), (store, when, prepared.text)
+
+
+def _push_rows(prefix: str, rows, first_m: int = 0) -> list[Triple]:
+    """The triples of ``pushdown_worlds`` subjects ``{prefix}0, ...``, with
+    ?m = ``first_m``, ``first_m + 1``, ..."""
+    out = []
+    for i, (value, has_key, w) in enumerate(rows):
+        out += [Triple(EX[f"{prefix}{i}"], EX.d, _PUSH_VALUES[value]),
+                Triple(EX[f"{prefix}{i}"], EX.m, typed_literal(first_m + i)),
+                Triple(EX[f"{prefix}{i}"], EX.w, typed_literal(2019 + w))]
+        if has_key:
+            out.append(Triple(EX[f"{prefix}{i}"], EX.k, EX[f"k{i % 3}"]))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -942,15 +973,23 @@ _EXISTS_PLACEMENTS = {
 }
 
 
+_exists_edges = st.tuples(st.integers(0, 4).map(lambda i: EX[f"n{i}"]),
+                          st.sampled_from(_EXISTS_PREDICATES),
+                          st.integers(0, 4).map(lambda i: EX[f"n{i}"]))
+#: A write after the first ask: edges inserted, and edges of the graph
+#: deleted (index modulo its edges); ex:r, ex:s, ex:t and ex:q are the
+#: groups' predicates, so verdicts flip
+exists_writes = st.tuples(st.lists(_exists_edges, max_size=6),
+                          st.lists(st.integers(0, 29), max_size=4))
+
+
 @st.composite
 def exists_queries(draw):
     """A small graph over five nodes, and a query whose ``[NOT] EXISTS``
     group shares 0–2 variables with the outer pattern, may mention an
     outer one only in a FILTER, may hold an OPTIONAL (binding an outer
     variable the row leaves unbound) and a nested ``[NOT] EXISTS``."""
-    nodes = st.integers(0, 4).map(lambda i: EX[f"n{i}"])
-    edges = draw(st.lists(st.tuples(
-        nodes, st.sampled_from(_EXISTS_PREDICATES), nodes), max_size=30))
+    edges = draw(st.lists(_exists_edges, max_size=30))
     shared = draw(st.sampled_from(
         [(), ("x",), ("o",), ("y",), ("x", "o"), ("o", "y")]))
     if not shared:
@@ -983,34 +1022,38 @@ class TestExistsSemiJoin:
     """``[NOT] EXISTS`` out of the batched executor — one semi-join per
     condition over the distinct keys of the variables its group mentions —
     is the reference executor's per-row answer, on both stores, wherever
-    the condition sits (ORDER BY: in order)."""
+    the condition sits (ORDER BY: in order), and still after a write that
+    inserts or deletes group edges, asked of the same engine."""
 
-    @given(exists_queries())
+    @given(exists_queries(), exists_writes)
     # ?y unbound in every row: the group's OPTIONAL binds it freely
     @example(([(EX.n0, "p", EX.n1), (EX.n1, "s", EX.n2),
                (EX.n3, "r", EX.n4), (EX.n4, "t", EX.n2)], "filter",
               "PREFIX ex: <http://example.org/> SELECT ?x ?o ?y WHERE { "
               f"{_EXISTS_OUTER} {_EXISTS_OPTIONAL} FILTER(EXISTS {{ ?y ex:r "
-              "?w . OPTIONAL { ?w ex:t ?y } }) }"))
+              "?w . OPTIONAL { ?w ex:t ?y } }) }"),
+             ([(EX.n2, "r", EX.n0)], [2]))
     # NOT EXISTS on ?o alone, over fewer ex:p objects than rows: it runs
-    # on that domain, before any probe
+    # on that domain, before any probe; the write moves ex:r ex:n1 from
+    # ex:n3 to ex:n0, so both verdicts flip under a kept plan
     @example(([(EX[f"n{i}"], "p", EX.n0) for i in range(4)]
               + [(EX.n0, "s", EX.n1), (EX.n0, "s", EX.n2),
                  (EX.n1, "p", EX.n3), (EX.n3, "s", EX.n4),
                  (EX.n3, "r", EX.n1)], "filter",
               "PREFIX ex: <http://example.org/> SELECT ?x ?o ?y WHERE { "
-              f"{_EXISTS_OUTER} FILTER(NOT EXISTS {{ ?o ex:r ex:n1 . }}) }}"))
+              f"{_EXISTS_OUTER} FILTER(NOT EXISTS {{ ?o ex:r ex:n1 . }}) }}"),
+             ([(EX.n0, "r", EX.n1)], [8]))
     # ?o at the object end of a one-pattern group, 2 objects of ex:r for 3
     # keys: a key-set semi-join
     @example(([(EX.n0, "p", EX[f"n{i}"]) for i in (1, 2, 3)]
               + [(EX[f"n{i}"], "s", EX.n4) for i in (1, 2, 3)]
               + [(EX.n4, "r", EX.n1), (EX.n0, "r", EX.n2)], "bind",
               "PREFIX ex: <http://example.org/> SELECT ?x ?o ?y ?b WHERE { "
-              f"{_EXISTS_OUTER} BIND(EXISTS {{ ?w ex:r ?o }} AS ?b) }}"))
-    def test_exists_matches_the_reference(self, case):
-        from repro.obs import hub
-        from repro.sparql import ReferenceExecutor, ResultTable
+              f"{_EXISTS_OUTER} BIND(EXISTS {{ ?w ex:r ?o }} AS ?b) }}"),
+             ([(EX.n1, "r", EX.n3)], [6]))
+    def test_exists_matches_the_reference(self, case, write):
         edges, placement, text = case
+        added, deleted = write
         event(placement)
         for store in ("dict", "columnar"):
             graph = Graph(store=store)
@@ -1018,28 +1061,40 @@ class TestExistsSemiJoin:
                 graph.add(Triple(s, EX[p], o))
             engine = QueryEngine(graph)
             prepared = engine.prepare(text)
-            h = hub()
+            self._ask(engine, graph, prepared, placement, store, "")
+            graph.update(Triple(s, EX[p], o) for s, p, o in added)
+            if edges:
+                graph.remove(Triple(s, EX[p], o) for s, p, o in (
+                    edges[i % len(edges)] for i in deleted))
+            self._ask(engine, graph, prepared, placement, store,
+                      " after the write")
+
+    @staticmethod
+    def _ask(engine, graph, prepared, placement, store, when):
+        from repro.obs import hub
+        from repro.sparql import ReferenceExecutor, ResultTable
+        h = hub()
+        h.reset()
+        h.enable(tracing=False)
+        try:
+            got = engine.query(prepared)
+            pushed = h.metrics.get(
+                "sparql_filter_pushdown_total").value(("pushed",))
+        finally:
+            h.disable()
             h.reset()
-            h.enable(tracing=False)
-            try:
-                got = engine.query(prepared)
-                pushed = h.metrics.get(
-                    "sparql_filter_pushdown_total").value(("pushed",))
-            finally:
-                h.disable()
-                h.reset()
-            if pushed:
-                event("an EXISTS condition seeded the BGP")
-            if any(" keys ∩ " in node.detail
-                   for node in engine.explain(prepared).root.walk()):
-                event("a group was a key-set semi-join")
-            expected = ResultTable.from_bindings(
-                prepared.ast.projected_variables(),
-                ReferenceExecutor(graph).run(prepared.plan))
-            if placement == "order by":
-                assert got.rows == expected.rows, (store, text)
-            else:
-                assert got.same_solutions(expected), (store, text)
+        if pushed:
+            event("an EXISTS condition seeded the BGP" + when)
+        if any(" keys ∩ " in node.detail
+               for node in engine.explain(prepared).root.walk()):
+            event("a group was a key-set semi-join" + when)
+        expected = ResultTable.from_bindings(
+            prepared.ast.projected_variables(),
+            ReferenceExecutor(graph).run(prepared.plan))
+        if placement == "order by":
+            assert got.rows == expected.rows, (store, when, prepared.text)
+        else:
+            assert got.same_solutions(expected), (store, when, prepared.text)
 
 
 # --------------------------------------------------------------------------
