@@ -16,7 +16,7 @@ from .memory import dataset_memory_report, dictionary_memory_bytes, \
 from .nquads import parse_nquads, serialize_nquads
 from .namespace import RDF, RDFS, SOFOS, XSD_NS, Namespace, PrefixMap, \
     default_prefixes
-from .ntriples import parse_ntriples, parse_ntriples_file, parse_term, \
+from .ntriples import parse_ntriples, parse_ntriples_file, \
     serialize_ntriples, write_ntriples
 from .stats import GraphStatistics, PredicateProfile
 from .store import DictStore, TripleStore, resolve_store
@@ -35,7 +35,7 @@ __all__ = [
     "default_prefixes",
     "dataset_memory_report", "dictionary_memory_bytes",
     "graph_memory_bytes",
-    "parse_nquads", "parse_ntriples", "parse_ntriples_file", "parse_term",
+    "parse_nquads", "parse_ntriples", "parse_ntriples_file",
     "parse_turtle", "resolve_store", "serialize_nquads",
     "serialize_ntriples", "serialize_turtle", "typed_literal",
     "write_ntriples",

@@ -32,7 +32,7 @@ from ..resilience.failpoints import fail_at
 from .changelog import ChangeLog, DEFAULT_CHANGELOG_LIMIT
 from .dictionary import TermDictionary
 from .store import TripleStore, resolve_store
-from .terms import IRI, BlankNode, Literal, Term, Variable
+from .terms import BlankNode, Literal, Term, Variable
 from .triples import Triple, TriplePattern
 
 __all__ = ["Graph"]
@@ -56,7 +56,7 @@ class Graph:
     """
 
     __slots__ = ("_dict", "_store", "_version", "_node_cache",
-                 "_hist_cache", "_profile_cache", "_logs")
+                 "_profile_cache", "_logs")
 
     def __init__(self, dictionary: TermDictionary | None = None,
                  triples: Iterable[Triple] | None = None,
@@ -67,7 +67,6 @@ class Graph:
         # version-keyed caches of the whole-graph statistics the cost
         # models probe repeatedly: (version, payload) tuples.
         self._node_cache: dict[bool, tuple[int, set[int]]] = {}
-        self._hist_cache: Optional[tuple[int, dict[IRI, int]]] = None
         self._profile_cache: tuple[int, dict[int, tuple]] = (0, {})
         # Live change-capture subscriptions (held weakly, so a log whose
         # owner forgot close() stops costing per-mutation work once it is
@@ -467,21 +466,6 @@ class Graph:
         """Iterate the distinct node terms of the graph."""
         for tid in sorted(self.node_ids()):
             yield self._dict.decode(tid)
-
-    def predicate_histogram(self) -> dict[IRI, int]:
-        """Triple count per predicate (feature input for the learned model).
-
-        Cached per graph version; a fresh dict is returned each call so
-        callers may mutate their copy freely.
-        """
-        cached = self._hist_cache
-        if cached is not None and cached[0] == self._version:
-            return dict(cached[1])
-        decode = self._dict.decode
-        histogram = {decode(pid): n
-                     for pid, n in self._store.predicate_counts().items()}
-        self._hist_cache = (self._version, histogram)
-        return dict(histogram)
 
     def predicate_profile(self, pid: int) -> tuple[int, int, int]:
         """``(triples, distinct subjects, distinct objects)`` of one predicate.

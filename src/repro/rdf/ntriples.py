@@ -15,8 +15,8 @@ from .graph import Graph
 from .terms import XSD, BlankNode, IRI, Literal, Term
 from .triples import Triple
 
-__all__ = ["parse_ntriples", "parse_ntriples_file", "parse_term",
-           "serialize_ntriples", "write_ntriples"]
+__all__ = ["parse_ntriples", "parse_ntriples_file", "serialize_ntriples",
+           "write_ntriples"]
 
 _TERM_RE = re.compile(
     r"""\s*(?:
@@ -87,19 +87,6 @@ def _parse_term(text: str, pos: int, line_no: int) -> tuple[Term, int]:
     if dtype is not None:
         return Literal(lexical, IRI(dtype)), m.end()
     return Literal(lexical, XSD.string), m.end()
-
-
-def parse_term(text: str) -> Term:
-    """Parse one N-Triples-encoded term (the inverse of ``Term.n3()``).
-
-    Used by the catalog manifest to round-trip group-index keys and
-    values; trailing garbage after the term is rejected.
-    """
-    stripped = text.strip()
-    term, pos = _parse_term(stripped, 0, 0)
-    if stripped[pos:].strip():
-        raise ParseError(f"trailing data after term: {stripped[pos:]!r}", 0)
-    return term
 
 
 def iter_ntriples(lines: Iterable[str]) -> Iterator[Triple]:

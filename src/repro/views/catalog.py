@@ -16,9 +16,11 @@ encodes each view through
 
 The catalog also owns each view's
 :class:`~repro.views.materializer.GroupIndex` (:meth:`ViewCatalog.group_index`)
-— the one copy every patcher, the auditor and persistence read: written
-by a build, edited in place by a patch, dropped with the view or a
-rolled-back patch, and scanned from the view graph only when absent.
+— the one copy every patcher and the auditor read: written by a build,
+edited in place by a patch, dropped with the view or a rolled-back
+patch, and scanned from the view graph only when absent (a loaded
+catalog, a dropped index).  Persistence stores none: a view is saved
+once, as its checksummed graph.
 """
 
 from __future__ import annotations
@@ -282,8 +284,8 @@ class ViewCatalog:
         """The view's group index: what its graph stores, keyed by group.
 
         Every build writes it and the patcher edits it in step with the
-        view graph; it is scanned from the graph only when absent (a
-        manifest without a usable payload, a dropped index).  Raises
+        view graph; it is scanned from the graph, once, only when absent
+        (a loaded catalog, a dropped index).  Raises
         :class:`ViewError` when the graph is not a complete §3.1
         encoding — such a view cannot be patched, only rebuilt.
         """

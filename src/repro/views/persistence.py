@@ -4,9 +4,8 @@ The offline module "precomputes and stores the results of analytical
 queries offline to serve new incoming queries faster"; this module makes
 the storing literal.  ``save_expanded`` writes one N-Quads file holding
 the base graph and every materialized view graph, next to a JSON catalog
-manifest (per-view statistics, staleness, the per-view group index, and
-the facet's identity for validation).  ``load_expanded`` reverses it
-against the same facet.
+manifest (per-view statistics, staleness, and the facet's identity for
+validation).  ``load_expanded`` reverses it against the same facet.
 
 The save is crash-safe: both files are written
 temp-then-fsync-then-atomic-rename, and the manifest (``"format": 3``,
@@ -20,11 +19,10 @@ format is rejected outright, so no field of it can switch the
 verification off.
 
 Per view the manifest records whether it was stale relative to the base
-graph at save time (restored views stay stale until refreshed or
-patched) plus the view's group index — group-key terms, blank-node
-label, and running count/value — which the loaded catalog owns again
-(:meth:`ViewCatalog.group_index`), so loaded views patch without a scan
-of their graphs.
+graph at save time; restored views stay stale until refreshed or
+patched.  A view is stored once, as its checksummed named graph: a
+loaded catalog scans each view's group index from that graph on first
+use (:meth:`ViewCatalog.group_index`).
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from typing import Optional
 
 from ..errors import CatalogCorruptError, ParseError, TermError, ViewError
 from ..obs import get_logger
@@ -41,14 +38,10 @@ from ..obs import metrics as _metrics
 from ..obs import tracing as _tracing
 from ..resilience.failpoints import fail_at
 from ..rdf.dataset import Dataset
-from ..rdf.graph import Graph
-from ..rdf.nquads import iter_nquads, parse_nquads, serialize_graph_lines
-from ..rdf.ntriples import parse_term
+from ..rdf.nquads import iter_nquads, serialize_graph_lines
 from ..cube.facet import AnalyticalFacet
 from ..cube.view import ViewDefinition
-from ..sparql.grouptable import KIND_BY_AGGREGATE
 from .catalog import MaterializedView, ViewCatalog
-from .materializer import GroupIndex, stored_literal
 
 __all__ = ["save_expanded", "load_expanded", "CatalogRecovery",
            "DATASET_FILE", "MANIFEST_FILE"]
@@ -122,57 +115,6 @@ def _atomic_write(path: str, text: str, failpoint_name: str) -> None:
         os.close(dir_fd)
 
 
-def _serialize_group_index(entry: MaterializedView, catalog: ViewCatalog
-                           ) -> Optional[dict]:
-    """The group index of one view as JSON-safe n3 terms, or None."""
-    view = entry.definition
-    try:
-        index = catalog.group_index(view)
-    except ViewError:
-        return None
-    decode = catalog.dataset.dictionary.decode
-    return {"kind": index.kind, "groups": [{
-        "node": decode(state.node_id).n3(),
-        "key": [None if tid is None else decode(tid).n3() for tid in key],
-        "count": state.count,
-        "value": decode(state.value_id).n3(),
-    } for key, state in index.groups.items()]}
-
-
-def _restore_group_index(payload: dict, view: ViewDefinition,
-                         graph: Graph) -> Optional[GroupIndex]:
-    """Rebuild a :class:`GroupIndex` from its manifest payload.
-
-    Returns None when anything fails to resolve against the loaded
-    dictionary — the catalog then simply re-scans the view graph.
-    """
-    kind = payload.get("kind")
-    if kind != KIND_BY_AGGREGATE[view.facet.aggregate.name]:
-        return None
-    dictionary = graph.dictionary
-
-    def resolve(term) -> int:
-        tid = dictionary.lookup(term)
-        if tid is None:
-            raise KeyError(term)
-        return tid
-
-    index = GroupIndex(kind)
-    try:
-        for item in payload.get("groups", ()):
-            index.insert(
-                tuple(None if text is None else resolve(parse_term(text))
-                      for text in item["key"]),
-                resolve(parse_term(item["node"])),
-                resolve(stored_literal(int(item["count"]))),
-                resolve(parse_term(item["value"])),
-                dictionary.decode)
-    except (KeyError, ParseError, TermError, TypeError, ValueError,
-            ViewError):
-        return None
-    return index
-
-
 def save_expanded(catalog: ViewCatalog, directory: str) -> None:
     """Write the expanded dataset and catalog manifest into ``directory``.
 
@@ -208,13 +150,10 @@ def _save_expanded(catalog: ViewCatalog, directory: str) -> None:
             "label": entry.label,
             "groups": entry.groups,
             "triples": entry.triples,
-            "nodes": catalog.node_count(entry.definition),
             "build_seconds": entry.build_seconds,
             "maintain_seconds": entry.maintain_seconds,
             "maintain_count": entry.maintain_count,
-            "base_version": entry.base_version,
             "stale": entry.base_version != current,
-            "group_index": _serialize_group_index(entry, catalog),
         })
     manifest = {
         "format": _FORMAT_VERSION,
@@ -236,9 +175,10 @@ def _save_expanded(catalog: ViewCatalog, directory: str) -> None:
 def _parse_dataset_lenient(text: str) -> Dataset:
     """Parse N-Quads line by line, skipping unparseable lines.
 
-    The recovery path for a torn dataset file: whatever survives intact
-    is loaded (checksum verification then decides which graphs to
-    trust), the rest is dropped.
+    The one parse of a saved dataset file: whatever survives intact is
+    loaded and the rest is dropped.  A dropped line changes its graph's
+    lines, so the per-graph checksums then decide which graphs to trust
+    (and, on a strict load, name the views still salvageable).
     """
     dataset = Dataset()
     for line in text.split("\n"):
@@ -258,8 +198,9 @@ def load_expanded(directory: str, facet: AnalyticalFacet, *,
     catalog against the wrong facet would silently route queries to
     incompatible encodings.  Views recorded stale at save time are
     restored stale (sentinel ``base_version = -1``); everything else
-    aligns with the loaded graph's version.  Restored group indexes go
-    back to the catalog that owns them (:meth:`ViewCatalog.group_index`).
+    aligns with the loaded graph's version.  Group indexes are scanned
+    from the verified view graphs on first use
+    (:meth:`ViewCatalog.group_index`).
 
     Manifests are checksum-verified per component graph.  On any
     mismatch the default is to raise :class:`CatalogCorruptError` listing
@@ -323,14 +264,7 @@ def _load_expanded(directory: str, facet: AnalyticalFacet, *,
 
     with open(dataset_path, encoding="utf-8") as handle:
         dataset_text = handle.read()
-    try:
-        dataset = parse_nquads(dataset_text)
-    except (ParseError, TermError) as exc:
-        if not recover:
-            raise CatalogCorruptError(
-                f"corrupt dataset file {dataset_path}: {exc}",
-                path=dataset_path) from exc
-        dataset = _parse_dataset_lenient(dataset_text)
+    dataset = _parse_dataset_lenient(dataset_text)
 
     # -- checksum verification ----------------------------------------------
     recorded = manifest.get("checksums")
@@ -404,11 +338,6 @@ def _load_expanded(directory: str, facet: AnalyticalFacet, *,
                 maintain_count=int(item.get("maintain_count", 0)),
             )
             catalog._entries[definition.mask] = entry
-            index_payload = item.get("group_index")
-            if not failed and index_payload is not None:
-                index = _restore_group_index(index_payload, definition, graph)
-                if index is not None:
-                    catalog._group_indexes[definition.mask] = index
     except (KeyError, TypeError, ValueError) as exc:
         raise CatalogCorruptError(
             f"truncated catalog manifest {manifest_path}: bad view entry "

@@ -107,14 +107,6 @@ class TestStatsCaches:
         assert second is not first
         assert g.dictionary.encode(EX.x) in second
 
-    def test_predicate_histogram_cached_copy_is_safe(self):
-        g = small_graph()
-        hist = g.predicate_histogram()
-        hist[EX.p] = 999                      # caller mutates its copy
-        assert g.predicate_histogram()[EX.p] == 2
-        g.discard(Triple(EX.a, EX.p, EX.c))
-        assert g.predicate_histogram()[EX.p] == 1
-
     def test_node_count_tracks_include_predicates(self):
         g = small_graph()
         assert g.node_count() == 3

@@ -161,23 +161,26 @@ class TestVersionCacheInvalidation:
         after = set(g.node_ids())
         assert after < before
 
-    def test_discard_invalidates_predicate_histogram(self):
+    def test_discard_invalidates_predicate_profile(self):
         g = Graph()
         g.add(t(1))
         g.add(t(2, j=1))
-        assert g.predicate_histogram() == {EX.p0: 1, EX.p1: 1}
+        p0, p1 = (g.dictionary.lookup(EX[f"p{j}"]) for j in (0, 1))
+        assert g.predicate_profile(p0)[0] == g.predicate_profile(p1)[0] == 1
         g.discard(t(2, j=1))
-        assert g.predicate_histogram() == {EX.p0: 1}
+        assert g.predicate_profile(p0)[0] == 1
+        assert g.predicate_profile(p1)[0] == 0
 
     def test_clear_invalidates_memos(self):
         g = Graph()
         g.add(Triple(EX.a, EX.p, typed_literal(1)))
+        pid = g.dictionary.lookup(EX.p)
         assert g.node_count() == 2
-        assert g.predicate_histogram()
+        assert g.predicate_profile(pid)[0] == 1
         g.clear()
         assert g.node_count() == 0
         assert g.node_ids() == set()
-        assert g.predicate_histogram() == {}
+        assert g.predicate_profile(pid)[0] == 0
 
     def test_remove_bulk_invalidates_memos(self):
         g = Graph()

@@ -12,9 +12,11 @@ from repro.errors import CatalogCorruptError, ParseError, SimulatedCrash, \
 from repro.rdf import Dataset, Namespace, Quad, Triple, typed_literal
 from repro.rdf.nquads import parse_nquads, serialize_nquads
 from repro.resilience import failpoints
+from repro.views import GroupIndex, ViewMaintainer
 from repro.views.persistence import load_expanded, save_expanded
 
 from tests.conftest import build_population_graph
+from tests.test_incremental_maintenance import assert_index_true
 
 EX = Namespace("http://example.org/")
 
@@ -132,24 +134,20 @@ class TestExpandedPersistence:
 
 
 class TestManifestV2:
-    """Format 2: true staleness + the per-view group index round trip."""
+    """True staleness; a view is stored once, as its checksummed graph."""
 
-    def test_manifest_records_format_and_group_index(self, tmp_path,
-                                                     population_facet):
-        import json
+    def test_manifest_records_no_index_copy(self, tmp_path,
+                                            population_facet):
         sofos = Sofos(build_population_graph(), population_facet)
         _selection, catalog = sofos.select_and_materialize("agg_values", k=2)
         save_expanded(catalog, str(tmp_path))
         manifest = json.loads((tmp_path / "catalog.json").read_text())
         assert manifest["format"] == 3
+        assert len(manifest["views"]) == len(catalog)
         for item in manifest["views"]:
             assert item["stale"] is False
-            index = item["group_index"]
-            assert index is not None
-            assert len(index["groups"]) == item["groups"]
-            for group in index["groups"]:
-                assert group["node"].startswith("_:")
-                assert isinstance(group["count"], int)
+            for key in ("group_index", "nodes", "base_version"):
+                assert key not in item
 
     def test_stale_at_save_restored_stale(self, tmp_path, population_facet):
         from repro.rdf import Triple, typed_literal
@@ -166,70 +164,78 @@ class TestManifestV2:
         assert len(refreshed) == 2
         assert loaded.stale_views() == []
 
-    def test_restored_index_patches_without_rescan(self, tmp_path,
-                                                   population_facet,
-                                                   monkeypatch):
-        """Save → load hands the catalog its indexes back: a loaded
-        catalog answers ``group_index`` and survives a real patch without
-        scanning a view graph."""
-        from repro.core import OnlineModule
-        from repro.cube import AnalyticalQuery
-        from repro.rdf import Triple, typed_literal
-        from repro.views import GroupIndex, ViewMaintainer
-        from tests.conftest import EX
-        from tests.test_incremental_maintenance import assert_index_true
+    @staticmethod
+    def _apply_window(dataset, loaded):
+        """One obs99 France/2019 window through a maintainer."""
+        maintainer = ViewMaintainer(loaded, max_delta_fraction=1.0)
+        dataset.default.update([
+            Triple(EX.obs99, EX.ofCountry, EX.france),
+            Triple(EX.obs99, EX.year, typed_literal(2019)),
+            Triple(EX.obs99, EX.population, typed_literal(3)),
+        ])
+        return maintainer.synchronize()
+
+    @staticmethod
+    def _assert_views_true(loaded, facet):
+        """Every view answers as the base graph does, and its index says
+        what its graph stores."""
+        online = OnlineModule(loaded)
+        for entry in loaded:
+            query = AnalyticalQuery(facet, entry.mask)
+            answer = online.answer(query)
+            base = online.answer_from_base(query).table
+            assert answer.used_view is not None
+            assert len(answer.table) == len(base), entry.label
+            assert answer.table.same_solutions(base), entry.label
+        assert_index_true(loaded, [entry.definition for entry in loaded])
+
+    def test_loaded_catalog_scans_each_view_once_then_patches(
+            self, tmp_path, population_facet, monkeypatch):
+        """A loaded catalog reads each group index from its verified view
+        graph: one scan per view, at first use, and then patches."""
         sofos = Sofos(build_population_graph(), population_facet)
         _selection, catalog = sofos.select_and_materialize("agg_values", k=2)
         save_expanded(catalog, str(tmp_path))
         dataset, loaded = load_expanded(str(tmp_path), population_facet)
-        views = [entry.definition for entry in loaded]
+        labels = sorted(entry.label for entry in loaded)
+        scanned = []
+        scan = GroupIndex.from_graph.__func__
         with monkeypatch.context() as patched:
             patched.setattr(GroupIndex, "from_graph", classmethod(
-                lambda cls, view, g: pytest.fail("scanned " + view.label)))
+                lambda cls, view, g: scanned.append(view.label)
+                or scan(cls, view, g)))
             for entry in loaded:
-                assert len(loaded.group_index(entry.definition)) \
-                    == entry.groups
-            maintainer = ViewMaintainer(loaded, max_delta_fraction=1.0)
-            dataset.default.update([
-                Triple(EX.obs99, EX.ofCountry, EX.france),
-                Triple(EX.obs99, EX.year, typed_literal(2019)),
-                Triple(EX.obs99, EX.population, typed_literal(3)),
-            ])
-            report = maintainer.synchronize()
-        assert len(report.patched) == len(views)
-        assert_index_true(loaded, views)
-        online = OnlineModule(loaded)
-        query = AnalyticalQuery(population_facet, 0)
-        answer = online.answer(query)
-        assert answer.used_view is not None
-        assert answer.table.same_solutions(
-            online.answer_from_base(query).table)
+                index = loaded.group_index(entry.definition)
+                assert len(index) == entry.groups
+                assert loaded.group_index(entry.definition) is index
+            report = self._apply_window(dataset, loaded)
+        assert sorted(scanned) == labels
+        assert len(report.patched) == len(labels)
+        self._assert_views_true(loaded, population_facet)
 
-    def test_manifest_without_index_payload_scans_once(self, tmp_path,
-                                                       population_facet):
-        """The one case the catalog scans a view graph: a manifest whose
-        index payload is missing or does not resolve."""
-        import json
-        from tests.test_incremental_maintenance import assert_index_true
+    def test_edited_index_payload_cannot_corrupt_a_patch(
+            self, tmp_path, population_facet):
+        """A ``group_index`` entry in the manifest is ignored: what an
+        edited (or older) manifest carries there never reaches a patch."""
         sofos = Sofos(build_population_graph(), population_facet)
         _selection, catalog = sofos.select_and_materialize("agg_values", k=2)
+        kinds = {entry.mask: catalog.group_index(entry.definition).kind
+                 for entry in catalog}
         save_expanded(catalog, str(tmp_path))
         manifest_path = tmp_path / "catalog.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["views"][0]["group_index"] = None
-        manifest["views"][1]["group_index"]["groups"][0]["node"] = "_:gone"
+        for item in manifest["views"]:
+            item["group_index"] = {"kind": kinds[item["mask"]], "groups": []}
         manifest_path.write_text(json.dumps(manifest))
-        _dataset, loaded = load_expanded(str(tmp_path), population_facet)
-        views = [entry.definition for entry in loaded]
-        assert_index_true(loaded, views)
-        for view in views:
-            assert loaded.group_index(view) is loaded.group_index(view)
+        dataset, loaded = load_expanded(str(tmp_path), population_facet)
+        self._apply_window(dataset, loaded)
+        self._assert_views_true(loaded, population_facet)
 
     def test_refresh_invalidates_restored_index(self, tmp_path,
                                                 population_facet):
-        """Regression: a rebuild mints fresh group nodes, so a restored
-        index must never be adopted past it — patches through the orphaned
-        node ids would corrupt the view silently."""
+        """Regression: a rebuild mints fresh group nodes, so an index of
+        the loaded graphs must never be used past it — patches through the
+        orphaned node ids would corrupt the view silently."""
         from repro.core import OnlineModule
         from repro.cube import AnalyticalQuery
         from repro.rdf import Triple, typed_literal
@@ -242,8 +248,7 @@ class TestManifestV2:
         save_expanded(catalog, str(tmp_path))
         dataset, loaded = load_expanded(str(tmp_path), population_facet)
         loaded.refresh_stale()            # fresh blank nodes everywhere
-        # The persisted indexes (orphaned node ids) must be gone: the
-        # rebuild rewrote them to describe the rebuilt graphs exactly.
+        # The rebuild wrote indexes that describe the rebuilt graphs.
         from tests.test_incremental_maintenance import assert_index_true
         assert_index_true(loaded, [entry.definition for entry in loaded])
         maintainer = ViewMaintainer(loaded, max_delta_fraction=1.0)
@@ -316,14 +321,18 @@ class TestChecksumsAndRecovery:
         save_expanded(catalog, str(tmp_path))
         return tmp_path, population_facet, catalog
 
-    def _corrupt_graph(self, tmp_path, iri_value) -> None:
-        """Drop one line of the named graph ``iri_value`` from the dataset."""
+    def _corrupt_graph(self, tmp_path, iri_value, tear=False) -> None:
+        """Drop one line of the named graph ``iri_value`` from the dataset
+        (with ``tear``, cut it in half instead)."""
         path = tmp_path / "expanded.nq"
         lines = path.read_text().splitlines()
         marker = f"<{iri_value}> ."
         victim = next(i for i, line in enumerate(lines)
                       if line.rstrip().endswith(marker))
-        del lines[victim]
+        if tear:
+            lines[victim] = lines[victim][:len(lines[victim]) // 2]
+        else:
+            del lines[victim]
         path.write_text("\n".join(lines) + "\n")
 
     def test_manifest_records_per_graph_checksums(self, saved):
@@ -403,6 +412,18 @@ class TestChecksumsAndRecovery:
             load_expanded(str(tmp_path), facet)
         assert exc.value.salvageable == (survivor.label,)
         assert survivor.label in str(exc.value)
+        assert exc.value.path == str(tmp_path / "expanded.nq")
+
+    def test_torn_view_line_names_salvageable_views(self, saved):
+        """A line cut in half loses its quad, so its view's checksum names
+        the damage and the other view stays salvageable."""
+        tmp_path, facet, catalog = saved
+        entries = list(catalog)
+        victim, survivor = entries[0].definition, entries[1].definition
+        self._corrupt_graph(tmp_path, victim.iri.value, tear=True)
+        with pytest.raises(CatalogCorruptError) as exc:
+            load_expanded(str(tmp_path), facet)
+        assert exc.value.salvageable == (survivor.label,)
         assert exc.value.path == str(tmp_path / "expanded.nq")
 
     def test_recover_loads_intact_and_rebuilds_the_rest(self, saved):

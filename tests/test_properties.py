@@ -1447,6 +1447,45 @@ class TestMoreRoundTrips:
         assert recovered.group_mask == query.group_mask
         assert recovered.filters == query.filters
 
+    @settings(max_examples=30,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    @given(population_worlds(), st.sampled_from(["dict", "columnar"]))
+    def test_saved_view_loads_verified_and_answers_as_the_base(self, world,
+                                                               store):
+        """materialize → save → load: every checksum holds, the index the
+        loaded catalog scans from the view graph is the saved catalog's
+        index term for term, and the loaded view answers as the base."""
+        import os
+        import tempfile
+        from unittest import mock
+        from repro.rdf.store import STORE_ENV_VAR
+        from repro.views import CatalogRecovery
+        from repro.views.persistence import load_expanded, save_expanded
+        from tests.conftest import on_store
+        graph, facet, query, view_mask = world
+        catalog = ViewCatalog(Dataset.wrap(on_store(graph, store)))
+        view = ViewLattice(facet)[view_mask]
+        catalog.materialize(view)
+        with tempfile.TemporaryDirectory() as directory, \
+                mock.patch.dict(os.environ, {STORE_ENV_VAR: store}):
+            save_expanded(catalog, directory)
+            dataset, loaded = load_expanded(directory, facet, recover=True)
+        assert dataset.default.store_kind == store
+        assert loaded.recovery == CatalogRecovery(intact=(view.label,))
+
+        def index_terms(owner: ViewCatalog) -> dict:
+            decode = owner.dataset.dictionary.decode
+            return {tuple(None if tid is None else decode(tid) for tid in key):
+                    (state.count, decode(state.value_id))
+                    for key, state in owner.group_index(view).groups.items()}
+
+        assert index_terms(loaded) == index_terms(catalog)
+        base = QueryEngine(dataset.default).query(query.to_select_query())
+        via_view = QueryEngine(loaded.graph_of(view)).query(
+            rewrite_on_view(query, view))
+        assert base.same_solutions(via_view), query.describe()
+
     @given(triple_lists, st.integers(0, 6))
     def test_bgp_pattern_order_is_irrelevant(self, items, seed):
         """Shuffling a BGP's triple patterns never changes the solutions."""

@@ -179,14 +179,16 @@ class TestStatisticsAccessors:
         assert set(g.nodes()) == {EX.a, EX.b, EX.c, Literal("Alice"),
                                   Literal("Bob")}
 
-    def test_predicate_histogram(self):
+    def test_predicate_triple_counts(self):
         g = small_graph()
-        assert g.predicate_histogram() == {EX.knows: 3, EX.name: 2}
+        pid = g.dictionary.lookup
+        assert g.predicate_profile(pid(EX.knows))[0] == 3
+        assert g.predicate_profile(pid(EX.name))[0] == 2
 
     def test_count_tracks_discard(self):
         g = small_graph()
         g.discard(Triple(EX.a, EX.knows, EX.b))
-        assert g.predicate_histogram()[EX.knows] == 2
+        assert g.predicate_profile(g.dictionary.lookup(EX.knows))[0] == 2
 
     def test_literal_objects_allowed(self):
         g = Graph()
