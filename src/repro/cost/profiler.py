@@ -21,6 +21,7 @@ from typing import Iterator
 
 from ..errors import CostModelError
 from ..obs import tracing as _tracing
+from ..rdf.dictionary import canonical_integer
 from ..rdf.stats import GraphStatistics
 from ..rdf.terms import Term
 from ..cube.facet import AnalyticalFacet
@@ -173,42 +174,44 @@ def _footprint(view: ViewDefinition, table: GroupTable, engine: QueryEngine
 
     Per group: the view link, one triple per bound dimension, the
     measure unless the group stores none, and ``groupCount`` — what each
-    stores is the materializer's :meth:`GroupCodec.numbers`.  Nodes are
+    stores is the materializer's :meth:`GroupCodec.columns`.  Nodes are
     the group nodes, the view IRI and the distinct object terms — count
     and measure literals are interned, so a count equal to a dimension
-    literal is one node.
+    literal is one node.  Counted a column at a time: an int's node is
+    read by value from the dictionary's integer index, so only floats
+    and overlay ids become terms.
     """
-    codec = GroupCodec(view)
-    is_minmax = codec.kind == KIND_MINMAX
-    dim_ids: list[set[int]] = [set() for _ in view.variables]
-    object_ids: set[int] = set()
-    numbers: set[tuple[bool, int | float]] = set()  # 5 and 5.0 differ
-    triples = 0
-    for key, g in table.groups.items():
-        triples += 2
-        for ids, tid in zip(dim_ids, key):
-            if tid is not None:
-                triples += 1
-                ids.add(tid)
-        count, measure = codec.numbers(table, g)
-        numbers.add((True, count))
-        if measure is not None:
-            triples += 1
-            if is_minmax:
-                object_ids.add(measure)
-            else:
-                numbers.add((isinstance(measure, int), measure))
-    object_ids.update(*dim_ids)
-    # Distinct object terms: a dictionary id stands for its term; overlay
-    # ids and the computed literals go by the dictionary's id for their
-    # term when it has one.
-    lookup = engine.graph.dictionary.lookup
-    decode = engine.executor.decode_id
-    objects: set[int | Term] = {tid for tid in object_ids if tid >= 0}
-    for term in [decode(tid) for tid in object_ids if tid < 0] + [
-            stored_literal(value) for _is_int, value in numbers]:
-        tid = lookup(term)
-        objects.add(term if tid is None else tid)
     groups = len(table)
-    nodes = groups + (1 if groups else 0) + len(objects)
-    return groups, triples, nodes, tuple(len(ids) for ids in dim_ids)
+    columns = list(zip(*table.groups)) or [()] * len(view.variables)
+    dims = [set(column) - {None} for column in columns]
+    ids: set[int] = set().union(*dims)
+    triples = 2 * groups + sum(groups - c.count(None) for c in columns)
+    codec = GroupCodec(view)
+    counts, measures = codec.columns(table)
+    measures = [m for m in measures if m is not None]
+    triples += len(measures)
+    if codec.kind == KIND_MINMAX:
+        ids.update(measures)
+        measures = []
+    floats = {v for v in measures if type(v) is not int}  # 5.0 is not 5
+    ints = set(counts).union(
+        [v for v in measures if type(v) is int] if floats else measures)
+    dictionary = engine.graph.dictionary
+    int_ids = list(map(dictionary.integer_id, ints))
+    # A node the dictionary never minted: an int by value, else its term.
+    unminted: set = {v for v, tid in zip(ints, int_ids) if tid is None}
+    ids.update(int_ids)
+    ids.discard(None)
+    overlay = {tid for tid in ids if tid < 0}
+    ids -= overlay
+    decode = engine.executor.decode_id
+    for term in [decode(tid) for tid in overlay] + [
+            stored_literal(value) for value in floats]:
+        tid = dictionary.lookup(term)
+        if tid is None:
+            value = canonical_integer(term)
+            unminted.add(term if value is None else value)
+        else:
+            ids.add(tid)
+    nodes = groups + (1 if groups else 0) + len(ids) + len(unminted)
+    return groups, triples, nodes, tuple(map(len, dims))

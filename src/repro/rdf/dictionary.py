@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from ..errors import StoreCapacityError
 from .terms import XSD, Literal, Term
 
-__all__ = ["ID_LIMIT", "TermDictionary"]
+__all__ = ["ID_LIMIT", "TermDictionary", "canonical_integer"]
 
 #: Ids must fit 32 bits signed so the columnar store packs (a, b) into one
 #: int64 key; the dictionary refuses to mint an id at or past it.
@@ -28,6 +28,21 @@ _INTEGER = XSD.integer.value
 def _capacity_error(term: Term) -> StoreCapacityError:
     return StoreCapacityError(
         f"term dictionary is full ({ID_LIMIT} ids): cannot intern {term}")
+
+
+def canonical_integer(term: Term) -> Optional[int]:
+    """``v`` if ``term`` is ``v``'s canonical ``xsd:integer`` literal,
+    else None: ``"5"`` is 5's; ``"05"``, ``"+5"``, ``"-0"``, ``" 5"``
+    and ``"5"`` under any other datatype (a language tag included) are
+    nobody's."""
+    if not isinstance(term, Literal) or term.datatype.value != _INTEGER:
+        return None
+    lexical = term.lexical
+    try:
+        value = int(lexical)
+    except ValueError:
+        return None
+    return value if str(value) == lexical else None
 
 
 class TermDictionary:
@@ -69,24 +84,10 @@ class TermDictionary:
                 raise _capacity_error(term)
             self._by_term[term] = tid
             self._by_id.append(term)
-            if isinstance(term, Literal):
-                self._index_integer(term, tid)
+            if isinstance(term, Literal) and (
+                    value := canonical_integer(term)) is not None:
+                self._by_integer[value] = tid
         return tid
-
-    def _index_integer(self, term: Literal, tid: int) -> None:
-        """Index ``tid`` under ``v`` if ``term`` is ``v``'s canonical
-        ``xsd:integer`` literal: ``"5"`` is 5's; ``"05"``, ``"+5"``,
-        ``"-0"``, ``" 5"`` and ``"5"`` under any other datatype (a
-        language tag included) are nobody's."""
-        if term.datatype.value != _INTEGER:
-            return
-        lexical = term.lexical
-        try:
-            value = int(lexical)
-        except ValueError:
-            return
-        if str(value) == lexical:
-            self._by_integer[value] = tid
 
     def integer_id(self, value: int) -> Optional[int]:
         """The id of ``value``'s canonical ``xsd:integer`` literal, or
@@ -125,8 +126,9 @@ class TermDictionary:
                     raise _capacity_error(term)
                 by_term[term] = tid
                 by_id.append(term)
-                if isinstance(term, Literal):
-                    self._index_integer(term, tid)
+                if isinstance(term, Literal) and (
+                        value := canonical_integer(term)) is not None:
+                    self._by_integer[value] = tid
             out.append(tid)
         return out
 

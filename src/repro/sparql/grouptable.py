@@ -26,6 +26,7 @@ evaluation's row-order summation.
 from __future__ import annotations
 
 from itertools import count, repeat
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from ..rdf.terms import Variable
@@ -261,11 +262,19 @@ class GroupTable:
         positions = [index[v] for v in variables]
         out = GroupTable(self.executor, tuple(variables), self.kind,
                          self.keep_max)
-        into = out.group_ids(
-            [tuple(key[p] for p in positions) for key in self.groups])
-        # The finer groups are the rows here, each weighing its count.
-        count_bound(into, (), out.rows, self.rows)
-        count_bound(into, (), out.bound, self.bound)
+        # itemgetter of one position gives the bare id, so zip wraps it.
+        if len(positions) > 1:
+            keys = list(map(itemgetter(*positions), self.groups))
+        elif positions:
+            keys = list(zip(map(itemgetter(*positions), self.groups)))
+        else:
+            keys = [()] * len(self.groups)
+        into = out.group_ids(keys)
+        # The finer groups are the rows here: their counts add.
+        for counts, finer in ((out.rows, self.rows),
+                              (out.bound, self.bound)):
+            for t, n in zip(into, finer):
+                counts[t] += n
         value = out.value
         for t, v in zip(into, self.value):
             total = value[t]

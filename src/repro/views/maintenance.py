@@ -494,10 +494,10 @@ class ViewMaintainer:
         removes: list[tuple[int, int, int]] = []
         created = updated = deleted = 0
 
-        for key, g in table.groups.items():
+        for (key, g), count_change, value_change in zip(
+                table.groups.items(), *codec.columns(table)):
             if table.empty(g):
                 continue
-            count_change, value_change = codec.numbers(table, g)
             state = index.groups.get(key)
             if state is None:
                 # Birth: the change is the whole group.

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Optional
 
 from ..errors import ExpressionError, ViewError
@@ -64,7 +65,7 @@ class GroupCodec:
     """The §3.1 encoding of one view's groups.
 
     Without a dictionary only the accumulators → stored numbers rule
-    (:meth:`numbers`) is available, which is all a footprint count
+    (:meth:`columns`) is available, which is all a footprint count
     needs; with the view graph's dictionary the codec also holds the
     view's predicate ids and mints group triples (:meth:`birth`) and
     lists them again when a group dies (:meth:`death`), so the patcher
@@ -93,9 +94,9 @@ class GroupCodec:
         self.dim_preds = [encode(dimension_predicate(v))
                           for v in view.variables]
 
-    def numbers(self, table: GroupTable, g: int
-                ) -> tuple[int, int | float | None]:
-        """``(count, measure)`` the table's group ``g`` stores.
+    def columns(self, table: GroupTable) -> tuple[list[int], list]:
+        """The ``(counts, measures)`` the table's groups store, one entry
+        per group id (read-only: they may be the table's own lists).
 
         The count is ``COUNT(u)`` for AVG (its divisor), else
         ``COUNT(*)``.  The measure is a number (SUM/AVG and COUNT
@@ -104,14 +105,13 @@ class GroupCodec:
         linear in the accumulators, so a signed table's group maps to
         the *change* of what is stored.
         """
-        count = table.bound[g] if self._is_avg else table.rows[g]
+        counts = table.bound if self._is_avg else table.rows
         if self.kind == KIND_COUNT:
-            return count, \
-                table.rows[g] if self._count_star else table.bound[g]
-        value = table.value[g]
-        if value is None:
-            return count, None
-        return count, table.best[g] if self.kind == KIND_MINMAX else value
+            return counts, table.rows if self._count_star else table.bound
+        if self.kind == KIND_MINMAX:
+            return counts, [None if value is None else tid
+                            for value, tid in zip(table.value, table.best)]
+        return counts, table.value
 
     def number_id(self, value: int | float) -> int:
         """The id of a count's or numeric measure's literal.
@@ -129,7 +129,7 @@ class GroupCodec:
 
     def birth(self, triples: list[IdTriple], key: tuple, count: int,
               value: int | float | None) -> "GroupState":
-        """Mint a group storing :meth:`numbers`' ``(count, value)``: its
+        """Mint a group storing :meth:`columns`' ``(count, value)``: its
         triples are appended to ``triples``, its state returned."""
         if value is None:
             value_id = None
@@ -228,21 +228,31 @@ class GroupIndex:
         codec = GroupCodec(view, graph.dictionary)
         index = cls(codec.kind)
 
-        def single(node: int, pred: int, what: str,
+        def leaves(pred: int) -> Callable[[int], Optional[list[int]]]:
+            # Node → its objects under ``pred``: one scan per predicate.
+            out: dict[int, list[int]] = {}
+            for node, _, obj in graph.match_ids(None, pred, None):
+                out.setdefault(node, []).append(obj)
+            return out.get
+
+        def single(leaf: Optional[list[int]], what: str,
                    required: bool = True) -> Optional[int]:
-            leaf = list(graph.adjacent_ids(node, pred, None))
+            leaf = leaf or ()
             if len(leaf) > 1 or (required and not leaf):
                 raise ViewError(f"group node has {len(leaf)} {what} values")
             return leaf[0] if leaf else None
 
+        dims = [leaves(pred) for pred in codec.dim_preds]
+        counts = leaves(codec.count_pred)
+        values = leaves(codec.value_pred)
         try:
             for node in list(graph.adjacent_ids(None, codec.view_pred,
                                                 codec.view_iri)):
                 index.insert(
-                    tuple(single(node, pred, "dimension", required=False)
-                          for pred in codec.dim_preds), node,
-                    single(node, codec.count_pred, "groupCount"),
-                    single(node, codec.value_pred, "measure"),
+                    tuple(single(dim(node), "dimension", required=False)
+                          for dim in dims), node,
+                    single(counts(node), "groupCount"),
+                    single(values(node), "measure"),
                     graph.dictionary.decode)
         except ViewError as exc:
             raise ViewError(f"view {view.label!r}: {exc}") from exc
@@ -303,11 +313,15 @@ def materialize_view_from_table(view: ViewDefinition, engine: QueryEngine,
         # Overlay ids are private to the executor; intern the term.
         return tid if tid >= 0 else encode(decode_query_id(tid))
 
+    # Keys are translated only when some key id is an overlay one.
+    translate = min(set(chain.from_iterable(table.groups)) - {None},
+                    default=0) < 0
     index: Optional[GroupIndex] = GroupIndex(codec.kind)
     id_triples: list[IdTriple] = []
-    for key, g in table.groups.items():
-        key = tuple(None if tid is None else target_id(tid) for tid in key)
-        count, value = codec.numbers(table, g)
+    for key, count, value in zip(table.groups, *codec.columns(table)):
+        if translate:
+            key = tuple(None if tid is None else target_id(tid)
+                        for tid in key)
         if value is None:
             index = None
         elif is_minmax:

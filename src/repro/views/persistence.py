@@ -158,7 +158,6 @@ def _save_expanded(catalog: ViewCatalog, directory: str) -> None:
     manifest = {
         "format": _FORMAT_VERSION,
         "facet": facet_name,
-        "base_triples": len(catalog.dataset.default),
         "checksums": {
             "dataset": hashlib.sha256(
                 dataset_text.encode("utf-8")).hexdigest(),

@@ -143,11 +143,27 @@ class TestManifestV2:
         save_expanded(catalog, str(tmp_path))
         manifest = json.loads((tmp_path / "catalog.json").read_text())
         assert manifest["format"] == 3
+        assert "base_triples" not in manifest
         assert len(manifest["views"]) == len(catalog)
         for item in manifest["views"]:
             assert item["stale"] is False
             for key in ("group_index", "nodes", "base_version"):
                 assert key not in item
+
+    def test_manifest_with_base_triples_still_loads(self, tmp_path,
+                                                    population_facet):
+        """Older saves wrote a ``base_triples`` field; no load reads it."""
+        sofos = Sofos(build_population_graph(), population_facet)
+        _selection, catalog = sofos.select_and_materialize("agg_values", k=2)
+        save_expanded(catalog, str(tmp_path))
+        manifest_path = tmp_path / "catalog.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["base_triples"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+        _dataset, loaded = load_expanded(str(tmp_path), population_facet)
+        assert sorted(e.label for e in loaded) == \
+            sorted(e.label for e in catalog)
+        assert loaded.stale_views() == []
 
     def test_stale_at_save_restored_stale(self, tmp_path, population_facet):
         from repro.rdf import Triple, typed_literal

@@ -316,6 +316,32 @@ class TestOneScan:
             stale.of(sofos.lattice.finest).rows + 1
         assert pattern_evaluations["group_table"] == before + 1
 
+    def test_profile_builds_no_literal_for_integer_measures(
+            self, small_datasets, monkeypatch):
+        """A footprint reads an int's node from the dictionary's integer
+        index by value: profiling an integer SUM facet builds no count
+        or measure literal, however many distinct numbers it stores."""
+        import repro.cost.profiler as profiler
+        import repro.sparql.executor as executor
+        import repro.sparql.values as values
+        import repro.views.materializer as materializer
+        loaded = small_datasets["dbpedia"]
+        facet = loaded.facet("population_by_language_year")
+        built = []
+        for module, name in ((profiler, "stored_literal"),
+                             (materializer, "stored_literal"),
+                             (materializer, "numeric_result"),
+                             (executor, "numeric_result"),
+                             (values, "numeric_result")):
+            monkeypatch.setattr(
+                module, name, lambda value, *operands,
+                _f=getattr(module, name):
+                built.append(value) or _f(value, *operands))
+        lattice = ViewLattice(facet)
+        profile = LatticeProfile.profile(lattice, QueryEngine(loaded.graph))
+        assert profile.of(lattice.finest).rows > 1
+        assert built == []
+
     def test_maintain_releases_the_kept_scan(self):
         graph = parse_turtle(AGG_TTL)
         sofos = Sofos(graph, agg_facet("SUM"), maintenance="incremental")

@@ -5,7 +5,8 @@ import pytest
 from repro.errors import RewriteError, ViewError
 from repro.cube import AnalyticalFacet, AnalyticalQuery, FilterCondition, \
     ViewLattice
-from repro.rdf import Dataset, Graph, Namespace, Variable, typed_literal
+from repro.rdf import Dataset, Graph, Namespace, Triple, Variable, \
+    typed_literal
 from repro.rdf.namespace import SOFOS
 from repro.sparql import QueryEngine
 from repro.views import ViewCatalog, ViewRouter, can_answer, \
@@ -255,3 +256,54 @@ class TestRewriteEquivalence:
         q = AnalyticalQuery(population_facet, 0b10)
         with pytest.raises(RewriteError):
             rewrite_on_view(q, lattice[1])
+
+
+class TestGroupIndexFromGraph:
+    """The scan of a view graph into its group index refuses a graph
+    that breaks the §3.1 encoding, naming what is wrong."""
+
+    @staticmethod
+    def _finest(setup):
+        from repro.views.materializer import GroupIndex
+        dataset, catalog, lattice = setup
+        view = lattice.finest
+        catalog.materialize(view)
+        graph = catalog.graph_of(view)
+        node = min(graph.subjects(SOFOS.view, view.iri),
+                   key=lambda n: n.label)
+        return view, graph, node, GroupIndex.from_graph
+
+    def test_true_graph_reads_back_every_group(self, setup):
+        view, graph, _node, from_graph = self._finest(setup)
+        index = from_graph(view, graph)
+        assert len(index) == graph.count(p=SOFOS.view)
+        assert {state.value for state in index.groups.values()} == {
+            lit.to_python() for lit in graph.objects(None, SOFOS.measure)}
+
+    @pytest.mark.parametrize("pred, what", [
+        (SOFOS.measure, "0 measure"), (SOFOS.groupCount, "0 groupCount")])
+    def test_missing_measure_or_count(self, setup, pred, what):
+        view, graph, node, from_graph = self._finest(setup)
+        graph.discard(Triple(node, pred, graph.value(node, pred)))
+        with pytest.raises(ViewError, match=what):
+            from_graph(view, graph)
+
+    @pytest.mark.parametrize("pred, what", [
+        (SOFOS.measure, "2 measure"), (SOFOS.groupCount, "2 groupCount"),
+        (dimension_predicate(YEAR), "2 dimension")])
+    def test_ambiguous_value(self, setup, pred, what):
+        view, graph, node, from_graph = self._finest(setup)
+        graph.add(Triple(node, pred, typed_literal(123456)))
+        with pytest.raises(ViewError, match=what):
+            from_graph(view, graph)
+
+    def test_duplicate_group_key(self, setup):
+        view, graph, node, from_graph = self._finest(setup)
+        other = next(n for n in graph.subjects(SOFOS.view, view.iri)
+                     if n != node)
+        for var in view.variables:
+            pred = dimension_predicate(var)
+            graph.discard(Triple(other, pred, graph.value(other, pred)))
+            graph.add(Triple(other, pred, graph.value(node, pred)))
+        with pytest.raises(ViewError, match="duplicate group key"):
+            from_graph(view, graph)
