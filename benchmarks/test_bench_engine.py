@@ -135,7 +135,8 @@ class TestEngineMicrobench:
     def test_reference_executor_baseline(self, benchmark, medium_engine):
         """The retained tuple-at-a-time evaluator on the same join query —
         the ablation partner for the batched id-space pipeline."""
-        from repro.sparql import ReferenceExecutor, ResultTable
+        from repro.sparql import ResultTable
+        from tests.oracle import ReferenceExecutor
         reference = ReferenceExecutor(medium_engine.graph)
         prepared = medium_engine.prepare(JOIN_QUERY)
         variables = prepared.ast.projected_variables()
@@ -150,7 +151,8 @@ class TestEngineMicrobench:
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
         import statistics
         import time
-        from repro.sparql import ReferenceExecutor, ResultTable
+        from repro.sparql import ResultTable
+        from tests.oracle import ReferenceExecutor
 
         reference = ReferenceExecutor(medium_engine.graph)
         rows = []
@@ -210,7 +212,8 @@ class TestEngineMicrobench:
         ?s, the reference once per row."""
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
         import time
-        from repro.sparql import ReferenceExecutor, ResultTable
+        from repro.sparql import ResultTable
+        from tests.oracle import ReferenceExecutor
 
         graph = small_lubm.graph
         engine = QueryEngine(graph)

@@ -204,6 +204,10 @@ def panel_observability(hub: ObservabilityHub, max_spans: int = 6) -> str:
         _hit_rate_row("decode memo",
                       reg.counter_total("engine_decode_memo_hits_total"),
                       reg.counter_total("engine_decode_memo_misses_total")),
+        # hits = ids a FILTER read its kept verdict on
+        _hit_rate_row("filter verdicts",
+                      reg.value("engine_filter_verdicts_total", ("reused",)),
+                      reg.value("engine_filter_verdicts_total", ("judged",))),
         # misses = facet pattern scans the offline phases actually ran
         _hit_rate_row("facet scan",
                       reg.value("facet_scan_total", ("reuse",)),

@@ -55,8 +55,8 @@ class Graph:
         nested-hash layout.
     """
 
-    __slots__ = ("_dict", "_store", "_version", "_node_cache",
-                 "_profile_cache", "_logs")
+    __slots__ = ("_dict", "_store", "_version", "_written", "_cleared",
+                 "_node_cache", "_profile_cache", "_logs")
 
     def __init__(self, dictionary: TermDictionary | None = None,
                  triples: Iterable[Triple] | None = None,
@@ -64,6 +64,10 @@ class Graph:
         self._dict = dictionary if dictionary is not None else TermDictionary()
         self._store: TripleStore = resolve_store(store)
         self._version = 0
+        # predicate id → the version its triples last changed at; one
+        # missing changed last at ``_cleared`` (see predicate_version)
+        self._written: dict[int, int] = {}
+        self._cleared = 0
         # version-keyed caches of the whole-graph statistics the cost
         # models probe repeatedly: (version, payload) tuples.
         self._node_cache: dict[bool, tuple[int, set[int]]] = {}
@@ -102,6 +106,16 @@ class Graph:
         """
         return self._version
 
+    def predicate_version(self, pid: int) -> int:
+        """The version at which the triples of predicate ``pid`` last
+        changed (a clear changes every predicate).
+
+        Equal readings mean ``pid``'s triples are the ones read before,
+        whatever else was written in between: what the executor keys a
+        filter's accepted object ids on (``object_domain(pid)``).
+        """
+        return self._written.get(pid, self._cleared)
+
     def __len__(self) -> int:
         return len(self._store)
 
@@ -131,17 +145,23 @@ class Graph:
 
         Applies ``inserts`` then ``deletes`` (iterables of id-triples,
         ``None`` to skip) to the store, bumps the version once iff
-        anything actually changed, and pushes per-triple records to live
-        change logs.  Routing *all* writes through here is what keeps
-        the two storage backends from drifting on version-bump /
-        changelog-push semantics.
+        anything actually changed (the predicates it changed take that
+        version, see :meth:`predicate_version`), and pushes per-triple
+        records to live change logs.  Routing *all* writes through here
+        is what keeps the two storage backends from drifting on
+        version-bump / changelog-push semantics.
         """
         store = self._store
         added = store.insert_many(inserts) if inserts is not None else ()
         removed = store.delete_many(deletes) if deletes is not None else ()
         if not added and not removed:
             return 0, 0
-        self._version += 1
+        version = self._version = self._version + 1
+        written = self._written
+        for _, pid, _ in added:
+            written[pid] = version
+        for _, pid, _ in removed:
+            written[pid] = version
         if self._logs:
             for log in self._live_logs():
                 record = log._record
@@ -235,6 +255,8 @@ class Graph:
         """
         self._store.clear()
         self._version += 1
+        self._written = {}
+        self._cleared = self._version
         if self._logs:
             for log in self._live_logs():
                 log._truncate()
@@ -281,7 +303,7 @@ class Graph:
         """
         if dictionary is None or dictionary is self._dict:
             clone = Graph(self._dict, store=self._store.copy())
-            clone._version = 1 if len(clone._store) else 0
+            clone._version = clone._cleared = 1 if len(clone._store) else 0
             return clone
         clone = Graph(dictionary, store=self._store.kind)
         for t in self.triples():

@@ -3,8 +3,7 @@
 Pipeline: ``parse_query`` → :class:`SelectQuery` AST → ``translate_query``
 → algebra → :class:`Executor` pushes columnar id-space batches
 (:class:`BindingBatch`) → :class:`ResultTable`.  Most callers only need
-:class:`QueryEngine`.  :class:`ReferenceExecutor` is the retained
-tuple-at-a-time evaluator: the parity and benchmark oracle, test-only.
+:class:`QueryEngine`.
 """
 
 from .algebra import translate_group, translate_query
@@ -16,13 +15,12 @@ from .engine import PreparedQuery, QueryEngine
 from .executor import Executor
 from .grouptable import GroupTable, KIND_BY_AGGREGATE
 from .parser import parse_query
-from .reference import ReferenceExecutor
 from .results import ResultTable
 
 __all__ = [
     "AggregateExpr", "BindingBatch", "DeltaEvaluator", "DeltaPlan",
     "Executor", "Expression", "GroupPattern", "GroupTable",
     "KIND_BY_AGGREGATE", "PreparedQuery", "ProjectionItem", "QueryEngine",
-    "ReferenceExecutor", "ResultTable", "SelectQuery", "compile_delta_plan",
+    "ResultTable", "SelectQuery", "compile_delta_plan",
     "parse_query", "translate_group", "translate_query",
 ]

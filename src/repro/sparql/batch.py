@@ -37,11 +37,14 @@ class BindingBatch:
     __slots__ = ("variables", "columns", "prov", "index")
 
     def __init__(self, variables: tuple[Variable, ...],
-                 columns: Sequence[IdColumn], prov: list[int]) -> None:
+                 columns: Sequence[IdColumn], prov: list[int],
+                 index: Optional[dict[Variable, int]] = None) -> None:
         self.variables = variables
         self.columns = list(columns)
         self.prov = prov
-        self.index: dict[Variable, int] = {
+        # variable → column; a compiled probe step hands in the one map it
+        # shares between every batch it builds (never mutated)
+        self.index: dict[Variable, int] = index if index is not None else {
             v: k for k, v in enumerate(variables)}
 
     # -- constructors --------------------------------------------------------
@@ -115,7 +118,7 @@ class BindingBatch:
     def renumbered(self) -> "BindingBatch":
         """The same rows with identity provenance (a fresh seed scope)."""
         return BindingBatch(self.variables, self.columns,
-                            list(range(len(self))))
+                            list(range(len(self))), self.index)
 
     def gather(self, row_indexes: Sequence[int]) -> "BindingBatch":
         """A new batch holding ``rows[i] for i in row_indexes`` (dups ok)."""
@@ -123,7 +126,7 @@ class BindingBatch:
         return BindingBatch(
             self.variables,
             [[col[i] for i in row_indexes] for col in self.columns],
-            [prov[i] for i in row_indexes])
+            [prov[i] for i in row_indexes], self.index)
 
     def decode_rows(self, terms: Sequence[Term], overlay: Sequence[Term]
                     ) -> list[tuple[Optional[Term], ...]]:

@@ -34,23 +34,29 @@ Terms produced by expressions (BIND values, aggregate results, VALUES
 constants unknown to the store) are interned into a private overlay with
 negative ids so id equality stays term equality end to end.
 
-Compiled id-space BGP plans (constant ids, probe order, the probe each
-FILTER above the BGP runs after, the conditions that may run on a
-domain first) are cached across writes until the graph halves or
-doubles, and such a condition judges each object id once, so neither
-re-running a prepared workload nor the answers after an update window
-recompile or re-judge what they already have.
+Id-space BGP plans (constant ids, probe order, the probe each FILTER
+above the BGP runs after, the conditions that may run on a domain first)
+are cached across writes until the graph halves or doubles.  Each BGP
+operator of a prepared query is compiled once into a program found by
+the operator's identity: its probe steps, classified ahead of the batch
+they will see, and its one-variable conditions' verdicts on every id they
+have judged — so re-running a prepared workload, before or after an
+update window, pays for its rows and not for planning, classifying or
+judging again.
 
-The tuple-at-a-time semantics are preserved exactly; the retained
-:class:`~repro.sparql.reference.ReferenceExecutor` is the oracle the parity
-suite checks against.
+The tuple-at-a-time semantics are preserved exactly; the test suite's
+retained tuple-at-a-time evaluator is the oracle the parity suite checks
+against.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import replace
+from functools import partial
+from itertools import compress
 from operator import is_not
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as _np
 
@@ -98,7 +104,9 @@ _TRACER = _tracing.tracer()
 _BGP_PLAN_HITS = _REG.counter(
     "engine_bgp_plan_cache_hits_total",
     "compiled id-space BGP plan reused: kept across writes until the "
-    "graph has halved or doubled since it was planned")
+    "graph has halved or doubled since it was planned; found by the "
+    "operator (its compiled program) or by the patterns",
+    labels=("found",))
 _BGP_PLAN_MISSES = _REG.counter(
     "engine_bgp_plan_cache_misses_total",
     "BGP plans compiled fresh: none kept, or the graph has halved or "
@@ -129,6 +137,113 @@ _PUSHDOWN = _REG.counter(
     "one-variable FILTERs whose accepted object ids were read before a "
     "BGP: pushed (seeded the probes) or kept (placed as planned)",
     labels=("outcome",))
+_FILTER_VERDICTS = _REG.counter(
+    "engine_filter_verdicts_total",
+    "ids a one-variable FILTER was asked about: reused (its kept verdict) "
+    "or judged (the condition evaluated)",
+    labels=("outcome",))
+
+
+class _Step:
+    """One probe of a compiled BGP program: the pattern classified against
+    the batch layout it will see, so :meth:`Executor._probe` works out
+    nothing per call but the holes of a seed column."""
+
+    __slots__ = ("pattern", "ready", "const", "pos_vars", "bound", "cols",
+                 "holey", "fresh", "pos_ord", "kernel", "variables", "index")
+
+    def __init__(self, pattern: int, ready: tuple[int, ...], spec: list,
+                 variables: tuple[Variable, ...], index: dict[Variable, int],
+                 clean: set[Variable], vec: bool) -> None:
+        self.pattern = pattern   # its index in the BGP
+        self.ready = ready       # the conditions that run right after it
+        #: per position the constant id, or the variable
+        self.const = tuple(p if kind == "c" else None for kind, p in spec)
+        self.pos_vars = tuple(p if kind == "v" else None for kind, p in spec)
+        #: the positions the batch binds, and their columns; of those, the
+        #: columns no probe of this BGP bound (a seed's may hold unbound)
+        self.bound = tuple(k for k, v in enumerate(self.pos_vars)
+                           if v is not None and v in index)
+        self.cols = tuple(index[self.pos_vars[k]] for k in self.bound)
+        self.holey = tuple(dict.fromkeys(
+            index[v] for v in map(self.pos_vars.__getitem__, self.bound)
+            if v not in clean))
+        #: the first position of each new variable, and per position its
+        #: ordinal among them
+        new: dict[Variable, int] = {}
+        for k, var in enumerate(self.pos_vars):
+            if var is not None and var not in index and var not in new:
+                new[var] = k
+        self.fresh = tuple(new.values())
+        ordinal = {var: j for j, var in enumerate(new)}
+        self.pos_ord = tuple(map(ordinal.get, self.pos_vars))
+        #: the output layout, one index map every batch built here shares
+        self.variables = variables + tuple(new)
+        self.index = {**index, **{var: len(variables) + j
+                                  for j, var in enumerate(new)}}
+        nb, nc = len(self.bound), 3 - self.const.count(None)
+        named = [v for v in self.pos_vars if v is not None]
+        if vec and len(set(named)) == len(named) and nb < 3 \
+                and (nb, nc) != (2, 1):
+            # the whole-batch kernels of Executor._probe_bulk
+            self.kernel = "scan" if not nb else "pair" if nb == 2 \
+                else ("range", "leaf", "exists")[nc]
+        else:
+            self.kernel = {(1, 1): "leaf", (1, 2): "exists"}.get(
+                (nb, nc), "general")
+
+
+class _OpRef(weakref.ref):
+    """A weak reference to an operator, holding its compiled programs."""
+
+    __slots__ = ("key", "programs")
+
+    def __init__(self, op: AlgebraOp, callback: Callable) -> None:
+        super().__init__(op, callback)
+        self.key = id(op)
+        self.programs: list[_Program] = []
+
+
+class _Verdicts(dict):
+    """id → whether one condition, reading the one variable ``var``, holds
+    on the id's term (empty for one holding ``[NOT] EXISTS``, which reads
+    the graph too), and ``accepted``: predicate id → ``(stamp, (the
+    object ids it accepts, how many it read))`` for its domain seed (see
+    :meth:`Executor._accepted_ids`)."""
+
+    __slots__ = ("var", "exists", "accepted")
+
+    def __init__(self, var: Variable, exists: bool) -> None:
+        super().__init__()
+        self.var = var
+        self.exists = exists
+        self.accepted: dict[int, tuple[int, tuple[list[int], int]]] = {}
+
+
+class _Program:
+    """A BGP and the FILTERs stacked on it, compiled for one tuple of seed
+    variables (:meth:`Executor._program`): the probe steps, the plan's
+    late conditions and domain-seed candidates, per condition its kept
+    verdicts if it reads one variable (``judges``: if it holds no EXISTS
+    either, what :meth:`Executor._keep` reads), and ``pushed``, the last
+    ``(condition, size planned at, steps, late conditions)`` once a
+    condition seeded its variable."""
+
+    __slots__ = ("seed_vars", "size", "steps", "late", "push", "verdicts",
+                 "judges", "pushed")
+
+    def __init__(self, seed_vars: tuple[Variable, ...], size: int,
+                 steps: tuple[_Step, ...], plan: tuple,
+                 verdicts: tuple[Optional[_Verdicts], ...]) -> None:
+        self.seed_vars = seed_vars
+        self.size = size
+        self.steps = steps
+        _, _, self.late, self.push = plan
+        self.verdicts = verdicts
+        self.judges = tuple(None if v is None or v.exists else v
+                            for v in verdicts)
+        self.pushed: Optional[tuple[int, int, tuple[_Step, ...],
+                                    tuple[int, ...]]] = None
 
 
 class Executor:
@@ -144,15 +259,17 @@ class Executor:
         # Overlay interning for query-computed terms: ids -1, -2, ...
         self._extra_by_term: dict[Term, int] = {}
         self._extra_by_id: list[Term] = []
-        # Compiled id-space BGP plans with the graph size each was planned
-        # at (see _compiled_bgp), per condition its verdict on each object
-        # id it has judged, and (condition, predicate id) → (graph
-        # version, (the object ids it accepts there, how many it read)),
-        # see _pushdown.  They outlive writes, so each is bounded.
+        # Id-space BGP plans with the graph size each was planned at (see
+        # _compiled_bgp), keyed on their patterns; they outlive writes, so
+        # the memo is bounded.  And id(operator) → a weak reference to it
+        # holding its compiled programs, see _program: an entry goes with
+        # its operator, and overlay ids make the programs this executor's.
         self._bgp_cache: dict[tuple, tuple[int, tuple]] = {}
-        self._verdicts: dict[Expression, dict[int, bool]] = {}
-        self._accepted: dict[tuple[Expression, int],
-                             tuple[int, tuple[list[int], int]]] = {}
+        self._programs: dict[int, _OpRef] = {}
+        self._forget = partial(_forget, self._programs)
+        # A one-variable condition → its kept verdicts, shared by every
+        # program whose condition is equal (see _verdicts); bounded.
+        self._conditions: dict[Expression, _Verdicts] = {}
         # An int aggregate value → its overlay id, see _encode_numbers.
         self._overlay_ints: dict[int, int] = {}
         # Operand id → number / order key, the memos of every aggregate
@@ -379,6 +496,16 @@ class Executor:
         (so a plan made on an empty graph is not kept); ``None`` is never
         kept, as a later write may intern the constant.
         """
+        entry = self._planned(patterns, seed_vars, wanted)
+        return None if entry is None else entry[1]
+
+    def _planned(self, patterns: tuple[TriplePattern, ...],
+                 seed_vars: tuple[Variable, ...],
+                 wanted: tuple[frozenset[Variable], ...]
+                 ) -> Optional[tuple[int, tuple, dict]]:
+        """The :meth:`_compiled_bgp` entry: ``(the graph size it was planned
+        at, the plan, its compiled steps by batch layout)`` (see
+        :meth:`_steps`)."""
         size = len(self._graph)
         overlap: frozenset[Variable] = frozenset()
         if seed_vars:  # the unit seed of a top-level BGP has none
@@ -388,8 +515,8 @@ class Executor:
         entry = self._bgp_cache.get(key)
         if entry is not None and entry[0] >> 1 < size < 2 * entry[0]:
             if _REG.enabled:
-                _BGP_PLAN_HITS.inc()
-            return entry[1]
+                _BGP_PLAN_HITS.inc(1, ("patterns",))
+            return entry
         if _REG.enabled:
             _BGP_PLAN_MISSES.inc()
 
@@ -398,9 +525,9 @@ class Executor:
                   for t in p] for p in patterns]
         if any(payload is None for spec in specs for _, payload in spec):
             return None
-        compiled = (specs, *self._plan_bgp(specs, overlap, wanted))
-        _remember(self._bgp_cache, key, (size, compiled))
-        return compiled
+        entry = (size, (specs, *self._plan_bgp(specs, overlap, wanted)), {})
+        _remember(self._bgp_cache, key, entry)
+        return entry
 
     def _plan_bgp(self, specs: list[list[tuple[str, object]]],
                   seed_vars: frozenset[Variable],
@@ -532,6 +659,85 @@ class Executor:
         plan = self._compiled_bgp(patterns, seed_vars)
         return None if plan is None else [i for i, _ in plan[1]]
 
+    def _program(self, op: BGPOp, seed_vars: tuple[Variable, ...],
+                 filters: Sequence[FilterOp]) -> Optional["_Program"]:
+        """The compiled program of ``op`` and the ``filters`` stacked on
+        it, found by the identity of the operator at the top of the stack.
+
+        A program is kept per operator and seed-variable tuple while the
+        graph has neither halved nor doubled since its plan was made (the
+        rule of :meth:`_compiled_bgp`, which a missing one is compiled
+        from).  It lives exactly as long as its operator: a weak
+        reference's callback drops the entry, so an operator that reuses a
+        dead one's ``id()`` never finds its program.  ``None``: a constant
+        the dictionary does not know yet (nothing is kept).
+        """
+        top = filters[-1] if filters else op
+        ref = self._programs.get(id(top))
+        if ref is not None:
+            size = len(self._graph)
+            programs = ref.programs
+            for program in programs:
+                if program.seed_vars == seed_vars:
+                    if program.size >> 1 < size < 2 * program.size:
+                        if _REG.enabled:
+                            _BGP_PLAN_HITS.inc(1, ("operator",))
+                        return program
+                    programs.remove(program)
+                    break
+        wanted = tuple(self._expr_variables(f.expression) for f in filters)
+        planned = self._planned(op.patterns, seed_vars, wanted)
+        if planned is None:
+            return None
+        program = _Program(seed_vars, planned[0],
+                           self._steps(planned, seed_vars, ()),
+                           planned[1], tuple(map(self._verdicts, filters,
+                                                 wanted)))
+        if ref is None:
+            ref = self._programs[id(top)] = _OpRef(top, self._forget)
+        ref.programs.append(program)
+        return program
+
+    def _verdicts(self, op: FilterOp, wanted: frozenset[Variable]
+                  ) -> Optional["_Verdicts"]:
+        """The kept verdicts of ``op``'s condition if it reads one
+        variable: one record per equal condition, so programs compiled
+        for one-shot plans share what an earlier plan judged (bounded by
+        the engine's rule).  ``None`` for any other condition."""
+        if len(wanted) != 1:
+            return None
+        expr = op.expression
+        verdicts = self._conditions.get(expr)
+        if verdicts is None:
+            var, = wanted
+            verdicts = _Verdicts(var, bool(_lift_exists(expr)[1]))
+            _remember(self._conditions, expr, verdicts)
+        return verdicts
+
+    def _steps(self, planned: tuple[int, tuple, dict],
+               variables: tuple[Variable, ...], clean: tuple[Variable, ...]
+               ) -> tuple["_Step", ...]:
+        """The probes of a plan compiled against the batch layout they
+        will see — seeded with ``variables``, of which ``clean`` are bound
+        in every row (any other seed column may hold unbound cells) —
+        once per layout, kept with the plan."""
+        key = (variables, clean)
+        steps = planned[2].get(key)
+        if steps is not None:
+            return steps
+        specs, order = planned[1][:2]
+        index = {v: k for k, v in enumerate(variables)}
+        bound = set(clean)
+        compiled = []
+        for i, ready in order:
+            step = _Step(i, ready, specs[i], variables, index, bound,
+                         self._vec)
+            bound.update(v for v in step.pos_vars if v is not None)
+            variables, index = step.variables, step.index
+            compiled.append(step)
+        steps = planned[2][key] = tuple(compiled)
+        return steps
+
     def _eval_bgp(self, op: BGPOp, seed: BindingBatch,
                   filters: Sequence[FilterOp] = ()) -> BindingBatch:
         """The planned evaluation of a BGP and the FILTERs stacked on it.
@@ -543,16 +749,15 @@ class Executor:
         accepted ids and the other patterns and conditions follow the plan
         made with that variable bound.
         """
+        program = self._program(op, seed.variables, filters)
         cur = seed.renumbered()
-        wanted = tuple(self._expr_variables(f.expression) for f in filters)
-        plan = self._compiled_bgp(op.patterns, seed.variables, wanted)
-        if plan is None:
+        if program is None:
             return BindingBatch.empty(cur.variables)
-        specs, steps, late, push = plan
+        steps, late = program.steps, program.late
+        judges = program.judges
         tracing = _TRACER.enabled
-        trace: list[str] = []
-        if push is not None and len(cur) == 1:
-            pushed = self._pushdown(push, filters)
+        if program.push is not None and len(cur) == 1:
+            pushed = self._pushdown(program, filters)
             if pushed is not None:
                 k, i, var, (accepted, read) = pushed
                 if tracing:
@@ -566,44 +771,70 @@ class Executor:
                     if tracing:
                         self._observe(op, len(seed), 0, "")
                     return cur
+                steps, late = self._pushed(op, filters, program, k,
+                                           cur.variables)
                 filters = filters[:k] + filters[k + 1:]
-                specs, steps, late, _ = self._compiled_bgp(
-                    op.patterns, cur.variables, wanted[:k] + wanted[k + 1:])
-        for i, ready in steps:
-            cur = self._probe(cur, specs[i])
+                judges = judges[:k] + judges[k + 1:]
+        trace: list[str] = []
+        for step in steps:
+            cur = self._probe(cur, step)
             if tracing:
-                trace.append(f"{i}→{len(cur)}")
-            for k in ready:
-                cur = self._keep(filters[k], cur, i)
+                trace.append(f"{step.pattern}→{len(cur)}")
+            for k in step.ready:
+                cur = self._keep(filters[k], cur, step.pattern, judges[k])
         if tracing:
             self._observe(op, len(seed), len(cur), " ".join(trace))
         for k in late:
-            cur = self._keep(filters[k], cur, op)
+            cur = self._keep(filters[k], cur, op, judges[k])
         return cur
 
-    def _pushdown(self, push: tuple, filters: Sequence[FilterOp]
+    def _pushed(self, op: BGPOp, filters: Sequence[FilterOp],
+                program: "_Program", k: int, variables: tuple[Variable, ...]
+                ) -> tuple[tuple["_Step", ...], tuple[int, ...]]:
+        """The steps and late conditions of ``program`` once condition
+        ``k`` has seeded its variable (the last of ``variables``): the plan
+        made with that variable bound and without ``k`` (conditions
+        numbered without it), kept under the same size rule."""
+        hit = program.pushed
+        size = len(self._graph)
+        if hit is not None and hit[0] == k \
+                and hit[1] >> 1 < size < 2 * hit[1]:
+            if _REG.enabled:
+                _BGP_PLAN_HITS.inc(1, ("operator",))
+            return hit[2], hit[3]
+        wanted = tuple(self._expr_variables(f.expression)
+                       for j, f in enumerate(filters) if j != k)
+        planned = self._planned(op.patterns, variables, wanted)
+        # its constants were known when the program was compiled
+        steps = self._steps(planned, variables,  # type: ignore[arg-type]
+                            variables[-1:])
+        late = planned[1][2]  # type: ignore[index]
+        program.pushed = (k, planned[0], steps, late)  # type: ignore[index]
+        return steps, late
+
+    def _pushdown(self, program: "_Program", filters: Sequence[FilterOp]
                   ) -> Optional[tuple]:
         """The condition to run before the probes, or ``None``.
 
-        ``push`` is the plan's ``(first, candidates)`` (see
+        ``program.push`` is the plan's ``(first, candidates)`` (see
         :meth:`_plan_bgp`).  Each candidate's accepted ids are read once
-        per graph version (:meth:`_accepted_ids`).  The one with the
+        per state of its domain (:meth:`_accepted_ids`).  The one with the
         smallest estimate — accepted ids × the predicate's mean triples per
         object — is pushed if that is below ``first``.  A condition holding
         an EXISTS reads its domain by a semi-join: it is tried only if no
         plain condition is pushed.  Returns ``(k, pattern, ?v, (accepted
         ids, objects read))``.
         """
-        first, candidates = push
+        first, candidates = program.push
+        verdicts = program.verdicts
         best = None
         semi = () if len(candidates) < 2 else {  # holding EXISTS: last
-            k for k, *_ in candidates
-            if _lift_exists(filters[k].expression)[1]}
+            k for k, *_ in candidates if verdicts[k].exists}
         candidates = sorted(candidates, key=lambda c: c[0] in semi)
         for k, i, pid, var, fanout in candidates:
             if k in semi and best is not None:
                 break
-            hit = self._accepted_ids(filters[k], pid, var)
+            hit = self._accepted_ids(filters[k], verdicts[k], pid)
             estimate = len(hit[0]) * fanout
             if estimate < first and (best is None or estimate < best[0]):
                 best = (estimate, k, i, var, hit)
@@ -615,143 +846,84 @@ class Executor:
                 _PUSHDOWN.inc(kept, ("kept",))
         return None if best is None else best[1:]
 
-    def _accepted_ids(self, op: FilterOp, pid: int, var: Variable
+    def _accepted_ids(self, op: FilterOp, verdicts: "_Verdicts", pid: int
                       ) -> tuple[list[int], int]:
         """The distinct objects of ``pid`` on which ``op``'s condition
-        holds, and how many objects there are, read once per graph version.
+        holds, and how many objects there are.
 
-        The condition reads only ``var``, so its verdict on an id is a pure
-        function of the id's term, and ids never change meaning: each id is
-        judged once per condition (:meth:`_mask` over a one-column batch of
-        the ids not judged yet) and a new version re-reads only the domain.
-        A condition holding ``[NOT] EXISTS`` reads the graph, so its
-        verdicts hold for one version.
+        The condition reads one variable: without an EXISTS its verdicts
+        are kept (:meth:`_judge`), so the domain is read again only once
+        ``pid``'s triples have changed (:meth:`Graph.predicate_version`)
+        and only its ids with no verdict yet are judged.  A condition
+        holding ``[NOT] EXISTS`` reads the graph, so what it judges holds
+        for one graph version.
         """
-        expr = op.expression
-        version = self._graph.version
-        hit = self._accepted.get((expr, pid))
-        if hit is not None and hit[0] == version:
+        graph = self._graph
+        stamp = graph.version if verdicts.exists \
+            else graph.predicate_version(pid)
+        hit = verdicts.accepted.get(pid)
+        if hit is not None and hit[0] == stamp:
             return hit[1]
-        domain = list(self._graph.object_domain(pid))
-        if _lift_exists(expr)[1]:
-            verdicts, fresh = {}, domain
-        else:
-            verdicts = self._verdicts.get(expr)
-            if verdicts is None:
-                verdicts = {}
-                _remember(self._verdicts, expr, verdicts)
-            fresh = [oid for oid in domain if oid not in verdicts]
+        domain = list(graph.object_domain(pid))
+        flags = self._judge(op, domain, verdicts.var,
+                            {} if verdicts.exists else verdicts)
+        accepted = (list(compress(domain, flags)), len(domain))
+        verdicts.accepted[pid] = (stamp, accepted)
+        return accepted
+
+    def _judge(self, op: FilterOp, ids: list, var: Variable,
+               verdicts: dict) -> Iterator[bool]:
+        """Per id of ``ids``, whether ``op``'s condition — which reads
+        ``var`` alone — holds on it.  The verdict on an id is a pure
+        function of its term and ids never change meaning, so ``verdicts``
+        keeps each: :meth:`_mask` runs once, on the ids with none yet."""
+        distinct = dict.fromkeys(ids)
+        fresh = [t for t in distinct if t not in verdicts]
         if fresh:
             verdicts.update(zip(fresh, self._mask(op, BindingBatch(
                 (var,), [fresh], list(range(len(fresh)))))))
-        accepted = ([oid for oid in domain if verdicts[oid]], len(domain))
-        _remember(self._accepted, (expr, pid), (version, accepted))
-        return accepted
+        if _REG.enabled:
+            if len(distinct) > len(fresh):
+                _FILTER_VERDICTS.inc(len(distinct) - len(fresh), ("reused",))
+            if fresh:
+                _FILTER_VERDICTS.inc(len(fresh), ("judged",))
+        return map(verdicts.__getitem__, ids)
 
-    def _probe(self, cur: BindingBatch,
-               spec: list[tuple[str, object]]) -> BindingBatch:
+    def _probe(self, cur: BindingBatch, step: "_Step") -> BindingBatch:
         """Extend every row of ``cur`` with the matches of one pattern.
 
         The pattern is probed once per *distinct* probe key (the row's
-        current ids for the pattern's bound variables, ``None`` acting as
-        a wildcard), and match ids are fanned back across the rows that
-        share the key — a hash join between the batch and the index.
-        Bound columns pass through untouched; only newly-bound (or
-        partially-unbound) variables get columns built in the loop.
+        ids for the pattern's bound variables), and match ids are fanned
+        back across the rows that share the key — a hash join between the
+        batch and the index.  Bound columns pass through untouched; only
+        newly-bound variables get columns built in the loop.  What the
+        pattern binds and which kernel runs were decided when ``step`` was
+        compiled; a bound seed column holding unbound cells (OPTIONAL
+        upstream) is the one case decided here (:meth:`_probe_holey`).
         """
-        graph = self._graph
         n = len(cur)
-        index = cur.index
+        if not n:
+            return BindingBatch(step.variables, [[] for _ in step.variables],
+                                [], step.index)
         cols = cur.columns
-
-        # Classify positions: constant id, bound-variable column, free var.
-        const_ids: list[Optional[int]] = [None, None, None]
-        pos_vars: list[Optional[Variable]] = [None, None, None]
-        bound_cols: list[Optional[list]] = [None, None, None]
-        for k, (kind, payload) in enumerate(spec):
-            if kind == "c":
-                const_ids[k] = payload  # type: ignore[assignment]
-            else:
-                pos_vars[k] = payload  # type: ignore[assignment]
-                ci = index.get(payload)  # type: ignore[arg-type]
-                if ci is not None:
-                    bound_cols[k] = cols[ci]
-
-        # Variables whose output column must be (re)built: new variables,
-        # plus bound ones whose column has unbound holes (OPTIONAL
-        # upstream).  Fully-bound columns pass through by gather/sharing.
-        rebuild_vars: list[Variable] = []
-        rebuild_ord: dict[Variable, int] = {}
-        rebuild_first_pos: list[int] = []
-        for k in (0, 1, 2):
-            var = pos_vars[k]
-            if var is None or var in rebuild_ord:
-                continue
-            col = bound_cols[k]
-            if col is None or None in col:
-                rebuild_ord[var] = len(rebuild_vars)
-                rebuild_vars.append(var)
-                rebuild_first_pos.append(k)
-        pos_ord: list[Optional[int]] = [
-            rebuild_ord.get(pos_vars[k]) if pos_vars[k] is not None else None
-            for k in (0, 1, 2)]
-        rebuild_cols: list[list] = [[] for _ in rebuild_vars]
-        n_rebuild = len(rebuild_vars)
-
-        bound_positions = [k for k in (0, 1, 2) if bound_cols[k] is not None]
-        const_positions = [k for k in (0, 1, 2) if const_ids[k] is not None]
-
-        # Columnar stores answer clean probe shapes wholesale: one
-        # searchsorted pass over the whole batch instead of one index walk
-        # per distinct key.  Repeated pattern variables and holey bound
-        # columns need per-row wildcard semantics and stay on the loops.
-        if self._vec and n:
-            pattern_vars = [v for v in pos_vars if v is not None]
-            if (len(set(pattern_vars)) == len(pattern_vars)
-                    and all(pos_ord[k] is None for k in bound_positions)):
-                out = self._probe_bulk(cur, n, const_ids, bound_cols,
-                                       bound_positions, const_positions,
-                                       rebuild_vars, rebuild_first_pos)
-                if out is not None:
-                    return out
-
-        # Group rows by the values of the bound positions only — the
-        # constants are shared by every row and stay out of the hash key.
-        groups: dict = {}
-        if not bound_positions:
-            groups[None] = range(n) if n else []
-        elif len(bound_positions) == 1:
-            for i, key in enumerate(bound_cols[bound_positions[0]]):
-                group = groups.get(key)
-                if group is None:
-                    groups[key] = [i]
-                else:
-                    group.append(i)
-        else:
-            for i, key in enumerate(zip(
-                    *(bound_cols[k] for k in bound_positions))):
-                group = groups.get(key)
-                if group is None:
-                    groups[key] = [i]
-                else:
-                    group.append(i)
-
+        if step.holey and any(None in cols[c] for c in step.holey):
+            return self._probe_holey(cur, step)
+        kernel = step.kernel
+        if self._vec and kernel != "general":
+            return self._probe_bulk(cur, step)
+        groups = _group_rows([cols[c] for c in step.cols], n)
         if _REG.enabled:
             _PROBE_ROWS.inc(n)
             _PROBE_KEYS.inc(len(groups))
-
+        made: list[list] = [[] for _ in step.fresh]
         out_index: list[int] = []
-
-        # Fast path — one clean bound column, one constant, one fresh
-        # variable: each group is a single hoisted index-leaf lookup.
-        if (len(bound_positions) == 1 and len(const_positions) == 1
-                and n_rebuild == 1
-                and pos_ord[bound_positions[0]] is None):
-            bpos = bound_positions[0]
-            fpos = rebuild_first_pos[0]
-            leaf = graph.pair_adjacency(bpos, fpos,
-                                        const_ids[const_positions[0]])
-            free_col = rebuild_cols[0]
+        if kernel == "leaf":
+            # One bound column, one constant, one fresh variable: each
+            # group is a single hoisted index-leaf lookup.
+            bpos, fpos = step.bound[0], step.fresh[0]
+            leaf = self._graph.pair_adjacency(
+                bpos, fpos, step.const[3 - bpos - fpos])
+            free_col = made[0]
             for key, rows in groups.items():
                 values = leaf(key)
                 if not values:
@@ -760,48 +932,48 @@ class Executor:
                 m = len(values)
                 if m == 1:
                     out_index.extend(rows)
-                    free_col.extend(values * len(rows))
                 else:
                     for r in rows:
                         out_index.extend([r] * m)
-                    free_col.extend(values * len(rows))
-        elif (len(bound_positions) == 1 and len(const_positions) == 2
-              and pos_ord[bound_positions[0]] is None):
-            # Existence — one clean bound column, two constants: the leaf
-            # of ids at the bound position is looked up once and each
-            # group is a membership test.
-            leaf = graph.adjacent_ids(*const_ids)
+                free_col.extend(values * len(rows))
+        elif kernel == "exists":
+            # One bound column, two constants: the leaf of ids at the
+            # bound position is looked up once and each group is a
+            # membership test.
+            leaf = self._graph.adjacent_ids(*step.const)
             for key, rows in groups.items():
                 if key in leaf:
                     out_index.extend(rows)
         else:
-            out_index = self._probe_general(
-                graph, groups, const_ids, pos_vars, bound_positions,
-                pos_ord, rebuild_first_pos, rebuild_cols)
+            out_index = self._probe_general(groups, step.const, step.pos_vars,
+                                            step.bound, step.pos_ord,
+                                            step.fresh, made)
+        return _assembled(cur, step, out_index, made)
 
-        # Assemble: rebuilt columns were made in the loop; every other
-        # column (and provenance) is gathered through out_index — unless
-        # the probe kept every row in place (the common one-match-per-row
-        # case), where untouched columns are simply shared.
-        identity = len(out_index) == n and out_index == list(range(n))
-        out_vars = list(cur.variables)
-        out_cols: list[list] = []
-        for var in cur.variables:
-            ordinal = rebuild_ord.get(var)
-            if ordinal is not None:
-                out_cols.append(rebuild_cols[ordinal])
-            elif identity:
-                out_cols.append(cols[index[var]])
-            else:
-                col = cols[index[var]]
-                out_cols.append([col[i] for i in out_index])
-        for ordinal, var in enumerate(rebuild_vars):
-            if var not in index:
-                out_vars.append(var)
-                out_cols.append(rebuild_cols[ordinal])
-        prov = cur.prov
-        return BindingBatch(tuple(out_vars), out_cols,
-                            prov if identity else [prov[i] for i in out_index])
+    def _probe_holey(self, cur: BindingBatch, step: "_Step") -> BindingBatch:
+        """:meth:`_probe` where a bound seed column holds unbound cells.
+
+        Such a cell is a wildcard the probe fills, so that variable's
+        column is built again, beside the new ones, in the general loop.
+        """
+        cols = cur.columns
+        pos_ord = list(step.pos_ord)
+        first = list(step.fresh)
+        replaced: dict[int, int] = {}  # holey column → its rebuilt ordinal
+        for k, c in zip(step.bound, step.cols):
+            if c in step.holey and None in cols[c]:
+                if c not in replaced:
+                    replaced[c] = len(first)
+                    first.append(k)
+                pos_ord[k] = replaced[c]
+        groups = _group_rows([cols[c] for c in step.cols], len(cur))
+        if _REG.enabled:
+            _PROBE_ROWS.inc(len(cur))
+            _PROBE_KEYS.inc(len(groups))
+        made: list[list] = [[] for _ in first]
+        out_index = self._probe_general(groups, step.const, step.pos_vars,
+                                        step.bound, pos_ord, first, made)
+        return _assembled(cur, step, out_index, made, replaced.items())
 
     def _bulk_gather(self, columns, prov: list, rows) -> tuple[list, list]:
         """Gather batch columns + provenance through a numpy row index.
@@ -824,58 +996,52 @@ class Executor:
         out_prov = np.asarray(prov, dtype=np.int64)[rows].tolist()
         return out_cols, out_prov
 
-    def _probe_bulk(self, cur: BindingBatch, n: int,
-                    const_ids: list[Optional[int]],
-                    bound_cols: list[Optional[list]],
-                    bound_positions: list[int],
-                    const_positions: list[int],
-                    rebuild_vars: list[Variable],
-                    rebuild_first_pos: list[int]
-                    ) -> Optional[BindingBatch]:
+
+    def _probe_bulk(self, cur: BindingBatch, step: "_Step") -> BindingBatch:
         """One searchsorted pass for the whole batch (columnar stores).
 
-        Covers the vectorizable probe shapes: constant-skeleton scans,
-        leaf probes (one bound + one constant), a-range probes (one
-        bound, two free), packed pair probes (two bound, one free), and
-        existence masks (one bound + two constants).  Every rebuilt
-        variable is fresh in these shapes (a bound one would make its
-        column holey, which the caller already excluded), so match ids
-        gather straight out of the store's sorted columns.  Returns
-        ``None`` when the shape is outside the kernels' reach.
+        Covers the vectorizable probe shapes ``step.kernel`` names:
+        constant-skeleton scans, leaf probes (one bound + one constant),
+        a-range probes (one bound, two free), packed pair probes (two
+        bound, one free), and existence masks (one bound + two
+        constants).  Every variable is distinct and every bound column
+        clean in these shapes, so match ids gather straight out of the
+        store's sorted columns.
         """
         np = _np
         store = self._graph.store
-        nb = len(bound_positions)
-        nc = len(const_positions)
-        nf = len(rebuild_vars)
+        kernel = step.kernel
+        n = len(cur)
         prov = cur.prov
+        variables, index = step.variables, step.index
 
-        if nb == 0:
+        if kernel == "scan":
             # Constant skeleton: every row sees the same matches.
-            count, value_cols = store.bulk_scan(tuple(const_ids))
+            count, value_cols = store.bulk_scan(step.const)
             if _REG.enabled:
                 _PROBE_ROWS.inc(n)
                 _PROBE_KEYS.inc(1)
                 _PROBE_BULK.inc(1, ("scan",))
-            new_vars = tuple(rebuild_vars)
             if count == 0:
-                return BindingBatch.empty(cur.variables + new_vars)
+                return BindingBatch(variables, [[] for _ in variables], [],
+                                    index)
             if count == 1:
                 out_cols = list(cur.columns)
-                for k in rebuild_first_pos:
+                for k in step.fresh:
                     out_cols.append([int(value_cols[k][0])] * n)
-                return BindingBatch(cur.variables + new_vars, out_cols, prov)
+                return BindingBatch(variables, out_cols, prov, index)
             rows = np.repeat(np.arange(n), count)
             out_cols, out_prov = self._bulk_gather(cur.columns, prov, rows)
-            for k in rebuild_first_pos:
+            for k in step.fresh:
                 out_cols.append(np.tile(value_cols[k], n).tolist())
-            return BindingBatch(cur.variables + new_vars, out_cols, out_prov)
+            return BindingBatch(variables, out_cols, out_prov, index)
 
-        if nb == 1 and nc == 2 and nf == 0:
+        key_arrays = [np.asarray(cur.columns[c], dtype=np.int64)
+                      for c in step.cols]
+        if kernel == "exists":
             # Fully grounded per row: a membership mask.
-            keys = np.asarray(bound_cols[bound_positions[0]], dtype=np.int64)
-            mask = store.bulk_exists(bound_positions[0], tuple(const_ids),
-                                     keys)
+            keys, = key_arrays
+            mask = store.bulk_exists(step.bound[0], step.const, keys)
             if _REG.enabled:
                 _PROBE_ROWS.inc(n)
                 _PROBE_KEYS.inc(int(np.unique(keys).size))
@@ -884,55 +1050,48 @@ class Executor:
                 return cur
             rows = np.flatnonzero(mask)
             out_cols, out_prov = self._bulk_gather(cur.columns, prov, rows)
-            return BindingBatch(cur.variables, out_cols, out_prov)
+            return BindingBatch(variables, out_cols, out_prov, index)
 
-        if (nb == 1 and (nc, nf) in ((1, 1), (0, 2))) \
-                or (nb == 2 and nc == 0 and nf == 1):
-            key_arrays = [np.asarray(bound_cols[k], dtype=np.int64)
-                          for k in bound_positions]
-            starts, ends, value_cols = store.bulk_probe(
-                tuple(bound_positions), tuple(const_ids), key_arrays)
-            counts = ends - starts
-            total = int(counts.sum())
-            if _REG.enabled:
-                _PROBE_ROWS.inc(n)
-                if nb == 1:
-                    _PROBE_KEYS.inc(int(np.unique(key_arrays[0]).size))
-                else:
-                    _PROBE_KEYS.inc(int(np.unique(
-                        np.column_stack(key_arrays), axis=0).shape[0]))
-                _PROBE_BULK.inc(
-                    1, ("pair" if nb == 2 else "leaf" if nc else "range",))
-            new_vars = tuple(rebuild_vars)
-            if total == 0:
-                return BindingBatch.empty(cur.variables + new_vars)
-            if total == n and bool((counts == 1).all()):
-                # Exactly one match per row: columns pass through shared.
-                out_cols = list(cur.columns)
-                for k in rebuild_first_pos:
-                    out_cols.append(value_cols[k][starts].tolist())
-                return BindingBatch(cur.variables + new_vars, out_cols, prov)
-            # Ragged gather: row i contributes counts[i] output rows whose
-            # match ids are the store rows [starts[i], ends[i]).
-            out_rows = np.repeat(np.arange(n), counts)
-            prev = np.cumsum(counts) - counts
-            gather = (np.arange(total) - np.repeat(prev, counts)
-                      + np.repeat(starts, counts))
-            out_cols, out_prov = self._bulk_gather(cur.columns, prov,
-                                                   out_rows)
-            for k in rebuild_first_pos:
-                out_cols.append(value_cols[k][gather].tolist())
-            return BindingBatch(cur.variables + new_vars, out_cols, out_prov)
-        return None
+        # leaf, range or pair
+        starts, ends, value_cols = store.bulk_probe(step.bound, step.const,
+                                                    key_arrays)
+        counts = ends - starts
+        total = int(counts.sum())
+        if _REG.enabled:
+            _PROBE_ROWS.inc(n)
+            if len(key_arrays) == 1:
+                _PROBE_KEYS.inc(int(np.unique(key_arrays[0]).size))
+            else:
+                _PROBE_KEYS.inc(int(np.unique(
+                    np.column_stack(key_arrays), axis=0).shape[0]))
+            _PROBE_BULK.inc(1, (kernel,))
+        if total == 0:
+            return BindingBatch(variables, [[] for _ in variables], [], index)
+        if total == n and bool((counts == 1).all()):
+            # Exactly one match per row: columns pass through shared.
+            out_cols = list(cur.columns)
+            for k in step.fresh:
+                out_cols.append(value_cols[k][starts].tolist())
+            return BindingBatch(variables, out_cols, prov, index)
+        # Ragged gather: row i contributes counts[i] output rows whose
+        # match ids are the store rows [starts[i], ends[i]).
+        out_rows = np.repeat(np.arange(n), counts)
+        prev = np.cumsum(counts) - counts
+        gather = (np.arange(total) - np.repeat(prev, counts)
+                  + np.repeat(starts, counts))
+        out_cols, out_prov = self._bulk_gather(cur.columns, prov, out_rows)
+        for k in step.fresh:
+            out_cols.append(value_cols[k][gather].tolist())
+        return BindingBatch(variables, out_cols, out_prov, index)
 
-    def _probe_general(self, graph: Graph, groups: dict,
-                       const_ids: list[Optional[int]],
-                       pos_vars: list[Optional[Variable]],
-                       bound_positions: list[int],
-                       pos_ord: list[Optional[int]],
-                       rebuild_first_pos: list[int],
+    def _probe_general(self, groups: dict, const_ids: Sequence[Optional[int]],
+                       pos_vars: Sequence[Optional[Variable]],
+                       bound_positions: Sequence[int],
+                       pos_ord: Sequence[Optional[int]],
+                       rebuild_first_pos: Sequence[int],
                        rebuild_cols: list[list]) -> list[int]:
         """The general probe loop: any mix of wildcards per group."""
+        graph = self._graph
         out_index: list[int] = []
         n_rebuild = len(rebuild_cols)
         match_ids = graph.match_ids
@@ -1251,10 +1410,16 @@ class Executor:
         return self._per_row_eval(batch, op.expression, evaluate_ebv)
 
     def _keep(self, op: FilterOp, batch: BindingBatch,
-              after: int | AlgebraOp) -> BindingBatch:
+              after: int | AlgebraOp,
+              judge: Optional["_Verdicts"] = None) -> BindingBatch:
         """The rows of ``batch`` on which ``op``'s condition holds; it runs
-        ``after`` a pattern of the BGP below it, or a whole operator."""
-        keep = [i for i, flag in enumerate(self._mask(op, batch)) if flag]
+        ``after`` a pattern of the BGP below it, or a whole operator.  With
+        a ``judge`` — the kept verdicts of a condition reading one variable
+        and no EXISTS — a row reads its id's verdict (:meth:`_judge`)."""
+        column = None if judge is None else batch.index.get(judge.var)
+        flags = self._mask(op, batch) if column is None else self._judge(
+            op, batch.columns[column], judge.var, judge)
+        keep = list(compress(range(len(batch)), flags))
         out = batch if len(keep) == len(batch) else batch.gather(keep)
         if _TRACER.enabled:
             # A filter reports the rows its condition saw, where it ran.
@@ -1517,6 +1682,49 @@ def _lift(expr: Expression, groups: list, reads: set) -> Expression:
             changed = {**(changed or {}), name: new}
     return replace(expr, **changed) if changed else expr
 
+
+def _forget(programs: dict, ref: _OpRef) -> None:
+    """The callback of an operator's weak reference: its programs go with
+    it (see :meth:`Executor._program`)."""
+    if programs.get(ref.key) is ref:
+        del programs[ref.key]
+
+
+def _group_rows(keys: list[list], n: int) -> dict:
+    """The row indexes of a batch of ``n`` rows by their ids in the bound
+    columns ``keys`` (one column: the id itself; none: one group)."""
+    if not keys:
+        return {None: range(n)}
+    groups: dict = {}
+    for i, key in enumerate(keys[0] if len(keys) == 1 else zip(*keys)):
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [i]
+        else:
+            group.append(i)
+    return groups
+
+
+def _assembled(cur: BindingBatch, step: _Step, out_index: list[int],
+               made: list[list], replaced: Iterable[tuple[int, int]] = ()
+               ) -> BindingBatch:
+    """The output of a probe loop: the new columns ``made`` (the first
+    ``len(step.fresh)`` are the new variables'; ``replaced`` maps a holey
+    column to the one rebuilt for it), every other column and provenance
+    gathered through ``out_index`` — or shared, when the probe kept every
+    row in place (the common one-match-per-row case)."""
+    n = len(cur)
+    prov = cur.prov
+    if len(out_index) == n and out_index == list(range(n)):
+        out_cols = list(cur.columns)
+    else:
+        out_cols = [list(map(col.__getitem__, out_index))
+                    for col in cur.columns]
+        prov = list(map(prov.__getitem__, out_index))
+    for c, j in replaced:
+        out_cols[c] = made[j]
+    out_cols += made[:len(step.fresh)]
+    return BindingBatch(step.variables, out_cols, prov, step.index)
 
 def _remember(memo: dict, key, value) -> None:
     """:func:`repro.sparql.engine.remember`: the memos of an executor

@@ -5,9 +5,10 @@
 :class:`~repro.errors.ExpressionError` and are handled at the FILTER /
 BIND / aggregate boundaries by the executor.
 
-``EXISTS`` runs a nested group through the reference executor's
-:class:`EvalContext`; the batched executor lifts it out first, so without
-one it is an engine fault no FILTER reads as false (not an ExpressionError).
+``EXISTS`` runs a nested group through an :class:`EvalContext` callback
+(the test suite's tuple-at-a-time oracle gives one); the batched executor
+lifts it out first, so without one it is an engine fault no FILTER reads
+as false (not an ExpressionError).
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ Binding = dict[Variable, Term]
 class EvalContext:
     """Evaluation services an expression may need beyond its binding.
 
-    ``exists`` is a callback ``(group, binding) -> bool`` provided by the
-    reference executor; expressions without EXISTS never touch it.
+    ``exists`` is a callback ``(group, binding) -> bool``, given by a
+    tuple-at-a-time evaluator; expressions without EXISTS never touch it.
     """
 
     __slots__ = ("exists",)

@@ -1,10 +1,11 @@
-"""The tuple-at-a-time reference evaluator.
+"""The tuple-at-a-time reference evaluator: the test suite's oracle.
 
 This is the seed engine's recursive-generator executor, retained verbatim
 as the semantic oracle for the batched id-space pipeline in
 :mod:`repro.sparql.executor`: the parity test suite runs every workload
 through both and asserts bag-equal results
-(``tests/test_executor_parity.py``).  Only tests and benchmarks run it.
+(``tests/test_executor_parity.py``).  Only tests and benchmarks run it, so
+it lives beside them, outside the package.
 """
 
 from __future__ import annotations
@@ -12,17 +13,17 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterator, Optional
 
-from ..errors import ExpressionError, QueryEvaluationError
-from ..rdf.graph import Graph
-from ..rdf.terms import IRI, Term, Variable
-from ..rdf.triples import TriplePattern
-from .aggregates import make_accumulator
-from .algebra import AlgebraOp, BGPOp, DistinctOp, ExtendOp, FilterOp, \
-    GroupOp, JoinOp, LeftJoinOp, OrderByOp, ProjectOp, SliceOp, TableOp, \
-    UnionOp, UnitOp, translate_group
-from .ast import GroupPattern
-from .expr import EvalContext, evaluate, evaluate_ebv
-from .values import order_key
+from repro.errors import ExpressionError, QueryEvaluationError
+from repro.rdf.graph import Graph
+from repro.rdf.terms import IRI, Term, Variable
+from repro.rdf.triples import TriplePattern
+from repro.sparql.aggregates import make_accumulator
+from repro.sparql.algebra import AlgebraOp, BGPOp, DistinctOp, ExtendOp, \
+    FilterOp, GroupOp, JoinOp, LeftJoinOp, OrderByOp, ProjectOp, SliceOp, \
+    TableOp, UnionOp, UnitOp, translate_group
+from repro.sparql.ast import GroupPattern
+from repro.sparql.expr import EvalContext, evaluate, evaluate_ebv
+from repro.sparql.values import order_key
 
 __all__ = ["ReferenceExecutor"]
 

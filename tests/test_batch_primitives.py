@@ -210,9 +210,11 @@ class TestEngineCaches:
         assert self._plan_counts(engine, text) == (0, 1)   # 6 → 3: halved
 
     def test_plan_and_verdict_memos_are_bounded(self, monkeypatch):
-        """The memos outlive writes, so they evict oldest-first at the
-        engine's limit: distinct conditions (and plans) past it leave each
-        at or under it, and answers stay right."""
+        """The plan and verdict memos outlive writes, so they evict
+        oldest-first at the engine's limit: distinct conditions (and
+        plans) past it leave each at or under it; the compiled programs
+        live as long as their operators, which go with the prepared
+        queries the engine's memo evicts.  Answers stay right."""
         import repro.sparql.engine as engine_module
         monkeypatch.setattr(engine_module, "_PREPARED_CACHE_LIMIT", 4)
         g = Graph()
@@ -226,8 +228,75 @@ class TestEngineCaches:
                 f'?s ex:p ?o{k} . FILTER(STR(?o{k}) != "{k}") }}')
             assert len(table) == 20
         assert 0 < len(executor._bgp_cache) <= 4
-        assert 0 < len(executor._accepted) <= 4
-        assert 0 < len(executor._verdicts) <= 4
+        assert 0 < len(executor._conditions) <= 4
+        assert 0 < len(executor._programs) <= 4
+
+    TEXT = ("PREFIX ex: <http://example.org/> "
+            "SELECT ?s WHERE { ?s ex:p ?o . FILTER(?o != ex:c) }")
+
+    @staticmethod
+    def _program(engine, prepared):
+        """The program the executor keeps for the BGP stack of ``prepared``
+        (its top is the FilterOp under the projection)."""
+        top = prepared.plan.child
+        return engine.executor._programs[id(top)].programs
+
+    def test_a_dropped_prepared_query_frees_its_program(self):
+        import gc
+        from repro.sparql import PreparedQuery
+        engine = QueryEngine(small_graph())
+        prepared = PreparedQuery.compile(self.TEXT)
+        assert len(engine.query(prepared)) == 1
+        assert len(engine.executor._programs) == 1
+        del prepared
+        gc.collect()
+        assert engine.executor._programs == {}
+
+    def test_an_operator_reusing_a_dead_ones_id_gets_its_own_program(self):
+        """A program is found by the id() of its operator, and an id is
+        reused once the operator is gone: the dead operator's entry goes
+        with it, so the newcomer is compiled, not handed the old steps."""
+        from repro.sparql import PreparedQuery
+        from repro.sparql.algebra import FilterOp
+        engine = QueryEngine(small_graph())
+        other = PreparedQuery.compile(
+            "PREFIX ex: <http://example.org/> "
+            "SELECT ?s WHERE { ?s ex:q ?o . FILTER(?o != ex:b) }").plan.child
+        prepared = PreparedQuery.compile(self.TEXT)
+        assert len(engine.query(prepared)) == 1
+        dead = id(prepared.plan.child)
+        del prepared
+        assert dead not in engine.executor._programs
+        born = []   # kept alive, so each takes a fresh block
+        while len(born) < 10_000 and (not born or id(born[-1]) != dead):
+            born.append(FilterOp(other.expression, other.child))
+        newcomer = born[-1]
+        assert id(newcomer) == dead    # CPython hands the block out again
+        # ex:b ex:q ex:c passes; the dead program would probe ex:p
+        rows = engine.executor.run(newcomer)
+        assert [row[Variable("s")] for row in rows] == [EX.b]
+        program, = engine.executor._programs[dead].programs
+        assert [step.const[1] for step in program.steps] \
+            == [engine.graph.dictionary.lookup(EX.q)]
+
+    def test_a_program_is_compiled_again_once_the_graph_doubles(self):
+        from repro.sparql import PreparedQuery
+        g = small_graph()
+        engine = QueryEngine(g)
+        prepared = PreparedQuery.compile(self.TEXT)
+        engine.query(prepared)
+        first, = self._program(engine, prepared)
+        g.add(Triple(EX.d, EX.p, EX.e))               # 3 → 4: kept
+        assert [row[0] for row in engine.query(prepared)] == [EX.a, EX.d]
+        assert self._program(engine, prepared) == [first]
+        g.update(Triple(EX[f"s{i}"], EX.q, EX.c) for i in range(4))  # → 8
+        engine.query(prepared)
+        second, = self._program(engine, prepared)
+        assert second is not first
+        g.remove(Triple(EX[f"s{i}"], EX.q, EX.c) for i in range(4))  # → 4
+        engine.query(prepared)
+        third, = self._program(engine, prepared)
+        assert third is not second
 
     def test_remember_replaces_a_value_without_evicting(self, monkeypatch):
         """A verdict list is refreshed in place at each graph version: at

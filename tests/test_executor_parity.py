@@ -14,11 +14,12 @@ import pytest
 
 from repro.datasets import load_dataset
 from repro.rdf import parse_turtle
-from repro.sparql import QueryEngine, ReferenceExecutor, ResultTable
+from repro.sparql import QueryEngine, ResultTable
 from repro.sparql.values import order_key
 from repro.workload import WorkloadConfig, WorkloadGenerator
 
 from tests.conftest import on_store, probe_rows
+from tests.oracle import ReferenceExecutor
 
 DATASETS = ("dbpedia", "lubm", "swdf")
 

@@ -243,3 +243,68 @@ class TestFreshness:
         assert pushed == 1
         graph.add(Triple(EX.o1, EX.r, EX.n1))
         assert len(assert_parity(engine, query)) == 20
+
+        # Kept, not pushed: ex:q's 20 objects outnumber the 4 rows the
+        # first probe (ex:tag) starts from, so the condition runs after
+        # the probe binding ?v, on every answer — a write must reach it
+        # there too (a mutant keeping its verdicts answers 1 row here).
+        graph = Graph(store=store)
+        graph.update([Triple(EX[f"y{i}"], EX.q, EX[f"v{i}"])
+                      for i in range(20)])
+        graph.update([Triple(EX[f"y{i}"], EX.tag, EX.t) for i in range(4)])
+        graph.add(Triple(EX.v0, EX.r, EX.n1))
+        engine = QueryEngine(graph)
+        query = """
+            PREFIX ex: <http://example.org/>
+            SELECT ?y WHERE {
+              ?y ex:tag ex:t ; ex:q ?v . FILTER EXISTS { ?v ex:r ex:n1 }
+            }"""
+        h.reset()
+        h.enable(tracing=False)
+        try:
+            assert len(engine.query(query)) == 1
+            seeded = h.metrics.counter_total("sparql_filter_pushdown_total")
+        finally:
+            h.disable()
+            h.reset()
+        assert seeded == 0
+        graph.add(Triple(EX.v1, EX.r, EX.n1))
+        assert len(assert_parity(engine, query)) == 2
+
+    @pytest.mark.parametrize("store", STORES)
+    def test_a_domain_is_read_again_only_after_its_predicate_changes(
+            self, store, monkeypatch):
+        """The accepted ids key on the version ``ex:p`` was last written
+        at (``Graph.predicate_version``): a write to another predicate
+        leaves them, and the domain unread; a write to ``ex:p`` reads it
+        once more, and judges only the object it adds."""
+        reads = []
+        domain = Graph.object_domain
+        monkeypatch.setattr(Graph, "object_domain", lambda graph, pid: (
+            reads.append(pid), domain(graph, pid))[1])
+        graph = Graph(store=store)
+        graph.update([Triple(EX[f"x{i}"], EX.p, EX[f"o{i % 2}"])
+                      for i in range(20)])
+        engine = QueryEngine(graph)
+        query = """
+            PREFIX ex: <http://example.org/>
+            SELECT ?x WHERE { ?x ex:p ?o . FILTER(?o != ex:o1) }"""
+        assert len(engine.query(query)) == 10
+        assert len(engine.query(query)) == 10
+        assert len(reads) == 1
+        graph.add(Triple(EX.x0, EX.s, EX.o1))        # another predicate
+        assert len(engine.query(query)) == 10
+        assert len(reads) == 1
+        h = hub()
+        h.reset()
+        h.enable(tracing=False)
+        try:
+            graph.add(Triple(EX.x99, EX.p, EX.o2))   # ex:p itself
+            assert len(assert_parity(engine, query)) == 11
+            verdicts = h.metrics.get("engine_filter_verdicts_total")
+            judged = verdicts.value(("judged",))
+        finally:
+            h.disable()
+            h.reset()
+        assert len(reads) == 2
+        assert judged == 1     # ex:o2; ex:o0 and ex:o1 kept their verdicts

@@ -30,11 +30,12 @@ from repro.errors import CatalogCorruptError, FailpointError, SimulatedCrash
 from repro.obs import hub
 from repro.rdf import Dataset
 from repro.resilience import failpoints
-from repro.sparql import QueryEngine, ReferenceExecutor, ResultTable
+from repro.sparql import QueryEngine, ResultTable
 from repro.views import ViewCatalog, ViewMaintainer, load_expanded, \
     save_expanded
 from repro.workload import UpdateStreamConfig, UpdateStreamGenerator
 
+from tests.oracle import ReferenceExecutor
 from tests.test_incremental_maintenance import assert_index_true, \
     assert_view_parity
 

@@ -18,7 +18,7 @@ from repro.cube import AnalyticalFacet, AnalyticalQuery, ViewDefinition, \
     ViewLattice
 from repro.errors import ReproError
 from repro.rdf import Dataset, Graph, Namespace, Triple, typed_literal
-from repro.sparql import QueryEngine, ReferenceExecutor, ResultTable
+from repro.sparql import QueryEngine, ResultTable
 from repro.sparql.delta import DeltaEvaluator, compile_delta_plan
 from repro.views import MAINTENANCE_POLICIES, GroupIndex, ViewCatalog, \
     ViewMaintainer
@@ -27,6 +27,7 @@ from repro.workload import UpdateStreamConfig, UpdateStreamGenerator, \
 
 from tests.conftest import POPULATION_AVG_FACET_QUERY, \
     POPULATION_FACET_QUERY, build_population_graph
+from tests.oracle import ReferenceExecutor
 
 EX = Namespace("http://example.org/")
 

@@ -8,7 +8,7 @@ import pytest
 from repro.core import OnlineModule, Sofos
 from repro.cube import AnalyticalQuery
 from repro.errors import CatalogCorruptError, ParseError, SimulatedCrash, \
-    ViewError
+    TermError, ViewError
 from repro.rdf import Dataset, Namespace, Quad, Triple, typed_literal
 from repro.rdf.nquads import parse_nquads, serialize_nquads
 from repro.resilience import failpoints
@@ -441,6 +441,38 @@ class TestChecksumsAndRecovery:
             load_expanded(str(tmp_path), facet)
         assert exc.value.salvageable == (survivor.label,)
         assert exc.value.path == str(tmp_path / "expanded.nq")
+
+    def test_one_pass_load_is_a_line_by_line_load(self, saved):
+        """The lenient parse interns terms in file order and fills each
+        graph in one bulk insert: the same ids and graphs as adding the
+        surviving quads one line at a time, torn and junk lines dropped
+        alike, and the same salvage verdict."""
+        from repro.rdf.nquads import iter_nquads
+        from repro.views.persistence import _parse_dataset_lenient
+        tmp_path, facet, catalog = saved
+        entries = list(catalog)
+        victim, survivor = entries[0].definition, entries[1].definition
+        self._corrupt_graph(tmp_path, victim.iri.value, tear=True)
+        path = tmp_path / "expanded.nq"
+        path.write_text("# saved\n\nnot a quad .\n" + path.read_text())
+        text = path.read_text()
+
+        expected = Dataset()
+        for line in text.split("\n"):
+            try:
+                for quad in iter_nquads([line]):
+                    expected.add_quad(quad)
+            except (ParseError, TermError):
+                continue
+        got = _parse_dataset_lenient(text)
+        assert got.dictionary.id_terms() == expected.dictionary.id_terms()
+        assert list(got.names()) == list(expected.names())
+        for name in (None, *expected.names()):
+            assert sorted(got.graph(name).snapshot_ids()) \
+                == sorted(expected.graph(name).snapshot_ids())
+        with pytest.raises(CatalogCorruptError) as exc:
+            load_expanded(str(tmp_path), facet)
+        assert exc.value.salvageable == (survivor.label,)
 
     def test_recover_loads_intact_and_rebuilds_the_rest(self, saved):
         tmp_path, facet, catalog = saved

@@ -445,7 +445,8 @@ class TestAggregateResultParity:
 def _assert_rows_match_the_reference(engine: QueryEngine, text: str,
                                      store: str) -> None:
     """``text`` answers with the reference executor's rows, in its order."""
-    from repro.sparql import ReferenceExecutor, ResultTable
+    from repro.sparql import ResultTable
+    from tests.oracle import ReferenceExecutor
     prepared = engine.prepare(text)
     expected = ResultTable.from_bindings(
         prepared.ast.projected_variables(),
@@ -972,7 +973,8 @@ class TestFilterPushdownParity:
     @staticmethod
     def _ask(engine, graph, stacks, store, when):
         from repro.obs import hub
-        from repro.sparql import ReferenceExecutor, ResultTable
+        from repro.sparql import ResultTable
+        from tests.oracle import ReferenceExecutor
         for (select, group_by), filters in product(_PUSH_SHAPES, stacks):
             prepared = engine.prepare(_PUSH_TEMPLATE.format(
                 select=select, filters=filters, group_by=group_by))
@@ -1128,7 +1130,8 @@ class TestExistsSemiJoin:
     @staticmethod
     def _ask(engine, graph, prepared, placement, store, when):
         from repro.obs import hub
-        from repro.sparql import ReferenceExecutor, ResultTable
+        from repro.sparql import ResultTable
+        from tests.oracle import ReferenceExecutor
         h = hub()
         h.reset()
         h.enable(tracing=False)

@@ -25,12 +25,13 @@ from repro.rdf import Dataset, Graph, Namespace, Triple, parse_turtle
 from repro.rdf.namespace import SOFOS
 from repro.resilience import ConsistencyAuditor
 from repro.selection import UserSelection
-from repro.sparql import PreparedQuery, ReferenceExecutor, ResultTable
+from repro.sparql import PreparedQuery, ResultTable
 from repro.sparql.values import to_number
 from repro.views import ViewCatalog, ViewMaintainer, ViewRouter, \
     dimension_predicate
 from repro.views.catalog import MaterializedView
 
+from tests.oracle import ReferenceExecutor
 from tests.test_incremental_maintenance import assert_index_true
 from tests.test_properties import _GROUP_OPERANDS
 

@@ -363,11 +363,16 @@ class TestExistsIsOneEngine:
             # a type error would read as false, and drop the row silently
             assert not isinstance(caught.value, ExpressionError)
 
-    def test_only_the_facade_imports_the_reference_executor(self):
+    def test_no_package_module_imports_the_oracle(self):
+        """The tuple-at-a-time oracle is test code (``tests/oracle.py``):
+        the package neither holds nor exports nor imports it."""
         import ast
         from pathlib import Path
         import repro
+        import repro.sparql
         root = Path(repro.__file__).parent
+        assert not (root / "sparql" / "reference.py").exists()
+        assert not hasattr(repro.sparql, "ReferenceExecutor")
         importers = []
         for path in sorted(root.rglob("*.py")):
             package = [root.name, *path.relative_to(root).parent.parts]
@@ -381,11 +386,12 @@ class TestExistsIsOneEngine:
                     module, names = "", {a.name for a in node.names}
                 else:
                     continue
-                if module.rstrip(".").endswith("sparql.reference") \
+                if module.rstrip(".").endswith(("sparql.reference",
+                                                "oracle")) \
                         or "ReferenceExecutor" in names \
                         or "repro.sparql.reference" in names:
                     importers.append(path.relative_to(root).as_posix())
-        assert importers == ["sparql/__init__.py"]
+        assert importers == []
 
     # (condition, its answer, whether it is a key-set semi-join)
     KEY_SETS = [
@@ -411,7 +417,8 @@ class TestExistsIsOneEngine:
     @pytest.mark.parametrize("condition,answer,key_set", KEY_SETS)
     def test_a_one_pattern_group_may_be_a_key_set(self, store, condition,
                                                    answer, key_set):
-        from repro.sparql import ReferenceExecutor, ResultTable
+        from repro.sparql import ResultTable
+        from tests.oracle import ReferenceExecutor
         from tests.conftest import on_store
         engine = QueryEngine(on_store(parse_turtle(DATA), store))
         prepared = engine.prepare(
