@@ -227,6 +227,11 @@ def panel_observability(hub: ObservabilityHub, max_spans: int = 6) -> str:
         for key, count in bulk.labeled_series():
             storage_rows.append([f"bulk kernel probes [{key[0]}]",
                                  str(count)])
+    scalar = reg.get("engine_probe_scalar_total")
+    if scalar is not None:
+        for key, count in scalar.labeled_series():
+            storage_rows.append([f"scalar kernel probes [{'/'.join(key)}]",
+                                 str(count)])
     storage_rows.append(
         ["store compactions",
          str(reg.counter_total("store_compactions_total"))])

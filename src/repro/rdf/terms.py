@@ -354,7 +354,7 @@ class Variable:
     Variables appear in triple *patterns* and expressions, never in graphs.
     """
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "_hash")
 
     def __init__(self, name: str) -> None:
         if not isinstance(name, str) or not name:
@@ -364,6 +364,8 @@ class Variable:
         if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
             raise TermError(f"invalid variable name: {name!r}")
         object.__setattr__(self, "name", name)
+        # computed once: batches and plans look columns up by variable
+        object.__setattr__(self, "_hash", hash((Variable, name)))
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("Variable is immutable")
@@ -372,7 +374,7 @@ class Variable:
         return isinstance(other, Variable) and other.name == self.name
 
     def __hash__(self) -> int:
-        return hash((Variable, self.name))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Variable({self.name!r})"

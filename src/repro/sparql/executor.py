@@ -9,7 +9,7 @@ algebra tree:
 
 * BGPs are evaluated as batched index probes: each triple pattern is
   probed once per **distinct** bound prefix (not once per row) and the
-  matches are fanned back out with a hash join on the prefix;
+  matches are fanned back out onto the rows holding it;
 * a FILTER stacked on a BGP runs right after the probe that binds what
   it reads — or, if it reads one variable that is the object of a
   constant predicate whose distinct objects are fewer than the first
@@ -54,7 +54,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import replace
 from functools import partial
-from itertools import compress
+from itertools import chain, compress, repeat
 from operator import is_not
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -127,6 +127,12 @@ _PROBE_BULK = _REG.counter(
     "engine_probe_bulk_total",
     "whole-batch probes answered by vectorized store kernels",
     labels=("kernel",))
+_PROBE_SCALAR = _REG.counter(
+    "engine_probe_scalar_total",
+    "probes answered by the scalar kernels, by how the batch left: kept "
+    "(rows passed through), masked (rows dropped), fanned (a row per "
+    "match) or grouped (the general loop, or a holey seed column)",
+    labels=("kernel", "path"))
 _AGGREGATE_IDS = _REG.counter(
     "engine_aggregate_ids_total",
     "COUNT/SUM/AVG result values given an id: reused (an int already "
@@ -892,11 +898,9 @@ class Executor:
     def _probe(self, cur: BindingBatch, step: "_Step") -> BindingBatch:
         """Extend every row of ``cur`` with the matches of one pattern.
 
-        The pattern is probed once per *distinct* probe key (the row's
-        ids for the pattern's bound variables), and match ids are fanned
-        back across the rows that share the key — a hash join between the
-        batch and the index.  Bound columns pass through untouched; only
-        newly-bound variables get columns built in the loop.  What the
+        The index is probed once per *distinct* probe key (the row's ids
+        for the pattern's bound variables).  Bound columns pass through
+        untouched; only newly-bound variables get columns built.  What the
         pattern binds and which kernel runs were decided when ``step`` was
         compiled; a bound seed column holding unbound cells (OPTIONAL
         upstream) is the one case decided here (:meth:`_probe_holey`).
@@ -911,44 +915,85 @@ class Executor:
         kernel = step.kernel
         if self._vec and kernel != "general":
             return self._probe_bulk(cur, step)
+        if kernel == "leaf":
+            return self._probe_leaf(cur, step)
+        if kernel == "exists":
+            return self._probe_exists(cur, step)
         groups = _group_rows([cols[c] for c in step.cols], n)
         if _REG.enabled:
             _PROBE_ROWS.inc(n)
             _PROBE_KEYS.inc(len(groups))
+            _PROBE_SCALAR.inc(1, (kernel, "grouped"))
         made: list[list] = [[] for _ in step.fresh]
-        out_index: list[int] = []
-        if kernel == "leaf":
-            # One bound column, one constant, one fresh variable: each
-            # group is a single hoisted index-leaf lookup.
-            bpos, fpos = step.bound[0], step.fresh[0]
-            leaf = self._graph.pair_adjacency(
-                bpos, fpos, step.const[3 - bpos - fpos])
-            free_col = made[0]
-            for key, rows in groups.items():
-                values = leaf(key)
-                if not values:
-                    continue
-                values = list(values)
-                m = len(values)
-                if m == 1:
-                    out_index.extend(rows)
-                else:
-                    for r in rows:
-                        out_index.extend([r] * m)
-                free_col.extend(values * len(rows))
-        elif kernel == "exists":
-            # One bound column, two constants: the leaf of ids at the
-            # bound position is looked up once and each group is a
-            # membership test.
-            leaf = self._graph.adjacent_ids(*step.const)
-            for key, rows in groups.items():
-                if key in leaf:
-                    out_index.extend(rows)
-        else:
-            out_index = self._probe_general(groups, step.const, step.pos_vars,
-                                            step.bound, step.pos_ord,
-                                            step.fresh, made)
+        out_index = self._probe_general(groups, step.const, step.pos_vars,
+                                        step.bound, step.pos_ord, step.fresh,
+                                        made)
         return _assembled(cur, step, out_index, made)
+
+    def _probe_leaf(self, cur: BindingBatch, step: "_Step") -> BindingBatch:
+        """:meth:`_probe` of one bound column, one constant and one new
+        variable: each distinct key's index leaf is looked up once, and
+        rows leave in the order they came in.
+
+        When no key matches twice the new column is the key column mapped
+        through the lookups, and the other columns and provenance pass
+        through (every key matched) or are compressed by one mask.
+        Otherwise each row fans out in place into one row per match.
+        """
+        keys = cur.columns[step.cols[0]]
+        bpos, fpos = step.bound[0], step.fresh[0]
+        leaf = self._graph.pair_adjacency(bpos, fpos,
+                                          step.const[3 - bpos - fpos])
+        distinct = dict.fromkeys(keys)
+        leaves = list(map(leaf, distinct))
+        n = len(keys)
+        try:
+            # each matched key's one id: unpacking fails if a key has two
+            one = {key: value for key, (value,)
+                   in compress(zip(distinct, leaves), leaves)}
+        except ValueError:  # each row fans out in place, a row per match
+            path = "fanned"
+            found = dict(compress(zip(distinct, leaves), leaves))
+            matches = list(map(found.get, keys, repeat(())))
+            out_index = _np.repeat(_np.arange(n), _np.fromiter(
+                map(len, matches), _np.intp, n)).tolist()
+            out = _assembled(cur, step, out_index,
+                             [list(chain.from_iterable(matches))])
+        else:
+            if len(one) == len(distinct):
+                path, columns, prov = "kept", list(cur.columns), cur.prov
+            else:
+                path = "masked"
+                mask = list(map(one.__contains__, keys))
+                columns = [list(compress(col, mask)) for col in cur.columns]
+                prov = list(compress(cur.prov, mask))
+            columns.append(list(map(one.__getitem__,
+                                    columns[step.cols[0]])))
+            out = BindingBatch(step.variables, columns, prov, step.index)
+        if _REG.enabled:
+            _PROBE_ROWS.inc(n)
+            _PROBE_KEYS.inc(len(distinct))
+            _PROBE_SCALAR.inc(1, ("leaf", path))
+        return out
+
+    def _probe_exists(self, cur: BindingBatch, step: "_Step"
+                      ) -> BindingBatch:
+        """:meth:`_probe` of one bound column and two constants: one
+        membership mask over the key column, against the leaf of ids at
+        the bound position; the batch itself when every row holds."""
+        keys = cur.columns[step.cols[0]]
+        mask = list(map(self._graph.adjacent_ids(*step.const).__contains__,
+                        keys))
+        kept = all(mask)
+        if _REG.enabled:
+            _PROBE_ROWS.inc(len(keys))
+            _PROBE_KEYS.inc(len(set(keys)))
+            _PROBE_SCALAR.inc(1, ("exists", "kept" if kept else "masked"))
+        if kept:
+            return cur
+        return BindingBatch(step.variables,
+                            [list(compress(col, mask)) for col in cur.columns],
+                            list(compress(cur.prov, mask)), step.index)
 
     def _probe_holey(self, cur: BindingBatch, step: "_Step") -> BindingBatch:
         """:meth:`_probe` where a bound seed column holds unbound cells.
@@ -970,6 +1015,7 @@ class Executor:
         if _REG.enabled:
             _PROBE_ROWS.inc(len(cur))
             _PROBE_KEYS.inc(len(groups))
+            _PROBE_SCALAR.inc(1, (step.kernel, "grouped"))
         made: list[list] = [[] for _ in first]
         out_index = self._probe_general(groups, step.const, step.pos_vars,
                                         step.bound, pos_ord, first, made)
@@ -1712,7 +1758,7 @@ def _assembled(cur: BindingBatch, step: _Step, out_index: list[int],
     ``len(step.fresh)`` are the new variables'; ``replaced`` maps a holey
     column to the one rebuilt for it), every other column and provenance
     gathered through ``out_index`` — or shared, when the probe kept every
-    row in place (the common one-match-per-row case)."""
+    row in place."""
     n = len(cur)
     prov = cur.prov
     if len(out_index) == n and out_index == list(range(n)):

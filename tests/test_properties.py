@@ -28,6 +28,7 @@ from repro.rdf import ColumnarStore, Dataset, Graph, IRI, Literal, \
     serialize_ntriples, typed_literal
 from repro.rdf.dictionary import ID_LIMIT
 from repro.rdf.terms import BlankNode
+from repro.rdf.triples import TriplePattern
 from repro.selection import AnnealingSelector, ExhaustiveSelector, \
     GreedySelector, SelectionProblem
 from repro.sparql import QueryEngine
@@ -819,7 +820,6 @@ def planner_bgps(draw):
     Half of the draws split the variables into two islands no pattern
     bridges, so a cross product is unavoidable — but only once.
     """
-    from repro.rdf.triples import TriplePattern
     variables = _PLAN_VARS[:draw(st.integers(2, 6))]
     islands = [variables]
     if len(variables) >= 4 and draw(st.booleans()):
@@ -1010,6 +1010,91 @@ def _push_rows(prefix: str, rows, first_m: int = 0) -> list[Triple]:
         if has_key:
             out.append(Triple(EX[f"{prefix}{i}"], EX.k, EX[f"k{i % 3}"]))
     return out
+
+
+# --------------------------------------------------------------------------
+# probe kernels: the scalar loops answer as the whole-batch kernels do
+# --------------------------------------------------------------------------
+
+_KERNEL_NODES = 8
+_KX, _KY, _KZ = Variable("x"), Variable("y"), Variable("z")
+#: Patterns over the seed's ?x and the fresh ?y / ?z: one-key leaf probes
+#: from either end of a functional (ex:f) or multi-valued (ex:m)
+#: predicate, membership probes, a chain from ?y, and a repeated variable
+#: (the general loop on either executor)
+_KERNEL_PATTERNS = (
+    (_KX, EX.f, _KY), (_KX, EX.m, _KY), (_KY, EX.f, _KX), (_KY, EX.m, _KX),
+    (_KX, EX.f, EX.k0), (_KX, EX.m, EX.k1), (EX.k2, EX.m, _KX),
+    (_KY, EX.f, _KZ), (_KY, EX.m, _KZ), (_KX, EX.m, _KX))
+#: The seed's keys: graph nodes, a term the graph lacks, and (drawn) an
+#: unbound cell, as an OPTIONAL upstream leaves one in its column
+_KERNEL_KEYS = [EX[f"k{i}"] for i in range(_KERNEL_NODES)] + [EX.absent]
+
+kernel_worlds = st.tuples(
+    # per node: its one ex:f object, if any, and its ex:m objects
+    st.lists(st.one_of(st.none(), st.integers(0, _KERNEL_NODES - 1)),
+             min_size=_KERNEL_NODES, max_size=_KERNEL_NODES),
+    st.lists(st.lists(st.integers(0, _KERNEL_NODES - 1), max_size=3,
+                      unique=True),
+             min_size=_KERNEL_NODES, max_size=_KERNEL_NODES),
+    st.lists(st.sampled_from(_KERNEL_PATTERNS), min_size=1, max_size=3,
+             unique=True),
+    st.lists(st.integers(0, _KERNEL_NODES), min_size=1, max_size=12),
+    # the seed rows left unbound (index modulo the rows), in half the draws
+    st.one_of(st.just([]),
+              st.lists(st.integers(0, 11), min_size=1, max_size=2)))
+
+
+class TestProbeKernelAgreement:
+    """On one columnar graph, an executor with its scalar probe kernels
+    forced (``_vec = False``) and the default one (whole-batch kernels)
+    give every seed row the same bag of rows; where every probe is a
+    ``leaf`` or ``exists`` one, both emit rows in seed order."""
+
+    @given(kernel_worlds)
+    # a leaf probe over repeated keys: grouping them would reorder rows
+    @example(([1, 2, None, 0, 1, 2, 3, 4], [[]] * _KERNEL_NODES,
+              [(_KX, EX.f, _KY)], [0, 1, 0, 2, 8, 1], []))
+    def test_scalar_and_bulk_kernels_agree(self, world):
+        from repro.sparql.algebra import BGPOp
+        from repro.sparql.batch import BindingBatch
+        from repro.sparql.executor import Executor
+        functional, multi, patterns, keys, holes = world
+        graph = Graph(store="columnar")
+        for i, j in enumerate(functional):
+            if j is not None:
+                graph.add(Triple(EX[f"k{i}"], EX.f, EX[f"k{j}"]))
+        for i, objects in enumerate(multi):
+            for j in objects:
+                graph.add(Triple(EX[f"k{i}"], EX.m, EX[f"k{j}"]))
+        op = BGPOp(tuple(TriplePattern(*p) for p in patterns))
+        cells = [_KERNEL_KEYS[k] for k in keys]
+        for h in holes:
+            cells[h % len(cells)] = None
+        forced, default = Executor(graph), Executor(graph)
+        forced._vec = False
+        answers = []
+        for executor in (forced, default):
+            seed = BindingBatch((_KX,), [[
+                None if t is None else executor.encode_term(t)
+                for t in cells]], list(range(len(cells))))
+            out = executor.run_batch(op, seed)
+            rows = [Counter() for _ in cells]
+            for r, s in enumerate(out.prov):
+                rows[s][tuple(None if t is None else executor.decode_id(t)
+                              for t in (out.column(v)[r]
+                                        for v in sorted(out.variables)))] += 1
+            answers.append((out, rows))
+        (scalar, scalar_rows), (bulk, bulk_rows) = answers
+        assert scalar_rows == bulk_rows
+        # None: a constant the graph lacks, so nothing was probed
+        program = forced._program(op, (_KX,), ())
+        kernels = {step.kernel for step in program.steps} if program else set()
+        event(f"scalar kernels {sorted(kernels)}"
+              + " under a holey seed" * (None in cells))
+        if None not in cells and kernels <= {"leaf", "exists"}:
+            for out in (scalar, bulk):
+                assert out.prov == sorted(out.prov)
 
 
 # --------------------------------------------------------------------------

@@ -186,6 +186,14 @@ class TestVariable:
     def test_ordering(self):
         assert Variable("a") < Variable("b")
 
+    def test_hash_is_kept_and_follows_the_name(self):
+        x = Variable("x")
+        assert hash(x) == hash(Variable("?x")) == hash((Variable, "x"))
+        assert hash(x) != hash(Variable("y"))
+        with pytest.raises(AttributeError):
+            x._hash = 0
+        assert repr(x) == "Variable('x')"
+
 
 class TestOrdering:
     def test_cross_kind_order(self):

@@ -501,3 +501,77 @@ class TestJoinOrderCliff:
         (g0, _, p0), *larger = scans
         for triples, _, probed in larger:
             assert probed / p0 <= 1.05 * triples / g0
+
+
+class TestScalarProbeKernels:
+    """The scalar ``leaf`` and ``exists`` kernels look each distinct key up
+    once and keep the batch's row order; a probe that drops and repeats
+    no row hands the batch's own columns on (forced on columnar too)."""
+
+    @staticmethod
+    def _probe(store, keys, obj=None):
+        """``?x ex:p ?y`` (or ``?x ex:p obj``) probed under a seed of ``?x``
+        bound to ``keys``, by the scalar kernel."""
+        from repro.sparql.batch import BindingBatch
+        from repro.sparql.executor import Executor, _Step
+        graph = Graph(store=store)
+        graph.update([Triple(EX.a, EX.p, EX.one), Triple(EX.b, EX.p, EX.two),
+                      Triple(EX.m, EX.p, EX.three), Triple(EX.m, EX.p, EX.four),
+                      Triple(EX.z, EX.q, EX.one)])
+        executor = Executor(graph)
+        executor._vec = False
+        x, y = Variable("x"), Variable("y")
+        spec = [("v", x), ("c", executor.encode_term(EX.p)),
+                ("v", y) if obj is None else ("c", executor.encode_term(obj))]
+        step = _Step(0, (), spec, (x,), {x: 0}, {x}, False)
+        seed = BindingBatch(
+            (x,), [[executor.encode_term(EX[k]) for k in keys]],
+            list(range(len(keys))))
+        out = executor._probe(seed, step)
+        rows = [tuple(executor.decode_id(t).local_name for t in row)
+                for row in out.row_tuples()]
+        return step, seed, out, rows
+
+    @pytest.mark.parametrize("store", ["dict", "columnar"])
+    def test_a_functional_leaf_passes_the_columns_through(self, store):
+        step, seed, out, rows = self._probe(store, ["b", "a", "b"])
+        assert step.kernel == "leaf"
+        assert rows == [("b", "two"), ("a", "one"), ("b", "two")]
+        assert out.columns[0] is seed.columns[0]
+        assert out.prov is seed.prov
+
+    @pytest.mark.parametrize("store", ["dict", "columnar"])
+    def test_a_key_with_no_match_drops_only_its_rows(self, store):
+        _, _, out, rows = self._probe(store, ["a", "z", "b", "z", "a"])
+        assert rows == [("a", "one"), ("b", "two"), ("a", "one")]
+        assert out.prov == [0, 2, 4]
+
+    @pytest.mark.parametrize("store", ["dict", "columnar"])
+    def test_a_key_with_two_matches_fans_out_in_place(self, store):
+        _, _, out, rows = self._probe(store, ["a", "m", "z", "b", "m"])
+        assert out.prov == [0, 1, 1, 3, 4, 4]
+        assert rows[0] == ("a", "one") and rows[3] == ("b", "two")
+        for fanned in (rows[1:3], rows[4:6]):
+            assert sorted(fanned) == [("m", "four"), ("m", "three")]
+
+    @pytest.mark.parametrize("store", ["dict", "columnar"])
+    def test_each_distinct_key_is_looked_up_once(self, store, monkeypatch):
+        looked_up = []
+        adjacency = Graph.pair_adjacency
+
+        def counted(graph, key_pos, free_pos, const_id):
+            leaf = adjacency(graph, key_pos, free_pos, const_id)
+            return lambda key: looked_up.append(key) or leaf(key)
+        monkeypatch.setattr(Graph, "pair_adjacency", counted)
+        _, seed, out, _ = self._probe(store, ["m", "a", "m", "z", "a", "m"])
+        assert len(out) == 8
+        assert sorted(looked_up) == sorted(set(seed.columns[0]))
+
+    @pytest.mark.parametrize("store", ["dict", "columnar"])
+    def test_an_exists_probe_masks_in_order_or_hands_the_batch_on(self,
+                                                                  store):
+        step, seed, out, _ = self._probe(store, ["a", "b", "a"], EX.one)
+        assert step.kernel == "exists"
+        assert out.prov == [0, 2] and out.columns[0] == seed.columns[0][::2]
+        _, seed, out, _ = self._probe(store, ["m", "m"], EX.four)
+        assert out is seed
