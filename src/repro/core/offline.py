@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Protocol, Sequence
 
+from ..collector import collecting, pause, resume
 from ..rdf.dataset import Dataset
 from ..cube.facet import AnalyticalFacet
 from ..cube.lattice import ViewLattice
@@ -73,7 +74,13 @@ class OfflineModule:
         """The full-lattice profile of the current base-graph version."""
         version = self._engine.graph.version
         if self._profile is None or self._profile_version != version:
-            self._profile = LatticeProfile.profile(self._lattice, self._engine)
+            owner = collecting() and pause()
+            try:
+                self._profile = LatticeProfile.profile(self._lattice,
+                                                       self._engine)
+            finally:
+                if owner:
+                    resume()
             self._profile_version = version
         return self._profile
 
@@ -100,8 +107,13 @@ class OfflineModule:
         """
         if catalog is None:
             catalog = ViewCatalog(self._dataset, self._engine)
-        catalog.materialize_all(view for view in selection.views
-                                if view not in catalog)
+        owner = collecting() and pause()
+        try:
+            catalog.materialize_all(view for view in selection.views
+                                    if view not in catalog)
+        finally:
+            if owner:
+                resume()
         return catalog
 
     def materialize_full_lattice(self) -> tuple[ViewCatalog, float]:

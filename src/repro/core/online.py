@@ -27,6 +27,10 @@ quarantine, staleness and its repair, and the execution itself.
 is that call with the span tracer live, reported from the :class:`Answer`
 and its ``online.answer`` span, so an explained query counts as the answer
 it is (metrics, spans, repairs) and shows that answer's header and rows.
+
+Each answer (:meth:`~OnlineModule.answer`, ``answer_sparql``,
+``answer_from_base``) is one burst (:mod:`repro.collector`): the cyclic
+collector stays paused until it returns, repair included.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional, Sequence
 
+from ..collector import collecting, pause, resume
 from ..errors import ReproError
 from ..obs import metrics as _metrics
 from ..obs import tracing as _tracing
@@ -232,34 +237,40 @@ class OnlineModule:
         ``degraded``: the answer (base graph or coarser view) is still
         correct, just slower, until the quarantined view rebuilds.
         """
-        with _TRACER.span("online.answer") as sp:
-            entry, degraded = self._route(query, sp)
-            if entry is not None and self._catalog.is_stale(entry.definition):
-                self._maintainer.repair()
-                if self._catalog.is_quarantined(entry.definition):
-                    entry, degraded = self._route(query, sp)
-            if entry is None:
-                return self.answer_from_base(query, degraded=degraded,
-                                             _in_span=True)
-            view = entry.definition
-            engine = self._engine_for(view.iri)
-            prepared, rewrite_seconds = self._plans.rewritten(
-                query, view, engine)
-            table, exec_seconds = engine.timed_query(prepared)
-            outcome = QueryOutcome(
-                query=query,
-                rows=len(table),
-                seconds=exec_seconds,
-                view_label=view.label,
-                rewrite_seconds=rewrite_seconds,
-                stale=self._catalog.is_stale(view),
-                degraded=degraded,
-            )
-            sp.set_tags(route="view", view=view.label, rows=len(table),
-                        stale=outcome.stale, degraded=degraded)
-            if _REG.enabled:
-                _observe_outcome(outcome)
-            return Answer(table=table, outcome=outcome)
+        owner = collecting() and pause()
+        try:
+            with _TRACER.span("online.answer") as sp:
+                entry, degraded = self._route(query, sp)
+                if entry is not None \
+                        and self._catalog.is_stale(entry.definition):
+                    self._maintainer.repair()
+                    if self._catalog.is_quarantined(entry.definition):
+                        entry, degraded = self._route(query, sp)
+                if entry is None:
+                    return self.answer_from_base(query, degraded=degraded,
+                                                 _in_span=True)
+                view = entry.definition
+                engine = self._engine_for(view.iri)
+                prepared, rewrite_seconds = self._plans.rewritten(
+                    query, view, engine)
+                table, exec_seconds = engine.timed_query(prepared)
+                outcome = QueryOutcome(
+                    query=query,
+                    rows=len(table),
+                    seconds=exec_seconds,
+                    view_label=view.label,
+                    rewrite_seconds=rewrite_seconds,
+                    stale=self._catalog.is_stale(view),
+                    degraded=degraded,
+                )
+                sp.set_tags(route="view", view=view.label, rows=len(table),
+                            stale=outcome.stale, degraded=degraded)
+                if _REG.enabled:
+                    _observe_outcome(outcome)
+                return Answer(table=table, outcome=outcome)
+        finally:
+            if owner:
+                resume()
 
     def _route(self, query: AnalyticalQuery, sp
                ) -> tuple[Optional[MaterializedView], bool]:
@@ -291,25 +302,35 @@ class OnlineModule:
         """Answer raw SPARQL: an instance of the facet goes through
         :meth:`answer` and comes back under the SELECT's own column order
         and aggregate alias; any other text runs on the base graph."""
-        query, header, reorder, base = self._plans.recognize(
-            text, self._base_engine)
-        if query is None:
-            with _TRACER.span("online.answer",
-                              why="query does not target the facet"):
-                return self._run_on_base(base, None, in_span=True)
-        answer = self.answer(query)
-        table = answer.table
-        if reorder is not None:
-            table.rows = [reorder(row) for row in table.rows]
-        table.variables = list(header)
-        return answer
+        owner = collecting() and pause()
+        try:
+            query, header, reorder, base = self._plans.recognize(
+                text, self._base_engine)
+            if query is None:
+                with _TRACER.span("online.answer",
+                                  why="query does not target the facet"):
+                    return self._run_on_base(base, None, in_span=True)
+            answer = self.answer(query)
+            table = answer.table
+            if reorder is not None:
+                table.rows = [reorder(row) for row in table.rows]
+            table.variables = list(header)
+            return answer
+        finally:
+            if owner:
+                resume()
 
     def answer_from_base(self, query: AnalyticalQuery,
                          degraded: bool = False,
                          _in_span: bool = False) -> Answer:
         """Answer directly from the base graph (the no-view fallback)."""
-        prepared = self._base_engine.prepare(query.to_select_query())
-        return self._run_on_base(prepared, query, degraded, _in_span)
+        owner = collecting() and pause()
+        try:
+            prepared = self._base_engine.prepare(query.to_select_query())
+            return self._run_on_base(prepared, query, degraded, _in_span)
+        finally:
+            if owner:
+                resume()
 
     def _run_on_base(self, prepared: PreparedQuery,
                      query: Optional[AnalyticalQuery],

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from ..collector import collecting, pause, resume
 from ..rdf.graph import Graph
 from ..rdf.namespace import RDF, Namespace
 from ..rdf.terms import IRI, Literal, typed_literal
@@ -88,17 +89,22 @@ def generate_lubm(config: LUBMConfig | None = None,
     check_positive("universities", config.universities)
     if graph is None:
         graph = Graph()
-    rng = random.Random(config.seed)
-    add = graph.add
+    owner = collecting() and pause()
+    try:
+        rng = random.Random(config.seed)
+        add = graph.add
 
-    for u in range(config.universities):
-        university = IRI(f"http://www.university{u}.edu")
-        add(Triple(university, RDF.type, UB.University))
-        add(Triple(university, UB.name, Literal(f"University{u}")))
-        n_departments = pick_count(rng, config.departments_min,
-                                   config.departments_max)
-        for d in range(n_departments):
-            _generate_department(graph, rng, config, university, u, d)
+        for u in range(config.universities):
+            university = IRI(f"http://www.university{u}.edu")
+            add(Triple(university, RDF.type, UB.University))
+            add(Triple(university, UB.name, Literal(f"University{u}")))
+            n_departments = pick_count(rng, config.departments_min,
+                                       config.departments_max)
+            for d in range(n_departments):
+                _generate_department(graph, rng, config, university, u, d)
+    finally:
+        if owner:
+            resume()
     return graph
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from ..collector import collecting, pause, resume
 from ..rdf.graph import Graph
 from ..rdf.namespace import RDF, Namespace
 from ..rdf.terms import IRI, Literal, typed_literal
@@ -60,59 +61,64 @@ def generate_swdf(config: SWDFConfig | None = None,
     check_positive("organizations", config.organizations)
     if graph is None:
         graph = Graph()
-    rng = random.Random(config.seed)
-    add = graph.add
+    owner = collecting() and pause()
+    try:
+        rng = random.Random(config.seed)
+        add = graph.add
 
-    countries = [SWDF[f"country/{name}"] for name in _COUNTRY_NAMES]
-    for iri, name in zip(countries, _COUNTRY_NAMES):
-        add(Triple(iri, RDF.type, SWDF.Country))
-        add(Triple(iri, SWDF.name, Literal(name)))
+        countries = [SWDF[f"country/{name}"] for name in _COUNTRY_NAMES]
+        for iri, name in zip(countries, _COUNTRY_NAMES):
+            add(Triple(iri, RDF.type, SWDF.Country))
+            add(Triple(iri, SWDF.name, Literal(name)))
 
-    organizations = []
-    for i in range(config.organizations):
-        organization = SWDF[f"org/Org{i}"]
-        add(Triple(organization, RDF.type, SWDF.Organization))
-        add(Triple(organization, SWDF.name, Literal(f"Org{i}")))
-        add(Triple(organization, SWDF.basedIn, rng.choice(countries)))
-        organizations.append(organization)
+        organizations = []
+        for i in range(config.organizations):
+            organization = SWDF[f"org/Org{i}"]
+            add(Triple(organization, RDF.type, SWDF.Organization))
+            add(Triple(organization, SWDF.name, Literal(f"Org{i}")))
+            add(Triple(organization, SWDF.basedIn, rng.choice(countries)))
+            organizations.append(organization)
 
-    authors = []
-    for i in range(config.authors_pool):
-        author = SWDF[f"person/Author{i}"]
-        add(Triple(author, RDF.type, SWDF.Person))
-        add(Triple(author, SWDF.name, Literal(f"Author{i}")))
-        add(Triple(author, SWDF.affiliation, rng.choice(organizations)))
-        authors.append(author)
-    author_sampler = ZipfSampler(authors, config.author_zipf, rng)
+        authors = []
+        for i in range(config.authors_pool):
+            author = SWDF[f"person/Author{i}"]
+            add(Triple(author, RDF.type, SWDF.Person))
+            add(Triple(author, SWDF.name, Literal(f"Author{i}")))
+            add(Triple(author, SWDF.affiliation, rng.choice(organizations)))
+            authors.append(author)
+        author_sampler = ZipfSampler(authors, config.author_zipf, rng)
 
-    tracks = {name: SWDF[f"track/{name}"] for name in _TRACKS}
-    for name, iri in tracks.items():
-        add(Triple(iri, RDF.type, SWDF.Track))
-        add(Triple(iri, SWDF.name, Literal(name)))
+        tracks = {name: SWDF[f"track/{name}"] for name in _TRACKS}
+        for name, iri in tracks.items():
+            add(Triple(iri, RDF.type, SWDF.Track))
+            add(Triple(iri, SWDF.name, Literal(name)))
 
-    paper_counter = 0
-    for series_name in config.series:
-        series = SWDF[f"series/{series_name}"]
-        add(Triple(series, RDF.type, SWDF.ConferenceSeries))
-        add(Triple(series, SWDF.name, Literal(series_name)))
-        for year in config.years:
-            edition = SWDF[f"event/{series_name}{year}"]
-            add(Triple(edition, RDF.type, SWDF.ConferenceEvent))
-            add(Triple(edition, SWDF.ofSeries, series))
-            add(Triple(edition, SWDF.year, typed_literal(year)))
-            n_papers = pick_count(rng, config.papers_per_edition_min,
-                                  config.papers_per_edition_max)
-            for _ in range(n_papers):
-                paper = SWDF[f"paper/Paper{paper_counter}"]
-                paper_counter += 1
-                add(Triple(paper, RDF.type, SWDF.InProceedings))
-                add(Triple(paper, SWDF.title,
-                           Literal(f"Paper {paper_counter}")))
-                add(Triple(paper, SWDF.presentedAt, edition))
-                add(Triple(paper, SWDF.track,
-                           tracks[rng.choice(_TRACKS)]))
-                n_authors = pick_count(rng, config.authors_per_paper_min,
-                                       config.authors_per_paper_max)
-                for author in author_sampler.sample_distinct(n_authors):
-                    add(Triple(paper, SWDF.author, author))
+        paper_counter = 0
+        for series_name in config.series:
+            series = SWDF[f"series/{series_name}"]
+            add(Triple(series, RDF.type, SWDF.ConferenceSeries))
+            add(Triple(series, SWDF.name, Literal(series_name)))
+            for year in config.years:
+                edition = SWDF[f"event/{series_name}{year}"]
+                add(Triple(edition, RDF.type, SWDF.ConferenceEvent))
+                add(Triple(edition, SWDF.ofSeries, series))
+                add(Triple(edition, SWDF.year, typed_literal(year)))
+                n_papers = pick_count(rng, config.papers_per_edition_min,
+                                      config.papers_per_edition_max)
+                for _ in range(n_papers):
+                    paper = SWDF[f"paper/Paper{paper_counter}"]
+                    paper_counter += 1
+                    add(Triple(paper, RDF.type, SWDF.InProceedings))
+                    add(Triple(paper, SWDF.title,
+                               Literal(f"Paper {paper_counter}")))
+                    add(Triple(paper, SWDF.presentedAt, edition))
+                    add(Triple(paper, SWDF.track,
+                               tracks[rng.choice(_TRACKS)]))
+                    n_authors = pick_count(rng, config.authors_per_paper_min,
+                                           config.authors_per_paper_max)
+                    for author in author_sampler.sample_distinct(n_authors):
+                        add(Triple(paper, SWDF.author, author))
+    finally:
+        if owner:
+            resume()
     return graph

@@ -43,7 +43,7 @@ class Span:
     """One timed, tagged unit of work; context manager when live."""
 
     __slots__ = ("name", "tags", "ref", "children", "start", "end",
-                 "status", "error", "_tracer", "_token", "_parent")
+                 "status", "error", "_tracer", "_token", "_root")
 
     def __init__(self, tracer: "SpanTracer", name: str, tags: dict,
                  ref: object = None) -> None:
@@ -57,7 +57,10 @@ class Span:
         self.error: Optional[str] = None
         self._tracer = tracer
         self._token = None
-        self._parent: Optional[Span] = None
+        # Whether it was entered outside any span.  A child keeps no
+        # reference to its parent, so a finished tree holds no cycle and
+        # reference counting frees it.
+        self._root = True
 
     @property
     def seconds(self) -> float:
@@ -82,7 +85,7 @@ class Span:
     def __enter__(self) -> "Span":
         tracer = self._tracer
         parent = tracer._current.get()
-        self._parent = parent
+        self._root = parent is None
         if parent is not None:
             parent.children.append(self)
         self._token = tracer._current.set(self)
@@ -101,7 +104,7 @@ class Span:
         if self._token is not None:
             tracer._current.reset(self._token)
             self._token = None
-        if self._parent is None:
+        if self._root:
             tracer.finished.append(self)
         return False
 

@@ -63,6 +63,7 @@ import numpy as _np
 from ..errors import ExpressionError, QueryEvaluationError
 from ..obs import metrics as _metrics
 from ..obs import tracing as _tracing
+from ..rdf.dictionary import TermDictionary
 from ..rdf.graph import Graph
 from ..rdf.terms import Term, Variable, typed_literal
 from ..rdf.triples import TriplePattern
@@ -95,6 +96,29 @@ class _IdMemo(dict):
     def __missing__(self, tid: int) -> object:
         value = self[tid] = self._compute(tid)
         return value
+
+
+def _decoded(dictionary: TermDictionary, extra_by_id: list[Term],
+             tid: int) -> Term:
+    """:meth:`Executor.decode_id` over an executor's dictionary and
+    overlay."""
+    if tid >= 0:
+        return dictionary.decode(tid)
+    return extra_by_id[-tid - 1]
+
+
+def _number(dictionary: TermDictionary, extra_by_id: list[Term],
+            tid: int) -> object:
+    try:
+        return to_number(_decoded(dictionary, extra_by_id, tid))
+    except ExpressionError:
+        return NOT_A_NUMBER
+
+
+def _order_key(dictionary: TermDictionary, extra_by_id: list[Term],
+               tid: int) -> object:
+    return order_key(_decoded(dictionary, extra_by_id, tid))
+
 
 # Observability instruments for the executor's hot seams.  Disabled (the
 # default) every seam costs one `_REG.enabled` attribute read; the
@@ -210,6 +234,11 @@ class _OpRef(weakref.ref):
         self.programs: list[_Program] = []
 
 
+class _Programs(dict):
+    """id(operator) → its :class:`_OpRef`; a subclass, so it can be
+    weakly referenced."""
+
+
 class _Verdicts(dict):
     """id → whether one condition, reading the one variable ``var``, holds
     on the id's term (empty for one holding ``[NOT] EXISTS``, which reads
@@ -270,9 +299,11 @@ class Executor:
         # the memo is bounded.  And id(operator) → a weak reference to it
         # holding its compiled programs, see _program: an entry goes with
         # its operator, and overlay ids make the programs this executor's.
+        # The references' callback holds the map weakly: the map holds the
+        # references, so a strong hold would make a cycle.
         self._bgp_cache: dict[tuple, tuple[int, tuple]] = {}
-        self._programs: dict[int, _OpRef] = {}
-        self._forget = partial(_forget, self._programs)
+        self._programs: _Programs = _Programs()
+        self._forget = partial(_forget, weakref.ref(self._programs))
         # A one-variable condition → its kept verdicts, shared by every
         # program whose condition is equal (see _verdicts); bounded.
         self._conditions: dict[Expression, _Verdicts] = {}
@@ -282,9 +313,14 @@ class Executor:
         # fold (repro.sparql.grouptable): an id is decoded at most once,
         # as ids never change meaning.  A term that is not a number, and
         # an unbound operand (None), read as NOT_A_NUMBER.
-        self.numbers = _IdMemo(self._number)
+        # Their miss handlers close over the dictionary and the overlay,
+        # not the executor, so a dropped executor is freed by reference
+        # counting alone (it runs inside collector bursts).
+        self.numbers = _IdMemo(partial(_number, self._dict,
+                                       self._extra_by_id))
         self.numbers[None] = NOT_A_NUMBER
-        self.order_keys = _IdMemo(lambda t: order_key(self.decode_id(t)))
+        self.order_keys = _IdMemo(partial(_order_key, self._dict,
+                                          self._extra_by_id))
         # EXISTS group → (its algebra, the variables it mentions), keyed on
         # the frozen group: equal groups from separate parses share one.
         self._groups: dict[GroupPattern,
@@ -309,12 +345,6 @@ class Executor:
         if tid >= 0:
             return self._dict.decode(tid)
         return self._extra_by_id[-tid - 1]
-
-    def _number(self, tid: int) -> object:
-        try:
-            return to_number(self.decode_id(tid))
-        except ExpressionError:
-            return NOT_A_NUMBER
 
     def decode_batch(self, batch: BindingBatch
                      ) -> list[tuple[Optional[Term], ...]]:
@@ -1729,10 +1759,11 @@ def _lift(expr: Expression, groups: list, reads: set) -> Expression:
     return replace(expr, **changed) if changed else expr
 
 
-def _forget(programs: dict, ref: _OpRef) -> None:
+def _forget(owner: weakref.ref, ref: _OpRef) -> None:
     """The callback of an operator's weak reference: its programs go with
-    it (see :meth:`Executor._program`)."""
-    if programs.get(ref.key) is ref:
+    it (see :meth:`Executor._program`), unless their map went first."""
+    programs = owner()
+    if programs is not None and programs.get(ref.key) is ref:
         del programs[ref.key]
 
 

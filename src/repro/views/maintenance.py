@@ -39,6 +39,10 @@ declines each stale view with the reason ``"rebuild policy"`` into that
 same batch, ``incremental`` patches, and ``deferred`` patches too but
 only when asked — :meth:`ViewMaintainer.repair`, the hook an answer
 calls on routing a stale view, does nothing under it.
+
+A window (:meth:`ViewMaintainer.synchronize`) is one burst
+(:mod:`repro.collector`): the cyclic collector stays paused from the
+drain to the report, and resumes on any exit.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..collector import collecting, pause, resume
 from ..errors import ViewError
 from ..obs import get_logger
 from ..obs import metrics as _metrics
@@ -251,20 +256,27 @@ class ViewMaintainer:
         fails is restored whole and quarantined — the failure lands in
         the report instead of propagating half-applied state to callers.
         """
-        if not _TRACER.enabled:
-            return self._synchronize(force_rebuild)
-        # The span closes (and records the error) even when a simulated
-        # crash unwinds mid-window — SimulatedCrash is a BaseException
-        # and still flows through the with-statement's __exit__.
-        with _TRACER.span("maintenance.synchronize") as sp:
-            report = self._synchronize(force_rebuild)
-            sp.set_tags(inserted=report.inserted, deleted=report.deleted,
-                        truncated=report.truncated,
-                        rollbacks=report.rollbacks,
-                        patched=len(report.patched),
-                        rebuilt=len(report.rebuilt),
-                        quarantined=len(report.quarantined))
-            return report
+        # The span closes (and records the error), and the collector
+        # resumes, even when a simulated crash unwinds mid-window —
+        # SimulatedCrash is a BaseException and still runs the span's
+        # __exit__ and the finally clause.
+        owner = collecting() and pause()
+        try:
+            if not _TRACER.enabled:
+                return self._synchronize(force_rebuild)
+            with _TRACER.span("maintenance.synchronize") as sp:
+                report = self._synchronize(force_rebuild)
+                sp.set_tags(inserted=report.inserted,
+                            deleted=report.deleted,
+                            truncated=report.truncated,
+                            rollbacks=report.rollbacks,
+                            patched=len(report.patched),
+                            rebuilt=len(report.rebuilt),
+                            quarantined=len(report.quarantined))
+                return report
+        finally:
+            if owner:
+                resume()
 
     def _synchronize(self, force_rebuild: bool) -> MaintenanceReport:
         if self._closed:

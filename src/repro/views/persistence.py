@@ -32,6 +32,7 @@ import json
 import os
 from dataclasses import dataclass
 
+from ..collector import collecting, pause, resume
 from ..errors import CatalogCorruptError, ParseError, TermError, ViewError
 from ..obs import get_logger
 from ..obs import metrics as _metrics
@@ -219,10 +220,16 @@ def load_expanded(directory: str, facet: AnalyticalFacet, *,
     Malformed or truncated manifests raise :class:`CatalogCorruptError`
     naming the offending file in either mode.
     """
-    with _TRACER.span("persistence.load", directory=directory,
-                      recover=recover) as sp:
-        dataset, catalog = _load_expanded(directory, facet, recover=recover)
-        sp.set_tags(views=len(catalog))
+    owner = collecting() and pause()
+    try:
+        with _TRACER.span("persistence.load", directory=directory,
+                          recover=recover) as sp:
+            dataset, catalog = _load_expanded(directory, facet,
+                                              recover=recover)
+            sp.set_tags(views=len(catalog))
+    finally:
+        if owner:
+            resume()
     _LOADS.inc()
     recovery = getattr(catalog, "recovery", None)
     if recovery is not None and (recovery.rebuilding

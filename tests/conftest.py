@@ -8,6 +8,8 @@ convention — tests that mutate graphs build their own.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import settings
 
@@ -31,6 +33,18 @@ def pytest_configure(config):
     settings.register_profile("explore", deadline=None, max_examples=500)
     settings.load_profile(
         config.getoption("hypothesis_profile", None) or "tier1")
+
+
+@pytest.fixture(autouse=True)
+def collector_restored():
+    """Fail a test that leaves the cyclic collector off (a burst of
+    :mod:`repro.collector` left open, or a test's own ``gc.disable``):
+    it would stay off for every later test without a word."""
+    yield
+    enabled = gc.isenabled()
+    if not enabled:
+        gc.enable()
+    assert enabled, "the test left the cyclic collector disabled"
 
 
 POPULATION_TTL = """
