@@ -1,23 +1,25 @@
 """Shared machinery for the synthetic dataset generators.
 
-All generators are deterministic functions of their parameters plus a
-seed; they emit into a fresh :class:`~repro.rdf.graph.Graph` (or a caller-
-supplied one) and return it.  The Zipf sampler reproduces the skewed value
-distributions real KGs exhibit — which is what makes the "triple count is
-not a runtime proxy" demonstration interesting.
+All generators are deterministic triple streams of their parameters plus
+a seed, which :func:`load` bulk-loads into a fresh (or a caller-supplied)
+:class:`~repro.rdf.graph.Graph`.  The Zipf sampler reproduces the skewed
+value distributions real KGs exhibit — which is what makes the "triple
+count is not a runtime proxy" demonstration interesting.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Sequence, TypeVar
+from typing import Iterable, Sequence, TypeVar
 
+from ..collector import collecting, pause, resume
 from ..errors import DatasetError
+from ..rdf.graph import Graph
+from ..rdf.triples import Triple
 
-__all__ = ["ZipfSampler", "check_positive", "pick_count"]
+__all__ = ["ZipfSampler", "check_positive", "load", "pick_count"]
 
 T = TypeVar("T")
 
@@ -68,6 +70,20 @@ class ZipfSampler:
                 seen.add(key)
                 chosen.append(item)
         return chosen
+
+
+def load(triples: Iterable[Triple], graph: Graph | None = None) -> Graph:
+    """``graph`` (a fresh one when None) with a generator's ``triples``
+    bulk-loaded (:meth:`Graph.update`), as one collector burst."""
+    if graph is None:
+        graph = Graph()
+    owner = collecting() and pause()
+    try:
+        graph.update(triples)
+    finally:
+        if owner:
+            resume()
+    return graph
 
 
 def check_positive(name: str, value: int) -> int:

@@ -16,14 +16,14 @@ aggregation pitfall the demo discusses.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterator
 
-from ..collector import collecting, pause, resume
 from ..rdf.graph import Graph
 from ..rdf.namespace import RDF, Namespace
-from ..rdf.terms import IRI, Literal, typed_literal
+from ..rdf.terms import Literal, typed_literal
 from ..rdf.triples import Triple
-from .base import ZipfSampler, check_positive, pick_count
+from .base import ZipfSampler, check_positive, load, pick_count
 
 __all__ = ["DBP", "DBPediaConfig", "generate_dbpedia"]
 
@@ -68,55 +68,49 @@ def generate_dbpedia(config: DBPediaConfig | None = None,
     check_positive("countries", config.countries)
     if not config.years:
         raise ValueError("need at least one census year")
-    if graph is None:
-        graph = Graph()
-    owner = collecting() and pause()
-    try:
-        rng = random.Random(config.seed)
-        add = graph.add
+    return load(_dbpedia_triples(config), graph)
 
-        languages = [DBP[f"language/{name}"] for name in _LANGUAGE_NAMES]
-        for iri, name in zip(languages, _LANGUAGE_NAMES):
-            add(Triple(iri, RDF.type, DBP.Language))
-            add(Triple(iri, DBP.name, Literal(name)))
 
-        continents = {name: DBP[f"continent/{name}"] for name in _CONTINENTS}
-        for name, iri in continents.items():
-            add(Triple(iri, RDF.type, DBP.Continent))
-            add(Triple(iri, DBP.name, Literal(name)))
-        eu = DBP["union/EU"]
-        add(Triple(eu, RDF.type, DBP.Union))
-        add(Triple(eu, DBP.name, Literal("EU")))
+def _dbpedia_triples(config: DBPediaConfig) -> Iterator[Triple]:
+    rng = random.Random(config.seed)
+    languages = [DBP[f"language/{name}"] for name in _LANGUAGE_NAMES]
+    for iri, name in zip(languages, _LANGUAGE_NAMES):
+        yield Triple(iri, RDF.type, DBP.Language)
+        yield Triple(iri, DBP.name, Literal(name))
 
-        language_sampler = ZipfSampler(languages, config.language_zipf, rng)
-        observation_counter = 0
-        for c in range(config.countries):
-            country = DBP[f"country/Country{c}"]
-            add(Triple(country, RDF.type, DBP.Country))
-            add(Triple(country, DBP.name, Literal(f"Country{c}")))
-            continent_name = rng.choice(_CONTINENTS)
-            add(Triple(country, DBP.partOf, continents[continent_name]))
-            if continent_name == "Europe" \
-                    and rng.random() < config.union_fraction:
-                add(Triple(country, DBP.partOf, eu))
-            n_languages = pick_count(rng, config.languages_min,
-                                     config.languages_max)
-            for language in language_sampler.sample_distinct(n_languages):
-                add(Triple(country, DBP.language, language))
+    continents = {name: DBP[f"continent/{name}"] for name in _CONTINENTS}
+    for name, iri in continents.items():
+        yield Triple(iri, RDF.type, DBP.Continent)
+        yield Triple(iri, DBP.name, Literal(name))
+    eu = DBP["union/EU"]
+    yield Triple(eu, RDF.type, DBP.Union)
+    yield Triple(eu, DBP.name, Literal("EU"))
 
-            base_population = rng.randint(config.population_min,
-                                          config.population_max)
-            for offset, year in enumerate(config.years):
-                population = round(base_population *
-                                   (1.0 + config.growth_rate) ** offset)
-                observation = DBP[f"census/obs{observation_counter}"]
-                observation_counter += 1
-                add(Triple(observation, RDF.type, DBP.PopulationRecord))
-                add(Triple(observation, DBP.ofCountry, country))
-                add(Triple(observation, DBP.year, typed_literal(year)))
-                add(Triple(observation, DBP.population,
-                           typed_literal(population)))
-    finally:
-        if owner:
-            resume()
-    return graph
+    language_sampler = ZipfSampler(languages, config.language_zipf, rng)
+    observation_counter = 0
+    for c in range(config.countries):
+        country = DBP[f"country/Country{c}"]
+        yield Triple(country, RDF.type, DBP.Country)
+        yield Triple(country, DBP.name, Literal(f"Country{c}"))
+        continent_name = rng.choice(_CONTINENTS)
+        yield Triple(country, DBP.partOf, continents[continent_name])
+        if continent_name == "Europe" \
+                and rng.random() < config.union_fraction:
+            yield Triple(country, DBP.partOf, eu)
+        n_languages = pick_count(rng, config.languages_min,
+                                 config.languages_max)
+        for language in language_sampler.sample_distinct(n_languages):
+            yield Triple(country, DBP.language, language)
+
+        base_population = rng.randint(config.population_min,
+                                      config.population_max)
+        for offset, year in enumerate(config.years):
+            population = round(base_population *
+                               (1.0 + config.growth_rate) ** offset)
+            observation = DBP[f"census/obs{observation_counter}"]
+            observation_counter += 1
+            yield Triple(observation, RDF.type, DBP.PopulationRecord)
+            yield Triple(observation, DBP.ofCountry, country)
+            yield Triple(observation, DBP.year, typed_literal(year))
+            yield Triple(observation, DBP.population,
+                         typed_literal(population))

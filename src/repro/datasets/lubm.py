@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
-from ..collector import collecting, pause, resume
 from ..rdf.graph import Graph
 from ..rdf.namespace import RDF, Namespace
-from ..rdf.terms import IRI, Literal, typed_literal
+from ..rdf.terms import IRI, Literal
 from ..rdf.triples import Triple
-from .base import check_positive, pick_count
+from .base import check_positive, load, pick_count
 
 __all__ = ["UB", "LUBMConfig", "generate_lubm"]
 
@@ -87,36 +87,28 @@ def generate_lubm(config: LUBMConfig | None = None,
     if config is None:
         config = LUBMConfig()
     check_positive("universities", config.universities)
-    if graph is None:
-        graph = Graph()
-    owner = collecting() and pause()
-    try:
-        rng = random.Random(config.seed)
-        add = graph.add
-
-        for u in range(config.universities):
-            university = IRI(f"http://www.university{u}.edu")
-            add(Triple(university, RDF.type, UB.University))
-            add(Triple(university, UB.name, Literal(f"University{u}")))
-            n_departments = pick_count(rng, config.departments_min,
-                                       config.departments_max)
-            for d in range(n_departments):
-                _generate_department(graph, rng, config, university, u, d)
-    finally:
-        if owner:
-            resume()
-    return graph
+    return load(_lubm_triples(config), graph)
 
 
-def _generate_department(graph: Graph, rng: random.Random,
-                         config: LUBMConfig, university: IRI,
-                         u: int, d: int) -> None:
-    add = graph.add
+def _lubm_triples(config: LUBMConfig) -> Iterator[Triple]:
+    rng = random.Random(config.seed)
+    for u in range(config.universities):
+        university = IRI(f"http://www.university{u}.edu")
+        yield Triple(university, RDF.type, UB.University)
+        yield Triple(university, UB.name, Literal(f"University{u}"))
+        n_departments = pick_count(rng, config.departments_min,
+                                   config.departments_max)
+        for d in range(n_departments):
+            yield from _generate_department(rng, config, university, u, d)
+
+
+def _generate_department(rng: random.Random, config: LUBMConfig,
+                         university: IRI, u: int, d: int) -> Iterator[Triple]:
     base = f"http://www.department{d}.university{u}.edu"
     department = IRI(base)
-    add(Triple(department, RDF.type, UB.Department))
-    add(Triple(department, UB.name, Literal(f"Department{d}")))
-    add(Triple(department, UB.subOrganizationOf, university))
+    yield Triple(department, RDF.type, UB.Department)
+    yield Triple(department, UB.name, Literal(f"Department{d}"))
+    yield Triple(department, UB.subOrganizationOf, university)
 
     faculty: list[IRI] = []
     courses: list[IRI] = []
@@ -126,35 +118,35 @@ def _generate_department(graph: Graph, rng: random.Random,
     for rank, low, high in _FACULTY_RANKS:
         for i in range(pick_count(rng, low, high)):
             person = IRI(f"{base}/{rank}{i}")
-            add(Triple(person, RDF.type, UB[rank]))
-            add(Triple(person, UB.name, Literal(f"{rank}{i}")))
-            add(Triple(person, UB.worksFor, department))
-            add(Triple(person, UB.emailAddress,
-                       Literal(f"{rank}{i}@department{d}.university{u}.edu")))
-            add(Triple(person, UB.researchInterest,
-                       Literal(rng.choice(_RESEARCH_AREAS))))
+            yield Triple(person, RDF.type, UB[rank])
+            yield Triple(person, UB.name, Literal(f"{rank}{i}"))
+            yield Triple(person, UB.worksFor, department)
+            yield Triple(person, UB.emailAddress,
+                         Literal(f"{rank}{i}@department{d}.university{u}.edu"))
+            yield Triple(person, UB.researchInterest,
+                         Literal(rng.choice(_RESEARCH_AREAS)))
             faculty.append(person)
             for _ in range(pick_count(rng, config.courses_per_faculty_min,
                                       config.courses_per_faculty_max)):
                 course = IRI(f"{base}/Course{course_counter}")
                 course_counter += 1
-                add(Triple(course, RDF.type, UB.Course))
-                add(Triple(course, UB.name,
-                           Literal(f"Course{course_counter}")))
-                add(Triple(person, UB.teacherOf, course))
+                yield Triple(course, RDF.type, UB.Course)
+                yield Triple(course, UB.name,
+                             Literal(f"Course{course_counter}"))
+                yield Triple(person, UB.teacherOf, course)
                 courses.append(course)
             graduate_course = IRI(f"{base}/GraduateCourse{course_counter}")
             course_counter += 1
-            add(Triple(graduate_course, RDF.type, UB.GraduateCourse))
-            add(Triple(graduate_course, UB.name,
-                       Literal(f"GraduateCourse{course_counter}")))
-            add(Triple(person, UB.teacherOf, graduate_course))
+            yield Triple(graduate_course, RDF.type, UB.GraduateCourse)
+            yield Triple(graduate_course, UB.name,
+                         Literal(f"GraduateCourse{course_counter}"))
+            yield Triple(person, UB.teacherOf, graduate_course)
             grad_courses.append(graduate_course)
             for p in range(pick_count(rng, config.publications_min,
                                       config.publications_max)):
                 publication = IRI(f"{base}/{rank}{i}/Publication{p}")
-                add(Triple(publication, RDF.type, UB.Publication))
-                add(Triple(publication, UB.publicationAuthor, person))
+                yield Triple(publication, RDF.type, UB.Publication)
+                yield Triple(publication, UB.publicationAuthor, person)
 
     n_faculty = len(faculty)
     n_undergrad = n_faculty * pick_count(
@@ -162,30 +154,31 @@ def _generate_department(graph: Graph, rng: random.Random,
         config.undergrad_per_faculty_max)
     for i in range(n_undergrad):
         student = IRI(f"{base}/UndergraduateStudent{i}")
-        add(Triple(student, RDF.type, UB.UndergraduateStudent))
-        add(Triple(student, UB.name, Literal(f"UndergraduateStudent{i}")))
-        add(Triple(student, UB.memberOf, department))
+        yield Triple(student, RDF.type, UB.UndergraduateStudent)
+        yield Triple(student, UB.name, Literal(f"UndergraduateStudent{i}"))
+        yield Triple(student, UB.memberOf, department)
         low, high = config.undergrad_courses_taken
         for course in rng.sample(courses, min(pick_count(rng, low, high),
                                               len(courses))):
-            add(Triple(student, UB.takesCourse, course))
+            yield Triple(student, UB.takesCourse, course)
 
     n_grad = n_faculty * pick_count(rng, config.grad_per_faculty_min,
                                     config.grad_per_faculty_max)
     for i in range(n_grad):
         student = IRI(f"{base}/GraduateStudent{i}")
-        add(Triple(student, RDF.type, UB.GraduateStudent))
-        add(Triple(student, UB.name, Literal(f"GraduateStudent{i}")))
-        add(Triple(student, UB.memberOf, department))
-        add(Triple(student, UB.advisor, rng.choice(faculty)))
-        add(Triple(student, UB.undergraduateDegreeFrom,
-                   IRI(f"http://www.university{rng.randrange(max(u, 1) + 2)}.edu")))
+        yield Triple(student, RDF.type, UB.GraduateStudent)
+        yield Triple(student, UB.name, Literal(f"GraduateStudent{i}"))
+        yield Triple(student, UB.memberOf, department)
+        yield Triple(student, UB.advisor, rng.choice(faculty))
+        alma_mater = rng.randrange(max(u, 1) + 2)
+        yield Triple(student, UB.undergraduateDegreeFrom,
+                     IRI(f"http://www.university{alma_mater}.edu"))
         low, high = config.grad_courses_taken
         for course in rng.sample(grad_courses,
                                  min(pick_count(rng, low, high),
                                      len(grad_courses))):
-            add(Triple(student, UB.takesCourse, course))
+            yield Triple(student, UB.takesCourse, course)
         if rng.random() < 0.2:
             publication = IRI(f"{base}/GraduateStudent{i}/Publication0")
-            add(Triple(publication, RDF.type, UB.Publication))
-            add(Triple(publication, UB.publicationAuthor, student))
+            yield Triple(publication, RDF.type, UB.Publication)
+            yield Triple(publication, UB.publicationAuthor, student)

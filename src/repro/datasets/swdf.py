@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
-from ..collector import collecting, pause, resume
 from ..rdf.graph import Graph
 from ..rdf.namespace import RDF, Namespace
-from ..rdf.terms import IRI, Literal, typed_literal
+from ..rdf.terms import Literal, typed_literal
 from ..rdf.triples import Triple
-from .base import ZipfSampler, check_positive, pick_count
+from .base import ZipfSampler, check_positive, load, pick_count
 
 __all__ = ["SWDF", "SWDFConfig", "generate_swdf"]
 
@@ -59,66 +59,60 @@ def generate_swdf(config: SWDFConfig | None = None,
         config = SWDFConfig()
     check_positive("authors_pool", config.authors_pool)
     check_positive("organizations", config.organizations)
-    if graph is None:
-        graph = Graph()
-    owner = collecting() and pause()
-    try:
-        rng = random.Random(config.seed)
-        add = graph.add
+    return load(_swdf_triples(config), graph)
 
-        countries = [SWDF[f"country/{name}"] for name in _COUNTRY_NAMES]
-        for iri, name in zip(countries, _COUNTRY_NAMES):
-            add(Triple(iri, RDF.type, SWDF.Country))
-            add(Triple(iri, SWDF.name, Literal(name)))
 
-        organizations = []
-        for i in range(config.organizations):
-            organization = SWDF[f"org/Org{i}"]
-            add(Triple(organization, RDF.type, SWDF.Organization))
-            add(Triple(organization, SWDF.name, Literal(f"Org{i}")))
-            add(Triple(organization, SWDF.basedIn, rng.choice(countries)))
-            organizations.append(organization)
+def _swdf_triples(config: SWDFConfig) -> Iterator[Triple]:
+    rng = random.Random(config.seed)
+    countries = [SWDF[f"country/{name}"] for name in _COUNTRY_NAMES]
+    for iri, name in zip(countries, _COUNTRY_NAMES):
+        yield Triple(iri, RDF.type, SWDF.Country)
+        yield Triple(iri, SWDF.name, Literal(name))
 
-        authors = []
-        for i in range(config.authors_pool):
-            author = SWDF[f"person/Author{i}"]
-            add(Triple(author, RDF.type, SWDF.Person))
-            add(Triple(author, SWDF.name, Literal(f"Author{i}")))
-            add(Triple(author, SWDF.affiliation, rng.choice(organizations)))
-            authors.append(author)
-        author_sampler = ZipfSampler(authors, config.author_zipf, rng)
+    organizations = []
+    for i in range(config.organizations):
+        organization = SWDF[f"org/Org{i}"]
+        yield Triple(organization, RDF.type, SWDF.Organization)
+        yield Triple(organization, SWDF.name, Literal(f"Org{i}"))
+        yield Triple(organization, SWDF.basedIn, rng.choice(countries))
+        organizations.append(organization)
 
-        tracks = {name: SWDF[f"track/{name}"] for name in _TRACKS}
-        for name, iri in tracks.items():
-            add(Triple(iri, RDF.type, SWDF.Track))
-            add(Triple(iri, SWDF.name, Literal(name)))
+    authors = []
+    for i in range(config.authors_pool):
+        author = SWDF[f"person/Author{i}"]
+        yield Triple(author, RDF.type, SWDF.Person)
+        yield Triple(author, SWDF.name, Literal(f"Author{i}"))
+        yield Triple(author, SWDF.affiliation, rng.choice(organizations))
+        authors.append(author)
+    author_sampler = ZipfSampler(authors, config.author_zipf, rng)
 
-        paper_counter = 0
-        for series_name in config.series:
-            series = SWDF[f"series/{series_name}"]
-            add(Triple(series, RDF.type, SWDF.ConferenceSeries))
-            add(Triple(series, SWDF.name, Literal(series_name)))
-            for year in config.years:
-                edition = SWDF[f"event/{series_name}{year}"]
-                add(Triple(edition, RDF.type, SWDF.ConferenceEvent))
-                add(Triple(edition, SWDF.ofSeries, series))
-                add(Triple(edition, SWDF.year, typed_literal(year)))
-                n_papers = pick_count(rng, config.papers_per_edition_min,
-                                      config.papers_per_edition_max)
-                for _ in range(n_papers):
-                    paper = SWDF[f"paper/Paper{paper_counter}"]
-                    paper_counter += 1
-                    add(Triple(paper, RDF.type, SWDF.InProceedings))
-                    add(Triple(paper, SWDF.title,
-                               Literal(f"Paper {paper_counter}")))
-                    add(Triple(paper, SWDF.presentedAt, edition))
-                    add(Triple(paper, SWDF.track,
-                               tracks[rng.choice(_TRACKS)]))
-                    n_authors = pick_count(rng, config.authors_per_paper_min,
-                                           config.authors_per_paper_max)
-                    for author in author_sampler.sample_distinct(n_authors):
-                        add(Triple(paper, SWDF.author, author))
-    finally:
-        if owner:
-            resume()
-    return graph
+    tracks = {name: SWDF[f"track/{name}"] for name in _TRACKS}
+    for name, iri in tracks.items():
+        yield Triple(iri, RDF.type, SWDF.Track)
+        yield Triple(iri, SWDF.name, Literal(name))
+
+    paper_counter = 0
+    for series_name in config.series:
+        series = SWDF[f"series/{series_name}"]
+        yield Triple(series, RDF.type, SWDF.ConferenceSeries)
+        yield Triple(series, SWDF.name, Literal(series_name))
+        for year in config.years:
+            edition = SWDF[f"event/{series_name}{year}"]
+            yield Triple(edition, RDF.type, SWDF.ConferenceEvent)
+            yield Triple(edition, SWDF.ofSeries, series)
+            yield Triple(edition, SWDF.year, typed_literal(year))
+            n_papers = pick_count(rng, config.papers_per_edition_min,
+                                  config.papers_per_edition_max)
+            for _ in range(n_papers):
+                paper = SWDF[f"paper/Paper{paper_counter}"]
+                paper_counter += 1
+                yield Triple(paper, RDF.type, SWDF.InProceedings)
+                yield Triple(paper, SWDF.title,
+                             Literal(f"Paper {paper_counter}"))
+                yield Triple(paper, SWDF.presentedAt, edition)
+                yield Triple(paper, SWDF.track,
+                             tracks[rng.choice(_TRACKS)])
+                n_authors = pick_count(rng, config.authors_per_paper_min,
+                                       config.authors_per_paper_max)
+                for author in author_sampler.sample_distinct(n_authors):
+                    yield Triple(paper, SWDF.author, author)

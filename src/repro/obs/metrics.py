@@ -216,39 +216,26 @@ class Histogram(_Instrument):
         series = self._series.get(_label_key(labels))
         if series is None or series.count == 0:
             return math.nan
-        rank = fraction * series.count
-        cumulative = 0
-        for i, bucket_count in enumerate(series.counts):
-            if bucket_count == 0:
-                continue
-            if cumulative + bucket_count >= rank:
-                lower = self.buckets[i - 1] if i > 0 else min(
-                    series.min, self.buckets[0])
-                upper = self.buckets[i] if i < len(self.buckets) \
-                    else series.max
-                if upper < lower:
-                    upper = lower
-                within = (rank - cumulative) / bucket_count
-                estimate = lower + (upper - lower) * within
-                return min(max(estimate, series.min), series.max)
-            cumulative += bucket_count
-        return series.max
+        return self._walk(fraction, series.counts, series.count,
+                          series.min, series.max)
 
     def merged_percentile(self, fraction: float) -> float:
         """Percentile estimate across all label combinations merged."""
         total = self.total_count()
         if total == 0:
             return math.nan
-        merged = [0] * (len(self.buckets) + 1)
-        lo, hi = math.inf, -math.inf
-        for series in self._series.values():
-            for i, c in enumerate(series.counts):
-                merged[i] += c
-            lo = min(lo, series.min)
-            hi = max(hi, series.max)
-        rank = fraction * total
+        series = list(self._series.values())
+        merged = [sum(counts) for counts in zip(*(s.counts for s in series))]
+        return self._walk(fraction, merged, total, min(s.min for s in series),
+                          max(s.max for s in series))
+
+    def _walk(self, fraction: float, counts: Sequence[int], count: int,
+              lo: float, hi: float) -> float:
+        """The ``fraction`` quantile of ``count`` observations bucketed as
+        ``counts``, whose exact extremes are ``lo`` and ``hi``."""
+        rank = fraction * count
         cumulative = 0
-        for i, bucket_count in enumerate(merged):
+        for i, bucket_count in enumerate(counts):
             if bucket_count == 0:
                 continue
             if cumulative + bucket_count >= rank:

@@ -26,16 +26,20 @@ test suite against both layouts.
 from __future__ import annotations
 
 import weakref
+from itertools import islice
 from typing import Iterable, Iterator, Optional
 
 from ..resilience.failpoints import fail_at
 from .changelog import ChangeLog, DEFAULT_CHANGELOG_LIMIT
 from .dictionary import TermDictionary
 from .store import TripleStore, resolve_store
-from .terms import BlankNode, Literal, Term, Variable
+from .terms import Term, Variable
 from .triples import Triple, TriplePattern
 
-__all__ = ["Graph"]
+__all__ = ["Graph", "UPDATE_CHUNK"]
+
+#: Triples :meth:`Graph.update` validates, encodes and inserts at a time.
+UPDATE_CHUNK = 4096
 
 
 class Graph:
@@ -77,8 +81,7 @@ class Graph:
         # collected).  Copies start with no subscribers of their own.
         self._logs: list[weakref.ref] = []
         if triples is not None:
-            for t in triples:
-                self.add(t)
+            self.update(triples)
 
     # -- basic protocol ----------------------------------------------------
 
@@ -177,18 +180,30 @@ class Graph:
         sid = self._dict.encode(s)
         pid = self._dict.encode(p)
         oid = self._dict.encode(o)
-        return self._add_ids(sid, pid, oid)
-
-    def _add_ids(self, sid: int, pid: int, oid: int) -> bool:
         added, _ = self._apply(((sid, pid, oid),), None)
         return bool(added)
 
     def update(self, triples: Iterable[Triple]) -> int:
-        """Add many triples; returns the number actually inserted."""
-        validated = [Triple.validate(*t) for t in triples]
-        ids = self._dict.encode_many(
-            term for triple in validated for term in triple)
-        return self.add_ids_bulk(zip(ids[0::3], ids[1::3], ids[2::3]))
+        """Add many triples; returns the number actually inserted.
+
+        The one bulk-load path: reads ``triples`` one chunk of
+        :data:`UPDATE_CHUNK` at a time, mints ids in input order (as
+        :meth:`add` would) and inserts each chunk with one
+        :meth:`add_ids_bulk`, so one version bump per chunk that inserts.
+        A partial load keeps whole chunks: an invalid triple
+        (``TermError``) or an input that raises leaves the chunks before
+        its own applied, and nothing of its own.
+        """
+        rest = iter(triples)
+        added = 0
+        while chunk := list(islice(rest, UPDATE_CHUNK)):
+            for t in chunk:
+                Triple.validate(*t)
+            ids = iter(self._dict.encode_many(
+                term for t in chunk for term in t))
+            del chunk           # the insert's lists reuse the triples' memory
+            added += self.add_ids_bulk(zip(ids, ids, ids))
+        return added
 
     def add_ids_bulk(self, id_triples: Iterable[tuple[int, int, int]]) -> int:
         """Insert many id-triples with a single version bump.
@@ -298,17 +313,14 @@ class Graph:
         Same-dictionary copies are O(store): the backend clones its own
         index structures (array slices on columnar, dict rebuilds on
         dict) instead of re-inserting triple-at-a-time.  Re-encoding
-        against a different ``dictionary`` falls back to per-triple
-        decode/re-add on a fresh store of the same kind.
+        against a different ``dictionary`` decodes and bulk-loads
+        (:meth:`update`) into a fresh store of the same kind.
         """
         if dictionary is None or dictionary is self._dict:
             clone = Graph(self._dict, store=self._store.copy())
             clone._version = clone._cleared = 1 if len(clone._store) else 0
             return clone
-        clone = Graph(dictionary, store=self._store.kind)
-        for t in self.triples():
-            clone.add(t)
-        return clone
+        return Graph(dictionary, self.triples(), self._store.kind)
 
     # -- id-level access (used by the SPARQL executor) -----------------------
 

@@ -7,6 +7,8 @@ view graphs — round-trips to disk in one file.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from ..errors import ParseError
@@ -58,8 +60,9 @@ def parse_nquads(text: str, dataset: Dataset | None = None) -> Dataset:
     """Parse an N-Quads document into a (new or given) dataset."""
     if dataset is None:
         dataset = Dataset()
-    for quad in iter_nquads(text.split("\n")):
-        dataset.add_quad(quad)
+    for name, quads in groupby(iter_nquads(text.split("\n")),
+                               attrgetter("graph")):
+        dataset.graph(name).update(quad.triple for quad in quads)
     return dataset
 
 

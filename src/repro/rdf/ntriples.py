@@ -7,6 +7,7 @@ datatype IRIs); comments and blank lines are skipped.
 
 from __future__ import annotations
 
+import io
 import re
 from typing import IO, Iterable, Iterator
 
@@ -108,8 +109,8 @@ def parse_ntriples(text: str, graph: Graph | None = None) -> Graph:
     """Parse an N-Triples document into a (new or given) graph."""
     if graph is None:
         graph = Graph()
-    for triple in iter_ntriples(text.splitlines()):
-        graph.add(triple)
+    # a file's line rule; splitlines() also splits at U+2028, U+0085, …
+    graph.update(iter_ntriples(io.StringIO(text, newline=None)))
     return graph
 
 
@@ -118,8 +119,7 @@ def parse_ntriples_file(path: str, graph: Graph | None = None) -> Graph:
     if graph is None:
         graph = Graph()
     with open(path, encoding="utf-8") as handle:
-        for triple in iter_ntriples(handle):
-            graph.add(triple)
+        graph.update(iter_ntriples(handle))
     return graph
 
 

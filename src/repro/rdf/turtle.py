@@ -72,10 +72,9 @@ def _tokenize(text: str) -> Iterator[_Token]:
 
 
 class _TurtleParser:
-    def __init__(self, text: str, graph: Graph) -> None:
+    def __init__(self, text: str) -> None:
         self._tokens = list(_tokenize(text))
         self._pos = 0
-        self._graph = graph
         self._prefixes = default_prefixes()
         self._base = ""
 
@@ -94,16 +93,16 @@ class _TurtleParser:
                 f"expected {value or kind}, got {tok.value!r}", tok.line)
         return tok
 
-    def parse(self) -> Graph:
+    def triples(self) -> Iterator[Triple]:
         while True:
             tok = self._peek()
             if tok.kind == "eof":
-                return self._graph
+                return
             if tok.kind == "keyword" and tok.value.lower() in (
                     "@prefix", "prefix", "@base", "base"):
                 self._directive()
             else:
-                self._statement()
+                yield from self._statement()
 
     def _directive(self) -> None:
         tok = self._next()
@@ -121,9 +120,9 @@ class _TurtleParser:
         if not sparql_style:
             self._expect("punct", ".")
 
-    def _statement(self) -> None:
+    def _statement(self) -> Iterator[Triple]:
         subject = self._subject()
-        self._predicate_object_list(subject)
+        yield from self._predicate_object_list(subject)
         self._expect("punct", ".")
 
     def _subject(self) -> Term:
@@ -147,12 +146,12 @@ class _TurtleParser:
         except KeyError as exc:
             raise ParseError(str(exc), tok.line) from exc
 
-    def _predicate_object_list(self, subject: Term) -> None:
+    def _predicate_object_list(self, subject: Term) -> Iterator[Triple]:
         while True:
             predicate = self._verb()
             while True:
                 obj = self._object()
-                self._graph.add(Triple.validate(subject, predicate, obj))
+                yield Triple.validate(subject, predicate, obj)
                 if self._peek() == ("punct", ",", self._peek().line) or (
                         self._peek().kind == "punct" and self._peek().value == ","):
                     self._next()
@@ -225,7 +224,8 @@ def parse_turtle(text: str, graph: Graph | None = None) -> Graph:
     """Parse a Turtle document (see module docstring for the subset)."""
     if graph is None:
         graph = Graph()
-    return _TurtleParser(text, graph).parse()
+    graph.update(_TurtleParser(text).triples())
+    return graph
 
 
 def _term_to_turtle(term: Term, prefixes: PrefixMap) -> str:

@@ -8,10 +8,11 @@ from repro.errors import DatasetError
 from repro.datasets import DATASET_NAMES, DBPediaConfig, LUBMConfig, \
     SWDFConfig, ZipfSampler, dataset_spec, generate_dbpedia, generate_lubm, \
     generate_swdf, load_dataset
-from repro.datasets.dbpedia import DBP
-from repro.datasets.lubm import UB
-from repro.datasets.swdf import SWDF
-from repro.rdf import RDF
+from repro.datasets.dbpedia import DBP, _dbpedia_triples
+from repro.datasets.lubm import UB, _lubm_triples
+from repro.datasets.swdf import SWDF, _swdf_triples
+from repro.rdf import RDF, Graph
+from repro.rdf.graph import UPDATE_CHUNK
 
 
 class TestZipfSampler:
@@ -199,3 +200,34 @@ class TestCatalog:
         tiny = load_dataset("dbpedia", "tiny")
         small = load_dataset("dbpedia", "small")
         assert len(tiny.graph) < len(small.graph)
+
+
+@pytest.mark.parametrize("store", ["dict", "columnar"])
+class TestGeneratorsStream:
+    """A generator is a triple stream bulk-loaded in chunks; the graph
+    must be the one a per-triple ``add`` of that stream builds, down to
+    the id each term got and, on dict, the order of ``subject_ids()``
+    (the update-window sampler draws entities in that order)."""
+
+    @pytest.mark.parametrize("generate, stream, config", [
+        (generate_dbpedia, _dbpedia_triples,
+         DBPediaConfig(countries=120, seed=3)),
+        (generate_lubm, _lubm_triples, LUBMConfig(seed=7).scaled(0.35)),
+        (generate_swdf, _swdf_triples, SWDFConfig(seed=3)),
+    ], ids=["dbpedia", "lubm", "swdf"])
+    def test_equals_a_per_triple_replay(self, store, generate, stream,
+                                        config):
+        loaded = generate(config, Graph(store=store))
+        replay = Graph(store=store)
+        for triple in stream(config):
+            replay.add(triple)
+        assert len(loaded) > UPDATE_CHUNK          # spans chunk boundaries
+        assert list(loaded.dictionary.terms()) == \
+            list(replay.dictionary.terms())
+        assert loaded.snapshot_ids() == replay.snapshot_ids()
+        if store == "dict":
+            assert list(loaded.subject_ids()) == list(replay.subject_ids())
+
+    def test_a_bad_config_raises_at_the_call(self, store):
+        with pytest.raises(DatasetError):
+            generate_lubm(LUBMConfig(universities=0), Graph(store=store))

@@ -58,6 +58,25 @@ class TestNQuads:
         with pytest.raises(ParseError):
             parse_nquads("<http://x/a> <http://x/p> <http://x/b>")
 
+    def test_interleaved_graphs_load_as_per_quad_adds(self):
+        # one bulk load per run of quads in one graph; ids in line order
+        quads = [Quad(EX.a, EX.p, EX.b, None), Quad(EX.a, EX.p, EX.c, EX.g1),
+                 Quad(EX.d, EX.q, EX.b, EX.g1), Quad(EX.e, EX.p, EX.a, None),
+                 Quad(EX.a, EX.p, EX.b, None), Quad(EX.f, EX.q, EX.g, EX.g2),
+                 Quad(EX.h, EX.p, EX.f, EX.g1)]
+        text = "".join(
+            " ".join(t.n3() for t in q if t is not None) + " .\n"
+            for q in quads)
+        want = Dataset()
+        for quad in quads:
+            want.add_quad(quad)
+        got = parse_nquads(text)
+        assert list(got.dictionary.terms()) == list(want.dictionary.terms())
+        assert list(got.names()) == list(want.names()) == [EX.g1, EX.g2]
+        for name in (None, EX.g1, EX.g2):
+            assert got.graph(name).snapshot_ids() == \
+                want.graph(name).snapshot_ids()
+
     def test_deterministic_serialization(self):
         ds = Dataset()
         ds.add_quad(Quad(EX.b, EX.p, EX.c, EX.g1))

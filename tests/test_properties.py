@@ -9,6 +9,7 @@ exactly the answers the base graph gives.
 
 from __future__ import annotations
 
+import random
 import string
 from collections import Counter
 from contextlib import contextmanager
@@ -26,7 +27,9 @@ from repro.cube import AnalyticalFacet, AnalyticalQuery, FilterCondition, \
 from repro.rdf import ColumnarStore, Dataset, Graph, IRI, Literal, \
     Namespace, TermDictionary, Triple, Variable, XSD, parse_ntriples, \
     serialize_ntriples, typed_literal
+from repro.errors import TermError
 from repro.rdf.dictionary import ID_LIMIT
+from repro.rdf.graph import UPDATE_CHUNK
 from repro.rdf.terms import BlankNode
 from repro.rdf.triples import TriplePattern
 from repro.selection import AnnealingSelector, ExhaustiveSelector, \
@@ -121,6 +124,73 @@ class TestStoreProperties:
             assert d.decode(tid) == term
             assert d.encode(term) == tid  # stable on re-encode
         assert len(d) == len(set(terms))
+
+
+# --------------------------------------------------------------------------
+# Graph.update streams its input in chunks of UPDATE_CHUNK
+# --------------------------------------------------------------------------
+
+def _nth_triple(i: int) -> Triple:
+    """Distinct triples for distinct ``i`` (101 · 7 = 707 fixes ``i``)."""
+    return Triple(EX[f"s{i % 101}"], EX[f"p{i % 7}"], typed_literal(i // 707))
+
+
+@st.composite
+def chunked_streams(draw):
+    """A stream longer than two chunks drawn from a pool of distinct
+    triples, so it repeats triples inside chunks and across their
+    boundaries, and (maybe) the index of an element to make invalid."""
+    length = draw(st.integers(2 * UPDATE_CHUNK + 1, 3 * UPDATE_CHUNK))
+    pool = draw(st.integers(1, 3 * UPDATE_CHUNK))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    stream = [_nth_triple(rng.randrange(pool)) for _ in range(length)]
+    for boundary in (UPDATE_CHUNK, 2 * UPDATE_CHUNK):
+        stream[boundary] = stream[boundary - 1 - rng.randrange(3)]
+    bad = draw(st.none() | st.integers(2 * UPDATE_CHUNK, length - 1))
+    return stream, bad
+
+
+def _replayed(store: str, stream) -> tuple[Graph, object, int]:
+    """``stream`` added one triple at a time, under a change log."""
+    graph = Graph(store=store)
+    log = graph.subscribe()
+    return graph, log, sum(graph.add(t) for t in stream)
+
+
+@pytest.mark.parametrize("store", ["dict", "columnar"])
+class TestUpdateStreams:
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(chunked_streams())
+    def test_update_equals_a_per_triple_add(self, store, drawn):
+        stream, bad = drawn
+        graph = Graph(store=store)
+        log = graph.subscribe()
+        if bad is None:
+            added = graph.update(iter(stream))
+            applied = stream
+        else:
+            stream = stream.copy()
+            stream[bad] = (Literal("not a subject"), EX.p, EX.o)
+            with pytest.raises(TermError):
+                graph.update(iter(stream))
+            applied = stream[:bad - bad % UPDATE_CHUNK]
+        want, want_log, want_added = _replayed(store, applied)
+        if bad is None:
+            assert added == want_added
+        assert list(graph.dictionary.terms()) == \
+            list(want.dictionary.terms())
+        assert graph.snapshot_ids() == want.snapshot_ids()
+        got, expected = log.drain(), want_log.drain()
+        assert (got.inserted, got.deleted, got.truncated) == \
+            (expected.inserted, expected.deleted, expected.truncated)
+        seen: set = set()
+        bumps = 0
+        for start in range(0, len(applied), UPDATE_CHUNK):
+            chunk = set(applied[start:start + UPDATE_CHUNK])
+            bumps += bool(chunk - seen)
+            seen |= chunk
+        assert graph.version == bumps
 
 
 # --------------------------------------------------------------------------

@@ -85,6 +85,24 @@ class TestNTriplesParsing:
             assert write_ntriples(g, handle) == 1
         assert set(parse_ntriples_file(str(path))) == set(g)
 
+    @pytest.mark.parametrize("raw", ["\u2028", "\u2029", "\x85", "\x0b",
+                                     "\x0c", "\x1c", "\x1d", "\x1e"])
+    def test_text_and_file_parses_agree(self, raw, tmp_path):
+        # a line ends at "\r", "\n" or "\r\n"; ``raw`` stands in a literal
+        text = (f'<http://x/a> <http://x/p> "a{raw}b" .\r'
+                '<http://x/a> <http://x/q> "c" .\r\n'
+                '<http://x/a> <http://x/r> "d" .\n')
+        path = tmp_path / "doc.nt"
+        path.write_text(text, encoding="utf-8", newline="")
+        from_text = parse_ntriples(text)
+        from_file = parse_ntriples_file(str(path))
+        assert len(from_text) == 3
+        assert set(from_text) == set(from_file)
+        assert list(from_text.dictionary.terms()) == \
+            list(from_file.dictionary.terms())
+        assert from_text.value(s=IRI("http://x/a"), p=IRI("http://x/p")) \
+            == Literal(f"a{raw}b")
+
 
 class TestTurtleParsing:
     def test_prefix_and_semicolon_comma_lists(self):
