@@ -14,7 +14,7 @@ from typing import IO, Iterable, Iterator
 from ..errors import ParseError
 from .graph import Graph
 from .terms import XSD, BlankNode, IRI, Literal, Term
-from .triples import Triple
+from .triples import Quad, Triple
 
 __all__ = ["parse_ntriples", "parse_ntriples_file", "serialize_ntriples",
            "write_ntriples"]
@@ -90,19 +90,46 @@ def _parse_term(text: str, pos: int, line_no: int) -> tuple[Term, int]:
     return Literal(lexical, XSD.string), m.end()
 
 
-def iter_ntriples(lines: Iterable[str]) -> Iterator[Triple]:
-    """Parse an iterable of N-Triples lines into triples."""
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        s, pos = _parse_term(line, 0, line_no)
-        p, pos = _parse_term(line, pos, line_no)
-        o, pos = _parse_term(line, pos, line_no)
+def parse_nquad_line(raw: str, line_no: int = 1) -> Quad | None:
+    """One N-Triples or N-Quads line as a quad; ``None`` for a blank or
+    comment line.
+
+    The one line grammar of both formats: three terms, an optional graph
+    IRI and a terminating ``.``.  Raises :class:`ParseError` on a
+    malformed line.  The terms' positions are not checked here: whoever
+    stores the quad runs :meth:`Triple.validate` on it once
+    (:meth:`Graph.update` does).
+    """
+    line = raw.strip()
+    if not line or line.startswith("#"):
+        return None
+    s, pos = _parse_term(line, 0, line_no)
+    p, pos = _parse_term(line, pos, line_no)
+    o, pos = _parse_term(line, pos, line_no)
+    rest = line[pos:].strip()
+    graph: IRI | None = None
+    if rest != ".":
+        g, pos = _parse_term(line, pos, line_no)
+        if not isinstance(g, IRI):
+            raise ParseError("graph label must be an IRI", line_no)
+        graph = g
         rest = line[pos:].strip()
         if rest != ".":
-            raise ParseError(f"expected terminating '.', got {rest!r}", line_no)
-        yield Triple.validate(s, p, o)
+            raise ParseError(
+                f"expected terminating '.', got {rest!r}", line_no)
+    return Quad(s, p, o, graph)
+
+
+def iter_ntriples(lines: Iterable[str]) -> Iterator[Triple]:
+    """Parse an iterable of N-Triples lines into triples (unvalidated:
+    see :func:`parse_nquad_line`); a line naming a graph is a
+    :class:`ParseError`."""
+    for line_no, raw in enumerate(lines, start=1):
+        quad = parse_nquad_line(raw, line_no)
+        if quad is not None:
+            if quad.graph is not None:
+                raise ParseError("N-Triples has no graph label", line_no)
+            yield quad.triple
 
 
 def parse_ntriples(text: str, graph: Graph | None = None) -> Graph:

@@ -151,7 +151,7 @@ class _TurtleParser:
             predicate = self._verb()
             while True:
                 obj = self._object()
-                yield Triple.validate(subject, predicate, obj)
+                yield Triple(subject, predicate, obj)  # update validates
                 if self._peek() == ("punct", ",", self._peek().line) or (
                         self._peek().kind == "punct" and self._peek().value == ","):
                     self._next()

@@ -8,8 +8,9 @@ integer ids* (:class:`~repro.sparql.batch.BindingBatch`) through the whole
 algebra tree:
 
 * BGPs are evaluated as batched index probes: each triple pattern is
-  probed once per **distinct** bound prefix (not once per row) and the
-  matches are fanned back out onto the rows holding it;
+  probed once per **distinct** bound prefix (not once per row) and each
+  row's matches fan out in its own place, so rows leave every probe in
+  batch order;
 * a FILTER stacked on a BGP runs right after the probe that binds what
   it reads — or, if it reads one variable that is the object of a
   constant predicate whose distinct objects are fewer than the first
@@ -55,8 +56,8 @@ import weakref
 from dataclasses import replace
 from functools import partial
 from itertools import chain, compress, repeat
-from operator import is_not
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from operator import is_not, itemgetter
+from typing import Callable, Collection, Iterator, Optional, Sequence
 
 import numpy as _np
 
@@ -153,9 +154,9 @@ _PROBE_BULK = _REG.counter(
     labels=("kernel",))
 _PROBE_SCALAR = _REG.counter(
     "engine_probe_scalar_total",
-    "probes answered by the scalar kernels, by how the batch left: kept "
-    "(rows passed through), masked (rows dropped), fanned (a row per "
-    "match) or grouped (the general loop, or a holey seed column)",
+    "probes answered by the scalar kernel, by how the batch left: kept "
+    "(rows passed through), masked (rows dropped) or fanned (a row per "
+    "match)",
     labels=("kernel", "path"))
 _AGGREGATE_IDS = _REG.counter(
     "engine_aggregate_ids_total",
@@ -179,8 +180,8 @@ class _Step:
     the batch layout it will see, so :meth:`Executor._probe` works out
     nothing per call but the holes of a seed column."""
 
-    __slots__ = ("pattern", "ready", "const", "pos_vars", "bound", "cols",
-                 "holey", "fresh", "pos_ord", "kernel", "variables", "index")
+    __slots__ = ("pattern", "ready", "const", "pos_vars", "same", "bound",
+                 "cols", "holey", "fresh", "kernel", "variables", "index")
 
     def __init__(self, pattern: int, ready: tuple[int, ...], spec: list,
                  variables: tuple[Variable, ...], index: dict[Variable, int],
@@ -190,6 +191,9 @@ class _Step:
         #: per position the constant id, or the variable
         self.const = tuple(p if kind == "c" else None for kind, p in spec)
         self.pos_vars = tuple(p if kind == "v" else None for kind, p in spec)
+        #: the position pairs one variable holds, on which a match agrees
+        self.same = tuple((i, j) for i in range(3) for j in range(i + 1, 3)
+                          if spec[i] == spec[j] and spec[i][0] == "v")
         #: the positions the batch binds, and their columns; of those, the
         #: columns no probe of this BGP bound (a seed's may hold unbound)
         self.bound = tuple(k for k, v in enumerate(self.pos_vars)
@@ -198,15 +202,12 @@ class _Step:
         self.holey = tuple(dict.fromkeys(
             index[v] for v in map(self.pos_vars.__getitem__, self.bound)
             if v not in clean))
-        #: the first position of each new variable, and per position its
-        #: ordinal among them
+        #: the first position of each new variable
         new: dict[Variable, int] = {}
         for k, var in enumerate(self.pos_vars):
             if var is not None and var not in index and var not in new:
                 new[var] = k
         self.fresh = tuple(new.values())
-        ordinal = {var: j for j, var in enumerate(new)}
-        self.pos_ord = tuple(map(ordinal.get, self.pos_vars))
         #: the output layout, one index map every batch built here shares
         self.variables = variables + tuple(new)
         self.index = {**index, **{var: len(variables) + j
@@ -542,14 +543,13 @@ class Executor:
         """The :meth:`_compiled_bgp` entry: ``(the graph size it was planned
         at, the plan, its compiled steps by batch layout)`` (see
         :meth:`_steps`)."""
-        size = len(self._graph)
         overlap: frozenset[Variable] = frozenset()
         if seed_vars:  # the unit seed of a top-level BGP has none
             pattern_vars = set().union(*(p.variables() for p in patterns))
             overlap = frozenset(v for v in seed_vars if v in pattern_vars)
         key = (patterns, overlap, wanted)
         entry = self._bgp_cache.get(key)
-        if entry is not None and entry[0] >> 1 < size < 2 * entry[0]:
+        if entry is not None and self._holds(entry[0]):
             if _REG.enabled:
                 _BGP_PLAN_HITS.inc(1, ("patterns",))
             return entry
@@ -561,9 +561,16 @@ class Executor:
                   for t in p] for p in patterns]
         if any(payload is None for spec in specs for _, payload in spec):
             return None
-        entry = (size, (specs, *self._plan_bgp(specs, overlap, wanted)), {})
+        entry = (len(self._graph),
+                 (specs, *self._plan_bgp(specs, overlap, wanted)), {})
         _remember(self._bgp_cache, key, entry)
         return entry
+
+    def _holds(self, size: int) -> bool:
+        """Whether a plan made when the graph held ``size`` triples is
+        kept: it is planned again once the graph has halved or doubled
+        since."""
+        return size >> 1 < len(self._graph) < 2 * size
 
     def _plan_bgp(self, specs: list[list[tuple[str, object]]],
                   seed_vars: frozenset[Variable],
@@ -711,11 +718,10 @@ class Executor:
         top = filters[-1] if filters else op
         ref = self._programs.get(id(top))
         if ref is not None:
-            size = len(self._graph)
             programs = ref.programs
             for program in programs:
                 if program.seed_vars == seed_vars:
-                    if program.size >> 1 < size < 2 * program.size:
+                    if self._holds(program.size):
                         if _REG.enabled:
                             _BGP_PLAN_HITS.inc(1, ("operator",))
                         return program
@@ -832,9 +838,7 @@ class Executor:
         made with that variable bound and without ``k`` (conditions
         numbered without it), kept under the same size rule."""
         hit = program.pushed
-        size = len(self._graph)
-        if hit is not None and hit[0] == k \
-                and hit[1] >> 1 < size < 2 * hit[1]:
+        if hit is not None and hit[0] == k and self._holds(hit[1]):
             if _REG.enabled:
                 _BGP_PLAN_HITS.inc(1, ("operator",))
             return hit[2], hit[3]
@@ -929,127 +933,134 @@ class Executor:
         """Extend every row of ``cur`` with the matches of one pattern.
 
         The index is probed once per *distinct* probe key (the row's ids
-        for the pattern's bound variables).  Bound columns pass through
-        untouched; only newly-bound variables get columns built.  What the
-        pattern binds and which kernel runs were decided when ``step`` was
-        compiled; a bound seed column holding unbound cells (OPTIONAL
-        upstream) is the one case decided here (:meth:`_probe_holey`).
+        for the pattern's bound variables) and rows leave in the order
+        they came in.  Bound columns pass through untouched; only
+        newly-bound variables get columns built.  What the pattern binds
+        and which kernel runs were decided when ``step`` was compiled; a
+        bound seed column holding unbound cells (OPTIONAL upstream) is the
+        one case decided here, and it takes the scalar kernel.
         """
-        n = len(cur)
-        if not n:
+        if not cur.prov:
             return BindingBatch(step.variables, [[] for _ in step.variables],
                                 [], step.index)
         cols = cur.columns
-        if step.holey and any(None in cols[c] for c in step.holey):
-            return self._probe_holey(cur, step)
-        kernel = step.kernel
-        if self._vec and kernel != "general":
+        holes = step.holey and [c for c in step.holey if None in cols[c]]
+        if self._vec and step.kernel != "general" and not holes:
             return self._probe_bulk(cur, step)
-        if kernel == "leaf":
-            return self._probe_leaf(cur, step)
-        if kernel == "exists":
-            return self._probe_exists(cur, step)
-        groups = _group_rows([cols[c] for c in step.cols], n)
-        if _REG.enabled:
-            _PROBE_ROWS.inc(n)
-            _PROBE_KEYS.inc(len(groups))
-            _PROBE_SCALAR.inc(1, (kernel, "grouped"))
-        made: list[list] = [[] for _ in step.fresh]
-        out_index = self._probe_general(groups, step.const, step.pos_vars,
-                                        step.bound, step.pos_ord, step.fresh,
-                                        made)
-        return _assembled(cur, step, out_index, made)
+        return self._probe_scalar(cur, step, holes)
 
-    def _probe_leaf(self, cur: BindingBatch, step: "_Step") -> BindingBatch:
-        """:meth:`_probe` of one bound column, one constant and one new
-        variable: each distinct key's index leaf is looked up once, and
-        rows leave in the order they came in.
+    def _probe_scalar(self, cur: BindingBatch, step: "_Step",
+                      holes: Sequence[int]) -> BindingBatch:
+        """:meth:`_probe` a key at a time: each distinct key is looked up
+        once, and rows leave in the order they came in.
 
-        When no key matches twice the new column is the key column mapped
-        through the lookups, and the other columns and provenance pass
-        through (every key matched) or are compressed by one mask.
-        Otherwise each row fans out in place into one row per match.
+        A key is the row's id in the one bound column, its tuple of ids in
+        several, or ``()`` in none.  An ``exists`` step (one bound column,
+        two constants) is one membership mask over the key column; a
+        ``leaf`` step (one bound column, one constant) maps
+        :meth:`Graph.pair_adjacency`'s getter over the distinct keys; any
+        other looks each up in :meth:`_matches`, where a key's unbound
+        cell (a holey column in ``holes``) leaves its position free and
+        the column is rebuilt from the matches.  When no key matches twice
+        the new columns are the keys mapped through their one match, and
+        the other columns and the provenance pass through (every key
+        matched) or are compressed by one mask; otherwise each row fans
+        out in place into one row per match.
         """
-        keys = cur.columns[step.cols[0]]
-        bpos, fpos = step.bound[0], step.fresh[0]
-        leaf = self._graph.pair_adjacency(bpos, fpos,
-                                          step.const[3 - bpos - fpos])
+        cols, n, kernel = cur.columns, len(cur), step.kernel
+        keys = _keys(cols, step.cols, n)
+        if kernel == "exists" and not holes:
+            mask = list(map(self._graph.adjacent_ids(*step.const).__contains__,
+                            keys))
+            kept = all(mask)
+            if _REG.enabled:
+                _PROBE_ROWS.inc(n)
+                _PROBE_KEYS.inc(len(set(keys)))
+                _PROBE_SCALAR.inc(1, ("exists", "kept" if kept else "masked"))
+            if kept:
+                return cur
+            return BindingBatch(step.variables,
+                                [list(compress(col, mask)) for col in cols],
+                                list(compress(cur.prov, mask)), step.index)
+        if kernel == "leaf" and not holes:
+            bpos, fpos = step.bound[0], step.fresh[0]
+            lookup = self._graph.pair_adjacency(bpos, fpos,
+                                                step.const[3 - bpos - fpos])
+            width = 1
+        else:  # the new variables' first positions, then the holey columns'
+            out = step.fresh + tuple(step.bound[step.cols.index(c)]
+                                     for c in holes) if holes else step.fresh
+            lookup = partial(self._matches, step, out)
+            width = len(out)
         distinct = dict.fromkeys(keys)
-        leaves = list(map(leaf, distinct))
-        n = len(keys)
-        try:
-            # each matched key's one id: unpacking fails if a key has two
-            one = {key: value for key, (value,)
-                   in compress(zip(distinct, leaves), leaves)}
-        except ValueError:  # each row fans out in place, a row per match
+        lookups = list(map(lookup, distinct))
+        prov = cur.prov
+        # a lone row with several matches fans out without a failed unpack
+        fans = n == 1 and len(lookups[0] or ()) > 1
+        if not fans:
+            try:  # each key's one match: unpacking fails on a key with two
+                one = {key: value for key, (value,)
+                       in compress(zip(distinct, lookups), lookups)}
+            except ValueError:
+                fans = True
+        if fans:  # each row fans out in place, a row per match
             path = "fanned"
-            found = dict(compress(zip(distinct, leaves), leaves))
-            matches = list(map(found.get, keys, repeat(())))
-            out_index = _np.repeat(_np.arange(n), _np.fromiter(
-                map(len, matches), _np.intp, n)).tolist()
-            out = _assembled(cur, step, out_index,
-                             [list(chain.from_iterable(matches))])
+            if n == 1:
+                matches, out_index = lookups, [0] * len(lookups[0])
+            else:
+                found = dict(compress(zip(distinct, lookups), lookups))
+                matches = list(map(found.get, keys, repeat(())))
+                out_index = _np.repeat(_np.arange(n), _np.fromiter(
+                    map(len, matches), _np.intp, n)).tolist()
+            columns = [list(map(col.__getitem__, out_index)) for col in cols]
+            prov = list(map(prov.__getitem__, out_index))
+            made = list(chain.from_iterable(matches))
         else:
             if len(one) == len(distinct):
-                path, columns, prov = "kept", list(cur.columns), cur.prov
+                path, columns = "kept", list(cols)
             else:
                 path = "masked"
                 mask = list(map(one.__contains__, keys))
-                columns = [list(compress(col, mask)) for col in cur.columns]
-                prov = list(compress(cur.prov, mask))
-            columns.append(list(map(one.__getitem__,
-                                    columns[step.cols[0]])))
-            out = BindingBatch(step.variables, columns, prov, step.index)
+                columns = [list(compress(col, mask)) for col in cols]
+                prov = list(compress(prov, mask))
+                keys = _keys(columns, step.cols, len(prov))
+            made = list(map(one.__getitem__, keys))
+        made = [made] if width == 1 else list(map(list, zip(*made))) \
+            if prov else [[] for _ in range(width)]
+        if holes:
+            fresh = len(step.fresh)
+            for c, rebuilt in zip(holes, made[fresh:]):
+                columns[c] = rebuilt
+            del made[fresh:]
+        columns += made
         if _REG.enabled:
             _PROBE_ROWS.inc(n)
             _PROBE_KEYS.inc(len(distinct))
-            _PROBE_SCALAR.inc(1, ("leaf", path))
-        return out
+            _PROBE_SCALAR.inc(1, (kernel, path))
+        return BindingBatch(step.variables, columns, prov, step.index)
 
-    def _probe_exists(self, cur: BindingBatch, step: "_Step"
-                      ) -> BindingBatch:
-        """:meth:`_probe` of one bound column and two constants: one
-        membership mask over the key column, against the leaf of ids at
-        the bound position; the batch itself when every row holds."""
-        keys = cur.columns[step.cols[0]]
-        mask = list(map(self._graph.adjacent_ids(*step.const).__contains__,
-                        keys))
-        kept = all(mask)
-        if _REG.enabled:
-            _PROBE_ROWS.inc(len(keys))
-            _PROBE_KEYS.inc(len(set(keys)))
-            _PROBE_SCALAR.inc(1, ("exists", "kept" if kept else "masked"))
-        if kept:
-            return cur
-        return BindingBatch(step.variables,
-                            [list(compress(col, mask)) for col in cur.columns],
-                            list(compress(cur.prov, mask)), step.index)
-
-    def _probe_holey(self, cur: BindingBatch, step: "_Step") -> BindingBatch:
-        """:meth:`_probe` where a bound seed column holds unbound cells.
-
-        Such a cell is a wildcard the probe fills, so that variable's
-        column is built again, beside the new ones, in the general loop.
-        """
-        cols = cur.columns
-        pos_ord = list(step.pos_ord)
-        first = list(step.fresh)
-        replaced: dict[int, int] = {}  # holey column → its rebuilt ordinal
-        for k, c in zip(step.bound, step.cols):
-            if c in step.holey and None in cols[c]:
-                if c not in replaced:
-                    replaced[c] = len(first)
-                    first.append(k)
-                pos_ord[k] = replaced[c]
-        groups = _group_rows([cols[c] for c in step.cols], len(cur))
-        if _REG.enabled:
-            _PROBE_ROWS.inc(len(cur))
-            _PROBE_KEYS.inc(len(groups))
-            _PROBE_SCALAR.inc(1, (step.kernel, "grouped"))
-        made: list[list] = [[] for _ in first]
-        out_index = self._probe_general(groups, step.const, step.pos_vars,
-                                        step.bound, pos_ord, first, made)
-        return _assembled(cur, step, out_index, made, replaced.items())
+    def _matches(self, step: "_Step", out: tuple[int, ...], key
+                 ) -> Collection:
+        """The matches of ``step``'s pattern with its bound positions
+        holding ``key`` (an unbound id leaves its position free): per
+        match its ids at positions ``out``, bare if ``out`` is one, and
+        positions holding one variable agree."""
+        probe = list(step.const)
+        for k, value in zip(step.bound, key if len(step.bound) > 1
+                            else (key,)):
+            probe[k] = value
+        free = [k for k in (0, 1, 2) if probe[k] is None]
+        graph = self._graph
+        if len(free) == 1 == len(out):  # the index leaf is the match list
+            return graph.adjacent_ids(*probe)
+        if not free:
+            return [itemgetter(*out)(probe) if out else ()] \
+                if graph.count_ids(*probe) else ()
+        matches = graph.match_ids(*probe)
+        if step.same:
+            matches = (ids for ids in matches
+                       if all(ids[i] == ids[j] for i, j in step.same))
+        return list(map(itemgetter(*out), matches))
 
     def _bulk_gather(self, columns, prov: list, rows) -> tuple[list, list]:
         """Gather batch columns + provenance through a numpy row index.
@@ -1159,98 +1170,6 @@ class Executor:
         for k in step.fresh:
             out_cols.append(value_cols[k][gather].tolist())
         return BindingBatch(variables, out_cols, out_prov, index)
-
-    def _probe_general(self, groups: dict, const_ids: Sequence[Optional[int]],
-                       pos_vars: Sequence[Optional[Variable]],
-                       bound_positions: Sequence[int],
-                       pos_ord: Sequence[Optional[int]],
-                       rebuild_first_pos: Sequence[int],
-                       rebuild_cols: list[list]) -> list[int]:
-        """The general probe loop: any mix of wildcards per group."""
-        graph = self._graph
-        out_index: list[int] = []
-        n_rebuild = len(rebuild_cols)
-        match_ids = graph.match_ids
-        adjacent_ids = graph.adjacent_ids
-        count_ids = graph.count_ids
-        single_bound = len(bound_positions) == 1
-
-        for group_key, rows in groups.items():
-            probe: list[Optional[int]] = list(const_ids)
-            if single_bound:
-                probe[bound_positions[0]] = group_key
-            elif bound_positions:
-                for k, value in zip(bound_positions, group_key):
-                    probe[k] = value
-            free = [k for k in (0, 1, 2)
-                    if probe[k] is None and pos_vars[k] is not None]
-            nrows = len(rows)
-
-            if not free:
-                # Fully bound: a pure existence probe.
-                if not count_ids(probe[0], probe[1], probe[2]):
-                    continue
-                out_index.extend(rows)
-                for ordinal in range(n_rebuild):
-                    rebuild_cols[ordinal].extend(
-                        [probe[rebuild_first_pos[ordinal]]] * nrows)
-                continue
-
-            if len(free) == 1:
-                # One wildcard: the index leaf set *is* the match list.
-                values = adjacent_ids(probe[0], probe[1], probe[2])
-                if not values:
-                    continue
-                values = list(values)
-                m = len(values)
-                for r in rows:
-                    out_index.extend([r] * m)
-                filled = pos_ord[free[0]]
-                rebuild_cols[filled].extend(values * nrows)  # type: ignore
-                for ordinal in range(n_rebuild):
-                    if ordinal != filled:
-                        rebuild_cols[ordinal].extend(
-                            [probe[rebuild_first_pos[ordinal]]] * (nrows * m))
-                continue
-
-            # Two or three wildcards: walk the index, keeping repeated-
-            # variable positions consistent.
-            free_vars = [pos_vars[k] for k in free]
-            duplicated = len(set(free_vars)) != len(free_vars)
-            collected: list[list[int]] = [[] for _ in free]
-            for ids in match_ids(probe[0], probe[1], probe[2]):
-                if duplicated:
-                    seen: dict[Variable, int] = {}
-                    ok = True
-                    for k in free:
-                        var = pos_vars[k]
-                        prev = seen.get(var)  # type: ignore[arg-type]
-                        if prev is None:
-                            seen[var] = ids[k]  # type: ignore[index]
-                        elif prev != ids[k]:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                for j, k in enumerate(free):
-                    collected[j].append(ids[k])
-            m = len(collected[0])
-            if not m:
-                continue
-            for r in rows:
-                out_index.extend([r] * m)
-            filled_ords: set[int] = set()
-            for j, k in enumerate(free):
-                ordinal = pos_ord[k]
-                if ordinal in filled_ords:  # repeated free var: one column
-                    continue
-                filled_ords.add(ordinal)  # type: ignore[arg-type]
-                rebuild_cols[ordinal].extend(collected[j] * nrows)  # type: ignore
-            for ordinal in range(n_rebuild):
-                if ordinal not in filled_ords:
-                    rebuild_cols[ordinal].extend(
-                        [probe[rebuild_first_pos[ordinal]]] * (nrows * m))
-        return out_index
 
     # -- joins -----------------------------------------------------------------
 
@@ -1767,41 +1686,13 @@ def _forget(owner: weakref.ref, ref: _OpRef) -> None:
         del programs[ref.key]
 
 
-def _group_rows(keys: list[list], n: int) -> dict:
-    """The row indexes of a batch of ``n`` rows by their ids in the bound
-    columns ``keys`` (one column: the id itself; none: one group)."""
-    if not keys:
-        return {None: range(n)}
-    groups: dict = {}
-    for i, key in enumerate(keys[0] if len(keys) == 1 else zip(*keys)):
-        group = groups.get(key)
-        if group is None:
-            groups[key] = [i]
-        else:
-            group.append(i)
-    return groups
+def _keys(columns: list[list], cols: tuple[int, ...], n: int) -> list:
+    """Per row of a batch of ``n`` rows its probe key: its id in the one
+    bound column of ``cols``, its tuple of ids in several, ``()`` in none."""
+    if len(cols) == 1:
+        return columns[cols[0]]
+    return list(zip(*map(columns.__getitem__, cols))) if cols else [()] * n
 
-
-def _assembled(cur: BindingBatch, step: _Step, out_index: list[int],
-               made: list[list], replaced: Iterable[tuple[int, int]] = ()
-               ) -> BindingBatch:
-    """The output of a probe loop: the new columns ``made`` (the first
-    ``len(step.fresh)`` are the new variables'; ``replaced`` maps a holey
-    column to the one rebuilt for it), every other column and provenance
-    gathered through ``out_index`` — or shared, when the probe kept every
-    row in place."""
-    n = len(cur)
-    prov = cur.prov
-    if len(out_index) == n and out_index == list(range(n)):
-        out_cols = list(cur.columns)
-    else:
-        out_cols = [list(map(col.__getitem__, out_index))
-                    for col in cur.columns]
-        prov = list(map(prov.__getitem__, out_index))
-    for c, j in replaced:
-        out_cols[c] = made[j]
-    out_cols += made[:len(step.fresh)]
-    return BindingBatch(step.variables, out_cols, prov, step.index)
 
 def _remember(memo: dict, key, value) -> None:
     """:func:`repro.sparql.engine.remember`: the memos of an executor

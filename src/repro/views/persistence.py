@@ -41,6 +41,7 @@ from ..resilience.failpoints import fail_at
 from ..rdf.dataset import Dataset
 from ..rdf.nquads import parse_nquad_line, serialize_graph_lines
 from ..rdf.terms import IRI
+from ..rdf.triples import Triple
 from ..cube.facet import AnalyticalFacet
 from ..cube.view import ViewDefinition
 from .catalog import MaterializedView, ViewCatalog
@@ -189,11 +190,13 @@ def _parse_dataset_lenient(text: str) -> Dataset:
     for line in text.split("\n"):
         try:
             quad = parse_nquad_line(line)
+            if quad is None:
+                continue
+            Triple.validate(quad.s, quad.p, quad.o)
         except (ParseError, TermError):
             continue
-        if quad is not None:
-            rows.setdefault(quad.graph, []).append(
-                (encode(quad.s), encode(quad.p), encode(quad.o)))
+        rows.setdefault(quad.graph, []).append(
+            (encode(quad.s), encode(quad.p), encode(quad.o)))
     for name, ids in rows.items():
         dataset.graph(name).add_ids_bulk(ids)
     return dataset

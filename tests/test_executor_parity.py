@@ -544,23 +544,24 @@ EXISTENCE_QUERIES = [
 @pytest.mark.parametrize("store", ["dict", "columnar"])
 def test_existence_probes_match_the_reference(store, monkeypatch):
     """Each query's last probe has one bound variable and two constants:
-    its bag is the reference's, and the general probe loop never sees
-    that shape."""
+    its bag is the reference's, and that shape is always compiled to the
+    ``exists`` kernel, never the ``general`` one."""
     from repro.sparql.executor import Executor
     from tests.conftest import build_population_graph
-    general = Executor._probe_general
-    shapes: list[tuple[int, int]] = []
+    probe = Executor._probe
+    shapes: list[tuple[int, int, str]] = []
 
-    def spy(self, graph, groups, const_ids, pos_vars, bound_positions,
-            *rest):
-        shapes.append((len(bound_positions),
-                       sum(c is not None for c in const_ids)))
-        return general(self, graph, groups, const_ids, pos_vars,
-                       bound_positions, *rest)
+    def spy(self, cur, step):
+        shapes.append((len(step.bound), 3 - step.const.count(None),
+                       step.kernel))
+        return probe(self, cur, step)
 
-    monkeypatch.setattr(Executor, "_probe_general", spy)
+    monkeypatch.setattr(Executor, "_probe", spy)
     engine = QueryEngine(on_store(build_population_graph(), store))
     sizes = [len(assert_parity(engine, PREFIX + query))
              for query in EXISTENCE_QUERIES]
     assert sizes == [1, 1, 1, 0, 3]
-    assert (1, 2) not in shapes
+    kernels = [kernel for bound, consts, kernel in shapes
+               if (bound, consts) == (1, 2)]
+    assert len(kernels) >= len(EXISTENCE_QUERIES)
+    assert set(kernels) == {"exists"}

@@ -9,8 +9,9 @@ from repro.core import OnlineModule, Sofos
 from repro.cube import AnalyticalQuery
 from repro.errors import CatalogCorruptError, ParseError, SimulatedCrash, \
     TermError, ViewError
-from repro.rdf import Dataset, Namespace, Quad, Triple, typed_literal
-from repro.rdf.nquads import parse_nquads, serialize_nquads
+from repro.rdf import Dataset, Literal, Namespace, Quad, Triple, \
+    typed_literal
+from repro.rdf.nquads import iter_nquads, parse_nquads, serialize_nquads
 from repro.resilience import failpoints
 from repro.views import GroupIndex, ViewMaintainer
 from repro.views.persistence import load_expanded, save_expanded
@@ -19,6 +20,7 @@ from tests.conftest import build_population_graph
 from tests.test_incremental_maintenance import assert_index_true
 
 EX = Namespace("http://example.org/")
+EX_X = Namespace("http://x/")
 
 
 @pytest.fixture(autouse=True)
@@ -76,6 +78,23 @@ class TestNQuads:
         for name in (None, EX.g1, EX.g2):
             assert got.graph(name).snapshot_ids() == \
                 want.graph(name).snapshot_ids()
+
+    @pytest.mark.parametrize("raw", ["\u2028", "\x85", "\x0b"])
+    def test_text_and_per_line_parses_agree(self, raw):
+        # a line ends at "\r", "\n" or "\r\n"; ``raw`` stands in a literal
+        lines = [f'<http://x/a> <http://x/p> "a{raw}b" <http://x/g> .',
+                 '<http://x/a> <http://x/q> "c" .',
+                 '<http://x/a> <http://x/r> "d" <http://x/g> .']
+        got = parse_nquads(f"{lines[0]}\r{lines[1]}\r\n{lines[2]}\n")
+        want = Dataset()
+        for line in lines:
+            for quad in iter_nquads([line]):
+                want.add_quad(quad)
+        assert len(got) == 3
+        assert set(got.quads()) == set(want.quads())
+        assert list(got.dictionary.terms()) == list(want.dictionary.terms())
+        assert got.graph(EX_X.g).value(s=EX_X.a, p=EX_X.p) \
+            == Literal(f"a{raw}b")
 
     def test_deterministic_serialization(self):
         ds = Dataset()
@@ -466,14 +485,14 @@ class TestChecksumsAndRecovery:
         graph in one bulk insert: the same ids and graphs as adding the
         surviving quads one line at a time, torn and junk lines dropped
         alike, and the same salvage verdict."""
-        from repro.rdf.nquads import iter_nquads
         from repro.views.persistence import _parse_dataset_lenient
         tmp_path, facet, catalog = saved
         entries = list(catalog)
         victim, survivor = entries[0].definition, entries[1].definition
         self._corrupt_graph(tmp_path, victim.iri.value, tear=True)
         path = tmp_path / "expanded.nq"
-        path.write_text("# saved\n\nnot a quad .\n" + path.read_text())
+        path.write_text("# saved\n\nnot a quad .\n"
+                        '"a" <http://x/p> <http://x/b> .\n' + path.read_text())
         text = path.read_text()
 
         expected = Dataset()

@@ -1090,12 +1090,16 @@ _KERNEL_NODES = 8
 _KX, _KY, _KZ = Variable("x"), Variable("y"), Variable("z")
 #: Patterns over the seed's ?x and the fresh ?y / ?z: one-key leaf probes
 #: from either end of a functional (ex:f) or multi-valued (ex:m)
-#: predicate, membership probes, a chain from ?y, and a repeated variable
-#: (the general loop on either executor)
+#: predicate, membership probes, a chain from ?y, a range probe through a
+#: variable predicate, and repeated variables — fully ground once ?x (or
+#: ?y) is bound, free in ``?y ex:m ?y`` probed first (the ``general``
+#: kernel on either executor); two patterns sharing ?x and ?y make the
+#: second one fully ground too
 _KERNEL_PATTERNS = (
     (_KX, EX.f, _KY), (_KX, EX.m, _KY), (_KY, EX.f, _KX), (_KY, EX.m, _KX),
     (_KX, EX.f, EX.k0), (_KX, EX.m, EX.k1), (EX.k2, EX.m, _KX),
-    (_KY, EX.f, _KZ), (_KY, EX.m, _KZ), (_KX, EX.m, _KX))
+    (_KY, EX.f, _KZ), (_KY, EX.m, _KZ), (_KX, EX.m, _KX), (_KX, _KZ, _KY),
+    (_KY, EX.m, _KY))
 #: The seed's keys: graph nodes, a term the graph lacks, and (drawn) an
 #: unbound cell, as an OPTIONAL upstream leaves one in its column
 _KERNEL_KEYS = [EX[f"k{i}"] for i in range(_KERNEL_NODES)] + [EX.absent]
@@ -1118,13 +1122,20 @@ kernel_worlds = st.tuples(
 class TestProbeKernelAgreement:
     """On one columnar graph, an executor with its scalar probe kernels
     forced (``_vec = False``) and the default one (whole-batch kernels)
-    give every seed row the same bag of rows; where every probe is a
-    ``leaf`` or ``exists`` one, both emit rows in seed order."""
+    give every seed row the same bag of rows, and both emit rows in seed
+    order, whatever the kernels and whether the seed holds unbound
+    cells."""
 
     @given(kernel_worlds)
     # a leaf probe over repeated keys: grouping them would reorder rows
     @example(([1, 2, None, 0, 1, 2, 3, 4], [[]] * _KERNEL_NODES,
               [(_KX, EX.f, _KY)], [0, 1, 0, 2, 8, 1], []))
+    # the same with one seed cell unbound: it matches every ex:f triple
+    @example(([1, 2, None, 0, 1, 2, 3, 4], [[]] * _KERNEL_NODES,
+              [(_KX, EX.f, _KY)], [0, 1, 0, 2, 8, 1], [2]))
+    # a fully ground second probe over repeated keys
+    @example(([1, 0, None, 0, 1, 2, 3, 4], [[1], [0], [], [], [], [], [], []],
+              [(_KX, EX.f, _KY), (_KY, EX.m, _KX)], [0, 1, 0, 3, 1], []))
     def test_scalar_and_bulk_kernels_agree(self, world):
         from repro.sparql.algebra import BGPOp
         from repro.sparql.batch import BindingBatch
@@ -1162,9 +1173,8 @@ class TestProbeKernelAgreement:
         kernels = {step.kernel for step in program.steps} if program else set()
         event(f"scalar kernels {sorted(kernels)}"
               + " under a holey seed" * (None in cells))
-        if None not in cells and kernels <= {"leaf", "exists"}:
-            for out in (scalar, bulk):
-                assert out.prov == sorted(out.prov)
+        for out in (scalar, bulk):
+            assert out.prov == sorted(out.prov)
 
 
 # --------------------------------------------------------------------------

@@ -2,13 +2,29 @@
 
 import pytest
 
-from repro.errors import ParseError
+from repro.errors import ParseError, TermError
 from repro.rdf import Graph, IRI, Literal, Namespace, Triple, XSD, \
     parse_ntriples, parse_ntriples_file, parse_turtle, serialize_ntriples, \
     serialize_turtle, write_ntriples
+from repro.rdf.nquads import parse_nquads
 from repro.rdf.terms import BlankNode
 
 EX = Namespace("http://example.org/")
+
+
+# a literal subject: the line formats' grammar reads it, Turtle's does not
+@pytest.mark.parametrize("parse, invalid", [
+    (parse_ntriples, TermError), (parse_nquads, TermError),
+    (parse_turtle, ParseError)])
+def test_each_parsed_triple_is_validated_once(parse, invalid, monkeypatch):
+    checked = []
+    validate = Triple.validate
+    monkeypatch.setattr(Triple, "validate", staticmethod(
+        lambda *terms: checked.append(terms) or validate(*terms)))
+    parse('<http://x/a> <http://x/p> "b" .\n<http://x/a> <http://x/q> "c" .\n')
+    assert len(checked) == 2
+    with pytest.raises(invalid):
+        parse('"a" <http://x/p> "b" .\n')
 
 
 class TestNTriplesParsing:
@@ -55,6 +71,13 @@ class TestNTriplesParsing:
         with pytest.raises(ParseError) as err:
             parse_ntriples("<http://x/a> <http://x/p> <http://x/b>")
         assert "line 1" in str(err.value)
+
+    def test_a_graph_label_raises(self):
+        with pytest.raises(ParseError) as err:
+            parse_ntriples('<http://x/a> <http://x/p> <http://x/b> .\n'
+                           '<http://x/a> <http://x/p> <http://x/b> '
+                           '<http://x/g> .')
+        assert "line 2" in str(err.value)
 
     def test_garbage_raises(self):
         with pytest.raises(ParseError):

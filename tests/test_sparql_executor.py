@@ -504,33 +504,47 @@ class TestJoinOrderCliff:
 
 
 class TestScalarProbeKernels:
-    """The scalar ``leaf`` and ``exists`` kernels look each distinct key up
-    once and keep the batch's row order; a probe that drops and repeats
-    no row hands the batch's own columns on (forced on columnar too)."""
+    """The scalar kernel looks each distinct key up once and keeps the
+    batch's row order; a probe that drops and repeats no row hands the
+    batch's own columns on (forced on columnar too)."""
 
     @staticmethod
-    def _probe(store, keys, obj=None):
-        """``?x ex:p ?y`` (or ``?x ex:p obj``) probed under a seed of ``?x``
-        bound to ``keys``, by the scalar kernel."""
+    def _run(store, seed, pattern):
+        """``pattern`` (``"?name"`` or a local name per position) probed by
+        the scalar kernel under a seed binding each variable of ``seed``
+        to its local names (``None``: unbound, as an OPTIONAL upstream
+        leaves it); rows decode to local names."""
         from repro.sparql.batch import BindingBatch
         from repro.sparql.executor import Executor, _Step
         graph = Graph(store=store)
         graph.update([Triple(EX.a, EX.p, EX.one), Triple(EX.b, EX.p, EX.two),
                       Triple(EX.m, EX.p, EX.three), Triple(EX.m, EX.p, EX.four),
-                      Triple(EX.z, EX.q, EX.one)])
+                      Triple(EX.z, EX.q, EX.one), Triple(EX.m, EX.r, EX.m),
+                      Triple(EX.a, EX.r, EX.b), Triple(EX.a, EX.s, EX.a)])
         executor = Executor(graph)
         executor._vec = False
-        x, y = Variable("x"), Variable("y")
-        spec = [("v", x), ("c", executor.encode_term(EX.p)),
-                ("v", y) if obj is None else ("c", executor.encode_term(obj))]
-        step = _Step(0, (), spec, (x,), {x: 0}, {x}, False)
-        seed = BindingBatch(
-            (x,), [[executor.encode_term(EX[k]) for k in keys]],
-            list(range(len(keys))))
-        out = executor._probe(seed, step)
+        variables = tuple(map(Variable, seed))
+        spec = [("v", Variable(t[1:])) if t.startswith("?")
+                else ("c", executor.encode_term(EX[t])) for t in pattern]
+        step = _Step(0, (), spec, variables,
+                     {v: k for k, v in enumerate(variables)},
+                     {Variable(v) for v, names in seed.items()
+                      if None not in names}, False)
+        columns = [[None if k is None else executor.encode_term(EX[k])
+                    for k in col] for col in seed.values()]
+        batch = BindingBatch(variables, columns,
+                             list(range(len(columns[0]))))
+        out = executor._probe(batch, step)
         rows = [tuple(executor.decode_id(t).local_name for t in row)
                 for row in out.row_tuples()]
-        return step, seed, out, rows
+        return step, batch, out, rows
+
+    @classmethod
+    def _probe(cls, store, keys, obj=None):
+        """``?x ex:p ?y`` (or ``?x ex:p obj``) probed under a seed of ``?x``
+        bound to ``keys``, by the scalar kernel."""
+        return cls._run(store, {"x": keys},
+                        ("?x", "p", "?y" if obj is None else obj.local_name))
 
     @pytest.mark.parametrize("store", ["dict", "columnar"])
     def test_a_functional_leaf_passes_the_columns_through(self, store):
@@ -575,3 +589,55 @@ class TestScalarProbeKernels:
         assert out.prov == [0, 2] and out.columns[0] == seed.columns[0][::2]
         _, seed, out, _ = self._probe(store, ["m", "m"], EX.four)
         assert out is seed
+
+    @pytest.mark.parametrize("store", ["dict", "columnar"])
+    def test_a_pair_probe_keys_on_both_columns_in_row_order(self, store):
+        step, seed, out, rows = self._run(
+            store, {"x": ["b", "z", "a", "b"], "q": ["p", "q", "p", "p"]},
+            ("?x", "?q", "?y"))
+        assert step.kernel == "general" and len(step.cols) == 2
+        assert rows == [("b", "p", "two"), ("z", "q", "one"),
+                        ("a", "p", "one"), ("b", "p", "two")]
+        assert out.columns[0] is seed.columns[0] and out.prov is seed.prov
+        _, _, out, rows = self._run(
+            store, {"x": ["m", "a", "a"], "q": ["p", "q", "p"]},
+            ("?x", "?q", "?y"))
+        assert out.prov == [0, 0, 2]
+        assert sorted(rows[:2]) == [("m", "p", "four"), ("m", "p", "three")]
+
+    @pytest.mark.parametrize("store", ["dict", "columnar"])
+    def test_a_repeated_variable_keeps_agreeing_matches_in_row_order(
+            self, store):
+        # (?y, ?x, ?y): ex:r's subject and object agree on m alone
+        step, seed, out, rows = self._run(
+            store, {"x": ["r", "p", "s", "r"]}, ("?y", "?x", "?y"))
+        assert rows == [("r", "m"), ("s", "a"), ("r", "m")]
+        assert out.prov == [0, 2, 3]
+        assert step.kernel == "general" and step.same == ((0, 2),)
+        _, seed, out, rows = self._run(store, {"x": ["r", "r"]},
+                                       ("?y", "?x", "?y"))
+        assert rows == [("r", "m")] * 2
+        assert out.columns[0] is seed.columns[0] and out.prov is seed.prov
+        # bound at both ends: fully ground, one mask
+        _, seed, out, rows = self._run(store, {"x": ["m", "a", "m"]},
+                                       ("?x", "r", "?x"))
+        assert rows == [("m",), ("m",)] and out.prov == [0, 2]
+
+    @pytest.mark.parametrize("store", ["dict", "columnar"])
+    def test_an_unbound_seed_cell_is_filled_in_row_order(self, store):
+        # the unbound cell matches all four ex:p triples, in its own place
+        step, seed, out, rows = self._run(
+            store, {"x": ["a", None, "b", "a"]}, ("?x", "p", "?y"))
+        assert step.holey == (0,)
+        assert out.prov == [0, 1, 1, 1, 1, 2, 3]
+        assert rows[0] == rows[6] == ("a", "one") and rows[5] == ("b", "two")
+        assert sorted(rows[1:5]) == [("a", "one"), ("b", "two"),
+                                     ("m", "four"), ("m", "three")]
+        # one match per key: the provenance passes through and only the
+        # holey column is rebuilt
+        _, seed, out, rows = self._run(store, {"x": [None, "z"],
+                                               "w": ["a", "b"]},
+                                       ("?x", "q", "?y"))
+        assert rows == [("z", "a", "one"), ("z", "b", "one")]
+        assert out.prov is seed.prov and out.columns[1] is seed.columns[1]
+        assert seed.columns[0][0] is None
